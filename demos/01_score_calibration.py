@@ -41,9 +41,9 @@ fit_samples = collect_calibration_samples(
 eval_samples = collect_calibration_samples(
     params, dataset, np.random.default_rng([SEED, 101]), negatives_per_positive=4
 )
-eval_scores = np.array([smp.s for smp in eval_samples])
-eval_labels = np.array([smp.y for smp in eval_samples], dtype=float)
-print(f"{len(fit_samples)} fitting samples, {sum(s.y for s in fit_samples)} positive")
+eval_scores = eval_samples.s
+eval_labels = eval_samples.y.astype(float)
+print(f"{len(fit_samples)} fitting samples, {fit_samples.y.sum()} positive")
 
 raw_pairs = np.column_stack([expit(eval_scores), eval_labels])
 print(f"\nraw sigmoid(score) ECE: {ece(raw_pairs):.4f}")
@@ -54,7 +54,7 @@ print(f"\nraw sigmoid(score) ECE: {ece(raw_pairs):.4f}")
 from calibrec.calibration import apply  # noqa: E402
 
 for kind in ("platt", "gaussian", "gamma", "histogram"):
-    shift = gamma_shift([smp.s for smp in fit_samples]) if kind == "gamma" else 0.0
+    shift = gamma_shift(fit_samples.s) if kind == "gamma" else 0.0
     cal = fit(kind, fit_samples, score_shift=shift)
     pairs = np.column_stack([np.atleast_1d(apply(cal, eval_scores)), eval_labels])
     print(f"{kind:>9}: ECE {ece(pairs):.4f}")

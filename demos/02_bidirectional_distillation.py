@@ -31,7 +31,7 @@ bd_cfg = BdConfig(
 
 def recall_at_10(model):
     lists = {
-        u: rank_items(model, u, exclude=dataset.train_items(u))[:10]
+        u: rank_items(model, u, exclude=dataset.train.row(u))[:10]
         for u in range(dataset.num_users)
     }
     result = evaluate(lists, dataset, split="validation", metrics=("recall",), ks=(10,))

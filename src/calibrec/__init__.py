@@ -10,14 +10,15 @@ Three capabilities on a matrix-factorization backbone:
 - ``perk``: per-user recommendation-list sizing by exact expected utility
   under independent Bernoulli relevance.
 
-Supporting modules: ``dataset`` (ingestion and splits), ``ranker`` (the MF
-backbone), ``metrics`` (realized ranking metrics), ``synthetic`` (seeded
+Supporting modules: ``dataset`` (ingestion, CSR splits and the negative
+sampler), ``ranker`` (the MF backbone and batched top-K), ``metrics`` (realized ranking metrics), ``synthetic`` (seeded
 data generators), ``cli`` (the end-to-end pipeline driver).
 """
 
 from . import calibration, cli, dataset, distill, metrics, perk, ranker, seeding, synthetic
 from .calibration import (
     CalibrationSample,
+    CalibrationSamples,
     Calibrator,
     PropensityModel,
     collect_calibration_samples,
@@ -28,7 +29,16 @@ from .calibration import (
     reliability_table,
     save_calibrator,
 )
-from .dataset import DataFormatError, Dataset, IdMaps, load_interactions, sample_negative, split_per_user
+from .dataset import (
+    Csr,
+    DataFormatError,
+    Dataset,
+    IdMaps,
+    load_interactions,
+    sample_negative,
+    sample_negatives,
+    split_per_user,
+)
 from .distill import (
     BdConfig,
     CotrainReport,
@@ -64,6 +74,7 @@ from .ranker import (
     save_checkpoint,
     score,
     score_items,
+    top_k,
 )
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .dataset import Dataset
+from .dataset import SPLITS, Dataset, sample_negatives
 from .ranker import MfParams, score_items
 
 CALIBRATOR_KINDS = ("platt", "gaussian", "gamma", "histogram")
@@ -78,6 +78,18 @@ class CalibrationSample:
     s: float
     y: int
     theta: float = 1.0
+
+
+@dataclass
+class CalibrationSamples:
+    """Fitting points as parallel arrays of scores, labels and propensities."""
+
+    s: np.ndarray
+    y: np.ndarray
+    theta: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.s)
 
 
 def gamma_shift(scores, eps: float = GAMMA_EPS) -> float:
@@ -132,9 +144,12 @@ def apply(cal: Calibrator, s) -> float | np.ndarray:
 
 
 def _samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s = np.array([smp.s for smp in samples], dtype=float)
-    y = np.array([smp.y for smp in samples], dtype=float)
-    theta = np.array([smp.theta for smp in samples], dtype=float)
+    if isinstance(samples, CalibrationSamples):
+        s, y, theta = (np.asarray(a, dtype=float) for a in (samples.s, samples.y, samples.theta))
+    else:
+        s = np.array([smp.s for smp in samples], dtype=float)
+        y = np.array([smp.y for smp in samples], dtype=float)
+        theta = np.array([smp.theta for smp in samples], dtype=float)
     if np.any((theta <= 0) | (theta > 1)):
         raise ValueError("propensities must lie in (0, 1]")
     if np.any((y != 0) & (y != 1)):
@@ -171,7 +186,7 @@ def _gradient(theta_vec, phi, w_pos, w_neg) -> np.ndarray:
 
 def fit(
     kind: str,
-    samples: Sequence[CalibrationSample],
+    samples: CalibrationSamples | Sequence[CalibrationSample],
     unbiased: bool = False,
     max_iters: int = 1000,
     tol: float = 1e-8,
@@ -421,40 +436,29 @@ def collect_calibration_samples(
     split: str = "validation",
     negatives_per_positive: int = 1,
     propensity: PropensityModel | None = None,
-) -> list[CalibrationSample]:
+) -> CalibrationSamples:
     """Build the (score, label, propensity) fitting set from held-out data.
 
     Every split positive (u, i) yields one y=1 sample; for each positive,
     ``negatives_per_positive`` items the user never interacted with (in any
-    split) yield y=0 samples. theta is 1 everywhere unless a propensity
-    model is supplied.
+    split) yield y=0 samples, drawn by ``sample_negatives``. Samples are laid
+    out user by user, each positive followed by its negatives. theta is 1
+    everywhere unless a propensity model is supplied.
     """
     if split != "validation":
         raise ValueError("calibration samples are collected from the validation split")
-    split_sets = dataset.by_user(split)
-    samples: list[CalibrationSample] = []
-
-    def theta_of(item: int) -> float:
-        return float(propensity.theta[item]) if propensity is not None else 1.0
-
-    for user in sorted(split_sets):
-        items = sorted(split_sets[user])
-        if not items:
-            continue
-        observed = dataset.observed_items(user)
-        if len(observed) >= dataset.num_items:
-            raise ValueError(f"user {user} interacted with every item; cannot sample negatives")
-        pos_scores = score_items(params, user, items)
-        for item, s in zip(items, pos_scores):
-            samples.append(CalibrationSample(float(s), 1, theta_of(item)))
-            for _ in range(negatives_per_positive):
-                while True:
-                    j = int(rng.integers(dataset.num_items))
-                    if j not in observed:
-                        break
-                samples.append(
-                    CalibrationSample(float(score_items(params, user, [j])[0]), 0, theta_of(j))
-                )
-    if not samples:
+    held = dataset.split(split)
+    if not len(held):
         raise ValueError(f"split {split!r} is empty")
-    return samples
+    users, positives = held.pairs()
+    negatives = sample_negatives(dataset, users, negatives_per_positive, rng, exclude=SPLITS)
+    items = np.column_stack([positives, negatives])
+    labels = np.zeros(items.shape, dtype=np.int64)
+    labels[:, 0] = 1
+    scores = np.empty(items.shape)
+    for user in np.flatnonzero(held.sizes()):
+        rows = slice(held.indptr[user], held.indptr[user + 1])
+        user_scores = score_items(params, int(user), items[rows].ravel())
+        scores[rows] = user_scores.reshape(-1, items.shape[1])
+    theta = propensity.theta[items] if propensity is not None else np.ones(items.shape)
+    return CalibrationSamples(scores.ravel(), labels.ravel(), theta.ravel())

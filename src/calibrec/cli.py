@@ -14,7 +14,10 @@ run would.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from scipy.special import expit
 
 from . import calibration, metrics
 from .calibration import (
+    PARAMETRIC_KINDS,
     apply as apply_calibrator,
     collect_calibration_samples,
     ece,
@@ -34,7 +38,7 @@ from .calibration import (
     save_calibrator,
     write_reliability_csv,
 )
-from .dataset import DataFormatError, Dataset, IdMaps, load_interactions, split_per_user
+from .dataset import Csr, DataFormatError, Dataset, IdMaps, load_interactions, split_per_user
 from .distill import BdConfig, cotrain_epoch
 from .perk import PerkConfig, PersonalizedCut, perk_recommend
 from .ranker import (
@@ -43,8 +47,8 @@ from .ranker import (
     init_params,
     load_checkpoint,
     pointwise_epoch,
-    rank_items,
     save_checkpoint,
+    top_k,
 )
 from .seeding import stream_seed
 
@@ -181,15 +185,39 @@ def load_config(path=None, overrides=()) -> dict:
 BUNDLE_FILES = ("user_map.json", "item_map.json", "train.txt", "validation.txt", "test.txt")
 
 
+@contextlib.contextmanager
+def _atomic_open(path, keep_existing=False):
+    """Text handle on ``<path>.partial``, renamed over ``path`` when the block ends.
+
+    If the block raises, the partial file is removed and ``path`` is left
+    as it was, so a failed run never leaves a truncated file under the final
+    name. With ``keep_existing`` the handle starts after a copy of the
+    current ``path`` (a resumed run's log).
+    """
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    if keep_existing and path.exists():
+        shutil.copyfile(path, partial)
+        mode = "a"
+    else:
+        mode = "w"
+    try:
+        with open(partial, mode, encoding="utf-8") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _append_jsonl(path, row):
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row, sort_keys=True) + "\n")
+def _jsonl_line(row) -> str:
+    return json.dumps(row, sort_keys=True) + "\n"
 
 
 def read_jsonl(path) -> list[dict]:
@@ -201,41 +229,27 @@ def read_jsonl(path) -> list[dict]:
     return rows
 
 
-def _write_split(path, pairs, delimiter):
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, i in sorted(pairs):
-            fh.write(f"{u}{delimiter}{i}\n")
+def _write_split(path, split: Csr, delimiter):
+    users, items = split.pairs()
+    with _atomic_open(path) as fh:
+        fh.writelines(f"{u}{delimiter}{i}\n" for u, i in zip(users.tolist(), items.tolist()))
 
 
-def _read_split(path, delimiter):
-    pairs = []
+def _read_split(path, delimiter, num_users, num_items) -> Csr:
+    """Parse a ``user<delim>item`` split file into per-user rows."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if stripped:
-                u, i = stripped.split(delimiter)[:2]
-                pairs.append((int(u), int(i)))
-    return pairs
-
-
-def _dataset_from_pairs(num_users, num_items, train, validation, test) -> Dataset:
-    def group(pairs):
-        grouped: dict[int, set[int]] = {}
-        for u, i in pairs:
-            grouped.setdefault(u, set()).add(i)
-        return {u: frozenset(items) for u, items in grouped.items()}
-
-    popularity = np.zeros(num_items, dtype=np.int64)
-    for _, i in train:
-        popularity[i] += 1
-    return Dataset(
-        num_users=num_users,
-        num_items=num_items,
-        train_by_user=group(train),
-        validation_by_user=group(validation),
-        test_by_user=group(test),
-        item_popularity=popularity,
-    )
+        text = fh.read()
+    try:
+        values = np.fromstring(text.replace(delimiter, " "), dtype=np.int64, sep=" ")
+    except ValueError:
+        values = None
+    if values is None or len(values) != 2 * text.count(delimiter):
+        raise DataFormatError(f"{path}: expected 'user{delimiter}item' lines")
+    pairs = values.reshape(-1, 2)
+    try:
+        return Csr.from_pairs(pairs[:, 0], pairs[:, 1], num_users, num_items)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def load_bundle(bundle_dir, delimiter=",") -> tuple[Dataset, IdMaps]:
@@ -246,14 +260,28 @@ def load_bundle(bundle_dir, delimiter=",") -> tuple[Dataset, IdMaps]:
     with open(bundle / "item_map.json", "r", encoding="utf-8") as fh:
         item_map = json.load(fh)
     maps = IdMaps(user_to_index=user_map, item_to_index=item_map)
-    dataset = _dataset_from_pairs(
-        maps.num_users,
-        maps.num_items,
-        _read_split(bundle / "train.txt", delimiter),
-        _read_split(bundle / "validation.txt", delimiter),
-        _read_split(bundle / "test.txt", delimiter),
+    splits = {
+        name: _read_split(bundle / f"{name}.txt", delimiter, maps.num_users, maps.num_items)
+        for name in ("train", "validation", "test")
+    }
+    dataset = Dataset(
+        num_users=maps.num_users,
+        num_items=maps.num_items,
+        item_popularity=np.bincount(splits["train"].indices, minlength=maps.num_items),
+        **splits,
     )
     return dataset, maps
+
+
+def _load_model(path, dataset: Dataset):
+    """Checkpoint whose user and item counts must match the bundle's."""
+    params, header = load_checkpoint(path)
+    if (params.num_users, params.num_items) != (dataset.num_users, dataset.num_items):
+        raise ValueError(
+            f"checkpoint {path} has {params.num_users} users x {params.num_items} items, "
+            f"the bundle {dataset.num_users} x {dataset.num_items}"
+        )
+    return params, header
 
 
 def load_recommendations(path):
@@ -331,12 +359,11 @@ def cmd_train(args, cfg) -> int:
         batch_size=cfg["train.batch_size"],
         loss_kind=cfg["train.loss"],
         negatives_per_positive=cfg["train.negatives_per_positive"],
-        seed=cfg["seed"],
     )
     epoch_fn = bpr_epoch if train_cfg.loss_kind == "bpr" else pointwise_epoch
 
     if args.resume:
-        params, header = load_checkpoint(args.resume)
+        params, header = _load_model(args.resume, dataset)
         start_epoch = header.get("epochs_trained", 0)
     else:
         params = init_params(
@@ -348,13 +375,12 @@ def cmd_train(args, cfg) -> int:
         start_epoch = 0
 
     log_path = Path(args.log) if args.log else Path(str(args.out) + "_log.jsonl")
-    if not args.resume and log_path.exists():
-        log_path.unlink()
-    for epoch in range(start_epoch, cfg["train.epochs"]):
-        rng = _train_epoch_rng(cfg, args.base_stream, epoch)
-        params, loss = epoch_fn(params, dataset, train_cfg, rng)
-        _append_jsonl(log_path, {"epoch": epoch, "loss": loss})
-        print(f"epoch {epoch}: loss {loss:.6f}")
+    with _atomic_open(log_path, keep_existing=bool(args.resume)) as log:
+        for epoch in range(start_epoch, cfg["train.epochs"]):
+            rng = _train_epoch_rng(cfg, args.base_stream, epoch)
+            params, loss = epoch_fn(params, dataset, train_cfg, rng)
+            log.write(_jsonl_line({"epoch": epoch, "loss": loss}))
+            print(f"epoch {epoch}: loss {loss:.6f}")
     save_checkpoint(
         params,
         args.out,
@@ -367,7 +393,7 @@ def cmd_train(args, cfg) -> int:
 
 def cmd_calibrate(args, cfg) -> int:
     dataset, _ = load_bundle(args.data, cfg["data.delimiter"])
-    params, _ = load_checkpoint(args.ckpt)
+    params, _ = _load_model(args.ckpt, dataset)
     propensity = (
         estimate_propensity(dataset.item_popularity, cfg["calib.tau"], cfg["calib.theta_min"])
         if cfg["calib.unbiased"]
@@ -388,19 +414,30 @@ def cmd_calibrate(args, cfg) -> int:
     )
 
     kind = cfg["calib.kind"]
-    shift = gamma_shift([smp.s for smp in fit_samples]) if kind == "gamma" else 0.0
-    cal = fit(
+    shift = gamma_shift(fit_samples.s) if kind == "gamma" else 0.0
+    max_iters = cfg["calib.max_iters"]
+    cal, trace = fit(
         kind,
         fit_samples,
         unbiased=cfg["calib.unbiased"],
-        max_iters=cfg["calib.max_iters"],
+        max_iters=max_iters,
         tol=cfg["calib.tol"],
         score_shift=shift,
         num_bins=cfg["calib.num_bins"],
+        full_output=True,
     )
+    # the trace holds the start loss plus one entry per accepted step
+    iterations = max(len(trace) - 1, 0)
+    hit_iter_cap = kind in PARAMETRIC_KINDS and iterations >= max_iters
+    if hit_iter_cap:
+        print(
+            f"calibrec: warning: {kind} fit stopped at the iteration cap "
+            f"({iterations}/{max_iters}) before the gradient fell below calib.tol",
+            file=sys.stderr,
+        )
 
-    eval_scores = np.array([smp.s for smp in eval_samples])
-    eval_labels = np.array([smp.y for smp in eval_samples], dtype=float)
+    eval_scores = eval_samples.s
+    eval_labels = eval_samples.y.astype(float)
     raw_pairs = np.column_stack([expit(eval_scores), eval_labels])
     cal_pairs = np.column_stack([np.atleast_1d(apply_calibrator(cal, eval_scores)), eval_labels])
     num_bins, scheme = cfg["calib.num_bins"], cfg["calib.scheme"]
@@ -421,6 +458,8 @@ def cmd_calibrate(args, cfg) -> int:
             "num_eval_samples": len(eval_samples),
             "ece_raw": ece_raw,
             "ece_calibrated": ece_cal,
+            "iterations": iterations,
+            "hit_iter_cap": hit_iter_cap,
             "num_bins": num_bins,
             "scheme": scheme,
         },
@@ -438,7 +477,6 @@ def cmd_distill(args, cfg) -> int:
         batch_size=cfg["train.batch_size"],
         loss_kind="pointwise",
         negatives_per_positive=cfg["train.negatives_per_positive"],
-        seed=cfg["seed"],
     )
     bd_cfg = BdConfig(
         lambda_ts=cfg["bd.lambda_ts"],
@@ -447,7 +485,6 @@ def cmd_distill(args, cfg) -> int:
         eta=cfg["bd.eta"],
         truncate_rank=cfg["bd.truncate_rank"],
         epochs=cfg["bd.epochs"],
-        seed=cfg["seed"],
     )
     teacher = init_params(
         dataset.num_users, dataset.num_items, cfg["bd.teacher_dim"],
@@ -460,9 +497,6 @@ def cmd_distill(args, cfg) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    log_path = out / "cotrain_log.jsonl"
-    if log_path.exists():
-        log_path.unlink()
     save_every = args.save_every if args.save_every is not None else cfg["bd.save_every"]
 
     def save_both(epochs_done):
@@ -472,24 +506,26 @@ def cmd_distill(args, cfg) -> int:
                         loss_kind="pointwise", epochs_trained=epochs_done)
 
     report = None
-    for epoch in range(bd_cfg.epochs):
-        rng = np.random.default_rng(stream_seed(cfg["seed"], "bd", 1 + epoch))
-        teacher, student, report = cotrain_epoch(teacher, student, dataset, base_cfg, bd_cfg, rng)
-        _append_jsonl(log_path, report.teacher.as_row(epoch, "teacher"))
-        _append_jsonl(log_path, report.student.as_row(epoch, "student"))
-        print(
-            f"epoch {epoch}: teacher base {report.teacher.base_loss:.4f} "
-            f"distill {report.teacher.distill_loss:.4f} | student base "
-            f"{report.student.base_loss:.4f} distill {report.student.distill_loss:.4f}"
-        )
-        if save_every and (epoch + 1) % save_every == 0:
-            save_both(epoch + 1)
+    with _atomic_open(out / "cotrain_log.jsonl") as log:
+        for epoch in range(bd_cfg.epochs):
+            rng = np.random.default_rng(stream_seed(cfg["seed"], "bd", 1 + epoch))
+            teacher, student, report = cotrain_epoch(
+                teacher, student, dataset, base_cfg, bd_cfg, rng
+            )
+            log.write(_jsonl_line(report.teacher.as_row(epoch, "teacher")))
+            log.write(_jsonl_line(report.student.as_row(epoch, "student")))
+            print(
+                f"epoch {epoch}: teacher base {report.teacher.base_loss:.4f} "
+                f"distill {report.teacher.distill_loss:.4f} | student base "
+                f"{report.student.base_loss:.4f} distill {report.student.distill_loss:.4f}"
+            )
+            if save_every and (epoch + 1) % save_every == 0:
+                save_both(epoch + 1)
     save_both(bd_cfg.epochs)
 
-    student_lists = {
-        u: rank_items(student, u, exclude=dataset.train_items(u))[:10]
-        for u in range(dataset.num_users)
-    }
+    train_rows = [dataset.train.row(u) for u in range(dataset.num_users)]
+    top = top_k(student, np.arange(dataset.num_users), 10, train_rows)
+    student_lists = {u: row[row >= 0].tolist() for u, row in enumerate(top)}
     recall_result = metrics.evaluate(
         student_lists, dataset, split="validation", metrics=("recall",), ks=(10,)
     )
@@ -508,16 +544,9 @@ def cmd_distill(args, cfg) -> int:
 
 def cmd_recommend(args, cfg) -> int:
     dataset, _ = load_bundle(args.data, cfg["data.delimiter"])
-    params, _ = load_checkpoint(args.ckpt)
+    params, _ = _load_model(args.ckpt, dataset)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    if out_path.exists():
-        out_path.unlink()
-
-    def extra_excluded(user):
-        if args.exclude_validation:
-            return dataset.validation_by_user.get(user, frozenset())
-        return frozenset()
 
     if args.perk:
         if not args.calibrator:
@@ -526,49 +555,57 @@ def cmd_recommend(args, cfg) -> int:
         perk_cfg = PerkConfig(
             k_max=cfg["perk.k_max"], utility=cfg["perk.utility"], rest_pool=cfg["perk.rest_pool"]
         )
+        train_sizes = dataset.train.sizes()
         cuts = []
-        for user in range(dataset.num_users):
-            if len(dataset.train_items(user)) >= dataset.num_items:
-                continue
-            cut = perk_recommend(
-                params, cal, dataset, user, perk_cfg, exclude_extra=extra_excluded(user)
-            )
-            cuts.append(cut)
-            _append_jsonl(
-                out_path,
-                {
-                    "user": cut.user,
-                    "k_star": cut.k_star,
-                    "curve": [float(v) for v in cut.curve],
-                    "items": cut.items,
-                },
-            )
+        with _atomic_open(out_path) as fh:
+            for user in range(dataset.num_users):
+                if train_sizes[user] >= dataset.num_items:
+                    continue
+                extra = dataset.validation.row(user) if args.exclude_validation else ()
+                cut = perk_recommend(params, cal, dataset, user, perk_cfg, exclude_extra=extra)
+                cuts.append(cut)
+                fh.write(
+                    _jsonl_line(
+                        {
+                            "user": cut.user,
+                            "k_star": cut.k_star,
+                            "curve": [float(v) for v in cut.curve],
+                            "items": cut.items,
+                        }
+                    )
+                )
         if args.summary:
             _write_perk_summary(args.summary, cuts, dataset, cfg)
         print(f"wrote {len(cuts)} personalized lists to {out_path}")
     else:
         if args.k is None:
             raise ValueError("fixed mode requires --k (or pass --perk)")
+        if args.k < 1:
+            raise ValueError("--k must be >= 1")
+        exclude = [dataset.train.row(u) for u in range(dataset.num_users)]
+        if args.exclude_validation:
+            exclude = [np.concatenate([row, dataset.validation.row(u)])
+                       for u, row in enumerate(exclude)]
+        lists = top_k(params, np.arange(dataset.num_users), args.k, exclude)
         written = 0
-        for user in range(dataset.num_users):
-            ranked = rank_items(
-                params, user, exclude=dataset.train_items(user) | extra_excluded(user)
-            )
-            if not ranked:
-                continue
-            if len(ranked) < args.k and not args.allow_fewer:
-                raise ValueError(
-                    f"user {user} has only {len(ranked)} candidates for k={args.k}; "
-                    "pass --allow-fewer to emit short lists"
-                )
-            _append_jsonl(out_path, {"user": user, "items": ranked[: args.k]})
-            written += 1
+        with _atomic_open(out_path) as fh:
+            for user, row in enumerate(lists):
+                items = row[row >= 0]
+                if not items.size:
+                    continue
+                if len(items) < args.k and not args.allow_fewer:
+                    raise ValueError(
+                        f"user {user} has only {len(items)} candidates for k={args.k}; "
+                        "pass --allow-fewer to emit short lists"
+                    )
+                fh.write(_jsonl_line({"user": user, "items": items.tolist()}))
+                written += 1
         print(f"wrote {written} top-{args.k} lists to {out_path}")
     return 0
 
 
 def _write_perk_summary(path, cuts, dataset, cfg):
-    split_sets = dataset.by_user(cfg["eval.split"])
+    held = dataset.split(cfg["eval.split"])
     histogram: dict[int, int] = {}
     expected = []
     realized = []
@@ -576,9 +613,9 @@ def _write_perk_summary(path, cuts, dataset, cfg):
     for cut in cuts:
         histogram[cut.k_star] = histogram.get(cut.k_star, 0) + 1
         expected.append(float(cut.curve[cut.k_star - 1]))
-        relevant = split_sets.get(cut.user)
-        if relevant:
-            realized.append(metric_fn(cut.items, set(relevant), cut.k_star))
+        relevant = held.row(cut.user)
+        if relevant.size:
+            realized.append(metric_fn(cut.items, set(relevant.tolist()), cut.k_star))
     _write_json(
         path,
         {

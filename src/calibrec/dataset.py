@@ -6,7 +6,9 @@ meaning a positive label. Unobserved pairs are unlabeled, not negatives.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -67,56 +69,107 @@ class IdMaps:
         return inv
 
 
-@dataclass
+SPLITS = ("train", "validation", "test")
+
+# slots that sample_negatives draws and checks together: bounds its temporary
+# arrays at a few MB however many negatives are asked for
+SAMPLE_BLOCK = 1 << 14
+
+
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """Per-user item rows in compressed sparse row form.
+
+    Row ``u`` is ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending and
+    free of duplicates; every item index is below ``num_cols``. Instances
+    are immutable.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    num_cols: int
+
+    @classmethod
+    def from_pairs(cls, rows, cols, num_rows: int, num_cols: int) -> "Csr":
+        """Rows built from (row, col) pairs in any order; duplicates collapse."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if rows.size and (
+            rows.min() < 0 or rows.max() >= num_rows or cols.min() < 0 or cols.max() >= num_cols
+        ):
+            raise ValueError(f"pair outside a {num_rows} x {num_cols} matrix")
+        keys = np.unique(rows * num_cols + cols)
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // num_cols, minlength=num_rows), out=indptr[1:])
+        return cls(indptr, keys % num_cols, num_cols)
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.indptr) - 1
+
+    def __len__(self) -> int:
+        return int(self.indptr[-1])
+
+    def sizes(self) -> np.ndarray:
+        """Entries per row."""
+        return np.diff(self.indptr)
+
+    def row(self, r: int) -> np.ndarray:
+        return self.indices[self.indptr[r] : self.indptr[r + 1]]
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """All entries as (rows, cols) arrays, ordered by row then col."""
+        return np.repeat(np.arange(self.num_rows), self.sizes()), self.indices
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        rows, cols = self.pairs()
+        return rows * self.num_cols + cols
+
+    def contains(self, rows, cols) -> np.ndarray:
+        """Elementwise membership of (rows[j], cols[j]), by binary search."""
+        query = np.asarray(rows, dtype=np.int64) * self.num_cols
+        query += np.asarray(cols, dtype=np.int64)
+        keys = self._keys
+        if not keys.size:
+            return np.zeros(query.shape, dtype=bool)
+        pos = np.searchsorted(keys, query)
+        np.minimum(pos, keys.size - 1, out=pos)
+        return keys[pos] == query
+
+    def select(self, mask: np.ndarray) -> "Csr":
+        """The entries where ``mask`` (one flag per entry) is set."""
+        rows, _ = self.pairs()
+        indptr = np.zeros(len(self.indptr), dtype=np.int64)
+        np.cumsum(np.bincount(rows[mask], minlength=self.num_rows), out=indptr[1:])
+        return Csr(indptr, self.indices[mask], self.num_cols)
+
+
+@dataclass(eq=False)
 class Dataset:
     """Index-mapped interactions partitioned into train/validation/test.
 
-    Per-user sets are the primary representation; the flat pair sets are
-    derived views. Instances are treated as immutable after construction.
+    Each split is a ``Csr`` with one row per user; the three splits are
+    disjoint. Instances are treated as immutable after construction.
     """
 
     num_users: int
     num_items: int
-    train_by_user: dict[int, frozenset[int]]
-    validation_by_user: dict[int, frozenset[int]]
-    test_by_user: dict[int, frozenset[int]]
+    train: Csr
+    validation: Csr
+    test: Csr
     item_popularity: np.ndarray
 
-    def by_user(self, split: str) -> dict[int, frozenset[int]]:
-        try:
-            return {
-                "train": self.train_by_user,
-                "validation": self.validation_by_user,
-                "test": self.test_by_user,
-            }[split]
-        except KeyError:
-            raise ValueError(f"unknown split {split!r}") from None
-
-    def pairs(self, split: str) -> set[Interaction]:
-        return {(u, i) for u, items in self.by_user(split).items() for i in items}
+    def split(self, name: str) -> Csr:
+        if name not in SPLITS:
+            raise ValueError(f"unknown split {name!r}")
+        return getattr(self, name)
 
     @property
-    def train(self) -> set[Interaction]:
-        return self.pairs("train")
-
-    @property
-    def validation(self) -> set[Interaction]:
-        return self.pairs("validation")
-
-    @property
-    def test(self) -> set[Interaction]:
-        return self.pairs("test")
-
-    def train_items(self, user: int) -> frozenset[int]:
-        return self.train_by_user.get(user, frozenset())
-
-    def observed_items(self, user: int) -> frozenset[int]:
-        """All items the user interacted with, over every split."""
-        return (
-            self.train_by_user.get(user, frozenset())
-            | self.validation_by_user.get(user, frozenset())
-            | self.test_by_user.get(user, frozenset())
-        )
+    def train_by_user(self) -> dict[int, np.ndarray]:
+        """Train rows of the users that have any, keyed by user."""
+        sizes = self.train.sizes()
+        return {int(u): self.train.row(u) for u in np.flatnonzero(sizes)}
 
 
 def load_interactions(
@@ -181,61 +234,90 @@ def split_per_user(
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios}")
 
-    deduped = list(dict.fromkeys(raw))
-    by_user: dict[int, list[int]] = {}
-    for u, i in deduped:
-        by_user.setdefault(u, []).append(i)
-        if u < 0 or i < 0:
-            raise ValueError(f"negative index in interaction ({u}, {i})")
+    pairs = np.fromiter(
+        itertools.chain.from_iterable(raw), dtype=np.int64, count=2 * len(raw)
+    ).reshape(-1, 2)
+    negative = np.flatnonzero((pairs < 0).any(axis=1))
+    if negative.size:
+        u, i = pairs[negative[0]]
+        raise ValueError(f"negative index in interaction ({u}, {i})")
+    n_users = num_users if num_users is not None else int(pairs[:, 0].max()) + 1
+    n_items = num_items if num_items is not None else int(pairs[:, 1].max()) + 1
+    full = Csr.from_pairs(pairs[:, 0], pairs[:, 1], n_users, n_items)
 
-    n_users = num_users if num_users is not None else max(u for u, _ in deduped) + 1
-    n_items = num_items if num_items is not None else max(i for _, i in deduped) + 1
-
+    # each user's sorted items are shuffled by one rng.permutation call, in
+    # user order; position j of the shuffled row lands in the split that
+    # covers j, and the entry it came from is labelled with that split
     rng = np.random.default_rng(seed)
-    train_by_user: dict[int, frozenset[int]] = {}
-    val_by_user: dict[int, frozenset[int]] = {}
-    test_by_user: dict[int, frozenset[int]] = {}
-    popularity = np.zeros(n_items, dtype=np.int64)
+    sizes = full.sizes()
+    source = np.arange(len(full))
+    for user in np.flatnonzero(sizes):
+        start, stop = full.indptr[user], full.indptr[user + 1]
+        source[start:stop] = start + rng.permutation(stop - start)
+    # epsilon guards against 10 * 0.1 == 0.999... style float drift
+    n_val = np.where(sizes < 3, 0, (sizes * r_val + 1e-9).astype(np.int64))
+    n_test = np.where(sizes < 3, 0, (sizes * r_test + 1e-9).astype(np.int64))
+    n_train = sizes - n_val - n_test
+    rows, _ = full.pairs()
+    position = np.arange(len(full)) - full.indptr[rows]
+    label = np.empty(len(full), dtype=np.int8)
+    label[source] = (position >= n_train[rows]).astype(np.int8) + (
+        position >= (n_train + n_val)[rows]
+    )
 
-    for user in sorted(by_user):
-        items = np.array(sorted(by_user[user]), dtype=np.int64)
-        items = items[rng.permutation(len(items))]
-        n = len(items)
-        if n < 3:
-            n_val = n_test = 0
-        else:
-            # epsilon guards against 10 * 0.1 == 0.999... style float drift
-            n_val = int(n * r_val + 1e-9)
-            n_test = int(n * r_test + 1e-9)
-        n_train = n - n_val - n_test
-        train_by_user[user] = frozenset(int(i) for i in items[:n_train])
-        if n_val:
-            val_by_user[user] = frozenset(int(i) for i in items[n_train : n_train + n_val])
-        if n_test:
-            test_by_user[user] = frozenset(int(i) for i in items[n_train + n_val :])
-        for i in items[:n_train]:
-            popularity[i] += 1
-
+    train = full.select(label == 0)
     return Dataset(
         num_users=n_users,
         num_items=n_items,
-        train_by_user=train_by_user,
-        validation_by_user=val_by_user,
-        test_by_user=test_by_user,
-        item_popularity=popularity,
+        train=train,
+        validation=full.select(label == 1),
+        test=full.select(label == 2),
+        item_popularity=np.bincount(train.indices, minlength=n_items),
     )
 
 
-def sample_negative(dataset: Dataset, user: int, rng: np.random.Generator) -> int:
-    """Uniformly sample an item outside the user's train set.
+def sample_negatives(
+    dataset: Dataset,
+    users,
+    n: int,
+    rng: np.random.Generator,
+    exclude: Sequence[str] = ("train",),
+) -> np.ndarray:
+    """``n`` items per user, each uniform over the items outside the user's
+    rows in the ``exclude`` splits; returns a (len(users), n) int64 array.
 
-    Rejection sampling; raises ValueError when the user's train set covers
-    every item.
+    Vectorized rejection sampling over blocks of ``SAMPLE_BLOCK`` slots:
+    every slot draws from the whole catalog and redraws while its item is
+    blocked, membership being a binary search in the split CSRs. Raises
+    ValueError when a user's blocked rows cover every item.
     """
-    train = dataset.train_by_user.get(user, frozenset())
-    if len(train) >= dataset.num_items:
-        raise ValueError(f"user {user}: train set covers all {dataset.num_items} items")
-    while True:
-        item = int(rng.integers(dataset.num_items))
-        if item not in train:
-            return item
+    users = np.asarray(users, dtype=np.int64).ravel()
+    blocked = [dataset.split(name) for name in exclude]
+    covered = sum((b.sizes()[users] for b in blocked), np.zeros(len(users), dtype=np.int64))
+    for user in np.unique(users[covered >= dataset.num_items]):
+        if np.unique(np.concatenate([b.row(user) for b in blocked])).size >= dataset.num_items:
+            raise ValueError(
+                f"user {user}: {'+'.join(exclude)} covers all {dataset.num_items} items"
+            )
+
+    def is_blocked(slot_users, slot_items):
+        hit = np.zeros(slot_users.shape, dtype=bool)
+        for b in blocked:
+            hit |= b.contains(slot_users, slot_items)
+        return hit
+
+    items = np.empty(len(users) * n, dtype=np.int64)
+    for start in range(0, items.size, SAMPLE_BLOCK):
+        slot_users = users[np.arange(start, min(start + SAMPLE_BLOCK, items.size)) // n]
+        block = rng.integers(dataset.num_items, size=slot_users.size)
+        redo = np.flatnonzero(is_blocked(slot_users, block))
+        while redo.size:
+            block[redo] = rng.integers(dataset.num_items, size=redo.size)
+            redo = redo[is_blocked(slot_users[redo], block[redo])]
+        items[start : start + block.size] = block
+    return items.reshape(len(users), n)
+
+
+def sample_negative(dataset: Dataset, user: int, rng: np.random.Generator) -> int:
+    """One ``sample_negatives`` draw for one user, outside its train row."""
+    return int(sample_negatives(dataset, [user], 1, rng)[0, 0])

@@ -29,7 +29,6 @@ class BdConfig:
     eta: float = 0.1
     truncate_rank: int = 100
     epochs: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.lambda_ts < 0 or self.lambda_st < 0:
@@ -56,7 +55,7 @@ def build_rank_table(params: MfParams, dataset: Dataset) -> RankTable:
     """Rank every user's non-train items by score (deterministic tie-break)."""
     ranks: dict[int, dict[int, int]] = {}
     for user in range(dataset.num_users):
-        ranked = rank_items(params, user, exclude=dataset.train_items(user))
+        ranked = rank_items(params, user, exclude=dataset.train.row(user))
         ranks[user] = {item: pos + 1 for pos, item in enumerate(ranked)}
     return RankTable(ranks)
 

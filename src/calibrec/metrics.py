@@ -114,7 +114,8 @@ def evaluate(
     for m in metrics:
         if m not in _METRIC_FNS:
             raise ValueError(f"unknown metric {m!r}")
-    relevant_by_user = dataset.by_user(split)
+    held = dataset.split(split)
+    sizes = held.sizes()
 
     if isinstance(recommendations, Mapping):
         lists = {int(u): list(items) for u, items in recommendations.items()}
@@ -126,7 +127,7 @@ def evaluate(
         lists = {c.user: list(c.items) for c in cuts}
 
     evaluable = {
-        u: items for u, items in lists.items() if relevant_by_user.get(u)
+        u: items for u, items in lists.items() if 0 <= u < len(sizes) and sizes[u]
     }
     skipped = len(lists) - len(evaluable)
     if not evaluable:
@@ -137,7 +138,7 @@ def evaluate(
         for k in ks:
             per_user = {m: {} for m in metrics}
             for u, items in evaluable.items():
-                rel = set(relevant_by_user[u])
+                rel = set(held.row(u).tolist())
                 for m in metrics:
                     per_user[m][u] = _METRIC_FNS[m](items, rel, k)
             means = {m: float(np.mean(list(per_user[m].values()))) for m in metrics}
@@ -146,7 +147,7 @@ def evaluate(
         k_star_by_user = {c.user: c.k_star for c in cuts}
         per_user = {m: {} for m in metrics}
         for u, items in evaluable.items():
-            rel = set(relevant_by_user[u])
+            rel = set(held.row(u).tolist())
             for m in metrics:
                 per_user[m][u] = _METRIC_FNS[m](items, rel, k_star_by_user[u])
         means = {m: float(np.mean(list(per_user[m].values()))) for m in metrics}

@@ -19,7 +19,7 @@ import numpy as np
 
 from .calibration import Calibrator, apply
 from .dataset import Dataset
-from .ranker import MfParams, rank_items, score_items
+from .ranker import MfParams, score_items, top_k
 
 UTILITY_KINDS = ("precision", "recall", "f1", "ndcg")
 
@@ -215,16 +215,19 @@ def perk_recommend(
 ) -> PersonalizedCut:
     """Rank, calibrate, and cut one user's list at its best expected utility.
 
-    Non-train items are ranked by score; the top (k_max + rest_pool)
-    candidates are mapped through the calibrator (including any recorded
-    score shift); the curve is evaluated for k = 1..k_max and the list cut
-    at its smallest argmax. ``exclude_extra`` removes further items from the
+    Non-train items are ranked by score (``top_k``); the top
+    (k_max + rest_pool) candidates are mapped through the calibrator
+    (including any recorded score shift); the curve is evaluated for
+    k = 1..k_max and the list cut at its smallest argmax. ``exclude_extra`` removes further items from the
     candidate pool (e.g. validation items when evaluating against test).
     """
-    ranked = rank_items(params, user, exclude=dataset.train_items(user) | set(exclude_extra))
-    if not ranked:
+    excluded = np.concatenate(
+        [dataset.train.row(user), np.fromiter(exclude_extra, dtype=np.int64)]
+    )
+    pool = top_k(params, [user], cfg.k_max + cfg.rest_pool, [excluded])[0]
+    pool = pool[pool >= 0]
+    if not pool.size:
         raise ValueError(f"user {user} has no candidate items")
-    pool = ranked[: cfg.k_max + cfg.rest_pool]
     probs = np.atleast_1d(apply(calibrator, score_items(params, user, pool)))
     k_eff = min(cfg.k_max, len(pool))
     curve = utility_curve(probs[:k_eff], probs[k_eff:], cfg.utility)
@@ -233,6 +236,6 @@ def perk_recommend(
         user=user,
         k_star=k_star,
         curve=curve,
-        items=pool[:k_star],
+        items=pool[:k_star].tolist(),
         k_max_effective=k_eff,
     )

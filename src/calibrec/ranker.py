@@ -16,9 +16,13 @@ from typing import Iterable
 import numpy as np
 from scipy.special import expit
 
-from .dataset import Dataset, sample_negative
+from .dataset import Dataset, sample_negatives
 
 LOSS_KINDS = ("bpr", "pointwise")
+
+# users scored together by top_k: the dense score block is at most
+# TOP_K_BLOCK x num_items
+TOP_K_BLOCK = 256
 
 
 @dataclass
@@ -53,7 +57,6 @@ class TrainConfig:
     batch_size: int = 1
     loss_kind: str = "bpr"
     negatives_per_positive: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr < 0:
@@ -110,13 +113,6 @@ def score_items(params: MfParams, u: int, items=None) -> np.ndarray:
     return params.item_emb[idx] @ params.user_emb[u] + params.item_bias[idx]
 
 
-def _train_pairs(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    pairs = sorted(dataset.train)
-    users = np.array([u for u, _ in pairs], dtype=np.int64)
-    items = np.array([i for _, i in pairs], dtype=np.int64)
-    return users, items
-
-
 def bpr_epoch(
     params: MfParams, dataset: Dataset, cfg: TrainConfig, rng: np.random.Generator
 ) -> tuple[MfParams, float]:
@@ -136,13 +132,14 @@ def bpr_epoch(
     if cfg.loss_kind != "bpr":
         raise ValueError(f"bpr_epoch requires loss_kind='bpr', got {cfg.loss_kind!r}")
     out = params.copy()
-    users, items = _train_pairs(dataset)
+    users, items = dataset.train.pairs()
     order = rng.permutation(len(users))
+    negatives = sample_negatives(dataset, users[order], 1, rng)[:, 0]
     total_loss = 0.0
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start : start + cfg.batch_size]
         bu, bi = users[batch], items[batch]
-        bj = np.array([sample_negative(dataset, int(u), rng) for u in bu], dtype=np.int64)
+        bj = negatives[start : start + cfg.batch_size]
 
         P = out.user_emb[bu]
         Qp = out.item_emb[bi]
@@ -179,20 +176,16 @@ def pointwise_epoch(
             f"pointwise_epoch requires loss_kind='pointwise', got {cfg.loss_kind!r}"
         )
     out = params.copy()
-    users, items = _train_pairs(dataset)
+    users, items = dataset.train.pairs()
     order = rng.permutation(len(users))
     npp = cfg.negatives_per_positive
+    negatives = sample_negatives(dataset, users[order], npp, rng).ravel()
     total_loss = 0.0
     total_examples = 0
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start : start + cfg.batch_size]
         bu, bi = users[batch], items[batch]
-        neg = np.empty(len(batch) * npp, dtype=np.int64)
-        pos = 0
-        for u in bu:
-            for _ in range(npp):
-                neg[pos] = sample_negative(dataset, int(u), rng)
-                pos += 1
+        neg = negatives[start * npp : (start + len(batch)) * npp]
 
         ex_u = np.concatenate([bu, np.repeat(bu, npp)])
         ex_i = np.concatenate([bi, neg])
@@ -215,25 +208,80 @@ def pointwise_epoch(
     return out, total_loss / total_examples
 
 
+def _ranked_block(
+    params: MfParams, users: np.ndarray, width: int, ex_rows: np.ndarray, ex_items: np.ndarray
+) -> np.ndarray:
+    """Best ``width`` items of each user in one dense score block, -1 padded.
+
+    ``(ex_rows, ex_items)`` lists excluded (position in ``users``, item)
+    pairs. Order is score descending, ties toward the smaller item index:
+    the items strictly above each row's ``width``-th best score are kept, and
+    the tied ones at that score are filled in by index.
+    """
+    scores = params.user_emb[users] @ params.item_emb.T
+    scores += params.item_bias
+    scores[ex_rows, ex_items] = -np.inf
+    kth = np.partition(scores, params.num_items - width, axis=1)[:, params.num_items - width]
+    keep = scores > kth[:, None]
+    tied = scores == kth[:, None]
+    tied[ex_rows, ex_items] = False
+    need = width - keep.sum(axis=1)
+    # only rows with more ties at the cut than free places need the prefix count
+    crowded = np.flatnonzero(tied.sum(axis=1) > need)
+    tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= need[crowded, None]
+    keep |= tied
+    rows, items = np.nonzero(keep)
+    order = np.lexsort((items, -scores[rows, items], rows))
+    rows, items = rows[order], items[order]
+    counts = np.bincount(rows, minlength=len(users))
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = np.full((len(users), width), -1, dtype=np.int64)
+    out[rows, cols] = items
+    return out
+
+
+def top_k(params: MfParams, users, k: int, exclude=None) -> np.ndarray:
+    """Each user's ``k`` best items, best first, as a (len(users), k') array.
+
+    Items rank by score descending with ties broken toward the smaller item
+    index, the order of ``rank_items``. ``exclude`` removes candidates: one
+    array of item indices per entry of ``users`` (such as CSR rows).
+    k' = min(k, num_items); users with fewer candidates than that have their
+    row padded with -1. Users are scored ``TOP_K_BLOCK`` at a time, so no
+    users x items matrix is ever formed.
+    """
+    users = np.asarray(users, dtype=np.int64).ravel()
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if users.size and (users.min() < 0 or users.max() >= params.num_users):
+        raise IndexError(f"user index out of range [0, {params.num_users})")
+    width = min(k, params.num_items)
+    out = np.full((len(users), width), -1, dtype=np.int64)
+    if width == 0:
+        return out
+    for start in range(0, len(users), TOP_K_BLOCK):
+        block = users[start : start + TOP_K_BLOCK]
+        if exclude is None:
+            ex_rows = ex_items = np.empty(0, dtype=np.int64)
+        else:
+            rows = [np.asarray(r, dtype=np.int64) for r in exclude[start : start + len(block)]]
+            ex_rows = np.repeat(np.arange(len(block)), [len(r) for r in rows])
+            ex_items = np.concatenate(rows)
+        if ex_items.size and (ex_items.min() < 0 or ex_items.max() >= params.num_items):
+            raise IndexError(f"excluded item out of range [0, {params.num_items})")
+        out[start : start + len(block)] = _ranked_block(params, block, width, ex_rows, ex_items)
+    return out
+
+
 def rank_items(params: MfParams, u: int, exclude: Iterable[int] = ()) -> list[int]:
     """All non-excluded items sorted by score descending.
 
     Ties break toward the smaller item index, so the ordering is a total
-    order and identical across runs.
+    order and identical across runs. The one-user, full-length ``top_k``.
     """
     _check_user(params, u)
-    scores = score_items(params, u)
-    excluded = frozenset(exclude)
-    if excluded:
-        candidates = np.array(
-            [i for i in range(params.num_items) if i not in excluded], dtype=np.int64
-        )
-    else:
-        candidates = np.arange(params.num_items, dtype=np.int64)
-    if len(candidates) == 0:
-        return []
-    order = np.lexsort((candidates, -scores[candidates]))
-    return [int(i) for i in candidates[order]]
+    row = top_k(params, [u], params.num_items, [np.fromiter(exclude, dtype=np.int64)])[0]
+    return row[row >= 0].tolist()
 
 
 def auc(
@@ -248,29 +296,25 @@ def auc(
     Per user with split items, samples ``pairs_per_user`` (positive,
     negative) pairs, the negative drawn uniformly outside train and the
     split; a pair scores 1 if the positive ranks higher, 0.5 on a tie.
-    Returns the per-user mean averaged over users.
+    Returns the per-user mean averaged over users. Users whose train and
+    split rows cover every item are skipped.
     """
-    split_sets = dataset.by_user(split)
-    per_user = []
-    for user in sorted(split_sets):
-        positives = sorted(split_sets[user])
-        if not positives:
-            continue
-        blocked = dataset.train_items(user) | split_sets[user]
-        if len(blocked) >= dataset.num_items:
-            continue
-        pos_items = [positives[k] for k in rng.integers(0, len(positives), pairs_per_user)]
-        neg_items = []
-        while len(neg_items) < pairs_per_user:
-            j = int(rng.integers(dataset.num_items))
-            if j not in blocked:
-                neg_items.append(j)
-        s_pos = score_items(params, user, pos_items)
-        s_neg = score_items(params, user, neg_items)
-        wins = (s_pos > s_neg).astype(float) + 0.5 * (s_pos == s_neg)
-        per_user.append(wins.mean())
-    if not per_user:
+    held = dataset.split(split)
+    sizes = held.sizes()
+    users = np.flatnonzero(
+        (sizes > 0) & (dataset.train.sizes() + sizes < dataset.num_items)
+    )
+    if not users.size:
         raise ValueError(f"split {split!r} is empty for every user")
+    picks = rng.integers(0, np.repeat(sizes[users], pairs_per_user))
+    positives = held.indices[np.repeat(held.indptr[users], pairs_per_user) + picks]
+    positives = positives.reshape(len(users), pairs_per_user)
+    negatives = sample_negatives(dataset, users, pairs_per_user, rng, exclude=("train", split))
+    per_user = np.empty(len(users))
+    for row, user in enumerate(users):
+        s = score_items(params, int(user), np.concatenate([positives[row], negatives[row]]))
+        s_pos, s_neg = s[:pairs_per_user], s[pairs_per_user:]
+        per_user[row] = np.mean((s_pos > s_neg) + 0.5 * (s_pos == s_neg))
     return float(np.mean(per_user))
 
 
@@ -336,6 +380,11 @@ def load_checkpoint(base_path) -> tuple[MfParams, dict]:
         header = json.load(fh)
     sidecar_path = header_path.with_name(header["sidecar"])
     raw = sidecar_path.read_bytes()
+    expected = sum(header["arrays"][name]["bytes"] for name in _ARRAY_ORDER)
+    if len(raw) != expected:
+        raise ValueError(
+            f"checkpoint sidecar {sidecar_path} holds {len(raw)} bytes, header lists {expected}"
+        )
 
     parts = {}
     for name in _ARRAY_ORDER:

@@ -8,8 +8,6 @@ used for sub-streams, e.g. the epoch number during training.
 
 from __future__ import annotations
 
-import numpy as np
-
 STAGE_OFFSETS = {
     "data": 1,
     "train": 2,
@@ -24,7 +22,3 @@ def stream_seed(seed: int, stage: str, *extra: int) -> list[int]:
     if stage not in STAGE_OFFSETS:
         raise ValueError(f"unknown stage {stage!r}")
     return [int(seed), STAGE_OFFSETS[stage], *map(int, extra)]
-
-
-def stage_rng(seed: int, stage: str, *extra: int) -> np.random.Generator:
-    return np.random.default_rng(stream_seed(seed, stage, *extra))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calibrec.dataset import Dataset
+from calibrec.dataset import Csr, Dataset
 from calibrec.synthetic import low_rank_dataset
 
 
@@ -9,25 +9,21 @@ def make_dataset(train, validation=None, test=None, num_users=None, num_items=No
     """Build a Dataset directly from per-user item collections."""
     validation = validation or {}
     test = test or {}
-
-    def freeze(d):
-        return {u: frozenset(items) for u, items in d.items()}
-
     users = set(train) | set(validation) | set(test)
     items = {i for d in (train, validation, test) for s in d.values() for i in s}
     n_users = num_users if num_users is not None else (max(users) + 1 if users else 0)
     n_items = num_items if num_items is not None else (max(items) + 1 if items else 0)
-    popularity = np.zeros(n_items, dtype=np.int64)
-    for s in train.values():
-        for i in s:
-            popularity[i] += 1
+
+    def csr(d):
+        pairs = [(u, i) for u, s in d.items() for i in s]
+        return Csr.from_pairs([u for u, _ in pairs], [i for _, i in pairs], n_users, n_items)
+
+    rows = {"train": csr(train), "validation": csr(validation), "test": csr(test)}
     return Dataset(
         num_users=n_users,
         num_items=n_items,
-        train_by_user=freeze(train),
-        validation_by_user=freeze(validation),
-        test_by_user=freeze(test),
-        item_popularity=popularity,
+        item_popularity=np.bincount(rows["train"].indices, minlength=n_items),
+        **rows,
     )
 
 

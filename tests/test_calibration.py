@@ -287,12 +287,14 @@ class TestCollectSamples:
             params, ds, np.random.default_rng(0), negatives_per_positive=4
         )
         assert len(samples) == 10 * 5  # 10 positives, each with 4 negatives
-        assert sum(s.y for s in samples) == 10
+        assert samples.y.sum() == 10
+        # each positive is followed by its own negatives
+        assert np.array_equal(samples.y.reshape(10, 5)[:, 0], np.ones(10))
 
     def test_default_theta_is_one(self):
         ds, params = self.make_setup()
         samples = collect_calibration_samples(params, ds, np.random.default_rng(0))
-        assert all(s.theta == 1.0 for s in samples)
+        assert np.all(samples.theta == 1.0)
 
     def test_theta_comes_from_model(self):
         ds, params = self.make_setup()
@@ -300,14 +302,15 @@ class TestCollectSamples:
         rng = np.random.default_rng(1)
         samples = collect_calibration_samples(params, ds, rng, propensity=model)
         # positives are items 2 and 3 for every user; spot-check the mapping
-        for smp in samples:
-            matches = [i for i in range(30) if model.theta[i] == pytest.approx(smp.theta)]
+        for theta in samples.theta:
+            matches = [i for i in range(30) if model.theta[i] == pytest.approx(theta)]
             assert matches
+        assert np.all(samples.theta[samples.y == 1] <= model.theta[3])
 
     def test_scores_match_params(self):
         ds, params = self.make_setup()
         samples = collect_calibration_samples(params, ds, np.random.default_rng(2))
-        positive_scores = sorted(s.s for s in samples if s.y == 1)
+        positive_scores = sorted(samples.s[samples.y == 1])
         expected = sorted(score(params, u, i) for u in range(5) for i in (2, 3))
         np.testing.assert_allclose(positive_scores, expected)
 
@@ -318,7 +321,7 @@ class TestCollectSamples:
         params = init_params(1, 5, 2, seed=3)
         rng = np.random.default_rng(4)
         samples = collect_calibration_samples(params, ds, rng, negatives_per_positive=6)
-        neg_scores = {round(s.s, 12) for s in samples if s.y == 0}
+        neg_scores = {round(s, 12) for s in samples.s[samples.y == 0]}
         assert neg_scores == {round(score(params, 0, 4), 12)}
 
     def test_empty_split(self):

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from calibrec import cli
 from calibrec.calibration import apply, load_calibrator, read_reliability_csv
 from calibrec.cli import (
     BUNDLE_FILES,
@@ -13,7 +15,7 @@ from calibrec.cli import (
     read_jsonl,
 )
 from calibrec.perk import select_k
-from calibrec.ranker import init_params, load_checkpoint
+from calibrec.ranker import init_params, load_checkpoint, save_checkpoint
 from calibrec.seeding import stream_seed
 from calibrec.synthetic import low_rank_interactions, write_interactions_csv
 
@@ -69,9 +71,63 @@ class TestIngest:
         total = len(dataset.train) + len(dataset.validation) + len(dataset.test)
         assert total == 40 * 12
         counts = np.zeros(dataset.num_items, dtype=int)
-        for _, i in dataset.train:
-            counts[i] += 1
+        for u in range(dataset.num_users):
+            for i in dataset.train.row(u):
+                counts[i] += 1
         assert np.array_equal(counts, dataset.item_popularity)
+
+
+# SHA-256 of each bundle file that ingest wrote for reference_input() before
+# the splits moved to CSR arrays; the on-disk format must not change
+REFERENCE_BUNDLES = {
+    (): {
+        "item_map.json": "46fa2b15a1ed6d646620cd1ff85cf08414d917186133b780755038c38fbbb6a8",
+        "user_map.json": "cd6dc134d2b63156c4cc9d513ecc8e4a5355ec38cec5135145917b09c912e594",
+        "train.txt": "4e28c3a409b1d395068992a58368bedfe15c8d1a276eacbd69883f6a15dae9af",
+        "validation.txt": "9c2d2b3507260b49df08b80a2c88f3ccf1dc98363ba2cbaa30cfaa76001f95a6",
+        "test.txt": "58e423b4bc0771abefb2d12b86cbdbae1f8ca297b00b2176e80e6a17b78d4d5e",
+    },
+    ("--set", "seed=7", "--set", "data.ratios=0.6,0.2,0.2"): {
+        "item_map.json": "46fa2b15a1ed6d646620cd1ff85cf08414d917186133b780755038c38fbbb6a8",
+        "user_map.json": "cd6dc134d2b63156c4cc9d513ecc8e4a5355ec38cec5135145917b09c912e594",
+        "train.txt": "4bd79e93274324715b41bd2585bb0baf807bae2015d40d43d371c24888b8d4b4",
+        "validation.txt": "6229bc944ab29a9f9727ba0d884974232ffef9dd23ba78e6b80f2ae41ba3067f",
+        "test.txt": "58f7df951011433e17dd499e13cfd3b1c43ae8b74664e2d9fe3123355d4c758a",
+    },
+}
+
+
+def reference_input(path):
+    """Low-rank rows plus duplicates, users with 2 and 3 rows, and a late new item."""
+    pairs = low_rank_interactions(30, 40, rank=2, per_user=12, noise=0.3, seed=3)
+    pairs += [(3, 5), (3, 5), (30, 1), (30, 2), (31, 0), (31, 7), (31, 39), (2, 40)]
+    write_interactions_csv(path, pairs, with_timestamps=True)
+
+
+class TestBundleFormat:
+    @pytest.mark.parametrize("settings", list(REFERENCE_BUNDLES), ids=["default", "seed7"])
+    def test_ingest_bytes_match_reference(self, tmp_path, settings):
+        reference_input(tmp_path / "in.csv")
+        assert run("ingest", "--input", tmp_path / "in.csv", "--out", tmp_path / "b",
+                   *settings) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / "b" / name).read_bytes()).hexdigest()
+            for name in BUNDLE_FILES
+        }
+        assert digests == REFERENCE_BUNDLES[settings]
+
+    def test_malformed_split_file_is_validation_error(self, workspace, tmp_path):
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        for name in BUNDLE_FILES:
+            (bundle / name).write_bytes((workspace / "bundle" / name).read_bytes())
+        with open(bundle / "test.txt", "a") as fh:
+            fh.write("3,4,5\n")
+        assert run("recommend", "--data", bundle, "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "r.jsonl", "--k", "3") == 2
+        (bundle / "test.txt").write_text("3,4000\n")
+        assert run("recommend", "--data", bundle, "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "r.jsonl", "--k", "3") == 2
 
 
 class TestConfig:
@@ -152,7 +208,69 @@ class TestTrain:
             assert loss == pytest.approx(full[epoch], abs=1e-6)
 
 
+class TestCheckpointMatchesBundle:
+    @pytest.mark.parametrize("shape", [(41, 60), (40, 59)], ids=["users", "items"])
+    def test_mismatch_is_validation_error(self, workspace, tmp_path, capsys, shape):
+        save_checkpoint(init_params(*shape, 8, seed=0), tmp_path / "other")
+        assert run("calibrate", "--data", workspace / "bundle", "--ckpt", tmp_path / "other",
+                   "--out", tmp_path / "calib") == 2
+        assert "checkpoint" in capsys.readouterr().err
+        assert run("recommend", "--data", workspace / "bundle", "--ckpt", tmp_path / "other",
+                   "--out", tmp_path / "r.jsonl", "--k", "3") == 2
+        assert not (tmp_path / "r.jsonl").exists()
+
+
+class TestAtomicLogs:
+    def test_crash_mid_training_leaves_no_log(self, workspace, tmp_path, monkeypatch):
+        calls = []
+
+        def failing_epoch(params, dataset, cfg, rng):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return params, 0.5
+
+        monkeypatch.setattr(cli, "bpr_epoch", failing_epoch)
+        with pytest.raises(RuntimeError):
+            run("train", "--data", workspace / "bundle", "--out", tmp_path / "ck",
+                "--set", "train.epochs=3", "--set", "train.dim=2")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_crash_on_resume_keeps_earlier_rows(self, workspace, tmp_path, monkeypatch):
+        args = ("--set", "train.dim=2")
+        assert run("train", "--data", workspace / "bundle", "--out", tmp_path / "ck",
+                   "--set", "train.epochs=2", *args) == 0
+        before = (tmp_path / "ck_log.jsonl").read_bytes()
+
+        def failing_epoch(params, dataset, cfg, rng):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(cli, "bpr_epoch", failing_epoch)
+        with pytest.raises(RuntimeError):
+            run("train", "--data", workspace / "bundle", "--out", tmp_path / "ck2",
+                "--resume", tmp_path / "ck", "--log", tmp_path / "ck_log.jsonl",
+                "--set", "train.epochs=4", *args)
+        assert (tmp_path / "ck_log.jsonl").read_bytes() == before
+        assert not (tmp_path / "ck_log.jsonl.partial").exists()
+
+
 class TestCalibrate:
+    def test_report_counts_iterations(self, workspace, tmp_path, capsys):
+        report = json.loads((workspace / "calib" / "calibration_report.json").read_text())
+        assert report["iterations"] >= 1
+        assert isinstance(report["hit_iter_cap"], bool)
+        assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "capped", "--set", "calib.max_iters=2") == 0
+        capped = json.loads((tmp_path / "capped" / "calibration_report.json").read_text())
+        assert capped["iterations"] == 2 and capped["hit_iter_cap"] is True
+        assert "iteration cap (2/2)" in capsys.readouterr().err
+        assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "hist", "--set", "calib.kind=histogram",
+                   "--set", "calib.max_iters=1") == 0
+        hist = json.loads((tmp_path / "hist" / "calibration_report.json").read_text())
+        assert hist["iterations"] == 0 and hist["hit_iter_cap"] is False
+        assert "warning" not in capsys.readouterr().err
+
     def test_outputs_and_round_trip(self, workspace):
         cal = load_calibrator(workspace / "calib" / "calibrator.json")
         assert cal.kind == "platt"
@@ -258,6 +376,8 @@ class TestRecommend:
         out = tmp_path / "big.jsonl"
         assert run("recommend", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
                    "--out", out, "--k", "100") == 2
+        # the failed run leaves neither a partial list file nor its temporary
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
         assert run("recommend", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
                    "--out", out, "--k", "100", "--allow-fewer") == 0
 
@@ -332,8 +452,10 @@ class TestEval:
         dataset, _ = load_bundle(workspace / "bundle")
         recs = tmp_path / "self.jsonl"
         with open(recs, "w") as fh:
-            for user, items in sorted(dataset.test_by_user.items()):
-                fh.write(json.dumps({"user": user, "items": sorted(items)}) + "\n")
+            for user in range(dataset.num_users):
+                items = dataset.test.row(user).tolist()
+                if items:
+                    fh.write(json.dumps({"user": user, "items": items}) + "\n")
         report_path = tmp_path / "self_report.json"
         assert run("eval", "--data", workspace / "bundle", "--recs", recs,
                    "--out", report_path, "--set", "eval.ks=1") == 0

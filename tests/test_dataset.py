@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+from calibrec import dataset as dataset_module
 from calibrec.dataset import (
+    SPLITS,
+    Csr,
     DataFormatError,
     load_interactions,
     sample_negative,
+    sample_negatives,
     split_per_user,
 )
 
@@ -83,40 +88,44 @@ class TestSplitPerUser:
     def test_ten_items_801010(self):
         raw = [(0, i) for i in range(10)]
         ds = split_per_user(raw, ratios=(0.8, 0.1, 0.1), seed=3)
-        assert len(ds.train_by_user[0]) == 8
-        assert len(ds.validation_by_user[0]) == 1
-        assert len(ds.test_by_user[0]) == 1
+        assert len(ds.train.row(0)) == 8
+        assert len(ds.validation.row(0)) == 1
+        assert len(ds.test.row(0)) == 1
 
     def test_small_user_all_train(self):
         raw = [(0, 0), (0, 1), (1, 5)]
         ds = split_per_user(raw, ratios=(0.6, 0.2, 0.2), seed=1)
-        assert ds.train_by_user[0] == frozenset({0, 1})
-        assert 0 not in ds.validation_by_user and 0 not in ds.test_by_user
+        assert ds.train.row(0).tolist() == [0, 1]
+        assert len(ds.validation.row(0)) == len(ds.test.row(0)) == 0
 
     def test_same_seed_identical(self):
         raw = [(u, i) for u in range(5) for i in range(12)]
         a = split_per_user(raw, seed=9)
         b = split_per_user(raw, seed=9)
-        assert a.train == b.train
-        assert a.validation == b.validation
-        assert a.test == b.test
+        for name in ("train", "validation", "test"):
+            assert np.array_equal(a.split(name).indptr, b.split(name).indptr)
+            assert np.array_equal(a.split(name).indices, b.split(name).indices)
 
     def test_splits_partition_dedup_raw(self):
         rng = np.random.default_rng(0)
         raw = [(int(u), int(i)) for u, i in rng.integers(0, 15, size=(300, 2))]
         ds = split_per_user(raw, seed=5)
-        union = ds.train | ds.validation | ds.test
-        assert union == set(raw)
-        assert not (ds.train & ds.validation)
-        assert not (ds.train & ds.test)
-        assert not (ds.validation & ds.test)
+        train, validation, test = (
+            set(zip(*map(np.ndarray.tolist, ds.split(name).pairs())))
+            for name in ("train", "validation", "test")
+        )
+        assert train | validation | test == set(raw)
+        assert not (train & validation)
+        assert not (train & test)
+        assert not (validation & test)
 
     def test_popularity_matches_train(self):
         raw = [(u, i) for u in range(6) for i in range(10)]
         ds = split_per_user(raw, seed=2)
         counts = np.zeros(ds.num_items, dtype=int)
-        for _, i in ds.train:
-            counts[i] += 1
+        for u in range(ds.num_users):
+            for i in ds.train.row(u):
+                counts[i] += 1
         assert np.array_equal(counts, ds.item_popularity)
 
     def test_train_never_empty(self):
@@ -161,6 +170,80 @@ class TestSampleNegative:
         assert np.all(np.abs(counts[2:] - draws * p) <= 3 * sigma)
 
     def test_user_without_train_set(self):
-        ds = make_dataset({0: {0}}, num_items=4)
+        ds = make_dataset({0: {0}}, num_users=2, num_items=4)
         rng = np.random.default_rng(1)
         assert sample_negative(ds, 1, rng) in range(4)
+
+
+class TestCsr:
+    def test_from_pairs_sorts_and_dedups(self):
+        csr = Csr.from_pairs([2, 0, 2, 2, 0], [5, 3, 1, 5, 0], num_rows=4, num_cols=6)
+        assert csr.indptr.tolist() == [0, 2, 2, 4, 4]
+        assert csr.row(0).tolist() == [0, 3]
+        assert csr.row(2).tolist() == [1, 5]
+        assert len(csr) == 4
+        assert csr.sizes().tolist() == [2, 0, 2, 0]
+
+    def test_out_of_range_pair(self):
+        with pytest.raises(ValueError):
+            Csr.from_pairs([0], [6], num_rows=1, num_cols=6)
+
+    def test_contains(self):
+        csr = Csr.from_pairs([0, 0, 2], [1, 4, 0], num_rows=3, num_cols=5)
+        got = csr.contains([0, 0, 1, 2, 2], [1, 2, 1, 0, 4])
+        assert got.tolist() == [True, False, False, True, False]
+        empty = Csr.from_pairs([], [], num_rows=2, num_cols=5)
+        assert empty.contains([0, 1], [0, 4]).tolist() == [False, False]
+
+
+class TestSampleNegatives:
+    def test_never_returns_blocked_item(self, small_dataset, monkeypatch):
+        monkeypatch.setattr(dataset_module, "SAMPLE_BLOCK", 97)  # many uneven blocks
+        ds = small_dataset
+        users = np.repeat(np.arange(ds.num_users), 3)
+        rng = np.random.default_rng(5)
+        negatives = sample_negatives(ds, users, 40, rng)
+        assert negatives.shape == (len(users), 40)
+        flat_users = np.repeat(users, 40)
+        assert not ds.train.contains(flat_users, negatives.ravel()).any()
+        negatives = sample_negatives(ds, users, 40, rng, exclude=SPLITS)
+        for name in SPLITS:
+            assert not ds.split(name).contains(flat_users, negatives.ravel()).any()
+
+    def test_uniform_over_complement(self, monkeypatch):
+        # user 0 blocks 3 of 12 items, user 1 blocks 9: chi-square count test
+        # of each user's draws against the uniform law on its complement,
+        # drawn in blocks that straddle the two users
+        monkeypatch.setattr(dataset_module, "SAMPLE_BLOCK", 1000)
+        ds = make_dataset({0: {0, 1, 5}, 1: set(range(9))}, num_items=12)
+        draws = 9_000
+        negatives = sample_negatives(ds, [0, 1], draws, np.random.default_rng(321))
+        for user, row in enumerate(negatives):
+            allowed = np.setdiff1d(np.arange(12), ds.train.row(user))
+            counts = np.bincount(row, minlength=12)
+            assert counts[ds.train.row(user)].sum() == 0
+            expected = draws / len(allowed)
+            stat = float(np.sum((counts[allowed] - expected) ** 2 / expected))
+            assert stat < chi2.ppf(0.999, df=len(allowed) - 1)
+            p = 1.0 / len(allowed)
+            sigma = np.sqrt(draws * p * (1 - p))
+            assert np.all(np.abs(counts[allowed] - expected) <= 4 * sigma)
+
+    def test_raises_when_train_covers_catalog(self):
+        ds = make_dataset({0: {0}, 1: {0, 1, 2}}, num_items=3)
+        with pytest.raises(ValueError):
+            sample_negatives(ds, [0, 1], 1, np.random.default_rng(0))
+        # the user with free items alone is fine
+        assert sample_negatives(ds, [0], 5, np.random.default_rng(0)).min() >= 1
+
+    def test_raises_when_splits_together_cover_catalog(self):
+        ds = make_dataset({0: {0, 1}}, validation={0: {2}}, num_items=3)
+        assert sample_negatives(ds, [0], 4, np.random.default_rng(0)).tolist() == [[2, 2, 2, 2]]
+        with pytest.raises(ValueError):
+            sample_negatives(ds, [0], 1, np.random.default_rng(0), exclude=SPLITS)
+
+    def test_same_seed_same_draws(self, small_dataset):
+        users = np.arange(small_dataset.num_users)
+        a = sample_negatives(small_dataset, users, 7, np.random.default_rng(9))
+        b = sample_negatives(small_dataset, users, 7, np.random.default_rng(9))
+        assert np.array_equal(a, b)

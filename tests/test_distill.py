@@ -147,7 +147,7 @@ class TestCotrainEpoch:
         table = build_rank_table(teacher, dataset)
         for user in range(dataset.num_users):
             row = table.row(user)
-            n = dataset.num_items - len(dataset.train_items(user))
+            n = dataset.num_items - len(dataset.train.row(user))
             assert sorted(row.values()) == list(range(1, n + 1))
 
     def test_lambda_zero_matches_independent_training(self, cotrain_setup):

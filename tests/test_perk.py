@@ -253,7 +253,7 @@ class TestPerkRecommend:
         cal = Calibrator("platt", a=1.5, b=-0.5)
         cfg = PerkConfig(k_max=8, utility="f1", rest_pool=10)
         cut = perk_recommend(params, cal, dataset, 0, cfg)
-        ranked = rank_items(params, 0, exclude=dataset.train_items(0))
+        ranked = rank_items(params, 0, exclude=dataset.train.row(0))
         assert cut.items == ranked[: cut.k_star]
         assert cut.k_star == select_k(cut.curve)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from calibrec import ranker
 from calibrec.ranker import (
     MfParams,
     TrainConfig,
@@ -13,6 +14,7 @@ from calibrec.ranker import (
     save_checkpoint,
     score,
     score_items,
+    top_k,
 )
 from calibrec.synthetic import low_rank_dataset
 
@@ -245,6 +247,62 @@ class TestRankItems:
         assert np.all(np.diff(scores) <= 1e-15)
 
 
+def tie_heavy_params(num_users=7, num_items=40, dim=3, seed=0):
+    """Items copied from only 5 distinct (row, bias) pairs, so every score repeats."""
+    rng = np.random.default_rng(seed)
+    source = rng.integers(0, 5, num_items)
+    item_emb = rng.normal(size=(5, dim))[source]
+    bias = rng.normal(size=5)[source]
+    return params_from(rng.normal(size=(num_users, dim)), item_emb, bias)
+
+
+class TestTopK:
+    @pytest.mark.parametrize(
+        "params",
+        [params_from(np.zeros((7, 2)), np.zeros((40, 2))), tie_heavy_params()],
+        ids=["all-zero", "duplicated-items"],
+    )
+    @pytest.mark.parametrize("k", [1, 5, 39, 40, 60])
+    def test_equals_rank_items_prefix_on_ties(self, params, k, monkeypatch):
+        monkeypatch.setattr(ranker, "TOP_K_BLOCK", 3)  # several blocks of users
+        rng = np.random.default_rng(k)
+        users = np.arange(params.num_users)
+        excluded = [rng.choice(40, size=int(rng.integers(0, 12)), replace=False) for _ in users]
+        plain = top_k(params, users, k)
+        pruned = top_k(params, users, k, excluded)
+        for u in users:
+            for got, exclude in ((plain[u], ()), (pruned[u], excluded[u])):
+                want = rank_items(params, int(u), exclude=exclude)[:k]
+                assert got[got >= 0].tolist() == want
+                assert np.all(got[len(want):] == -1)
+
+    def test_all_zero_scores_pick_smallest_indices(self):
+        p = params_from(np.zeros((2, 1)), np.zeros((6, 1)))
+        got = top_k(p, [0, 1], 3, [[0, 2], []])
+        assert got.tolist() == [[1, 3, 4], [0, 1, 2]]
+
+    def test_random_scores_match_rank_items(self, monkeypatch):
+        monkeypatch.setattr(ranker, "TOP_K_BLOCK", 4)
+        p = init_params(10, 50, 6, seed=3)
+        p.item_bias[:] = np.random.default_rng(1).normal(size=50)
+        got = top_k(p, np.arange(10)[::-1], 12)
+        for row, u in zip(got, range(9, -1, -1)):
+            assert row.tolist() == rank_items(p, u)[:12]
+
+    def test_short_rows_padded(self):
+        p = init_params(2, 4, 2, seed=0)
+        got = top_k(p, [0, 1], 3, [[0, 1, 2], [0, 1, 2, 3]])
+        assert got[0, 0] == 3 and got[0, 1:].tolist() == [-1, -1]
+        assert got[1].tolist() == [-1, -1, -1]
+
+    def test_out_of_range(self):
+        p = init_params(2, 4, 2, seed=0)
+        with pytest.raises(IndexError):
+            top_k(p, [2], 1)
+        with pytest.raises(IndexError):
+            top_k(p, [0], 1, [[4]])
+
+
 class TestAuc:
     def test_perfect_separation(self):
         ds = make_dataset({0: {0}}, validation={0: {1, 2}}, num_items=5)
@@ -292,6 +350,17 @@ class TestCheckpoint:
         # first array in the sidecar is user_emb, row-major little-endian f4
         raw = np.frombuffer(sidecar.read_bytes()[: 3 * 2 * 4], dtype="<f4").reshape(3, 2)
         np.testing.assert_allclose(raw, p.user_emb.astype("<f4"))
+
+    def test_sidecar_length_must_match_header(self, tmp_path):
+        p = init_params(3, 5, 2, seed=1)
+        _, sidecar = save_checkpoint(p, tmp_path / "ck")
+        good = sidecar.read_bytes()
+        sidecar.write_bytes(good + b"\x00" * 4)
+        with pytest.raises(ValueError):
+            load_checkpoint(tmp_path / "ck")
+        sidecar.write_bytes(good[:-4])
+        with pytest.raises(ValueError):
+            load_checkpoint(tmp_path / "ck")
 
     def test_identical_saves_are_bitwise_equal(self, tmp_path):
         p = init_params(3, 4, 2, seed=5)
