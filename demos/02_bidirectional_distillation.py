@@ -4,8 +4,9 @@ Co-trains a 32-dimensional teacher with a 4-dimensional student. Each epoch
 both models rank all candidate items; where the counterpart ranks an item
 far better than the learner (rank discrepancy), that item is sampled as a
 distillation target and the learner regresses onto the counterpart's
-sigmoid(score). The small model ends up better than the same model trained
-alone.
+sigmoid(score). The demo prints the co-trained student's validation recall@10
+next to that of the same student trained alone on the same random stream.
+No gain is claimed: which of the two is higher depends on the seed.
 """
 
 import numpy as np

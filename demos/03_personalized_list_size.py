@@ -9,7 +9,7 @@ and shows the personalized cutoff beating every fixed k on realized F1.
 
 import numpy as np
 
-from calibrec.perk import select_k, utility_curve
+from calibrec.perk import select_k, utility_curves
 
 SEED = 21
 N_USERS, N_TOP, N_REST = 400, 25, 25
@@ -28,7 +28,8 @@ for _ in range(N_USERS):
     decay = rng.uniform(0.7, 0.98)
     users.append(quality * decay ** np.arange(N_TOP + N_REST))
 
-curves = [utility_curve(p[:N_TOP], p[N_TOP:], "f1") for p in users]
+table = np.array(users)
+curves = utility_curves(table[:, :N_TOP], table[:, N_TOP:], "f1")
 k_stars = [select_k(c) for c in curves]
 
 hist = np.bincount(k_stars, minlength=N_TOP + 1)[1:]

@@ -10,12 +10,14 @@ Three capabilities on a matrix-factorization backbone:
 - ``perk``: per-user recommendation-list sizing by exact expected utility
   under independent Bernoulli relevance.
 
-Supporting modules: ``dataset`` (ingestion, CSR splits and the negative
-sampler), ``ranker`` (the MF backbone and batched top-K), ``metrics`` (realized ranking metrics), ``synthetic`` (seeded
-data generators), ``cli`` (the end-to-end pipeline driver).
+Supporting modules: ``atomic`` (all-or-nothing file output), ``dataset``
+(ingestion, CSR splits and the negative sampler), ``ranker`` (the MF
+backbone and batched top-K), ``metrics`` (realized ranking metrics),
+``synthetic`` (seeded data generators), ``cli`` (the end-to-end pipeline
+driver).
 """
 
-from . import calibration, cli, dataset, distill, metrics, perk, ranker, seeding, synthetic
+from . import atomic, calibration, cli, dataset, distill, metrics, perk, ranker, seeding, synthetic
 from .calibration import (
     CalibrationSample,
     CalibrationSamples,
@@ -25,6 +27,7 @@ from .calibration import (
     ece,
     estimate_propensity,
     gamma_shift,
+    gradient_norm,
     load_calibrator,
     reliability_table,
     save_calibrator,
@@ -59,8 +62,10 @@ from .perk import (
     expected_recall,
     pb_pmf,
     perk_recommend,
+    perk_recommend_users,
     select_k,
     utility_curve,
+    utility_curves,
 )
 from .ranker import (
     MfParams,

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
+from .atomic import atomic_open
 from .dataset import SPLITS, Dataset, sample_negatives
 from .ranker import MfParams, score_items
 
@@ -275,6 +276,19 @@ def fit(
     return (cal, np.array(trace)) if full_output else cal
 
 
+def gradient_norm(cal: Calibrator, samples, unbiased: bool = False) -> float:
+    """Infinity-norm of the fitting objective's gradient at a parametric calibrator.
+
+    The objective is the one ``fit`` minimizes, on the samples shifted by
+    ``cal.score_shift``; ``fit`` stops early once this drops below ``tol``.
+    """
+    s, y, theta = _samples_to_arrays(samples)
+    w_pos, w_neg = _weights(y, theta, unbiased)
+    phi = _features(cal.kind, s + cal.score_shift)
+    grad = _gradient(np.array([cal.a, cal.b, cal.c]), phi, w_pos, w_neg)
+    return float(np.max(np.abs(grad)))
+
+
 def _fit_histogram(s, w_pos, num_bins, score_shift) -> Calibrator:
     order = np.argsort(s, kind="stable")
     s_sorted = s[order]
@@ -387,30 +401,51 @@ def save_calibrator(cal: Calibrator, path) -> None:
     }
     if cal.bins is not None:
         payload["bins"] = [[float(e), float(v)] for e, v in cal.bins]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_calibrator(path) -> Calibrator:
+    """Read a calibrator written by ``save_calibrator``, checking every field.
+
+    Raises ValueError for an unknown kind, a non-finite a, b, c or
+    score_shift, and a histogram whose bins are missing or empty, whose upper
+    edges do not strictly increase, or whose values fall outside [0, 1].
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    bins = payload.get("bins")
-    return Calibrator(
-        kind=payload["kind"],
-        a=payload.get("a", 0.0),
-        b=payload.get("b", 0.0),
-        c=payload.get("c", 0.0),
-        score_shift=payload.get("score_shift", 0.0),
-        bins=[(float(e), float(v)) for e, v in bins] if bins is not None else None,
-    )
+    if not isinstance(payload, dict) or payload.get("kind") not in CALIBRATOR_KINDS:
+        raise ValueError(f"{path}: calibrator kind must be one of {CALIBRATOR_KINDS}")
+    fields = {}
+    for name in ("a", "b", "c", "score_shift"):
+        value = payload.get(name, 0.0)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value)):
+            raise ValueError(f"{path}: calibrator field {name} must be a finite number")
+        fields[name] = float(value)
+    bins = None
+    if payload["kind"] == "histogram":
+        try:
+            table = np.array(payload.get("bins"), dtype=float)
+        except (TypeError, ValueError):
+            table = np.empty(0)
+        if table.ndim != 2 or table.shape[0] == 0 or table.shape[1] != 2:
+            raise ValueError(f"{path}: histogram calibrator needs a non-empty bins list of pairs")
+        edges, values = table[:, 0], table[:, 1]
+        if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
+            raise ValueError(f"{path}: histogram bin edges must strictly increase")
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise ValueError(f"{path}: histogram bin values must lie in [0, 1]")
+        bins = [(float(e), float(v)) for e, v in table]
+    return Calibrator(kind=payload["kind"], bins=bins, **fields)
 
 
 RELIABILITY_HEADER = "bin_lower,bin_upper,count,mean_p,frac_pos"
 
 
 def write_reliability_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(RELIABILITY_HEADER + "\n")
         for lower, upper, count, mean_p, frac_pos in rows:
             fh.write(f"{lower},{upper},{count},{mean_p},{frac_pos}\n")

@@ -14,10 +14,7 @@ run would.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -25,6 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import calibration, metrics
+from .atomic import atomic_open
 from .calibration import (
     PARAMETRIC_KINDS,
     apply as apply_calibrator,
@@ -33,6 +31,7 @@ from .calibration import (
     estimate_propensity,
     fit,
     gamma_shift,
+    gradient_norm,
     load_calibrator,
     reliability_table,
     save_calibrator,
@@ -40,7 +39,7 @@ from .calibration import (
 )
 from .dataset import Csr, DataFormatError, Dataset, IdMaps, load_interactions, split_per_user
 from .distill import BdConfig, cotrain_epoch
-from .perk import PerkConfig, PersonalizedCut, perk_recommend
+from .perk import PerkConfig, PersonalizedCut, perk_recommend_users
 from .ranker import (
     TrainConfig,
     bpr_epoch,
@@ -185,33 +184,8 @@ def load_config(path=None, overrides=()) -> dict:
 BUNDLE_FILES = ("user_map.json", "item_map.json", "train.txt", "validation.txt", "test.txt")
 
 
-@contextlib.contextmanager
-def _atomic_open(path, keep_existing=False):
-    """Text handle on ``<path>.partial``, renamed over ``path`` when the block ends.
-
-    If the block raises, the partial file is removed and ``path`` is left
-    as it was, so a failed run never leaves a truncated file under the final
-    name. With ``keep_existing`` the handle starts after a copy of the
-    current ``path`` (a resumed run's log).
-    """
-    path = Path(path)
-    partial = path.with_name(path.name + ".partial")
-    if keep_existing and path.exists():
-        shutil.copyfile(path, partial)
-        mode = "a"
-    else:
-        mode = "w"
-    try:
-        with open(partial, mode, encoding="utf-8") as fh:
-            yield fh
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-
-
 def _write_json(path, payload):
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -231,7 +205,7 @@ def read_jsonl(path) -> list[dict]:
 
 def _write_split(path, split: Csr, delimiter):
     users, items = split.pairs()
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         fh.writelines(f"{u}{delimiter}{i}\n" for u, i in zip(users.tolist(), items.tolist()))
 
 
@@ -375,7 +349,7 @@ def cmd_train(args, cfg) -> int:
         start_epoch = 0
 
     log_path = Path(args.log) if args.log else Path(str(args.out) + "_log.jsonl")
-    with _atomic_open(log_path, keep_existing=bool(args.resume)) as log:
+    with atomic_open(log_path, keep_existing=bool(args.resume)) as log:
         for epoch in range(start_epoch, cfg["train.epochs"]):
             rng = _train_epoch_rng(cfg, args.base_stream, epoch)
             params, loss = epoch_fn(params, dataset, train_cfg, rng)
@@ -429,6 +403,11 @@ def cmd_calibrate(args, cfg) -> int:
     # the trace holds the start loss plus one entry per accepted step
     iterations = max(len(trace) - 1, 0)
     hit_iter_cap = kind in PARAMETRIC_KINDS and iterations >= max_iters
+    if kind in PARAMETRIC_KINDS:
+        grad_norm = gradient_norm(cal, fit_samples, unbiased=cfg["calib.unbiased"])
+        converged = grad_norm < cfg["calib.tol"]
+    else:
+        grad_norm, converged = None, True
     if hit_iter_cap:
         print(
             f"calibrec: warning: {kind} fit stopped at the iteration cap "
@@ -460,6 +439,8 @@ def cmd_calibrate(args, cfg) -> int:
             "ece_calibrated": ece_cal,
             "iterations": iterations,
             "hit_iter_cap": hit_iter_cap,
+            "grad_norm": grad_norm,
+            "converged": converged,
             "num_bins": num_bins,
             "scheme": scheme,
         },
@@ -506,7 +487,7 @@ def cmd_distill(args, cfg) -> int:
                         loss_kind="pointwise", epochs_trained=epochs_done)
 
     report = None
-    with _atomic_open(out / "cotrain_log.jsonl") as log:
+    with atomic_open(out / "cotrain_log.jsonl") as log:
         for epoch in range(bd_cfg.epochs):
             rng = np.random.default_rng(stream_seed(cfg["seed"], "bd", 1 + epoch))
             teacher, student, report = cotrain_epoch(
@@ -555,15 +536,20 @@ def cmd_recommend(args, cfg) -> int:
         perk_cfg = PerkConfig(
             k_max=cfg["perk.k_max"], utility=cfg["perk.utility"], rest_pool=cfg["perk.rest_pool"]
         )
-        train_sizes = dataset.train.sizes()
-        cuts = []
-        with _atomic_open(out_path) as fh:
-            for user in range(dataset.num_users):
-                if train_sizes[user] >= dataset.num_items:
-                    continue
-                extra = dataset.validation.row(user) if args.exclude_validation else ()
-                cut = perk_recommend(params, cal, dataset, user, perk_cfg, exclude_extra=extra)
-                cuts.append(cut)
+        extra = [
+            dataset.validation.row(u) if args.exclude_validation else ()
+            for u in range(dataset.num_users)
+        ]
+        # users whose excluded items cover the catalog get no list, as in fixed mode
+        users = [
+            u for u in range(dataset.num_users)
+            if np.union1d(dataset.train.row(u), extra[u]).size < dataset.num_items
+        ]
+        cuts = perk_recommend_users(
+            params, cal, dataset, users, perk_cfg, exclude_extra=[extra[u] for u in users]
+        )
+        with atomic_open(out_path) as fh:
+            for cut in cuts:
                 fh.write(
                     _jsonl_line(
                         {
@@ -588,7 +574,7 @@ def cmd_recommend(args, cfg) -> int:
                        for u, row in enumerate(exclude)]
         lists = top_k(params, np.arange(dataset.num_users), args.k, exclude)
         written = 0
-        with _atomic_open(out_path) as fh:
+        with atomic_open(out_path) as fh:
             for user, row in enumerate(lists):
                 items = row[row >= 0]
                 if not items.size:

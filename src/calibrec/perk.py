@@ -8,7 +8,10 @@ differently-weighted coins). The chosen cutoff k* is the smallest argmax of
 the expected-utility curve over k = 1..k_max.
 
 All expectations here are exact under the independence model; nothing in
-the product path is sampled.
+the product path is sampled. The product path (``perk_recommend_users`` and
+``utility_curves``) evaluates whole curves for a block of users at once;
+the standalone ``expected_*`` functions and ``pb_pmf`` are the definitional
+forms it is tested against. docs/perk.md derives the curve identity.
 """
 
 from __future__ import annotations
@@ -158,43 +161,131 @@ def expected_ndcg(probs_topk, probs_rest) -> float:
     return _ndcg_from_rest_pmf(top, pb_pmf(rest))
 
 
-def utility_curve(ranked_probs, rest_probs, kind: str) -> np.ndarray:
-    """Expected utility of every prefix: entry k-1 is the top-k value.
+# Users per block: a block shares its pool, score and curve temporaries. A
+# curve block is cut further so each (users, k_max, k_max) array holds at
+# most _BLOCK_ENTRIES entries (0.5 MB).
+_BLOCK_USERS = 128
+_BLOCK_ENTRIES = 1 << 16
 
-    For recall/f1/ndcg the "rest" of cutoff k is ranked_probs[k:] followed
-    by rest_probs; precision ignores the rest entirely. Prefix and rest
-    count distributions are updated incrementally (one Bernoulli fold per
-    cutoff) instead of rebuilt, which keeps the whole curve at the cost of
-    a few standalone evaluations.
+
+def _fold(pmf: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise ``_pb_step`` into the same width; the last column must be 0."""
+    out = pmf * (1.0 - p)
+    out[..., 1:] += pmf[..., :-1] * p
+    return out
+
+
+def _pb_rows(probs: np.ndarray) -> np.ndarray:
+    """Row-wise ``pb_pmf``: (users, n) probabilities to (users, n+1) pmfs."""
+    users, n = probs.shape
+    pmf = np.zeros((users, n + 1))
+    pmf[:, 0] = 1.0
+    for j in range(n):
+        pmf[:, : j + 2] = _fold(pmf[:, : j + 2], probs[:, j : j + 1])
+    return pmf
+
+
+def _cutoff_weights(kind: str, k_max: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-item gains g[i] and the table w[m, k-1] = W(m, k) for m < n_max.
+
+    Given item i at rank i < k is relevant and m other pool items are,
+    item i contributes g[i] * W(m, k) to the top-k utility.
+    """
+    m = np.arange(n_max)[:, None]
+    k = np.arange(1, k_max + 1)[None, :]
+    if kind == "ndcg":
+        gains = 1.0 / np.log2(np.arange(2, k_max + 2))
+        inv_idcg = 1.0 / np.cumsum(gains)  # inv_idcg[r-1] = 1 / IDCG(r)
+        return gains, inv_idcg[np.minimum(m + 1, k) - 1]
+    ones = np.ones(k_max)
+    if kind == "f1":
+        return ones, 2.0 / (k + 1 + m)
+    return ones, np.broadcast_to(1.0 / (1.0 + m), (n_max, k_max))  # recall
+
+
+def _loo_curves(ranked: np.ndarray, pmf_rest: np.ndarray, kind: str) -> np.ndarray:
+    """Recall, f1 or ndcg curves of one block of users; see ``utility_curves``."""
+    users, k_max = ranked.shape
+    width = pmf_rest.shape[1]
+    gains, w = _cutoff_weights(kind, k_max, k_max + width - 1)
+
+    # pmfs of the top-k_max count before and after each item i
+    prefix = np.zeros((users, k_max, k_max))
+    suffix = np.zeros((users, k_max, k_max))
+    prefix[:, 0, 0] = suffix[:, -1, 0] = 1.0
+    for i in range(1, k_max):
+        prefix[:, i] = _fold(prefix[:, i - 1], ranked[:, i - 1 : i])
+        j = k_max - 1 - i
+        suffix[:, j] = _fold(suffix[:, j + 1], ranked[:, j + 1 : j + 2])
+
+    # loo[u, i, a]: pmf of the top-k_max count without item i, prefix * suffix
+    loo = np.zeros((users, k_max, k_max))
+    for j in range(k_max):  # prefix[:, i, j] is 0 for j > i
+        loo[:, j:, j:] += prefix[:, j:, j : j + 1] * suffix[:, j:, : k_max - j]
+    del prefix, suffix
+    # cum[u, k-1, a] = sum_{i<k} p_i g_i loo[u, i, a]
+    loo *= (ranked * gains)[:, :, None]
+    cum = np.cumsum(loo, axis=1, out=loo)
+
+    # h[u, a, k-1] = E_B[W(a + B, k)], B the relevant count beyond the top k_max
+    h = np.empty((users, k_max, k_max))
+    for a in range(k_max):
+        h[:, a] = pmf_rest @ w[a : a + width]
+    return np.einsum("uka,uak->uk", cum, h)
+
+
+def utility_curves(ranked_probs, rest_probs, kind: str) -> np.ndarray:
+    """Expected utility of every prefix, for a batch of users.
+
+    ``ranked_probs`` is (users, k_max) in ranking order and ``rest_probs``
+    (users, R) holds the candidates beyond the top k_max; entry [u, k-1] of
+    the result is user u's expected top-k utility. Ragged pools are padded
+    with probability 0, which leaves every curve unchanged.
+
+    Precision is the running mean. Recall, f1 and ndcg share one exact
+    identity: writing N_-i for the relevant count over the whole pool minus
+    item i, which does not depend on k,
+
+        curve[k-1] = sum_{i<k} p_i * g_i * E[W(N_-i, k)]
+
+    with W = 2/(k+1+m), g = 1 for f1; W = 1/(1+m), g = 1 for recall; and
+    W = 1/IDCG(min(m+1, k)), g_i = 1/log2(i+2) for ndcg. N_-i splits into
+    the top-k_max count without item i, whose pmf is the convolution of a
+    prefix and a suffix pmf, and the independent rest count B, folded once
+    into a (k_max, k_max) table. Users are evaluated a block at a time. The
+    exact values lie in [0, 1]; float rounding above 1 is clipped.
     """
     ranked = _validate_probs(ranked_probs, "ranked_probs")
     rest = _validate_probs(rest_probs, "rest_probs")
-    k_max = len(ranked)
+    if ranked.ndim != 2 or rest.ndim != 2 or len(rest) != len(ranked):
+        raise ValueError("ranked_probs and rest_probs must be 2-D with one row per user")
+    users, k_max = ranked.shape
     if k_max < 1:
         raise ValueError("ranked_probs must be non-empty")
     if kind not in UTILITY_KINDS:
         raise ValueError(f"unknown utility kind {kind!r}")
 
     if kind == "precision":
-        return np.cumsum(ranked) / np.arange(1, k_max + 1)
+        return np.cumsum(ranked, axis=1) / np.arange(1, k_max + 1)
+    pmf_rest = _pb_rows(rest)
+    out = np.empty((users, k_max))
+    rows = max(1, min(_BLOCK_USERS, _BLOCK_ENTRIES // (k_max * k_max)))
+    for start in range(0, users, rows):
+        block = slice(start, start + rows)
+        out[block] = _loo_curves(ranked[block], pmf_rest[block], kind)
+    return np.minimum(out, 1.0, out=out)
 
-    # rest pmf per cutoff, built downward: rest(k) = rest(k+1) + item k
-    rest_pmfs: list[np.ndarray | None] = [None] * (k_max + 1)
-    rest_pmfs[k_max] = pb_pmf(rest)
-    for k in range(k_max - 1, 0, -1):
-        rest_pmfs[k] = _pb_step(rest_pmfs[k + 1], float(ranked[k]))
 
-    curve = np.empty(k_max)
-    pmf_top = np.array([1.0])
-    for k in range(1, k_max + 1):
-        pmf_top = _pb_step(pmf_top, float(ranked[k - 1]))
-        if kind == "recall":
-            curve[k - 1] = _recall_from_pmfs(pmf_top, rest_pmfs[k])
-        elif kind == "f1":
-            curve[k - 1] = _f1_from_pmfs(pmf_top, rest_pmfs[k], k)
-        else:  # ndcg
-            curve[k - 1] = _ndcg_from_rest_pmf(ranked[:k], rest_pmfs[k])
-    return curve
+def utility_curve(ranked_probs, rest_probs, kind: str) -> np.ndarray:
+    """Expected utility of every prefix: entry k-1 is the top-k value.
+
+    The one-user form of ``utility_curves``. For recall/f1/ndcg the "rest"
+    of cutoff k is ranked_probs[k:] followed by rest_probs; precision
+    ignores the rest entirely.
+    """
+    ranked = np.asarray(ranked_probs, dtype=float).reshape(1, -1)
+    rest = np.asarray(rest_probs, dtype=float).reshape(1, -1)
+    return utility_curves(ranked, rest, kind)[0]
 
 
 def select_k(curve) -> int:
@@ -205,6 +296,66 @@ def select_k(curve) -> int:
     return int(np.argmax(arr)) + 1
 
 
+def perk_recommend_users(
+    params: MfParams,
+    calibrator: Calibrator,
+    dataset: Dataset,
+    users,
+    cfg: PerkConfig,
+    exclude_extra=None,
+) -> list[PersonalizedCut]:
+    """Rank, calibrate, and cut each user's list at its best expected utility.
+
+    Users go ``_BLOCK_USERS`` at a time. Per block, one ``top_k`` call ranks
+    the users' non-train items and keeps the top (k_max + rest_pool) as the
+    candidate pools; one ``apply`` maps all pool scores through the
+    calibrator (including any recorded score shift); ``utility_curves``
+    evaluates k = 1..k_max, and each list is cut at its curve's smallest
+    argmax. ``exclude_extra``, one item collection per user, removes further
+    candidates (e.g. validation items when evaluating against test). Raises
+    ValueError if a user has no candidates.
+    """
+    users = np.asarray(users, dtype=np.int64).ravel()
+    excluded = [dataset.train.row(u) for u in users.tolist()]
+    if exclude_extra is not None:
+        if len(exclude_extra) != len(users):
+            raise ValueError("exclude_extra needs one entry per user")
+        excluded = [
+            np.concatenate([row, np.fromiter(extra, dtype=np.int64)])
+            for row, extra in zip(excluded, exclude_extra)
+        ]
+    cuts = []
+    for start in range(0, len(users), _BLOCK_USERS):
+        block = users[start : start + _BLOCK_USERS]
+        width = cfg.k_max + cfg.rest_pool
+        pools = top_k(params, block, width, excluded[start : start + len(block)])
+        candidates = pools >= 0  # pools are -1-padded at the end of each row
+        sizes = candidates.sum(axis=1)
+        if np.any(sizes == 0):
+            raise ValueError(f"user {block[np.argmin(sizes)]} has no candidate items")
+        scores = np.concatenate(
+            [score_items(params, u, pool[:n]) for u, pool, n in zip(block.tolist(), pools, sizes)]
+        )
+        # padding keeps probability 0, which leaves every curve unchanged
+        probs = np.zeros(pools.shape)
+        probs[candidates] = apply(calibrator, scores)
+        k_max = min(cfg.k_max, pools.shape[1])
+        curves = utility_curves(probs[:, :k_max], probs[:, k_max:], cfg.utility)
+        for user, pool, size, curve in zip(block.tolist(), pools, sizes.tolist(), curves):
+            curve = curve[: min(k_max, size)]
+            k_star = select_k(curve)
+            cuts.append(
+                PersonalizedCut(
+                    user=user,
+                    k_star=k_star,
+                    curve=curve,
+                    items=pool[:k_star].tolist(),
+                    k_max_effective=len(curve),
+                )
+            )
+    return cuts
+
+
 def perk_recommend(
     params: MfParams,
     calibrator: Calibrator,
@@ -213,29 +364,7 @@ def perk_recommend(
     cfg: PerkConfig,
     exclude_extra=(),
 ) -> PersonalizedCut:
-    """Rank, calibrate, and cut one user's list at its best expected utility.
-
-    Non-train items are ranked by score (``top_k``); the top
-    (k_max + rest_pool) candidates are mapped through the calibrator
-    (including any recorded score shift); the curve is evaluated for
-    k = 1..k_max and the list cut at its smallest argmax. ``exclude_extra`` removes further items from the
-    candidate pool (e.g. validation items when evaluating against test).
-    """
-    excluded = np.concatenate(
-        [dataset.train.row(user), np.fromiter(exclude_extra, dtype=np.int64)]
-    )
-    pool = top_k(params, [user], cfg.k_max + cfg.rest_pool, [excluded])[0]
-    pool = pool[pool >= 0]
-    if not pool.size:
-        raise ValueError(f"user {user} has no candidate items")
-    probs = np.atleast_1d(apply(calibrator, score_items(params, user, pool)))
-    k_eff = min(cfg.k_max, len(pool))
-    curve = utility_curve(probs[:k_eff], probs[k_eff:], cfg.utility)
-    k_star = select_k(curve)
-    return PersonalizedCut(
-        user=user,
-        k_star=k_star,
-        curve=curve,
-        items=pool[:k_star].tolist(),
-        k_max_effective=k_eff,
-    )
+    """One user's ``perk_recommend_users`` cut; ``exclude_extra`` is one item collection."""
+    return perk_recommend_users(
+        params, calibrator, dataset, [user], cfg, exclude_extra=[exclude_extra]
+    )[0]

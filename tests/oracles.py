@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately brute force: exhaustive enumeration, Monte
-Carlo simulation, and finite differences. Nothing imports the code paths it
-verifies.
+Carlo simulation, finite differences, and the incremental per-cutoff
+expected-utility curve that the batched one replaced. Nothing imports the
+code paths it verifies.
 """
 
 import numpy as np
@@ -82,6 +83,65 @@ def mc_all_utilities(topk, rest, n_draws, rng):
     ndcg = np.where(total > 0, (rel_top @ gains) / idcg_by_count[np.minimum(total, k)], 0.0)
     out["ndcg"] = _mean_se(ndcg)
     return out
+
+
+def _pb_fold(pmf, p):
+    out = np.zeros(len(pmf) + 1)
+    out[:-1] = pmf * (1.0 - p)
+    out[1:] += pmf * p
+    return out
+
+
+def _pb(probs):
+    pmf = np.array([1.0])
+    for p in probs:
+        pmf = _pb_fold(pmf, float(p))
+    return pmf
+
+
+def reference_utility_curve(ranked, rest, kind):
+    """Expected-utility curve by the incremental per-user algorithm.
+
+    Entry k-1 is the top-k value. For recall and f1 the top-k and rest count
+    pmfs are updated one Bernoulli fold per cutoff and combined over the
+    (top count, rest count) grid; for ndcg every cutoff rebuilds, for each
+    item i, the pmf of the other relevant items from scratch.
+    """
+    ranked = np.asarray(ranked, dtype=float)
+    rest = np.asarray(rest, dtype=float)
+    k_max = len(ranked)
+    if kind == "precision":
+        return np.cumsum(ranked) / np.arange(1, k_max + 1)
+    rest_pmfs = [None] * (k_max + 1)
+    rest_pmfs[k_max] = _pb(rest)
+    for k in range(k_max - 1, 0, -1):
+        rest_pmfs[k] = _pb_fold(rest_pmfs[k + 1], float(ranked[k]))
+
+    curve = np.empty(k_max)
+    pmf_top = np.array([1.0])
+    for k in range(1, k_max + 1):
+        pmf_top = _pb_fold(pmf_top, float(ranked[k - 1]))
+        a = np.arange(len(pmf_top), dtype=float)[:, None]
+        b = np.arange(len(rest_pmfs[k]), dtype=float)[None, :]
+        if kind == "recall":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                grid = np.where(a + b > 0, a / (a + b), 0.0)
+        elif kind == "f1":
+            grid = 2.0 * a / (k + a + b)
+        if kind in ("recall", "f1"):
+            curve[k - 1] = pmf_top @ grid @ rest_pmfs[k]
+            continue
+        gains = 1.0 / np.log2(np.arange(2, k + 2))
+        inv_idcg = 1.0 / np.cumsum(gains)
+        total = 0.0
+        for i in range(k):
+            if ranked[i] == 0.0:
+                continue
+            pmf_m = np.convolve(_pb(np.delete(ranked[:k], i)), rest_pmfs[k])
+            ranks = np.minimum(np.arange(len(pmf_m)) + 1, k)
+            total += ranked[i] * gains[i] * float(pmf_m @ inv_idcg[ranks - 1])
+        curve[k - 1] = total
+    return curve
 
 
 def finite_difference_grad(f, x, h=1e-5, coords=None):

@@ -11,6 +11,7 @@ from calibrec.calibration import (
     estimate_propensity,
     fit,
     gamma_shift,
+    gradient_norm,
     load_calibrator,
     nll,
     read_reliability_csv,
@@ -21,6 +22,7 @@ from calibrec.calibration import (
 from calibrec.ranker import init_params, score
 
 from conftest import make_dataset
+from oracles import finite_difference_grad
 
 
 def make_samples(s, y, theta=None):
@@ -168,6 +170,39 @@ class TestFit:
         samples = [CalibrationSample(0.0, 1, 0.5), CalibrationSample(0.0, 0, 1.0)]
         cal = fit("histogram", samples, unbiased=True, num_bins=1)
         assert cal.bins[0][1] == pytest.approx(1.0)
+
+
+class TestGradientNorm:
+    @pytest.mark.parametrize(
+        "kind,unbiased", [("platt", False), ("gaussian", True), ("gamma", False)]
+    )
+    def test_matches_finite_differences(self, kind, unbiased):
+        rng = np.random.default_rng(61)
+        s = rng.uniform(0.5, 3.0, 400)
+        y = (rng.random(400) < expit(s - 1.5)).astype(int)
+        samples = make_samples(s, y, rng.uniform(0.3, 1.0, 400))
+        cal = Calibrator(kind, a=0.4, b=-0.3, c=0.2, score_shift=0.1)
+
+        def objective(theta):
+            return nll(Calibrator(kind, *theta, score_shift=0.1), samples, unbiased=unbiased)
+
+        numeric = finite_difference_grad(objective, np.array([0.4, -0.3, 0.2]))
+        expected = max(abs(g) for g in numeric.values())
+        assert gradient_norm(cal, samples, unbiased=unbiased) == pytest.approx(expected, rel=1e-6)
+
+    def test_below_tol_when_fit_stops_early(self):
+        rng = np.random.default_rng(62)
+        s, y, samples = bernoulli_samples(lambda x: expit(1.5 * x - 0.5), 2000, rng)
+        cal, trace = fit("platt", samples, tol=1e-6, full_output=True)
+        assert len(trace) - 1 < 1000
+        assert gradient_norm(cal, samples) < 1e-6
+        capped = fit("platt", samples, max_iters=1, tol=1e-6)
+        assert gradient_norm(capped, samples) >= 1e-6
+
+    def test_histogram_has_no_gradient(self):
+        with pytest.raises(ValueError):
+            gradient_norm(Calibrator("histogram", bins=[(1.0, 0.5)]),
+                          make_samples([0.0, 1.0], [0, 1]))
 
 
 class TestMonotonePreservesRanking:
@@ -375,3 +410,20 @@ class TestSerialization:
         loaded = load_calibrator(path)
         assert loaded == cal
         assert apply(loaded, 0.05) == 0.25
+
+    def test_failed_writes_keep_previous_files(self, tmp_path):
+        cal_path, csv_path = tmp_path / "cal.json", tmp_path / "rel.csv"
+        save_calibrator(Calibrator("platt", a=2.0), cal_path)
+        write_reliability_csv([(0.0, 1.0, 3, 0.5, 0.4)], csv_path)
+        before = (cal_path.read_bytes(), csv_path.read_bytes())
+        with pytest.raises(TypeError):
+            save_calibrator(Calibrator("platt", a=object()), cal_path)
+        with pytest.raises(ValueError):
+            write_reliability_csv([(0.0, 1.0, 3, 0.5, 0.4), (1.0, 2.0)], csv_path)
+        assert (cal_path.read_bytes(), csv_path.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.json", "rel.csv"]
+
+    def test_loaded_fields_are_finite_floats(self, tmp_path):
+        path = tmp_path / "cal.json"
+        path.write_text('{"kind": "gaussian", "a": 1, "b": -2.5}')
+        assert load_calibrator(path) == Calibrator("gaussian", a=1.0, b=-2.5)

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from calibrec import cli
-from calibrec.calibration import apply, load_calibrator, read_reliability_csv
+from calibrec.calibration import (
+    Calibrator,
+    apply,
+    load_calibrator,
+    read_reliability_csv,
+    save_calibrator,
+)
 from calibrec.cli import (
     BUNDLE_FILES,
     config_reference,
@@ -271,6 +277,26 @@ class TestCalibrate:
         assert hist["iterations"] == 0 and hist["hit_iter_cap"] is False
         assert "warning" not in capsys.readouterr().err
 
+    def test_report_states_convergence(self, workspace, tmp_path):
+        report = json.loads((workspace / "calib" / "calibration_report.json").read_text())
+        assert report["grad_norm"] >= 0.0
+        assert report["converged"] is (report["grad_norm"] < 1e-8)
+        assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "loose", "--set", "calib.tol=1e3") == 0
+        loose = json.loads((tmp_path / "loose" / "calibration_report.json").read_text())
+        assert loose["iterations"] == 0 and loose["converged"] is True
+        assert 0.0 <= loose["grad_norm"] < 1e3
+        assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "capped", "--set", "calib.max_iters=1",
+                   "--set", "calib.tol=1e-12") == 0
+        capped = json.loads((tmp_path / "capped" / "calibration_report.json").read_text())
+        assert capped["hit_iter_cap"] is True and capped["converged"] is False
+        assert capped["grad_norm"] >= 1e-12
+        assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "hist", "--set", "calib.kind=histogram") == 0
+        hist = json.loads((tmp_path / "hist" / "calibration_report.json").read_text())
+        assert hist["grad_norm"] is None and hist["converged"] is True
+
     def test_outputs_and_round_trip(self, workspace):
         cal = load_calibrator(workspace / "calib" / "calibrator.json")
         assert cal.kind == "platt"
@@ -409,6 +435,66 @@ class TestRecommend:
         assert agg["mean_k_star"] == pytest.approx(
             float(np.mean([c.k_star for c in cuts]))
         )
+
+
+def write_bundle(root, num_items, train, validation, test=None):
+    """A bundle written directly: user u and item i have external ids u<u>, i<i>."""
+    root.mkdir()
+    num_users = len(train)
+    (root / "user_map.json").write_text(json.dumps({f"u{u}": u for u in range(num_users)}))
+    (root / "item_map.json").write_text(json.dumps({f"i{i}": i for i in range(num_items)}))
+    for name, split in (("train", train), ("validation", validation), ("test", test or {})):
+        lines = [f"{u},{i}\n" for u in sorted(split) for i in sorted(split[u])]
+        (root / f"{name}.txt").write_text("".join(lines))
+
+
+class TestPerkSkipsCoveredUsers:
+    def test_train_plus_validation_covering_catalog(self, tmp_path):
+        # user 0's train and validation rows cover all four items
+        write_bundle(tmp_path / "b", 4, train={0: {0, 1}, 1: {0}, 2: {1, 2}},
+                     validation={0: {2, 3}, 1: {1}, 2: {0}}, test={1: {2}, 2: {3}})
+        save_checkpoint(init_params(3, 4, 2, seed=0), tmp_path / "ck")
+        save_calibrator(Calibrator("platt", a=1.0, b=0.0), tmp_path / "cal.json")
+        common = ("recommend", "--data", tmp_path / "b", "--ckpt", tmp_path / "ck", "--perk",
+                  "--calibrator", tmp_path / "cal.json", "--set", "perk.k_max=2")
+        assert run(*common, "--out", tmp_path / "p.jsonl", "--exclude-validation") == 0
+        rows = read_jsonl(tmp_path / "p.jsonl")
+        assert [r["user"] for r in rows] == [1, 2]
+        assert 1 not in rows[0]["items"] and 0 not in rows[1]["items"]
+        assert run(*common, "--out", tmp_path / "all.jsonl") == 0
+        assert [r["user"] for r in read_jsonl(tmp_path / "all.jsonl")] == [0, 1, 2]
+
+
+class TestBadCalibratorFile:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "isotonic", "a": 1.0},
+            {"a": 1.0},
+            {"kind": "platt", "a": float("nan"), "b": 0.0},
+            {"kind": "gamma", "a": 1.0, "score_shift": float("inf")},
+            {"kind": "gaussian", "c": "1.0"},
+            {"kind": "histogram", "bins": []},
+            {"kind": "histogram"},
+            {"kind": "histogram", "bins": [[0.5, 0.2], [0.5, 0.4]]},
+            {"kind": "histogram", "bins": [[0.5, 0.2], [0.1, 0.4]]},
+            {"kind": "histogram", "bins": [[0.1, 0.2], [0.5, 1.5]]},
+            {"kind": "histogram", "bins": [[0.1, -0.1]]},
+            {"kind": "histogram", "bins": [[0.1, 0.2, 0.3]]},
+        ],
+        ids=["unknown-kind", "no-kind", "nan-a", "inf-shift", "string-c", "no-bins",
+             "missing-bins", "equal-edges", "falling-edges", "value-above-one",
+             "value-below-zero", "bin-triple"],
+    )
+    def test_recommend_perk_rejects(self, workspace, tmp_path, payload, capsys):
+        path = tmp_path / "calibrator.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_calibrator(path)
+        assert run("recommend", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "p.jsonl", "--perk", "--calibrator", path) == 2
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
 
 
 class TestEval:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from calibrec.calibration import Calibrator
+from calibrec import perk
+from calibrec.calibration import Calibrator, apply
 from calibrec.perk import (
     PerkConfig,
     expected_f1,
@@ -10,13 +11,22 @@ from calibrec.perk import (
     expected_recall,
     pb_pmf,
     perk_recommend,
+    perk_recommend_users,
     select_k,
     utility_curve,
+    utility_curves,
 )
-from calibrec.ranker import init_params, rank_items
+from calibrec.ranker import init_params, rank_items, score_items
 
 from conftest import make_dataset
-from oracles import brute_force_pb, mc_f1, mc_ndcg, mc_precision, mc_recall
+from oracles import (
+    brute_force_pb,
+    mc_f1,
+    mc_ndcg,
+    mc_precision,
+    mc_recall,
+    reference_utility_curve,
+)
 
 
 class TestPbPmf:
@@ -196,6 +206,95 @@ class TestUtilityCurve:
             utility_curve([0.5], [], "hits")
 
 
+def probability_cases(seed):
+    """(ranked, rest) pairs: K from 1 to 50, R from 0 to 300, exact 0s, 1s and ties."""
+    rng = np.random.default_rng(seed)
+    shapes = [(1, 0), (1, 300), (50, 0), (50, 300), (2, 1), (3, 3), (7, 12), (12, 100),
+              (20, 40), (33, 7)]
+    cases = []
+    for n, (k, r) in enumerate(shapes):
+        probs = rng.random(k + r)
+        if n % 4 == 1:
+            probs[rng.random(k + r) < 0.3] = 0.0
+        elif n % 4 == 2:
+            probs[rng.random(k + r) < 0.3] = 1.0
+        elif n % 4 == 3:
+            probs = np.round(probs, 1)  # ties, some at 0 and 1
+        cases.append((probs[:k], probs[k:]))
+    cases += [
+        (np.zeros(4), np.zeros(5)),
+        (np.ones(9), np.ones(3)),
+        (np.full(6, 0.5), np.full(8, 0.5)),
+        (np.sort(rng.random(15))[::-1], np.array([1.0, 0.0, 1.0])),
+    ]
+    return cases
+
+
+def padded_block(cases):
+    """All cases in one block: ragged rows padded with probability 0."""
+    k_max = max(len(ranked) for ranked, _ in cases)
+    width = max(len(rest) for _, rest in cases)
+    ranked_block = np.zeros((len(cases), k_max))
+    rest_block = np.zeros((len(cases), width))
+    for row, (ranked, rest) in enumerate(cases):
+        ranked_block[row, : len(ranked)] = ranked
+        rest_block[row, : len(rest)] = rest
+    return ranked_block, rest_block
+
+
+class TestUtilityCurves:
+    @pytest.mark.parametrize("kind", ["precision", "recall", "f1", "ndcg"])
+    def test_ragged_block_matches_reference(self, kind):
+        cases = probability_cases(41)
+        curves = utility_curves(*padded_block(cases), kind)
+        for (ranked, rest), curve in zip(cases, curves):
+            expected = reference_utility_curve(ranked, rest, kind)
+            got = curve[: len(ranked)]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            top_two = np.sort(expected)[::-1][:2]
+            if len(top_two) == 1 or top_two[0] - top_two[1] > 1e-12:
+                assert select_k(got) == select_k(expected), (kind, len(ranked), len(rest))
+
+    @pytest.mark.parametrize("kind", ["recall", "f1", "ndcg"])
+    def test_blocking_changes_only_rounding(self, kind, monkeypatch):
+        block = padded_block(probability_cases(42))
+        whole = utility_curves(*block, kind)
+        monkeypatch.setattr(perk, "_BLOCK_ENTRIES", 1)  # one user per block
+        # block GEMMs may round differently, nothing more
+        np.testing.assert_allclose(utility_curves(*block, kind), whole, rtol=0, atol=1e-15)
+
+    def test_one_row_form(self):
+        ranked, rest = probability_cases(43)[6]
+        for kind in ("precision", "recall", "f1", "ndcg"):
+            np.testing.assert_array_equal(
+                utility_curve(ranked, rest, kind), utility_curves([ranked], [rest], kind)[0]
+            )
+
+    def test_values_in_unit_interval(self):
+        cases = probability_cases(44)
+        for kind in ("precision", "recall", "f1", "ndcg"):
+            curves = utility_curves(*padded_block(cases), kind)
+            assert np.all((curves >= 0.0) & (curves <= 1.0)), kind
+        # a certain top item makes ndcg@1 exactly 1; unclipped sums round above it
+        for ranked, rest in [(np.ones((1, 50)), np.ones((1, 300))),
+                             (np.ones((1, 1)), np.full((1, 40), 0.1))]:
+            certain = utility_curves(ranked, rest, "ndcg")
+            assert np.all((certain >= 0.0) & (certain <= 1.0))
+            np.testing.assert_allclose(certain, 1.0, atol=1e-12)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            utility_curves(np.full((2, 3), 0.5), np.full((3, 1), 0.5), "f1")
+        with pytest.raises(ValueError):
+            utility_curves(np.full(3, 0.5), np.full(3, 0.5), "f1")
+        with pytest.raises(ValueError):
+            utility_curves(np.empty((2, 0)), np.empty((2, 0)), "f1")
+        with pytest.raises(ValueError):
+            utility_curves([[0.5, 1.5]], [[0.5]], "ndcg")
+        with pytest.raises(ValueError):
+            utility_curves([[0.5]], [[0.5]], "hits")
+
+
 class TestSelectK:
     def test_tie_breaks_small(self):
         assert select_k([0.2, 0.5, 0.5]) == 2
@@ -270,3 +369,59 @@ class TestPerkRecommend:
         # pool deep enough to reach the negative-score region
         with pytest.raises(ValueError):
             perk_recommend(params, cal, dataset, 0, PerkConfig(k_max=5, rest_pool=25))
+
+
+class TestPerkRecommendUsers:
+    def make_setup(self):
+        num_items = 25
+        rng = np.random.default_rng(45)
+        train = {
+            u: set(rng.choice(num_items, 3 + u % 4, replace=False).tolist()) for u in range(9)
+        }
+        train[7] = set(range(21))  # a four-item pool, shorter than k_max
+        validation = {u: {(3 * u + 1) % num_items} - train[u] for u in range(9)}
+        dataset = make_dataset(train, validation=validation, num_items=num_items)
+        params = init_params(9, num_items, 4, seed=46)
+        return dataset, params, validation
+
+    @pytest.mark.parametrize("utility", ["f1", "ndcg", "recall", "precision"])
+    def test_equals_per_user_form(self, utility, monkeypatch):
+        dataset, params, validation = self.make_setup()
+        cal = Calibrator("platt", a=1.3, b=-0.2)
+        cfg = PerkConfig(k_max=6, utility=utility, rest_pool=7)
+        users = [4, 0, 7, 8, 1, 2, 3, 6, 5]
+        extra = [sorted(validation[u]) for u in users]
+        monkeypatch.setattr(perk, "_BLOCK_USERS", 4)  # blocks of 4, 4 and 1 users
+        cuts = perk_recommend_users(params, cal, dataset, users, cfg, exclude_extra=extra)
+        assert [cut.user for cut in cuts] == users
+        for cut, user, ex in zip(cuts, users, extra):
+            alone = perk_recommend(params, cal, dataset, user, cfg, exclude_extra=ex)
+            assert (cut.k_star, cut.items, cut.k_max_effective) == (
+                alone.k_star, alone.items, alone.k_max_effective
+            )
+            np.testing.assert_allclose(cut.curve, alone.curve, rtol=0, atol=1e-12)
+
+    def test_curves_match_reference(self):
+        dataset, params, validation = self.make_setup()
+        cal = Calibrator("platt", a=1.3, b=-0.2)
+        cfg = PerkConfig(k_max=6, utility="ndcg", rest_pool=7)
+        cuts = perk_recommend_users(params, cal, dataset, range(9), cfg)
+        assert cuts[7].k_max_effective == 4
+        for user, cut in enumerate(cuts):
+            pool = rank_items(params, user, exclude=dataset.train.row(user))[:13]
+            probs = np.atleast_1d(apply(cal, score_items(params, user, pool)))
+            k = cut.k_max_effective
+            expected = reference_utility_curve(probs[:k], probs[k:], "ndcg")
+            np.testing.assert_allclose(cut.curve, expected, rtol=0, atol=1e-12)
+            assert cut.items == pool[: cut.k_star]
+
+    def test_empty_pool_and_extra_length(self):
+        dataset, params, _ = self.make_setup()
+        cal = Calibrator("platt", a=1.0, b=0.0)
+        cfg = PerkConfig(k_max=3, rest_pool=2)
+        with pytest.raises(ValueError, match="user 7"):
+            perk_recommend_users(params, cal, dataset, [0, 7], cfg,
+                                 exclude_extra=[[], range(21, 25)])
+        with pytest.raises(ValueError):
+            perk_recommend_users(params, cal, dataset, [0, 1], cfg, exclude_extra=[[]])
+        assert perk_recommend_users(params, cal, dataset, [], cfg) == []
