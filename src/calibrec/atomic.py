@@ -9,8 +9,8 @@ from pathlib import Path
 
 
 @contextlib.contextmanager
-def atomic_open(path, keep_existing=False):
-    """Text handle on ``<path>.partial``, renamed over ``path`` when the block ends.
+def atomic_open(path, keep_existing=False, binary=False):
+    """Text (or ``binary``) handle on ``<path>.partial``, renamed over ``path`` when the block ends.
 
     If the block raises, the partial file is removed and ``path`` is left
     as it was, so a failed run never leaves a truncated file under the final
@@ -24,8 +24,10 @@ def atomic_open(path, keep_existing=False):
         mode = "a"
     else:
         mode = "w"
+    if binary:
+        mode += "b"
     try:
-        with open(partial, mode, encoding="utf-8") as fh:
+        with open(partial, mode, encoding=None if binary else "utf-8") as fh:
             yield fh
         os.replace(partial, path)
     except BaseException:

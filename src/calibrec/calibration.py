@@ -8,13 +8,18 @@ plus an equal-mass histogram-binning baseline:
     gamma      p(s) = sigmoid(a*ln(s) + b*s + c),  needs s > 0
     histogram  p(s) = weighted positive fraction of the bin containing s
 
-Fitting minimizes a weighted negative log-likelihood by gradient descent
+Fitting minimizes a weighted negative log-likelihood by damped Newton
 with a backtracking line search. In the default (biased) mode weights are
 the labels themselves. In unbiased mode each sample carries an inverse
 propensity: w+ = y/theta and w- = 1 - y/theta, which makes the risk an
 unbiased estimate of the fully-observed one under exposure probability
-theta, at the price of possibly negative weights (the objective is then no
-longer convex, which the optimizer does not assume).
+theta, at the price of possibly negative weights. Since w+ + w- = 1 in
+both modes, the objective is mean(softplus(z) - w+ z) with z the logit, and
+its Hessian weights every sample by sigma(z)(1 - sigma(z)) >= 0: it stays
+convex with negative weights too. What negative weights can do is make it
+unbounded below, for example when the positives' 1/theta sum to more than
+the sample count (the fit then stops at its iteration cap or a stalled line
+search and reports that it has not converged).
 
 Diagnostics: expected calibration error and reliability tables over
 equal-width or equal-mass bins.
@@ -178,11 +183,52 @@ def _objective(theta_vec, phi, w_pos, w_neg) -> float:
     return float(np.mean(w_pos * np.logaddexp(0.0, -z) + w_neg * np.logaddexp(0.0, z)))
 
 
-def _gradient(theta_vec, phi, w_pos, w_neg) -> np.ndarray:
-    z = phi @ theta_vec
-    sig = expit(z)
-    coeff = w_pos * (sig - 1.0) + w_neg * sig
-    return phi.T @ coeff / len(z)
+def _derivatives(theta_vec, phi, w_pos, w_neg) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of ``_objective`` at ``theta_vec``.
+
+    The Hessian is phi' diag(sigma (1 - sigma)) phi / n because w+ + w- = 1
+    in both weighting modes, so it is positive semidefinite even when the
+    unbiased weights are negative.
+    """
+    sig = expit(phi @ theta_vec)
+    grad = phi.T @ (w_pos * (sig - 1.0) + w_neg * sig) / len(sig)
+    hess = (phi.T * (sig * (1.0 - sig))) @ phi / len(sig)
+    return grad, hess
+
+
+def _free(kind: str, theta_vec, grad) -> np.ndarray:
+    """Indices of the parameters a step may move.
+
+    Platt fits (a, b) only, and holds a at its bound a = 0 while the
+    gradient pushes it further down; the stop rule and ``gradient_norm``
+    read the gradient on these indices alone.
+    """
+    if kind != "platt":
+        return np.arange(3)
+    if theta_vec[0] <= 0.0 and grad[0] > 0.0:
+        return np.array([1])
+    return np.array([0, 1])
+
+
+def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve hess @ d = -grad by Cholesky.
+
+    A Hessian that is singular or ill-conditioned (a pivot below 1e-12 of the
+    largest) gets a Levenberg ridge of 1e-10, 1e-8, ... up to 1 times its
+    largest diagonal entry; if none helps, the step is the negative gradient.
+    """
+    scale = np.max(np.diag(hess))
+    for ridge in scale * np.array([0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0]):
+        try:
+            factor = np.linalg.cholesky(hess + ridge * np.eye(len(grad)))
+        except np.linalg.LinAlgError:
+            continue
+        pivots = np.diag(factor) ** 2
+        if pivots.min() >= 1e-12 * pivots.max():
+            direction = np.linalg.solve(factor.T, np.linalg.solve(factor, -grad))
+            if np.all(np.isfinite(direction)):
+                return direction
+    return -grad
 
 
 def fit(
@@ -197,23 +243,34 @@ def fit(
 ):
     """Fit a calibrator by (weighted) maximum likelihood.
 
-    Parametric kinds run projected gradient descent with an Armijo
-    backtracking line search from (a,b,c) = (1,0,0) for platt/gamma and
-    (0,1,0) for gaussian, stopping when the gradient infinity-norm drops
-    below ``tol`` or after ``max_iters`` accepted iterations; platt clips a
-    to be nonnegative at every step. Accepted steps never increase the
-    objective. The histogram kind ignores the optimizer settings and sets
-    each of ``num_bins`` equal-mass bins to its weighted positive fraction.
+    Parametric kinds run damped Newton on the kind's parameters, (a, b) for
+    platt and (a, b, c) for gaussian and gamma, from (a,b,c) = (1,0,0) for
+    platt/gamma and (0,1,0) for gaussian. Each iteration solves H d = -g
+    (Cholesky, with a Levenberg ridge when H is singular or ill-conditioned,
+    and -g as the last resort) and halves the step from 1 until it meets
+    the Armijo condition, so accepted steps never increase the objective; a
+    step whose objective is not finite counts as too long. Platt keeps
+    a >= 0 as an active set: a step that would cross the bound is clipped
+    onto it, and while a = 0 and the gradient pushes a below zero, a is
+    held and the step moves b alone.
+
+    The fit stops when the gradient infinity-norm over the free parameters
+    drops below ``tol`` (converged), after ``max_iters`` accepted steps (the
+    iteration cap), or when the line search cannot move the parameters at
+    float precision (stalled). The histogram kind ignores the optimizer
+    settings and sets each of ``num_bins`` equal-mass bins to its weighted
+    positive fraction.
 
     ``score_shift`` is added to all sample scores before fitting and
     recorded on the returned calibrator (used for gamma on sign-unconstrained
     scores; see ``gamma_shift``).
 
     With ``full_output`` returns (calibrator, loss_trace) where the trace
-    holds the objective at the start and after every accepted step.
+    holds the objective at the start and after every accepted step, so
+    ``len(trace) - 1`` is the number of Newton iterations taken.
 
     Raises ValueError on one-class input, on nonpositive shifted scores for
-    gamma, and if the objective turns non-finite during optimization.
+    gamma, and if the objective is not finite at the start point.
     """
     if kind not in CALIBRATOR_KINDS:
         raise ValueError(f"unknown calibrator kind {kind!r}")
@@ -234,37 +291,32 @@ def fit(
     if not math.isfinite(loss):
         raise ValueError("non-finite loss at iteration 0")
     trace = [loss]
-    step = 1.0
     armijo = 1e-4
 
-    for iteration in range(1, max_iters + 1):
-        grad = _gradient(theta_vec, phi, w_pos, w_neg)
-        if np.max(np.abs(grad)) < tol:
+    for _ in range(max_iters):
+        grad, hess = _derivatives(theta_vec, phi, w_pos, w_neg)
+        free = _free(kind, theta_vec, grad)
+        if np.max(np.abs(grad[free])) < tol:
             break
-        step = min(step * 2.0, 1e8)  # grow after successes, shrink below
-        accepted = False
-        while step > 1e-18:
-            cand = theta_vec - step * grad
-            clipped = False
+        direction = np.zeros(3)
+        direction[free] = _newton_direction(hess[np.ix_(free, free)], grad[free])
+        step = 1.0
+        while True:
+            cand = theta_vec + step * direction
             if kind == "platt" and cand[0] < 0.0:
                 cand[0] = 0.0
-                clipped = True
+            if np.array_equal(cand, theta_vec):
+                break
             cand_loss = _objective(cand, phi, w_pos, w_neg)
-            if not math.isfinite(cand_loss):
-                raise ValueError(f"non-finite loss at iteration {iteration}")
-            enough = (
-                cand_loss <= loss
-                if clipped
-                else cand_loss <= loss - armijo * step * float(grad @ grad)
-            )
-            if enough and cand_loss <= loss:
-                theta_vec, loss = cand, cand_loss
-                trace.append(loss)
-                accepted = True
+            # a clipped step need not point downhill: it must still not ascend
+            decrease = min(0.0, armijo * float(grad @ (cand - theta_vec)))
+            if math.isfinite(cand_loss) and cand_loss <= loss + decrease:
                 break
             step *= 0.5
-        if not accepted:
-            break  # line search stalled: no descent direction at float precision
+        if np.array_equal(cand, theta_vec):
+            break  # line search stalled: no descent at float precision
+        theta_vec, loss = cand, cand_loss
+        trace.append(loss)
 
     cal = Calibrator(
         kind=kind,
@@ -280,13 +332,17 @@ def gradient_norm(cal: Calibrator, samples, unbiased: bool = False) -> float:
     """Infinity-norm of the fitting objective's gradient at a parametric calibrator.
 
     The objective is the one ``fit`` minimizes, on the samples shifted by
-    ``cal.score_shift``; ``fit`` stops early once this drops below ``tol``.
+    ``cal.score_shift``, and the norm is over the parameters ``fit`` may
+    move there (platt's a is left out while it sits at its bound a = 0 with
+    the gradient pushing it below); ``fit`` stops once this drops below
+    ``tol``.
     """
     s, y, theta = _samples_to_arrays(samples)
     w_pos, w_neg = _weights(y, theta, unbiased)
     phi = _features(cal.kind, s + cal.score_shift)
-    grad = _gradient(np.array([cal.a, cal.b, cal.c]), phi, w_pos, w_neg)
-    return float(np.max(np.abs(grad)))
+    theta_vec = np.array([cal.a, cal.b, cal.c])
+    grad, _ = _derivatives(theta_vec, phi, w_pos, w_neg)
+    return float(np.max(np.abs(grad[_free(cal.kind, theta_vec, grad)])))
 
 
 def _fit_histogram(s, w_pos, num_bins, score_shift) -> Calibrator:

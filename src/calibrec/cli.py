@@ -107,7 +107,7 @@ CONFIG_SPEC = {
     "calib.unbiased": (_bool, False, "weight the likelihood by inverse propensities"),
     "calib.tau": (float, 0.5, "propensity popularity exponent"),
     "calib.theta_min": (float, 0.01, "propensity clip floor"),
-    "calib.max_iters": (int, 1000, "optimizer iteration cap"),
+    "calib.max_iters": (int, 1000, "Newton iteration cap"),
     "calib.tol": (float, 1e-8, "optimizer gradient tolerance"),
     "calib.num_bins": (int, 15, "bins for ECE / reliability / histogram calibrator"),
     "calib.scheme": (_choice("equal_width", "equal_mass"), "equal_width", "binning scheme"),
@@ -402,12 +402,13 @@ def cmd_calibrate(args, cfg) -> int:
     )
     # the trace holds the start loss plus one entry per accepted step
     iterations = max(len(trace) - 1, 0)
-    hit_iter_cap = kind in PARAMETRIC_KINDS and iterations >= max_iters
     if kind in PARAMETRIC_KINDS:
         grad_norm = gradient_norm(cal, fit_samples, unbiased=cfg["calib.unbiased"])
         converged = grad_norm < cfg["calib.tol"]
     else:
         grad_norm, converged = None, True
+    # a fit whose last allowed step lands below tol converged; the cap did not stop it
+    hit_iter_cap = iterations == max_iters and not converged
     if hit_iter_cap:
         print(
             f"calibrec: warning: {kind} fit stopped at the iteration cap "

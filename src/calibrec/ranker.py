@@ -16,6 +16,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import expit
 
+from .atomic import atomic_open
 from .dataset import Dataset, sample_negatives
 
 LOSS_KINDS = ("bpr", "pointwise")
@@ -332,7 +333,11 @@ def save_checkpoint(
     loss_kind: str = "bpr",
     epochs_trained: int = 0,
 ) -> tuple[Path, Path]:
-    """Write ``<base>.json`` + ``<base>.bin`` and return both paths."""
+    """Write ``<base>.json`` + ``<base>.bin`` atomically and return both paths.
+
+    Both are written to ``.partial`` files first. A failure while writing
+    removes them and leaves the pair already under those names as it was.
+    """
     base = Path(base_path)
     header_path = base.with_name(base.name + ".json")
     sidecar_path = base.with_name(base.name + ".bin")
@@ -363,12 +368,15 @@ def save_checkpoint(
         "sidecar": sidecar_path.name,
         "arrays": arrays,
     }
-    with open(header_path, "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2)
-        fh.write("\n")
-    with open(sidecar_path, "wb") as fh:
+    # the sidecar is renamed into place first, then the header that lists it
+    with (
+        atomic_open(header_path) as header_fh,
+        atomic_open(sidecar_path, binary=True) as sidecar_fh,
+    ):
         for blob in blobs:
-            fh.write(blob)
+            sidecar_fh.write(blob)
+        json.dump(header, header_fh, indent=2)
+        header_fh.write("\n")
     return header_path, sidecar_path
 
 

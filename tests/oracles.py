@@ -1,12 +1,14 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately brute force: exhaustive enumeration, Monte
-Carlo simulation, finite differences, and the incremental per-cutoff
-expected-utility curve that the batched one replaced. Nothing imports the
-code paths it verifies.
+Carlo simulation, finite differences, the incremental per-cutoff
+expected-utility curve that the batched one replaced, and a general-purpose
+quasi-Newton minimizer for calibrator fits. Nothing imports the code paths
+it verifies.
 """
 
 import numpy as np
+from scipy.optimize import minimize
 
 
 def brute_force_pb(probs):
@@ -160,3 +162,30 @@ def finite_difference_grad(f, x, h=1e-5, coords=None):
 
 def relative_error(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def reference_fit(kind, objective, gradient, start):
+    """Minimize a calibrator objective over (a, b, c) with scipy; returns (params, value).
+
+    ``objective`` and ``gradient`` take the 3-vector (a, b, c). Platt moves
+    (a, b) by L-BFGS-B with a >= 0 and holds c at 0; gaussian and gamma move
+    all three by BFGS. Both run to tight gradient tolerances.
+    """
+    n = 2 if kind == "platt" else 3
+
+    def full(x):
+        return np.concatenate([x, np.zeros(3 - n)])
+
+    def fun(x):
+        return objective(full(x))
+
+    def jac(x):
+        return np.asarray(gradient(full(x)))[:n]
+
+    x0 = np.asarray(start, dtype=float)[:n]
+    if kind == "platt":
+        res = minimize(fun, x0, jac=jac, method="L-BFGS-B", bounds=[(0.0, None), (None, None)],
+                       options={"gtol": 1e-12, "ftol": 1e-16, "maxiter": 20_000})
+    else:
+        res = minimize(fun, x0, jac=jac, method="BFGS", options={"gtol": 1e-11, "maxiter": 20_000})
+    return full(res.x), float(res.fun)

@@ -4,7 +4,12 @@ from scipy.special import expit
 
 from calibrec.calibration import (
     CalibrationSample,
+    CalibrationSamples,
     Calibrator,
+    _derivatives,
+    _features,
+    _objective,
+    _weights,
     apply,
     collect_calibration_samples,
     ece,
@@ -22,7 +27,7 @@ from calibrec.calibration import (
 from calibrec.ranker import init_params, score
 
 from conftest import make_dataset
-from oracles import finite_difference_grad
+from oracles import finite_difference_grad, reference_fit
 
 
 def make_samples(s, y, theta=None):
@@ -34,6 +39,20 @@ def bernoulli_samples(true_fn, n, rng, low=-3.0, high=3.0):
     s = rng.uniform(low, high, n)
     y = (rng.random(n) < true_fn(s)).astype(int)
     return s, y, make_samples(s, y)
+
+
+def fit_objective(kind, samples, unbiased, shift=0.0):
+    """The objective ``fit`` minimizes and its gradient, as functions of (a, b, c)."""
+    phi = _features(kind, np.asarray(samples.s, dtype=float) + shift)
+    w_pos, w_neg = _weights(np.asarray(samples.y, dtype=float), samples.theta, unbiased)
+
+    def objective(x):
+        return _objective(np.asarray(x, dtype=float), phi, w_pos, w_neg)
+
+    def gradient(x):
+        return _derivatives(np.asarray(x, dtype=float), phi, w_pos, w_neg)[0]
+
+    return objective, gradient
 
 
 class TestApply:
@@ -170,6 +189,102 @@ class TestFit:
         samples = [CalibrationSample(0.0, 1, 0.5), CalibrationSample(0.0, 0, 1.0)]
         cal = fit("histogram", samples, unbiased=True, num_bins=1)
         assert cal.bins[0][1] == pytest.approx(1.0)
+
+
+class TestObjectiveShape:
+    @pytest.mark.parametrize("kind", ["platt", "gaussian", "gamma"])
+    def test_unbiased_objective_is_convex_along_lines(self, kind):
+        # negative IPS weights do not break convexity: w+ + w- = 1 leaves the
+        # Hessian weights at sigma (1 - sigma) >= 0
+        rng = np.random.default_rng(91)
+        n = 500
+        s = rng.uniform(0.05, 3.0, n)
+        y = (rng.random(n) < expit(s - 1.5)).astype(int)
+        samples = CalibrationSamples(s, y, rng.uniform(0.01, 1.0, n))
+        assert np.any(_weights(y.astype(float), samples.theta, True)[1] < 0)
+        objective, _ = fit_objective(kind, samples, unbiased=True)
+        mask = np.array([1.0, 1.0, 0.0 if kind == "platt" else 1.0])
+        for _ in range(20):
+            start, direction = rng.normal(size=3) * mask, rng.normal(size=3) * mask
+            values = np.array([objective(start + t * direction) for t in np.linspace(-2, 2, 41)])
+            assert np.all(values[:-2] - 2 * values[1:-1] + values[2:] >= -1e-12)
+
+    @pytest.mark.parametrize("kind", ["platt", "gaussian", "gamma"])
+    def test_unbounded_objective_stops_unconverged(self, kind):
+        # the positives' 1/theta sum to 20 * 20 = 400 > 40 samples, so the
+        # unbiased objective falls without bound as every logit grows
+        s = np.linspace(0.5, 2.0, 40)
+        y = np.tile([1, 0], 20)
+        samples = CalibrationSamples(s, y, np.where(y == 1, 0.05, 1.0))
+        objective, _ = fit_objective(kind, samples, unbiased=True)
+        assert objective([0.0, 50.0, 50.0]) < objective([0.0, 5.0, 5.0]) - 100
+        cal, trace = fit(kind, samples, unbiased=True, max_iters=200, full_output=True)
+        assert np.all(np.isfinite([cal.a, cal.b, cal.c]))
+        assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= 0)
+        assert len(trace) - 1 <= 200
+        assert gradient_norm(cal, samples, unbiased=True) >= 1e-8
+
+
+class TestFitMatchesOracle:
+    @pytest.mark.parametrize("kind", ["platt", "gaussian", "gamma"])
+    @pytest.mark.parametrize("unbiased", [False, True])
+    def test_reaches_reference_optimum(self, kind, unbiased):
+        rng = np.random.default_rng([81, ["platt", "gaussian", "gamma"].index(kind), int(unbiased)])
+        n = 2000
+        s = rng.uniform(-2, 2, n)
+        y = (rng.random(n) < expit(1.2 * s - 2.0)).astype(int)
+        theta = rng.uniform(0.4, 1.0, n) if unbiased else np.ones(n)
+        samples = CalibrationSamples(s, y, theta)
+        shift = gamma_shift(s) if kind == "gamma" else 0.0
+        cal, trace = fit(kind, samples, unbiased=unbiased, score_shift=shift, full_output=True)
+        objective, gradient = fit_objective(kind, samples, unbiased, shift)
+        start = [0.0, 1.0, 0.0] if kind == "gaussian" else [1.0, 0.0, 0.0]
+        _, best = reference_fit(kind, objective, gradient, start)
+        assert objective([cal.a, cal.b, cal.c]) <= best + 1e-10
+        assert gradient_norm(cal, samples, unbiased=unbiased) < 1e-8
+        assert np.all(np.diff(trace) <= 0)
+        assert len(trace) - 1 <= 30
+
+    def test_platt_optimum_on_the_slope_bound(self):
+        # anti-correlated labels: the best a >= 0 is a = 0, where the gradient
+        # still pushes a down; the fit holds a there and converges in b
+        rng = np.random.default_rng(83)
+        s = rng.uniform(-2, 2, 3000)
+        y = (rng.random(3000) < expit(-2 * s)).astype(int)
+        samples = CalibrationSamples(s, y, np.ones(3000))
+        cal = fit("platt", samples)
+        objective, gradient = fit_objective("platt", samples, False)
+        params, best = reference_fit("platt", objective, gradient, [1.0, 0.0, 0.0])
+        assert params[0] == 0.0 and gradient([0.0, params[1], 0.0])[0] > 0
+        assert cal.a == 0.0
+        assert objective([cal.a, cal.b, cal.c]) <= best + 1e-10
+        assert gradient_norm(cal, samples) < 1e-8
+
+    @pytest.mark.parametrize("kind", ["platt", "gaussian"])
+    def test_singular_hessian_still_takes_newton_steps(self, kind):
+        # every score equal: the feature columns are collinear, so the
+        # Hessian is singular and the solve needs its ridge
+        samples = CalibrationSamples(np.full(100, 3.0), np.array([1] * 30 + [0] * 70),
+                                     np.ones(100))
+        cal, trace = fit(kind, samples, full_output=True)
+        assert len(trace) - 1 <= 10
+        assert gradient_norm(cal, samples) < 1e-8
+        assert apply(cal, 3.0) == pytest.approx(0.3, abs=1e-9)
+
+    def test_gaussian_with_strongly_negative_curvature(self):
+        # positives only in a narrow band: the optimum has a near -40, far
+        # from the start point, and the fit must reach it
+        rng = np.random.default_rng(84)
+        s = rng.normal(0.0, 1.0, 3000)
+        y = (rng.random(3000) < expit(2 - 40 * s * s)).astype(int)
+        samples = CalibrationSamples(s, y, np.ones(3000))
+        cal = fit("gaussian", samples)
+        objective, gradient = fit_objective("gaussian", samples, False)
+        params, best = reference_fit("gaussian", objective, gradient, [0.0, 1.0, 0.0])
+        assert params[0] < -30
+        assert objective([cal.a, cal.b, cal.c]) <= best + 1e-10
+        assert cal.a == pytest.approx(params[0], rel=1e-4)
+        assert gradient_norm(cal, samples) < 1e-8
 
 
 class TestGradientNorm:

@@ -297,6 +297,18 @@ class TestCalibrate:
         hist = json.loads((tmp_path / "hist" / "calibration_report.json").read_text())
         assert hist["grad_norm"] is None and hist["converged"] is True
 
+    def test_fit_converging_on_its_last_allowed_step_is_not_capped(self, workspace, tmp_path,
+                                                                   capsys):
+        report = json.loads((workspace / "calib" / "calibration_report.json").read_text())
+        assert report["converged"] is True
+        steps = report["iterations"]
+        assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "exact", "--set", f"calib.max_iters={steps}") == 0
+        exact = json.loads((tmp_path / "exact" / "calibration_report.json").read_text())
+        assert exact["iterations"] == steps
+        assert exact["converged"] is True and exact["hit_iter_cap"] is False
+        assert "warning" not in capsys.readouterr().err
+
     def test_outputs_and_round_trip(self, workspace):
         cal = load_calibrator(workspace / "calib" / "calibrator.json")
         assert cal.kind == "platt"

@@ -362,6 +362,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path / "ck")
 
+    def test_failed_save_keeps_previous_pair(self, tmp_path):
+        old = init_params(3, 5, 2, seed=1)
+        save_checkpoint(old, tmp_path / "ck", epochs_trained=1)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        # the sidecar is fully written, then the header's JSON fails part-way
+        with pytest.raises(TypeError):
+            save_checkpoint(init_params(3, 5, 2, seed=2), tmp_path / "ck", seed=object())
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+        loaded, header = load_checkpoint(tmp_path / "ck")
+        assert header["epochs_trained"] == 1
+        np.testing.assert_allclose(loaded.user_emb, old.user_emb, atol=1e-6)
+
     def test_identical_saves_are_bitwise_equal(self, tmp_path):
         p = init_params(3, 4, 2, seed=5)
         save_checkpoint(p, tmp_path / "a", seed=5, loss_kind="bpr")
