@@ -45,9 +45,7 @@ from .dataset import (
 from .distill import (
     BdConfig,
     CotrainReport,
-    RankTable,
     bd_loss,
-    build_rank_table,
     cotrain_epoch,
     rank_discrepancy_weights,
     sample_distill_items,

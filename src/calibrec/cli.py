@@ -409,10 +409,14 @@ def cmd_calibrate(args, cfg) -> int:
         grad_norm, converged = None, True
     # a fit whose last allowed step lands below tol converged; the cap did not stop it
     hit_iter_cap = iterations == max_iters and not converged
-    if hit_iter_cap:
+    if not converged:
+        if hit_iter_cap:
+            stop = f"stopped at the iteration cap ({iterations}/{max_iters})"
+        else:
+            stop = f"stalled in its line search after {iterations}/{max_iters} iterations"
         print(
-            f"calibrec: warning: {kind} fit stopped at the iteration cap "
-            f"({iterations}/{max_iters}) before the gradient fell below calib.tol",
+            f"calibrec: warning: {kind} fit {stop} before the gradient fell below "
+            f"calib.tol (gradient norm {grad_norm:.3g})",
             file=sys.stderr,
         )
 
@@ -514,6 +518,11 @@ def cmd_distill(args, cfg) -> int:
     summary = {
         "epochs": bd_cfg.epochs,
         "student_recall_at_10": recall_result.rows[0].means["recall"],
+        # users of the last epoch with no item the counterpart ranks better
+        "empty_users": {
+            "teacher": report.teacher.empty_users if report else None,
+            "student": report.student.empty_users if report else None,
+        },
         "final": {
             "teacher": report.teacher.as_row(bd_cfg.epochs - 1, "teacher") if report else None,
             "student": report.student.as_row(bd_cfg.epochs - 1, "student") if report else None,

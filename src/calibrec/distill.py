@@ -5,6 +5,10 @@ distills from the other through soft targets sigmoid(score) on a small set
 of items sampled per user. Items are sampled where the counterpart ranks an
 item much better than the learner ("rank discrepancy"), which is where the
 counterpart has something to teach.
+
+The discrepancy weight is zero unless the counterpart ranks the item inside
+its top T - 1, so each pass works on the two models' (users, T) top-T rows
+only, never on full per-user rankings (see ``docs/distill.md``).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import Dataset
-from .ranker import MfParams, TrainConfig, pointwise_epoch, rank_items, score_items
+from .ranker import MfParams, TrainConfig, pointwise_epoch, score_items, top_k
 
 # probabilities entering distillation logs are clamped to this band
 PROB_CLAMP = 1e-7
@@ -41,23 +45,10 @@ class BdConfig:
             raise ValueError("truncate_rank must be >= 1")
 
 
-@dataclass
-class RankTable:
-    """Per-user 1-based ranks over non-train candidate items."""
-
-    ranks: dict[int, dict[int, int]]
-
-    def row(self, user: int) -> dict[int, int]:
-        return self.ranks.get(user, {})
-
-
-def build_rank_table(params: MfParams, dataset: Dataset) -> RankTable:
-    """Rank every user's non-train items by score (deterministic tie-break)."""
-    ranks: dict[int, dict[int, int]] = {}
-    for user in range(dataset.num_users):
-        ranked = rank_items(params, user, exclude=dataset.train.row(user))
-        ranks[user] = {item: pos + 1 for pos, item in enumerate(ranked)}
-    return RankTable(ranks)
+def _discrepancy(r_this, r_other, eta: float, truncate_rank: int) -> np.ndarray:
+    """tanh(eta * max(0, min(r_this, T) - min(r_other, T))), elementwise."""
+    gap = np.minimum(r_this, truncate_rank) - np.minimum(r_other, truncate_rank)
+    return np.tanh(eta * np.maximum(gap, 0))
 
 
 def rank_discrepancy_weights(
@@ -70,16 +61,80 @@ def rank_discrepancy_weights(
 
     Ranks are clamped at ``truncate_rank`` first. The weight is positive
     exactly when the other model ranks the item strictly better (after
-    truncation), and saturates as the discrepancy grows.
+    truncation), and saturates as the discrepancy grows. The one-user form
+    of ``top_t_weights``, over full 1-based rank rows.
     """
     if rank_this.keys() != rank_other.keys():
         raise ValueError("rank rows cover different candidate sets")
-    weights = {}
-    for item, r_t in rank_this.items():
-        r_t = min(r_t, truncate_rank)
-        r_o = min(rank_other[item], truncate_rank)
-        weights[item] = float(np.tanh(eta * max(0, r_t - r_o)))
+    items = list(rank_this)
+    r_this = np.array([rank_this[i] for i in items], dtype=np.int64)
+    r_other = np.array([rank_other[i] for i in items], dtype=np.int64)
+    return dict(zip(items, _discrepancy(r_this, r_other, eta, truncate_rank).tolist()))
+
+
+def top_t_rows(params: MfParams, dataset: Dataset, truncate_rank: int) -> np.ndarray:
+    """Every user's best ``truncate_rank`` non-train items: ``top_k`` rows, -1 padded."""
+    users = np.arange(dataset.num_users)
+    return top_k(params, users, truncate_rank, [dataset.train.row(u) for u in users])
+
+
+def top_t_weights(
+    own_top: np.ndarray, other_top: np.ndarray, eta: float, truncate_rank: int
+) -> np.ndarray:
+    """Rank-discrepancy weight of every item in the counterpart's top-T rows.
+
+    ``own_top`` and ``other_top`` are the learner's and the counterpart's
+    ``top_t_rows`` over the same candidates. Entry (u, j) weighs
+    ``other_top[u, j]``, which the counterpart ranks j + 1; the learner
+    ranks it by its position in ``own_top[u]``, or ``truncate_rank`` when it
+    is absent there. Padding weighs 0. An item outside the counterpart's
+    top T - 1 weighs 0 in ``rank_discrepancy_weights``, so this equals that
+    form over full rank rows.
+    """
+    num_users, width = other_top.shape
+    # (user, item) keys u * span + item + 1; padding (-1) keys to u * span,
+    # which no item's key equals
+    span = int(max(own_top.max(initial=-1), other_top.max(initial=-1))) + 2
+    offset = np.arange(num_users, dtype=np.int64)[:, None] * span + 1
+    own_keys = (own_top + offset).ravel()
+    order = np.argsort(own_keys, kind="stable")
+    sorted_keys = own_keys[order]
+    probe = (other_top + offset).ravel()
+    at = np.minimum(np.searchsorted(sorted_keys, probe), sorted_keys.size - 1)
+    r_this = np.where(sorted_keys[at] == probe, order[at] % width + 1, truncate_rank)
+    r_this = r_this.reshape(other_top.shape)
+    r_other = np.arange(1, width + 1)
+    weights = _discrepancy(r_this, r_other, eta, truncate_rank)
+    weights[other_top < 0] = 0.0
     return weights
+
+
+def draw_distill_items(
+    items: np.ndarray, weights: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Each row's draw of up to ``n`` distinct items, each draw proportional to weight.
+
+    ``items`` and ``weights`` are (rows, width) arrays. Entries of weight 0,
+    padding included, are never drawn. A row with at most ``n`` positive
+    weights gets all of those items, in item order. Any other row gets the
+    ``n`` items with the largest keys log(u) / w, largest first, with u
+    uniform from one ``rng.random((rows, width))``: the law of ``n``
+    sequential draws without replacement, each proportional to weight
+    (Efraimidis and Spirakis, 2006). Returns (rows, min(n, width)) items,
+    -1 padded.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    positive = weights > 0
+    keys = np.full(weights.shape, -np.inf)
+    # 1 - u lies in (0, 1], so every positive weight gets a finite key
+    np.divide(np.log1p(-rng.random(weights.shape)), weights, out=keys, where=positive)
+    few = np.count_nonzero(positive, axis=1) <= n
+    keys[few] = np.where(positive[few], -items[few], -np.inf)
+    order = np.argsort(-keys, axis=1, kind="stable")[:, :n]
+    drawn = np.take_along_axis(items, order, axis=1)
+    drawn[np.take_along_axis(keys, order, axis=1) == -np.inf] = -1
+    return drawn
 
 
 def sample_distill_items(
@@ -88,27 +143,22 @@ def sample_distill_items(
     """Draw up to ``n`` distinct items, each draw proportional to weight.
 
     Items with zero weight are never drawn; if fewer than ``n`` items have
-    positive weight, all of them are returned (in item order).
+    positive weight, all of them are returned (in item order). The one-row
+    form of ``draw_distill_items``.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    items = np.array(sorted(i for i, w in weights.items() if w > 0), dtype=np.int64)
-    if n == 0 or len(items) == 0:
-        return []
-    if len(items) <= n:
-        return [int(i) for i in items]
+    items = np.array(sorted(weights), dtype=np.int64)
     w = np.array([weights[int(i)] for i in items], dtype=float)
-    chosen = []
-    for _ in range(n):
-        p = w / w.sum()
-        k = int(rng.choice(len(items), p=p))
-        chosen.append(int(items[k]))
-        w[k] = 0.0
-    return chosen
+    drawn = draw_distill_items(items[None, :], w[None, :], n, rng)[0]
+    return drawn[drawn >= 0].tolist()
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+
+
+def _bce(learner_probs: np.ndarray, target_probs: np.ndarray) -> np.ndarray:
+    q, t = _clamp(learner_probs), _clamp(target_probs)
+    return -(t * np.log(q) + (1.0 - t) * np.log1p(-q))
 
 
 def bd_loss(
@@ -123,9 +173,9 @@ def bd_loss(
     """
     if not items:
         return 0.0
-    q = _clamp(np.array([learner_probs[i] for i in items], dtype=float))
-    t = _clamp(np.array([target_probs[i] for i in items], dtype=float))
-    return float(np.mean(-(t * np.log(q) + (1.0 - t) * np.log1p(-q))))
+    q = np.array([learner_probs[i] for i in items], dtype=float)
+    t = np.array([target_probs[i] for i in items], dtype=float)
+    return float(np.mean(_bce(q, t)))
 
 
 def bd_score_grads(learner_probs: np.ndarray, target_probs: np.ndarray) -> np.ndarray:
@@ -160,44 +210,43 @@ class CotrainReport:
 
 def _distill_pass(
     model: MfParams,
-    own_table: RankTable,
-    other_table: RankTable,
+    own_top: np.ndarray,
+    other_top: np.ndarray,
     target_source: MfParams,
-    dataset: Dataset,
     lam: float,
     base_cfg: TrainConfig,
     bd_cfg: BdConfig,
     rng: np.random.Generator,
 ) -> tuple[float, int, int]:
-    """Per-user SGD steps on lam * bd_loss; returns (mean item BCE, items, empty users)."""
-    total_bce = 0.0
-    total_items = 0
-    empty_users = 0
-    for user in range(dataset.num_users):
-        own_row = own_table.row(user)
-        if not own_row:
-            continue
-        weights = rank_discrepancy_weights(
-            own_row, other_table.row(user), bd_cfg.eta, bd_cfg.truncate_rank
-        )
-        items = sample_distill_items(weights, bd_cfg.sample_size, rng)
-        if not items:
-            empty_users += 1
-            continue
-        q = expit(score_items(model, user, items))
-        t = expit(score_items(target_source, user, items))
-        qc, tc = _clamp(q), _clamp(t)
-        total_bce += float(np.sum(-(tc * np.log(qc) + (1.0 - tc) * np.log1p(-qc))))
-        total_items += len(items)
+    """Per-user SGD steps on lam * bd_loss; returns (mean item BCE, items, empty users).
 
-        g = lam * bd_score_grads(q, t)
-        idx = np.array(items, dtype=np.int64)
+    A user is empty when no item weighs above 0, so it draws nothing.
+    """
+    weights = top_t_weights(own_top, other_top, bd_cfg.eta, bd_cfg.truncate_rank)
+    drawn = draw_distill_items(other_top, weights, bd_cfg.sample_size, rng)
+    counts = np.count_nonzero(drawn >= 0, axis=1)
+    empty_users = int(np.count_nonzero(counts == 0))
+    # drawn items fill a prefix of each row, so this is user order
+    users = np.repeat(np.arange(len(drawn)), counts)
+    items = drawn[drawn >= 0]
+    targets = expit(
+        np.einsum("ij,ij->i", target_source.user_emb[users], target_source.item_emb[items])
+        + target_source.item_bias[items]
+    )
+    learner = np.empty_like(targets)
+    ends = np.cumsum(counts)
+    for user in np.flatnonzero(counts):
+        span = slice(ends[user] - counts[user], ends[user])
+        idx = items[span]
+        q = expit(score_items(model, user, idx))
+        learner[span] = q
+        g = lam * bd_score_grads(q, targets[span])
         p_u = model.user_emb[user].copy()
         model.user_emb[user] -= base_cfg.lr * (g @ model.item_emb[idx])
         model.item_emb[idx] -= base_cfg.lr * np.outer(g, p_u)
         model.item_bias[idx] -= base_cfg.lr * g
-    mean_bce = total_bce / total_items if total_items else 0.0
-    return mean_bce, total_items, empty_users
+    mean_bce = float(np.mean(_bce(learner, targets))) if len(items) else 0.0
+    return mean_bce, len(items), empty_users
 
 
 def cotrain_epoch(
@@ -210,38 +259,36 @@ def cotrain_epoch(
 ) -> tuple[MfParams, MfParams, CotrainReport]:
     """One epoch of bidirectional co-training.
 
-    Rank tables and distillation targets come from the models as passed in
+    Top-T rows and distillation targets come from the models as passed in
     (the previous epoch's parameters), so within the epoch the two updates
-    do not feed into each other. The supplied generator is split into three
-    child streams via ``rng.spawn(3)``: teacher base epoch, student base
-    epoch, and distillation sampling (teacher's pass first, then the
-    student's). With both lambdas zero the result is therefore bit-identical
-    to two independent ``pointwise_epoch`` runs seeded with the first two
-    children.
+    do not feed into each other; the inputs are not modified. The supplied
+    generator is split into three child streams via ``rng.spawn(3)``:
+    teacher base epoch, student base epoch, and distillation sampling
+    (teacher's pass first, then the student's). With both lambdas zero the
+    result is therefore bit-identical to two independent ``pointwise_epoch``
+    runs seeded with the first two children.
     """
     if base_cfg.loss_kind != "pointwise":
         raise ValueError("co-training composes with the pointwise base loss")
     teacher_rng, student_rng, distill_rng = rng.spawn(3)
 
-    teacher_table = build_rank_table(teacher, dataset)
-    student_table = build_rank_table(student, dataset)
-    teacher_snapshot = teacher.copy()
-    student_snapshot = student.copy()
+    teacher_top = top_t_rows(teacher, dataset, bd_cfg.truncate_rank)
+    student_top = top_t_rows(student, dataset, bd_cfg.truncate_rank)
 
     new_teacher, teacher_base = pointwise_epoch(teacher, dataset, base_cfg, teacher_rng)
     new_student, student_base = pointwise_epoch(student, dataset, base_cfg, student_rng)
 
     if bd_cfg.lambda_ts > 0:
         t_bce, t_items, t_empty = _distill_pass(
-            new_teacher, teacher_table, student_table, student_snapshot,
-            dataset, bd_cfg.lambda_ts, base_cfg, bd_cfg, distill_rng,
+            new_teacher, teacher_top, student_top, student,
+            bd_cfg.lambda_ts, base_cfg, bd_cfg, distill_rng,
         )
     else:
         t_bce, t_items, t_empty = 0.0, 0, 0
     if bd_cfg.lambda_st > 0:
         s_bce, s_items, s_empty = _distill_pass(
-            new_student, student_table, teacher_table, teacher_snapshot,
-            dataset, bd_cfg.lambda_st, base_cfg, bd_cfg, distill_rng,
+            new_student, student_top, teacher_top, teacher,
+            bd_cfg.lambda_st, base_cfg, bd_cfg, distill_rng,
         )
     else:
         s_bce, s_items, s_empty = 0.0, 0, 0

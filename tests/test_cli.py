@@ -309,6 +309,17 @@ class TestCalibrate:
         assert exact["converged"] is True and exact["hit_iter_cap"] is False
         assert "warning" not in capsys.readouterr().err
 
+    def test_stalled_fit_warns(self, workspace, tmp_path, capsys):
+        # with tol 0 no gradient is small enough, so the fit ends on a stalled line search
+        assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "stall", "--set", "calib.tol=0") == 0
+        stalled = json.loads((tmp_path / "stall" / "calibration_report.json").read_text())
+        assert stalled["converged"] is False and stalled["hit_iter_cap"] is False
+        assert 0 < stalled["iterations"] < 1000
+        err = capsys.readouterr().err
+        assert "platt fit stalled in its line search" in err
+        assert f"after {stalled['iterations']}/1000 iterations" in err
+
     def test_outputs_and_round_trip(self, workspace):
         cal = load_calibrator(workspace / "calib" / "calibrator.json")
         assert cal.kind == "platt"
@@ -366,6 +377,17 @@ class TestDistill:
         )
         summary = json.loads((tmp_path / "bd" / "distill_summary.json").read_text())
         assert 0.0 <= summary["student_recall_at_10"] <= 1.0
+        assert set(summary["empty_users"]) == {"teacher", "student"}
+        assert all(0 <= n <= 40 for n in summary["empty_users"].values())
+        # at T = 1 every clamped rank is 1, so no item weighs above 0 for any
+        # user; with lambda_ts 0 the teacher makes no pass
+        assert run("distill", "--data", workspace / "bundle", "--out", tmp_path / "bd1",
+                   "--set", "bd.epochs=1", "--set", "bd.truncate_rank=1",
+                   "--set", "bd.lambda_ts=0",
+                   "--set", "bd.teacher_dim=8", "--set", "bd.student_dim=4") == 0
+        summary = json.loads((tmp_path / "bd1" / "distill_summary.json").read_text())
+        assert summary["empty_users"] == {"teacher": 0, "student": 40}
+        assert summary["final"]["student"]["sampled_total"] == 0
 
     def test_lambda_zero_matches_two_train_runs(self, workspace, tmp_path):
         assert (

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 from scipy.special import expit
+from scipy.stats import chi2
 
+from calibrec.dataset import Csr, Dataset
 from calibrec.distill import (
     BdConfig,
     bd_loss,
     bd_score_grads,
-    build_rank_table,
     cotrain_epoch,
+    draw_distill_items,
     rank_discrepancy_weights,
     sample_distill_items,
+    top_t_rows,
+    top_t_weights,
 )
-from calibrec.ranker import TrainConfig, init_params, pointwise_epoch
+from calibrec.ranker import MfParams, TrainConfig, init_params, pointwise_epoch, rank_items
 from calibrec.synthetic import low_rank_dataset
 
 from oracles import finite_difference_grad, relative_error
@@ -83,6 +87,44 @@ class TestSampleDistillItems:
         sigma = np.sqrt(draws * 0.9 * 0.1)
         assert abs(hits - draws * 0.9) <= 3 * sigma
 
+    @pytest.mark.parametrize("form", ["rows", "one_row"])
+    def test_ordered_pair_law(self, form):
+        # ordered first two draws against the sequential proportional draws:
+        # P(i, j) = w_i / W * w_j / (W - w_i)
+        w = np.array([0.45, 0.3, 0.15, 0.1])
+        rng = np.random.default_rng(17)
+        if form == "rows":
+            draws = 40_000
+            items = np.tile(np.arange(4), (draws, 1))
+            pairs = draw_distill_items(items, np.tile(w, (draws, 1)), 2, rng)
+        else:
+            draws = 8_000
+            weights = dict(enumerate(w.tolist()))
+            pairs = np.array([sample_distill_items(weights, 2, rng) for _ in range(draws)])
+        observed = np.zeros((4, 4))
+        np.add.at(observed, (pairs[:, 0], pairs[:, 1]), 1)
+        off = ~np.eye(4, dtype=bool)
+        expected = draws * np.outer(w, w) / w.sum() / (w.sum() - w)[:, None]
+        assert observed[~off].sum() == 0
+        stat = np.sum((observed[off] - expected[off]) ** 2 / expected[off])
+        assert chi2.sf(stat, df=off.sum() - 1) > 1e-3
+
+    def test_padding_and_zero_weights_never_drawn(self):
+        rng = np.random.default_rng(23)
+        items = np.where(rng.random((2000, 12)) < 0.2, -1, rng.integers(0, 500, (2000, 12)))
+        weights = np.where((items >= 0) & (rng.random((2000, 12)) < 0.6), rng.random((2000, 12)), 0.0)
+        for n in (1, 3, 12):
+            drawn = draw_distill_items(items, weights, n, rng)
+            assert drawn.shape == (2000, n)
+            for row_items, row_w, row in zip(items, weights, drawn):
+                allowed = row_items[row_w > 0]
+                got = row[row >= 0]
+                assert set(got) <= set(allowed)
+                assert len(got) == min(n, len(allowed))
+                assert np.all(row[len(got):] == -1)
+                if len(allowed) <= n:
+                    assert got.tolist() == sorted(allowed)
+
 
 class TestBdLoss:
     def test_equal_probs_gives_target_entropy(self):
@@ -141,14 +183,68 @@ def cotrain_setup():
     return dataset, base_cfg, teacher, student
 
 
-class TestCotrainEpoch:
-    def test_rank_table_is_bijection(self, cotrain_setup):
-        dataset, _, teacher, _ = cotrain_setup
-        table = build_rank_table(teacher, dataset)
+def _crowded_dataset(num_users=14, num_items=40, seed=4):
+    """Train rows from 0 to all of the items, so some users have fewer than T candidates."""
+    rng = np.random.default_rng(seed)
+    sizes = [num_items, num_items - 1, num_items - 3, num_items - 9] + list(
+        rng.integers(2, 16, num_users - 4)
+    )
+    users = np.repeat(np.arange(num_users), sizes)
+    items = np.concatenate([rng.choice(num_items, k, replace=False) for k in sizes])
+    empty = Csr.from_pairs([], [], num_users, num_items)
+    train = Csr.from_pairs(users, items, num_users, num_items)
+    return Dataset(num_users, num_items, train, empty, empty, np.zeros(num_items))
+
+
+def _params(kind, num_users, num_items, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zero":  # every score tied
+        return MfParams(np.zeros((num_users, 3)), np.zeros((num_items, 3)), np.zeros(num_items))
+    p = MfParams(rng.normal(size=(num_users, 3)), rng.normal(size=(num_items, 3)),
+                 rng.normal(size=num_items))
+    if kind == "coarse":  # many ties at every rank
+        p = MfParams(np.round(p.user_emb), np.round(p.item_emb), np.round(p.item_bias))
+    return p
+
+
+class TestTopTWeights:
+    @pytest.mark.parametrize("truncate_rank", [1, 2, 8, 31, 40, 60])
+    @pytest.mark.parametrize(
+        "kinds", [("zero", "zero"), ("zero", "normal"), ("normal", "coarse"), ("coarse", "normal")]
+    )
+    def test_equal_dict_weights_over_full_rank_rows(self, kinds, truncate_rank):
+        dataset = _crowded_dataset()
+        own = _params(kinds[0], dataset.num_users, dataset.num_items, seed=1)
+        other = _params(kinds[1], dataset.num_users, dataset.num_items, seed=2)
+        eta = 0.3
+        own_top = top_t_rows(own, dataset, truncate_rank)
+        other_top = top_t_rows(other, dataset, truncate_rank)
+        weights = top_t_weights(own_top, other_top, eta, truncate_rank)
+        assert weights.shape == other_top.shape
+        assert np.all(weights[other_top < 0] == 0.0)
         for user in range(dataset.num_users):
-            row = table.row(user)
-            n = dataset.num_items - len(dataset.train.row(user))
-            assert sorted(row.values()) == list(range(1, n + 1))
+            exclude = dataset.train.row(user)
+            rank_own = {i: r + 1 for r, i in enumerate(rank_items(own, user, exclude))}
+            rank_other = {i: r + 1 for r, i in enumerate(rank_items(other, user, exclude))}
+            want = rank_discrepancy_weights(rank_own, rank_other, eta, truncate_rank)
+            row = other_top[user]
+            got = dict(zip(row[row >= 0].tolist(), weights[user][row >= 0].tolist()))
+            assert set(got) <= set(want)
+            # every item outside the counterpart's top-T weighs 0 in the full form
+            assert {i: got.get(i, 0.0) for i in want} == want
+
+
+class TestCotrainEpoch:
+    def test_top_t_rows_equal_rank_items_prefix(self, cotrain_setup):
+        dataset, _, teacher, student = cotrain_setup
+        for params in (teacher, student):
+            for t in (1, 25, 37, 60):
+                rows = top_t_rows(params, dataset, t)
+                assert rows.shape == (dataset.num_users, min(t, dataset.num_items))
+                for user in range(dataset.num_users):
+                    want = rank_items(params, user, exclude=dataset.train.row(user))[:t]
+                    assert rows[user, : len(want)].tolist() == want
+                    assert np.all(rows[user, len(want):] == -1)
 
     def test_lambda_zero_matches_independent_training(self, cotrain_setup):
         dataset, base_cfg, teacher, student = cotrain_setup
