@@ -13,7 +13,7 @@ import numpy as np
 
 from calibrec.distill import BdConfig, cotrain_epoch
 from calibrec.metrics import evaluate
-from calibrec.ranker import TrainConfig, init_params, pointwise_epoch, rank_items
+from calibrec.ranker import TrainConfig, init_params, pointwise_epoch, top_k
 from calibrec.synthetic import low_rank_dataset
 
 SEED = 13
@@ -31,10 +31,8 @@ bd_cfg = BdConfig(
 
 
 def recall_at_10(model):
-    lists = {
-        u: rank_items(model, u, exclude=dataset.train.row(u))[:10]
-        for u in range(dataset.num_users)
-    }
+    top = top_k(model, np.arange(dataset.num_users), 10, dataset.train)
+    lists = {u: row[row >= 0].tolist() for u, row in enumerate(top)}
     result = evaluate(lists, dataset, split="validation", metrics=("recall",), ks=(10,))
     return result.rows[0].means["recall"]
 

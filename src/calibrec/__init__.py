@@ -38,7 +38,6 @@ from .dataset import (
     Dataset,
     IdMaps,
     load_interactions,
-    sample_negative,
     sample_negatives,
     split_per_user,
 )
@@ -48,7 +47,6 @@ from .distill import (
     bd_loss,
     cotrain_epoch,
     rank_discrepancy_weights,
-    sample_distill_items,
 )
 from .metrics import EvalResult, evaluate, f1_at, ndcg_at, precision_at, recall_at
 from .perk import (
@@ -59,7 +57,6 @@ from .perk import (
     expected_precision,
     expected_recall,
     pb_pmf,
-    perk_recommend,
     perk_recommend_users,
     select_k,
     utility_curve,
@@ -73,7 +70,6 @@ from .ranker import (
     init_params,
     load_checkpoint,
     pointwise_epoch,
-    rank_items,
     save_checkpoint,
     score,
     score_items,

@@ -524,23 +524,20 @@ def collect_calibration_samples(
     params: MfParams,
     dataset: Dataset,
     rng: np.random.Generator,
-    split: str = "validation",
     negatives_per_positive: int = 1,
     propensity: PropensityModel | None = None,
 ) -> CalibrationSamples:
     """Build the (score, label, propensity) fitting set from held-out data.
 
-    Every split positive (u, i) yields one y=1 sample; for each positive,
+    Every validation positive (u, i) yields one y=1 sample; for each positive,
     ``negatives_per_positive`` items the user never interacted with (in any
     split) yield y=0 samples, drawn by ``sample_negatives``. Samples are laid
     out user by user, each positive followed by its negatives. theta is 1
     everywhere unless a propensity model is supplied.
     """
-    if split != "validation":
-        raise ValueError("calibration samples are collected from the validation split")
-    held = dataset.split(split)
+    held = dataset.validation
     if not len(held):
-        raise ValueError(f"split {split!r} is empty")
+        raise ValueError("split 'validation' is empty")
     users, positives = held.pairs()
     negatives = sample_negatives(dataset, users, negatives_per_positive, rng, exclude=SPLITS)
     items = np.column_stack([positives, negatives])

@@ -509,8 +509,7 @@ def cmd_distill(args, cfg) -> int:
                 save_both(epoch + 1)
     save_both(bd_cfg.epochs)
 
-    train_rows = [dataset.train.row(u) for u in range(dataset.num_users)]
-    top = top_k(student, np.arange(dataset.num_users), 10, train_rows)
+    top = top_k(student, np.arange(dataset.num_users), 10, dataset.train)
     student_lists = {u: row[row >= 0].tolist() for u, row in enumerate(top)}
     recall_result = metrics.evaluate(
         student_lists, dataset, split="validation", metrics=("recall",), ks=(10,)
@@ -538,6 +537,9 @@ def cmd_recommend(args, cfg) -> int:
     params, _ = _load_model(args.ckpt, dataset)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    excluded = dataset.excluded(
+        ("train", "validation") if args.exclude_validation else ("train",)
+    )
 
     if args.perk:
         if not args.calibrator:
@@ -546,18 +548,9 @@ def cmd_recommend(args, cfg) -> int:
         perk_cfg = PerkConfig(
             k_max=cfg["perk.k_max"], utility=cfg["perk.utility"], rest_pool=cfg["perk.rest_pool"]
         )
-        extra = [
-            dataset.validation.row(u) if args.exclude_validation else ()
-            for u in range(dataset.num_users)
-        ]
         # users whose excluded items cover the catalog get no list, as in fixed mode
-        users = [
-            u for u in range(dataset.num_users)
-            if np.union1d(dataset.train.row(u), extra[u]).size < dataset.num_items
-        ]
-        cuts = perk_recommend_users(
-            params, cal, dataset, users, perk_cfg, exclude_extra=[extra[u] for u in users]
-        )
+        users = np.flatnonzero(excluded.sizes() < dataset.num_items)
+        cuts = perk_recommend_users(params, cal, excluded, users, perk_cfg)
         with atomic_open(out_path) as fh:
             for cut in cuts:
                 fh.write(
@@ -578,11 +571,7 @@ def cmd_recommend(args, cfg) -> int:
             raise ValueError("fixed mode requires --k (or pass --perk)")
         if args.k < 1:
             raise ValueError("--k must be >= 1")
-        exclude = [dataset.train.row(u) for u in range(dataset.num_users)]
-        if args.exclude_validation:
-            exclude = [np.concatenate([row, dataset.validation.row(u)])
-                       for u, row in enumerate(exclude)]
-        lists = top_k(params, np.arange(dataset.num_users), args.k, exclude)
+        lists = top_k(params, np.arange(dataset.num_users), args.k, excluded)
         written = 0
         with atomic_open(out_path) as fh:
             for user, row in enumerate(lists):
@@ -601,27 +590,26 @@ def cmd_recommend(args, cfg) -> int:
 
 
 def _write_perk_summary(path, cuts, dataset, cfg):
-    held = dataset.split(cfg["eval.split"])
+    split, utility = cfg["eval.split"], cfg["perk.utility"]
     histogram: dict[int, int] = {}
-    expected = []
-    realized = []
-    metric_fn = metrics._METRIC_FNS[cfg["perk.utility"]]
     for cut in cuts:
         histogram[cut.k_star] = histogram.get(cut.k_star, 0) + 1
-        expected.append(float(cut.curve[cut.k_star - 1]))
-        relevant = held.row(cut.user)
-        if relevant.size:
-            realized.append(metric_fn(cut.items, set(relevant.tolist()), cut.k_star))
+    expected = [float(cut.curve[cut.k_star - 1]) for cut in cuts]
+    # evaluate raises when no cut's user has held-out items; the summary says null
+    realized = None
+    if np.any(dataset.split(split).sizes()[[cut.user for cut in cuts]] > 0):
+        result = metrics.evaluate(cuts, dataset, split=split, metrics=(utility,))
+        realized = result.rows[0].means[utility]
     _write_json(
         path,
         {
-            "utility": cfg["perk.utility"],
+            "utility": utility,
             "num_users": len(cuts),
             "mean_k_star": float(np.mean([c.k_star for c in cuts])) if cuts else None,
             "k_star_histogram": {str(k): v for k, v in sorted(histogram.items())},
             "mean_expected_utility_at_k_star": float(np.mean(expected)) if expected else None,
-            "mean_realized_utility_at_k_star": float(np.mean(realized)) if realized else None,
-            "realized_split": cfg["eval.split"],
+            "mean_realized_utility_at_k_star": realized,
+            "realized_split": split,
         },
     )
 
@@ -670,7 +658,7 @@ def cmd_eval(args, cfg) -> int:
     }
     _write_json(args.out, report)
     if args.per_user_csv:
-        with open(args.per_user_csv, "w", encoding="utf-8") as fh:
+        with atomic_open(args.per_user_csv) as fh:
             fh.write("label,user,metric,value\n")
             for row in rows:
                 for metric_name, values in row.per_user.items():

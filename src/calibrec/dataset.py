@@ -98,7 +98,9 @@ class Csr:
             rows.min() < 0 or rows.max() >= num_rows or cols.min() < 0 or cols.max() >= num_cols
         ):
             raise ValueError(f"pair outside a {num_rows} x {num_cols} matrix")
-        keys = np.unique(rows * num_cols + cols)
+        keys = np.sort(rows * num_cols + cols)
+        # keys are nonnegative, so the first one always differs from -1
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         indptr = np.zeros(num_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // num_cols, minlength=num_rows), out=indptr[1:])
         return cls(indptr, keys % num_cols, num_cols)
@@ -120,6 +122,18 @@ class Csr:
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All entries as (rows, cols) arrays, ordered by row then col."""
         return np.repeat(np.arange(self.num_rows), self.sizes()), self.indices
+
+    def gather(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of ``rows`` (any order, repeats allowed) as (position
+        in ``rows``, col) arrays, row by row."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        # entry j of row r sits at starts[r] + j in indices and at
+        # (cumsum - counts)[r] + j in the output
+        pos = np.arange(counts.sum())
+        pos += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return np.repeat(np.arange(len(rows)), counts), self.indices[pos]
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -164,6 +178,23 @@ class Dataset:
         if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
+
+    def excluded(self, names: Sequence[str]) -> Csr:
+        """Each user's items in the ``names`` splits, as one ``Csr``.
+
+        One split is returned itself, not copied. Several are merged by
+        ``Csr.from_pairs``, so an item that two splits share counts once.
+        """
+        if len(names) == 1:
+            return self.split(names[0])
+        rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for name in names:
+            r, c = self.split(name).pairs()
+            rows.append(r)
+            cols.append(c)
+        return Csr.from_pairs(
+            np.concatenate(rows), np.concatenate(cols), self.num_users, self.num_items
+        )
 
     @property
     def train_by_user(self) -> dict[int, np.ndarray]:
@@ -288,36 +319,25 @@ def sample_negatives(
 
     Vectorized rejection sampling over blocks of ``SAMPLE_BLOCK`` slots:
     every slot draws from the whole catalog and redraws while its item is
-    blocked, membership being a binary search in the split CSRs. Raises
-    ValueError when a user's blocked rows cover every item.
+    blocked, membership being one binary search in ``dataset.excluded``.
+    Raises ValueError when a user's blocked rows cover every item.
     """
     users = np.asarray(users, dtype=np.int64).ravel()
-    blocked = [dataset.split(name) for name in exclude]
-    covered = sum((b.sizes()[users] for b in blocked), np.zeros(len(users), dtype=np.int64))
-    for user in np.unique(users[covered >= dataset.num_items]):
-        if np.unique(np.concatenate([b.row(user) for b in blocked])).size >= dataset.num_items:
-            raise ValueError(
-                f"user {user}: {'+'.join(exclude)} covers all {dataset.num_items} items"
-            )
-
-    def is_blocked(slot_users, slot_items):
-        hit = np.zeros(slot_users.shape, dtype=bool)
-        for b in blocked:
-            hit |= b.contains(slot_users, slot_items)
-        return hit
+    blocked = dataset.excluded(exclude)
+    covered = users[blocked.sizes()[users] >= dataset.num_items]
+    if covered.size:
+        raise ValueError(
+            f"user {covered.min()}: {'+'.join(exclude)} covers all {dataset.num_items} items"
+        )
 
     items = np.empty(len(users) * n, dtype=np.int64)
     for start in range(0, items.size, SAMPLE_BLOCK):
         slot_users = users[np.arange(start, min(start + SAMPLE_BLOCK, items.size)) // n]
         block = rng.integers(dataset.num_items, size=slot_users.size)
-        redo = np.flatnonzero(is_blocked(slot_users, block))
+        redo = np.flatnonzero(blocked.contains(slot_users, block))
         while redo.size:
             block[redo] = rng.integers(dataset.num_items, size=redo.size)
-            redo = redo[is_blocked(slot_users[redo], block[redo])]
+            redo = redo[blocked.contains(slot_users[redo], block[redo])]
         items[start : start + block.size] = block
     return items.reshape(len(users), n)
 
-
-def sample_negative(dataset: Dataset, user: int, rng: np.random.Generator) -> int:
-    """One ``sample_negatives`` draw for one user, outside its train row."""
-    return int(sample_negatives(dataset, [user], 1, rng)[0, 0])

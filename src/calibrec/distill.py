@@ -74,8 +74,7 @@ def rank_discrepancy_weights(
 
 def top_t_rows(params: MfParams, dataset: Dataset, truncate_rank: int) -> np.ndarray:
     """Every user's best ``truncate_rank`` non-train items: ``top_k`` rows, -1 padded."""
-    users = np.arange(dataset.num_users)
-    return top_k(params, users, truncate_rank, [dataset.train.row(u) for u in users])
+    return top_k(params, np.arange(dataset.num_users), truncate_rank, dataset.train)
 
 
 def top_t_weights(
@@ -135,21 +134,6 @@ def draw_distill_items(
     drawn = np.take_along_axis(items, order, axis=1)
     drawn[np.take_along_axis(keys, order, axis=1) == -np.inf] = -1
     return drawn
-
-
-def sample_distill_items(
-    weights: dict[int, float], n: int, rng: np.random.Generator
-) -> list[int]:
-    """Draw up to ``n`` distinct items, each draw proportional to weight.
-
-    Items with zero weight are never drawn; if fewer than ``n`` items have
-    positive weight, all of them are returned (in item order). The one-row
-    form of ``draw_distill_items``.
-    """
-    items = np.array(sorted(weights), dtype=np.int64)
-    w = np.array([weights[int(i)] for i in items], dtype=float)
-    drawn = draw_distill_items(items[None, :], w[None, :], n, rng)[0]
-    return drawn[drawn >= 0].tolist()
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:

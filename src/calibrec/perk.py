@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import Calibrator, apply
-from .dataset import Dataset
+from .dataset import Csr
 from .ranker import MfParams, score_items, top_k
 
 UTILITY_KINDS = ("precision", "recall", "f1", "ndcg")
@@ -299,36 +299,25 @@ def select_k(curve) -> int:
 def perk_recommend_users(
     params: MfParams,
     calibrator: Calibrator,
-    dataset: Dataset,
+    excluded: Csr,
     users,
     cfg: PerkConfig,
-    exclude_extra=None,
 ) -> list[PersonalizedCut]:
     """Rank, calibrate, and cut each user's list at its best expected utility.
 
     Users go ``_BLOCK_USERS`` at a time. Per block, one ``top_k`` call ranks
-    the users' non-train items and keeps the top (k_max + rest_pool) as the
-    candidate pools; one ``apply`` maps all pool scores through the
-    calibrator (including any recorded score shift); ``utility_curves``
-    evaluates k = 1..k_max, and each list is cut at its curve's smallest
-    argmax. ``exclude_extra``, one item collection per user, removes further
-    candidates (e.g. validation items when evaluating against test). Raises
-    ValueError if a user has no candidates.
+    the items outside each user's ``excluded`` row (train, say, or train and
+    validation) and keeps the top (k_max + rest_pool) as the candidate
+    pools; one ``apply`` maps all pool scores through the calibrator
+    (including any recorded score shift); ``utility_curves`` evaluates
+    k = 1..k_max, and each list is cut at its curve's smallest argmax.
+    Raises ValueError if a user has no candidates.
     """
     users = np.asarray(users, dtype=np.int64).ravel()
-    excluded = [dataset.train.row(u) for u in users.tolist()]
-    if exclude_extra is not None:
-        if len(exclude_extra) != len(users):
-            raise ValueError("exclude_extra needs one entry per user")
-        excluded = [
-            np.concatenate([row, np.fromiter(extra, dtype=np.int64)])
-            for row, extra in zip(excluded, exclude_extra)
-        ]
     cuts = []
     for start in range(0, len(users), _BLOCK_USERS):
         block = users[start : start + _BLOCK_USERS]
-        width = cfg.k_max + cfg.rest_pool
-        pools = top_k(params, block, width, excluded[start : start + len(block)])
+        pools = top_k(params, block, cfg.k_max + cfg.rest_pool, excluded)
         candidates = pools >= 0  # pools are -1-padded at the end of each row
         sizes = candidates.sum(axis=1)
         if np.any(sizes == 0):
@@ -354,17 +343,3 @@ def perk_recommend_users(
                 )
             )
     return cuts
-
-
-def perk_recommend(
-    params: MfParams,
-    calibrator: Calibrator,
-    dataset: Dataset,
-    user: int,
-    cfg: PerkConfig,
-    exclude_extra=(),
-) -> PersonalizedCut:
-    """One user's ``perk_recommend_users`` cut; ``exclude_extra`` is one item collection."""
-    return perk_recommend_users(
-        params, calibrator, dataset, [user], cfg, exclude_extra=[exclude_extra]
-    )[0]

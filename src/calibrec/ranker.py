@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 from scipy.special import expit
 
 from .atomic import atomic_open
-from .dataset import Dataset, sample_negatives
+from .dataset import Csr, Dataset, sample_negatives
 
 LOSS_KINDS = ("bpr", "pointwise")
 
@@ -241,48 +240,37 @@ def _ranked_block(
     return out
 
 
-def top_k(params: MfParams, users, k: int, exclude=None) -> np.ndarray:
+def top_k(params: MfParams, users, k: int, exclude: Csr | None = None) -> np.ndarray:
     """Each user's ``k`` best items, best first, as a (len(users), k') array.
 
     Items rank by score descending with ties broken toward the smaller item
-    index, the order of ``rank_items``. ``exclude`` removes candidates: one
-    array of item indices per entry of ``users`` (such as CSR rows).
-    k' = min(k, num_items); users with fewer candidates than that have their
-    row padded with -1. Users are scored ``TOP_K_BLOCK`` at a time, so no
-    users x items matrix is ever formed.
+    index. ``exclude``, one row per model user, removes that user's items
+    from the candidates. k' = min(k, num_items); users with fewer candidates
+    than that have their row padded with -1. Users are scored
+    ``TOP_K_BLOCK`` at a time, so no users x items matrix is ever formed.
     """
     users = np.asarray(users, dtype=np.int64).ravel()
     if k < 0:
         raise ValueError("k must be nonnegative")
     if users.size and (users.min() < 0 or users.max() >= params.num_users):
         raise IndexError(f"user index out of range [0, {params.num_users})")
+    if exclude is not None and (exclude.num_rows, exclude.num_cols) != (
+        params.num_users, params.num_items
+    ):
+        raise ValueError(
+            f"exclude is {exclude.num_rows} x {exclude.num_cols}, "
+            f"the model {params.num_users} users x {params.num_items} items"
+        )
     width = min(k, params.num_items)
     out = np.full((len(users), width), -1, dtype=np.int64)
     if width == 0:
         return out
+    empty = np.empty(0, dtype=np.int64)
     for start in range(0, len(users), TOP_K_BLOCK):
         block = users[start : start + TOP_K_BLOCK]
-        if exclude is None:
-            ex_rows = ex_items = np.empty(0, dtype=np.int64)
-        else:
-            rows = [np.asarray(r, dtype=np.int64) for r in exclude[start : start + len(block)]]
-            ex_rows = np.repeat(np.arange(len(block)), [len(r) for r in rows])
-            ex_items = np.concatenate(rows)
-        if ex_items.size and (ex_items.min() < 0 or ex_items.max() >= params.num_items):
-            raise IndexError(f"excluded item out of range [0, {params.num_items})")
+        ex_rows, ex_items = (empty, empty) if exclude is None else exclude.gather(block)
         out[start : start + len(block)] = _ranked_block(params, block, width, ex_rows, ex_items)
     return out
-
-
-def rank_items(params: MfParams, u: int, exclude: Iterable[int] = ()) -> list[int]:
-    """All non-excluded items sorted by score descending.
-
-    Ties break toward the smaller item index, so the ordering is a total
-    order and identical across runs. The one-user, full-length ``top_k``.
-    """
-    _check_user(params, u)
-    row = top_k(params, [u], params.num_items, [np.fromiter(exclude, dtype=np.int64)])[0]
-    return row[row >= 0].tolist()
 
 
 def auc(

@@ -1,10 +1,10 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately brute force: exhaustive enumeration, Monte
-Carlo simulation, finite differences, the incremental per-cutoff
-expected-utility curve that the batched one replaced, and a general-purpose
-quasi-Newton minimizer for calibrator fits. Nothing imports the code paths
-it verifies.
+Carlo simulation, finite differences, a full sort of every score, the
+incremental per-cutoff expected-utility curve that the batched one
+replaced, and a general-purpose quasi-Newton minimizer for calibrator fits.
+Nothing imports the code paths it verifies.
 """
 
 import numpy as np
@@ -144,6 +144,17 @@ def reference_utility_curve(ranked, rest, kind):
             total += ranked[i] * gains[i] * float(pmf_m @ inv_idcg[ranks - 1])
         curve[k - 1] = total
     return curve
+
+
+def full_sort_ranking(params, user, exclude=()):
+    """Every item outside ``exclude``, best first, for one user of an MF model.
+
+    Scores the whole catalog as item_emb @ user_emb[user] + item_bias and
+    lexsorts it by (-score, item index): ties go to the smaller index.
+    """
+    scores = params.item_emb @ params.user_emb[user] + params.item_bias
+    items = np.setdiff1d(np.arange(len(scores)), np.asarray(list(exclude), dtype=np.int64))
+    return items[np.lexsort((items, -scores[items]))].tolist()
 
 
 def finite_difference_grad(f, x, h=1e-5, coords=None):

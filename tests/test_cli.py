@@ -259,6 +259,33 @@ class TestAtomicLogs:
         assert (tmp_path / "ck_log.jsonl").read_bytes() == before
         assert not (tmp_path / "ck_log.jsonl.partial").exists()
 
+    def test_failed_per_user_csv_keeps_earlier_file(self, workspace, tmp_path, monkeypatch):
+        fixed = tmp_path / "fixed.jsonl"
+        assert run("recommend", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", fixed, "--k", "5") == 0
+        csv = tmp_path / "per_user.csv"
+        csv.write_text("earlier\n")
+        evaluate = cli.metrics.evaluate
+
+        class Unwritable(float):
+            def __format__(self, spec):
+                raise RuntimeError("interrupted")
+
+        def evaluate_with_bad_last_value(*args, **kwargs):
+            # the CSV's last line fails after every earlier line is written
+            result = evaluate(*args, **kwargs)
+            values = list(result.rows[-1].per_user.values())[-1]
+            last = max(values)
+            values[last] = Unwritable(values[last])
+            return result
+
+        monkeypatch.setattr(cli.metrics, "evaluate", evaluate_with_bad_last_value)
+        with pytest.raises(RuntimeError):
+            run("eval", "--data", workspace / "bundle", "--recs", fixed,
+                "--out", tmp_path / "report.json", "--per-user-csv", csv)
+        assert csv.read_text() == "earlier\n"
+        assert not (tmp_path / "per_user.csv.partial").exists()
+
 
 class TestCalibrate:
     def test_report_counts_iterations(self, workspace, tmp_path, capsys):
@@ -497,6 +524,34 @@ class TestPerkSkipsCoveredUsers:
         assert 1 not in rows[0]["items"] and 0 not in rows[1]["items"]
         assert run(*common, "--out", tmp_path / "all.jsonl") == 0
         assert [r["user"] for r in read_jsonl(tmp_path / "all.jsonl")] == [0, 1, 2]
+
+
+class TestPerkSummary:
+    def test_realized_utility_over_users_with_held_out_items(self, tmp_path):
+        # users 0 and 2 have test items, user 1 has none; validation is empty
+        write_bundle(tmp_path / "b", 8, train={0: {0}, 1: {1}, 2: {2}},
+                     validation={}, test={0: {3, 5}, 2: {4}})
+        params = init_params(3, 8, 2, seed=0)
+        params.item_bias[:] = np.linspace(1.0, -1.0, 8)
+        save_checkpoint(params, tmp_path / "ck")
+        save_calibrator(Calibrator("platt", a=1.0, b=0.0), tmp_path / "cal.json")
+        common = ("recommend", "--data", tmp_path / "b", "--ckpt", tmp_path / "ck", "--perk",
+                  "--calibrator", tmp_path / "cal.json", "--out", tmp_path / "p.jsonl",
+                  "--set", "perk.k_max=4", "--set", "perk.utility=recall")
+        assert run(*common, "--summary", tmp_path / "test.json") == 0
+        rows = {r["user"]: r for r in read_jsonl(tmp_path / "p.jsonl")}
+        relevant = {0: {3, 5}, 2: {4}}
+        want = np.mean([
+            len(set(rows[u]["items"][: rows[u]["k_star"]]) & rel) / len(rel)
+            for u, rel in relevant.items()
+        ])
+        summary = json.loads((tmp_path / "test.json").read_text())
+        assert summary["mean_realized_utility_at_k_star"] == pytest.approx(want, abs=1e-15)
+        assert run(*common, "--summary", tmp_path / "validation.json",
+                   "--set", "eval.split=validation") == 0
+        summary = json.loads((tmp_path / "validation.json").read_text())
+        assert summary["mean_realized_utility_at_k_star"] is None
+        assert summary["num_users"] == 3
 
 
 class TestBadCalibratorFile:

@@ -8,7 +8,6 @@ from calibrec.dataset import (
     Csr,
     DataFormatError,
     load_interactions,
-    sample_negative,
     sample_negatives,
     split_per_user,
 )
@@ -149,21 +148,19 @@ class TestSampleNegative:
     def test_forced_outcome(self):
         ds = make_dataset({0: {0, 1}}, num_items=3)
         rng = np.random.default_rng(0)
-        assert all(sample_negative(ds, 0, rng) == 2 for _ in range(20))
+        assert sample_negatives(ds, [0], 20, rng).tolist() == [[2] * 20]
 
     def test_exhausted(self):
         ds = make_dataset({0: {0, 1}}, num_items=2)
         with pytest.raises(ValueError):
-            sample_negative(ds, 0, np.random.default_rng(0))
+            sample_negatives(ds, [0], 1, np.random.default_rng(0))
 
     def test_uniform_within_3_sigma(self):
         # 8 candidate items, 10k draws: every count within 3 sigma of binomial
         ds = make_dataset({0: {0, 1}}, num_items=10)
         rng = np.random.default_rng(123)
         draws = 10_000
-        counts = np.zeros(10, dtype=int)
-        for _ in range(draws):
-            counts[sample_negative(ds, 0, rng)] += 1
+        counts = np.bincount(sample_negatives(ds, [0], draws, rng)[0], minlength=10)
         assert counts[0] == counts[1] == 0
         p = 1.0 / 8.0
         sigma = np.sqrt(draws * p * (1 - p))
@@ -172,7 +169,7 @@ class TestSampleNegative:
     def test_user_without_train_set(self):
         ds = make_dataset({0: {0}}, num_users=2, num_items=4)
         rng = np.random.default_rng(1)
-        assert sample_negative(ds, 1, rng) in range(4)
+        assert sample_negatives(ds, [1], 1, rng)[0, 0] in range(4)
 
 
 class TestCsr:
@@ -188,12 +185,45 @@ class TestCsr:
         with pytest.raises(ValueError):
             Csr.from_pairs([0], [6], num_rows=1, num_cols=6)
 
+    def test_gather(self):
+        csr = Csr.from_pairs([0, 0, 2, 2, 2], [1, 4, 0, 3, 4], num_rows=3, num_cols=5)
+        which, cols = csr.gather([2, 1, 0, 2])
+        assert which.tolist() == [0, 0, 0, 2, 2, 3, 3, 3]
+        assert cols.tolist() == [0, 3, 4, 1, 4, 0, 3, 4]
+        which, cols = csr.gather([])
+        assert which.size == cols.size == 0
+
     def test_contains(self):
         csr = Csr.from_pairs([0, 0, 2], [1, 4, 0], num_rows=3, num_cols=5)
         got = csr.contains([0, 0, 1, 2, 2], [1, 2, 1, 0, 4])
         assert got.tolist() == [True, False, False, True, False]
         empty = Csr.from_pairs([], [], num_rows=2, num_cols=5)
         assert empty.contains([0, 1], [0, 4]).tolist() == [False, False]
+
+
+class TestExcluded:
+    def test_one_split_is_the_split_itself(self, small_dataset):
+        assert small_dataset.excluded(("validation",)) is small_dataset.validation
+
+    def test_union_of_splits(self, small_dataset):
+        ds = small_dataset
+        union = ds.excluded(SPLITS)
+        assert (union.num_rows, union.num_cols) == (ds.num_users, ds.num_items)
+        for u in range(ds.num_users):
+            want = np.union1d(np.union1d(ds.train.row(u), ds.validation.row(u)), ds.test.row(u))
+            assert union.row(u).tolist() == want.tolist()
+
+    def test_overlapping_splits_count_once(self):
+        # a hand-edited bundle may list an item in two splits
+        ds = make_dataset({0: {0, 1}}, validation={0: {1, 2}}, num_users=2, num_items=4)
+        union = ds.excluded(("train", "validation"))
+        assert union.sizes().tolist() == [3, 0]
+        assert union.row(0).tolist() == [0, 1, 2]
+        assert ds.excluded(()).sizes().tolist() == [0, 0]
+
+    def test_unknown_split(self, small_dataset):
+        with pytest.raises(ValueError):
+            small_dataset.excluded(("train", "holdout"))
 
 
 class TestSampleNegatives:
@@ -241,6 +271,12 @@ class TestSampleNegatives:
         assert sample_negatives(ds, [0], 4, np.random.default_rng(0)).tolist() == [[2, 2, 2, 2]]
         with pytest.raises(ValueError):
             sample_negatives(ds, [0], 1, np.random.default_rng(0), exclude=SPLITS)
+
+    def test_overlapping_splits_leave_free_items(self):
+        # row sizes add up to the catalog, but the union leaves item 3 free
+        ds = make_dataset({0: {0, 1}}, validation={0: {1, 2}}, num_items=4)
+        got = sample_negatives(ds, [0], 5, np.random.default_rng(0), exclude=SPLITS)
+        assert got.tolist() == [[3] * 5]
 
     def test_same_seed_same_draws(self, small_dataset):
         users = np.arange(small_dataset.num_users)

@@ -11,14 +11,13 @@ from calibrec.distill import (
     cotrain_epoch,
     draw_distill_items,
     rank_discrepancy_weights,
-    sample_distill_items,
     top_t_rows,
     top_t_weights,
 )
-from calibrec.ranker import MfParams, TrainConfig, init_params, pointwise_epoch, rank_items
+from calibrec.ranker import MfParams, TrainConfig, init_params, pointwise_epoch
 from calibrec.synthetic import low_rank_dataset
 
-from oracles import finite_difference_grad, relative_error
+from oracles import finite_difference_grad, full_sort_ranking, relative_error
 
 
 class TestRankDiscrepancyWeights:
@@ -60,30 +59,38 @@ class TestRankDiscrepancyWeights:
             rank_discrepancy_weights({0: 1}, {1: 1}, eta=1.0, truncate_rank=5)
 
 
+def draw_one_row(weights: dict[int, float], n: int, rng) -> list[int]:
+    """``draw_distill_items`` on one row of (item, weight) pairs, padding dropped."""
+    items = np.array(sorted(weights), dtype=np.int64)
+    w = np.array([weights[int(i)] for i in items], dtype=float)
+    drawn = draw_distill_items(items[None, :], w[None, :], n, rng)[0]
+    return drawn[drawn >= 0].tolist()
+
+
 class TestSampleDistillItems:
     def test_one_hot(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert sample_distill_items({3: 0.0, 9: 0.7}, 1, rng) == [9]
+            assert draw_one_row({3: 0.0, 9: 0.7}, 1, rng) == [9]
 
     def test_all_zero_weights(self):
-        assert sample_distill_items({1: 0.0, 2: 0.0}, 3, np.random.default_rng(0)) == []
+        assert draw_one_row({1: 0.0, 2: 0.0}, 3, np.random.default_rng(0)) == []
 
     def test_returns_all_when_fewer_than_n(self):
-        out = sample_distill_items({5: 0.2, 8: 0.9, 11: 0.0}, 10, np.random.default_rng(0))
+        out = draw_one_row({5: 0.2, 8: 0.9, 11: 0.0}, 10, np.random.default_rng(0))
         assert out == [5, 8]
 
     def test_no_repeats(self):
         rng = np.random.default_rng(5)
         weights = {i: float(w) for i, w in enumerate(rng.random(30))}
         for _ in range(50):
-            out = sample_distill_items(weights, 10, rng)
+            out = draw_one_row(weights, 10, rng)
             assert len(out) == len(set(out)) == 10
 
     def test_frequency_matches_weights(self):
         rng = np.random.default_rng(11)
         draws = 10_000
-        hits = sum(sample_distill_items({0: 0.9, 1: 0.1}, 1, rng) == [0] for _ in range(draws))
+        hits = sum(draw_one_row({0: 0.9, 1: 0.1}, 1, rng) == [0] for _ in range(draws))
         sigma = np.sqrt(draws * 0.9 * 0.1)
         assert abs(hits - draws * 0.9) <= 3 * sigma
 
@@ -100,7 +107,7 @@ class TestSampleDistillItems:
         else:
             draws = 8_000
             weights = dict(enumerate(w.tolist()))
-            pairs = np.array([sample_distill_items(weights, 2, rng) for _ in range(draws)])
+            pairs = np.array([draw_one_row(weights, 2, rng) for _ in range(draws)])
         observed = np.zeros((4, 4))
         np.add.at(observed, (pairs[:, 0], pairs[:, 1]), 1)
         off = ~np.eye(4, dtype=bool)
@@ -224,8 +231,8 @@ class TestTopTWeights:
         assert np.all(weights[other_top < 0] == 0.0)
         for user in range(dataset.num_users):
             exclude = dataset.train.row(user)
-            rank_own = {i: r + 1 for r, i in enumerate(rank_items(own, user, exclude))}
-            rank_other = {i: r + 1 for r, i in enumerate(rank_items(other, user, exclude))}
+            rank_own = {i: r + 1 for r, i in enumerate(full_sort_ranking(own, user, exclude))}
+            rank_other = {i: r + 1 for r, i in enumerate(full_sort_ranking(other, user, exclude))}
             want = rank_discrepancy_weights(rank_own, rank_other, eta, truncate_rank)
             row = other_top[user]
             got = dict(zip(row[row >= 0].tolist(), weights[user][row >= 0].tolist()))
@@ -242,7 +249,7 @@ class TestCotrainEpoch:
                 rows = top_t_rows(params, dataset, t)
                 assert rows.shape == (dataset.num_users, min(t, dataset.num_items))
                 for user in range(dataset.num_users):
-                    want = rank_items(params, user, exclude=dataset.train.row(user))[:t]
+                    want = full_sort_ranking(params, user, dataset.train.row(user))[:t]
                     assert rows[user, : len(want)].tolist() == want
                     assert np.all(rows[user, len(want):] == -1)
 

@@ -10,17 +10,18 @@ from calibrec.perk import (
     expected_precision,
     expected_recall,
     pb_pmf,
-    perk_recommend,
     perk_recommend_users,
     select_k,
     utility_curve,
     utility_curves,
 )
-from calibrec.ranker import init_params, rank_items, score_items
+from calibrec.dataset import Csr
+from calibrec.ranker import init_params, score_items
 
 from conftest import make_dataset
 from oracles import (
     brute_force_pb,
+    full_sort_ranking,
     mc_f1,
     mc_ndcg,
     mc_precision,
@@ -320,6 +321,11 @@ class TestSelectK:
             select_k([])
 
 
+def perk_one(params, cal, dataset, user, cfg):
+    """One user's cut, its train items excluded."""
+    return perk_recommend_users(params, cal, dataset.train, [user], cfg)[0]
+
+
 class TestPerkRecommend:
     def make_setup(self, num_items=30):
         dataset = make_dataset(
@@ -334,7 +340,7 @@ class TestPerkRecommend:
         # a calibrator mapping every score to ~1 makes precision flat at 1
         cal = Calibrator("platt", a=0.0, b=500.0)
         cfg = PerkConfig(k_max=6, utility="precision", rest_pool=5)
-        cut = perk_recommend(params, cal, dataset, 0, cfg)
+        cut = perk_one(params, cal, dataset, 0, cfg)
         np.testing.assert_allclose(cut.curve, 1.0)
         assert cut.k_star == 1
         assert len(cut.items) == 1
@@ -343,7 +349,7 @@ class TestPerkRecommend:
         dataset, params = self.make_setup(num_items=6)
         cal = Calibrator("platt", a=1.0, b=0.0)
         cfg = PerkConfig(k_max=10, utility="f1", rest_pool=0)
-        cut = perk_recommend(params, cal, dataset, 0, cfg)
+        cut = perk_one(params, cal, dataset, 0, cfg)
         assert cut.k_max_effective == 4  # 6 items minus 2 train
         assert len(cut.curve) == 4
 
@@ -351,8 +357,8 @@ class TestPerkRecommend:
         dataset, params = self.make_setup()
         cal = Calibrator("platt", a=1.5, b=-0.5)
         cfg = PerkConfig(k_max=8, utility="f1", rest_pool=10)
-        cut = perk_recommend(params, cal, dataset, 0, cfg)
-        ranked = rank_items(params, 0, exclude=dataset.train.row(0))
+        cut = perk_one(params, cal, dataset, 0, cfg)
+        ranked = full_sort_ranking(params, 0, exclude=dataset.train.row(0))
         assert cut.items == ranked[: cut.k_star]
         assert cut.k_star == select_k(cut.curve)
 
@@ -361,14 +367,14 @@ class TestPerkRecommend:
         params = init_params(1, 2, 2, seed=1)
         cal = Calibrator("platt", a=1.0, b=0.0)
         with pytest.raises(ValueError):
-            perk_recommend(params, cal, dataset, 0, PerkConfig(k_max=3))
+            perk_one(params, cal, dataset, 0, PerkConfig(k_max=3))
 
     def test_gamma_without_shift_fails_on_negative_scores(self):
         dataset, params = self.make_setup()
         cal = Calibrator("gamma", a=1.0, b=0.0, c=0.0, score_shift=0.0)
         # pool deep enough to reach the negative-score region
         with pytest.raises(ValueError):
-            perk_recommend(params, cal, dataset, 0, PerkConfig(k_max=5, rest_pool=25))
+            perk_one(params, cal, dataset, 0, PerkConfig(k_max=5, rest_pool=25))
 
 
 class TestPerkRecommendUsers:
@@ -386,29 +392,30 @@ class TestPerkRecommendUsers:
 
     @pytest.mark.parametrize("utility", ["f1", "ndcg", "recall", "precision"])
     def test_equals_per_user_form(self, utility, monkeypatch):
-        dataset, params, validation = self.make_setup()
+        dataset, params, _ = self.make_setup()
         cal = Calibrator("platt", a=1.3, b=-0.2)
         cfg = PerkConfig(k_max=6, utility=utility, rest_pool=7)
         users = [4, 0, 7, 8, 1, 2, 3, 6, 5]
-        extra = [sorted(validation[u]) for u in users]
+        excluded = dataset.excluded(("train", "validation"))
         monkeypatch.setattr(perk, "_BLOCK_USERS", 4)  # blocks of 4, 4 and 1 users
-        cuts = perk_recommend_users(params, cal, dataset, users, cfg, exclude_extra=extra)
+        cuts = perk_recommend_users(params, cal, excluded, users, cfg)
         assert [cut.user for cut in cuts] == users
-        for cut, user, ex in zip(cuts, users, extra):
-            alone = perk_recommend(params, cal, dataset, user, cfg, exclude_extra=ex)
+        for cut, user in zip(cuts, users):
+            alone = perk_recommend_users(params, cal, excluded, [user], cfg)[0]
             assert (cut.k_star, cut.items, cut.k_max_effective) == (
                 alone.k_star, alone.items, alone.k_max_effective
             )
+            assert not set(cut.items) & set(excluded.row(user).tolist())
             np.testing.assert_allclose(cut.curve, alone.curve, rtol=0, atol=1e-12)
 
     def test_curves_match_reference(self):
         dataset, params, validation = self.make_setup()
         cal = Calibrator("platt", a=1.3, b=-0.2)
         cfg = PerkConfig(k_max=6, utility="ndcg", rest_pool=7)
-        cuts = perk_recommend_users(params, cal, dataset, range(9), cfg)
+        cuts = perk_recommend_users(params, cal, dataset.train, range(9), cfg)
         assert cuts[7].k_max_effective == 4
         for user, cut in enumerate(cuts):
-            pool = rank_items(params, user, exclude=dataset.train.row(user))[:13]
+            pool = full_sort_ranking(params, user, exclude=dataset.train.row(user))[:13]
             probs = np.atleast_1d(apply(cal, score_items(params, user, pool)))
             k = cut.k_max_effective
             expected = reference_utility_curve(probs[:k], probs[k:], "ndcg")
@@ -419,9 +426,12 @@ class TestPerkRecommendUsers:
         dataset, params, _ = self.make_setup()
         cal = Calibrator("platt", a=1.0, b=0.0)
         cfg = PerkConfig(k_max=3, rest_pool=2)
+        # user 7's train row holds items 0..20; excluding 21..24 as well empties its pool
+        rows, cols = dataset.train.pairs()
+        excluded = Csr.from_pairs(
+            np.concatenate([rows, [7] * 4]), np.concatenate([cols, range(21, 25)]),
+            dataset.num_users, dataset.num_items,
+        )
         with pytest.raises(ValueError, match="user 7"):
-            perk_recommend_users(params, cal, dataset, [0, 7], cfg,
-                                 exclude_extra=[[], range(21, 25)])
-        with pytest.raises(ValueError):
-            perk_recommend_users(params, cal, dataset, [0, 1], cfg, exclude_extra=[[]])
-        assert perk_recommend_users(params, cal, dataset, [], cfg) == []
+            perk_recommend_users(params, cal, excluded, [0, 7], cfg)
+        assert perk_recommend_users(params, cal, dataset.train, [], cfg) == []

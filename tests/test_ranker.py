@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from calibrec import ranker
+from calibrec.dataset import Csr
 from calibrec.ranker import (
     MfParams,
     TrainConfig,
@@ -10,7 +11,6 @@ from calibrec.ranker import (
     init_params,
     load_checkpoint,
     pointwise_epoch,
-    rank_items,
     save_checkpoint,
     score,
     score_items,
@@ -19,7 +19,7 @@ from calibrec.ranker import (
 from calibrec.synthetic import low_rank_dataset
 
 from conftest import make_dataset
-from oracles import finite_difference_grad, relative_error
+from oracles import finite_difference_grad, full_sort_ranking, relative_error
 
 
 def params_from(user_emb, item_emb, item_bias=None):
@@ -225,35 +225,57 @@ class TestPointwiseEpoch:
             assert relative_error(analytic[i], g_fd) < 1e-5
 
 
+def exclusions(rows, num_items):
+    """One ``Csr`` row per entry of ``rows`` (item collections)."""
+    rows = [np.asarray(list(r), dtype=np.int64) for r in rows]
+    users = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    items = np.concatenate([np.empty(0, dtype=np.int64)] + rows)
+    return Csr.from_pairs(users, items, len(rows), num_items)
+
+
+def ranked(params, u, exclude=None):
+    """One user's full-length ``top_k`` row without its -1 padding."""
+    row = top_k(params, [u], params.num_items, exclude)[0]
+    return row[row >= 0].tolist()
+
+
 class TestRankItems:
     def test_orders_by_score(self):
         p = params_from(np.zeros((1, 1)), np.zeros((3, 1)), [0.1, 0.9, 0.5])
-        assert rank_items(p, 0) == [1, 2, 0]
+        assert ranked(p, 0) == [1, 2, 0]
 
     def test_ties_break_by_index(self):
         p = params_from(np.zeros((1, 1)), np.zeros((4, 1)))
-        assert rank_items(p, 0) == [0, 1, 2, 3]
+        assert ranked(p, 0) == [0, 1, 2, 3]
 
     def test_exclude_all(self):
         p = init_params(1, 3, 2, seed=0)
-        assert rank_items(p, 0, exclude={0, 1, 2}) == []
+        assert ranked(p, 0, exclusions([{0, 1, 2}], 3)) == []
 
     def test_permutation_and_sortedness(self):
         p = init_params(4, 30, 5, seed=6)
         exclude = {1, 7, 19}
-        ranked = rank_items(p, 2, exclude=exclude)
-        assert sorted(ranked) == [i for i in range(30) if i not in exclude]
-        scores = score_items(p, 2, ranked)
+        got = ranked(p, 2, exclusions([(), (), exclude, ()], 30))
+        assert sorted(got) == [i for i in range(30) if i not in exclude]
+        scores = score_items(p, 2, got)
         assert np.all(np.diff(scores) <= 1e-15)
 
 
 def tie_heavy_params(num_users=7, num_items=40, dim=3, seed=0):
-    """Items copied from only 5 distinct (row, bias) pairs, so every score repeats."""
+    """Items copied from only 5 distinct (row, bias) pairs, so every score repeats.
+
+    Every entry is a multiple of 1/8, so each score is exact and copies tie
+    exactly in whatever order a product sums its terms.
+    """
     rng = np.random.default_rng(seed)
+
+    def grid(*shape):
+        return rng.integers(-8, 9, size=shape) / 8.0
+
     source = rng.integers(0, 5, num_items)
-    item_emb = rng.normal(size=(5, dim))[source]
-    bias = rng.normal(size=5)[source]
-    return params_from(rng.normal(size=(num_users, dim)), item_emb, bias)
+    item_emb = grid(5, dim)[source]
+    bias = grid(5)[source]
+    return params_from(grid(num_users, dim), item_emb, bias)
 
 
 class TestTopK:
@@ -264,21 +286,22 @@ class TestTopK:
     )
     @pytest.mark.parametrize("k", [1, 5, 39, 40, 60])
     def test_equals_rank_items_prefix_on_ties(self, params, k, monkeypatch):
-        monkeypatch.setattr(ranker, "TOP_K_BLOCK", 3)  # several blocks of users
+        # against the full-sort oracle, over several blocks of users
+        monkeypatch.setattr(ranker, "TOP_K_BLOCK", 3)
         rng = np.random.default_rng(k)
         users = np.arange(params.num_users)
         excluded = [rng.choice(40, size=int(rng.integers(0, 12)), replace=False) for _ in users]
         plain = top_k(params, users, k)
-        pruned = top_k(params, users, k, excluded)
+        pruned = top_k(params, users, k, exclusions(excluded, 40))
         for u in users:
             for got, exclude in ((plain[u], ()), (pruned[u], excluded[u])):
-                want = rank_items(params, int(u), exclude=exclude)[:k]
+                want = full_sort_ranking(params, int(u), exclude)[:k]
                 assert got[got >= 0].tolist() == want
                 assert np.all(got[len(want):] == -1)
 
     def test_all_zero_scores_pick_smallest_indices(self):
         p = params_from(np.zeros((2, 1)), np.zeros((6, 1)))
-        got = top_k(p, [0, 1], 3, [[0, 2], []])
+        got = top_k(p, [0, 1], 3, exclusions([[0, 2], []], 6))
         assert got.tolist() == [[1, 3, 4], [0, 1, 2]]
 
     def test_random_scores_match_rank_items(self, monkeypatch):
@@ -287,11 +310,11 @@ class TestTopK:
         p.item_bias[:] = np.random.default_rng(1).normal(size=50)
         got = top_k(p, np.arange(10)[::-1], 12)
         for row, u in zip(got, range(9, -1, -1)):
-            assert row.tolist() == rank_items(p, u)[:12]
+            assert row.tolist() == full_sort_ranking(p, u)[:12]
 
     def test_short_rows_padded(self):
         p = init_params(2, 4, 2, seed=0)
-        got = top_k(p, [0, 1], 3, [[0, 1, 2], [0, 1, 2, 3]])
+        got = top_k(p, [0, 1], 3, exclusions([[0, 1, 2], [0, 1, 2, 3]], 4))
         assert got[0, 0] == 3 and got[0, 1:].tolist() == [-1, -1]
         assert got[1].tolist() == [-1, -1, -1]
 
@@ -299,8 +322,11 @@ class TestTopK:
         p = init_params(2, 4, 2, seed=0)
         with pytest.raises(IndexError):
             top_k(p, [2], 1)
-        with pytest.raises(IndexError):
-            top_k(p, [0], 1, [[4]])
+        # exclusions must have one row per model user and one column per item
+        with pytest.raises(ValueError):
+            top_k(p, [0], 1, exclusions([[4], []], 5))
+        with pytest.raises(ValueError):
+            top_k(p, [0], 1, exclusions([[1]], 4))
 
 
 class TestAuc:
