@@ -92,7 +92,12 @@ CONFIG_SPEC = {
     "data.delimiter": (str, ",", "field separator of interaction and split files"),
     "data.ratios": (_floats, (0.8, 0.1, 0.1), "train,validation,test split fractions"),
     "train.dim": (int, 32, "embedding dimension"),
-    "train.lr": (float, 0.05, "SGD learning rate"),
+    "train.lr": (
+        float,
+        0.05,
+        "SGD learning rate on the batch-mean gradient: per example lr/batch_size (bpr), "
+        "lr/(batch_size*(1+negatives_per_positive)) (pointwise)",
+    ),
     "train.reg": (float, 1e-4, "L2 weight on embeddings"),
     "train.epochs": (int, 10, "training epochs (0 writes the initialization)"),
     "train.batch_size": (int, 128, "positives per SGD batch"),

@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Csr, Dataset
 from .perk import PersonalizedCut
 
 METRIC_NAMES = ("precision", "recall", "f1", "ndcg")
@@ -53,14 +53,6 @@ def ndcg_at(recommended: Sequence[int], relevant: set, k: int) -> float:
     return float(dcg / idcg)
 
 
-_METRIC_FNS = {
-    "precision": precision_at,
-    "recall": recall_at,
-    "f1": f1_at,
-    "ndcg": ndcg_at,
-}
-
-
 @dataclass
 class EvalRow:
     """Macro-averaged metrics at one cutoff (a fixed k or the per-user k*)."""
@@ -97,6 +89,56 @@ class EvalResult:
         }
 
 
+def _hit_prefixes(
+    lists: list, users: np.ndarray, held: Csr, width: int, gains: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix hit counts and prefix DCG of each ranked list, as (U, width + 1).
+
+    Column c holds the value over the first c positions. Lists are padded
+    with -1 to ``width``; padding and items outside the catalog are masked
+    before the membership test, whose key ``user * num_items + item`` would
+    otherwise land in a neighbouring user's row. DCG adds the hit gains in
+    list order, as ``ndcg_at`` does, so every prefix is bit-identical to it.
+    """
+    ranked = np.full((len(lists), width), -1, dtype=np.int64)
+    for row, items in enumerate(lists):
+        head = items[:width]
+        ranked[row, : len(head)] = head
+    valid = (ranked >= 0) & (ranked < held.num_cols)
+    hit = np.zeros(ranked.shape, dtype=bool)
+    hit[valid] = held.contains(np.broadcast_to(users[:, None], ranked.shape)[valid], ranked[valid])
+    hits = np.zeros((len(lists), width + 1), dtype=np.int64)
+    np.cumsum(hit, axis=1, out=hits[:, 1:])
+    dcg = np.zeros((len(lists), width + 1))
+    np.cumsum(np.where(hit, gains[:width], 0.0), axis=1, out=dcg[:, 1:])
+    return hits, dcg
+
+
+def _metrics_at(
+    metrics: Sequence[str],
+    hits: np.ndarray,
+    dcg: np.ndarray,
+    k: np.ndarray,
+    n_rel: np.ndarray,
+    ideal: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """Each user's metrics at its cutoff ``k``, the scalar forms' arithmetic."""
+    rows = np.arange(len(k))
+    col = np.minimum(k, hits.shape[1] - 1)
+    h = hits[rows, col]
+    out = {}
+    for m in metrics:
+        if m == "precision":
+            out[m] = h / k
+        elif m == "recall":
+            out[m] = h / n_rel
+        elif m == "f1":
+            out[m] = 2.0 * h / (k + n_rel)
+        else:
+            out[m] = dcg[rows, col] / ideal[np.minimum(n_rel, k)]
+    return out
+
+
 def evaluate(
     recommendations,
     dataset: Dataset,
@@ -110,9 +152,14 @@ def evaluate(
     (evaluated at every k in ``ks``) or an iterable of PersonalizedCut
     (evaluated at each user's own k_star, one "perk" row). Users whose
     relevant set is empty are skipped and counted, not averaged as zeros.
+    Every cutoff must be >= 1.
+
+    All users are scored at once from one hit matrix and its prefix sums.
+    Per-user values and means are bit-identical to averaging the scalar
+    ``*_at`` functions over users in input order.
     """
     for m in metrics:
-        if m not in _METRIC_FNS:
+        if m not in METRIC_NAMES:
             raise ValueError(f"unknown metric {m!r}")
     held = dataset.split(split)
     sizes = held.sizes()
@@ -133,27 +180,38 @@ def evaluate(
     if not evaluable:
         raise ValueError("no users with a non-empty relevant set")
 
-    rows: list[EvalRow] = []
+    keys = list(evaluable)
+    users = np.array(keys, dtype=np.int64)
+    n_rel = sizes[users]
     if cuts is None:
-        for k in ks:
-            per_user = {m: {} for m in metrics}
-            for u, items in evaluable.items():
-                rel = set(held.row(u).tolist())
-                for m in metrics:
-                    per_user[m][u] = _METRIC_FNS[m](items, rel, k)
-            means = {m: float(np.mean(list(per_user[m].values()))) for m in metrics}
-            rows.append(EvalRow(label=f"k={k}", k=int(k), means=means, per_user=per_user))
+        cutoffs = [np.full(len(users), k, dtype=np.int64) for k in ks]
     else:
         k_star_by_user = {c.user: c.k_star for c in cuts}
-        per_user = {m: {} for m in metrics}
-        for u, items in evaluable.items():
-            rel = set(held.row(u).tolist())
-            for m in metrics:
-                per_user[m][u] = _METRIC_FNS[m](items, rel, k_star_by_user[u])
-        means = {m: float(np.mean(list(per_user[m].values()))) for m in metrics}
-        mean_k_star = float(np.mean([k_star_by_user[u] for u in evaluable]))
-        rows.append(
-            EvalRow(label="perk", k=None, means=means, per_user=per_user, mean_k_star=mean_k_star)
-        )
+        cutoffs = [np.array([k_star_by_user[u] for u in keys], dtype=np.int64)]
+    k_max = max((int(k.max()) for k in cutoffs), default=1)
+    if any(k.min() < 1 for k in cutoffs):
+        raise ValueError("k must be >= 1")
+    width = min(k_max, max(len(items) for items in evaluable.values()))
+    # position gains, each from the scalar expression ndcg_at uses; only the
+    # list positions and the ideal prefixes up to min(|relevant|, k) are read
+    n_gains = max(width, min(k_max, int(n_rel.max())))
+    gains = np.array([1.0 / np.log2(pos + 2) for pos in range(n_gains)])
+    ideal = np.concatenate([[0.0], np.cumsum(gains)])
+    hits, dcg = _hit_prefixes(list(evaluable.values()), users, held, width, gains)
+
+    rows: list[EvalRow] = []
+    for k in cutoffs:
+        values = _metrics_at(metrics, hits, dcg, k, n_rel, ideal)
+        means = {m: float(np.mean(values[m])) for m in metrics}
+        per_user = {m: dict(zip(keys, values[m].tolist())) for m in metrics}
+        if cuts is None:
+            rows.append(EvalRow(label=f"k={k[0]}", k=int(k[0]), means=means, per_user=per_user))
+        else:
+            rows.append(
+                EvalRow(
+                    label="perk", k=None, means=means, per_user=per_user,
+                    mean_k_star=float(np.mean(k)),
+                )
+            )
 
     return EvalResult(users_evaluated=len(evaluable), users_skipped=skipped, rows=rows)

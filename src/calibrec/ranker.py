@@ -113,6 +113,23 @@ def score_items(params: MfParams, u: int, items=None) -> np.ndarray:
     return params.item_emb[idx] @ params.user_emb[u] + params.item_bias[idx]
 
 
+def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``target[rows[j]] += values[j]`` in place, repeated rows summed.
+
+    One ``np.bincount`` over the flat index ``rows * D + d`` of a (N, D)
+    target, or over ``rows`` itself for a 1-D one. Each row's values are
+    summed first and then added to the target once, so the result differs
+    from adding them one at a time only in summation order.
+    """
+    if target.ndim == 1:
+        target += np.bincount(rows, weights=values, minlength=target.size)
+        return
+    dim = target.shape[1]
+    flat = (rows[:, None] * dim + np.arange(dim)).ravel()
+    summed = np.bincount(flat, weights=values.ravel(), minlength=target.size)
+    target += summed.reshape(target.shape)
+
+
 def bpr_epoch(
     params: MfParams, dataset: Dataset, cfg: TrainConfig, rng: np.random.Generator
 ) -> tuple[MfParams, float]:
@@ -138,25 +155,28 @@ def bpr_epoch(
     total_loss = 0.0
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start : start + cfg.batch_size]
+        B = len(batch)
         bu, bi = users[batch], items[batch]
-        bj = negatives[start : start + cfg.batch_size]
+        bj = negatives[start : start + B]
+        # the positives and then the negatives, scattered into one table each
+        bij = np.concatenate([bi, bj])
 
         P = out.user_emb[bu]
-        Qp = out.item_emb[bi]
-        Qn = out.item_emb[bj]
-        x = np.sum(P * (Qp - Qn), axis=1) + out.item_bias[bi] - out.item_bias[bj]
+        Q = out.item_emb[bij]
+        diff = Q[:B] - Q[B:]
+        x = np.sum(P * diff, axis=1) + out.item_bias[bi] - out.item_bias[bj]
         total_loss += np.logaddexp(0.0, -x).sum()
 
         g = expit(x) - 1.0  # dL/dx
-        coef = cfg.lr / len(batch)
-        dP = g[:, None] * (Qp - Qn) + 2.0 * cfg.reg * P
-        dQp = g[:, None] * P + 2.0 * cfg.reg * Qp
-        dQn = -g[:, None] * P + 2.0 * cfg.reg * Qn
-        np.add.at(out.user_emb, bu, -coef * dP)
-        np.add.at(out.item_emb, bi, -coef * dQp)
-        np.add.at(out.item_emb, bj, -coef * dQn)
-        np.add.at(out.item_bias, bi, -coef * g)
-        np.add.at(out.item_bias, bj, coef * g)
+        coef = cfg.lr / B
+        gP = g[:, None] * P
+        dP = g[:, None] * diff
+        dQ = np.concatenate([gP, -gP])
+        dP += 2.0 * cfg.reg * P
+        dQ += 2.0 * cfg.reg * Q
+        _scatter_add(out.user_emb, bu, -coef * dP)
+        _scatter_add(out.item_emb, bij, -coef * dQ)
+        _scatter_add(out.item_bias, bij, np.concatenate([-coef * g, coef * g]))
     return out, total_loss / len(order)
 
 
@@ -170,6 +190,8 @@ def pointwise_epoch(
     -ln(1 - sigmoid(s)). Every example carries reg * (|p_u|^2 + |q|^2) on
     the embeddings it touches. Updates use the mean gradient over each
     batch's examples; returns (updated params, mean per-example data loss).
+    A batch user's gradient is summed over its positive and negatives
+    before the scatter, so its L2 term enters once as 2·reg·(npp+1)·p_u.
     """
     if cfg.loss_kind != "pointwise":
         raise ValueError(
@@ -184,27 +206,32 @@ def pointwise_epoch(
     total_examples = 0
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start : start + cfg.batch_size]
+        B = len(batch)
         bu, bi = users[batch], items[batch]
-        neg = negatives[start * npp : (start + len(batch)) * npp]
+        neg = negatives[start * npp : (start + B) * npp]
 
-        ex_u = np.concatenate([bu, np.repeat(bu, npp)])
+        # examples: the B positives, then each batch row's npp negatives in turn
         ex_i = np.concatenate([bi, neg])
-        ex_y = np.concatenate([np.ones(len(batch)), np.zeros(len(neg))])
+        ex_y = np.concatenate([np.ones(B), np.zeros(len(neg))])
 
-        P = out.user_emb[ex_u]
+        P = out.user_emb[bu]
+        P_ex = np.concatenate([P, np.repeat(P, npp, axis=0)])
         Q = out.item_emb[ex_i]
-        s = np.sum(P * Q, axis=1) + out.item_bias[ex_i]
+        s = np.sum(P_ex * Q, axis=1) + out.item_bias[ex_i]
         # -ln sigmoid(s) for positives, -ln(1 - sigmoid(s)) for negatives
         total_loss += np.where(ex_y == 1.0, np.logaddexp(0.0, -s), np.logaddexp(0.0, s)).sum()
-        total_examples += len(ex_u)
+        total_examples += len(ex_i)
 
         g = expit(s) - ex_y  # dL/ds
-        coef = cfg.lr / len(ex_u)
-        dP = g[:, None] * Q + 2.0 * cfg.reg * P
-        dQ = g[:, None] * P + 2.0 * cfg.reg * Q
-        np.add.at(out.user_emb, ex_u, -coef * dP)
-        np.add.at(out.item_emb, ex_i, -coef * dQ)
-        np.add.at(out.item_bias, ex_i, -coef * g)
+        coef = cfg.lr / len(ex_i)
+        gQ = g[:, None] * Q
+        dP = gQ[:B] + gQ[B:].reshape(B, npp, -1).sum(axis=1)
+        dQ = g[:, None] * P_ex
+        dP += 2.0 * cfg.reg * (npp + 1) * P
+        dQ += 2.0 * cfg.reg * Q
+        _scatter_add(out.user_emb, bu, -coef * dP)
+        _scatter_add(out.item_emb, ex_i, -coef * dQ)
+        _scatter_add(out.item_bias, ex_i, -coef * g)
     return out, total_loss / total_examples
 
 

@@ -3,12 +3,18 @@
 Everything here is deliberately brute force: exhaustive enumeration, Monte
 Carlo simulation, finite differences, a full sort of every score, the
 incremental per-cutoff expected-utility curve that the batched one
-replaced, and a general-purpose quasi-Newton minimizer for calibrator fits.
-Nothing imports the code paths it verifies.
+replaced, the per-example ``np.add.at`` training steps that the bincount
+scatter replaced, and a general-purpose quasi-Newton minimizer for
+calibrator fits. Nothing imports the code paths it verifies; the reference
+epochs draw their negatives with the library's sampler so that they use
+the same random stream.
 """
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import expit
+
+from calibrec.dataset import sample_negatives
 
 
 def brute_force_pb(probs):
@@ -200,3 +206,69 @@ def reference_fit(kind, objective, gradient, start):
     else:
         res = minimize(fun, x0, jac=jac, method="BFGS", options={"gtol": 1e-11, "maxiter": 20_000})
     return full(res.x), float(res.fun)
+
+
+def reference_bpr_epoch(params, dataset, cfg, rng):
+    """``ranker.bpr_epoch`` as one ``np.add.at`` per table and example group."""
+    out = params.copy()
+    users, items = dataset.train.pairs()
+    order = rng.permutation(len(users))
+    negatives = sample_negatives(dataset, users[order], 1, rng)[:, 0]
+    total_loss = 0.0
+    for start in range(0, len(order), cfg.batch_size):
+        batch = order[start : start + cfg.batch_size]
+        bu, bi = users[batch], items[batch]
+        bj = negatives[start : start + cfg.batch_size]
+
+        P = out.user_emb[bu]
+        Qp = out.item_emb[bi]
+        Qn = out.item_emb[bj]
+        x = np.sum(P * (Qp - Qn), axis=1) + out.item_bias[bi] - out.item_bias[bj]
+        total_loss += np.logaddexp(0.0, -x).sum()
+
+        g = expit(x) - 1.0  # dL/dx
+        coef = cfg.lr / len(batch)
+        dP = g[:, None] * (Qp - Qn) + 2.0 * cfg.reg * P
+        dQp = g[:, None] * P + 2.0 * cfg.reg * Qp
+        dQn = -g[:, None] * P + 2.0 * cfg.reg * Qn
+        np.add.at(out.user_emb, bu, -coef * dP)
+        np.add.at(out.item_emb, bi, -coef * dQp)
+        np.add.at(out.item_emb, bj, -coef * dQn)
+        np.add.at(out.item_bias, bi, -coef * g)
+        np.add.at(out.item_bias, bj, coef * g)
+    return out, total_loss / len(order)
+
+
+def reference_pointwise_epoch(params, dataset, cfg, rng):
+    """``ranker.pointwise_epoch`` with one gathered user row per example."""
+    out = params.copy()
+    users, items = dataset.train.pairs()
+    order = rng.permutation(len(users))
+    npp = cfg.negatives_per_positive
+    negatives = sample_negatives(dataset, users[order], npp, rng).ravel()
+    total_loss = 0.0
+    total_examples = 0
+    for start in range(0, len(order), cfg.batch_size):
+        batch = order[start : start + cfg.batch_size]
+        bu, bi = users[batch], items[batch]
+        neg = negatives[start * npp : (start + len(batch)) * npp]
+
+        ex_u = np.concatenate([bu, np.repeat(bu, npp)])
+        ex_i = np.concatenate([bi, neg])
+        ex_y = np.concatenate([np.ones(len(batch)), np.zeros(len(neg))])
+
+        P = out.user_emb[ex_u]
+        Q = out.item_emb[ex_i]
+        s = np.sum(P * Q, axis=1) + out.item_bias[ex_i]
+        # -ln sigmoid(s) for positives, -ln(1 - sigmoid(s)) for negatives
+        total_loss += np.where(ex_y == 1.0, np.logaddexp(0.0, -s), np.logaddexp(0.0, s)).sum()
+        total_examples += len(ex_u)
+
+        g = expit(s) - ex_y  # dL/ds
+        coef = cfg.lr / len(ex_u)
+        dP = g[:, None] * Q + 2.0 * cfg.reg * P
+        dQ = g[:, None] * P + 2.0 * cfg.reg * Q
+        np.add.at(out.user_emb, ex_u, -coef * dP)
+        np.add.at(out.item_emb, ex_i, -coef * dQ)
+        np.add.at(out.item_bias, ex_i, -coef * g)
+    return out, total_loss / total_examples

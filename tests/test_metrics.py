@@ -147,3 +147,90 @@ class TestEvaluate:
         ds = self.make_dataset()
         with pytest.raises(ValueError):
             evaluate({0: [1]}, ds, split="test", metrics=("hitrate",))
+
+    def test_cutoff_below_one(self):
+        ds = self.make_dataset()
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate({0: [1]}, ds, split="test", metrics=("recall",), ks=(0,))
+
+
+SCALAR = {"precision": precision_at, "recall": recall_at, "f1": f1_at, "ndcg": ndcg_at}
+
+
+def scalar_row(lists, cutoff, held):
+    """Per-user values and means from the scalar functions, one user at a time."""
+    per_user = {m: {} for m in SCALAR}
+    for u, items in lists.items():
+        rel = set(held.row(u).tolist())
+        for m, fn in SCALAR.items():
+            per_user[m][u] = fn(items, rel, cutoff[u])
+    means = {m: float(np.mean(list(vals.values()))) for m, vals in per_user.items()}
+    return means, per_user
+
+
+class TestEvaluateMatchesScalar:
+    """The batched ``evaluate`` is bit-identical to the scalar metric loop."""
+
+    @staticmethod
+    def random_lists(seed, num_users=40, num_items=30):
+        rng = np.random.default_rng(seed)
+        ds = make_dataset(
+            {u: {0} for u in range(num_users)},
+            test={
+                u: set(rng.choice(num_items, size=rng.integers(1, 12), replace=False).tolist())
+                for u in range(num_users)
+                if u % 7
+            },
+            num_users=num_users,
+            num_items=num_items,
+        )
+        lists = {}
+        for u in rng.permutation(num_users).tolist():
+            # short, empty and long lists, repeats, -1 padding and items
+            # past the catalog, which must not alias into the next user's row
+            items = rng.integers(-1, num_items + 3, size=rng.integers(0, 25)).tolist()
+            lists[u] = items
+        return ds, lists
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fixed_ks(self, seed):
+        ds, lists = self.random_lists(seed)
+        held = ds.test
+        ks = (1, 3, 10, 40)
+        result = evaluate(lists, ds, split="test", ks=ks)
+        evaluable = {u: items for u, items in lists.items() if held.sizes()[u]}
+        assert result.users_skipped == len(lists) - len(evaluable)
+        for row, k in zip(result.rows, ks):
+            means, per_user = scalar_row(evaluable, {u: k for u in evaluable}, held)
+            assert row.means == means
+            assert row.per_user == per_user
+            assert [list(v) for v in row.per_user.values()] == [list(evaluable)] * 4
+
+    def test_huge_k(self):
+        # the tables are sized by the lists and relevant sets, not by k
+        ds, lists = self.random_lists(3)
+        held = ds.test
+        ks = (1, 10**9)
+        result = evaluate(lists, ds, split="test", ks=ks)
+        evaluable = {u: items for u, items in lists.items() if held.sizes()[u]}
+        for row, k in zip(result.rows, ks):
+            means, per_user = scalar_row(evaluable, {u: k for u in evaluable}, held)
+            assert row.means == means
+            assert row.per_user == per_user
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_personalized_cuts(self, seed):
+        ds, lists = self.random_lists(seed)
+        held = ds.test
+        rng = np.random.default_rng(seed + 100)
+        cuts = [
+            PersonalizedCut(u, int(rng.integers(1, 30)), np.zeros(1), items, 1)
+            for u, items in lists.items()
+        ]
+        row = evaluate(cuts, ds, split="test").rows[0]
+        evaluable = {c.user: c.items for c in cuts if held.sizes()[c.user]}
+        k_star = {c.user: c.k_star for c in cuts}
+        means, per_user = scalar_row(evaluable, k_star, held)
+        assert row.means == means
+        assert row.per_user == per_user
+        assert row.mean_k_star == float(np.mean([k_star[u] for u in evaluable]))

@@ -19,7 +19,13 @@ from calibrec.ranker import (
 from calibrec.synthetic import low_rank_dataset
 
 from conftest import make_dataset
-from oracles import finite_difference_grad, full_sort_ranking, relative_error
+from oracles import (
+    finite_difference_grad,
+    full_sort_ranking,
+    reference_bpr_epoch,
+    reference_pointwise_epoch,
+    relative_error,
+)
 
 
 def params_from(user_emb, item_emb, item_bias=None):
@@ -223,6 +229,86 @@ class TestPointwiseEpoch:
         fd = finite_difference_grad(objective, theta0, h=1e-5)
         for i, g_fd in fd.items():
             assert relative_error(analytic[i], g_fd) < 1e-5
+
+
+class TestScatterAdd:
+    """``ranker._scatter_add`` against ``np.add.at`` on the same inputs."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[3, 0, 3, 3, 5, 0], [2], []],
+        ids=["repeated", "single", "empty"],
+    )
+    @pytest.mark.parametrize("shape", [(6,), (6, 4)], ids=["1d", "2d"])
+    def test_matches_add_at(self, rows, shape):
+        rng = np.random.default_rng(21)
+        rows = np.asarray(rows, dtype=np.int64)
+        target = rng.normal(size=shape)
+        values = rng.normal(size=(len(rows),) + shape[1:])
+        expected = target.copy()
+        np.add.at(expected, rows, values)
+        ranker._scatter_add(target, rows, values)
+        np.testing.assert_allclose(target, expected, rtol=1e-15, atol=1e-15)
+
+    def test_untouched_rows_keep_their_bits(self):
+        target = np.arange(12.0).reshape(4, 3) / 7.0
+        before = target.copy()
+        ranker._scatter_add(target, np.array([1, 1]), np.ones((2, 3)))
+        assert np.array_equal(target[[0, 2, 3]], before[[0, 2, 3]])
+        np.testing.assert_allclose(target[1], before[1] + 2.0)
+
+
+class TestEpochsMatchReference:
+    """The batched steps against the per-example ``np.add.at`` loops they replaced.
+
+    12 users x 20 items with 8 train items each and batches of 16 positives:
+    every batch repeats users and items, so a wrong duplicate sum or a wrong
+    (npp + 1) factor on the pointwise L2 term moves the result far beyond
+    the tolerance, which only allows for a different summation order.
+    """
+
+    @staticmethod
+    def dataset():
+        return low_rank_dataset(12, 20, rank=2, per_user=10, noise=0.2, seed=6)
+
+    @staticmethod
+    def assert_close(new, ref):
+        for name in ("user_emb", "item_emb", "item_bias"):
+            np.testing.assert_allclose(
+                getattr(new, name), getattr(ref, name), rtol=1e-12, atol=1e-12
+            )
+
+    @pytest.mark.parametrize(
+        "loss_kind, epoch_fn, reference",
+        [
+            ("bpr", bpr_epoch, reference_bpr_epoch),
+            ("pointwise", pointwise_epoch, reference_pointwise_epoch),
+        ],
+        ids=["bpr", "pointwise"],
+    )
+    @pytest.mark.parametrize("reg", [0.0, 0.05], ids=["reg0", "reg"])
+    def test_three_epochs(self, loss_kind, epoch_fn, reference, reg):
+        ds = self.dataset()
+        cfg = TrainConfig(
+            lr=0.5, reg=reg, epochs=1, loss_kind=loss_kind, batch_size=16,
+            negatives_per_positive=3,
+        )
+        new = ref = MfParams(*(
+            np.random.default_rng(31).normal(0, 0.3, shape)
+            for shape in ((12, 5), (20, 5), (20,))
+        ))
+        for epoch in range(3):
+            new, new_loss = epoch_fn(new, ds, cfg, np.random.default_rng([7, epoch]))
+            ref, ref_loss = reference(ref, ds, cfg, np.random.default_rng([7, epoch]))
+            assert new_loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+            self.assert_close(new, ref)
+
+    def test_batches_repeat_users_and_items(self):
+        ds = self.dataset()
+        users, items = ds.train.pairs()
+        order = np.random.default_rng([7, 0]).permutation(len(users))[:16]
+        assert len(np.unique(users[order])) < 16
+        assert len(np.unique(items[order])) < 16
 
 
 def exclusions(rows, num_items):
