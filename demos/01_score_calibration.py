@@ -26,7 +26,7 @@ SEED = 7
 
 dataset = low_rank_dataset(120, 200, rank=2, per_user=25, noise=0.25, seed=SEED)
 params = init_params(120, 200, 8, seed=[SEED, 0])
-cfg = TrainConfig(lr=0.15, reg=1e-4, epochs=1, batch_size=16, loss_kind="bpr")
+cfg = TrainConfig(lr=0.15, reg=1e-4, batch_size=16, loss_kind="bpr")
 for epoch in range(20):
     params, loss = bpr_epoch(params, dataset, cfg, np.random.default_rng([SEED, 1 + epoch]))
 print(f"backbone trained, final pairwise loss {loss:.4f}")

@@ -21,7 +21,7 @@ EPOCHS = 25
 
 dataset = low_rank_dataset(150, 250, rank=4, per_user=30, noise=0.3, seed=SEED)
 base_cfg = TrainConfig(
-    lr=0.15, reg=1e-4, epochs=1, batch_size=16, loss_kind="pointwise",
+    lr=0.15, reg=1e-4, batch_size=16, loss_kind="pointwise",
     negatives_per_positive=4,
 )
 bd_cfg = BdConfig(

@@ -19,7 +19,6 @@ driver).
 
 from . import atomic, calibration, cli, dataset, distill, metrics, perk, ranker, seeding, synthetic
 from .calibration import (
-    CalibrationSample,
     CalibrationSamples,
     Calibrator,
     PropensityModel,
@@ -41,27 +40,9 @@ from .dataset import (
     sample_negatives,
     split_per_user,
 )
-from .distill import (
-    BdConfig,
-    CotrainReport,
-    bd_loss,
-    cotrain_epoch,
-    rank_discrepancy_weights,
-)
+from .distill import BdConfig, CotrainReport, bd_loss, cotrain_epoch
 from .metrics import EvalResult, evaluate, f1_at, ndcg_at, precision_at, recall_at
-from .perk import (
-    PerkConfig,
-    PersonalizedCut,
-    expected_f1,
-    expected_ndcg,
-    expected_precision,
-    expected_recall,
-    pb_pmf,
-    perk_recommend_users,
-    select_k,
-    utility_curve,
-    utility_curves,
-)
+from .perk import PerkConfig, PersonalizedCut, perk_recommend_users, select_k, utility_curves
 from .ranker import (
     MfParams,
     TrainConfig,
@@ -71,7 +52,6 @@ from .ranker import (
     load_checkpoint,
     pointwise_epoch,
     save_checkpoint,
-    score,
     score_items,
     top_k,
 )

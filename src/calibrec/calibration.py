@@ -30,8 +30,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 from scipy.special import expit
 
@@ -75,15 +73,6 @@ class PropensityModel:
     theta: np.ndarray
     tau: float
     theta_min: float
-
-
-@dataclass
-class CalibrationSample:
-    """One (score, label, propensity) fitting point."""
-
-    s: float
-    y: int
-    theta: float = 1.0
 
 
 @dataclass
@@ -149,13 +138,9 @@ def apply(cal: Calibrator, s) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def _samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(samples, CalibrationSamples):
-        s, y, theta = (np.asarray(a, dtype=float) for a in (samples.s, samples.y, samples.theta))
-    else:
-        s = np.array([smp.s for smp in samples], dtype=float)
-        y = np.array([smp.y for smp in samples], dtype=float)
-        theta = np.array([smp.theta for smp in samples], dtype=float)
+def _samples_to_arrays(samples: CalibrationSamples) -> tuple[np.ndarray, ...]:
+    """Scores, labels and propensities as float arrays, after the input checks."""
+    s, y, theta = (np.asarray(a, dtype=float) for a in (samples.s, samples.y, samples.theta))
     if np.any((theta <= 0) | (theta > 1)):
         raise ValueError("propensities must lie in (0, 1]")
     if np.any((y != 0) & (y != 1)):
@@ -169,7 +154,7 @@ def _weights(y: np.ndarray, theta: np.ndarray, unbiased: bool) -> tuple[np.ndarr
     return y, 1.0 - y
 
 
-def nll(cal: Calibrator, samples, unbiased: bool = False) -> float:
+def nll(cal: Calibrator, samples: CalibrationSamples, unbiased: bool = False) -> float:
     """Mean weighted negative log-likelihood of samples under a calibrator."""
     s, y, theta = _samples_to_arrays(samples)
     w_pos, w_neg = _weights(y, theta, unbiased)
@@ -233,7 +218,7 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 def fit(
     kind: str,
-    samples: CalibrationSamples | Sequence[CalibrationSample],
+    samples: CalibrationSamples,
     unbiased: bool = False,
     max_iters: int = 1000,
     tol: float = 1e-8,
@@ -328,7 +313,7 @@ def fit(
     return (cal, np.array(trace)) if full_output else cal
 
 
-def gradient_norm(cal: Calibrator, samples, unbiased: bool = False) -> float:
+def gradient_norm(cal: Calibrator, samples: CalibrationSamples, unbiased: bool = False) -> float:
     """Infinity-norm of the fitting objective's gradient at a parametric calibrator.
 
     The objective is the one ``fit`` minimizes, on the samples shifted by

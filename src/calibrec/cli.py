@@ -6,9 +6,9 @@ Unknown keys are rejected. Exit codes: 0 success, 1 I/O failure,
 2 validation failure.
 
 Randomness derives from one global seed expanded into per-stage streams
-(see ``seeding``); training additionally keys each epoch's stream by the
-epoch number, so a resumed run consumes the same streams an uninterrupted
-run would.
+(see ``seeding``); train and distill additionally key each epoch's stream
+by the epoch number, so a resumed training run consumes the same streams
+an uninterrupted run would.
 """
 
 from __future__ import annotations
@@ -263,10 +263,57 @@ def _load_model(path, dataset: Dataset):
     return params, header
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_recommendation(row, personalized: bool) -> str | None:
+    """What is wrong with one recommendation row, or None if nothing is."""
+    if not isinstance(row, dict):
+        return "a row must be a JSON object"
+    needed = ("user", "k_star", "curve", "items") if personalized else ("user", "items")
+    missing = [key for key in needed if key not in row]
+    if missing:
+        return f"row lacks {', '.join(missing)}"
+    if not _is_int(row["user"]):
+        return f"user {row['user']!r} is not an integer"
+    if not (isinstance(row["items"], list) and all(_is_int(i) for i in row["items"])):
+        return "items must be a list of integers"
+    if personalized:
+        curve = row["curve"]
+        if not (isinstance(curve, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in curve
+        )):
+            return "curve must be a list of numbers"
+        if not (_is_int(row["k_star"]) and 1 <= row["k_star"] <= len(curve)):
+            return f"k_star {row['k_star']!r} is not an integer in 1..{len(curve)}"
+    return None
+
+
 def load_recommendations(path):
-    """Read a recommendation JSONL file into lists or PersonalizedCuts."""
-    rows = read_jsonl(path)
-    if rows and "k_star" in rows[0]:
+    """Read a recommendation JSONL file into lists or PersonalizedCuts.
+
+    The first row decides the kind: rows with ``k_star`` are personalized
+    cuts. Raises ValueError, naming the file and line, for a row that is not
+    JSON, lacks a key of its kind, holds a user or item that is not an
+    integer, or a k_star outside 1..len(curve); and for a file without rows.
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    rows.append((line_no, json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path} holds no recommendation rows")
+    personalized = isinstance(rows[0][1], dict) and "k_star" in rows[0][1]
+    for line_no, row in rows:
+        problem = _check_recommendation(row, personalized)
+        if problem:
+            raise ValueError(f"{path}:{line_no}: {problem}")
+    if personalized:
         return [
             PersonalizedCut(
                 user=row["user"],
@@ -275,29 +322,9 @@ def load_recommendations(path):
                 items=list(row["items"]),
                 k_max_effective=len(row["curve"]),
             )
-            for row in rows
+            for _, row in rows
         ]
-    return {row["user"]: list(row["items"]) for row in rows}
-
-
-# ---------------------------------------------------------------------------
-# training-stream derivation (shared by train and distill so that a
-# lambda=0 co-training run is reproducible command by command)
-
-
-def _train_init_seed(cfg, base_stream):
-    if base_stream == "train":
-        return stream_seed(cfg["seed"], "train", 0)
-    model = 0 if base_stream == "distill-teacher" else 1
-    return stream_seed(cfg["seed"], "bd", 0, model)
-
-
-def _train_epoch_rng(cfg, base_stream, epoch):
-    if base_stream == "train":
-        return np.random.default_rng(stream_seed(cfg["seed"], "train", 1 + epoch))
-    parent = np.random.default_rng(stream_seed(cfg["seed"], "bd", 1 + epoch))
-    children = parent.spawn(2)
-    return children[0] if base_stream == "distill-teacher" else children[1]
+    return {row["user"]: list(row["items"]) for _, row in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +361,6 @@ def cmd_train(args, cfg) -> int:
     train_cfg = TrainConfig(
         lr=cfg["train.lr"],
         reg=cfg["train.reg"],
-        epochs=max(1, cfg["train.epochs"]),
         batch_size=cfg["train.batch_size"],
         loss_kind=cfg["train.loss"],
         negatives_per_positive=cfg["train.negatives_per_positive"],
@@ -349,14 +375,14 @@ def cmd_train(args, cfg) -> int:
             dataset.num_users,
             dataset.num_items,
             cfg["train.dim"],
-            seed=_train_init_seed(cfg, args.base_stream),
+            seed=stream_seed(cfg["seed"], "train", 0),
         )
         start_epoch = 0
 
     log_path = Path(args.log) if args.log else Path(str(args.out) + "_log.jsonl")
     with atomic_open(log_path, keep_existing=bool(args.resume)) as log:
         for epoch in range(start_epoch, cfg["train.epochs"]):
-            rng = _train_epoch_rng(cfg, args.base_stream, epoch)
+            rng = np.random.default_rng(stream_seed(cfg["seed"], "train", 1 + epoch))
             params, loss = epoch_fn(params, dataset, train_cfg, rng)
             log.write(_jsonl_line({"epoch": epoch, "loss": loss}))
             print(f"epoch {epoch}: loss {loss:.6f}")
@@ -464,7 +490,6 @@ def cmd_distill(args, cfg) -> int:
     base_cfg = TrainConfig(
         lr=cfg["train.lr"],
         reg=cfg["train.reg"],
-        epochs=1,
         batch_size=cfg["train.batch_size"],
         loss_kind="pointwise",
         negatives_per_positive=cfg["train.negatives_per_positive"],
@@ -488,7 +513,7 @@ def cmd_distill(args, cfg) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_every = args.save_every if args.save_every is not None else cfg["bd.save_every"]
+    save_every = cfg["bd.save_every"]
 
     def save_both(epochs_done):
         save_checkpoint(teacher, out / "teacher", seed=cfg["seed"],
@@ -715,13 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint base path (writes .json/.bin)")
     p.add_argument("--resume", help="checkpoint base to continue from")
     p.add_argument("--log", help="loss log path (JSON lines)")
-    p.add_argument(
-        "--base-stream",
-        choices=("train", "distill-teacher", "distill-student"),
-        default="train",
-        help="which random stream to consume; the distill-* values reproduce "
-        "one side of a co-training run for composition checks",
-    )
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -735,7 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("distill", help="co-train teacher and student models")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--save-every", type=int, default=None, help="override bd.save_every")
     _add_common(p)
     p.set_defaults(func=cmd_distill)
 

@@ -26,7 +26,7 @@ class DataFormatError(ValueError):
 
 @dataclass
 class IdMaps:
-    """Bidirectional mapping between external string ids and dense indices."""
+    """Mapping from external string ids to dense indices, assigned on first sight."""
 
     user_to_index: dict[str, int] = field(default_factory=dict)
     item_to_index: dict[str, int] = field(default_factory=dict)
@@ -53,20 +53,6 @@ class IdMaps:
             idx = len(self.item_to_index)
             self.item_to_index[external_id] = idx
         return idx
-
-    def user_id(self, index: int) -> str:
-        """External id for a user index (inverse of user_index)."""
-        return self._invert(self.user_to_index)[index]
-
-    def item_id(self, index: int) -> str:
-        return self._invert(self.item_to_index)[index]
-
-    @staticmethod
-    def _invert(mapping: dict[str, int]) -> list[str]:
-        inv = [""] * len(mapping)
-        for key, idx in mapping.items():
-            inv[idx] = key
-        return inv
 
 
 SPLITS = ("train", "validation", "test")
@@ -203,23 +189,18 @@ class Dataset:
         return {int(u): self.train.row(u) for u in np.flatnonzero(sizes)}
 
 
-def load_interactions(
-    path,
-    delimiter: str = ",",
-    id_maps: IdMaps | None = None,
-) -> tuple[list[Interaction], IdMaps]:
+def load_interactions(path, delimiter: str = ",") -> tuple[list[Interaction], IdMaps]:
     """Read a delimiter-separated interaction log.
 
     Each non-empty line is ``user_id<delim>item_id[<delim>timestamp]``.
     External ids are mapped to dense 0-based indices in first-appearance
-    order; an existing ``id_maps`` is extended in place so several files can
-    share one index space. Duplicate (user, item) lines collapse to a single
-    interaction; timestamps are ignored.
+    order. Duplicate (user, item) lines collapse to a single interaction;
+    timestamps are ignored.
 
     Raises DataFormatError on malformed lines (with the line number) and on
     input containing no interactions. I/O failures propagate as OSError.
     """
-    maps = id_maps if id_maps is not None else IdMaps()
+    maps = IdMaps()
     interactions: list[Interaction] = []
     seen: set[Interaction] = set()
     with open(path, "r", encoding="utf-8") as handle:

@@ -51,27 +51,6 @@ def _discrepancy(r_this, r_other, eta: float, truncate_rank: int) -> np.ndarray:
     return np.tanh(eta * np.maximum(gap, 0))
 
 
-def rank_discrepancy_weights(
-    rank_this: dict[int, int],
-    rank_other: dict[int, int],
-    eta: float,
-    truncate_rank: int,
-) -> dict[int, float]:
-    """Sampling weight per item: tanh(eta * max(0, r_this - r_other)).
-
-    Ranks are clamped at ``truncate_rank`` first. The weight is positive
-    exactly when the other model ranks the item strictly better (after
-    truncation), and saturates as the discrepancy grows. The one-user form
-    of ``top_t_weights``, over full 1-based rank rows.
-    """
-    if rank_this.keys() != rank_other.keys():
-        raise ValueError("rank rows cover different candidate sets")
-    items = list(rank_this)
-    r_this = np.array([rank_this[i] for i in items], dtype=np.int64)
-    r_other = np.array([rank_other[i] for i in items], dtype=np.int64)
-    return dict(zip(items, _discrepancy(r_this, r_other, eta, truncate_rank).tolist()))
-
-
 def top_t_rows(params: MfParams, dataset: Dataset, truncate_rank: int) -> np.ndarray:
     """Every user's best ``truncate_rank`` non-train items: ``top_k`` rows, -1 padded."""
     return top_k(params, np.arange(dataset.num_users), truncate_rank, dataset.train)
@@ -87,8 +66,8 @@ def top_t_weights(
     ``other_top[u, j]``, which the counterpart ranks j + 1; the learner
     ranks it by its position in ``own_top[u]``, or ``truncate_rank`` when it
     is absent there. Padding weighs 0. An item outside the counterpart's
-    top T - 1 weighs 0 in ``rank_discrepancy_weights``, so this equals that
-    form over full rank rows.
+    top T - 1 weighs 0 over full rank rows too, so no other item needs a
+    weight (see ``docs/distill.md``).
     """
     num_users, width = other_top.shape
     # (user, item) keys u * span + item + 1; padding (-1) keys to u * span,
@@ -145,21 +124,16 @@ def _bce(learner_probs: np.ndarray, target_probs: np.ndarray) -> np.ndarray:
     return -(t * np.log(q) + (1.0 - t) * np.log1p(-q))
 
 
-def bd_loss(
-    learner_probs: dict[int, float],
-    target_probs: dict[int, float],
-    items: list[int],
-) -> float:
+def bd_loss(learner_probs: np.ndarray, target_probs: np.ndarray) -> float:
     """Mean binary cross-entropy of learner probabilities against targets.
 
-    Targets are constants (no gradient reaches the target model). Returns 0
-    for an empty item list; the co-training report flags those users.
+    The two arrays pair up entry by entry. Targets are constants (no
+    gradient reaches the target model). Returns 0 when both are empty.
     """
-    if not items:
+    q = np.asarray(learner_probs, dtype=float)
+    if not q.size:
         return 0.0
-    q = np.array([learner_probs[i] for i in items], dtype=float)
-    t = np.array([target_probs[i] for i in items], dtype=float)
-    return float(np.mean(_bce(q, t)))
+    return float(np.mean(_bce(q, np.asarray(target_probs, dtype=float))))
 
 
 def bd_score_grads(learner_probs: np.ndarray, target_probs: np.ndarray) -> np.ndarray:
@@ -229,8 +203,7 @@ def _distill_pass(
         model.user_emb[user] -= base_cfg.lr * (g @ model.item_emb[idx])
         model.item_emb[idx] -= base_cfg.lr * np.outer(g, p_u)
         model.item_bias[idx] -= base_cfg.lr * g
-    mean_bce = float(np.mean(_bce(learner, targets))) if len(items) else 0.0
-    return mean_bce, len(items), empty_users
+    return bd_loss(learner, targets), len(items), empty_users
 
 
 def cotrain_epoch(

@@ -63,15 +63,12 @@ class EvalRow:
     per_user: dict[str, dict[int, float]]
     mean_k_star: float | None = None
 
-    def to_dict(self, include_per_user: bool = False) -> dict:
+    def to_dict(self) -> dict:
+        """The report row: label, k, mean k* when personalized, then the means."""
         out: dict = {"label": self.label, "k": self.k}
         if self.mean_k_star is not None:
             out["mean_k_star"] = self.mean_k_star
         out.update(self.means)
-        if include_per_user:
-            out["per_user"] = {
-                m: {str(u): v for u, v in vals.items()} for m, vals in self.per_user.items()
-            }
         return out
 
 
@@ -80,13 +77,6 @@ class EvalResult:
     users_evaluated: int
     users_skipped: int
     rows: list[EvalRow] = field(default_factory=list)
-
-    def to_dict(self, include_per_user: bool = False) -> dict:
-        return {
-            "users_evaluated": self.users_evaluated,
-            "users_skipped": self.users_skipped,
-            "rows": [row.to_dict(include_per_user) for row in self.rows],
-        }
 
 
 def _hit_prefixes(

@@ -7,11 +7,10 @@ on the Poisson-binomial distribution (the law of a sum of independent,
 differently-weighted coins). The chosen cutoff k* is the smallest argmax of
 the expected-utility curve over k = 1..k_max.
 
-All expectations here are exact under the independence model; nothing in
-the product path is sampled. The product path (``perk_recommend_users`` and
-``utility_curves``) evaluates whole curves for a block of users at once;
-the standalone ``expected_*`` functions and ``pb_pmf`` are the definitional
-forms it is tested against. docs/perk.md derives the curve identity.
+All expectations here are exact under the independence model; nothing is
+sampled. ``perk_recommend_users`` and ``utility_curves`` evaluate whole
+curves for a block of users at once; docs/perk.md derives the curve
+identity.
 """
 
 from __future__ import annotations
@@ -66,101 +65,6 @@ def _validate_probs(probs, name: str) -> np.ndarray:
     return arr
 
 
-def _pb_step(pmf: np.ndarray, p: float) -> np.ndarray:
-    """Fold one Bernoulli(p) into a count distribution."""
-    out = np.zeros(len(pmf) + 1)
-    out[:-1] = pmf * (1.0 - p)
-    out[1:] += pmf * p
-    return out
-
-
-def pb_pmf(probs) -> np.ndarray:
-    """Distribution of the number of successes among independent Bernoullis.
-
-    Dynamic program over the items, O(n^2) total; exact up to float
-    rounding. Returns a vector of length n+1 over counts 0..n.
-    """
-    arr = _validate_probs(probs, "probs")
-    pmf = np.array([1.0])
-    for p in arr:
-        pmf = _pb_step(pmf, float(p))
-    return pmf
-
-
-def expected_precision(probs_topk) -> float:
-    """Mean of the top-k probabilities (linearity of expectation)."""
-    arr = _validate_probs(probs_topk, "probs_topk")
-    if len(arr) == 0:
-        raise ValueError("top-k probabilities must be non-empty")
-    return float(arr.mean())
-
-
-def _recall_from_pmfs(pmf_top: np.ndarray, pmf_rest: np.ndarray) -> float:
-    a = np.arange(len(pmf_top), dtype=float)
-    b = np.arange(len(pmf_rest), dtype=float)
-    denom = a[:, None] + b[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grid = np.where(denom > 0, a[:, None] / denom, 0.0)
-    return float(pmf_top @ grid @ pmf_rest)
-
-
-def expected_recall(probs_topk, probs_rest) -> float:
-    """E[A / (A + B)] with A ~ PB(top-k), B ~ PB(rest) independent; 0/0 -> 0."""
-    top = _validate_probs(probs_topk, "probs_topk")
-    rest = _validate_probs(probs_rest, "probs_rest")
-    return _recall_from_pmfs(pb_pmf(top), pb_pmf(rest))
-
-
-def _f1_from_pmfs(pmf_top: np.ndarray, pmf_rest: np.ndarray, k: int) -> float:
-    a = np.arange(len(pmf_top), dtype=float)
-    b = np.arange(len(pmf_rest), dtype=float)
-    grid = 2.0 * a[:, None] / (k + a[:, None] + b[None, :])
-    return float(pmf_top @ grid @ pmf_rest)
-
-
-def expected_f1(probs_topk, probs_rest) -> float:
-    """E[2A / (k + A + B)]: harmonic precision/recall mean in expectation."""
-    top = _validate_probs(probs_topk, "probs_topk")
-    rest = _validate_probs(probs_rest, "probs_rest")
-    if len(top) == 0:
-        raise ValueError("top-k probabilities must be non-empty")
-    return _f1_from_pmfs(pb_pmf(top), pb_pmf(rest), len(top))
-
-
-def _ndcg_from_rest_pmf(probs_topk: np.ndarray, pmf_rest: np.ndarray) -> float:
-    k = len(probs_topk)
-    gains = 1.0 / np.log2(np.arange(2, k + 2))
-    inv_idcg = 1.0 / np.cumsum(gains)  # inv_idcg[r-1] = 1 / IDCG(r)
-    total = 0.0
-    for i in range(k):
-        p_i = probs_topk[i]
-        if p_i == 0.0:
-            continue
-        others = np.delete(probs_topk, i)
-        # conditioning on item i being relevant removes it from the count;
-        # rebuilt from scratch rather than deconvolved for stability
-        pmf_others = pb_pmf(others)
-        pmf_m = np.convolve(pmf_others, pmf_rest)
-        ranks = np.minimum(np.arange(len(pmf_m)) + 1, k)
-        total += p_i * gains[i] * float(pmf_m @ inv_idcg[ranks - 1])
-    return total
-
-
-def expected_ndcg(probs_topk, probs_rest) -> float:
-    """Exact E[DCG/IDCG] under independent relevance, in ranking order.
-
-    For each position i, conditions on item i being relevant: the remaining
-    relevant count is A_{-i} + B, and the ideal normalizer uses
-    min(1 + A_{-i} + B, k) positions. Lists where nothing is relevant
-    contribute 0 (the 0/0 convention).
-    """
-    top = _validate_probs(probs_topk, "probs_topk")
-    rest = _validate_probs(probs_rest, "probs_rest")
-    if len(top) == 0:
-        raise ValueError("top-k probabilities must be non-empty")
-    return _ndcg_from_rest_pmf(top, pb_pmf(rest))
-
-
 # Users per block: a block shares its pool, score and curve temporaries. A
 # curve block is cut further so each (users, k_max, k_max) array holds at
 # most _BLOCK_ENTRIES entries (0.5 MB).
@@ -169,14 +73,14 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def _fold(pmf: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row-wise ``_pb_step`` into the same width; the last column must be 0."""
+    """Fold one Bernoulli(p) per row into same-width count pmfs; the last column must be 0."""
     out = pmf * (1.0 - p)
     out[..., 1:] += pmf[..., :-1] * p
     return out
 
 
 def _pb_rows(probs: np.ndarray) -> np.ndarray:
-    """Row-wise ``pb_pmf``: (users, n) probabilities to (users, n+1) pmfs."""
+    """Poisson-binomial count pmfs, row by row: (users, n) probabilities to (users, n+1)."""
     users, n = probs.shape
     pmf = np.zeros((users, n + 1))
     pmf[:, 0] = 1.0
@@ -274,18 +178,6 @@ def utility_curves(ranked_probs, rest_probs, kind: str) -> np.ndarray:
         block = slice(start, start + rows)
         out[block] = _loo_curves(ranked[block], pmf_rest[block], kind)
     return np.minimum(out, 1.0, out=out)
-
-
-def utility_curve(ranked_probs, rest_probs, kind: str) -> np.ndarray:
-    """Expected utility of every prefix: entry k-1 is the top-k value.
-
-    The one-user form of ``utility_curves``. For recall/f1/ndcg the "rest"
-    of cutoff k is ranked_probs[k:] followed by rest_probs; precision
-    ignores the rest entirely.
-    """
-    ranked = np.asarray(ranked_probs, dtype=float).reshape(1, -1)
-    rest = np.asarray(rest_probs, dtype=float).reshape(1, -1)
-    return utility_curves(ranked, rest, kind)[0]
 
 
 def select_k(curve) -> int:

@@ -53,7 +53,6 @@ class MfParams:
 class TrainConfig:
     lr: float = 0.05
     reg: float = 0.0
-    epochs: int = 10
     batch_size: int = 1
     loss_kind: str = "bpr"
     negatives_per_positive: int = 1
@@ -63,8 +62,6 @@ class TrainConfig:
             raise ValueError("lr must be nonnegative")
         if self.reg < 0:
             raise ValueError("reg must be nonnegative")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.loss_kind not in LOSS_KINDS:
@@ -87,28 +84,10 @@ def init_params(num_users: int, num_items: int, dim: int, seed) -> MfParams:
     )
 
 
-def _check_user(params: MfParams, u: int):
+def score_items(params: MfParams, u: int, items) -> np.ndarray:
+    """Scores of ``items`` for one user, as a vector."""
     if not 0 <= u < params.num_users:
         raise IndexError(f"user index {u} out of range [0, {params.num_users})")
-
-
-def _check_item(params: MfParams, i: int):
-    if not 0 <= i < params.num_items:
-        raise IndexError(f"item index {i} out of range [0, {params.num_items})")
-
-
-def score(params: MfParams, u: int, i: int) -> float:
-    """Ranking score for one (user, item) pair."""
-    _check_user(params, u)
-    _check_item(params, i)
-    return float(params.user_emb[u] @ params.item_emb[i] + params.item_bias[i])
-
-
-def score_items(params: MfParams, u: int, items=None) -> np.ndarray:
-    """Scores of ``items`` (or all items) for one user, as a vector."""
-    _check_user(params, u)
-    if items is None:
-        return params.item_emb @ params.user_emb[u] + params.item_bias
     idx = np.asarray(items, dtype=np.int64)
     return params.item_emb[idx] @ params.user_emb[u] + params.item_bias[idx]
 
@@ -396,25 +375,34 @@ def save_checkpoint(
 
 
 def load_checkpoint(base_path) -> tuple[MfParams, dict]:
-    """Read a checkpoint written by save_checkpoint; returns (params, header)."""
+    """Read a checkpoint written by save_checkpoint; returns (params, header).
+
+    Raises ValueError when the header lacks a key the format requires, or
+    when the sidecar's length differs from the one the header lists.
+    """
     base = Path(base_path)
     header_path = base if base.suffix == ".json" else base.with_name(base.name + ".json")
     with open(header_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
-    sidecar_path = header_path.with_name(header["sidecar"])
+    try:
+        sidecar_path = header_path.with_name(header["sidecar"])
+        metas = [header["arrays"][name] for name in _ARRAY_ORDER]
+        spans = [(m["offset"], m["bytes"], m["dtype"], m["shape"]) for m in metas]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"{header_path}: checkpoint header key missing or malformed: {exc}"
+        ) from None
     raw = sidecar_path.read_bytes()
-    expected = sum(header["arrays"][name]["bytes"] for name in _ARRAY_ORDER)
+    expected = sum(n for _, n, _, _ in spans)
     if len(raw) != expected:
         raise ValueError(
             f"checkpoint sidecar {sidecar_path} holds {len(raw)} bytes, header lists {expected}"
         )
 
     parts = {}
-    for name in _ARRAY_ORDER:
-        meta = header["arrays"][name]
-        start, n = meta["offset"], meta["bytes"]
+    for name, (start, n, dtype, shape) in zip(_ARRAY_ORDER, spans):
         if start + n > len(raw):
             raise ValueError(f"checkpoint sidecar truncated reading {name}")
-        arr = np.frombuffer(raw[start : start + n], dtype=meta["dtype"])
-        parts[name] = arr.reshape(meta["shape"]).astype(np.float64)
+        arr = np.frombuffer(raw[start : start + n], dtype=dtype)
+        parts[name] = arr.reshape(shape).astype(np.float64)
     return MfParams(parts["user_emb"], parts["item_emb"], parts["item_bias"]), header

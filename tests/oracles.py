@@ -2,12 +2,14 @@
 
 Everything here is deliberately brute force: exhaustive enumeration, Monte
 Carlo simulation, finite differences, a full sort of every score, the
-incremental per-cutoff expected-utility curve that the batched one
-replaced, the per-example ``np.add.at`` training steps that the bincount
-scatter replaced, and a general-purpose quasi-Newton minimizer for
-calibrator fits. Nothing imports the code paths it verifies; the reference
-epochs draw their negatives with the library's sampler so that they use
-the same random stream.
+definitional one-user expected utilities and their Poisson-binomial
+dynamic program, the incremental per-cutoff expected-utility curve that
+the batched one replaced, the dict form of the rank-discrepancy weights,
+the per-example ``np.add.at`` training steps that the bincount scatter
+replaced, and a general-purpose quasi-Newton minimizer for calibrator
+fits. Nothing imports the code paths it verifies; the reference epochs
+draw their negatives with the library's sampler so that they use the same
+random stream.
 """
 
 import numpy as np
@@ -93,18 +95,112 @@ def mc_all_utilities(topk, rest, n_draws, rng):
     return out
 
 
-def _pb_fold(pmf, p):
+def _checked_probs(probs, name):
+    arr = np.asarray(probs, dtype=float)
+    if np.any(np.isnan(arr)):
+        raise ValueError(f"{name} contains NaN")
+    if np.any((arr < 0) | (arr > 1)):
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return arr
+
+
+# The definitional one-user forms of the expected utilities: each builds the
+# count distributions with its own dynamic program and sums over them.
+
+
+def _pb_step(pmf: np.ndarray, p: float) -> np.ndarray:
+    """Fold one Bernoulli(p) into a count distribution."""
     out = np.zeros(len(pmf) + 1)
     out[:-1] = pmf * (1.0 - p)
     out[1:] += pmf * p
     return out
 
 
-def _pb(probs):
+def pb_pmf(probs) -> np.ndarray:
+    """Distribution of the number of successes among independent Bernoullis.
+
+    Dynamic program over the items, O(n^2) total; exact up to float
+    rounding. Returns a vector of length n+1 over counts 0..n.
+    """
+    arr = _checked_probs(probs, "probs")
     pmf = np.array([1.0])
-    for p in probs:
-        pmf = _pb_fold(pmf, float(p))
+    for p in arr:
+        pmf = _pb_step(pmf, float(p))
     return pmf
+
+
+def expected_precision(probs_topk) -> float:
+    """Mean of the top-k probabilities (linearity of expectation)."""
+    arr = _checked_probs(probs_topk, "probs_topk")
+    if len(arr) == 0:
+        raise ValueError("top-k probabilities must be non-empty")
+    return float(arr.mean())
+
+
+def _recall_from_pmfs(pmf_top: np.ndarray, pmf_rest: np.ndarray) -> float:
+    a = np.arange(len(pmf_top), dtype=float)
+    b = np.arange(len(pmf_rest), dtype=float)
+    denom = a[:, None] + b[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grid = np.where(denom > 0, a[:, None] / denom, 0.0)
+    return float(pmf_top @ grid @ pmf_rest)
+
+
+def expected_recall(probs_topk, probs_rest) -> float:
+    """E[A / (A + B)] with A ~ PB(top-k), B ~ PB(rest) independent; 0/0 -> 0."""
+    top = _checked_probs(probs_topk, "probs_topk")
+    rest = _checked_probs(probs_rest, "probs_rest")
+    return _recall_from_pmfs(pb_pmf(top), pb_pmf(rest))
+
+
+def _f1_from_pmfs(pmf_top: np.ndarray, pmf_rest: np.ndarray, k: int) -> float:
+    a = np.arange(len(pmf_top), dtype=float)
+    b = np.arange(len(pmf_rest), dtype=float)
+    grid = 2.0 * a[:, None] / (k + a[:, None] + b[None, :])
+    return float(pmf_top @ grid @ pmf_rest)
+
+
+def expected_f1(probs_topk, probs_rest) -> float:
+    """E[2A / (k + A + B)]: harmonic precision/recall mean in expectation."""
+    top = _checked_probs(probs_topk, "probs_topk")
+    rest = _checked_probs(probs_rest, "probs_rest")
+    if len(top) == 0:
+        raise ValueError("top-k probabilities must be non-empty")
+    return _f1_from_pmfs(pb_pmf(top), pb_pmf(rest), len(top))
+
+
+def _ndcg_from_rest_pmf(probs_topk: np.ndarray, pmf_rest: np.ndarray) -> float:
+    k = len(probs_topk)
+    gains = 1.0 / np.log2(np.arange(2, k + 2))
+    inv_idcg = 1.0 / np.cumsum(gains)  # inv_idcg[r-1] = 1 / IDCG(r)
+    total = 0.0
+    for i in range(k):
+        p_i = probs_topk[i]
+        if p_i == 0.0:
+            continue
+        others = np.delete(probs_topk, i)
+        # conditioning on item i being relevant removes it from the count;
+        # rebuilt from scratch rather than deconvolved for stability
+        pmf_others = pb_pmf(others)
+        pmf_m = np.convolve(pmf_others, pmf_rest)
+        ranks = np.minimum(np.arange(len(pmf_m)) + 1, k)
+        total += p_i * gains[i] * float(pmf_m @ inv_idcg[ranks - 1])
+    return total
+
+
+def expected_ndcg(probs_topk, probs_rest) -> float:
+    """Exact E[DCG/IDCG] under independent relevance, in ranking order.
+
+    For each position i, conditions on item i being relevant: the remaining
+    relevant count is A_{-i} + B, and the ideal normalizer uses
+    min(1 + A_{-i} + B, k) positions. Lists where nothing is relevant
+    contribute 0 (the 0/0 convention).
+    """
+    top = _checked_probs(probs_topk, "probs_topk")
+    rest = _checked_probs(probs_rest, "probs_rest")
+    if len(top) == 0:
+        raise ValueError("top-k probabilities must be non-empty")
+    return _ndcg_from_rest_pmf(top, pb_pmf(rest))
 
 
 def reference_utility_curve(ranked, rest, kind):
@@ -121,14 +217,14 @@ def reference_utility_curve(ranked, rest, kind):
     if kind == "precision":
         return np.cumsum(ranked) / np.arange(1, k_max + 1)
     rest_pmfs = [None] * (k_max + 1)
-    rest_pmfs[k_max] = _pb(rest)
+    rest_pmfs[k_max] = pb_pmf(rest)
     for k in range(k_max - 1, 0, -1):
-        rest_pmfs[k] = _pb_fold(rest_pmfs[k + 1], float(ranked[k]))
+        rest_pmfs[k] = _pb_step(rest_pmfs[k + 1], float(ranked[k]))
 
     curve = np.empty(k_max)
     pmf_top = np.array([1.0])
     for k in range(1, k_max + 1):
-        pmf_top = _pb_fold(pmf_top, float(ranked[k - 1]))
+        pmf_top = _pb_step(pmf_top, float(ranked[k - 1]))
         a = np.arange(len(pmf_top), dtype=float)[:, None]
         b = np.arange(len(rest_pmfs[k]), dtype=float)[None, :]
         if kind == "recall":
@@ -145,11 +241,28 @@ def reference_utility_curve(ranked, rest, kind):
         for i in range(k):
             if ranked[i] == 0.0:
                 continue
-            pmf_m = np.convolve(_pb(np.delete(ranked[:k], i)), rest_pmfs[k])
+            pmf_m = np.convolve(pb_pmf(np.delete(ranked[:k], i)), rest_pmfs[k])
             ranks = np.minimum(np.arange(len(pmf_m)) + 1, k)
             total += ranked[i] * gains[i] * float(pmf_m @ inv_idcg[ranks - 1])
         curve[k - 1] = total
     return curve
+
+
+def rank_discrepancy_weights(rank_this, rank_other, eta, truncate_rank):
+    """Sampling weight per item: tanh(eta * max(0, r_this - r_other)), by dict.
+
+    ``rank_this`` and ``rank_other`` map each candidate item to its 1-based
+    rank under the learner and the counterpart. Ranks are clamped at
+    ``truncate_rank`` first, so the weight is positive exactly when the
+    counterpart ranks the item strictly better after truncation. The
+    definitional form of ``distill.top_t_weights``, over full rank rows.
+    """
+    if rank_this.keys() != rank_other.keys():
+        raise ValueError("rank rows cover different candidate sets")
+    items = list(rank_this)
+    r_this = np.minimum([rank_this[i] for i in items], truncate_rank)
+    r_other = np.minimum([rank_other[i] for i in items], truncate_rank)
+    return dict(zip(items, np.tanh(eta * np.maximum(r_this - r_other, 0)).tolist()))
 
 
 def full_sort_ranking(params, user, exclude=()):

@@ -10,25 +10,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from calibrec.calibration import CalibrationSample, Calibrator, ece, fit, nll
+from calibrec.calibration import CalibrationSamples, Calibrator, ece, fit, nll
 from calibrec.cli import main as cli_main
 from calibrec.cli import read_jsonl
-from calibrec.distill import (
-    BdConfig,
-    bd_loss,
-    bd_score_grads,
-    cotrain_epoch,
-    rank_discrepancy_weights,
-)
-from calibrec.perk import (
-    expected_f1,
-    expected_ndcg,
-    expected_precision,
-    expected_recall,
-    pb_pmf,
-    select_k,
-    utility_curve,
-)
+from calibrec.distill import BdConfig, bd_loss, bd_score_grads, cotrain_epoch, top_t_weights
+from calibrec.perk import _pb_rows, select_k, utility_curves
 from calibrec.ranker import (
     MfParams,
     TrainConfig,
@@ -36,7 +22,7 @@ from calibrec.ranker import (
     bpr_epoch,
     init_params,
     pointwise_epoch,
-    score,
+    score_items,
 )
 from calibrec.synthetic import low_rank_dataset, low_rank_interactions, write_interactions_csv
 
@@ -70,6 +56,11 @@ def flatten(params):
     return np.concatenate([params.user_emb.ravel(), params.item_emb.ravel(), params.item_bias])
 
 
+def samples(s, y, theta=None):
+    theta = np.ones(len(s)) if theta is None else theta
+    return CalibrationSamples(np.asarray(s, dtype=float), np.asarray(y), theta)
+
+
 def unflatten(theta, like):
     u = like.user_emb.size
     i = like.item_emb.size
@@ -88,13 +79,14 @@ def test_c01_gradient_correctness():
     ds = make_dataset({0: {0}}, num_items=2)
     reg = 0.02
     params = MfParams(rng.normal(0, 0.5, (1, 4)), rng.normal(0, 0.5, (2, 4)), rng.normal(0, 0.5, 2))
-    cfg = TrainConfig(lr=0.5, reg=reg, epochs=1, loss_kind="bpr", batch_size=1)
+    cfg = TrainConfig(lr=0.5, reg=reg, loss_kind="bpr", batch_size=1)
     stepped, _ = bpr_epoch(params, ds, cfg, np.random.default_rng(1))
     analytic = (flatten(params) - flatten(stepped)) / cfg.lr
 
     def bpr_objective(theta):
         p = unflatten(theta, params)
-        x = score(p, 0, 0) - score(p, 0, 1)
+        s_pos, s_neg = score_items(p, 0, [0, 1])
+        x = s_pos - s_neg
         return np.logaddexp(0.0, -x) + reg * (
             np.sum(p.user_emb[0] ** 2) + np.sum(p.item_emb[0] ** 2) + np.sum(p.item_emb[1] ** 2)
         )
@@ -109,17 +101,18 @@ def test_c01_gradient_correctness():
     ds = make_dataset({0: {1}}, num_items=2)
     params = MfParams(rng.normal(0, 0.5, (1, 4)), rng.normal(0, 0.5, (2, 4)), rng.normal(0, 0.5, 2))
     cfg = TrainConfig(
-        lr=0.3, reg=reg, epochs=1, loss_kind="pointwise", negatives_per_positive=1, batch_size=1
+        lr=0.3, reg=reg, loss_kind="pointwise", negatives_per_positive=1, batch_size=1
     )
     stepped, _ = pointwise_epoch(params, ds, cfg, np.random.default_rng(2))
     analytic = (flatten(params) - flatten(stepped)) / cfg.lr
 
     def pointwise_objective(theta):
         p = unflatten(theta, params)
-        pos = np.logaddexp(0.0, -score(p, 0, 1)) + reg * (
+        s_neg, s_pos = score_items(p, 0, [0, 1])
+        pos = np.logaddexp(0.0, -s_pos) + reg * (
             np.sum(p.user_emb[0] ** 2) + np.sum(p.item_emb[1] ** 2)
         )
-        neg = np.logaddexp(0.0, score(p, 0, 0)) + reg * (
+        neg = np.logaddexp(0.0, s_neg) + reg * (
             np.sum(p.user_emb[0] ** 2) + np.sum(p.item_emb[0] ** 2)
         )
         return (pos + neg) / 2.0
@@ -133,12 +126,9 @@ def test_c01_gradient_correctness():
     # --- distillation loss w.r.t. learner scores
     scores = rng.normal(0, 2, 12)
     targets = rng.uniform(0.1, 0.9, 12)
-    items = list(range(12))
 
     def bd_objective(s):
-        learner = {i: float(expit(v)) for i, v in zip(items, s)}
-        target = {i: float(t) for i, t in zip(items, targets)}
-        return bd_loss(learner, target, items)
+        return bd_loss(expit(s), targets)
 
     analytic = bd_score_grads(expit(scores), targets)
     assert len(scores) >= 10
@@ -148,14 +138,14 @@ def test_c01_gradient_correctness():
 
 @criterion(2, "poisson-binomial exactness", limit_s=10.0)
 def test_c02_poisson_binomial_exactness():
+    # the product's row-wise pmfs, 20 rows of each length against enumeration
     rng = np.random.default_rng(202)
-    for _ in range(200):
-        n = int(rng.integers(1, 13))
-        probs = rng.random(n)
-        exact = pb_pmf(probs)
-        reference = brute_force_pb(probs)
-        assert np.max(np.abs(exact - reference)) < 1e-12
-        assert abs(exact.sum() - 1.0) < 1e-9
+    for n in range(1, 13):
+        probs = rng.random((20, n))
+        for row, exact in zip(probs, _pb_rows(probs)):
+            reference = brute_force_pb(row)
+            assert np.max(np.abs(exact - reference)) < 1e-12
+            assert abs(exact.sum() - 1.0) < 1e-9
 
 
 @criterion(3, "expected-utility oracle equivalence", limit_s=60.0)
@@ -167,11 +157,10 @@ def test_c03_expected_utility_monte_carlo():
         r = int(rng.integers(0, 21))
         topk = rng.random(k)
         rest = rng.random(r)
+        # the batched curves' top-k entry, with rest beyond the top k
         exact = {
-            "precision": expected_precision(topk),
-            "recall": expected_recall(topk, rest),
-            "f1": expected_f1(topk, rest),
-            "ndcg": expected_ndcg(topk, rest),
+            kind: utility_curves(topk[None], rest[None], kind)[0][k - 1]
+            for kind in ("precision", "recall", "f1", "ndcg")
         }
         mc = mc_all_utilities(topk, rest, n_draws, np.random.default_rng([3303, trial]))
         for name, (mean, se) in mc.items():
@@ -184,16 +173,16 @@ def test_c04_calibrator_recovery():
     n = 100_000
     s = rng.uniform(-3, 3, n)
     y = (rng.random(n) < expit(2.0 * s - 1.0)).astype(int)
-    cal = fit("platt", [CalibrationSample(float(a), int(b)) for a, b in zip(s, y)])
+    cal = fit("platt", samples(s, y))
     assert abs(cal.a - 2.0) <= 0.1
     assert abs(cal.b - (-1.0)) <= 0.1
 
     half = 50_000
     s2 = np.concatenate([rng.normal(1, 1, half), rng.normal(-1, 1, half)])
     y2 = np.concatenate([np.ones(half, int), np.zeros(half, int)])
-    samples = [CalibrationSample(float(a), int(b)) for a, b in zip(s2, y2)]
-    fitted = nll(fit("gaussian", samples), samples)
-    bayes = nll(Calibrator("platt", a=2.0, b=0.0), samples)  # analytic posterior sigmoid(2s)
+    mixture = samples(s2, y2)
+    fitted = nll(fit("gaussian", mixture), mixture)
+    bayes = nll(Calibrator("platt", a=2.0, b=0.0), mixture)  # analytic posterior sigmoid(2s)
     assert abs(fitted - bayes) <= 0.01 * bayes
 
 
@@ -202,9 +191,9 @@ def test_c05_unbiased_risk():
     rng = np.random.default_rng(505)
     s = rng.uniform(-2, 2, 5000)
     y = (rng.random(5000) < expit(s)).astype(int)
-    samples = [CalibrationSample(float(a), int(b), 1.0) for a, b in zip(s, y)]
-    cal_b, trace_b = fit("platt", samples, unbiased=False, full_output=True)
-    cal_u, trace_u = fit("platt", samples, unbiased=True, full_output=True)
+    unit = samples(s, y, np.ones(len(s)))
+    cal_b, trace_b = fit("platt", unit, unbiased=False, full_output=True)
+    cal_u, trace_u = fit("platt", unit, unbiased=True, full_output=True)
     assert (cal_b.a, cal_b.b, cal_b.c) == (cal_u.a, cal_u.b, cal_u.c)
     np.testing.assert_array_equal(trace_b, trace_u)
 
@@ -220,12 +209,8 @@ def test_c05_unbiased_risk():
         theta = sim.uniform(0.2, 1.0, n)
         y_obs = y_full * (sim.random(n) < theta)
 
-        full = nll(true, [CalibrationSample(float(a), int(b)) for a, b in zip(s, y_full)])
-        unbiased = nll(
-            true,
-            [CalibrationSample(float(a), int(b), float(t)) for a, b, t in zip(s, y_obs, theta)],
-            unbiased=True,
-        )
+        full = nll(true, samples(s, y_full))
+        unbiased = nll(true, samples(s, y_obs, theta), unbiased=True)
         log_ratio = np.log1p(-p_true) - np.log(p_true)
         sigma = np.sqrt(np.sum(y_full * log_ratio**2 * (1 - theta) / theta)) / n
         assert abs(unbiased - full) <= 3 * sigma, seed
@@ -256,7 +241,7 @@ def test_c07_perk_dominance():
         decay = rng.uniform(0.75, 0.98)
         probs = quality * decay ** np.arange(n_top + n_rest)
         # the true relevance probabilities stand in for calibrated outputs
-        curve = utility_curve(probs[:n_top], probs[n_top:], "f1")
+        curve = utility_curves(probs[None, :n_top], probs[None, n_top:], "f1")[0]
         k_star = select_k(curve)
         for d in range(n_draws):
             rel = np.random.default_rng([707, u, d]).random(len(probs)) < probs
@@ -279,7 +264,7 @@ def test_c08_backbone_sanity():
     seed = 42
     dataset = low_rank_dataset(200, 300, rank=2, per_user=30, noise=0.25, seed=seed)
     params = init_params(200, 300, 8, seed=[seed, 0])
-    cfg = TrainConfig(lr=0.2, reg=1e-4, epochs=1, batch_size=8, loss_kind="bpr")
+    cfg = TrainConfig(lr=0.2, reg=1e-4, batch_size=8, loss_kind="bpr")
     for epoch in range(30):
         params, _ = bpr_epoch(params, dataset, cfg, np.random.default_rng([seed, 1 + epoch]))
     value = auc(params, dataset, "validation", np.random.default_rng([seed, 99]), 40)
@@ -290,7 +275,7 @@ def test_c08_backbone_sanity():
 def test_c09_distillation_composition():
     dataset = low_rank_dataset(30, 50, rank=2, per_user=12, noise=0.25, seed=9)
     base_cfg = TrainConfig(
-        lr=0.1, reg=1e-4, epochs=1, batch_size=8, loss_kind="pointwise", negatives_per_positive=2
+        lr=0.1, reg=1e-4, batch_size=8, loss_kind="pointwise", negatives_per_positive=2
     )
     teacher = init_params(30, 50, 16, seed=[9, 0, 0])
     student = init_params(30, 50, 4, seed=[9, 0, 1])
@@ -306,21 +291,28 @@ def test_c09_distillation_composition():
         assert np.array_equal(got.item_emb, want.item_emb)
         assert np.array_equal(got.item_bias, want.item_bias)
 
+    # weight properties on the product's top-T rows: each row is one user's
+    # learner (own) and counterpart (other) ranking of n items, cut at T
     rng = np.random.default_rng(92)
     for _ in range(100):
         n = int(rng.integers(2, 40))
-        items = list(range(n))
-        r_this = {i: int(r) + 1 for i, r in zip(items, rng.permutation(n))}
-        r_other = {i: int(r) + 1 for i, r in zip(items, rng.permutation(n))}
         trunc = int(rng.integers(1, 50))
         eta = float(rng.uniform(0.05, 2.0))
-        weights = rank_discrepancy_weights(r_this, r_other, eta, trunc)
-        for i in items:
-            gap = min(r_this[i], trunc) - min(r_other[i], trunc)
-            assert (weights[i] > 0) == (gap > 0)
-            assert weights[i] == pytest.approx(np.tanh(eta * max(0, gap)))
-    # nondecreasing in the discrepancy at fixed eta
-    values = [rank_discrepancy_weights({0: 1 + d}, {0: 1}, 0.25, 10_000)[0] for d in range(200)]
+        own = np.array([rng.permutation(n) for _ in range(3)])
+        other = np.array([rng.permutation(n) for _ in range(3)])
+        width = min(n, trunc)
+        weights = top_t_weights(own[:, :width], other[:, :width], eta, trunc)
+        for u in range(3):
+            rank_this = np.argsort(own[u]) + 1  # rank_this[item] is the learner's rank
+            for j, item in enumerate(other[u, :width]):
+                gap = min(rank_this[item], trunc) - min(j + 1, trunc)
+                assert (weights[u, j] > 0) == (gap > 0)
+                assert weights[u, j] == pytest.approx(np.tanh(eta * max(0, gap)))
+    # nondecreasing in the discrepancy at fixed eta: row d has the learner
+    # rank item 0 at 1 + d and the counterpart at 1
+    own = np.array([np.roll(np.arange(200), d) for d in range(200)])
+    other = np.tile(np.arange(200), (200, 1))
+    values = top_t_weights(own, other, 0.25, 10_000)[:, 0]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 

@@ -3,7 +3,6 @@ import pytest
 from scipy.special import expit
 
 from calibrec.calibration import (
-    CalibrationSample,
     CalibrationSamples,
     Calibrator,
     _derivatives,
@@ -24,7 +23,7 @@ from calibrec.calibration import (
     save_calibrator,
     write_reliability_csv,
 )
-from calibrec.ranker import init_params, score
+from calibrec.ranker import init_params, score_items
 
 from conftest import make_dataset
 from oracles import finite_difference_grad, reference_fit
@@ -32,7 +31,7 @@ from oracles import finite_difference_grad, reference_fit
 
 def make_samples(s, y, theta=None):
     theta = np.ones(len(s)) if theta is None else theta
-    return [CalibrationSample(float(a), int(b), float(t)) for a, b, t in zip(s, y, theta)]
+    return CalibrationSamples(np.asarray(s, dtype=float), np.asarray(y), np.asarray(theta))
 
 
 def bernoulli_samples(true_fn, n, rng, low=-3.0, high=3.0):
@@ -186,9 +185,23 @@ class TestFit:
     def test_unbiased_mode_weights_by_inverse_propensity(self):
         # two samples at the same score, one positive with theta=0.5: the
         # weighted positive fraction in one histogram bin is 1/0.5 / 2 = 1.0
-        samples = [CalibrationSample(0.0, 1, 0.5), CalibrationSample(0.0, 0, 1.0)]
+        samples = make_samples([0.0, 0.0], [1, 0], [0.5, 1.0])
         cal = fit("histogram", samples, unbiased=True, num_bins=1)
         assert cal.bins[0][1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "y, theta, match",
+        [([1, 0], [0.0, 1.0], "propensities"), ([1, 0], [1.0, 1.5], "propensities"),
+         ([1, 2], [1.0, 1.0], "labels"), ([1, 0.5], [1.0, 1.0], "labels")],
+    )
+    def test_rejects_bad_propensities_and_labels(self, y, theta, match):
+        samples = make_samples([0.0, 1.0], y, theta)
+        with pytest.raises(ValueError, match=match):
+            fit("platt", samples)
+        with pytest.raises(ValueError, match=match):
+            nll(Calibrator("platt", a=1.0), samples)
+        with pytest.raises(ValueError, match=match):
+            gradient_norm(Calibrator("platt", a=1.0), samples)
 
 
 class TestObjectiveShape:
@@ -461,7 +474,7 @@ class TestCollectSamples:
         ds, params = self.make_setup()
         samples = collect_calibration_samples(params, ds, np.random.default_rng(2))
         positive_scores = sorted(samples.s[samples.y == 1])
-        expected = sorted(score(params, u, i) for u in range(5) for i in (2, 3))
+        expected = np.sort(np.concatenate([score_items(params, u, [2, 3]) for u in range(5)]))
         np.testing.assert_allclose(positive_scores, expected)
 
     def test_negatives_avoid_all_observed(self):
@@ -472,7 +485,7 @@ class TestCollectSamples:
         rng = np.random.default_rng(4)
         samples = collect_calibration_samples(params, ds, rng, negatives_per_positive=6)
         neg_scores = {round(s, 12) for s in samples.s[samples.y == 0]}
-        assert neg_scores == {round(score(params, 0, 4), 12)}
+        assert neg_scores == {round(score_items(params, 0, [4])[0], 12)}
 
     def test_empty_split(self):
         ds = make_dataset({0: {0}}, num_items=3)

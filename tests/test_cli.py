@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from calibrec.cli import (
     read_jsonl,
 )
 from calibrec.perk import select_k
-from calibrec.ranker import init_params, load_checkpoint, save_checkpoint
+from calibrec.ranker import (
+    TrainConfig,
+    init_params,
+    load_checkpoint,
+    pointwise_epoch,
+    save_checkpoint,
+)
 from calibrec.seeding import stream_seed
 from calibrec.synthetic import low_rank_interactions, write_interactions_csv
 
@@ -166,6 +173,10 @@ class TestConfig:
         for key in ("seed", "train.lr", "perk.k_max", "eval.ks"):
             assert key in text
 
+    def test_committed_reference_is_current(self):
+        committed = Path(__file__).resolve().parents[1] / "docs" / "config-reference.txt"
+        assert committed.read_text(encoding="utf-8") == config_reference()
+
     def test_help_everywhere(self):
         assert run("--help") == 0
         for sub in ("ingest", "train", "calibrate", "distill", "recommend", "eval"):
@@ -224,6 +235,18 @@ class TestCheckpointMatchesBundle:
         assert run("recommend", "--data", workspace / "bundle", "--ckpt", tmp_path / "other",
                    "--out", tmp_path / "r.jsonl", "--k", "3") == 2
         assert not (tmp_path / "r.jsonl").exists()
+
+
+class TestBadCheckpointHeader:
+    @pytest.mark.parametrize("drop", ["arrays", "sidecar"])
+    def test_missing_key_is_validation_error(self, workspace, tmp_path, capsys, drop):
+        header_path, _ = save_checkpoint(init_params(40, 60, 8, seed=0), tmp_path / "ck")
+        header = json.loads(header_path.read_text())
+        del header[drop]
+        header_path.write_text(json.dumps(header))
+        assert run("recommend", "--data", workspace / "bundle", "--ckpt", tmp_path / "ck",
+                   "--out", tmp_path / "r.jsonl", "--k", "3") == 2
+        assert drop in capsys.readouterr().err
 
 
 class TestAtomicLogs:
@@ -424,23 +447,38 @@ class TestDistill:
                 "--set", "bd.lambda_st=0")
             == 0
         )
-        common = ("--set", "train.epochs=2", "--set", "train.loss=pointwise")
-        assert run("train", "--data", workspace / "bundle", "--out", tmp_path / "t",
-                   "--base-stream", "distill-teacher", "--set", "train.dim=8", *common) == 0
-        assert run("train", "--data", workspace / "bundle", "--out", tmp_path / "s",
-                   "--base-stream", "distill-student", "--set", "train.dim=4", *common) == 0
-        assert (tmp_path / "bd0" / "teacher.bin").read_bytes() == (tmp_path / "t.bin").read_bytes()
-        assert (tmp_path / "bd0" / "student.bin").read_bytes() == (tmp_path / "s.bin").read_bytes()
+        # each model trained alone in process, on the streams distill gives it:
+        # init stream ("bd", 0, model), epoch e's child `model` of ("bd", 1 + e)
+        dataset, _ = load_bundle(workspace / "bundle")
+        cfg = cli.load_config()
+        base_cfg = TrainConfig(
+            lr=cfg["train.lr"], reg=cfg["train.reg"], batch_size=cfg["train.batch_size"],
+            loss_kind="pointwise", negatives_per_positive=cfg["train.negatives_per_positive"],
+        )
+        for model, (name, dim) in enumerate((("teacher", 8), ("student", 4))):
+            params = init_params(dataset.num_users, dataset.num_items, dim,
+                                 seed=stream_seed(cfg["seed"], "bd", 0, model))
+            for epoch in range(2):
+                parent = np.random.default_rng(stream_seed(cfg["seed"], "bd", 1 + epoch))
+                params, _ = pointwise_epoch(params, dataset, base_cfg, parent.spawn(3)[model])
+            _, sidecar = save_checkpoint(params, tmp_path / name)
+            assert (tmp_path / "bd0" / f"{name}.bin").read_bytes() == sidecar.read_bytes()
 
-    def test_save_every(self, workspace, tmp_path):
+    def test_save_every(self, workspace, tmp_path, monkeypatch):
+        saved = []
+        monkeypatch.setattr(
+            cli, "save_checkpoint",
+            lambda params, base, **kw: saved.append((base.name, kw["epochs_trained"])),
+        )
         assert (
             run("distill", "--data", workspace / "bundle", "--out", tmp_path / "bd2",
-                "--save-every", "1", "--set", "bd.epochs=1",
+                "--set", "bd.save_every=1", "--set", "bd.epochs=2",
                 "--set", "bd.teacher_dim=4", "--set", "bd.student_dim=2")
             == 0
         )
-        assert (tmp_path / "bd2" / "teacher.bin").exists()
-        assert (tmp_path / "bd2" / "student.bin").exists()
+        # one pair after each epoch, then the final pair
+        assert saved == [("teacher", 1), ("student", 1), ("teacher", 2), ("student", 2),
+                         ("teacher", 2), ("student", 2)]
 
 
 class TestRecommend:
@@ -617,6 +655,32 @@ class TestEval:
         bad.write_text(json.dumps({"user": 4000, "items": [0, 1]}) + "\n")
         assert run("eval", "--data", workspace / "bundle", "--recs", bad,
                    "--out", tmp_path / "r.json") == 2
+
+    @pytest.mark.parametrize(
+        "flag, rows, problem",
+        [
+            ("--perk-recs", [{"user": 0, "k_star": 1, "items": [1]}], "lacks curve"),
+            ("--recs", [{"user": 0, "items": [1]}, {"user": 1}], "lacks items"),
+            ("--recs", [{"user": 0, "items": [1, 1.5]}], "items must be a list of integers"),
+            ("--recs", [{"user": "0", "items": [1]}], "not an integer"),
+            ("--perk-recs", [{"user": 0, "k_star": 3, "curve": [0.1, 0.2], "items": [1, 2]}],
+             "k_star 3"),
+            ("--perk-recs", [{"user": 0, "k_star": 0, "curve": [0.1], "items": [1]}], "k_star 0"),
+            ("--perk-recs", [], "no recommendation rows"),
+        ],
+        ids=["perk-no-curve", "fixed-no-items", "float-item", "string-user", "k-star-high",
+             "k-star-zero", "empty-file"],
+    )
+    def test_malformed_rows_exit_2(self, workspace, tmp_path, capsys, flag, rows, problem):
+        recs = tmp_path / "recs.jsonl"
+        recs.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert run("eval", "--data", workspace / "bundle", flag, recs,
+                   "--out", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert problem in err
+        if rows:  # the file and the line of the bad row
+            assert f"{recs}:{len(rows)}:" in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_swapped_files_rejected(self, workspace, tmp_path):
         fixed, perk = self.make_outputs(workspace, tmp_path)

@@ -43,11 +43,15 @@ class TestLoadInteractions:
 
     def test_id_round_trip(self, tmp_path):
         path = write(tmp_path, "alice,pie\nbob,cake\nalice,cake\n")
-        _, maps = load_interactions(path)
-        for uid in ("alice", "bob"):
-            assert maps.user_id(maps.user_index(uid)) == uid
-        for iid in ("pie", "cake"):
-            assert maps.item_id(maps.item_index(iid)) == iid
+        pairs, maps = load_interactions(path)
+        # the maps are the dicts ingest writes; inverted, they name every pair
+        users = {i: uid for uid, i in maps.user_to_index.items()}
+        items = {i: iid for iid, i in maps.item_to_index.items()}
+        named = [(users[u], items[i]) for u, i in pairs]
+        assert named == [("alice", "pie"), ("bob", "cake"), ("alice", "cake")]
+        # looking a known id up again returns its index and assigns nothing
+        assert maps.user_index("bob") == 1 and maps.item_index("pie") == 0
+        assert (maps.num_users, maps.num_items) == (2, 2)
 
     def test_timestamp_column_ignored(self, tmp_path):
         path = write(tmp_path, "a,x,123\nb,y,456\n")
@@ -55,11 +59,12 @@ class TestLoadInteractions:
         assert len(pairs) == 2
 
     def test_existing_maps_extended(self, tmp_path):
-        first = write(tmp_path, "a,x\n", "one.csv")
-        second = write(tmp_path, "b,x\na,y\n", "two.csv")
-        _, maps = load_interactions(first)
-        pairs, maps = load_interactions(second, id_maps=maps)
+        # unseen ids get the next free index; seen ones keep theirs
+        _, maps = load_interactions(write(tmp_path, "a,x\n"))
+        pairs = [(maps.user_index(u), maps.item_index(i)) for u, i in (("b", "x"), ("a", "y"))]
         assert pairs == [(1, 0), (0, 1)]
+        assert maps.user_to_index == {"a": 0, "b": 1}
+        assert maps.item_to_index == {"x": 0, "y": 1}
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = write(tmp_path, "a,x\nnonsense\nb,y\n")

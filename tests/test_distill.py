@@ -10,17 +10,23 @@ from calibrec.distill import (
     bd_score_grads,
     cotrain_epoch,
     draw_distill_items,
-    rank_discrepancy_weights,
     top_t_rows,
     top_t_weights,
 )
 from calibrec.ranker import MfParams, TrainConfig, init_params, pointwise_epoch
 from calibrec.synthetic import low_rank_dataset
 
-from oracles import finite_difference_grad, full_sort_ranking, relative_error
+from oracles import (
+    finite_difference_grad,
+    full_sort_ranking,
+    rank_discrepancy_weights,
+    relative_error,
+)
 
 
 class TestRankDiscrepancyWeights:
+    """The dict reference that ``TestTopTWeights`` holds ``top_t_weights`` to."""
+
     def test_zero_discrepancy(self):
         row = {1: 1, 2: 2, 3: 3}
         weights = rank_discrepancy_weights(row, dict(row), eta=1.0, truncate_rank=10)
@@ -135,42 +141,31 @@ class TestSampleDistillItems:
 
 class TestBdLoss:
     def test_equal_probs_gives_target_entropy(self):
-        probs = {0: 0.3, 1: 0.8, 2: 0.55}
-        entropy = np.mean(
-            [-(t * np.log(t) + (1 - t) * np.log(1 - t)) for t in probs.values()]
-        )
-        assert bd_loss(probs, dict(probs), list(probs)) == pytest.approx(entropy)
+        probs = np.array([0.3, 0.8, 0.55])
+        entropy = np.mean(-(probs * np.log(probs) + (1 - probs) * np.log(1 - probs)))
+        assert bd_loss(probs, probs) == pytest.approx(entropy)
 
     def test_confident_target_half_learner(self):
-        assert bd_loss({4: 0.5}, {4: 1.0}, [4]) == pytest.approx(np.log(2.0))
+        assert bd_loss(np.array([0.5]), np.array([1.0])) == pytest.approx(np.log(2.0))
 
     def test_empty_items(self):
-        assert bd_loss({}, {}, []) == 0.0
+        assert bd_loss(np.empty(0), np.empty(0)) == 0.0
 
     def test_lower_bounded_by_target_entropy(self):
         rng = np.random.default_rng(9)
-        items = list(range(12))
-        t = {i: float(v) for i, v in zip(items, rng.uniform(0.05, 0.95, 12))}
-        entropy = np.mean(
-            [-(v * np.log(v) + (1 - v) * np.log(1 - v)) for v in t.values()]
-        )
+        t = rng.uniform(0.05, 0.95, 12)
+        entropy = np.mean(-(t * np.log(t) + (1 - t) * np.log(1 - t)))
         for _ in range(20):
-            q = {i: float(v) for i, v in zip(items, rng.uniform(0.01, 0.99, 12))}
-            assert bd_loss(q, t, items) >= entropy - 1e-12
-        assert bd_loss(dict(t), t, items) == pytest.approx(entropy)
+            assert bd_loss(rng.uniform(0.01, 0.99, 12), t) >= entropy - 1e-12
+        assert bd_loss(t.copy(), t) == pytest.approx(entropy)
 
     def test_score_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(14)
         scores = rng.normal(0, 2, 8)
         targets = rng.uniform(0.1, 0.9, 8)
-        items = list(range(8))
 
         def loss_of_scores(s):
-            return bd_loss(
-                {i: float(expit(v)) for i, v in zip(items, s)},
-                {i: float(t) for i, t in zip(items, targets)},
-                items,
-            )
+            return bd_loss(expit(s), targets)
 
         analytic = bd_score_grads(expit(scores), targets)
         fd = finite_difference_grad(loss_of_scores, scores, h=1e-5)
@@ -182,7 +177,7 @@ class TestBdLoss:
 def cotrain_setup():
     dataset = low_rank_dataset(30, 50, rank=2, per_user=12, noise=0.25, seed=8)
     base_cfg = TrainConfig(
-        lr=0.1, reg=1e-4, epochs=1, batch_size=8, loss_kind="pointwise",
+        lr=0.1, reg=1e-4, batch_size=8, loss_kind="pointwise",
         negatives_per_positive=2,
     )
     teacher = init_params(30, 50, 16, seed=[8, 0, 0])
@@ -292,7 +287,7 @@ class TestCotrainEpoch:
         dataset, _, teacher, student = cotrain_setup
         # pre-train the teacher alone so its targets carry a signal
         base_cfg = TrainConfig(
-            lr=0.2, reg=1e-4, epochs=1, batch_size=8, loss_kind="pointwise",
+            lr=0.2, reg=1e-4, batch_size=8, loss_kind="pointwise",
             negatives_per_positive=4,
         )
         frozen = teacher.copy()

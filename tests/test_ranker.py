@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from calibrec.ranker import (
     load_checkpoint,
     pointwise_epoch,
     save_checkpoint,
-    score,
     score_items,
     top_k,
 )
@@ -65,29 +66,29 @@ class TestInitParams:
 class TestScore:
     def test_bias_only(self):
         p = params_from(np.zeros((1, 2)), np.zeros((1, 2)), [0.7])
-        assert score(p, 0, 0) == pytest.approx(0.7)
+        assert score_items(p, 0, [0])[0] == pytest.approx(0.7)
 
     def test_orthogonal(self):
         p = params_from([[1.0, 0.0]], [[0.0, 1.0]])
-        assert score(p, 0, 0) == 0.0
+        assert score_items(p, 0, [0])[0] == 0.0
 
     def test_hand_arithmetic(self):
-        # [1,2] . [3,4] + 0.5 = 11.5
-        p = params_from([[1.0, 2.0]], [[3.0, 4.0]], [0.5])
-        assert score(p, 0, 0) == pytest.approx(11.5)
+        # [1,2] . [3,4] + 0.5 = 11.5 and [1,2] . [1,0] - 1 = 0, in item order
+        p = params_from([[1.0, 2.0]], [[3.0, 4.0], [1.0, 0.0]], [0.5, -1.0])
+        np.testing.assert_allclose(score_items(p, 0, [0, 1, 0]), [11.5, 0.0, 11.5])
 
     def test_out_of_range(self):
         p = init_params(2, 2, 2, seed=0)
         with pytest.raises(IndexError):
-            score(p, 2, 0)
+            score_items(p, 2, [0])
         with pytest.raises(IndexError):
-            score(p, 0, -1)
+            score_items(p, -1, [0])
 
     def test_bilinear_scaling(self):
         p = init_params(3, 4, 5, seed=1)
-        base = score(p, 1, 2) - p.item_bias[2]
+        base = score_items(p, 1, [2])[0] - p.item_bias[2]
         p.user_emb[1] *= 2.5
-        assert score(p, 1, 2) - p.item_bias[2] == pytest.approx(2.5 * base)
+        assert score_items(p, 1, [2])[0] - p.item_bias[2] == pytest.approx(2.5 * base)
 
 
 def extract_epoch_gradient(epoch_fn, params, dataset, cfg, seed):
@@ -103,7 +104,7 @@ def extract_epoch_gradient(epoch_fn, params, dataset, cfg, seed):
 class TestBprEpoch:
     def test_lr_zero_params_unchanged(self, small_dataset):
         p = init_params(small_dataset.num_users, small_dataset.num_items, 4, seed=3)
-        cfg = TrainConfig(lr=0.0, reg=0.01, epochs=1, loss_kind="bpr", batch_size=7)
+        cfg = TrainConfig(lr=0.0, reg=0.01, loss_kind="bpr", batch_size=7)
         new, _ = bpr_epoch(p, small_dataset, cfg, np.random.default_rng(0))
         assert np.array_equal(new.user_emb, p.user_emb)
         assert np.array_equal(new.item_emb, p.item_emb)
@@ -114,7 +115,7 @@ class TestBprEpoch:
         # triple contributes exactly -ln sigmoid(0) = ln 2
         U, I = small_dataset.num_users, small_dataset.num_items
         p = params_from(np.zeros((U, 4)), np.zeros((I, 4)))
-        cfg = TrainConfig(lr=0.0, reg=0.1, epochs=1, loss_kind="bpr")
+        cfg = TrainConfig(lr=0.0, reg=0.1, loss_kind="bpr")
         _, loss = bpr_epoch(p, small_dataset, cfg, np.random.default_rng(0))
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -123,7 +124,7 @@ class TestBprEpoch:
         # the epoch is a single SGD step on a single known triple
         ds = make_dataset({0: {0}}, num_items=2)
         reg = 0.03
-        cfg = TrainConfig(lr=0.5, reg=reg, epochs=1, loss_kind="bpr", batch_size=1)
+        cfg = TrainConfig(lr=0.5, reg=reg, loss_kind="bpr", batch_size=1)
         rng = np.random.default_rng(5)
         params = MfParams(
             rng.normal(0, 0.5, (1, 4)), rng.normal(0, 0.5, (2, 4)), rng.normal(0, 0.5, 2)
@@ -134,7 +135,8 @@ class TestBprEpoch:
             p = MfParams(
                 theta[:4].reshape(1, 4).copy(), theta[4:12].reshape(2, 4).copy(), theta[12:].copy()
             )
-            x = score(p, 0, 0) - score(p, 0, 1)
+            s_pos, s_neg = score_items(p, 0, [0, 1])
+            x = s_pos - s_neg
             return np.logaddexp(0.0, -x) + reg * (
                 np.sum(p.user_emb[0] ** 2)
                 + np.sum(p.item_emb[0] ** 2)
@@ -154,7 +156,7 @@ class TestBprEpoch:
     def test_loss_decreases_over_epochs(self):
         ds = low_rank_dataset(40, 60, rank=2, per_user=15, noise=0.2, seed=4)
         p = init_params(40, 60, 8, seed=[4, 0])
-        cfg = TrainConfig(lr=0.1, reg=1e-4, epochs=1, loss_kind="bpr", batch_size=8)
+        cfg = TrainConfig(lr=0.1, reg=1e-4, loss_kind="bpr", batch_size=8)
         p1, first = bpr_epoch(p, ds, cfg, np.random.default_rng([4, 1]))
         cur = p1
         for e in range(2, 21):
@@ -163,7 +165,7 @@ class TestBprEpoch:
 
     def test_deterministic(self, small_dataset):
         p = init_params(small_dataset.num_users, small_dataset.num_items, 4, seed=3)
-        cfg = TrainConfig(lr=0.1, reg=1e-3, epochs=1, loss_kind="bpr", batch_size=5)
+        cfg = TrainConfig(lr=0.1, reg=1e-3, loss_kind="bpr", batch_size=5)
         a, la = bpr_epoch(p, small_dataset, cfg, np.random.default_rng(77))
         b, lb = bpr_epoch(p, small_dataset, cfg, np.random.default_rng(77))
         assert la == lb
@@ -182,14 +184,14 @@ class TestPointwiseEpoch:
         U, I = small_dataset.num_users, small_dataset.num_items
         p = params_from(np.zeros((U, 3)), np.zeros((I, 3)))
         cfg = TrainConfig(
-            lr=0.0, epochs=1, loss_kind="pointwise", negatives_per_positive=3, batch_size=4
+            lr=0.0, loss_kind="pointwise", negatives_per_positive=3, batch_size=4
         )
         _, loss = pointwise_epoch(p, small_dataset, cfg, np.random.default_rng(0))
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_lr_zero_params_unchanged(self, small_dataset):
         p = init_params(small_dataset.num_users, small_dataset.num_items, 4, seed=3)
-        cfg = TrainConfig(lr=0.0, reg=0.01, epochs=1, loss_kind="pointwise")
+        cfg = TrainConfig(lr=0.0, reg=0.01, loss_kind="pointwise")
         new, _ = pointwise_epoch(p, small_dataset, cfg, np.random.default_rng(0))
         assert np.array_equal(new.user_emb, p.user_emb)
         assert np.array_equal(new.item_emb, p.item_emb)
@@ -199,7 +201,7 @@ class TestPointwiseEpoch:
         ds = make_dataset({0: {1}}, num_users=1, num_items=2)
         reg = 0.05
         cfg = TrainConfig(
-            lr=0.25, reg=reg, epochs=1, loss_kind="pointwise",
+            lr=0.25, reg=reg, loss_kind="pointwise",
             negatives_per_positive=1, batch_size=1,
         )
         rng = np.random.default_rng(9)
@@ -212,10 +214,11 @@ class TestPointwiseEpoch:
             p = MfParams(
                 theta[:3].reshape(1, 3).copy(), theta[3:9].reshape(2, 3).copy(), theta[9:].copy()
             )
-            pos = np.logaddexp(0.0, -score(p, 0, 1)) + reg * (
+            s_neg, s_pos = score_items(p, 0, [0, 1])
+            pos = np.logaddexp(0.0, -s_pos) + reg * (
                 np.sum(p.user_emb[0] ** 2) + np.sum(p.item_emb[1] ** 2)
             )
-            neg = np.logaddexp(0.0, score(p, 0, 0)) + reg * (
+            neg = np.logaddexp(0.0, s_neg) + reg * (
                 np.sum(p.user_emb[0] ** 2) + np.sum(p.item_emb[0] ** 2)
             )
             return (pos + neg) / 2.0
@@ -290,7 +293,7 @@ class TestEpochsMatchReference:
     def test_three_epochs(self, loss_kind, epoch_fn, reference, reg):
         ds = self.dataset()
         cfg = TrainConfig(
-            lr=0.5, reg=reg, epochs=1, loss_kind=loss_kind, batch_size=16,
+            lr=0.5, reg=reg, loss_kind=loss_kind, batch_size=16,
             negatives_per_positive=3,
         )
         new = ref = MfParams(*(
@@ -434,7 +437,7 @@ class TestAuc:
     def test_trained_beats_chance(self):
         ds = low_rank_dataset(60, 90, rank=2, per_user=20, noise=0.25, seed=5)
         p = init_params(60, 90, 8, seed=[5, 0])
-        cfg = TrainConfig(lr=0.15, reg=1e-4, epochs=1, loss_kind="bpr", batch_size=8)
+        cfg = TrainConfig(lr=0.15, reg=1e-4, loss_kind="bpr", batch_size=8)
         for e in range(12):
             p, _ = bpr_epoch(p, ds, cfg, np.random.default_rng([5, 1 + e]))
         assert auc(p, ds, "validation", np.random.default_rng([5, 99]), 30) > 0.7
@@ -472,6 +475,20 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "ck")
         sidecar.write_bytes(good[:-4])
         with pytest.raises(ValueError):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("drop", ["sidecar", "arrays", "item_emb", "offset"])
+    def test_header_missing_key_is_value_error(self, tmp_path, drop):
+        header_path, _ = save_checkpoint(init_params(3, 5, 2, seed=1), tmp_path / "ck")
+        header = json.loads(header_path.read_text())
+        if drop in header:
+            del header[drop]
+        elif drop in header["arrays"]:
+            del header["arrays"][drop]
+        else:
+            del header["arrays"]["item_bias"][drop]
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=f"checkpoint header.*{drop}"):
             load_checkpoint(tmp_path / "ck")
 
     def test_failed_save_keeps_previous_pair(self, tmp_path):
