@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import expit
 
 from .atomic import atomic_open
-from .dataset import SPLITS, Dataset, sample_negatives
+from .dataset import Dataset, sample_negatives
 from .ranker import MfParams, score_items
 
 CALIBRATOR_KINDS = ("platt", "gaussian", "gamma", "histogram")
@@ -515,16 +515,20 @@ def collect_calibration_samples(
     """Build the (score, label, propensity) fitting set from held-out data.
 
     Every validation positive (u, i) yields one y=1 sample; for each positive,
-    ``negatives_per_positive`` items the user never interacted with (in any
-    split) yield y=0 samples, drawn by ``sample_negatives``. Samples are laid
-    out user by user, each positive followed by its negatives. theta is 1
-    everywhere unless a propensity model is supplied.
+    ``negatives_per_positive`` items outside the user's train and validation
+    rows yield y=0 samples, drawn by ``sample_negatives``. Test items are not
+    excluded: excluding them would read the test labels, so a test item can
+    be drawn as a negative. Samples are laid out user by user, each positive
+    followed by its negatives. theta is 1 everywhere unless a propensity
+    model is supplied.
     """
     held = dataset.validation
     if not len(held):
         raise ValueError("split 'validation' is empty")
     users, positives = held.pairs()
-    negatives = sample_negatives(dataset, users, negatives_per_positive, rng, exclude=SPLITS)
+    negatives = sample_negatives(
+        dataset, users, negatives_per_positive, rng, exclude=("train", "validation")
+    )
     items = np.column_stack([positives, negatives])
     labels = np.zeros(items.shape, dtype=np.int64)
     labels[:, 0] = 1

@@ -477,15 +477,19 @@ class TestCollectSamples:
         expected = np.sort(np.concatenate([score_items(params, u, [2, 3]) for u in range(5)]))
         np.testing.assert_allclose(positive_scores, expected)
 
-    def test_negatives_avoid_all_observed(self):
+    def test_negatives_avoid_train_and_validation(self):
+        # items 0, 1 train, 2 validation, 3 test, 4 unobserved: negatives come
+        # from 3 and 4 only, so the test item is drawn and no test label is read
         ds = make_dataset(
             {0: {0, 1}}, validation={0: {2}}, test={0: {3}}, num_items=5
         )
         params = init_params(1, 5, 2, seed=3)
+        params.item_bias[:] = np.arange(5) * 10.0  # distinct scores name the items
         rng = np.random.default_rng(4)
-        samples = collect_calibration_samples(params, ds, rng, negatives_per_positive=6)
-        neg_scores = {round(s, 12) for s in samples.s[samples.y == 0]}
-        assert neg_scores == {round(score_items(params, 0, [4])[0], 12)}
+        samples = collect_calibration_samples(params, ds, rng, negatives_per_positive=60)
+        scores = score_items(params, 0, np.arange(5))
+        drawn = {int(np.argmin(np.abs(scores - s))) for s in samples.s[samples.y == 0]}
+        assert drawn == {3, 4}
 
     def test_empty_split(self):
         ds = make_dataset({0: {0}}, num_items=3)
