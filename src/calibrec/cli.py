@@ -199,15 +199,6 @@ def _jsonl_line(row) -> str:
     return json.dumps(row, sort_keys=True) + "\n"
 
 
-def read_jsonl(path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
-
-
 def _write_split(path, split: Csr, delimiter):
     users, items = split.pairs()
     with atomic_open(path) as fh:
@@ -267,6 +258,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_recommendation(row, personalized: bool) -> str | None:
     """What is wrong with one recommendation row, or None if nothing is."""
     if not isinstance(row, dict):
@@ -281,9 +276,7 @@ def _check_recommendation(row, personalized: bool) -> str | None:
         return "items must be a list of integers"
     if personalized:
         curve = row["curve"]
-        if not (isinstance(curve, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in curve
-        )):
+        if not (isinstance(curve, list) and all(_is_number(v) for v in curve)):
             return "curve must be a list of numbers"
         if not (_is_int(row["k_star"]) and 1 <= row["k_star"] <= len(curve)):
             return f"k_star {row['k_star']!r} is not an integer in 1..{len(curve)}"

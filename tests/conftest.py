@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,12 @@ def make_dataset(train, validation=None, test=None, num_users=None, num_items=No
         item_popularity=np.bincount(rows["train"].indices, minlength=n_items),
         **rows,
     )
+
+
+def read_jsonl(path):
+    """The JSON object on each non-empty line of a file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 @pytest.fixture(scope="session")

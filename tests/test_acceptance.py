@@ -12,7 +12,6 @@ from scipy.special import expit
 
 from calibrec.calibration import CalibrationSamples, Calibrator, ece, fit, nll
 from calibrec.cli import main as cli_main
-from calibrec.cli import read_jsonl
 from calibrec.distill import BdConfig, bd_loss, bd_score_grads, cotrain_epoch, top_t_weights
 from calibrec.perk import _pb_rows, select_k, utility_curves
 from calibrec.ranker import (
@@ -26,7 +25,7 @@ from calibrec.ranker import (
 )
 from calibrec.synthetic import low_rank_dataset, low_rank_interactions, write_interactions_csv
 
-from conftest import make_dataset
+from conftest import make_dataset, read_jsonl
 from oracles import brute_force_pb, finite_difference_grad, mc_all_utilities, relative_error
 
 

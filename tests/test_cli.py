@@ -19,7 +19,6 @@ from calibrec.cli import (
     load_bundle,
     load_recommendations,
     main,
-    read_jsonl,
 )
 from calibrec.perk import select_k
 from calibrec.ranker import (
@@ -31,6 +30,8 @@ from calibrec.ranker import (
 )
 from calibrec.seeding import stream_seed
 from calibrec.synthetic import low_rank_interactions, write_interactions_csv
+
+from conftest import read_jsonl
 
 
 def run(*argv):
@@ -666,10 +667,12 @@ class TestEval:
             ("--perk-recs", [{"user": 0, "k_star": 3, "curve": [0.1, 0.2], "items": [1, 2]}],
              "k_star 3"),
             ("--perk-recs", [{"user": 0, "k_star": 0, "curve": [0.1], "items": [1]}], "k_star 0"),
+            ("--perk-recs", [{"user": 0, "k_star": 1, "curve": ["0.1"], "items": [1]}],
+             "curve must be a list of numbers"),
             ("--perk-recs", [], "no recommendation rows"),
         ],
         ids=["perk-no-curve", "fixed-no-items", "float-item", "string-user", "k-star-high",
-             "k-star-zero", "empty-file"],
+             "k-star-zero", "string-curve", "empty-file"],
     )
     def test_malformed_rows_exit_2(self, workspace, tmp_path, capsys, flag, rows, problem):
         recs = tmp_path / "recs.jsonl"
