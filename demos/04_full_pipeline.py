@@ -1,8 +1,9 @@
 """The whole pipeline through the command-line interface.
 
 Generates an interaction log, then runs ingest -> train -> calibrate ->
-recommend (fixed and personalized) -> eval in a scratch directory, the same
-sequence you would run on real data from a shell:
+recommend (fixed and personalized) -> eval in a temporary directory, which
+is removed at exit. It is the same sequence you would run on real data from
+a shell:
 
     calibrec ingest --input interactions.csv --out bundle
     calibrec train --data bundle --out ckpt --set train.epochs=8
@@ -21,7 +22,8 @@ from pathlib import Path
 from calibrec.cli import main
 from calibrec.synthetic import low_rank_interactions, write_interactions_csv
 
-root = Path(tempfile.mkdtemp(prefix="calibrec-demo-"))
+workdir = tempfile.TemporaryDirectory(prefix="calibrec-demo-")
+root = Path(workdir.name)
 print(f"working in {root}\n")
 
 csv = root / "interactions.csv"
@@ -85,4 +87,4 @@ for kind in ("platt", "gaussian", "histogram"):
         f"  {kind:>9}: mean k* {agg['mean_k_star']:5.1f}   "
         f"realized F1 at k* {rep['rows'][0]['f1']:.4f}"
     )
-print(f"\noutputs left in {root} for inspection")
+workdir.cleanup()

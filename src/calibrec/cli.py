@@ -199,10 +199,18 @@ def _jsonl_line(row) -> str:
     return json.dumps(row, sort_keys=True) + "\n"
 
 
+# rows formatted into one string per write call when writing a split
+WRITE_ROWS = 1 << 16
+
+
 def _write_split(path, split: Csr, delimiter):
     users, items = split.pairs()
+    row = "%d" + delimiter.replace("%", "%%") + "%d\n"
     with atomic_open(path) as fh:
-        fh.writelines(f"{u}{delimiter}{i}\n" for u, i in zip(users.tolist(), items.tolist()))
+        for start in range(0, len(split), WRITE_ROWS):
+            stop = start + WRITE_ROWS
+            chunk = np.column_stack((users[start:stop], items[start:stop]))
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _read_split(path, delimiter, num_users, num_items) -> Csr:
@@ -289,7 +297,8 @@ def load_recommendations(path):
     The first row decides the kind: rows with ``k_star`` are personalized
     cuts. Raises ValueError, naming the file and line, for a row that is not
     JSON, lacks a key of its kind, holds a user or item that is not an
-    integer, or a k_star outside 1..len(curve); and for a file without rows.
+    integer, a k_star outside 1..len(curve), or a user an earlier row
+    already named; and for a file without rows.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -302,10 +311,14 @@ def load_recommendations(path):
     if not rows:
         raise ValueError(f"{path} holds no recommendation rows")
     personalized = isinstance(rows[0][1], dict) and "k_star" in rows[0][1]
+    first_line: dict[int, int] = {}
     for line_no, row in rows:
         problem = _check_recommendation(row, personalized)
+        if problem is None and row["user"] in first_line:
+            problem = f"user {row['user']} repeats the row on line {first_line[row['user']]}"
         if problem:
             raise ValueError(f"{path}:{line_no}: {problem}")
+        first_line[row["user"]] = line_no
     if personalized:
         return [
             PersonalizedCut(

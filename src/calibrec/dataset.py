@@ -6,12 +6,12 @@ meaning a positive label. Unobserved pairs are unlabeled, not negatives.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 Interaction = tuple[int, int]
 
@@ -189,42 +189,232 @@ class Dataset:
         return {int(u): self.train.row(u) for u in np.flatnonzero(sizes)}
 
 
-def load_interactions(path, delimiter: str = ",") -> tuple[list[Interaction], IdMaps]:
+# bytes below 0x80 that str.strip removes: \t \n \v \f \r, \x1c-\x1f and space
+_ASCII_SPACE = np.array([b < 0x80 and chr(b).isspace() for b in range(256)])
+
+
+class _Whitespace:
+    """The whitespace of a UTF-8 byte array, as ``str.strip`` sees it.
+
+    ASCII bytes are looked up in ``_ASCII_SPACE``. Multi-byte characters
+    are judged by decoding each distinct one that occurs, once; ``wide``
+    lists the bytes of those that are whitespace (usually none).
+    """
+
+    def __init__(self, buf: np.ndarray, low: np.ndarray):
+        self.buf = buf
+        self.low = low  # positions of the bytes <= 0x20, all ASCII whitespace among them
+        lead = np.flatnonzero(buf >= 0xC0).astype(low.dtype)
+        width = 2 + (buf[lead] >= 0xE0) + (buf[lead] >= 0xF0)
+        packed = np.zeros((lead.size, 4), dtype=np.uint8)
+        for k in range(4):
+            packed[:, k] = np.where(k < width, buf[np.minimum(lead + k, buf.size - 1)], 0)
+        chars, inverse = np.unique(packed.view(np.uint32).ravel(), return_inverse=True)
+        # continuation bytes are never 0, so the zero padding strips off exactly
+        is_space = [c.decode("utf-8").isspace() for c in chars.view("S4").tolist()]
+        spaced = np.flatnonzero(np.array(is_space, dtype=bool)[inverse.ravel()])
+        self.wide = np.sort(np.concatenate([lead[spaced[width[spaced] > k]] + k for k in range(4)]))
+
+    def at(self, pos: np.ndarray) -> np.ndarray:
+        """Whether each byte position in ``pos`` holds whitespace."""
+        space = _ASCII_SPACE[self.buf[pos]]
+        if self.wide.size:
+            space |= np.isin(pos, self.wide)
+        return space
+
+    @cached_property
+    def _runs(self):
+        """Sorted whitespace positions, and the index in them of each run's
+        first and last position; built only when some range needs stripping."""
+        pos = self.low[_ASCII_SPACE[self.buf[self.low]]]
+        if self.wide.size:
+            pos = np.union1d(pos, self.wide)
+        heads = np.flatnonzero(np.diff(pos, prepend=-2) != 1)
+        return pos, heads, np.append(heads[1:], pos.size) - 1
+
+    def _run_bounds(self, at):
+        """First byte of the whitespace run holding each position in ``at``,
+        and the byte after the run."""
+        pos, heads, tails = self._runs
+        run = np.searchsorted(heads, np.searchsorted(pos, at), side="right") - 1
+        return pos[heads[run]], pos[tails[run]] + 1
+
+    def strip(self, lo, hi):
+        """The ranges [lo, hi) narrowed past their leading and trailing
+        whitespace; a range holding nothing else comes back with lo == hi."""
+        lo, hi = lo.copy(), hi.copy()
+        hit = np.flatnonzero(lo < hi)
+        hit = hit[self.at(lo[hit])]
+        if hit.size:
+            lo[hit] = np.minimum(self._run_bounds(lo[hit])[1], hi[hit])
+        # past that, a non-empty range starts on a non-whitespace byte
+        hit = np.flatnonzero(lo < hi)
+        hit = hit[self.at(hi[hit] - 1)]
+        if hit.size:
+            hi[hit] = self._run_bounds(hi[hit] - 1)[0]
+        return lo, hi
+
+
+def _delimiters(buf, sep: bytes, lo, hi) -> np.ndarray:
+    """Sorted starts of the delimiters ``str.split(sep)`` would cut at, among
+    them every cut of the stripped lines [lo, hi); the caller counts a line's
+    cuts by range. UTF-8 is self-synchronizing, so the encoded delimiter
+    matches only at character boundaries.
+    """
+    at = np.flatnonzero(buf == sep[0]).astype(lo.dtype)
+    for k in range(1, len(sep)):
+        at = at[at + k < buf.size]
+        at = at[buf[at + k] == sep[k]]
+    # a delimiter that overlaps itself ("::" in ":::") can match at places
+    # closer than its length; str.split keeps, within a stripped line, each
+    # match that starts at or past the end of the last one it kept, and only
+    # those close matches need that scan
+    close = np.flatnonzero(np.diff(at) < len(sep))
+    if close.size:
+        near = np.union1d(close, close + 1)
+        line = np.searchsorted(lo, at[near], side="right") - 1
+        inside = ((line >= 0) & (at[near] + len(sep) <= hi[line])).tolist()
+        keep = np.ones(at.size, dtype=bool)
+        end = -1
+        for j, ok in zip(near.tolist(), inside):
+            if ok and at[j] < end:
+                keep[j] = False
+            elif ok:
+                end = at[j] + len(sep)
+        at = at[keep]
+    return at
+
+
+def _first_seen(data: bytes, buf, lo, hi) -> tuple[np.ndarray, list[str]]:
+    """Codes numbering the tokens ``data[lo:hi]`` by first appearance, and
+    the distinct tokens decoded, in code order.
+
+    Tokens of different lengths never match, so each length is numbered on
+    its own: its tokens are copied into one fixed-width array (one uint64
+    each when 8 bytes or shorter) and numbered by ``np.unique``. Together
+    the copies hold each token's bytes once.
+    """
+    size = hi - lo
+    by_size = np.argsort(size.astype(np.min_scalar_type(size.max())), kind="stable")
+    widths, heads = np.unique(size[by_size], return_index=True)
+    group = np.empty(size.size, dtype=np.int64)
+    firsts = []
+    distinct = 0
+    for width, rows in zip(widths.tolist(), np.split(by_size, heads[1:])):
+        tokens = sliding_window_view(buf, width)[lo[rows]]
+        if width <= 8:
+            packed = np.zeros((rows.size, 8), dtype=np.uint8)
+            packed[:, :width] = tokens
+            keys = packed.view(np.uint64).ravel()
+        else:
+            keys = tokens.view(f"S{width}").ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        group[rows] = inverse.ravel() + distinct
+        firsts.append(rows[first])
+        distinct += first.size
+    firsts = np.concatenate(firsts)
+    order = np.argsort(firsts)
+    code = np.empty(distinct, dtype=np.int64)
+    code[order] = np.arange(distinct)
+    firsts = firsts[order]
+    names = [data[a:b].decode("utf-8") for a, b in zip(lo[firsts].tolist(), hi[firsts].tolist())]
+    return code[group], names
+
+
+def load_interactions(path, delimiter: str = ",") -> tuple[np.ndarray, IdMaps]:
     """Read a delimiter-separated interaction log.
 
-    Each non-empty line is ``user_id<delim>item_id[<delim>timestamp]``.
-    External ids are mapped to dense 0-based indices in first-appearance
-    order. Duplicate (user, item) lines collapse to a single interaction;
-    timestamps are ignored.
+    The file is UTF-8 with ``\\n``, ``\\r\\n`` or ``\\r`` line endings. Each
+    non-blank line is ``user_id<delim>item_id[<delim>timestamp]``; whitespace
+    (as ``str.strip`` sees it) around lines and fields is ignored. External
+    ids are mapped to dense 0-based indices in first-appearance order.
+    Duplicate (user, item) lines collapse to a single interaction;
+    timestamps are ignored. Returns the interactions as an ``(n, 2)`` int64
+    array in first-appearance order.
 
-    Raises DataFormatError on malformed lines (with the line number) and on
-    input containing no interactions. I/O failures propagate as OSError.
+    The whole file is parsed as one byte array: line ends, whitespace and
+    delimiters are located by vectorized comparisons, and the id tokens are
+    numbered by ``np.unique`` (see docs/data-layer.md, "Ingest").
+
+    Raises DataFormatError on malformed lines (the first one in file order,
+    with its line number) and on input containing no interactions,
+    ValueError on an empty delimiter and UnicodeDecodeError on invalid
+    UTF-8. I/O failures propagate as OSError.
     """
-    maps = IdMaps()
-    interactions: list[Interaction] = []
-    seen: set[Interaction] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            fields = [f.strip() for f in stripped.split(delimiter)]
-            if len(fields) not in (2, 3) or not fields[0] or not fields[1]:
-                raise DataFormatError(
-                    f"line {line_no}: expected 'user{delimiter}item[{delimiter}timestamp]', got {stripped!r}",
-                    line_no=line_no,
-                )
-            pair = (maps.user_index(fields[0]), maps.item_index(fields[1]))
-            if pair not in seen:
-                seen.add(pair)
-                interactions.append(pair)
-    if not interactions:
+    if not delimiter:
+        raise ValueError("empty separator")
+    with open(path, "rb") as handle:
+        data = handle.read()
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.size and buf.max() >= 0x80:
+        data.decode("utf-8")  # raises UnicodeDecodeError on invalid input
+    user_lo, user_hi, item_lo, item_hi = _id_fields(data, buf, delimiter)
+    users, user_names = _first_seen(data, buf, user_lo, user_hi)
+    items, item_names = _first_seen(data, buf, item_lo, item_hi)
+    # one row per distinct pair, at its first appearance
+    _, first = np.unique(users * len(item_names) + items, return_index=True)
+    first.sort()
+    maps = IdMaps(
+        user_to_index=dict(zip(user_names, range(len(user_names)))),
+        item_to_index=dict(zip(item_names, range(len(item_names)))),
+    )
+    return np.column_stack((users[first], items[first])), maps
+
+
+def _id_fields(data: bytes, buf, delimiter: str):
+    """Byte ranges of the stripped user and item field of every non-blank line,
+    as (user_lo, user_hi, item_lo, item_hi) arrays; raises DataFormatError
+    for the first malformed line and for input without a non-blank line."""
+    # int32 positions halve the temporaries of any file under 2 GiB
+    index = np.int32 if buf.size < 2**31 else np.int64
+    low = np.flatnonzero(buf <= 0x20).astype(index)
+    space = _Whitespace(buf, low)
+    # a line ends at every CR and at every LF not preceded by CR; the LF of a
+    # CRLF opens the next line as leading whitespace, which strip removes
+    ends = low[buf[low] == ord("\n")]
+    returns = low[buf[low] == ord("\r")]
+    if returns.size:
+        ends = np.union1d(returns, ends[~np.isin(ends - 1, returns)])
+    ends = np.append(ends, index(buf.size))
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lo, hi = space.strip(starts, ends)
+    lines = np.flatnonzero(lo < hi)
+    if not lines.size:
         raise DataFormatError("input contains no interactions")
-    return interactions, maps
+
+    sep = delimiter.encode("utf-8")
+    cuts = _delimiters(buf, sep, lo, hi)
+    # a line's cuts c satisfy lo <= c and c + len(sep) <= hi
+    first_cut = np.searchsorted(cuts, lo[lines])
+    counts = np.searchsorted(cuts, hi[lines] - len(sep) + 1) - first_cut
+    # only the lines before the first with a wrong field count are checked
+    # for empty ids, so the error names the first bad line in file order
+    wrong = np.flatnonzero((counts < 1) | (counts > 2))
+    bad = None
+    if wrong.size:
+        bad = lines[wrong[0]]
+        lines, counts, first_cut = lines[: wrong[0]], counts[: wrong[0]], first_cut[: wrong[0]]
+    two = counts == 2
+    user_end = cuts[first_cut]
+    item_end = np.where(two, cuts[first_cut + two], hi[lines])
+    user_lo, user_hi = space.strip(lo[lines], user_end)
+    item_lo, item_hi = space.strip(user_end + len(sep), item_end)
+    empty = np.flatnonzero((user_lo == user_hi) | (item_lo == item_hi))
+    if empty.size:
+        bad = lines[empty[0]]
+    if bad is not None:
+        stripped = data[starts[bad] : ends[bad]].decode("utf-8").strip()
+        raise DataFormatError(
+            f"line {bad + 1}: expected 'user{delimiter}item[{delimiter}timestamp]', got {stripped!r}",
+            line_no=int(bad) + 1,
+        )
+    return user_lo, user_hi, item_lo, item_hi
 
 
 def split_per_user(
-    raw: Sequence[Interaction],
+    raw,
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int | Sequence[int] = 0,
     num_users: int | None = None,
@@ -237,18 +427,21 @@ def split_per_user(
     train the remainder, so train is never empty. Users with fewer than 3
     interactions put everything in train. The same (raw, ratios, seed)
     always yields the same Dataset.
+
+    ``raw`` is any ``(n, 2)`` integer array-like of (user, item) pairs: the
+    array ``load_interactions`` returns, or a list of tuples.
     """
-    if not raw:
+    pairs = np.asarray(raw, dtype=np.int64)
+    if not pairs.size:
         raise ValueError("empty interaction list")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"expected (n, 2) interaction pairs, got shape {pairs.shape}")
     r_train, r_val, r_test = ratios
     if min(ratios) <= 0:
         raise ValueError(f"ratios must be positive, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios}")
 
-    pairs = np.fromiter(
-        itertools.chain.from_iterable(raw), dtype=np.int64, count=2 * len(raw)
-    ).reshape(-1, 2)
     negative = np.flatnonzero((pairs < 0).any(axis=1))
     if negative.size:
         u, i = pairs[negative[0]]

@@ -140,9 +140,9 @@ def evaluate(
 
     ``recommendations`` is either a mapping user -> ranked item list
     (evaluated at every k in ``ks``) or an iterable of PersonalizedCut
-    (evaluated at each user's own k_star, one "perk" row). Users whose
-    relevant set is empty are skipped and counted, not averaged as zeros.
-    Every cutoff must be >= 1.
+    (evaluated at each user's own k_star, one "perk" row); a user named by
+    two cuts is a ValueError. Users whose relevant set is empty are skipped
+    and counted, not averaged as zeros. Every cutoff must be >= 1.
 
     All users are scored at once from one hit matrix and its prefix sums.
     Per-user values and means are bit-identical to averaging the scalar
@@ -162,6 +162,12 @@ def evaluate(
         if not all(isinstance(c, PersonalizedCut) for c in cuts):
             raise ValueError("expected a user->items mapping or PersonalizedCut objects")
         lists = {c.user: list(c.items) for c in cuts}
+        if len(lists) < len(cuts):
+            seen = set()
+            for c in cuts:
+                if c.user in seen:
+                    raise ValueError(f"user {c.user} has more than one PersonalizedCut")
+                seen.add(c.user)
 
     evaluable = {
         u: items for u, items in lists.items() if 0 <= u < len(sizes) and sizes[u]

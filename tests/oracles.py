@@ -6,6 +6,7 @@ definitional one-user expected utilities and their Poisson-binomial
 dynamic program, the incremental per-cutoff expected-utility curve that
 the batched one replaced, the dict form of the rank-discrepancy weights,
 the per-example ``np.add.at`` training steps that the bincount scatter
+replaced, the line-by-line interaction loader that the byte-array parse
 replaced, and a general-purpose quasi-Newton minimizer for calibrator
 fits. Nothing imports the code paths it verifies; the reference epochs
 draw their negatives with the library's sampler so that they use the same
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from calibrec.dataset import sample_negatives
+from calibrec.dataset import DataFormatError, IdMaps, sample_negatives
 
 
 def brute_force_pb(probs):
@@ -385,3 +386,29 @@ def reference_pointwise_epoch(params, dataset, cfg, rng):
         np.add.at(out.item_emb, ex_i, -coef * dQ)
         np.add.at(out.item_bias, ex_i, -coef * g)
     return out, total_loss / total_examples
+
+
+def reference_load_interactions(path, delimiter=","):
+    """``dataset.load_interactions`` one text line at a time: pairs as a list
+    of tuples, ids numbered by ``IdMaps`` on first sight."""
+    maps = IdMaps()
+    interactions = []
+    seen = set()
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            fields = [f.strip() for f in stripped.split(delimiter)]
+            if len(fields) not in (2, 3) or not fields[0] or not fields[1]:
+                raise DataFormatError(
+                    f"line {line_no}: expected 'user{delimiter}item[{delimiter}timestamp]', got {stripped!r}",
+                    line_no=line_no,
+                )
+            pair = (maps.user_index(fields[0]), maps.item_index(fields[1]))
+            if pair not in seen:
+                seen.add(pair)
+                interactions.append(pair)
+    if not interactions:
+        raise DataFormatError("input contains no interactions")
+    return interactions, maps

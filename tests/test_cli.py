@@ -78,6 +78,30 @@ class TestIngest:
         assert run("ingest", "--input", csv, "--out", tmp_path / "b") == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_invalid_utf8_is_validation_error(self, tmp_path, capsys):
+        csv = tmp_path / "bad.csv"
+        csv.write_bytes(b"a,x\nb,\xff\n")
+        assert run("ingest", "--input", csv, "--out", tmp_path / "b") == 2
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_empty_delimiter_is_validation_error(self, tmp_path):
+        csv = tmp_path / "in.csv"
+        csv.write_text("a,x\n")
+        assert run("ingest", "--input", csv, "--out", tmp_path / "b",
+                   "--set", "data.delimiter=") == 2
+
+    def test_multi_character_delimiter(self, tmp_path):
+        # MovieLens-style "::" logs round-trip: the bundle keeps the delimiter
+        csv = tmp_path / "in.dat"
+        csv.write_text("1::10::978300760\n1::20::978300761\n2::10::978300762\n")
+        assert run("ingest", "--input", csv, "--out", tmp_path / "b",
+                   "--set", "data.delimiter=::") == 0
+        assert (tmp_path / "b" / "train.txt").read_text() == "0::0\n0::1\n1::0\n"
+        dataset, maps = load_bundle(tmp_path / "b", delimiter="::")
+        assert maps.user_to_index == {"1": 0, "2": 1}
+        assert len(dataset.train) == 3
+
     def test_bundle_round_trip(self, workspace):
         dataset, maps = load_bundle(workspace / "bundle")
         assert dataset.num_users == maps.num_users == 40
@@ -683,6 +707,25 @@ class TestEval:
         assert problem in err
         if rows:  # the file and the line of the bad row
             assert f"{recs}:{len(rows)}:" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, row",
+        [
+            ("--recs", {"items": [1, 2]}),
+            ("--perk-recs", {"k_star": 1, "curve": [0.5, 0.2], "items": [1, 2]}),
+        ],
+        ids=["fixed", "perk"],
+    )
+    def test_repeated_user_exit_2(self, workspace, tmp_path, capsys, flag, row):
+        # user 0 appears on lines 1 and 3; the second row used to replace the first
+        recs = tmp_path / "recs.jsonl"
+        recs.write_text("".join(
+            json.dumps({**row, "user": user}) + "\n" for user in (0, 1, 0)
+        ))
+        assert run("eval", "--data", workspace / "bundle", flag, recs,
+                   "--out", tmp_path / "r.json") == 2
+        assert f"{recs}:3: user 0 repeats the row on line 1" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_swapped_files_rejected(self, workspace, tmp_path):

@@ -13,6 +13,7 @@ from calibrec.dataset import (
 )
 
 from conftest import make_dataset
+from oracles import reference_load_interactions
 
 
 def write(tmp_path, text, name="inter.csv"):
@@ -32,7 +33,7 @@ class TestLoadInteractions:
     def test_duplicates_collapse(self, tmp_path):
         path = write(tmp_path, "a,x\na,x\n")
         pairs, _ = load_interactions(path)
-        assert pairs == [(0, 0)]
+        assert pairs.tolist() == [[0, 0]]
 
     def test_arbitrary_external_ids(self, tmp_path):
         path = write(tmp_path, "u17,itemZ\nu17,item9\nuX,itemZ\n")
@@ -86,6 +87,94 @@ class TestLoadInteractions:
         path = write(tmp_path, "a\tx\nb\ty\n")
         pairs, _ = load_interactions(path, delimiter="\t")
         assert len(pairs) == 2
+
+
+# whitespace that str.strip removes: ASCII, \x1c-\x1f, NEL, NBSP, line
+# separator, ideographic space; NEL and U+2028 end no line in a text file
+SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+          "\x85", "\u00a0", "\u2028", "\u3000"]
+IDS = ["u1", "u22", "7", "abcdefghij", "ünï", "用户", "x:", ":y", "a b", "\x00z", "z\x00",
+       "\u00a0\u00a0k", "\u00e9t\u00e9"]
+
+
+def random_log(rng, delimiter):
+    """An interaction log mixing what the loader must read like ``str.strip`` and
+    ``str.split`` do, with a malformed line in about a third of the files."""
+    # in most files the padding leaves a whitespace delimiter out
+    spaces = SPACES if rng.random() < 0.25 else [c for c in SPACES if c not in delimiter]
+
+    def padded(token):
+        side = lambda: "".join(rng.choice(spaces, size=rng.integers(0, 3)).tolist())
+        return side() + token + side()
+
+    lines = []
+    for _ in range(rng.integers(0, 25)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append("".join(rng.choice(spaces, size=rng.integers(0, 3)).tolist()))
+            continue
+        fields = [padded(str(rng.choice(IDS))), padded(str(rng.choice(IDS)))]
+        if rng.random() < 0.4:
+            fields.append(padded(str(rng.integers(0, 10**6)) if rng.random() < 0.8 else ""))
+        if roll > 0.97:  # malformed: one field, four fields, or an empty id
+            kind = rng.integers(4)
+            if kind == 0:
+                fields = fields[:1]
+            elif kind == 1:
+                fields = fields[:2] + ["1", "2"]
+            else:
+                fields[kind - 2] = "".join(rng.choice(spaces, size=rng.integers(0, 2)).tolist())
+        lines.append(delimiter.join(fields))
+    endings = [str(rng.choice(["\n", "\r\n", "\r"])) for _ in lines]
+    if lines and rng.random() < 0.3:
+        endings[-1] = ""
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+def loaded(loader, path, delimiter):
+    """Pairs and both id maps in order, or the DataFormatError's line and message."""
+    try:
+        pairs, maps = loader(path, delimiter=delimiter)
+    except DataFormatError as exc:
+        return ("error", exc.line_no, str(exc))
+    return ([tuple(p) for p in np.asarray(pairs).tolist()],
+            list(maps.user_to_index.items()), list(maps.item_to_index.items()))
+
+
+class TestLoaderMatchesReference:
+    """The byte-array loader against the line-by-line reference on seeded files."""
+
+    @pytest.mark.parametrize("delimiter", [",", "\t", "::"], ids=["comma", "tab", "colons"])
+    def test_random_logs(self, tmp_path, delimiter):
+        rng = np.random.default_rng(20261018)
+        path = tmp_path / "log.txt"
+        outcomes = set()
+        for _ in range(300):
+            path.write_bytes(random_log(rng, delimiter).encode("utf-8"))
+            got = loaded(load_interactions, path, delimiter)
+            assert got == loaded(reference_load_interactions, path, delimiter)
+            outcomes.add(got[0] if got[0] == "error" else "ok")
+        assert outcomes == {"ok", "error"}
+
+    @pytest.mark.parametrize(
+        "text, delimiter",
+        [
+            ("a,x\n\n  \nb\n", ","),  # a 1-field line after blank ones
+            ("a,x\r\nb,y,1,2\r\nc\r\n", ","),  # 4 fields before a 1-field line
+            ("a,x\r \t,y\rb,\n", ","),  # empty user, then empty item
+            ("a\tx\n\u3000\t\u00a0y\n", "\t"),  # leading whitespace swallows the tab
+            ("a:::x\nb::::y\n", "::"),  # overlapping delimiter matches
+            ("a::x::\nb\u3000::\u3000y", "::"),  # empty timestamp, no final newline
+            ("\u3000\n\x85\n \x1c\n", ","),  # whitespace only
+            ("", ","),
+        ],
+    )
+    def test_edge_cases(self, tmp_path, text, delimiter):
+        path = tmp_path / "log.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert loaded(load_interactions, path, delimiter) == loaded(
+            reference_load_interactions, path, delimiter
+        )
 
 
 class TestSplitPerUser:
@@ -147,6 +236,18 @@ class TestSplitPerUser:
     def test_empty_raw(self):
         with pytest.raises(ValueError):
             split_per_user([])
+
+    def test_array_input_matches_list(self):
+        raw = [(u, i) for u in range(4) for i in range(u, 9)]
+        a = split_per_user(raw, seed=4)
+        b = split_per_user(np.array(raw, dtype=np.int32), seed=4)
+        for name in SPLITS:
+            assert np.array_equal(a.split(name).indptr, b.split(name).indptr)
+            assert np.array_equal(a.split(name).indices, b.split(name).indices)
+
+    def test_not_pairs(self):
+        with pytest.raises(ValueError, match="shape"):
+            split_per_user(np.arange(6))
 
 
 class TestSampleNegative:

@@ -143,6 +143,16 @@ class TestEvaluate:
         assert row.means["precision"] == pytest.approx(1.0)  # both users all-hits
         assert row.means["recall"] == pytest.approx(1.0)
 
+    def test_repeated_cut_user(self):
+        ds = self.make_dataset()
+        cuts = [
+            PersonalizedCut(0, 1, np.array([0.9]), [1], 1),
+            PersonalizedCut(1, 1, np.array([0.9]), [3], 1),
+            PersonalizedCut(0, 1, np.array([0.9]), [5], 1),
+        ]
+        with pytest.raises(ValueError, match="user 0 has more than one"):
+            evaluate(cuts, ds, split="test")
+
     def test_unknown_metric(self):
         ds = self.make_dataset()
         with pytest.raises(ValueError):
