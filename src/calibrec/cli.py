@@ -214,16 +214,20 @@ def _write_split(path, split: Csr, delimiter):
 
 
 def _read_split(path, delimiter, num_users, num_items) -> Csr:
-    """Parse a ``user<delim>item`` split file into per-user rows."""
+    """Parse a split file of the ``%d<delim>%d\\n`` lines ``_write_split`` writes into rows."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    try:
-        values = np.fromstring(text.replace(delimiter, " "), dtype=np.int64, sep=" ")
-    except ValueError:
-        values = None
-    if values is None or len(values) != 2 * text.count(delimiter):
+    # NUL marks each delimiter; a NUL of the file's own turns into "x", which is rejected
+    marked = text.replace("\0", "x").replace(delimiter, "\0").encode()
+    buf = np.frombuffer(marked, dtype=np.uint8)
+    # delimiter, newline, delimiter, newline, ..., no empty field, digits in between
+    seps = np.flatnonzero(buf < ord("0"))
+    if (
+        buf.max(initial=0) > ord("9") or np.any(buf[seps[0::2]]) or marked[-1:] not in (b"", b"\n")
+        or np.any(buf[seps[1::2]] != ord("\n")) or np.any(np.diff(seps, prepend=-1) < 2)
+    ):
         raise DataFormatError(f"{path}: expected 'user{delimiter}item' lines")
-    pairs = values.reshape(-1, 2)
+    pairs = np.fromstring(marked.replace(b"\0", b" "), dtype=np.int64, sep=" ").reshape(-1, 2)
     try:
         return Csr.from_pairs(pairs[:, 0], pairs[:, 1], num_users, num_items)
     except ValueError as exc:

@@ -291,7 +291,7 @@ def _first_seen(data: bytes, buf, lo, hi) -> tuple[np.ndarray, list[str]]:
 
     Tokens of different lengths never match, so each length is numbered on
     its own: its tokens are copied into one fixed-width array (one uint64
-    each when 8 bytes or shorter) and numbered by ``np.unique``. Together
+    each when 8 bytes or shorter), sorted and numbered by run. Together
     the copies hold each token's bytes once.
     """
     size = hi - lo
@@ -308,10 +308,14 @@ def _first_seen(data: bytes, buf, lo, hi) -> tuple[np.ndarray, list[str]]:
             keys = packed.view(np.uint64).ravel()
         else:
             keys = tokens.view(f"S{width}").ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        group[rows] = inverse.ravel() + distinct
-        firsts.append(rows[first])
-        distinct += first.size
+        # any sort keeps equal keys in one run; its smallest position is the first row
+        order = np.argsort(keys)
+        ordered = keys[order]
+        head = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        group[rows[order]] = np.cumsum(head) - 1 + distinct
+        heads = np.flatnonzero(head)
+        firsts.append(rows[np.minimum.reduceat(order, heads)])
+        distinct += heads.size
     firsts = np.concatenate(firsts)
     order = np.argsort(firsts)
     code = np.empty(distinct, dtype=np.int64)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .calibration import Calibrator, apply
 from .dataset import Csr
@@ -65,77 +66,69 @@ def _validate_probs(probs, name: str) -> np.ndarray:
     return arr
 
 
-# Users per block: a block shares its pool, score and curve temporaries. A
-# curve block is cut further so each (users, k_max, k_max) array holds at
-# most _BLOCK_ENTRIES entries (0.5 MB).
+# Users per block: a block shares its pool, score and curve temporaries.
 _BLOCK_USERS = 128
-_BLOCK_ENTRIES = 1 << 16
 
 
-def _fold(pmf: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Fold one Bernoulli(p) per row into same-width count pmfs; the last column must be 0."""
-    out = pmf * (1.0 - p)
-    out[..., 1:] += pmf[..., :-1] * p
-    return out
+def _fold(pmf: np.ndarray, p: np.ndarray) -> None:
+    """Fold Bernoulli(p[u]) into column u of count pmfs indexed by count along
+    axis 0, in place; mass pushed past the last row is dropped."""
+    shifted = pmf[:-1] * p
+    pmf *= 1.0 - p
+    pmf[1:] += shifted
 
 
 def _pb_rows(probs: np.ndarray) -> np.ndarray:
-    """Poisson-binomial count pmfs, row by row: (users, n) probabilities to (users, n+1)."""
-    users, n = probs.shape
-    pmf = np.zeros((users, n + 1))
-    pmf[:, 0] = 1.0
-    for j in range(n):
-        pmf[:, : j + 2] = _fold(pmf[:, : j + 2], probs[:, j : j + 1])
-    return pmf
+    """Poisson-binomial count pmfs, row by row: (users, n) probabilities to
+    (users, n+1), a transposed view of the (n+1, users) array that is folded."""
+    pmf = np.zeros((probs.shape[1] + 1, len(probs)))
+    pmf[0] = 1.0
+    for j, p in enumerate(np.ascontiguousarray(probs.T)):
+        _fold(pmf[: j + 2], p)
+    return pmf.T
 
 
-def _cutoff_weights(kind: str, k_max: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-item gains g[i] and the table w[m, k-1] = W(m, k) for m < n_max.
-
-    Given item i at rank i < k is relevant and m other pool items are,
-    item i contributes g[i] * W(m, k) to the top-k utility.
-    """
-    m = np.arange(n_max)[:, None]
-    k = np.arange(1, k_max + 1)[None, :]
-    if kind == "ndcg":
-        gains = 1.0 / np.log2(np.arange(2, k_max + 2))
-        inv_idcg = 1.0 / np.cumsum(gains)  # inv_idcg[r-1] = 1 / IDCG(r)
-        return gains, inv_idcg[np.minimum(m + 1, k) - 1]
-    ones = np.ones(k_max)
-    if kind == "f1":
-        return ones, 2.0 / (k + 1 + m)
-    return ones, np.broadcast_to(1.0 / (1.0 + m), (n_max, k_max))  # recall
-
-
-def _loo_curves(ranked: np.ndarray, pmf_rest: np.ndarray, kind: str) -> np.ndarray:
+def _block_curves(ranked: np.ndarray, rest: np.ndarray, kind: str) -> np.ndarray:
     """Recall, f1 or ndcg curves of one block of users; see ``utility_curves``."""
     users, k_max = ranked.shape
-    width = pmf_rest.shape[1]
-    gains, w = _cutoff_weights(kind, k_max, k_max + width - 1)
-
-    # pmfs of the top-k_max count before and after each item i
-    prefix = np.zeros((users, k_max, k_max))
-    suffix = np.zeros((users, k_max, k_max))
-    prefix[:, 0, 0] = suffix[:, -1, 0] = 1.0
-    for i in range(1, k_max):
-        prefix[:, i] = _fold(prefix[:, i - 1], ranked[:, i - 1 : i])
-        j = k_max - 1 - i
-        suffix[:, j] = _fold(suffix[:, j + 1], ranked[:, j + 1 : j + 2])
-
-    # loo[u, i, a]: pmf of the top-k_max count without item i, prefix * suffix
-    loo = np.zeros((users, k_max, k_max))
-    for j in range(k_max):  # prefix[:, i, j] is 0 for j > i
-        loo[:, j:, j:] += prefix[:, j:, j : j + 1] * suffix[:, j:, : k_max - j]
-    del prefix, suffix
-    # cum[u, k-1, a] = sum_{i<k} p_i g_i loo[u, i, a]
-    loo *= (ranked * gains)[:, :, None]
-    cum = np.cumsum(loo, axis=1, out=loo)
-
-    # h[u, a, k-1] = E_B[W(a + B, k)], B the relevant count beyond the top k_max
-    h = np.empty((users, k_max, k_max))
-    for a in range(k_max):
-        h[:, a] = pmf_rest @ w[a : a + width]
-    return np.einsum("uka,uak->uk", cum, h)
+    probs = np.ascontiguousarray(ranked.T)  # probs[i]: item i's probability per user
+    pmf_rest = _pb_rows(rest).T  # (R+1, users), as folded
+    gains = 1.0 / np.log2(np.arange(2, k_max + 2)) if kind == "ndcg" else np.ones(k_max)
+    # backward: h[k-1, n] = H_k(n) = E[W(n - 1 + R_k, k)] for n = 1..k
+    h = np.zeros((k_max, k_max + 1, users))
+    if kind == "ndcg":
+        inv_idcg = 1.0 / np.cumsum(gains)  # inv_idcg[r-1] = 1 / IDCG(r)
+        # q[r] = P(R_k = r) for r < k_max: IDCG saturates at k <= k_max
+        q = np.zeros((k_max, users))
+        q[: len(pmf_rest)] = pmf_rest[:k_max]
+        for k in range(k_max, 0, -1):
+            # excess[n + r] = 1/IDCG(min(n + r, k)) - 1/IDCG(k), left 0 at
+            # n + r = 0, where the forward weight is 0
+            excess = np.zeros(2 * k_max)
+            excess[1:k] = inv_idcg[: k - 1] - inv_idcg[k - 1]
+            h[k - 1] = inv_idcg[k - 1] + sliding_window_view(excess, k_max)[: k_max + 1] @ q
+            _fold(q, probs[k - 1])
+    else:
+        # phi[t-1] = E[1 / (t + R_k)] for t = 1..2 k_max. A step back mixes
+        # phi[t-1] and phi[t], a fold run in reverse; it leaves one more top
+        # entry stale, never one that h reads.
+        t = np.arange(1, 2 * k_max + 1)[:, None]
+        phi = (1.0 / (t + np.arange(len(pmf_rest)))) @ pmf_rest
+        for k in range(k_max, 0, -1):
+            if kind == "f1":
+                h[k - 1, : k + 1] = 2.0 * phi[k - 1 : 2 * k]  # W = 2/(k + n + R_k)
+            else:
+                h[k - 1, 1 : k + 1] = phi[:k]  # W = 1/(n + R_k)
+            _fold(phi[::-1], probs[k - 1])
+    # forward: a[n] = A_k(n) = E[S_k 1{N_k = n}] and pmf[n] = P(N_k = n)
+    a, pmf = np.zeros((2, k_max + 1, users))
+    pmf[0] = 1.0
+    for k in range(k_max):
+        _fold(a, probs[k])
+        a[1:] += (gains[k] * probs[k]) * pmf[:-1]
+        _fold(pmf, probs[k])
+        h[k] *= a  # a is A_{k+1} now, and h[k] holds cutoff k + 1
+    return h.sum(axis=1).T
 
 
 def utility_curves(ranked_probs, rest_probs, kind: str) -> np.ndarray:
@@ -147,17 +140,18 @@ def utility_curves(ranked_probs, rest_probs, kind: str) -> np.ndarray:
     with probability 0, which leaves every curve unchanged.
 
     Precision is the running mean. Recall, f1 and ndcg share one exact
-    identity: writing N_-i for the relevant count over the whole pool minus
-    item i, which does not depend on k,
+    identity. With S_k = sum_{i<k} g_i X_i, N_k the relevant count in the
+    top k and R_k the relevant count over the rest of the pool, which is
+    independent of both,
 
-        curve[k-1] = sum_{i<k} p_i * g_i * E[W(N_-i, k)]
+        curve[k-1] = sum_n A_k(n) * H_k(n),
+        A_k(n) = E[S_k * 1{N_k = n}],   H_k(n) = E[W(n - 1 + R_k, k)]
 
     with W = 2/(k+1+m), g = 1 for f1; W = 1/(1+m), g = 1 for recall; and
-    W = 1/IDCG(min(m+1, k)), g_i = 1/log2(i+2) for ndcg. N_-i splits into
-    the top-k_max count without item i, whose pmf is the convolution of a
-    prefix and a suffix pmf, and the independent rest count B, folded once
-    into a (k_max, k_max) table. Users are evaluated a block at a time. The
-    exact values lie in [0, 1]; float rounding above 1 is clipped.
+    W = 1/IDCG(min(m+1, k)), g_i = 1/log2(i+2) for ndcg. A_k comes from a
+    forward fold over k and H_k from a backward one. Users are evaluated a
+    block at a time. The exact values lie in [0, 1]; float rounding above 1
+    is clipped.
     """
     ranked = _validate_probs(ranked_probs, "ranked_probs")
     rest = _validate_probs(rest_probs, "rest_probs")
@@ -171,12 +165,10 @@ def utility_curves(ranked_probs, rest_probs, kind: str) -> np.ndarray:
 
     if kind == "precision":
         return np.cumsum(ranked, axis=1) / np.arange(1, k_max + 1)
-    pmf_rest = _pb_rows(rest)
     out = np.empty((users, k_max))
-    rows = max(1, min(_BLOCK_USERS, _BLOCK_ENTRIES // (k_max * k_max)))
-    for start in range(0, users, rows):
-        block = slice(start, start + rows)
-        out[block] = _loo_curves(ranked[block], pmf_rest[block], kind)
+    for start in range(0, users, _BLOCK_USERS):
+        block = slice(start, start + _BLOCK_USERS)
+        out[block] = _block_curves(ranked[block], rest[block], kind)
     return np.minimum(out, 1.0, out=out)
 
 

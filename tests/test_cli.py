@@ -101,6 +101,9 @@ class TestIngest:
         dataset, maps = load_bundle(tmp_path / "b", delimiter="::")
         assert maps.user_to_index == {"1": 0, "2": 1}
         assert len(dataset.train) == 3
+        (tmp_path / "b" / "train.txt").write_text("0::0\n0:::1\n")
+        with pytest.raises(cli.DataFormatError, match="expected 'user::item' lines"):
+            load_bundle(tmp_path / "b", delimiter="::")
 
     def test_bundle_round_trip(self, workspace):
         dataset, maps = load_bundle(workspace / "bundle")
@@ -166,6 +169,25 @@ class TestBundleFormat:
         (bundle / "test.txt").write_text("3,4000\n")
         assert run("recommend", "--data", bundle, "--ckpt", workspace / "ckpt",
                    "--out", tmp_path / "r.jsonl", "--k", "3") == 2
+
+    @pytest.mark.parametrize("train", [
+        "0,0 1,1\n2,2\n",  # two pairs on one line
+        "0,1,2\n3\n",  # delimiters and newlines in the right counts, on the wrong lines
+        "0 1,\n", "0,1\n\n", "0,1", ",1\n", "0,\n", " 0,1\n", "0,1 \n", "0\t,1\n",
+        "+0,1\n", "0,1\x00\n", "0,1\u00a0\n", "0;1\n",
+    ])
+    def test_split_lines_other_than_written_are_rejected(self, workspace, tmp_path, train):
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        for name in BUNDLE_FILES:
+            (bundle / name).write_bytes((workspace / "bundle" / name).read_bytes())
+        (bundle / "train.txt").write_text(train, encoding="utf-8")
+        with pytest.raises(cli.DataFormatError, match="expected 'user,item' lines"):
+            load_bundle(bundle)
+        (bundle / "train.txt").write_text("0,0\n2,2\n")
+        assert load_bundle(bundle)[0].train.pairs()[1].tolist() == [0, 2]
+        (bundle / "train.txt").write_text("")
+        assert len(load_bundle(bundle)[0].train) == 0
 
 
 class TestConfig:

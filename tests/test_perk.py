@@ -240,26 +240,44 @@ def padded_block(cases):
     return ranked_block, rest_block
 
 
+def assert_matches_reference(got, ranked, rest, kind):
+    """``got`` within 1e-12 of the reference curve, with the same k* unless the
+    reference's top two values lie within 1e-12 of each other."""
+    expected = reference_utility_curve(ranked, rest, kind)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12, err_msg=kind)
+    top_two = np.sort(expected)[::-1][:2]
+    if len(top_two) == 1 or top_two[0] - top_two[1] > 1e-12:
+        assert select_k(got) == select_k(expected), (kind, len(ranked), len(rest))
+
+
 class TestUtilityCurves:
     @pytest.mark.parametrize("kind", ["precision", "recall", "f1", "ndcg"])
     def test_ragged_block_matches_reference(self, kind):
         cases = probability_cases(41)
         curves = utility_curves(*padded_block(cases), kind)
         for (ranked, rest), curve in zip(cases, curves):
-            expected = reference_utility_curve(ranked, rest, kind)
-            got = curve[: len(ranked)]
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-            top_two = np.sort(expected)[::-1][:2]
-            if len(top_two) == 1 or top_two[0] - top_two[1] > 1e-12:
-                assert select_k(got) == select_k(expected), (kind, len(ranked), len(rest))
+            assert_matches_reference(curve[: len(ranked)], ranked, rest, kind)
 
     @pytest.mark.parametrize("kind", ["recall", "f1", "ndcg"])
     def test_blocking_changes_only_rounding(self, kind, monkeypatch):
         block = padded_block(probability_cases(42))
         whole = utility_curves(*block, kind)
-        monkeypatch.setattr(perk, "_BLOCK_ENTRIES", 1)  # one user per block
-        # block GEMMs may round differently, nothing more
-        np.testing.assert_allclose(utility_curves(*block, kind), whole, rtol=0, atol=1e-15)
+        for block_users in (1, 7):  # 14 users: 14 blocks or 2
+            monkeypatch.setattr(perk, "_BLOCK_USERS", block_users)
+            # block GEMMs may round differently, nothing more
+            np.testing.assert_allclose(utility_curves(*block, kind), whole, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["precision", "recall", "f1", "ndcg"])
+    def test_random_pools_match_reference(self, kind):
+        rng = np.random.default_rng({"precision": 49, "recall": 46, "f1": 47, "ndcg": 48}[kind])
+        for _ in range(30):
+            k = int(rng.integers(1, 51))
+            r = int(rng.integers(0, 301))
+            probs = rng.random(k + r)
+            probs[rng.random(k + r) < 0.1] = 0.0
+            probs[rng.random(k + r) < 0.1] = 1.0
+            ranked, rest = probs[:k], probs[k:]
+            assert_matches_reference(one_curve(ranked, rest, kind), ranked, rest, kind)
 
     def test_values_in_unit_interval(self):
         cases = probability_cases(44)
