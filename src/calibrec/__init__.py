@@ -12,9 +12,9 @@ Three capabilities on a matrix-factorization backbone:
 
 Supporting modules: ``atomic`` (all-or-nothing file output), ``dataset``
 (ingestion, CSR splits and the negative sampler), ``ranker`` (the MF
-backbone and batched top-K), ``metrics`` (realized ranking metrics),
-``synthetic`` (seeded data generators), ``cli`` (the end-to-end pipeline
-driver).
+backbone, the batched pair scorer and top-K), ``metrics`` (realized
+ranking metrics), ``synthetic`` (seeded data generators), ``cli`` (the
+end-to-end pipeline driver).
 """
 
 from . import atomic, calibration, cli, dataset, distill, metrics, perk, ranker, seeding, synthetic
@@ -41,7 +41,7 @@ from .dataset import (
     split_per_user,
 )
 from .distill import BdConfig, CotrainReport, bd_loss, cotrain_epoch
-from .metrics import EvalResult, evaluate, f1_at, ndcg_at, precision_at, recall_at
+from .metrics import EvalResult, evaluate
 from .perk import PerkConfig, PersonalizedCut, perk_recommend_users, select_k, utility_curves
 from .ranker import (
     MfParams,
@@ -53,6 +53,7 @@ from .ranker import (
     pointwise_epoch,
     save_checkpoint,
     score_items,
+    score_pairs,
     top_k,
 )
 

@@ -35,7 +35,7 @@ from scipy.special import expit
 
 from .atomic import atomic_open
 from .dataset import Dataset, sample_negatives
-from .ranker import MfParams, score_items
+from .ranker import MfParams, score_pairs
 
 CALIBRATOR_KINDS = ("platt", "gaussian", "gamma", "histogram")
 PARAMETRIC_KINDS = ("platt", "gaussian", "gamma")
@@ -492,19 +492,6 @@ def write_reliability_csv(rows, path) -> None:
             fh.write(f"{lower},{upper},{count},{mean_p},{frac_pos}\n")
 
 
-def read_reliability_csv(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != RELIABILITY_HEADER:
-            raise ValueError(f"unexpected reliability header {header!r}")
-        for line in fh:
-            if line.strip():
-                lower, upper, count, mean_p, frac_pos = line.strip().split(",")
-                rows.append((float(lower), float(upper), int(count), float(mean_p), float(frac_pos)))
-    return rows
-
-
 def collect_calibration_samples(
     params: MfParams,
     dataset: Dataset,
@@ -532,10 +519,6 @@ def collect_calibration_samples(
     items = np.column_stack([positives, negatives])
     labels = np.zeros(items.shape, dtype=np.int64)
     labels[:, 0] = 1
-    scores = np.empty(items.shape)
-    for user in np.flatnonzero(held.sizes()):
-        rows = slice(held.indptr[user], held.indptr[user + 1])
-        user_scores = score_items(params, int(user), items[rows].ravel())
-        scores[rows] = user_scores.reshape(-1, items.shape[1])
+    scores = score_pairs(params, np.repeat(users, items.shape[1]), items)
     theta = propensity.theta[items] if propensity is not None else np.ones(items.shape)
-    return CalibrationSamples(scores.ravel(), labels.ravel(), theta.ravel())
+    return CalibrationSamples(scores, labels.ravel(), theta.ravel())

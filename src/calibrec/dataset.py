@@ -39,21 +39,6 @@ class IdMaps:
     def num_items(self) -> int:
         return len(self.item_to_index)
 
-    def user_index(self, external_id: str) -> int:
-        """Index for an external user id, assigning a fresh one if unseen."""
-        idx = self.user_to_index.get(external_id)
-        if idx is None:
-            idx = len(self.user_to_index)
-            self.user_to_index[external_id] = idx
-        return idx
-
-    def item_index(self, external_id: str) -> int:
-        idx = self.item_to_index.get(external_id)
-        if idx is None:
-            idx = len(self.item_to_index)
-            self.item_to_index[external_id] = idx
-        return idx
-
 
 SPLITS = ("train", "validation", "test")
 

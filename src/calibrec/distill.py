@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import Dataset
-from .ranker import MfParams, TrainConfig, pointwise_epoch, score_items, top_k
+from .ranker import MfParams, TrainConfig, pointwise_epoch, score_items, score_pairs, top_k
 
 # probabilities entering distillation logs are clamped to this band
 PROB_CLAMP = 1e-7
@@ -187,10 +187,7 @@ def _distill_pass(
     # drawn items fill a prefix of each row, so this is user order
     users = np.repeat(np.arange(len(drawn)), counts)
     items = drawn[drawn >= 0]
-    targets = expit(
-        np.einsum("ij,ij->i", target_source.user_emb[users], target_source.item_emb[items])
-        + target_source.item_bias[items]
-    )
+    targets = expit(score_pairs(target_source, users, items))
     learner = np.empty_like(targets)
     ends = np.cumsum(counts)
     for user in np.flatnonzero(counts):

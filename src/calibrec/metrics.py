@@ -13,46 +13,6 @@ from .perk import PersonalizedCut
 METRIC_NAMES = ("precision", "recall", "f1", "ndcg")
 
 
-def precision_at(recommended: Sequence[int], relevant: set, k: int) -> float:
-    """|top-k hits| / k (divides by k even when the list is shorter)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    hits = sum(1 for item in recommended[:k] if item in relevant)
-    return hits / k
-
-
-def recall_at(recommended: Sequence[int], relevant: set, k: int) -> float:
-    if not relevant:
-        raise ValueError("empty relevant set")
-    hits = sum(1 for item in recommended[:k] if item in relevant)
-    return hits / len(relevant)
-
-
-def f1_at(recommended: Sequence[int], relevant: set, k: int) -> float:
-    """2 * hits / (k + |relevant|); 0 when nothing was hit."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not relevant:
-        raise ValueError("empty relevant set")
-    hits = sum(1 for item in recommended[:k] if item in relevant)
-    return 2.0 * hits / (k + len(relevant))
-
-
-def ndcg_at(recommended: Sequence[int], relevant: set, k: int) -> float:
-    """Binary-gain DCG over the top k, normalized by the ideal ordering."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not relevant:
-        raise ValueError("empty relevant set")
-    dcg = sum(
-        1.0 / np.log2(pos + 2)
-        for pos, item in enumerate(recommended[:k])
-        if item in relevant
-    )
-    idcg = sum(1.0 / np.log2(j + 2) for j in range(min(len(relevant), k)))
-    return float(dcg / idcg)
-
-
 @dataclass
 class EvalRow:
     """Macro-averaged metrics at one cutoff (a fixed k or the per-user k*)."""
@@ -88,7 +48,8 @@ def _hit_prefixes(
     with -1 to ``width``; padding and items outside the catalog are masked
     before the membership test, whose key ``user * num_items + item`` would
     otherwise land in a neighbouring user's row. DCG adds the hit gains in
-    list order, as ``ndcg_at`` does, so every prefix is bit-identical to it.
+    list order, as the scalar ``ndcg_at`` in ``tests/oracles.py`` does, so
+    every prefix is bit-identical to it.
     """
     ranked = np.full((len(lists), width), -1, dtype=np.int64)
     for row, items in enumerate(lists):
@@ -146,7 +107,7 @@ def evaluate(
 
     All users are scored at once from one hit matrix and its prefix sums.
     Per-user values and means are bit-identical to averaging the scalar
-    ``*_at`` functions over users in input order.
+    ``*_at`` forms in ``tests/oracles.py`` over users in input order.
     """
     for m in metrics:
         if m not in METRIC_NAMES:

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .calibration import Calibrator, apply
 from .dataset import Csr
-from .ranker import MfParams, score_items, top_k
+from .ranker import MfParams, score_pairs, top_k
 
 UTILITY_KINDS = ("precision", "recall", "f1", "ndcg")
 
@@ -78,10 +78,11 @@ def _fold(pmf: np.ndarray, p: np.ndarray) -> None:
     pmf[1:] += shifted
 
 
-def _pb_rows(probs: np.ndarray) -> np.ndarray:
+def _pb_rows(probs: np.ndarray, counts: int | None = None) -> np.ndarray:
     """Poisson-binomial count pmfs, row by row: (users, n) probabilities to
-    (users, n+1), a transposed view of the (n+1, users) array that is folded."""
-    pmf = np.zeros((probs.shape[1] + 1, len(probs)))
+    (users, counts), a transposed view of the (counts, users) array that is
+    folded. Counts default to all n + 1; mass at higher counts is dropped."""
+    pmf = np.zeros((probs.shape[1] + 1 if counts is None else counts, len(probs)))
     pmf[0] = 1.0
     for j, p in enumerate(np.ascontiguousarray(probs.T)):
         _fold(pmf[: j + 2], p)
@@ -92,15 +93,13 @@ def _block_curves(ranked: np.ndarray, rest: np.ndarray, kind: str) -> np.ndarray
     """Recall, f1 or ndcg curves of one block of users; see ``utility_curves``."""
     users, k_max = ranked.shape
     probs = np.ascontiguousarray(ranked.T)  # probs[i]: item i's probability per user
-    pmf_rest = _pb_rows(rest).T  # (R+1, users), as folded
     gains = 1.0 / np.log2(np.arange(2, k_max + 2)) if kind == "ndcg" else np.ones(k_max)
     # backward: h[k-1, n] = H_k(n) = E[W(n - 1 + R_k, k)] for n = 1..k
     h = np.zeros((k_max, k_max + 1, users))
     if kind == "ndcg":
         inv_idcg = 1.0 / np.cumsum(gains)  # inv_idcg[r-1] = 1 / IDCG(r)
         # q[r] = P(R_k = r) for r < k_max: IDCG saturates at k <= k_max
-        q = np.zeros((k_max, users))
-        q[: len(pmf_rest)] = pmf_rest[:k_max]
+        q = _pb_rows(rest, k_max).T
         for k in range(k_max, 0, -1):
             # excess[n + r] = 1/IDCG(min(n + r, k)) - 1/IDCG(k), left 0 at
             # n + r = 0, where the forward weight is 0
@@ -112,6 +111,7 @@ def _block_curves(ranked: np.ndarray, rest: np.ndarray, kind: str) -> np.ndarray
         # phi[t-1] = E[1 / (t + R_k)] for t = 1..2 k_max. A step back mixes
         # phi[t-1] and phi[t], a fold run in reverse; it leaves one more top
         # entry stale, never one that h reads.
+        pmf_rest = _pb_rows(rest).T  # (R+1, users), as folded
         t = np.arange(1, 2 * k_max + 1)[:, None]
         phi = (1.0 / (t + np.arange(len(pmf_rest)))) @ pmf_rest
         for k in range(k_max, 0, -1):
@@ -192,9 +192,10 @@ def perk_recommend_users(
     Users go ``_BLOCK_USERS`` at a time. Per block, one ``top_k`` call ranks
     the items outside each user's ``excluded`` row (train, say, or train and
     validation) and keeps the top (k_max + rest_pool) as the candidate
-    pools; one ``apply`` maps all pool scores through the calibrator
-    (including any recorded score shift); ``utility_curves`` evaluates
-    k = 1..k_max, and each list is cut at its curve's smallest argmax.
+    pools; one ``score_pairs`` call scores them, one ``apply`` maps them
+    through the calibrator (including any recorded score shift);
+    ``utility_curves`` evaluates k = 1..k_max, and each list is cut at its
+    curve's smallest argmax.
     Raises ValueError if a user has no candidates.
     """
     users = np.asarray(users, dtype=np.int64).ravel()
@@ -206,9 +207,7 @@ def perk_recommend_users(
         sizes = candidates.sum(axis=1)
         if np.any(sizes == 0):
             raise ValueError(f"user {block[np.argmin(sizes)]} has no candidate items")
-        scores = np.concatenate(
-            [score_items(params, u, pool[:n]) for u, pool, n in zip(block.tolist(), pools, sizes)]
-        )
+        scores = score_pairs(params, np.repeat(block, sizes), pools[candidates])
         # padding keeps probability 0, which leaves every curve unchanged
         probs = np.zeros(pools.shape)
         probs[candidates] = apply(calibrator, scores)

@@ -23,6 +23,9 @@ LOSS_KINDS = ("bpr", "pointwise")
 # users scored together by top_k: the dense score block is at most
 # TOP_K_BLOCK x num_items
 TOP_K_BLOCK = 256
+# pairs scored together by score_pairs: each gathered (SCORE_CHUNK, dim)
+# table is 2 MB at dim 32
+SCORE_CHUNK = 1 << 13
 
 
 @dataclass
@@ -90,6 +93,31 @@ def score_items(params: MfParams, u: int, items) -> np.ndarray:
         raise IndexError(f"user index {u} out of range [0, {params.num_users})")
     idx = np.asarray(items, dtype=np.int64)
     return params.item_emb[idx] @ params.user_emb[u] + params.item_bias[idx]
+
+
+def score_pairs(params: MfParams, users, items) -> np.ndarray:
+    """Scores s(users[j], items[j]) of paired indices, as a vector.
+
+    Each chunk of ``SCORE_CHUNK`` pairs gathers its user and item rows and
+    takes their row-wise dot products, so no temporary grows with the
+    number of pairs beyond the output.
+    """
+    users = np.asarray(users, dtype=np.int64).ravel()
+    items = np.asarray(items, dtype=np.int64).ravel()
+    if len(users) != len(items):
+        raise ValueError(f"{len(users)} users paired with {len(items)} items")
+    # numpy would wrap a negative index silently
+    for name, idx, n in (("user", users, params.num_users), ("item", items, params.num_items)):
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise IndexError(f"{name} index out of range [0, {n})")
+    out = np.empty(len(users))
+    for start in range(0, len(users), SCORE_CHUNK):
+        u = users[start : start + SCORE_CHUNK]
+        i = items[start : start + SCORE_CHUNK]
+        out[start : start + len(u)] = (
+            np.einsum("ij,ij->i", params.user_emb[u], params.item_emb[i]) + params.item_bias[i]
+        )
+    return out
 
 
 def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
@@ -305,11 +333,11 @@ def auc(
     positives = held.indices[np.repeat(held.indptr[users], pairs_per_user) + picks]
     positives = positives.reshape(len(users), pairs_per_user)
     negatives = sample_negatives(dataset, users, pairs_per_user, rng, exclude=("train", split))
-    per_user = np.empty(len(users))
-    for row, user in enumerate(users):
-        s = score_items(params, int(user), np.concatenate([positives[row], negatives[row]]))
-        s_pos, s_neg = s[:pairs_per_user], s[pairs_per_user:]
-        per_user[row] = np.mean((s_pos > s_neg) + 0.5 * (s_pos == s_neg))
+    s_pos, s_neg = (
+        score_pairs(params, np.repeat(users, pairs_per_user), picked).reshape(picked.shape)
+        for picked in (positives, negatives)
+    )
+    per_user = np.mean((s_pos > s_neg) + 0.5 * (s_pos == s_neg), axis=1)
     return float(np.mean(per_user))
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from calibrec.calibration import RELIABILITY_HEADER
 from calibrec.dataset import Csr, Dataset
 from calibrec.synthetic import low_rank_dataset
 
@@ -33,6 +34,20 @@ def read_jsonl(path):
     """The JSON object on each non-empty line of a file."""
     with open(path, "r", encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+def read_reliability_csv(path):
+    """The rows ``calibration.write_reliability_csv`` wrote, as tuples."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != RELIABILITY_HEADER:
+            raise ValueError(f"unexpected reliability header {header!r}")
+        for line in fh:
+            if line.strip():
+                lower, upper, count, mean_p, frac_pos = line.strip().split(",")
+                rows.append((float(lower), float(upper), int(count), float(mean_p), float(frac_pos)))
+    return rows
 
 
 @pytest.fixture(scope="session")

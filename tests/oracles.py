@@ -7,7 +7,8 @@ dynamic program, the incremental per-cutoff expected-utility curve that
 the batched one replaced, the dict form of the rank-discrepancy weights,
 the per-example ``np.add.at`` training steps that the bincount scatter
 replaced, the line-by-line interaction loader that the byte-array parse
-replaced, and a general-purpose quasi-Newton minimizer for calibrator
+replaced, the scalar one-list ranking metrics that ``metrics.evaluate``
+batches, and a general-purpose quasi-Newton minimizer for calibrator
 fits. Nothing imports the code paths it verifies; the reference epochs
 draw their negatives with the library's sampler so that they use the same
 random stream.
@@ -249,6 +250,46 @@ def reference_utility_curve(ranked, rest, kind):
     return curve
 
 
+def precision_at(recommended, relevant: set, k: int) -> float:
+    """|top-k hits| / k (divides by k even when the list is shorter)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    hits = sum(1 for item in recommended[:k] if item in relevant)
+    return hits / k
+
+
+def recall_at(recommended, relevant: set, k: int) -> float:
+    if not relevant:
+        raise ValueError("empty relevant set")
+    hits = sum(1 for item in recommended[:k] if item in relevant)
+    return hits / len(relevant)
+
+
+def f1_at(recommended, relevant: set, k: int) -> float:
+    """2 * hits / (k + |relevant|); 0 when nothing was hit."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not relevant:
+        raise ValueError("empty relevant set")
+    hits = sum(1 for item in recommended[:k] if item in relevant)
+    return 2.0 * hits / (k + len(relevant))
+
+
+def ndcg_at(recommended, relevant: set, k: int) -> float:
+    """Binary-gain DCG over the top k, normalized by the ideal ordering."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not relevant:
+        raise ValueError("empty relevant set")
+    dcg = sum(
+        1.0 / np.log2(pos + 2)
+        for pos, item in enumerate(recommended[:k])
+        if item in relevant
+    )
+    idcg = sum(1.0 / np.log2(j + 2) for j in range(min(len(relevant), k)))
+    return float(dcg / idcg)
+
+
 def rank_discrepancy_weights(rank_this, rank_other, eta, truncate_rank):
     """Sampling weight per item: tanh(eta * max(0, r_this - r_other)), by dict.
 
@@ -388,9 +429,14 @@ def reference_pointwise_epoch(params, dataset, cfg, rng):
     return out, total_loss / total_examples
 
 
+def first_seen_index(ids, external_id):
+    """Index of an external id in a dict of them, the next free one if unseen."""
+    return ids.setdefault(external_id, len(ids))
+
+
 def reference_load_interactions(path, delimiter=","):
     """``dataset.load_interactions`` one text line at a time: pairs as a list
-    of tuples, ids numbered by ``IdMaps`` on first sight."""
+    of tuples, ids numbered on first sight."""
     maps = IdMaps()
     interactions = []
     seen = set()
@@ -405,7 +451,10 @@ def reference_load_interactions(path, delimiter=","):
                     f"line {line_no}: expected 'user{delimiter}item[{delimiter}timestamp]', got {stripped!r}",
                     line_no=line_no,
                 )
-            pair = (maps.user_index(fields[0]), maps.item_index(fields[1]))
+            pair = (
+                first_seen_index(maps.user_to_index, fields[0]),
+                first_seen_index(maps.item_to_index, fields[1]),
+            )
             if pair not in seen:
                 seen.add(pair)
                 interactions.append(pair)

@@ -18,14 +18,13 @@ from calibrec.calibration import (
     gradient_norm,
     load_calibrator,
     nll,
-    read_reliability_csv,
     reliability_table,
     save_calibrator,
     write_reliability_csv,
 )
 from calibrec.ranker import init_params, score_items
 
-from conftest import make_dataset
+from conftest import make_dataset, read_reliability_csv
 from oracles import finite_difference_grad, reference_fit
 
 

@@ -10,7 +10,6 @@ from calibrec.calibration import (
     Calibrator,
     apply,
     load_calibrator,
-    read_reliability_csv,
     save_calibrator,
 )
 from calibrec.cli import (
@@ -31,7 +30,7 @@ from calibrec.ranker import (
 from calibrec.seeding import stream_seed
 from calibrec.synthetic import low_rank_interactions, write_interactions_csv
 
-from conftest import read_jsonl
+from conftest import read_jsonl, read_reliability_csv
 
 
 def run(*argv):

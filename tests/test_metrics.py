@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from calibrec.metrics import evaluate, f1_at, ndcg_at, precision_at, recall_at
+from calibrec.metrics import evaluate
 from calibrec.perk import PersonalizedCut
 
 from conftest import make_dataset
+from oracles import f1_at, ndcg_at, precision_at, recall_at
 
 
 class TestPrecisionAt:

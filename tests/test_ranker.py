@@ -15,6 +15,7 @@ from calibrec.ranker import (
     pointwise_epoch,
     save_checkpoint,
     score_items,
+    score_pairs,
     top_k,
 )
 from calibrec.synthetic import low_rank_dataset
@@ -90,6 +91,31 @@ class TestScore:
         p.user_emb[1] *= 2.5
         assert score_items(p, 1, [2])[0] - p.item_bias[2] == pytest.approx(2.5 * base)
 
+
+
+class TestScorePairs:
+    @pytest.mark.parametrize("n", [0, 1, ranker.SCORE_CHUNK, ranker.SCORE_CHUNK + 1])
+    def test_matches_score_items(self, n):
+        # few users, so each one is paired many times and chunks split users
+        p = init_params(7, 30, 4, seed=3)
+        p.item_bias[:] = np.random.default_rng(4).normal(size=30)
+        rng = np.random.default_rng(n)
+        users, items = rng.integers(0, 7, n), rng.integers(0, 30, n)
+        got = score_pairs(p, users, items)
+        expected = [score_items(p, int(u), [i])[0] for u, i in zip(users, items)]
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_length_mismatch(self):
+        p = init_params(2, 3, 2, seed=0)
+        with pytest.raises(ValueError):
+            score_pairs(p, [0, 1], [0])
+
+    @pytest.mark.parametrize("users, items", [([2], [0]), ([-1], [0]), ([0], [3]), ([0], [-1])])
+    def test_out_of_range(self, users, items):
+        p = init_params(2, 3, 2, seed=0)
+        with pytest.raises(IndexError):
+            score_pairs(p, users, items)
 
 def extract_epoch_gradient(epoch_fn, params, dataset, cfg, seed):
     """Analytic gradient of one single-example epoch, as (old - new) / lr."""
