@@ -6,7 +6,6 @@ error, a reliability table, and the effect of inverse-propensity weighting.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from calibrec.calibration import (
     collect_calibration_samples,
@@ -16,7 +15,7 @@ from calibrec.calibration import (
     gamma_shift,
     reliability_table,
 )
-from calibrec.ranker import TrainConfig, bpr_epoch, init_params
+from calibrec.ranker import TrainConfig, bpr_epoch, init_params, sigmoid
 from calibrec.synthetic import low_rank_dataset
 
 SEED = 7
@@ -45,7 +44,7 @@ eval_scores = eval_samples.s
 eval_labels = eval_samples.y.astype(float)
 print(f"{len(fit_samples)} fitting samples, {fit_samples.y.sum()} positive")
 
-raw_pairs = np.column_stack([expit(eval_scores), eval_labels])
+raw_pairs = np.column_stack([sigmoid(eval_scores), eval_labels])
 print(f"\nraw sigmoid(score) ECE: {ece(raw_pairs):.4f}")
 
 # ----------------------------------------------------------------------

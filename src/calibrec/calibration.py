@@ -31,11 +31,10 @@ import json
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.special import expit
 
 from .atomic import atomic_open
 from .dataset import Dataset, sample_negatives
-from .ranker import MfParams, score_pairs
+from .ranker import MfParams, score_pairs, sigmoid
 
 CALIBRATOR_KINDS = ("platt", "gaussian", "gamma", "histogram")
 PARAMETRIC_KINDS = ("platt", "gaussian", "gamma")
@@ -125,7 +124,7 @@ def apply(cal: Calibrator, s) -> float | np.ndarray:
 
     if cal.kind in PARAMETRIC_KINDS:
         phi = _features(cal.kind, shifted)
-        out = expit(phi @ np.array([cal.a, cal.b, cal.c]))
+        out = sigmoid(phi @ np.array([cal.a, cal.b, cal.c]))
     elif cal.kind == "histogram":
         if not cal.bins:
             raise ValueError("histogram calibrator has no bins")
@@ -175,7 +174,7 @@ def _derivatives(theta_vec, phi, w_pos, w_neg) -> tuple[np.ndarray, np.ndarray]:
     in both weighting modes, so it is positive semidefinite even when the
     unbiased weights are negative.
     """
-    sig = expit(phi @ theta_vec)
+    sig = sigmoid(phi @ theta_vec)
     grad = phi.T @ (w_pos * (sig - 1.0) + w_neg * sig) / len(sig)
     hess = (phi.T * (sig * (1.0 - sig))) @ phi / len(sig)
     return grad, hess

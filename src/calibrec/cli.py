@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import calibration, metrics
 from .atomic import atomic_open
@@ -47,6 +46,7 @@ from .ranker import (
     load_checkpoint,
     pointwise_epoch,
     save_checkpoint,
+    sigmoid,
     top_k,
 )
 from .seeding import stream_seed
@@ -463,7 +463,7 @@ def cmd_calibrate(args, cfg) -> int:
 
     eval_scores = eval_samples.s
     eval_labels = eval_samples.y.astype(float)
-    raw_pairs = np.column_stack([expit(eval_scores), eval_labels])
+    raw_pairs = np.column_stack([sigmoid(eval_scores), eval_labels])
     cal_pairs = np.column_stack([np.atleast_1d(apply_calibrator(cal, eval_scores)), eval_labels])
     num_bins, scheme = cfg["calib.num_bins"], cfg["calib.scheme"]
     ece_raw = ece(raw_pairs, num_bins, scheme)

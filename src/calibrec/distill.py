@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import Dataset
-from .ranker import MfParams, TrainConfig, pointwise_epoch, score_items, score_pairs, top_k
+from .ranker import MfParams, TrainConfig, pointwise_epoch, score_items, score_pairs, sigmoid, top_k
 
 # probabilities entering distillation logs are clamped to this band
 PROB_CLAMP = 1e-7
@@ -187,13 +186,13 @@ def _distill_pass(
     # drawn items fill a prefix of each row, so this is user order
     users = np.repeat(np.arange(len(drawn)), counts)
     items = drawn[drawn >= 0]
-    targets = expit(score_pairs(target_source, users, items))
+    targets = sigmoid(score_pairs(target_source, users, items))
     learner = np.empty_like(targets)
     ends = np.cumsum(counts)
     for user in np.flatnonzero(counts):
         span = slice(ends[user] - counts[user], ends[user])
         idx = items[span]
-        q = expit(score_items(model, user, idx))
+        q = sigmoid(score_items(model, user, idx))
         learner[span] = q
         g = lam * bd_score_grads(q, targets[span])
         p_u = model.user_emb[user].copy()

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .atomic import atomic_open
 from .dataset import Csr, Dataset, sample_negatives
@@ -85,6 +84,16 @@ def init_params(num_users: int, num_items: int, dim: int, seed) -> MfParams:
         item_emb=rng.normal(0.0, 0.01, size=(num_items, dim)),
         item_bias=np.zeros(num_items),
     )
+
+
+def sigmoid(x):
+    """The logistic function 1 / (1 + exp(-x)), elementwise.
+
+    Below x of about -709.8, exp(-x) overflows to inf and the result is
+    exactly 0.0; that overflow is expected, so it raises no warning.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def score_items(params: MfParams, u: int, items) -> np.ndarray:
@@ -174,7 +183,7 @@ def bpr_epoch(
         x = np.sum(P * diff, axis=1) + out.item_bias[bi] - out.item_bias[bj]
         total_loss += np.logaddexp(0.0, -x).sum()
 
-        g = expit(x) - 1.0  # dL/dx
+        g = sigmoid(x) - 1.0  # dL/dx
         coef = cfg.lr / B
         gP = g[:, None] * P
         dP = g[:, None] * diff
@@ -229,7 +238,7 @@ def pointwise_epoch(
         total_loss += np.where(ex_y == 1.0, np.logaddexp(0.0, -s), np.logaddexp(0.0, s)).sum()
         total_examples += len(ex_i)
 
-        g = expit(s) - ex_y  # dL/ds
+        g = sigmoid(s) - ex_y  # dL/ds
         coef = cfg.lr / len(ex_i)
         gQ = g[:, None] * Q
         dP = gQ[:B] + gQ[B:].reshape(B, npp, -1).sum(axis=1)

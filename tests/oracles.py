@@ -7,9 +7,10 @@ dynamic program, the incremental per-cutoff expected-utility curve that
 the batched one replaced, the dict form of the rank-discrepancy weights,
 the per-example ``np.add.at`` training steps that the bincount scatter
 replaced, the line-by-line interaction loader that the byte-array parse
-replaced, the scalar one-list ranking metrics that ``metrics.evaluate``
-batches, and a general-purpose quasi-Newton minimizer for calibrator
-fits. Nothing imports the code paths it verifies; the reference epochs
+replaced, the synthetic generator's full sort of each user's scores and
+its line-at-a-time CSV writer, the scalar one-list ranking metrics that
+``metrics.evaluate`` batches, and a general-purpose quasi-Newton minimizer
+for calibrator fits. Nothing imports the code paths it verifies; the reference epochs
 draw their negatives with the library's sampler so that they use the same
 random stream.
 """
@@ -461,3 +462,29 @@ def reference_load_interactions(path, delimiter=","):
     if not interactions:
         raise DataFormatError("input contains no interactions")
     return interactions, maps
+
+
+def reference_low_rank_interactions(num_users, num_items, rank=2, per_user=20, noise=0.25, seed=0):
+    """``synthetic.low_rank_interactions`` by a full stable sort of each user's scores."""
+    rng = np.random.default_rng(seed)
+    user_factors = rng.normal(size=(num_users, rank))
+    item_factors = rng.normal(size=(num_items, rank))
+    pairs = []
+    for u in range(num_users):
+        scores = item_factors @ user_factors[u] + noise * rng.normal(size=num_items)
+        top = np.argsort(-scores, kind="stable")[:per_user]
+        pairs.extend((u, int(i)) for i in sorted(top))
+    return pairs
+
+
+def reference_write_interactions_csv(
+    path, pairs, delimiter=",", user_prefix="u", item_prefix="i", with_timestamps=False
+):
+    """``synthetic.write_interactions_csv`` one line per ``write``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for ts, (u, i) in enumerate(pairs):
+            row = [f"{user_prefix}{u}", f"{item_prefix}{i}"]
+            if with_timestamps:
+                row.append(str(1_000_000 + ts))
+            fh.write(delimiter.join(row) + "\n")
+    return path

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -767,3 +770,20 @@ class TestEval:
                    "--out", report_path, "--set", "eval.ks=1") == 0
         report = json.loads(report_path.read_text())
         assert report["rows"][0]["precision"] == pytest.approx(1.0)
+
+
+def test_package_imports_without_scipy():
+    # scipy is needed by the test oracles only; a fresh interpreter shows
+    # what importing the package itself loads
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; import calibrec, calibrec.cli, calibrec.synthetic; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

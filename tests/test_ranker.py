@@ -1,7 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from calibrec import ranker
 from calibrec.dataset import Csr
@@ -16,6 +18,7 @@ from calibrec.ranker import (
     save_checkpoint,
     score_items,
     score_pairs,
+    sigmoid,
     top_k,
 )
 from calibrec.synthetic import low_rank_dataset
@@ -116,6 +119,30 @@ class TestScorePairs:
         p = init_params(2, 3, 2, seed=0)
         with pytest.raises(IndexError):
             score_pairs(p, users, items)
+
+
+class TestSigmoid:
+    def test_within_two_ulp_of_expit(self):
+        edges = [-1000.0, -800.0, -709.8, -0.0, 0.0, 709.8, 800.0, 1000.0]
+        x = np.concatenate([np.linspace(-800.0, 800.0, 200_001), edges])
+        np.testing.assert_array_max_ulp(sigmoid(x), expit(x), maxulp=2)
+
+    def test_exact_at_the_extremes(self):
+        got = sigmoid(np.array([-np.inf, -1000.0, -745.2, 745.2, 1000.0, np.inf]))
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        assert sigmoid(-0.0) == 0.5
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 4)])
+    def test_keeps_shape(self, shape):
+        x = np.full(shape, -1000.0)
+        assert np.shape(sigmoid(x)) == shape
+
+    def test_overflow_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigmoid(np.array([-1000.0, 1000.0]))
+            sigmoid(-1000.0)
+
 
 def extract_epoch_gradient(epoch_fn, params, dataset, cfg, seed):
     """Analytic gradient of one single-example epoch, as (old - new) / lr."""
