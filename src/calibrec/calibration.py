@@ -375,8 +375,11 @@ def _bin_rows(pairs, num_bins: int, scheme: str):
     """Shared binning for ece / reliability_table.
 
     Returns a list of (lower, upper, count, mean_p, frac_pos) rows, one per
-    bin, empty bins included with count 0.
+    bin, empty bins included with count 0. Raises ValueError for fewer
+    than one bin, which would leave nothing to weigh.
     """
+    if num_bins < 1:
+        raise ValueError("num_bins must be >= 1")
     arr = np.asarray(pairs, dtype=float)
     if arr.size == 0:
         raise ValueError("empty pairs")

@@ -367,6 +367,8 @@ def cmd_ingest(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
+    if cfg["train.epochs"] < 0:
+        raise ValueError("train.epochs must be >= 0")
     dataset, _ = load_bundle(args.data, cfg["data.delimiter"])
     train_cfg = TrainConfig(
         lr=cfg["train.lr"],
@@ -511,6 +513,7 @@ def cmd_distill(args, cfg) -> int:
         eta=cfg["bd.eta"],
         truncate_rank=cfg["bd.truncate_rank"],
         epochs=cfg["bd.epochs"],
+        save_every=cfg["bd.save_every"],
     )
     teacher = init_params(
         dataset.num_users, dataset.num_items, cfg["bd.teacher_dim"],
@@ -523,7 +526,6 @@ def cmd_distill(args, cfg) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_every = cfg["bd.save_every"]
 
     def save_both(epochs_done):
         save_checkpoint(teacher, out / "teacher", seed=cfg["seed"],
@@ -545,7 +547,7 @@ def cmd_distill(args, cfg) -> int:
                 f"distill {report.teacher.distill_loss:.4f} | student base "
                 f"{report.student.base_loss:.4f} distill {report.student.distill_loss:.4f}"
             )
-            if save_every and (epoch + 1) % save_every == 0:
+            if bd_cfg.save_every and (epoch + 1) % bd_cfg.save_every == 0:
                 save_both(epoch + 1)
     save_both(bd_cfg.epochs)
 

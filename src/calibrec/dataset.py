@@ -45,6 +45,9 @@ SPLITS = ("train", "validation", "test")
 # slots that sample_negatives draws and checks together: bounds its temporary
 # arrays at a few MB however many negatives are asked for
 SAMPLE_BLOCK = 1 << 14
+# Csr.contains reads a bitmap when the matrix has at most this many cells
+# per entry, so the bitmap is no larger than the int64 entry keys
+BITMAP_BITS_PER_ENTRY = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +114,40 @@ class Csr:
         rows, cols = self.pairs()
         return rows * self.num_cols + cols
 
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        """Membership as a packed bitmap: bit ``q & 7`` of byte ``q >> 3``
+        is set for each entry key ``q = row * num_cols + col``."""
+        bits = np.zeros(-(-self.num_rows * self.num_cols // 8), dtype=np.uint8)
+        if not len(self):
+            return bits
+        # the keys are built in place and not cached: the bitmap replaces them
+        keys, cols = self.pairs()
+        keys *= self.num_cols
+        keys += cols
+        masks = np.left_shift(np.uint8(1), keys.astype(np.uint8) & 7)
+        keys >>= 3
+        # keys are sorted, so the keys of one byte form a run
+        head = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        runs = np.flatnonzero(head)
+        bits[keys[runs]] = np.bitwise_or.reduceat(masks, runs)
+        return bits
+
     def contains(self, rows, cols) -> np.ndarray:
-        """Elementwise membership of (rows[j], cols[j]), by binary search."""
+        """Elementwise membership of (rows[j], cols[j]).
+
+        Every row must lie in [0, num_rows) and every col in [0, num_cols):
+        an index outside them names another cell or wraps around. A matrix
+        of at most ``BITMAP_BITS_PER_ENTRY`` cells per entry is looked up
+        in the packed ``_bits``, which is then no larger than the int64
+        entry keys; a sparser one keeps a binary search over those keys.
+        """
         query = np.asarray(rows, dtype=np.int64) * self.num_cols
         query += np.asarray(cols, dtype=np.int64)
+        if self.num_rows * self.num_cols <= BITMAP_BITS_PER_ENTRY * len(self):
+            found = self._bits[query >> 3] >> (query & 7).astype(np.uint8)
+            return (found & 1).view(bool)
         keys = self._keys
         if not keys.size:
             return np.zeros(query.shape, dtype=bool)
@@ -482,7 +515,7 @@ def sample_negatives(
 
     Vectorized rejection sampling over blocks of ``SAMPLE_BLOCK`` slots:
     every slot draws from the whole catalog and redraws while its item is
-    blocked, membership being one binary search in ``dataset.excluded``.
+    blocked, membership being one ``Csr.contains`` on ``dataset.excluded``.
     Raises ValueError when a user's blocked rows cover every item.
     """
     users = np.asarray(users, dtype=np.int64).ravel()

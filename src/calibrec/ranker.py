@@ -25,6 +25,10 @@ TOP_K_BLOCK = 256
 # pairs scored together by score_pairs: each gathered (SCORE_CHUNK, dim)
 # table is 2 MB at dim 32
 SCORE_CHUNK = 1 << 13
+# _scatter_rows adds to the touched rows alone only when the table has more
+# than this many rows per scattered row; below that a full-table bincount
+# is as fast (docs/data-layer.md, "Training step")
+SCATTER_ROW_RATIO = 4
 
 
 @dataclass
@@ -146,6 +150,46 @@ def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> No
     target += summed.reshape(target.shape)
 
 
+def _scatter_rows(
+    table: np.ndarray, rows: np.ndarray, values: np.ndarray, slot: np.ndarray
+) -> None:
+    """``table[rows[j]] += values[j]`` in place for a (N, D) table, repeated
+    rows summed, at a cost that follows ``len(rows)`` rather than N.
+
+    ``slot`` is scratch space: an int64 array of length N whose contents do
+    not matter. Each distinct row gets one compact id, every repeat of it
+    shares that id through ``slot``, and one ``np.bincount`` over
+    ``id * D + d`` sums each row's values in input order. Only the touched
+    rows are then added to. A table of at most ``SCATTER_ROW_RATIO`` rows
+    per scattered row takes the full-table ``_scatter_add`` instead, which
+    is cheaper there. Both forms sum each row in the same order, so their
+    results are identical.
+    """
+    m = len(rows)
+    if len(table) <= SCATTER_ROW_RATIO * m:
+        _scatter_add(table, rows, values)
+        return
+    positions = np.arange(m)
+    slot[rows] = positions
+    first = slot[rows]
+    own = first == positions
+    distinct = rows[own]
+    cid = np.cumsum(own) - 1
+    dim = table.shape[1]
+    flat = (cid[first][:, None] * dim + np.arange(dim)).ravel()
+    summed = np.bincount(flat, weights=values.ravel(), minlength=len(distinct) * dim)
+    table[distinct] += summed.reshape(len(distinct), dim)
+
+
+def _epoch_tables(params: MfParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An epoch's working copies: the user rows stacked over the item rows
+    as one (num_users + num_items, dim) table, the item biases, and the
+    ``_scatter_rows`` slot array for that table. The epoch returns
+    ``MfParams(table[:num_users], table[num_users:], bias)``."""
+    table = np.concatenate([params.user_emb, params.item_emb])
+    return table, params.item_bias.copy(), np.empty(len(table), dtype=np.int64)
+
+
 def bpr_epoch(
     params: MfParams, dataset: Dataset, cfg: TrainConfig, rng: np.random.Generator
 ) -> tuple[MfParams, float]:
@@ -164,7 +208,8 @@ def bpr_epoch(
     """
     if cfg.loss_kind != "bpr":
         raise ValueError(f"bpr_epoch requires loss_kind='bpr', got {cfg.loss_kind!r}")
-    out = params.copy()
+    table, bias, slot = _epoch_tables(params)
+    U = params.num_users
     users, items = dataset.train.pairs()
     order = rng.permutation(len(users))
     negatives = sample_negatives(dataset, users[order], 1, rng)[:, 0]
@@ -174,13 +219,15 @@ def bpr_epoch(
         B = len(batch)
         bu, bi = users[batch], items[batch]
         bj = negatives[start : start + B]
-        # the positives and then the negatives, scattered into one table each
+        # the positives and then the negatives
         bij = np.concatenate([bi, bj])
+        # the batch's user rows, then its item rows, gathered and scattered once
+        rows = np.concatenate([bu, bij + U])
 
-        P = out.user_emb[bu]
-        Q = out.item_emb[bij]
+        G = table[rows]
+        P, Q = G[:B], G[B:]
         diff = Q[:B] - Q[B:]
-        x = np.sum(P * diff, axis=1) + out.item_bias[bi] - out.item_bias[bj]
+        x = np.sum(P * diff, axis=1) + bias[bi] - bias[bj]
         total_loss += np.logaddexp(0.0, -x).sum()
 
         g = sigmoid(x) - 1.0  # dL/dx
@@ -190,10 +237,9 @@ def bpr_epoch(
         dQ = np.concatenate([gP, -gP])
         dP += 2.0 * cfg.reg * P
         dQ += 2.0 * cfg.reg * Q
-        _scatter_add(out.user_emb, bu, -coef * dP)
-        _scatter_add(out.item_emb, bij, -coef * dQ)
-        _scatter_add(out.item_bias, bij, np.concatenate([-coef * g, coef * g]))
-    return out, total_loss / len(order)
+        _scatter_rows(table, rows, -coef * np.concatenate([dP, dQ]), slot)
+        _scatter_add(bias, bij, np.concatenate([-coef * g, coef * g]))
+    return MfParams(table[:U], table[U:], bias), total_loss / len(order)
 
 
 def pointwise_epoch(
@@ -213,7 +259,8 @@ def pointwise_epoch(
         raise ValueError(
             f"pointwise_epoch requires loss_kind='pointwise', got {cfg.loss_kind!r}"
         )
-    out = params.copy()
+    table, bias, slot = _epoch_tables(params)
+    U = params.num_users
     users, items = dataset.train.pairs()
     order = rng.permutation(len(users))
     npp = cfg.negatives_per_positive
@@ -229,11 +276,12 @@ def pointwise_epoch(
         # examples: the B positives, then each batch row's npp negatives in turn
         ex_i = np.concatenate([bi, neg])
         ex_y = np.concatenate([np.ones(B), np.zeros(len(neg))])
+        rows = np.concatenate([bu, ex_i + U])
 
-        P = out.user_emb[bu]
+        G = table[rows]
+        P, Q = G[:B], G[B:]
         P_ex = np.concatenate([P, np.repeat(P, npp, axis=0)])
-        Q = out.item_emb[ex_i]
-        s = np.sum(P_ex * Q, axis=1) + out.item_bias[ex_i]
+        s = np.sum(P_ex * Q, axis=1) + bias[ex_i]
         # -ln sigmoid(s) for positives, -ln(1 - sigmoid(s)) for negatives
         total_loss += np.where(ex_y == 1.0, np.logaddexp(0.0, -s), np.logaddexp(0.0, s)).sum()
         total_examples += len(ex_i)
@@ -245,10 +293,9 @@ def pointwise_epoch(
         dQ = g[:, None] * P_ex
         dP += 2.0 * cfg.reg * (npp + 1) * P
         dQ += 2.0 * cfg.reg * Q
-        _scatter_add(out.user_emb, bu, -coef * dP)
-        _scatter_add(out.item_emb, ex_i, -coef * dQ)
-        _scatter_add(out.item_bias, ex_i, -coef * g)
-    return out, total_loss / total_examples
+        _scatter_rows(table, rows, -coef * np.concatenate([dP, dQ]), slot)
+        _scatter_add(bias, ex_i, -coef * g)
+    return MfParams(table[:U], table[U:], bias), total_loss / total_examples
 
 
 def _ranked_block(
@@ -273,14 +320,18 @@ def _ranked_block(
     crowded = np.flatnonzero(tied.sum(axis=1) > need)
     tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= need[crowded, None]
     keep |= tied
+    # row-major, so each row's kept items come in ascending index order
     rows, items = np.nonzero(keep)
-    order = np.lexsort((items, -scores[rows, items], rows))
-    rows, items = rows[order], items[order]
     counts = np.bincount(rows, minlength=len(users))
     cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    out = np.full((len(users), width), -1, dtype=np.int64)
-    out[rows, cols] = items
-    return out
+    kept = np.full((len(users), width), -1, dtype=np.int64)
+    kept[rows, cols] = items
+    key = np.full((len(users), width), np.inf)
+    key[rows, cols] = -scores[rows, items]
+    # a stable sort of each row keeps tied items in index order; the +inf
+    # padding sits after every kept item, so it stays at the end
+    order = np.argsort(key, axis=1, kind="stable")
+    return np.take_along_axis(kept, order, axis=1)
 
 
 def top_k(params: MfParams, users, k: int, exclude: Csr | None = None) -> np.ndarray:

@@ -391,6 +391,15 @@ class TestEce:
         with pytest.raises(ValueError):
             ece([(1.5, 1)])
 
+    @pytest.mark.parametrize("scheme", ["equal_width", "equal_mass"])
+    @pytest.mark.parametrize("num_bins", [0, -1])
+    def test_fewer_than_one_bin_rejected(self, num_bins, scheme):
+        pairs = [(0.2, 0), (0.9, 1)]
+        with pytest.raises(ValueError, match="num_bins must be >= 1"):
+            ece(pairs, num_bins, scheme)
+        with pytest.raises(ValueError, match="num_bins must be >= 1"):
+            reliability_table(pairs, num_bins, scheme)
+
     def test_oracle_calibrated_predictions_small(self):
         rng = np.random.default_rng(30)
         p = rng.random(10_000)

@@ -249,6 +249,12 @@ class TestTrain:
         )
         assert header["epochs_trained"] == 0
 
+    def test_negative_epochs_rejected(self, workspace, tmp_path, capsys):
+        assert run("train", "--data", workspace / "bundle", "--out", tmp_path / "neg",
+                   "--set", "train.epochs=-2") == 2
+        assert "train.epochs must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_same_seed_bitwise_identical(self, workspace, tmp_path):
         for name in ("a", "b"):
             assert (
@@ -376,6 +382,12 @@ class TestCalibrate:
         assert hist["iterations"] == 0 and hist["hit_iter_cap"] is False
         assert "warning" not in capsys.readouterr().err
 
+    def test_zero_bins_rejected(self, workspace, tmp_path, capsys):
+        assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "calib", "--set", "calib.num_bins=0") == 2
+        assert "num_bins must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "calib").exists()
+
     def test_report_states_convergence(self, workspace, tmp_path):
         report = json.loads((workspace / "calib" / "calibration_report.json").read_text())
         assert report["grad_norm"] >= 0.0
@@ -459,6 +471,16 @@ class TestCalibrate:
 
 
 class TestDistill:
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("bd.epochs=-1", "epochs must be >= 0"), ("bd.save_every=-1", "save_every must be >= 0")],
+    )
+    def test_negative_counts_rejected(self, workspace, tmp_path, capsys, setting, message):
+        assert run("distill", "--data", workspace / "bundle", "--out", tmp_path / "bd",
+                   "--set", setting) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bd").exists()
+
     def test_log_rows_and_summary(self, workspace, tmp_path):
         assert (
             run("distill", "--data", workspace / "bundle", "--out", tmp_path / "bd",

@@ -309,6 +309,75 @@ class TestCsr:
         assert empty.contains([0, 1], [0, 4]).tolist() == [False, False]
 
 
+def every_cell(csr):
+    """Each cell's membership by brute force over the entries."""
+    want = np.zeros((csr.num_rows, csr.num_cols), dtype=bool)
+    rows, cols = csr.pairs()
+    want[rows, cols] = True
+    return want
+
+
+class TestContainsPaths:
+    """``Csr.contains`` gives the same answers from its bitmap and from its
+    binary search; ``BITMAP_BITS_PER_ENTRY`` is patched to force each."""
+
+    @staticmethod
+    def random_csr(num_rows, num_cols, density, seed):
+        rng = np.random.default_rng(seed)
+        hit = rng.random((num_rows, num_cols)) < density
+        rows, cols = np.nonzero(hit)
+        return Csr.from_pairs(rows, cols, num_rows, num_cols)
+
+    @staticmethod
+    def answers(csr, monkeypatch, bits_per_entry):
+        monkeypatch.setattr(dataset_module, "BITMAP_BITS_PER_ENTRY", bits_per_entry)
+        # a fresh instance, so neither cached table is shared between the paths
+        fresh = Csr(csr.indptr, csr.indices, csr.num_cols)
+        rows, cols = np.indices((csr.num_rows, csr.num_cols))
+        return fresh, fresh.contains(rows.ravel(), cols.ravel()).reshape(rows.shape)
+
+    @pytest.mark.parametrize(
+        "shape, density, bitmap",
+        [((13, 29), 0.3, True), ((40, 70), 0.005, False), ((6, 11), 0.0, False)],
+        ids=["dense", "sparse", "empty"],
+    )
+    def test_paths_agree(self, shape, density, bitmap, monkeypatch):
+        csr = self.random_csr(*shape, density, seed=3)
+        assert (shape[0] * shape[1] <= 64 * len(csr)) == bitmap
+        used, default = self.answers(csr, monkeypatch, 64)
+        assert ("_bits" in used.__dict__) == bitmap
+        assert ("_keys" in used.__dict__) != bitmap
+        want = every_cell(csr)
+        assert np.array_equal(default, want)
+        for forced in (10**9, 0):  # every matrix on the bitmap, then none
+            _, got = self.answers(csr, monkeypatch, forced)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape, bitmap", [((8, 8), True), ((5, 13), False)])
+    def test_rule_at_sixty_four_cells_per_entry(self, shape, bitmap):
+        # one entry: 64 cells take the bitmap, 65 the binary search
+        csr = Csr.from_pairs([1], [2], *shape)
+        assert csr.contains([1, 0], [2, 2]).tolist() == [True, False]
+        assert ("_bits" in csr.__dict__) == bitmap
+        assert ("_keys" in csr.__dict__) != bitmap
+
+    @pytest.mark.parametrize("shape", [(3, 5), (7, 9), (1, 1)])
+    def test_last_cell_past_a_whole_byte(self, shape, monkeypatch):
+        # rows * cols is not a multiple of 8, so the last byte is partial
+        num_rows, num_cols = shape
+        csr = Csr.from_pairs([num_rows - 1, 0], [num_cols - 1, 0], num_rows, num_cols)
+        for forced in (10**9, 0):
+            _, got = self.answers(csr, monkeypatch, forced)
+            assert got[-1, -1] and got[0, 0]
+            assert got.sum() == len(csr)
+        assert len(Csr(csr.indptr, csr.indices, num_cols)._bits) == -(-num_rows * num_cols // 8)
+
+    def test_bitmap_bytes(self):
+        csr = Csr.from_pairs([0, 0, 0, 1], [0, 3, 7, 1], num_rows=2, num_cols=9)
+        # keys 0, 3, 7 share byte 0; key 10 is bit 2 of byte 1
+        assert csr._bits.tolist() == [0b10001001, 0b100, 0]
+
+
 class TestExcluded:
     def test_one_split_is_the_split_itself(self, small_dataset):
         assert small_dataset.excluded(("validation",)) is small_dataset.validation

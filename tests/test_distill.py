@@ -315,3 +315,14 @@ class TestCotrainEpoch:
         cotrain_epoch(teacher, student, dataset, base_cfg, bd_cfg, np.random.default_rng(1))
         assert np.array_equal(teacher.user_emb, t_copy.user_emb)
         assert np.array_equal(teacher.item_emb, t_copy.item_emb)
+
+
+class TestBdConfig:
+    @pytest.mark.parametrize("field", ["epochs", "save_every"])
+    def test_negative_counts_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            BdConfig(**{field: -1})
+
+    def test_zero_counts_accepted(self):
+        cfg = BdConfig(epochs=0, save_every=0)
+        assert (cfg.epochs, cfg.save_every) == (0, 0)

@@ -314,6 +314,60 @@ class TestScatterAdd:
         np.testing.assert_allclose(target[1], before[1] + 2.0)
 
 
+class TestScatterRows:
+    """``ranker._scatter_rows`` on both sides of its table-size rule.
+
+    A table of ``SCATTER_ROW_RATIO * len(rows)`` rows takes the full-table
+    ``_scatter_add``; one more row takes the touched-row form. Both must be
+    bit-identical to ``_scatter_add`` and agree with ``np.add.at`` to
+    rounding.
+    """
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[3, 0, 3, 3, 5, 0], [2, 2, 2, 2], [1]],
+        ids=["repeated", "single", "one-row"],
+    )
+    @pytest.mark.parametrize("extra, path", [(0, "full"), (1, "touched")])
+    def test_both_paths_match_scatter_add(self, rows, extra, path, monkeypatch):
+        rng = np.random.default_rng(22)
+        rows = np.asarray(rows, dtype=np.int64)
+        num_rows = ranker.SCATTER_ROW_RATIO * len(rows) + extra
+        table = rng.normal(size=(num_rows, 3))
+        values = rng.normal(size=(len(rows), 3))
+        expected = table.copy()
+        ranker._scatter_add(expected, rows, values)
+        added = table.copy()
+        np.add.at(added, rows, values)
+
+        calls = []
+        scatter_add = ranker._scatter_add
+        monkeypatch.setattr(
+            ranker, "_scatter_add", lambda *args: calls.append(1) or scatter_add(*args)
+        )
+        # stale slot contents must not matter
+        slot = np.full(num_rows, 7, dtype=np.int64)
+        ranker._scatter_rows(table, rows, values, slot)
+        assert len(calls) == (1 if path == "full" else 0)
+        assert np.array_equal(table, expected)
+        np.testing.assert_allclose(table, added, rtol=1e-15, atol=1e-15)
+
+    def test_one_row_table(self):
+        table = np.array([[0.5, -1.25]])
+        ranker._scatter_rows(table, np.array([0, 0]), np.array([[1.0, 2.0], [0.25, 0.5]]),
+                             np.empty(1, dtype=np.int64))
+        assert table.tolist() == [[1.75, 1.25]]
+
+    def test_touched_path_keeps_untouched_bits(self):
+        table = np.arange(60.0).reshape(20, 3) / 7.0
+        before = table.copy()
+        slot = np.empty(20, dtype=np.int64)
+        ranker._scatter_rows(table, np.array([9, 2, 9]), np.ones((3, 3)), slot)
+        untouched = np.setdiff1d(np.arange(20), [2, 9])
+        assert np.array_equal(table[untouched], before[untouched])
+        np.testing.assert_allclose(table[[2, 9]], before[[2, 9]] + [[1.0], [2.0]])
+
+
 class TestEpochsMatchReference:
     """The batched steps against the per-example ``np.add.at`` loops they replaced.
 
@@ -334,7 +388,7 @@ class TestEpochsMatchReference:
                 getattr(new, name), getattr(ref, name), rtol=1e-12, atol=1e-12
             )
 
-    @pytest.mark.parametrize(
+    EPOCHS = pytest.mark.parametrize(
         "loss_kind, epoch_fn, reference",
         [
             ("bpr", bpr_epoch, reference_bpr_epoch),
@@ -342,11 +396,19 @@ class TestEpochsMatchReference:
         ],
         ids=["bpr", "pointwise"],
     )
-    @pytest.mark.parametrize("reg", [0.0, 0.05], ids=["reg0", "reg"])
-    def test_three_epochs(self, loss_kind, epoch_fn, reference, reg):
+
+    def run_three_epochs(self, loss_kind, epoch_fn, reference, reg, batch_size, monkeypatch):
+        """Three epochs against the reference; returns how many embedding
+        scatters took the full-table path."""
+        full = []
+        scatter_add = ranker._scatter_add
+        monkeypatch.setattr(
+            ranker, "_scatter_add",
+            lambda target, *rest: full.append(target.ndim == 2) or scatter_add(target, *rest),
+        )
         ds = self.dataset()
         cfg = TrainConfig(
-            lr=0.5, reg=reg, loss_kind=loss_kind, batch_size=16,
+            lr=0.5, reg=reg, loss_kind=loss_kind, batch_size=batch_size,
             negatives_per_positive=3,
         )
         new = ref = MfParams(*(
@@ -358,6 +420,26 @@ class TestEpochsMatchReference:
             ref, ref_loss = reference(ref, ds, cfg, np.random.default_rng([7, epoch]))
             assert new_loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
             self.assert_close(new, ref)
+        return sum(full)
+
+    @EPOCHS
+    @pytest.mark.parametrize("reg", [0.0, 0.05], ids=["reg0", "reg"])
+    def test_three_epochs(self, loss_kind, epoch_fn, reference, reg, monkeypatch):
+        # batches of 16 put at least 32 rows against the 32-row table: full path
+        batches = 3 * -(-96 // 16)
+        full = self.run_three_epochs(loss_kind, epoch_fn, reference, reg, 16, monkeypatch)
+        assert full == batches
+
+    @EPOCHS
+    @pytest.mark.parametrize("reg", [0.0, 0.05], ids=["reg0", "reg"])
+    def test_three_epochs_touched_rows(self, loss_kind, epoch_fn, reference, reg, monkeypatch):
+        # 6 rows per BPR batch of 2 and 5 per pointwise batch of 1 (npp 3)
+        # against the 32-row table: every scatter takes the touched path
+        batch_size = 2 if loss_kind == "bpr" else 1
+        full = self.run_three_epochs(
+            loss_kind, epoch_fn, reference, reg, batch_size, monkeypatch
+        )
+        assert full == 0
 
     def test_batches_repeat_users_and_items(self):
         ds = self.dataset()
@@ -440,6 +522,21 @@ class TestTopK:
                 want = full_sort_ranking(params, int(u), exclude)[:k]
                 assert got[got >= 0].tolist() == want
                 assert np.all(got[len(want):] == -1)
+
+    def test_full_width_ties_with_exclusions_and_short_rows(self, monkeypatch):
+        # every row at full catalog width, so each one is padded by exactly
+        # its exclusions; the rows range from no exclusion to all of them
+        monkeypatch.setattr(ranker, "TOP_K_BLOCK", 4)
+        params = tie_heavy_params(num_users=10, num_items=30, seed=4)
+        rng = np.random.default_rng(5)
+        sizes = (0, 1, 29, 30, 15, 3, 0, 28, 7, 12)
+        excluded = [rng.choice(30, size=n, replace=False) for n in sizes]
+        got = top_k(params, np.arange(10), 30, exclusions(excluded, 30))
+        for u, row in enumerate(got):
+            want = full_sort_ranking(params, u, excluded[u])
+            assert len(want) == 30 - len(excluded[u])
+            assert row[: len(want)].tolist() == want
+            assert np.all(row[len(want):] == -1)
 
     def test_all_zero_scores_pick_smallest_indices(self):
         p = params_from(np.zeros((2, 1)), np.zeros((6, 1)))
