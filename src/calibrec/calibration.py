@@ -254,7 +254,8 @@ def fit(
     ``len(trace) - 1`` is the number of Newton iterations taken.
 
     Raises ValueError on one-class input, on nonpositive shifted scores for
-    gamma, and if the objective is not finite at the start point.
+    gamma, on fewer than one bin for histogram, and if the objective is not
+    finite at the start point.
     """
     if kind not in CALIBRATOR_KINDS:
         raise ValueError(f"unknown calibrator kind {kind!r}")
@@ -265,6 +266,8 @@ def fit(
     w_pos, w_neg = _weights(y, theta, unbiased)
 
     if kind == "histogram":
+        if num_bins < 1:
+            raise ValueError("num_bins must be >= 1")
         cal = _fit_histogram(s, w_pos, num_bins, score_shift)
         return (cal, np.array([])) if full_output else cal
 

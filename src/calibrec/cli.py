@@ -3,7 +3,8 @@
 Configuration is a flat ``key=value`` file with namespaced keys (see
 ``CONFIG_SPEC``), overridable per invocation with ``--set key=value``.
 Unknown keys are rejected. Exit codes: 0 success, 1 I/O failure,
-2 validation failure.
+2 validation failure, including a train or distill run whose loss stops
+being finite.
 
 Randomness derives from one global seed expanded into per-stage streams
 (see ``seeding``); train and distill additionally key each epoch's stream
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -341,6 +343,20 @@ def load_recommendations(path):
 # subcommands
 
 
+def _stop_if_diverged(epoch: int, lr: float, losses: dict) -> None:
+    """Raise ValueError when one of an epoch's named losses is not finite.
+
+    Called before the epoch is logged, so a diverged run leaves neither a
+    non-finite log line nor a checkpoint of that epoch.
+    """
+    for name, value in losses.items():
+        if not math.isfinite(value):
+            raise ValueError(
+                f"training diverged: epoch {epoch} {name} is {value}; "
+                f"lower train.lr (now {lr:g})"
+            )
+
+
 def cmd_ingest(args, cfg) -> int:
     pairs, maps = load_interactions(args.input, delimiter=cfg["data.delimiter"])
     dataset = split_per_user(
@@ -396,6 +412,7 @@ def cmd_train(args, cfg) -> int:
         for epoch in range(start_epoch, cfg["train.epochs"]):
             rng = np.random.default_rng(stream_seed(cfg["seed"], "train", 1 + epoch))
             params, loss = epoch_fn(params, dataset, train_cfg, rng)
+            _stop_if_diverged(epoch, train_cfg.lr, {"loss": loss})
             log.write(_jsonl_line({"epoch": epoch, "loss": loss}))
             print(f"epoch {epoch}: loss {loss:.6f}")
     save_checkpoint(
@@ -409,6 +426,9 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_calibrate(args, cfg) -> int:
+    # before any input is read: every kind bins (ECE, and the histogram map)
+    if cfg["calib.num_bins"] < 1:
+        raise ValueError("calib.num_bins must be >= 1")
     dataset, _ = load_bundle(args.data, cfg["data.delimiter"])
     params, _ = _load_model(args.ckpt, dataset)
     propensity = (
@@ -540,6 +560,11 @@ def cmd_distill(args, cfg) -> int:
             teacher, student, report = cotrain_epoch(
                 teacher, student, dataset, base_cfg, bd_cfg, rng
             )
+            t, st = report.teacher, report.student
+            _stop_if_diverged(epoch, base_cfg.lr, {
+                "teacher base loss": t.base_loss, "teacher distill loss": t.distill_loss,
+                "student base loss": st.base_loss, "student distill loss": st.distill_loss,
+            })
             log.write(_jsonl_line(report.teacher.as_row(epoch, "teacher")))
             log.write(_jsonl_line(report.student.as_row(epoch, "student")))
             print(

@@ -190,6 +190,18 @@ def _epoch_tables(params: MfParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return table, params.item_bias.copy(), np.empty(len(table), dtype=np.int64)
 
 
+def _sigmoid_of_negated(t: np.ndarray) -> np.ndarray:
+    """Overwrite ``t``, which holds -x, with sigmoid(x) and return it.
+
+    The same operations as ``sigmoid``, in place; the overflow of exp is
+    expected there, so only that call ignores it.
+    """
+    with np.errstate(over="ignore"):
+        np.exp(t, out=t)
+    t += 1.0
+    return np.divide(1.0, t, out=t)
+
+
 def bpr_epoch(
     params: MfParams, dataset: Dataset, cfg: TrainConfig, rng: np.random.Generator
 ) -> tuple[MfParams, float]:
@@ -205,6 +217,9 @@ def bpr_epoch(
     parameters and the mean data-term loss, measured before each batch's
     update. The regularizer shapes the updates but is not included in the
     reported loss.
+
+    Every batch works in buffers allocated once per epoch, a batch of B
+    triples in their first rows (docs/data-layer.md, "Training step").
     """
     if cfg.loss_kind != "bpr":
         raise ValueError(f"bpr_epoch requires loss_kind='bpr', got {cfg.loss_kind!r}")
@@ -213,32 +228,55 @@ def bpr_epoch(
     users, items = dataset.train.pairs()
     order = rng.permutation(len(users))
     negatives = sample_negatives(dataset, users[order], 1, rng)[:, 0]
+    cap = min(cfg.batch_size, len(order))
+    # rows: the batch's users, positives + U, negatives + U; item_rows: the
+    # positives, then the negatives
+    rows_buf = np.empty(3 * cap, dtype=np.int64)
+    item_rows_buf = np.empty(2 * cap, dtype=np.int64)
+    item_bias_buf = np.empty(2 * cap)
+    gathered_buf = np.empty((3 * cap, table.shape[1]))
+    grad_buf = np.empty_like(gathered_buf)
+    diff_buf = np.empty((cap, table.shape[1]))
+    x_buf, t_buf = np.empty(cap), np.empty(cap)
+    two_reg = 2.0 * cfg.reg
     total_loss = 0.0
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start : start + cfg.batch_size]
         B = len(batch)
-        bu, bi = users[batch], items[batch]
-        bj = negatives[start : start + B]
-        # the positives and then the negatives
-        bij = np.concatenate([bi, bj])
-        # the batch's user rows, then its item rows, gathered and scattered once
-        rows = np.concatenate([bu, bij + U])
+        rows, item_rows = rows_buf[: 3 * B], item_rows_buf[: 2 * B]
+        item_bias, G, D = item_bias_buf[: 2 * B], gathered_buf[: 3 * B], grad_buf[: 3 * B]
+        diff, x, t = diff_buf[:B], x_buf[:B], t_buf[:B]
+        # every index is in range, and "clip" lets np.take write straight
+        # into ``out``, where the default "raise" copies through a temporary
+        np.take(users, batch, out=rows[:B], mode="clip")
+        np.take(items, batch, out=item_rows[:B], mode="clip")
+        item_rows[B:] = negatives[start : start + B]
+        np.take(bias, item_rows, out=item_bias, mode="clip")
+        np.add(item_rows, U, out=rows[B:])
+        np.take(table, rows, axis=0, out=G, mode="clip")
+        P = G[:B]
+        np.subtract(G[B : 2 * B], G[2 * B :], out=diff)
+        # D's user rows hold P * diff until the gradient overwrites them
+        np.multiply(P, diff, out=D[:B])
+        np.sum(D[:B], axis=1, out=x)
+        x += item_bias[:B]
+        x -= item_bias[B:]
+        np.negative(x, out=t)
+        total_loss += np.logaddexp(0.0, t, out=x).sum()
 
-        G = table[rows]
-        P, Q = G[:B], G[B:]
-        diff = Q[:B] - Q[B:]
-        x = np.sum(P * diff, axis=1) + bias[bi] - bias[bj]
-        total_loss += np.logaddexp(0.0, -x).sum()
-
-        g = sigmoid(x) - 1.0  # dL/dx
+        g = _sigmoid_of_negated(t)
+        g -= 1.0  # dL/dx
         coef = cfg.lr / B
-        gP = g[:, None] * P
-        dP = g[:, None] * diff
-        dQ = np.concatenate([gP, -gP])
-        dP += 2.0 * cfg.reg * P
-        dQ += 2.0 * cfg.reg * Q
-        _scatter_rows(table, rows, -coef * np.concatenate([dP, dQ]), slot)
-        _scatter_add(bias, bij, np.concatenate([-coef * g, coef * g]))
+        np.multiply(g[:, None], diff, out=D[:B])
+        np.multiply(g[:, None], P, out=D[B : 2 * B])
+        np.negative(D[B : 2 * B], out=D[2 * B :])
+        G *= two_reg
+        D += G
+        D *= -coef
+        _scatter_rows(table, rows, D, slot)
+        np.multiply(g, -coef, out=item_bias[:B])
+        np.multiply(g, coef, out=item_bias[B:])
+        _scatter_add(bias, item_rows, item_bias)
     return MfParams(table[:U], table[U:], bias), total_loss / len(order)
 
 
@@ -254,6 +292,9 @@ def pointwise_epoch(
     batch's examples; returns (updated params, mean per-example data loss).
     A batch user's gradient is summed over its positive and negatives
     before the scatter, so its L2 term enters once as 2·reg·(npp+1)·p_u.
+
+    Every batch works in buffers allocated once per epoch, a batch of B
+    positives in their first rows (docs/data-layer.md, "Training step").
     """
     if cfg.loss_kind != "pointwise":
         raise ValueError(
@@ -265,36 +306,63 @@ def pointwise_epoch(
     order = rng.permutation(len(users))
     npp = cfg.negatives_per_positive
     negatives = sample_negatives(dataset, users[order], npp, rng).ravel()
+    cap = min(cfg.batch_size, len(order))
+    # examples: the B positives, then each batch row's npp negatives in turn;
+    # rows: the batch's users, then the examples' items + U
+    rows_buf = np.empty(cap * (2 + npp), dtype=np.int64)
+    ex_items_buf = np.empty(cap * (1 + npp), dtype=np.int64)
+    ex_bias_buf = np.empty(cap * (1 + npp))
+    gathered_buf = np.empty((cap * (2 + npp), table.shape[1]))
+    grad_buf = np.empty_like(gathered_buf)
+    ex_users_buf = np.empty((cap * (1 + npp), table.shape[1]))
+    s_buf, t_buf = np.empty(cap * (1 + npp)), np.empty(cap * (1 + npp))
+    two_reg = 2.0 * cfg.reg
+    two_reg_user = 2.0 * cfg.reg * (npp + 1)
     total_loss = 0.0
     total_examples = 0
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start : start + cfg.batch_size]
         B = len(batch)
-        bu, bi = users[batch], items[batch]
-        neg = negatives[start * npp : (start + B) * npp]
-
-        # examples: the B positives, then each batch row's npp negatives in turn
-        ex_i = np.concatenate([bi, neg])
-        ex_y = np.concatenate([np.ones(B), np.zeros(len(neg))])
-        rows = np.concatenate([bu, ex_i + U])
-
-        G = table[rows]
+        E = B * (1 + npp)
+        rows, ex_items, ex_bias = rows_buf[: B + E], ex_items_buf[:E], ex_bias_buf[:E]
+        G, D, P_ex = gathered_buf[: B + E], grad_buf[: B + E], ex_users_buf[:E]
+        s, t = s_buf[:E], t_buf[:E]
+        # in-range indices, gathered without a temporary as in bpr_epoch
+        np.take(users, batch, out=rows[:B], mode="clip")
+        np.take(items, batch, out=ex_items[:B], mode="clip")
+        ex_items[B:] = negatives[start * npp : (start + B) * npp]
+        np.take(bias, ex_items, out=ex_bias, mode="clip")
+        np.add(ex_items, U, out=rows[B:])
+        np.take(table, rows, axis=0, out=G, mode="clip")
         P, Q = G[:B], G[B:]
-        P_ex = np.concatenate([P, np.repeat(P, npp, axis=0)])
-        s = np.sum(P_ex * Q, axis=1) + bias[ex_i]
+        # each example's user row: the B users, then each one npp times
+        P_ex[:B] = P
+        P_ex[B:].reshape(B, npp, -1)[:] = P[:, None]
+        # D's item rows hold P_ex * Q until the gradient overwrites them
+        np.multiply(P_ex, Q, out=D[B:])
+        np.sum(D[B:], axis=1, out=s)
+        s += ex_bias
         # -ln sigmoid(s) for positives, -ln(1 - sigmoid(s)) for negatives
-        total_loss += np.where(ex_y == 1.0, np.logaddexp(0.0, -s), np.logaddexp(0.0, s)).sum()
-        total_examples += len(ex_i)
+        np.negative(s[:B], out=t[:B])
+        t[B:] = s[B:]
+        total_loss += np.logaddexp(0.0, t, out=t).sum()
+        total_examples += E
 
-        g = sigmoid(s) - ex_y  # dL/ds
-        coef = cfg.lr / len(ex_i)
-        gQ = g[:, None] * Q
-        dP = gQ[:B] + gQ[B:].reshape(B, npp, -1).sum(axis=1)
-        dQ = g[:, None] * P_ex
-        dP += 2.0 * cfg.reg * (npp + 1) * P
-        dQ += 2.0 * cfg.reg * Q
-        _scatter_rows(table, rows, -coef * np.concatenate([dP, dQ]), slot)
-        _scatter_add(bias, ex_i, -coef * g)
+        g = _sigmoid_of_negated(np.negative(s, out=t))
+        g[:B] -= 1.0  # dL/ds; a negative's label 0 leaves its sigmoid as is
+        coef = cfg.lr / E
+        np.multiply(g[:, None], P_ex, out=D[B:])
+        # P_ex is free now and takes g * Q
+        gQ = np.multiply(g[:, None], Q, out=P_ex)
+        np.sum(gQ[B:].reshape(B, npp, -1), axis=1, out=D[:B])
+        D[:B] += gQ[:B]
+        G[:B] *= two_reg_user
+        G[B:] *= two_reg
+        D += G
+        D *= -coef
+        _scatter_rows(table, rows, D, slot)
+        g *= -coef
+        _scatter_add(bias, ex_items, g)
     return MfParams(table[:U], table[U:], bias), total_loss / total_examples
 
 
@@ -419,6 +487,8 @@ def save_checkpoint(
 
     Both are written to ``.partial`` files first. A failure while writing
     removes them and leaves the pair already under those names as it was.
+    Raises ValueError, before any file is opened, when a value is not finite
+    in float32.
     """
     base = Path(base_path)
     header_path = base.with_name(base.name + ".json")
@@ -428,7 +498,11 @@ def save_checkpoint(
     offset = 0
     blobs = []
     for name in _ARRAY_ORDER:
-        arr = np.ascontiguousarray(getattr(params, name), dtype="<f4")
+        # a value beyond float32's range is reported below, not warned about
+        with np.errstate(over="ignore"):
+            arr = np.ascontiguousarray(getattr(params, name), dtype="<f4")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint {name} holds values that are not finite in float32")
         blob = arr.tobytes()
         arrays[name] = {
             "shape": list(arr.shape),

@@ -6,20 +6,30 @@ definitional one-user expected utilities and their Poisson-binomial
 dynamic program, the incremental per-cutoff expected-utility curve that
 the batched one replaced, the dict form of the rank-discrepancy weights,
 the per-example ``np.add.at`` training steps that the bincount scatter
-replaced, the line-by-line interaction loader that the byte-array parse
+replaced, the batched training steps with fresh per-batch arrays that the
+per-epoch buffers replaced, the line-by-line interaction loader that the byte-array parse
 replaced, the synthetic generator's full sort of each user's scores and
 its line-at-a-time CSV writer, the scalar one-list ranking metrics that
 ``metrics.evaluate`` batches, and a general-purpose quasi-Newton minimizer
 for calibrator fits. Nothing imports the code paths it verifies; the reference epochs
 draw their negatives with the library's sampler so that they use the same
-random stream.
+random stream, and the batched ones share the library's scatters, which
+they do not verify.
 """
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from calibrec.dataset import DataFormatError, IdMaps, sample_negatives
+from calibrec.dataset import DataFormatError, Dataset, IdMaps, sample_negatives
+from calibrec.ranker import (
+    MfParams,
+    TrainConfig,
+    _epoch_tables,
+    _scatter_add,
+    _scatter_rows,
+    sigmoid,
+)
 
 
 def brute_force_pb(probs):
@@ -428,6 +438,97 @@ def reference_pointwise_epoch(params, dataset, cfg, rng):
         np.add.at(out.item_emb, ex_i, -coef * dQ)
         np.add.at(out.item_bias, ex_i, -coef * g)
     return out, total_loss / total_examples
+
+
+def reference_batched_bpr_epoch(
+    params: MfParams, dataset: Dataset, cfg: TrainConfig, rng: np.random.Generator
+) -> tuple[MfParams, float]:
+    """``ranker.bpr_epoch`` as it was before its per-epoch buffers: fresh
+    arrays and concatenations in every batch, the same operations in the
+    same order."""
+    if cfg.loss_kind != "bpr":
+        raise ValueError(f"bpr_epoch requires loss_kind='bpr', got {cfg.loss_kind!r}")
+    table, bias, slot = _epoch_tables(params)
+    U = params.num_users
+    users, items = dataset.train.pairs()
+    order = rng.permutation(len(users))
+    negatives = sample_negatives(dataset, users[order], 1, rng)[:, 0]
+    total_loss = 0.0
+    for start in range(0, len(order), cfg.batch_size):
+        batch = order[start : start + cfg.batch_size]
+        B = len(batch)
+        bu, bi = users[batch], items[batch]
+        bj = negatives[start : start + B]
+        # the positives and then the negatives
+        bij = np.concatenate([bi, bj])
+        # the batch's user rows, then its item rows, gathered and scattered once
+        rows = np.concatenate([bu, bij + U])
+
+        G = table[rows]
+        P, Q = G[:B], G[B:]
+        diff = Q[:B] - Q[B:]
+        x = np.sum(P * diff, axis=1) + bias[bi] - bias[bj]
+        total_loss += np.logaddexp(0.0, -x).sum()
+
+        g = sigmoid(x) - 1.0  # dL/dx
+        coef = cfg.lr / B
+        gP = g[:, None] * P
+        dP = g[:, None] * diff
+        dQ = np.concatenate([gP, -gP])
+        dP += 2.0 * cfg.reg * P
+        dQ += 2.0 * cfg.reg * Q
+        _scatter_rows(table, rows, -coef * np.concatenate([dP, dQ]), slot)
+        _scatter_add(bias, bij, np.concatenate([-coef * g, coef * g]))
+    return MfParams(table[:U], table[U:], bias), total_loss / len(order)
+
+
+def reference_batched_pointwise_epoch(
+    params: MfParams, dataset: Dataset, cfg: TrainConfig, rng: np.random.Generator
+) -> tuple[MfParams, float]:
+    """``ranker.pointwise_epoch`` as it was before its per-epoch buffers:
+    fresh arrays and concatenations in every batch, two ``logaddexp`` under
+    ``np.where``, and a label array per batch."""
+    if cfg.loss_kind != "pointwise":
+        raise ValueError(
+            f"pointwise_epoch requires loss_kind='pointwise', got {cfg.loss_kind!r}"
+        )
+    table, bias, slot = _epoch_tables(params)
+    U = params.num_users
+    users, items = dataset.train.pairs()
+    order = rng.permutation(len(users))
+    npp = cfg.negatives_per_positive
+    negatives = sample_negatives(dataset, users[order], npp, rng).ravel()
+    total_loss = 0.0
+    total_examples = 0
+    for start in range(0, len(order), cfg.batch_size):
+        batch = order[start : start + cfg.batch_size]
+        B = len(batch)
+        bu, bi = users[batch], items[batch]
+        neg = negatives[start * npp : (start + B) * npp]
+
+        # examples: the B positives, then each batch row's npp negatives in turn
+        ex_i = np.concatenate([bi, neg])
+        ex_y = np.concatenate([np.ones(B), np.zeros(len(neg))])
+        rows = np.concatenate([bu, ex_i + U])
+
+        G = table[rows]
+        P, Q = G[:B], G[B:]
+        P_ex = np.concatenate([P, np.repeat(P, npp, axis=0)])
+        s = np.sum(P_ex * Q, axis=1) + bias[ex_i]
+        # -ln sigmoid(s) for positives, -ln(1 - sigmoid(s)) for negatives
+        total_loss += np.where(ex_y == 1.0, np.logaddexp(0.0, -s), np.logaddexp(0.0, s)).sum()
+        total_examples += len(ex_i)
+
+        g = sigmoid(s) - ex_y  # dL/ds
+        coef = cfg.lr / len(ex_i)
+        gQ = g[:, None] * Q
+        dP = gQ[:B] + gQ[B:].reshape(B, npp, -1).sum(axis=1)
+        dQ = g[:, None] * P_ex
+        dP += 2.0 * cfg.reg * (npp + 1) * P
+        dQ += 2.0 * cfg.reg * Q
+        _scatter_rows(table, rows, -coef * np.concatenate([dP, dQ]), slot)
+        _scatter_add(bias, ex_i, -coef * g)
+    return MfParams(table[:U], table[U:], bias), total_loss / total_examples
 
 
 def first_seen_index(ids, external_id):

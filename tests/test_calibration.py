@@ -181,6 +181,11 @@ class TestFit:
         assert apply(cal, 3.0) == 1.0
         assert apply(cal, 29.0) == 0.0
 
+    def test_histogram_needs_a_bin(self):
+        # an empty histogram would fail only when applied, naming no setting
+        with pytest.raises(ValueError, match="num_bins must be >= 1"):
+            fit("histogram", make_samples([0.0, 1.0], [0, 1]), num_bins=0)
+
     def test_unbiased_mode_weights_by_inverse_propensity(self):
         # two samples at the same score, one positive with theta=0.5: the
         # weighted positive fraction in one histogram bin is 1/0.5 / 2 = 1.0

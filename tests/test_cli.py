@@ -255,6 +255,19 @@ class TestTrain:
         assert "train.epochs must be >= 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_diverging_run_fails_without_writing(self, workspace, tmp_path, capsys):
+        # at this lr the loss overflows and epoch 5's is NaN; numpy's overflow
+        # warnings must still reach the caller
+        with pytest.warns(RuntimeWarning) as caught:
+            code = run("train", "--data", workspace / "bundle", "--out", tmp_path / "ck",
+                       "--set", "train.lr=1e9", "--set", "train.dim=8")
+        assert code == 2
+        assert any("overflow" in str(w.message) for w in caught)
+        err = capsys.readouterr().err
+        assert "training diverged: epoch 5 loss is nan" in err and "train.lr (now 1e+09)" in err
+        # neither a checkpoint nor a log, and no .partial file
+        assert not list(tmp_path.iterdir())
+
     def test_same_seed_bitwise_identical(self, workspace, tmp_path):
         for name in ("a", "b"):
             assert (
@@ -382,6 +395,15 @@ class TestCalibrate:
         assert hist["iterations"] == 0 and hist["hit_iter_cap"] is False
         assert "warning" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["platt", "gaussian", "gamma", "histogram"])
+    def test_zero_bins_rejected_before_reading_inputs(self, tmp_path, capsys, kind):
+        # the bundle does not exist, so reaching it would be an i/o error (exit 1)
+        assert run("calibrate", "--data", tmp_path / "missing", "--ckpt", tmp_path / "ckpt",
+                   "--out", tmp_path / "calib", "--set", f"calib.kind={kind}",
+                   "--set", "calib.num_bins=0") == 2
+        assert "calib.num_bins must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_zero_bins_rejected(self, workspace, tmp_path, capsys):
         assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
                    "--out", tmp_path / "calib", "--set", "calib.num_bins=0") == 2
@@ -480,6 +502,18 @@ class TestDistill:
                    "--set", setting) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "bd").exists()
+
+    def test_diverging_run_fails_without_checkpoints(self, workspace, tmp_path, capsys):
+        with pytest.warns(RuntimeWarning) as caught:
+            code = run("distill", "--data", workspace / "bundle", "--out", tmp_path / "bd",
+                       "--set", "train.lr=1e9", "--set", "train.batch_size=1",
+                       "--set", "bd.teacher_dim=8", "--set", "bd.student_dim=4")
+        assert code == 2
+        assert any("overflow" in str(w.message) for w in caught)
+        err = capsys.readouterr().err
+        assert "training diverged: epoch 0 teacher base loss is nan" in err
+        assert "train.lr (now 1e+09)" in err
+        assert not list((tmp_path / "bd").iterdir())
 
     def test_log_rows_and_summary(self, workspace, tmp_path):
         assert (

@@ -27,6 +27,8 @@ from conftest import make_dataset
 from oracles import (
     finite_difference_grad,
     full_sort_ranking,
+    reference_batched_bpr_epoch,
+    reference_batched_pointwise_epoch,
     reference_bpr_epoch,
     reference_pointwise_epoch,
     relative_error,
@@ -367,6 +369,24 @@ class TestScatterRows:
         assert np.array_equal(table[untouched], before[untouched])
         np.testing.assert_allclose(table[[2, 9]], before[[2, 9]] + [[1.0], [2.0]])
 
+    @pytest.mark.parametrize("extra, path", [(0, "full"), (1, "touched")])
+    def test_repeats_sum_in_input_order(self, extra, path, monkeypatch):
+        # 1e16 + 1.0 rounds back to 1e16, so only the input order ends at 0.0;
+        # adding the two large values first would leave 1.0
+        calls = []
+        scatter_add = ranker._scatter_add
+        monkeypatch.setattr(
+            ranker, "_scatter_add", lambda *args: calls.append(1) or scatter_add(*args)
+        )
+        num_rows = ranker.SCATTER_ROW_RATIO * 3 + extra
+        table = np.zeros((num_rows, 2))
+        values = np.repeat([[1e16], [1.0], [-1e16]], 2, axis=1)
+        ranker._scatter_rows(table, np.array([4, 4, 4]), values, np.empty(num_rows, dtype=np.int64))
+        assert len(calls) == (1 if path == "full" else 0)
+        assert table[4].tolist() == [0.0, 0.0]
+        assert not np.signbit(table[4]).any()
+        assert not table[np.arange(num_rows) != 4].any()
+
 
 class TestEpochsMatchReference:
     """The batched steps against the per-example ``np.add.at`` loops they replaced.
@@ -447,6 +467,50 @@ class TestEpochsMatchReference:
         order = np.random.default_rng([7, 0]).permutation(len(users))[:16]
         assert len(np.unique(users[order])) < 16
         assert len(np.unique(items[order])) < 16
+
+
+class TestEpochsMatchBatchedReference:
+    """The epochs' per-epoch buffers against the fresh per-batch arrays they
+    replaced (``oracles.reference_batched_*``), bit for bit, loss included.
+
+    The data are ``TestEpochsMatchReference``'s: 96 train positives in
+    which every batch of 16 repeats users and items. A batch of 36 leaves a
+    partial last batch of 24, and a batch of 1 takes the touched-row
+    scatter. Dimension 19 puts each row's dot product past numpy's
+    eight-wide unrolled summation, where reordering would show.
+    """
+
+    @pytest.mark.parametrize(
+        "batch_size, reg, npp",
+        [(16, 0.05, 3), (36, 0.05, 3), (1, 0.05, 3), (16, 0.0, 1), (36, 0.0, 4)],
+        ids=["repeats", "partial", "touched", "reg0-npp1", "reg0-npp4-partial"],
+    )
+    @pytest.mark.parametrize(
+        "loss_kind, epoch_fn, reference",
+        [
+            ("bpr", bpr_epoch, reference_batched_bpr_epoch),
+            ("pointwise", pointwise_epoch, reference_batched_pointwise_epoch),
+        ],
+        ids=["bpr", "pointwise"],
+    )
+    def test_three_epochs_bit_identical(self, loss_kind, epoch_fn, reference, batch_size, reg, npp):
+        ds = TestEpochsMatchReference.dataset()
+        cfg = TrainConfig(
+            lr=0.5, reg=reg, loss_kind=loss_kind, batch_size=batch_size,
+            negatives_per_positive=npp,
+        )
+        new = ref = MfParams(*(
+            np.random.default_rng(32).normal(0, 0.3, shape)
+            for shape in ((12, 19), (20, 19), (20,))
+        ))
+        for epoch in range(3):
+            new, new_loss = epoch_fn(new, ds, cfg, np.random.default_rng([8, epoch]))
+            ref, ref_loss = reference(ref, ds, cfg, np.random.default_rng([8, epoch]))
+            assert new_loss == ref_loss
+            for name in ("user_emb", "item_emb", "item_bias"):
+                np.testing.assert_array_equal(getattr(new, name), getattr(ref, name))
+                # array_equal takes -0.0 for 0.0; the bytes do not
+                assert getattr(new, name).tobytes() == getattr(ref, name).tobytes()
 
 
 def exclusions(rows, num_items):
@@ -652,6 +716,19 @@ class TestCheckpoint:
         loaded, header = load_checkpoint(tmp_path / "ck")
         assert header["epochs_trained"] == 1
         np.testing.assert_allclose(loaded.user_emb, old.user_emb, atol=1e-6)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e39], ids=["inf", "nan", "f32-overflow"])
+    @pytest.mark.parametrize("name", ["user_emb", "item_emb", "item_bias"])
+    def test_non_finite_values_rejected(self, tmp_path, name, value):
+        old = init_params(3, 5, 2, seed=1)
+        save_checkpoint(old, tmp_path / "ck", epochs_trained=1)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        bad = init_params(3, 5, 2, seed=2)
+        getattr(bad, name).flat[-1] = value
+        with pytest.raises(ValueError, match=f"checkpoint {name} .*not finite in float32"):
+            save_checkpoint(bad, tmp_path / "ck", epochs_trained=2)
+        # no .partial file, and the earlier pair as it was
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
     def test_identical_saves_are_bitwise_equal(self, tmp_path):
         p = init_params(3, 4, 2, seed=5)
