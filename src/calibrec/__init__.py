@@ -10,11 +10,12 @@ Three capabilities on a matrix-factorization backbone:
 - ``perk``: per-user recommendation-list sizing by exact expected utility
   under independent Bernoulli relevance.
 
-Supporting modules: ``atomic`` (all-or-nothing file output), ``dataset``
-(ingestion, CSR splits and the negative sampler), ``ranker`` (the MF
-backbone, the batched pair scorer and top-K), ``metrics`` (realized
-ranking metrics), ``synthetic`` (seeded data generators), ``cli`` (the
-end-to-end pipeline driver).
+Supporting modules: ``atomic`` (all-or-nothing file output, and the
+JSON header plus binary sidecar that checkpoints and bundle splits share),
+``dataset`` (ingestion, CSR splits and the negative sampler), ``ranker``
+(the MF backbone, the batched pair scorer and top-K), ``metrics``
+(realized ranking metrics), ``synthetic`` (seeded data generators),
+``cli`` (the end-to-end pipeline driver).
 """
 
 from . import atomic, calibration, cli, dataset, distill, metrics, perk, ranker, seeding, synthetic

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, metrics
-from .atomic import atomic_open
+from .atomic import atomic_open, read_sidecar, write_with_sidecar
 from .calibration import (
     PARAMETRIC_KINDS,
     apply as apply_calibrator,
@@ -188,7 +188,14 @@ def load_config(path=None, overrides=()) -> dict:
 # ---------------------------------------------------------------------------
 # file helpers
 
-BUNDLE_FILES = ("user_map.json", "item_map.json", "train.txt", "validation.txt", "test.txt")
+SPLIT_NAMES = ("train", "validation", "test")
+# the text splits are the bundle; splits.bin holds their CSR arrays, and the
+# splits.json header lists those arrays and the text splits' digests
+SPLITS_HEADER, SPLITS_SIDECAR = "splits.json", "splits.bin"
+BUNDLE_FILES = (
+    "user_map.json", "item_map.json", *(f"{name}.txt" for name in SPLIT_NAMES),
+    SPLITS_HEADER, SPLITS_SIDECAR,
+)
 
 
 def _write_json(path, payload):
@@ -201,18 +208,42 @@ def _jsonl_line(row) -> str:
     return json.dumps(row, sort_keys=True) + "\n"
 
 
+def _sha256(data=b""):
+    """A SHA-256 hash object; hashlib is imported on first use, not with the CLI."""
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
 # rows formatted into one string per write call when writing a split
 WRITE_ROWS = 1 << 16
 
 
-def _write_split(path, split: Csr, delimiter):
+def _write_split(path, split: Csr, delimiter) -> str:
+    """Write one ``%d<delim>%d\\n`` line per entry; returns the SHA-256 of the bytes written."""
     users, items = split.pairs()
     row = "%d" + delimiter.replace("%", "%%") + "%d\n"
-    with atomic_open(path) as fh:
+    digest = _sha256()
+    with atomic_open(path, binary=True) as fh:
         for start in range(0, len(split), WRITE_ROWS):
             stop = start + WRITE_ROWS
             chunk = np.column_stack((users[start:stop], items[start:stop]))
-            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+            data = (row * len(chunk) % tuple(chunk.ravel().tolist())).encode()
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
+
+
+def _write_splits(out: Path, dataset: Dataset, delimiter) -> None:
+    """The three text splits, then the sidecar of their CSR arrays and its header."""
+    digests, arrays = {}, {}
+    for name in SPLIT_NAMES:
+        split = dataset.split(name)
+        digests[f"{name}.txt"] = _write_split(out / f"{name}.txt", split, delimiter)
+        arrays[f"{name}.indptr"] = np.ascontiguousarray(split.indptr, dtype="<i8")
+        arrays[f"{name}.indices"] = np.ascontiguousarray(split.indices, dtype="<i8")
+    header = {"format": "splits-v1", "delimiter": delimiter, "sha256": digests}
+    write_with_sidecar(out / SPLITS_HEADER, out / SPLITS_SIDECAR, header, arrays)
 
 
 def _read_split(path, delimiter, num_users, num_items) -> Csr:
@@ -236,18 +267,89 @@ def _read_split(path, delimiter, num_users, num_items) -> Csr:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
+def _csr_problem(indptr, indices, num_rows, num_cols) -> str | None:
+    """What keeps ``indptr`` and ``indices`` from being a ``Csr`` of that shape, or None."""
+    if len(indptr) != num_rows + 1:
+        return f"indptr holds {len(indptr)} entries, not num_users + 1 = {num_rows + 1}"
+    if indptr[0] != 0 or indptr[-1] != len(indices) or np.any(indptr[1:] < indptr[:-1]):
+        return f"indptr does not run nondecreasing from 0 to {len(indices)}"
+    if len(indices) and (indices.min() < 0 or indices.max() >= num_cols):
+        return f"an item index lies outside [0, {num_cols})"
+    # each step inside a row must rise; the steps from one row into the next are exempt
+    rises = indices[1:] > indices[:-1]
+    starts = indptr[1:-1]
+    rises[starts[(starts > 0) & (starts < len(indices))] - 1] = True
+    if not rises.all():
+        return "a row is not strictly increasing"
+    return None
+
+
+def _read_sidecar_splits(bundle: Path, delimiter, num_users, num_items) -> dict | None:
+    """The splits from the bundle's sidecar, or None when the text must be parsed.
+
+    None when ``splits.json`` is absent, or records another delimiter or a
+    text split whose SHA-256 differs from the file's. Past that the sidecar
+    must hold exact CSR rows: a missing or malformed one is a DataFormatError.
+    """
+    header_path = bundle / SPLITS_HEADER
+    try:
+        with open(header_path, "r", encoding="utf-8") as fh:
+            header = json.load(fh)
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:
+        raise DataFormatError(f"{header_path}: {exc}") from None
+    if not (isinstance(header, dict) and "delimiter" in header
+            and isinstance(header.get("sha256"), dict)):
+        raise DataFormatError(f"{header_path}: not a splits header")
+    if header["delimiter"] != delimiter:
+        return None
+    for name in SPLIT_NAMES:
+        data = (bundle / f"{name}.txt").read_bytes()
+        if header["sha256"].get(f"{name}.txt") != _sha256(data).hexdigest():
+            return None
+
+    names = [f"{name}.{part}" for name in SPLIT_NAMES for part in ("indptr", "indices")]
+    try:
+        arrays = read_sidecar(header_path, header, names, "splits")
+    except FileNotFoundError as exc:
+        raise DataFormatError(f"splits sidecar {exc.filename} is missing") from None
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from None
+    sidecar_path = header_path.with_name(header["sidecar"])
+    splits = {}
+    for name in SPLIT_NAMES:
+        indptr, indices = arrays[f"{name}.indptr"], arrays[f"{name}.indices"]
+        if any(arr.dtype.str != "<i8" or arr.ndim != 1 for arr in (indptr, indices)):
+            raise DataFormatError(f"{sidecar_path}: {name} arrays are not 1-D '<i8'")
+        # '<i8' is int64 on a little-endian host, so no copy is made there
+        indptr = indptr.astype(np.int64, copy=False)
+        indices = indices.astype(np.int64, copy=False)
+        problem = _csr_problem(indptr, indices, num_users, num_items)
+        if problem:
+            raise DataFormatError(f"{sidecar_path}: {name} split: {problem}")
+        splits[name] = Csr(indptr, indices, num_items)
+    return splits
+
+
 def load_bundle(bundle_dir, delimiter=",") -> tuple[Dataset, IdMaps]:
-    """Read a dataset bundle written by ``ingest``."""
+    """Read a dataset bundle written by ``ingest``.
+
+    The splits come from ``splits.bin`` when ``splits.json`` records this
+    delimiter and the text splits' digests; otherwise the text is parsed.
+    """
     bundle = Path(bundle_dir)
     with open(bundle / "user_map.json", "r", encoding="utf-8") as fh:
         user_map = json.load(fh)
     with open(bundle / "item_map.json", "r", encoding="utf-8") as fh:
         item_map = json.load(fh)
     maps = IdMaps(user_to_index=user_map, item_to_index=item_map)
-    splits = {
-        name: _read_split(bundle / f"{name}.txt", delimiter, maps.num_users, maps.num_items)
-        for name in ("train", "validation", "test")
-    }
+    splits = _read_sidecar_splits(bundle, delimiter, maps.num_users, maps.num_items)
+    if splits is None:
+        splits = {
+            name: _read_split(bundle / f"{name}.txt", delimiter, maps.num_users, maps.num_items)
+            for name in SPLIT_NAMES
+        }
     dataset = Dataset(
         num_users=maps.num_users,
         num_items=maps.num_items,
@@ -370,10 +472,7 @@ def cmd_ingest(args, cfg) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "user_map.json", maps.user_to_index)
     _write_json(out / "item_map.json", maps.item_to_index)
-    delim = cfg["data.delimiter"]
-    _write_split(out / "train.txt", dataset.train, delim)
-    _write_split(out / "validation.txt", dataset.validation, delim)
-    _write_split(out / "test.txt", dataset.test, delim)
+    _write_splits(out, dataset, cfg["data.delimiter"])
     print(
         f"ingested {len(pairs)} interactions: {maps.num_users} users, "
         f"{maps.num_items} items; splits train={len(dataset.train)} "
@@ -415,13 +514,14 @@ def cmd_train(args, cfg) -> int:
             _stop_if_diverged(epoch, train_cfg.lr, {"loss": loss})
             log.write(_jsonl_line({"epoch": epoch, "loss": loss}))
             print(f"epoch {epoch}: loss {loss:.6f}")
-    save_checkpoint(
-        params,
-        args.out,
-        seed=cfg["seed"],
-        loss_kind=train_cfg.loss_kind,
-        epochs_trained=max(start_epoch, cfg["train.epochs"]),
-    )
+        # inside the log's block, so a checkpoint that fails to save discards the log too
+        save_checkpoint(
+            params,
+            args.out,
+            seed=cfg["seed"],
+            loss_kind=train_cfg.loss_kind,
+            epochs_trained=max(start_epoch, cfg["train.epochs"]),
+        )
     return 0
 
 
@@ -574,7 +674,8 @@ def cmd_distill(args, cfg) -> int:
             )
             if bd_cfg.save_every and (epoch + 1) % bd_cfg.save_every == 0:
                 save_both(epoch + 1)
-    save_both(bd_cfg.epochs)
+        # inside the log's block, so checkpoints that fail to save discard the log too
+        save_both(bd_cfg.epochs)
 
     top = top_k(student, np.arange(dataset.num_users), 10, dataset.train)
     student_lists = {u: row[row >= 0].tolist() for u, row in enumerate(top)}

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import read_sidecar, write_with_sidecar
 from .dataset import Csr, Dataset, sample_negatives
 
 LOSS_KINDS = ("bpr", "pointwise")
@@ -495,23 +495,12 @@ def save_checkpoint(
     sidecar_path = base.with_name(base.name + ".bin")
 
     arrays = {}
-    offset = 0
-    blobs = []
     for name in _ARRAY_ORDER:
         # a value beyond float32's range is reported below, not warned about
         with np.errstate(over="ignore"):
-            arr = np.ascontiguousarray(getattr(params, name), dtype="<f4")
-        if not np.isfinite(arr).all():
+            arrays[name] = np.ascontiguousarray(getattr(params, name), dtype="<f4")
+        if not np.isfinite(arrays[name]).all():
             raise ValueError(f"checkpoint {name} holds values that are not finite in float32")
-        blob = arr.tobytes()
-        arrays[name] = {
-            "shape": list(arr.shape),
-            "dtype": "<f4",
-            "offset": offset,
-            "bytes": len(blob),
-        }
-        offset += len(blob)
-        blobs.append(blob)
 
     header = {
         "format": "mf-checkpoint-v1",
@@ -521,18 +510,8 @@ def save_checkpoint(
         "seed": seed,
         "loss_kind": loss_kind,
         "epochs_trained": epochs_trained,
-        "sidecar": sidecar_path.name,
-        "arrays": arrays,
     }
-    # the sidecar is renamed into place first, then the header that lists it
-    with (
-        atomic_open(header_path) as header_fh,
-        atomic_open(sidecar_path, binary=True) as sidecar_fh,
-    ):
-        for blob in blobs:
-            sidecar_fh.write(blob)
-        json.dump(header, header_fh, indent=2)
-        header_fh.write("\n")
+    write_with_sidecar(header_path, sidecar_path, header, arrays)
     return header_path, sidecar_path
 
 
@@ -546,25 +525,5 @@ def load_checkpoint(base_path) -> tuple[MfParams, dict]:
     header_path = base if base.suffix == ".json" else base.with_name(base.name + ".json")
     with open(header_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
-    try:
-        sidecar_path = header_path.with_name(header["sidecar"])
-        metas = [header["arrays"][name] for name in _ARRAY_ORDER]
-        spans = [(m["offset"], m["bytes"], m["dtype"], m["shape"]) for m in metas]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(
-            f"{header_path}: checkpoint header key missing or malformed: {exc}"
-        ) from None
-    raw = sidecar_path.read_bytes()
-    expected = sum(n for _, n, _, _ in spans)
-    if len(raw) != expected:
-        raise ValueError(
-            f"checkpoint sidecar {sidecar_path} holds {len(raw)} bytes, header lists {expected}"
-        )
-
-    parts = {}
-    for name, (start, n, dtype, shape) in zip(_ARRAY_ORDER, spans):
-        if start + n > len(raw):
-            raise ValueError(f"checkpoint sidecar truncated reading {name}")
-        arr = np.frombuffer(raw[start : start + n], dtype=dtype)
-        parts[name] = arr.reshape(shape).astype(np.float64)
-    return MfParams(parts["user_emb"], parts["item_emb"], parts["item_bias"]), header
+    parts = read_sidecar(header_path, header, _ARRAY_ORDER, "checkpoint")
+    return MfParams(*(parts[name].astype(np.float64) for name in _ARRAY_ORDER)), header

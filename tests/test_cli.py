@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from calibrec import cli
+from calibrec.atomic import read_sidecar, write_with_sidecar
 from calibrec.calibration import (
     Calibrator,
     apply,
@@ -17,6 +19,7 @@ from calibrec.calibration import (
 )
 from calibrec.cli import (
     BUNDLE_FILES,
+    SPLIT_NAMES,
     config_reference,
     load_bundle,
     load_recommendations,
@@ -63,7 +66,7 @@ def workspace(tmp_path_factory):
 
 
 class TestIngest:
-    def test_writes_five_files(self, tmp_path, capsys):
+    def test_writes_bundle_files(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
         write_interactions_csv(csv, low_rank_interactions(10, 15, per_user=10, seed=1))
         assert run("ingest", "--input", csv, "--out", tmp_path / "bundle") == 0
@@ -120,8 +123,10 @@ class TestIngest:
         assert np.array_equal(counts, dataset.item_popularity)
 
 
-# SHA-256 of each bundle file that ingest wrote for reference_input() before
-# the splits moved to CSR arrays; the on-disk format must not change
+# SHA-256 of each bundle file ingest writes for reference_input(). The five
+# text files' digests were taken before the splits moved to CSR arrays, so
+# their format must not change; the splits sidecar and its header are pinned
+# so that they stay byte-deterministic.
 REFERENCE_BUNDLES = {
     (): {
         "item_map.json": "46fa2b15a1ed6d646620cd1ff85cf08414d917186133b780755038c38fbbb6a8",
@@ -129,6 +134,8 @@ REFERENCE_BUNDLES = {
         "train.txt": "4e28c3a409b1d395068992a58368bedfe15c8d1a276eacbd69883f6a15dae9af",
         "validation.txt": "9c2d2b3507260b49df08b80a2c88f3ccf1dc98363ba2cbaa30cfaa76001f95a6",
         "test.txt": "58e423b4bc0771abefb2d12b86cbdbae1f8ca297b00b2176e80e6a17b78d4d5e",
+        "splits.json": "0e27faaab28233ec468c53c9a19dda2cea29d949dced0127d04597e1d0e2187c",
+        "splits.bin": "2ac2a9c6c66a39e3eee524836bfceddd61109fa8b815ee6468c39436cceed601",
     },
     ("--set", "seed=7", "--set", "data.ratios=0.6,0.2,0.2"): {
         "item_map.json": "46fa2b15a1ed6d646620cd1ff85cf08414d917186133b780755038c38fbbb6a8",
@@ -136,6 +143,8 @@ REFERENCE_BUNDLES = {
         "train.txt": "4bd79e93274324715b41bd2585bb0baf807bae2015d40d43d371c24888b8d4b4",
         "validation.txt": "6229bc944ab29a9f9727ba0d884974232ffef9dd23ba78e6b80f2ae41ba3067f",
         "test.txt": "58f7df951011433e17dd499e13cfd3b1c43ae8b74664e2d9fe3123355d4c758a",
+        "splits.json": "1255cc7187ae76ab5c682dd6bbfd320db3e335cc49740a56005a28e7ca5e5242",
+        "splits.bin": "3b4901497464a26776c8157ef8713bb2d81e3a7d671e730a832ad9877bb61d8b",
     },
 }
 
@@ -190,6 +199,174 @@ class TestBundleFormat:
         assert load_bundle(bundle)[0].train.pairs()[1].tolist() == [0, 2]
         (bundle / "train.txt").write_text("")
         assert len(load_bundle(bundle)[0].train) == 0
+
+
+def copy_bundle(src, dst):
+    dst.mkdir()
+    for name in BUNDLE_FILES:
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+@pytest.fixture
+def text_parses(monkeypatch):
+    """Counts the text split files that load_bundle parses."""
+    calls = []
+    read_split = cli._read_split
+
+    def spy(path, *args):
+        calls.append(Path(path).name)
+        return read_split(path, *args)
+
+    monkeypatch.setattr(cli, "_read_split", spy)
+    return calls
+
+
+def rewrite_sidecar(bundle, edit):
+    """Rewrite splits.bin and its layout after ``edit(arrays)``, keeping digests and delimiter."""
+    header = json.loads((bundle / "splits.json").read_text())
+    arrays = read_sidecar(bundle / "splits.json", header, list(header["arrays"]), "splits")
+    arrays = {name: arr.copy() for name, arr in arrays.items()}
+    edit(arrays)
+    kept = {key: header[key] for key in ("format", "delimiter", "sha256")}
+    write_with_sidecar(bundle / "splits.json", bundle / "splits.bin", kept, arrays)
+
+
+def swap(arr, i, j):
+    arr[[i, j]] = arr[[j, i]]
+
+
+class TestSplitsSidecar:
+    def ingest(self, tmp_path, pairs, *settings):
+        csv = tmp_path / "in.csv"
+        delimiter = dict(s.split("=", 1) for s in settings[1::2]).get("data.delimiter", ",")
+        csv.write_text("".join(f"{u}{delimiter}{i}\n" for u, i in pairs))
+        assert run("ingest", "--input", csv, "--out", tmp_path / "b", *settings) == 0
+        return tmp_path / "b"
+
+    @pytest.mark.parametrize("case", ["default", "seed7", "double-colon", "empty-splits"])
+    def test_sidecar_load_equals_text_parse(self, tmp_path, text_parses, case):
+        delimiter = "::" if case == "double-colon" else ","
+        if case in ("default", "seed7"):
+            reference_input(tmp_path / "in.csv")
+            settings = list(REFERENCE_BUNDLES)[case == "seed7"]
+            assert run("ingest", "--input", tmp_path / "in.csv", "--out", tmp_path / "b",
+                       *settings) == 0
+            bundle = tmp_path / "b"
+        elif case == "double-colon":
+            bundle = self.ingest(tmp_path, low_rank_interactions(12, 20, per_user=10, seed=4),
+                                 "--set", "data.delimiter=::")
+        else:
+            # 6 rows per user put nothing in validation or test
+            bundle = self.ingest(tmp_path, low_rank_interactions(10, 15, per_user=6, seed=1))
+        dataset, maps = load_bundle(bundle, delimiter=delimiter)
+        assert text_parses == []
+        if case == "empty-splits":
+            assert len(dataset.validation) == len(dataset.test) == 0
+        else:
+            assert len(dataset.validation) and len(dataset.test)
+        if case in ("default", "seed7"):
+            # reference_input's users with two or three rows have empty validation rows
+            assert np.any(dataset.validation.sizes() == 0)
+        for name in SPLIT_NAMES:
+            parsed = cli._read_split(bundle / f"{name}.txt", delimiter,
+                                     maps.num_users, maps.num_items)
+            split = dataset.split(name)
+            assert split.indptr.dtype == split.indices.dtype == np.int64
+            assert np.array_equal(split.indptr, parsed.indptr)
+            assert np.array_equal(split.indices, parsed.indices)
+            assert split.num_cols == maps.num_items
+        expected = np.bincount(dataset.train.indices, minlength=maps.num_items)
+        assert np.array_equal(dataset.item_popularity, expected)
+
+    @pytest.mark.parametrize("removed", [("splits.json", "splits.bin"), ("splits.json",)])
+    def test_bundle_without_header_takes_text_path(self, workspace, tmp_path, text_parses,
+                                                   removed):
+        bundle = copy_bundle(workspace / "bundle", tmp_path / "bundle")
+        expected, _ = load_bundle(bundle)
+        for name in removed:
+            (bundle / name).unlink()
+        dataset, _ = load_bundle(bundle)
+        assert text_parses == ["train.txt", "validation.txt", "test.txt"]
+        for name in SPLIT_NAMES:
+            assert np.array_equal(dataset.split(name).indptr, expected.split(name).indptr)
+            assert np.array_equal(dataset.split(name).indices, expected.split(name).indices)
+
+    def test_edited_split_takes_text_path(self, workspace, tmp_path, text_parses):
+        bundle = copy_bundle(workspace / "bundle", tmp_path / "bundle")
+        (bundle / "train.txt").write_text("0,0\n2,2\n")
+        assert load_bundle(bundle)[0].train.pairs()[1].tolist() == [0, 2]
+        assert len(text_parses) == 3
+        (bundle / "test.txt").write_text("3,4000\n")
+        with pytest.raises(cli.DataFormatError, match="test.txt: pair outside"):
+            load_bundle(bundle)
+
+    def test_other_delimiter_takes_text_path(self, tmp_path, text_parses):
+        bundle = self.ingest(tmp_path, [(1, 10), (1, 20), (2, 10)],
+                             "--set", "data.delimiter=::")
+        with pytest.raises(cli.DataFormatError, match="expected 'user,item' lines"):
+            load_bundle(bundle)
+        assert text_parses == ["train.txt"]
+        assert run("train", "--data", bundle, "--out", tmp_path / "ck",
+                   "--set", "train.epochs=0", "--set", "data.delimiter=;") == 2
+
+    # edit of the sidecar's arrays -> the problem load_bundle reports
+    CORRUPTIONS = {
+        "indptr-length": (
+            lambda a: a.__setitem__("train.indptr", a["train.indptr"][:-1]), "indptr holds 40 "),
+        "indptr-start": (
+            lambda a: a["validation.indptr"].__setitem__(0, 1), "nondecreasing from 0"),
+        "indptr-end": (
+            lambda a: a["train.indptr"].__setitem__(-1, a["train.indptr"][-1] - 1),
+            "nondecreasing from 0"),
+        "indptr-decreasing": (lambda a: swap(a["train.indptr"], 1, 2), "nondecreasing from 0"),
+        "index-too-large": (lambda a: a["test.indices"].__setitem__(0, 55), r"outside \[0, 55\)"),
+        "index-negative": (lambda a: a["train.indices"].__setitem__(-1, -1), "outside"),
+        "row-repeat": (
+            lambda a: a["train.indices"].__setitem__(1, a["train.indices"][0]),
+            "not strictly increasing"),
+        "row-unsorted": (lambda a: swap(a["train.indices"], 0, 1), "not strictly increasing"),
+        "dtype": (
+            lambda a: a.__setitem__("test.indices", a["test.indices"].astype("<i4")),
+            "not 1-D '<i8'"),
+        "shape": (
+            lambda a: a.__setitem__("train.indices", a["train.indices"][:-1].reshape(-1, 1)),
+            "not 1-D '<i8'"),
+    }
+
+    @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+    def test_corrupt_arrays_exit_2(self, workspace, tmp_path, capsys, corruption):
+        bundle = copy_bundle(workspace / "bundle", tmp_path / "bundle")
+        edit, problem = self.CORRUPTIONS[corruption]
+        rewrite_sidecar(bundle, edit)
+        with pytest.raises(cli.DataFormatError, match=f"splits.bin: .*{problem}"):
+            load_bundle(bundle)
+        assert run("train", "--data", bundle, "--out", tmp_path / "ck",
+                   "--set", "train.epochs=0") == 2
+        assert "splits.bin" in capsys.readouterr().err
+        assert not (tmp_path / "ck.json").exists()
+
+    @pytest.mark.parametrize("damage", ["missing", "longer", "shorter"])
+    def test_sidecar_file_of_wrong_length_exits_2(self, workspace, tmp_path, capsys, damage):
+        bundle = copy_bundle(workspace / "bundle", tmp_path / "bundle")
+        sidecar = bundle / "splits.bin"
+        if damage == "missing":
+            sidecar.unlink()
+        else:
+            data = sidecar.read_bytes()
+            sidecar.write_bytes(data + b"\0" if damage == "longer" else data[:-8])
+        assert run("train", "--data", bundle, "--out", tmp_path / "ck",
+                   "--set", "train.epochs=0") == 2
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "splits.bin" in err
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"delimiter": ","}'])
+    def test_malformed_header_exits_2(self, workspace, tmp_path, capsys, text):
+        bundle = copy_bundle(workspace / "bundle", tmp_path / "bundle")
+        (bundle / "splits.json").write_text(text)
+        assert run("train", "--data", bundle, "--out", tmp_path / "ck",
+                   "--set", "train.epochs=0") == 2
+        assert "splits.json" in capsys.readouterr().err
 
 
 class TestConfig:
@@ -266,6 +443,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "training diverged: epoch 5 loss is nan" in err and "train.lr (now 1e+09)" in err
         # neither a checkpoint nor a log, and no .partial file
+        assert not list(tmp_path.iterdir())
+
+    def test_failed_checkpoint_save_discards_log(self, workspace, tmp_path, capsys):
+        # the float64 losses stay finite, the parameters leave float32's range
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run("train", "--data", workspace / "bundle", "--out", tmp_path / "ck",
+                       "--set", "train.lr=1e9", "--set", "train.epochs=3")
+        assert code == 2
+        assert "not finite in float32" in capsys.readouterr().err
+        # neither ck_log.jsonl nor ck.json/ck.bin, and no .partial file
         assert not list(tmp_path.iterdir())
 
     def test_same_seed_bitwise_identical(self, workspace, tmp_path):
@@ -513,6 +701,18 @@ class TestDistill:
         err = capsys.readouterr().err
         assert "training diverged: epoch 0 teacher base loss is nan" in err
         assert "train.lr (now 1e+09)" in err
+        assert not list((tmp_path / "bd").iterdir())
+
+    def test_failed_checkpoint_save_discards_log(self, workspace, tmp_path, capsys):
+        # the losses stay finite, the teacher's parameters leave float32's range
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run("distill", "--data", workspace / "bundle", "--out", tmp_path / "bd",
+                       "--set", "train.lr=100", "--set", "train.batch_size=1",
+                       "--set", "bd.epochs=1", "--set", "bd.teacher_dim=8",
+                       "--set", "bd.student_dim=4")
+        assert code == 2
+        assert "not finite in float32" in capsys.readouterr().err
         assert not list((tmp_path / "bd").iterdir())
 
     def test_log_rows_and_summary(self, workspace, tmp_path):

@@ -705,6 +705,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"checkpoint header.*{drop}"):
             load_checkpoint(tmp_path / "ck")
 
+    @pytest.mark.parametrize("key, value", [("dtype", "nope"), ("shape", [7, 2]), ("offset", -4)])
+    def test_array_outside_its_span_is_value_error(self, tmp_path, key, value):
+        header_path, _ = save_checkpoint(init_params(3, 5, 2, seed=1), tmp_path / "ck")
+        header = json.loads(header_path.read_text())
+        header["arrays"]["item_emb"][key] = value
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="checkpoint sidecar .*ck.bin.*item_emb"):
+            load_checkpoint(tmp_path / "ck")
+
     def test_failed_save_keeps_previous_pair(self, tmp_path):
         old = init_params(3, 5, 2, seed=1)
         save_checkpoint(old, tmp_path / "ck", epochs_trained=1)
