@@ -1,5 +1,8 @@
 """Atomic file output: write ``<name>.partial``, then rename it over ``name``.
 
+Inside an ``output_set`` the renames wait until the set ends, so the files
+a CLI stage writes appear together or not at all.
+
 Also the header-plus-sidecar pair that checkpoints and the bundle's split
 arrays share: a JSON header that lists flat arrays stored back to back in
 one binary sidecar file.
@@ -8,12 +11,45 @@ one binary sidecar file.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import json
 import os
 import shutil
 from pathlib import Path
 
 import numpy as np
+
+# the open output set's pending renames, final path -> partial path, in the
+# order the files were finished; None outside a set
+_pending = contextvars.ContextVar("calibrec_output_set", default=None)
+
+
+@contextlib.contextmanager
+def output_set():
+    """Commit every file finished through ``atomic_open`` in the block as one set.
+
+    Each file stays at ``<name>.partial`` until the block ends; then all are
+    renamed in the order they were finished, a path finished twice once,
+    with its last bytes. If the block raises, every partial file of the set
+    is removed. A set opened inside another joins the outer one. Only a
+    crash during the final renames can leave part of a set renamed.
+    """
+    if _pending.get() is not None:
+        yield
+        return
+    pending: dict[Path, Path] = {}
+    token = _pending.set(pending)
+    try:
+        yield
+        for path in list(pending):
+            os.replace(pending[path], path)
+            del pending[path]
+    except BaseException:
+        for partial in pending.values():
+            partial.unlink(missing_ok=True)
+        raise
+    finally:
+        _pending.reset(token)
 
 
 @contextlib.contextmanager
@@ -23,9 +59,11 @@ def atomic_open(path, keep_existing=False, binary=False):
     If the block raises, the partial file is removed and ``path`` is left
     as it was, so a failed run never leaves a truncated file under the final
     name. With ``keep_existing`` the handle starts after a copy of the
-    current ``path`` (a resumed run's log).
+    current ``path`` (a resumed run's log). Inside an ``output_set``, which
+    an enclosing ``atomic_open`` block also opens, the rename waits for the
+    set to end.
     """
-    path = Path(path)
+    path = Path(path).absolute()
     partial = path.with_name(path.name + ".partial")
     if keep_existing and path.exists():
         shutil.copyfile(path, partial)
@@ -34,13 +72,26 @@ def atomic_open(path, keep_existing=False, binary=False):
         mode = "w"
     if binary:
         mode += "b"
-    try:
-        with open(partial, mode, encoding=None if binary else "utf-8") as fh:
-            yield fh
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    # outside a set this opens a set of one file, which commits when the block ends
+    with output_set():
+        pending = _pending.get()
+        try:
+            with open(partial, mode, encoding=None if binary else "utf-8") as fh:
+                yield fh
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            pending.pop(path, None)
+            raise
+        # a path finished again moves to the end of the commit order
+        pending.pop(path, None)
+        pending[path] = partial
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline, through ``atomic_open``."""
+    with atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_with_sidecar(header_path, sidecar_path, header: dict, arrays: dict) -> None:
@@ -49,9 +100,9 @@ def write_with_sidecar(header_path, sidecar_path, header: dict, arrays: dict) ->
     Each array's bytes are written as they are, so the arrays should be
     C-contiguous and of the on-disk dtype. The header gains ``sidecar`` (the
     sidecar's file name) and ``arrays`` (each array's shape, dtype, offset
-    and byte count) after its own keys. Both files go through
-    ``atomic_open``; the sidecar is renamed into place first, then the
-    header that lists it.
+    and byte count) after its own keys. Both files go through nested
+    ``atomic_open`` blocks, so they commit as one set: the sidecar is
+    renamed first, then the header that lists it.
     """
     layout = {}
     offset = 0

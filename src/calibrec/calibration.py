@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, write_json
 from .dataset import Dataset, sample_negatives
 from .ranker import MfParams, score_pairs, sigmoid
 
@@ -447,9 +447,7 @@ def save_calibrator(cal: Calibrator, path) -> None:
     }
     if cal.bins is not None:
         payload["bins"] = [[float(e), float(v)] for e, v in cal.bins]
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_calibrator(path) -> Calibrator:

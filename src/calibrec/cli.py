@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, metrics
-from .atomic import atomic_open, read_sidecar, write_with_sidecar
+from .atomic import atomic_open, output_set, read_sidecar, write_json, write_with_sidecar
 from .calibration import (
     PARAMETRIC_KINDS,
     apply as apply_calibrator,
@@ -38,7 +38,7 @@ from .calibration import (
     save_calibrator,
     write_reliability_csv,
 )
-from .dataset import Csr, DataFormatError, Dataset, IdMaps, load_interactions, split_per_user
+from .dataset import Csr, DataFormatError, Dataset, load_interactions, split_per_user
 from .distill import BdConfig, cotrain_epoch
 from .perk import PerkConfig, PersonalizedCut, perk_recommend_users
 from .ranker import (
@@ -91,7 +91,7 @@ def _choice(*options):
 # key -> (parser, default, help)
 CONFIG_SPEC = {
     "seed": (int, 0, "global seed; every stage derives its own stream from it"),
-    "data.delimiter": (str, ",", "field separator of interaction and split files"),
+    "data.delimiter": (str, ",", "field separator of the input and the text splits (ingest only)"),
     "data.ratios": (_floats, (0.8, 0.1, 0.1), "train,validation,test split fractions"),
     "train.dim": (int, 32, "embedding dimension"),
     "train.lr": (
@@ -126,7 +126,6 @@ CONFIG_SPEC = {
     "bd.eta": (float, 0.1, "rank-discrepancy sharpness"),
     "bd.truncate_rank": (int, 100, "ranks beyond this are clamped"),
     "bd.epochs": (int, 10, "co-training epochs"),
-    "bd.save_every": (int, 0, "checkpoint interval in epochs (0 = final only)"),
     "perk.k_max": (int, 50, "largest cutoff considered"),
     "perk.utility": (
         _choice("precision", "recall", "f1", "ndcg"),
@@ -189,19 +188,15 @@ def load_config(path=None, overrides=()) -> dict:
 # file helpers
 
 SPLIT_NAMES = ("train", "validation", "test")
-# the text splits are the bundle; splits.bin holds their CSR arrays, and the
-# splits.json header lists those arrays and the text splits' digests
+# stages read the splits from splits.bin; the splits.json header lists its
+# arrays, the user and item counts, and the SHA-256 of each text split, an
+# export of the same splits
 SPLITS_HEADER, SPLITS_SIDECAR = "splits.json", "splits.bin"
+SPLITS_FORMAT = "splits-v2"
 BUNDLE_FILES = (
     "user_map.json", "item_map.json", *(f"{name}.txt" for name in SPLIT_NAMES),
     SPLITS_HEADER, SPLITS_SIDECAR,
 )
-
-
-def _write_json(path, payload):
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _jsonl_line(row) -> str:
@@ -242,29 +237,9 @@ def _write_splits(out: Path, dataset: Dataset, delimiter) -> None:
         digests[f"{name}.txt"] = _write_split(out / f"{name}.txt", split, delimiter)
         arrays[f"{name}.indptr"] = np.ascontiguousarray(split.indptr, dtype="<i8")
         arrays[f"{name}.indices"] = np.ascontiguousarray(split.indices, dtype="<i8")
-    header = {"format": "splits-v1", "delimiter": delimiter, "sha256": digests}
+    header = {"format": SPLITS_FORMAT, "num_users": dataset.num_users,
+              "num_items": dataset.num_items, "sha256": digests}
     write_with_sidecar(out / SPLITS_HEADER, out / SPLITS_SIDECAR, header, arrays)
-
-
-def _read_split(path, delimiter, num_users, num_items) -> Csr:
-    """Parse a split file of the ``%d<delim>%d\\n`` lines ``_write_split`` writes into rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    # NUL marks each delimiter; a NUL of the file's own turns into "x", which is rejected
-    marked = text.replace("\0", "x").replace(delimiter, "\0").encode()
-    buf = np.frombuffer(marked, dtype=np.uint8)
-    # delimiter, newline, delimiter, newline, ..., no empty field, digits in between
-    seps = np.flatnonzero(buf < ord("0"))
-    if (
-        buf.max(initial=0) > ord("9") or np.any(buf[seps[0::2]]) or marked[-1:] not in (b"", b"\n")
-        or np.any(buf[seps[1::2]] != ord("\n")) or np.any(np.diff(seps, prepend=-1) < 2)
-    ):
-        raise DataFormatError(f"{path}: expected 'user{delimiter}item' lines")
-    pairs = np.fromstring(marked.replace(b"\0", b" "), dtype=np.int64, sep=" ").reshape(-1, 2)
-    try:
-        return Csr.from_pairs(pairs[:, 0], pairs[:, 1], num_users, num_items)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _csr_problem(indptr, indices, num_rows, num_cols) -> str | None:
@@ -284,30 +259,36 @@ def _csr_problem(indptr, indices, num_rows, num_cols) -> str | None:
     return None
 
 
-def _read_sidecar_splits(bundle: Path, delimiter, num_users, num_items) -> dict | None:
-    """The splits from the bundle's sidecar, or None when the text must be parsed.
+def load_bundle(bundle_dir) -> Dataset:
+    """Read the dataset bundle ``ingest`` wrote to ``bundle_dir`` from its splits sidecar.
 
-    None when ``splits.json`` is absent, or records another delimiter or a
-    text split whose SHA-256 differs from the file's. Past that the sidecar
-    must hold exact CSR rows: a missing or malformed one is a DataFormatError.
+    Raises DataFormatError, asking for ``ingest`` to be run again, when
+    ``splits.json`` is missing or of another format, or when a text split's
+    SHA-256 differs from the recorded one (a bundle edited by hand). Past
+    that the sidecar must hold exact CSR rows of the header's user and item
+    counts.
     """
-    header_path = bundle / SPLITS_HEADER
+    header_path = Path(bundle_dir) / SPLITS_HEADER
+    rerun = f"run ingest again to rewrite the bundle in {header_path.parent}"
     try:
         with open(header_path, "r", encoding="utf-8") as fh:
             header = json.load(fh)
     except FileNotFoundError:
-        return None
+        if not header_path.parent.is_dir():
+            raise  # no bundle at all: an i/o error
+        raise DataFormatError(f"{header_path} is missing; {rerun}") from None
     except ValueError as exc:
         raise DataFormatError(f"{header_path}: {exc}") from None
-    if not (isinstance(header, dict) and "delimiter" in header
-            and isinstance(header.get("sha256"), dict)):
-        raise DataFormatError(f"{header_path}: not a splits header")
-    if header["delimiter"] != delimiter:
-        return None
+    if not isinstance(header, dict) or header.get("format") != SPLITS_FORMAT:
+        raise DataFormatError(f"{header_path}: not a {SPLITS_FORMAT} header; {rerun}")
+    counts = (header.get("num_users"), header.get("num_items"))
+    if not (all(_is_int(n) and n >= 0 for n in counts) and isinstance(header.get("sha256"), dict)):
+        raise DataFormatError(f"{header_path}: user or item count or digests malformed")
+    num_users, num_items = counts
     for name in SPLIT_NAMES:
-        data = (bundle / f"{name}.txt").read_bytes()
-        if header["sha256"].get(f"{name}.txt") != _sha256(data).hexdigest():
-            return None
+        text = header_path.with_name(f"{name}.txt")
+        if header["sha256"].get(text.name) != _sha256(text.read_bytes()).hexdigest():
+            raise DataFormatError(f"{text} differs from the split {SPLITS_HEADER} records; {rerun}")
 
     names = [f"{name}.{part}" for name in SPLIT_NAMES for part in ("indptr", "indices")]
     try:
@@ -329,34 +310,12 @@ def _read_sidecar_splits(bundle: Path, delimiter, num_users, num_items) -> dict 
         if problem:
             raise DataFormatError(f"{sidecar_path}: {name} split: {problem}")
         splits[name] = Csr(indptr, indices, num_items)
-    return splits
-
-
-def load_bundle(bundle_dir, delimiter=",") -> tuple[Dataset, IdMaps]:
-    """Read a dataset bundle written by ``ingest``.
-
-    The splits come from ``splits.bin`` when ``splits.json`` records this
-    delimiter and the text splits' digests; otherwise the text is parsed.
-    """
-    bundle = Path(bundle_dir)
-    with open(bundle / "user_map.json", "r", encoding="utf-8") as fh:
-        user_map = json.load(fh)
-    with open(bundle / "item_map.json", "r", encoding="utf-8") as fh:
-        item_map = json.load(fh)
-    maps = IdMaps(user_to_index=user_map, item_to_index=item_map)
-    splits = _read_sidecar_splits(bundle, delimiter, maps.num_users, maps.num_items)
-    if splits is None:
-        splits = {
-            name: _read_split(bundle / f"{name}.txt", delimiter, maps.num_users, maps.num_items)
-            for name in SPLIT_NAMES
-        }
-    dataset = Dataset(
-        num_users=maps.num_users,
-        num_items=maps.num_items,
-        item_popularity=np.bincount(splits["train"].indices, minlength=maps.num_items),
+    return Dataset(
+        num_users=num_users,
+        num_items=num_items,
+        item_popularity=np.bincount(splits["train"].indices, minlength=num_items),
         **splits,
     )
-    return dataset, maps
 
 
 def _load_model(path, dataset: Dataset):
@@ -446,11 +405,7 @@ def load_recommendations(path):
 
 
 def _stop_if_diverged(epoch: int, lr: float, losses: dict) -> None:
-    """Raise ValueError when one of an epoch's named losses is not finite.
-
-    Called before the epoch is logged, so a diverged run leaves neither a
-    non-finite log line nor a checkpoint of that epoch.
-    """
+    """Raise ValueError when one of an epoch's named losses is not finite."""
     for name, value in losses.items():
         if not math.isfinite(value):
             raise ValueError(
@@ -470,8 +425,8 @@ def cmd_ingest(args, cfg) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "user_map.json", maps.user_to_index)
-    _write_json(out / "item_map.json", maps.item_to_index)
+    write_json(out / "user_map.json", maps.user_to_index)
+    write_json(out / "item_map.json", maps.item_to_index)
     _write_splits(out, dataset, cfg["data.delimiter"])
     print(
         f"ingested {len(pairs)} interactions: {maps.num_users} users, "
@@ -484,7 +439,7 @@ def cmd_ingest(args, cfg) -> int:
 def cmd_train(args, cfg) -> int:
     if cfg["train.epochs"] < 0:
         raise ValueError("train.epochs must be >= 0")
-    dataset, _ = load_bundle(args.data, cfg["data.delimiter"])
+    dataset = load_bundle(args.data)
     train_cfg = TrainConfig(
         lr=cfg["train.lr"],
         reg=cfg["train.reg"],
@@ -514,14 +469,13 @@ def cmd_train(args, cfg) -> int:
             _stop_if_diverged(epoch, train_cfg.lr, {"loss": loss})
             log.write(_jsonl_line({"epoch": epoch, "loss": loss}))
             print(f"epoch {epoch}: loss {loss:.6f}")
-        # inside the log's block, so a checkpoint that fails to save discards the log too
-        save_checkpoint(
-            params,
-            args.out,
-            seed=cfg["seed"],
-            loss_kind=train_cfg.loss_kind,
-            epochs_trained=max(start_epoch, cfg["train.epochs"]),
-        )
+    save_checkpoint(
+        params,
+        args.out,
+        seed=cfg["seed"],
+        loss_kind=train_cfg.loss_kind,
+        epochs_trained=max(start_epoch, cfg["train.epochs"]),
+    )
     return 0
 
 
@@ -529,7 +483,11 @@ def cmd_calibrate(args, cfg) -> int:
     # before any input is read: every kind bins (ECE, and the histogram map)
     if cfg["calib.num_bins"] < 1:
         raise ValueError("calib.num_bins must be >= 1")
-    dataset, _ = load_bundle(args.data, cfg["data.delimiter"])
+    if cfg["calib.max_iters"] < 0:
+        raise ValueError("calib.max_iters must be >= 0")
+    if cfg["calib.negatives_per_positive"] < 1:
+        raise ValueError("calib.negatives_per_positive must be >= 1")
+    dataset = load_bundle(args.data)
     params, _ = _load_model(args.ckpt, dataset)
     propensity = (
         estimate_propensity(dataset.item_popularity, cfg["calib.tau"], cfg["calib.theta_min"])
@@ -595,7 +553,7 @@ def cmd_calibrate(args, cfg) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_calibrator(cal, out / "calibrator.json")
     write_reliability_csv(reliability_table(cal_pairs, num_bins, scheme), out / "reliability.csv")
-    _write_json(
+    write_json(
         out / "calibration_report.json",
         {
             "kind": kind,
@@ -618,7 +576,7 @@ def cmd_calibrate(args, cfg) -> int:
 
 
 def cmd_distill(args, cfg) -> int:
-    dataset, _ = load_bundle(args.data, cfg["data.delimiter"])
+    dataset = load_bundle(args.data)
     base_cfg = TrainConfig(
         lr=cfg["train.lr"],
         reg=cfg["train.reg"],
@@ -633,7 +591,6 @@ def cmd_distill(args, cfg) -> int:
         eta=cfg["bd.eta"],
         truncate_rank=cfg["bd.truncate_rank"],
         epochs=cfg["bd.epochs"],
-        save_every=cfg["bd.save_every"],
     )
     teacher = init_params(
         dataset.num_users, dataset.num_items, cfg["bd.teacher_dim"],
@@ -646,13 +603,6 @@ def cmd_distill(args, cfg) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    def save_both(epochs_done):
-        save_checkpoint(teacher, out / "teacher", seed=cfg["seed"],
-                        loss_kind="pointwise", epochs_trained=epochs_done)
-        save_checkpoint(student, out / "student", seed=cfg["seed"],
-                        loss_kind="pointwise", epochs_trained=epochs_done)
-
     report = None
     with atomic_open(out / "cotrain_log.jsonl") as log:
         for epoch in range(bd_cfg.epochs):
@@ -672,10 +622,9 @@ def cmd_distill(args, cfg) -> int:
                 f"distill {report.teacher.distill_loss:.4f} | student base "
                 f"{report.student.base_loss:.4f} distill {report.student.distill_loss:.4f}"
             )
-            if bd_cfg.save_every and (epoch + 1) % bd_cfg.save_every == 0:
-                save_both(epoch + 1)
-        # inside the log's block, so checkpoints that fail to save discard the log too
-        save_both(bd_cfg.epochs)
+    for name, params in (("teacher", teacher), ("student", student)):
+        save_checkpoint(params, out / name, seed=cfg["seed"],
+                        loss_kind="pointwise", epochs_trained=bd_cfg.epochs)
 
     top = top_k(student, np.arange(dataset.num_users), 10, dataset.train)
     student_lists = {u: row[row >= 0].tolist() for u, row in enumerate(top)}
@@ -695,13 +644,13 @@ def cmd_distill(args, cfg) -> int:
             "student": report.student.as_row(bd_cfg.epochs - 1, "student") if report else None,
         },
     }
-    _write_json(out / "distill_summary.json", summary)
+    write_json(out / "distill_summary.json", summary)
     print(f"student validation recall@10: {summary['student_recall_at_10']:.4f}")
     return 0
 
 
 def cmd_recommend(args, cfg) -> int:
-    dataset, _ = load_bundle(args.data, cfg["data.delimiter"])
+    dataset = load_bundle(args.data)
     params, _ = _load_model(args.ckpt, dataset)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -768,7 +717,7 @@ def _write_perk_summary(path, cuts, dataset, cfg):
     if np.any(dataset.split(split).sizes()[[cut.user for cut in cuts]] > 0):
         result = metrics.evaluate(cuts, dataset, split=split, metrics=(utility,))
         realized = result.rows[0].means[utility]
-    _write_json(
+    write_json(
         path,
         {
             "utility": utility,
@@ -785,7 +734,7 @@ def _write_perk_summary(path, cuts, dataset, cfg):
 def cmd_eval(args, cfg) -> int:
     if not args.recs and not args.perk_recs:
         raise ValueError("need --recs and/or --perk-recs")
-    dataset, _ = load_bundle(args.data, cfg["data.delimiter"])
+    dataset = load_bundle(args.data)
     split = cfg["eval.split"]
     ks = cfg["eval.ks"]
     names = cfg["eval.metrics"]
@@ -824,7 +773,7 @@ def cmd_eval(args, cfg) -> int:
         "users_skipped": users_skipped,
         "rows": [row.to_dict() for row in rows],
     }
-    _write_json(args.out, report)
+    write_json(args.out, report)
     if args.per_user_csv:
         with atomic_open(args.per_user_csv) as fh:
             fh.write("label,user,metric,value\n")
@@ -944,7 +893,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, args.set)
-        return args.func(args, cfg)
+        # a stage's files appear together when it returns, or none of them
+        with output_set():
+            return args.func(args, cfg)
     except DataFormatError as exc:
         print(f"calibrec: invalid input: {exc}", file=sys.stderr)
         return 2

@@ -458,6 +458,8 @@ def split_per_user(
         raise ValueError("empty interaction list")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"expected (n, 2) interaction pairs, got shape {pairs.shape}")
+    if len(ratios) != 3:
+        raise ValueError(f"ratios needs three fractions (train, validation, test), got {ratios}")
     r_train, r_val, r_test = ratios
     if min(ratios) <= 0:
         raise ValueError(f"ratios must be positive, got {ratios}")

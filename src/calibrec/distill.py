@@ -32,7 +32,6 @@ class BdConfig:
     eta: float = 0.1
     truncate_rank: int = 100
     epochs: int = 10
-    save_every: int = 0  # checkpoint interval in epochs; 0 saves the final models only
 
     def __post_init__(self):
         if self.lambda_ts < 0 or self.lambda_st < 0:
@@ -45,8 +44,6 @@ class BdConfig:
             raise ValueError("truncate_rank must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.save_every < 0:
-            raise ValueError("save_every must be >= 0")
 
 
 def _discrepancy(r_this, r_other, eta: float, truncate_rank: int) -> np.ndarray:

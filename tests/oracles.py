@@ -8,7 +8,8 @@ the batched one replaced, the dict form of the rank-discrepancy weights,
 the per-example ``np.add.at`` training steps that the bincount scatter
 replaced, the batched training steps with fresh per-batch arrays that the
 per-epoch buffers replaced, the line-by-line interaction loader that the byte-array parse
-replaced, the synthetic generator's full sort of each user's scores and
+replaced, a line-by-line parse of the text splits that the splits
+sidecar must equal, the synthetic generator's full sort of each user's scores and
 its line-at-a-time CSV writer, the scalar one-list ranking metrics that
 ``metrics.evaluate`` batches, and a general-purpose quasi-Newton minimizer
 for calibrator fits. Nothing imports the code paths it verifies; the reference epochs
@@ -563,6 +564,19 @@ def reference_load_interactions(path, delimiter=","):
     if not interactions:
         raise DataFormatError("input contains no interactions")
     return interactions, maps
+
+
+def reference_read_split(path, delimiter, num_users):
+    """A text split of ``user<delim>item`` lines, one line at a time, as CSR
+    ``(indptr, indices)`` int64 arrays with each row's items sorted."""
+    rows = [[] for _ in range(num_users)]
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            user, item = line.rstrip("\n").split(delimiter)
+            rows[int(user)].append(int(item))
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    indices = np.array([item for row in rows for item in sorted(row)], dtype=np.int64)
+    return indptr, indices
 
 
 def reference_low_rank_interactions(num_users, num_items, rank=2, per_user=20, noise=0.25, seed=0):

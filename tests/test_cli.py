@@ -25,6 +25,7 @@ from calibrec.cli import (
     load_recommendations,
     main,
 )
+from calibrec.dataset import Csr, Dataset
 from calibrec.perk import select_k
 from calibrec.ranker import (
     TrainConfig,
@@ -37,6 +38,7 @@ from calibrec.seeding import stream_seed
 from calibrec.synthetic import low_rank_interactions, write_interactions_csv
 
 from conftest import read_jsonl, read_reliability_csv
+from oracles import reference_read_split
 
 
 def run(*argv):
@@ -97,22 +99,43 @@ class TestIngest:
                    "--set", "data.delimiter=") == 2
 
     def test_multi_character_delimiter(self, tmp_path):
-        # MovieLens-style "::" logs round-trip: the bundle keeps the delimiter
+        # MovieLens-style "::" logs round-trip: the text splits use the delimiter
         csv = tmp_path / "in.dat"
         csv.write_text("1::10::978300760\n1::20::978300761\n2::10::978300762\n")
         assert run("ingest", "--input", csv, "--out", tmp_path / "b",
                    "--set", "data.delimiter=::") == 0
         assert (tmp_path / "b" / "train.txt").read_text() == "0::0\n0::1\n1::0\n"
-        dataset, maps = load_bundle(tmp_path / "b", delimiter="::")
-        assert maps.user_to_index == {"1": 0, "2": 1}
-        assert len(dataset.train) == 3
-        (tmp_path / "b" / "train.txt").write_text("0::0\n0:::1\n")
-        with pytest.raises(cli.DataFormatError, match="expected 'user::item' lines"):
-            load_bundle(tmp_path / "b", delimiter="::")
+        assert json.loads((tmp_path / "b" / "user_map.json").read_text()) == {"1": 0, "2": 1}
+        assert len(load_bundle(tmp_path / "b").train) == 3
+
+    def test_ratios_need_three_fractions(self, tmp_path, capsys):
+        csv = tmp_path / "in.csv"
+        write_interactions_csv(csv, low_rank_interactions(10, 15, per_user=10, seed=1))
+        assert run("ingest", "--input", csv, "--out", tmp_path / "b",
+                   "--set", "data.ratios=0.5,0.5") == 2
+        assert "three fractions (train, validation, test)" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_failed_ingest_keeps_the_earlier_bundle(self, workspace, tmp_path, monkeypatch):
+        bundle = copy_bundle(workspace / "bundle", tmp_path / "bundle")
+        before = {name: (bundle / name).read_bytes() for name in BUNDLE_FILES}
+        write_with_sidecar = cli.write_with_sidecar
+
+        def fail_after_last_file(*args):
+            write_with_sidecar(*args)  # splits.bin, then splits.json, finished
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_with_sidecar", fail_after_last_file)
+        csv = tmp_path / "other.csv"
+        write_interactions_csv(csv, low_rank_interactions(30, 50, per_user=10, seed=9))
+        assert run("ingest", "--input", csv, "--out", bundle) == 1
+        assert sorted(p.name for p in bundle.iterdir()) == sorted(BUNDLE_FILES)
+        assert {name: (bundle / name).read_bytes() for name in BUNDLE_FILES} == before
+        assert load_bundle(bundle).num_users == 40
 
     def test_bundle_round_trip(self, workspace):
-        dataset, maps = load_bundle(workspace / "bundle")
-        assert dataset.num_users == maps.num_users == 40
+        dataset = load_bundle(workspace / "bundle")
+        assert dataset.num_users == 40
         assert len(dataset.train) > 0
         total = len(dataset.train) + len(dataset.validation) + len(dataset.test)
         assert total == 40 * 12
@@ -126,7 +149,7 @@ class TestIngest:
 # SHA-256 of each bundle file ingest writes for reference_input(). The five
 # text files' digests were taken before the splits moved to CSR arrays, so
 # their format must not change; the splits sidecar and its header are pinned
-# so that they stay byte-deterministic.
+# so that they stay byte-deterministic (the header as of splits-v2).
 REFERENCE_BUNDLES = {
     (): {
         "item_map.json": "46fa2b15a1ed6d646620cd1ff85cf08414d917186133b780755038c38fbbb6a8",
@@ -134,7 +157,7 @@ REFERENCE_BUNDLES = {
         "train.txt": "4e28c3a409b1d395068992a58368bedfe15c8d1a276eacbd69883f6a15dae9af",
         "validation.txt": "9c2d2b3507260b49df08b80a2c88f3ccf1dc98363ba2cbaa30cfaa76001f95a6",
         "test.txt": "58e423b4bc0771abefb2d12b86cbdbae1f8ca297b00b2176e80e6a17b78d4d5e",
-        "splits.json": "0e27faaab28233ec468c53c9a19dda2cea29d949dced0127d04597e1d0e2187c",
+        "splits.json": "ff8425819c34127d3652ab93cd16ad23a6d05ca8535e30f6167c83081fe07357",
         "splits.bin": "2ac2a9c6c66a39e3eee524836bfceddd61109fa8b815ee6468c39436cceed601",
     },
     ("--set", "seed=7", "--set", "data.ratios=0.6,0.2,0.2"): {
@@ -143,7 +166,7 @@ REFERENCE_BUNDLES = {
         "train.txt": "4bd79e93274324715b41bd2585bb0baf807bae2015d40d43d371c24888b8d4b4",
         "validation.txt": "6229bc944ab29a9f9727ba0d884974232ffef9dd23ba78e6b80f2ae41ba3067f",
         "test.txt": "58f7df951011433e17dd499e13cfd3b1c43ae8b74664e2d9fe3123355d4c758a",
-        "splits.json": "1255cc7187ae76ab5c682dd6bbfd320db3e335cc49740a56005a28e7ca5e5242",
+        "splits.json": "d8ac09b44536b2f2e015bdc1b81844fa27d71740e75dfc6d3eabdbb3420c59b6",
         "splits.bin": "3b4901497464a26776c8157ef8713bb2d81e3a7d671e730a832ad9877bb61d8b",
     },
 }
@@ -187,18 +210,13 @@ class TestBundleFormat:
         "0 1,\n", "0,1\n\n", "0,1", ",1\n", "0,\n", " 0,1\n", "0,1 \n", "0\t,1\n",
         "+0,1\n", "0,1\x00\n", "0,1\u00a0\n", "0;1\n",
     ])
-    def test_split_lines_other_than_written_are_rejected(self, workspace, tmp_path, train):
-        bundle = tmp_path / "bundle"
-        bundle.mkdir()
-        for name in BUNDLE_FILES:
-            (bundle / name).write_bytes((workspace / "bundle" / name).read_bytes())
+    def test_split_lines_other_than_written_are_rejected(self, workspace, tmp_path, capsys,
+                                                         train):
+        bundle = copy_bundle(workspace / "bundle", tmp_path / "bundle")
         (bundle / "train.txt").write_text(train, encoding="utf-8")
-        with pytest.raises(cli.DataFormatError, match="expected 'user,item' lines"):
-            load_bundle(bundle)
-        (bundle / "train.txt").write_text("0,0\n2,2\n")
-        assert load_bundle(bundle)[0].train.pairs()[1].tolist() == [0, 2]
-        (bundle / "train.txt").write_text("")
-        assert len(load_bundle(bundle)[0].train) == 0
+        assert_asks_for_ingest(bundle, tmp_path, capsys, "train.txt differs")
+        (bundle / "train.txt").write_bytes((workspace / "bundle" / "train.txt").read_bytes())
+        assert len(load_bundle(bundle).train) == len(load_bundle(workspace / "bundle").train)
 
 
 def copy_bundle(src, dst):
@@ -208,28 +226,31 @@ def copy_bundle(src, dst):
     return dst
 
 
-@pytest.fixture
-def text_parses(monkeypatch):
-    """Counts the text split files that load_bundle parses."""
-    calls = []
-    read_split = cli._read_split
-
-    def spy(path, *args):
-        calls.append(Path(path).name)
-        return read_split(path, *args)
-
-    monkeypatch.setattr(cli, "_read_split", spy)
-    return calls
+def assert_asks_for_ingest(bundle, tmp_path, capsys, problem):
+    """A stage on ``bundle`` exits 2, names ``problem`` and asks for ingest, writing nothing."""
+    assert run("train", "--data", bundle, "--out", tmp_path / "ck",
+               "--set", "train.epochs=0") == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and problem in err and "run ingest again" in err
+    assert not (tmp_path / "ck.json").exists()
 
 
 def rewrite_sidecar(bundle, edit):
-    """Rewrite splits.bin and its layout after ``edit(arrays)``, keeping digests and delimiter."""
+    """Rewrite splits.bin and its layout after ``edit(arrays)``, keeping the header's other keys."""
     header = json.loads((bundle / "splits.json").read_text())
     arrays = read_sidecar(bundle / "splits.json", header, list(header["arrays"]), "splits")
     arrays = {name: arr.copy() for name, arr in arrays.items()}
     edit(arrays)
-    kept = {key: header[key] for key in ("format", "delimiter", "sha256")}
+    kept = {key: value for key, value in header.items() if key not in ("sidecar", "arrays")}
     write_with_sidecar(bundle / "splits.json", bundle / "splits.bin", kept, arrays)
+
+
+def write_splits_v1_header(bundle):
+    """The header an earlier ingest wrote: a delimiter and no user or item counts."""
+    header = json.loads((bundle / "splits.json").read_text())
+    v1 = {"format": "splits-v1", "delimiter": ",", "sha256": header["sha256"],
+          "sidecar": header["sidecar"], "arrays": header["arrays"]}
+    (bundle / "splits.json").write_text(json.dumps(v1, indent=2) + "\n")
 
 
 def swap(arr, i, j):
@@ -245,7 +266,7 @@ class TestSplitsSidecar:
         return tmp_path / "b"
 
     @pytest.mark.parametrize("case", ["default", "seed7", "double-colon", "empty-splits"])
-    def test_sidecar_load_equals_text_parse(self, tmp_path, text_parses, case):
+    def test_sidecar_load_equals_text_parse(self, tmp_path, case):
         delimiter = "::" if case == "double-colon" else ","
         if case in ("default", "seed7"):
             reference_input(tmp_path / "in.csv")
@@ -259,8 +280,10 @@ class TestSplitsSidecar:
         else:
             # 6 rows per user put nothing in validation or test
             bundle = self.ingest(tmp_path, low_rank_interactions(10, 15, per_user=6, seed=1))
-        dataset, maps = load_bundle(bundle, delimiter=delimiter)
-        assert text_parses == []
+        dataset = load_bundle(bundle)
+        num_users = len(json.loads((bundle / "user_map.json").read_text()))
+        num_items = len(json.loads((bundle / "item_map.json").read_text()))
+        assert (dataset.num_users, dataset.num_items) == (num_users, num_items)
         if case == "empty-splits":
             assert len(dataset.validation) == len(dataset.test) == 0
         else:
@@ -269,46 +292,43 @@ class TestSplitsSidecar:
             # reference_input's users with two or three rows have empty validation rows
             assert np.any(dataset.validation.sizes() == 0)
         for name in SPLIT_NAMES:
-            parsed = cli._read_split(bundle / f"{name}.txt", delimiter,
-                                     maps.num_users, maps.num_items)
+            indptr, indices = reference_read_split(bundle / f"{name}.txt", delimiter, num_users)
             split = dataset.split(name)
             assert split.indptr.dtype == split.indices.dtype == np.int64
-            assert np.array_equal(split.indptr, parsed.indptr)
-            assert np.array_equal(split.indices, parsed.indices)
-            assert split.num_cols == maps.num_items
-        expected = np.bincount(dataset.train.indices, minlength=maps.num_items)
+            assert np.array_equal(split.indptr, indptr)
+            assert np.array_equal(split.indices, indices)
+            assert split.num_cols == num_items
+        expected = np.bincount(dataset.train.indices, minlength=num_items)
         assert np.array_equal(dataset.item_popularity, expected)
 
-    @pytest.mark.parametrize("removed", [("splits.json", "splits.bin"), ("splits.json",)])
-    def test_bundle_without_header_takes_text_path(self, workspace, tmp_path, text_parses,
-                                                   removed):
-        bundle = copy_bundle(workspace / "bundle", tmp_path / "bundle")
-        expected, _ = load_bundle(bundle)
-        for name in removed:
-            (bundle / name).unlink()
-        dataset, _ = load_bundle(bundle)
-        assert text_parses == ["train.txt", "validation.txt", "test.txt"]
-        for name in SPLIT_NAMES:
-            assert np.array_equal(dataset.split(name).indptr, expected.split(name).indptr)
-            assert np.array_equal(dataset.split(name).indices, expected.split(name).indices)
+    # an old or edited bundle -> what the error names
+    STALE = {
+        "no-header-or-sidecar": (
+            lambda b: [(b / name).unlink() for name in ("splits.json", "splits.bin")],
+            "splits.json is missing"),
+        "no-header": (lambda b: (b / "splits.json").unlink(), "splits.json is missing"),
+        "splits-v1": (write_splits_v1_header, "not a splits-v2 header"),
+        "edited-split": (lambda b: (b / "test.txt").write_text("3,4000\n"), "test.txt differs"),
+    }
 
-    def test_edited_split_takes_text_path(self, workspace, tmp_path, text_parses):
+    @pytest.mark.parametrize("stale", list(STALE))
+    def test_stale_bundle_asks_for_ingest(self, workspace, tmp_path, capsys, stale):
         bundle = copy_bundle(workspace / "bundle", tmp_path / "bundle")
-        (bundle / "train.txt").write_text("0,0\n2,2\n")
-        assert load_bundle(bundle)[0].train.pairs()[1].tolist() == [0, 2]
-        assert len(text_parses) == 3
-        (bundle / "test.txt").write_text("3,4000\n")
-        with pytest.raises(cli.DataFormatError, match="test.txt: pair outside"):
+        edit, problem = self.STALE[stale]
+        edit(bundle)
+        with pytest.raises(cli.DataFormatError, match=problem):
             load_bundle(bundle)
+        assert_asks_for_ingest(bundle, tmp_path, capsys, problem)
 
-    def test_other_delimiter_takes_text_path(self, tmp_path, text_parses):
-        bundle = self.ingest(tmp_path, [(1, 10), (1, 20), (2, 10)],
+    def test_delimiter_is_read_by_ingest_only(self, tmp_path):
+        bundle = self.ingest(tmp_path, low_rank_interactions(12, 20, per_user=10, seed=4),
                              "--set", "data.delimiter=::")
-        with pytest.raises(cli.DataFormatError, match="expected 'user,item' lines"):
-            load_bundle(bundle)
-        assert text_parses == ["train.txt"]
-        assert run("train", "--data", bundle, "--out", tmp_path / "ck",
-                   "--set", "train.epochs=0", "--set", "data.delimiter=;") == 2
+        for name, delimiter in (("a", ","), ("b", ";"), ("c", "::")):
+            assert run("train", "--data", bundle, "--out", tmp_path / name,
+                       "--set", "train.epochs=1", "--set", "train.dim=2",
+                       "--set", f"data.delimiter={delimiter}") == 0
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "c.bin").read_bytes()
 
     # edit of the sidecar's arrays -> the problem load_bundle reports
     CORRUPTIONS = {
@@ -388,7 +408,7 @@ class TestConfig:
         csv = tmp_path / "in.csv"
         write_interactions_csv(csv, low_rank_interactions(6, 10, per_user=10, seed=3))
         assert run("ingest", "--input", csv, "--out", tmp_path / "b", "--config", cfgfile) == 0
-        dataset, _ = load_bundle(tmp_path / "b")
+        dataset = load_bundle(tmp_path / "b")
         assert len(dataset.validation) == 6 * 2  # 20% of 10 per user
 
     def test_reference_file(self, tmp_path):
@@ -583,14 +603,35 @@ class TestCalibrate:
         assert hist["iterations"] == 0 and hist["hit_iter_cap"] is False
         assert "warning" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["platt", "gaussian", "gamma", "histogram"])
-    def test_zero_bins_rejected_before_reading_inputs(self, tmp_path, capsys, kind):
+    # a setting calibrate rejects -> its message
+    BAD_SETTINGS = {
+        **{kind: ((f"calib.kind={kind}", "calib.num_bins=0"), "calib.num_bins must be >= 1")
+           for kind in ("platt", "gaussian", "gamma", "histogram")},
+        "max-iters": (("calib.max_iters=-5",), "calib.max_iters must be >= 0"),
+        **{f"negatives={n}": ((f"calib.negatives_per_positive={n}",),
+                              "calib.negatives_per_positive must be >= 1") for n in (0, -1)},
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_SETTINGS))
+    def test_zero_bins_rejected_before_reading_inputs(self, tmp_path, capsys, case):
         # the bundle does not exist, so reaching it would be an i/o error (exit 1)
+        settings, message = self.BAD_SETTINGS[case]
         assert run("calibrate", "--data", tmp_path / "missing", "--ckpt", tmp_path / "ckpt",
-                   "--out", tmp_path / "calib", "--set", f"calib.kind={kind}",
-                   "--set", "calib.num_bins=0") == 2
-        assert "calib.num_bins must be >= 1" in capsys.readouterr().err
+                   "--out", tmp_path / "calib", *(f"--set={s}" for s in settings)) == 2
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_failed_reliability_write_leaves_no_output(self, workspace, tmp_path, monkeypatch):
+        def failing_write(rows, path):
+            with cli.atomic_open(path) as fh:
+                fh.write("bin_lower")
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_reliability_csv", failing_write)
+        assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "calib") == 1
+        # calibrator.json was finished before the table failed; the set drops it
+        assert not list((tmp_path / "calib").iterdir())
 
     def test_zero_bins_rejected(self, workspace, tmp_path, capsys):
         assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
@@ -681,10 +722,7 @@ class TestCalibrate:
 
 
 class TestDistill:
-    @pytest.mark.parametrize(
-        "setting, message",
-        [("bd.epochs=-1", "epochs must be >= 0"), ("bd.save_every=-1", "save_every must be >= 0")],
-    )
+    @pytest.mark.parametrize("setting, message", [("bd.epochs=-1", "epochs must be >= 0")])
     def test_negative_counts_rejected(self, workspace, tmp_path, capsys, setting, message):
         assert run("distill", "--data", workspace / "bundle", "--out", tmp_path / "bd",
                    "--set", setting) == 2
@@ -701,6 +739,20 @@ class TestDistill:
         err = capsys.readouterr().err
         assert "training diverged: epoch 0 teacher base loss is nan" in err
         assert "train.lr (now 1e+09)" in err
+        assert not list((tmp_path / "bd").iterdir())
+
+    def test_student_leaving_float32_leaves_no_output(self, workspace, tmp_path, capsys):
+        # the teacher saves, then the student's parameters leave float32's range
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run("distill", "--data", workspace / "bundle", "--out", tmp_path / "bd",
+                       "--set", "train.lr=1e4", "--set", "train.batch_size=128",
+                       "--set", "bd.epochs=3", "--set", "bd.teacher_dim=8",
+                       "--set", "bd.student_dim=2", "--set", "bd.lambda_ts=0",
+                       "--set", "bd.lambda_st=0.5")
+        assert code == 2
+        assert "not finite in float32" in capsys.readouterr().err
+        # neither teacher.json/.bin nor the log, and no .partial file
         assert not list((tmp_path / "bd").iterdir())
 
     def test_failed_checkpoint_save_discards_log(self, workspace, tmp_path, capsys):
@@ -754,7 +806,7 @@ class TestDistill:
         )
         # each model trained alone in process, on the streams distill gives it:
         # init stream ("bd", 0, model), epoch e's child `model` of ("bd", 1 + e)
-        dataset, _ = load_bundle(workspace / "bundle")
+        dataset = load_bundle(workspace / "bundle")
         cfg = cli.load_config()
         base_cfg = TrainConfig(
             lr=cfg["train.lr"], reg=cfg["train.reg"], batch_size=cfg["train.batch_size"],
@@ -768,22 +820,6 @@ class TestDistill:
                 params, _ = pointwise_epoch(params, dataset, base_cfg, parent.spawn(3)[model])
             _, sidecar = save_checkpoint(params, tmp_path / name)
             assert (tmp_path / "bd0" / f"{name}.bin").read_bytes() == sidecar.read_bytes()
-
-    def test_save_every(self, workspace, tmp_path, monkeypatch):
-        saved = []
-        monkeypatch.setattr(
-            cli, "save_checkpoint",
-            lambda params, base, **kw: saved.append((base.name, kw["epochs_trained"])),
-        )
-        assert (
-            run("distill", "--data", workspace / "bundle", "--out", tmp_path / "bd2",
-                "--set", "bd.save_every=1", "--set", "bd.epochs=2",
-                "--set", "bd.teacher_dim=4", "--set", "bd.student_dim=2")
-            == 0
-        )
-        # one pair after each epoch, then the final pair
-        assert saved == [("teacher", 1), ("student", 1), ("teacher", 2), ("student", 2),
-                         ("teacher", 2), ("student", 2)]
 
 
 class TestRecommend:
@@ -840,6 +876,21 @@ class TestRecommend:
             float(np.mean([c.k_star for c in cuts]))
         )
 
+    def test_failed_summary_leaves_no_lists(self, workspace, tmp_path, monkeypatch):
+        def failing_write(path, payload):
+            with cli.atomic_open(path) as fh:
+                fh.write("{")
+                raise OSError("disk full")
+
+        # the summary is the one JSON file recommend writes
+        monkeypatch.setattr(cli, "write_json", failing_write)
+        assert run("recommend", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "perk.jsonl", "--perk",
+                   "--calibrator", workspace / "calib" / "calibrator.json",
+                   "--summary", tmp_path / "summary.json", "--set", "perk.k_max=5",
+                   "--set", "perk.rest_pool=10") == 1
+        assert not list(tmp_path.iterdir())
+
 
 def write_bundle(root, num_items, train, validation, test=None):
     """A bundle written directly: user u and item i have external ids u<u>, i<i>."""
@@ -847,9 +898,13 @@ def write_bundle(root, num_items, train, validation, test=None):
     num_users = len(train)
     (root / "user_map.json").write_text(json.dumps({f"u{u}": u for u in range(num_users)}))
     (root / "item_map.json").write_text(json.dumps({f"i{i}": i for i in range(num_items)}))
-    for name, split in (("train", train), ("validation", validation), ("test", test or {})):
-        lines = [f"{u},{i}\n" for u in sorted(split) for i in sorted(split[u])]
-        (root / f"{name}.txt").write_text("".join(lines))
+    splits = {}
+    for name, rows in (("train", train), ("validation", validation), ("test", test or {})):
+        pairs = np.array([(u, i) for u in rows for i in rows[u]], dtype=np.int64).reshape(-1, 2)
+        splits[name] = Csr.from_pairs(pairs[:, 0], pairs[:, 1], num_users, num_items)
+    popularity = np.bincount(splits["train"].indices, minlength=num_items)
+    dataset = Dataset(num_users, num_items, item_popularity=popularity, **splits)
+    cli._write_splits(root, dataset, ",")
 
 
 class TestPerkSkipsCoveredUsers:
@@ -1014,7 +1069,7 @@ class TestEval:
                    "--out", tmp_path / "r.json") == 2
 
     def test_self_consistent_lists_score_perfectly(self, workspace, tmp_path):
-        dataset, _ = load_bundle(workspace / "bundle")
+        dataset = load_bundle(workspace / "bundle")
         recs = tmp_path / "self.jsonl"
         with open(recs, "w") as fh:
             for user in range(dataset.num_users):
