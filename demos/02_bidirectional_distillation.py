@@ -31,9 +31,9 @@ bd_cfg = BdConfig(
 
 
 def recall_at_10(model):
-    top = top_k(model, np.arange(dataset.num_users), 10, dataset.train)
-    lists = {u: row[row >= 0].tolist() for u, row in enumerate(top)}
-    result = evaluate(lists, dataset, split="validation", metrics=("recall",), ks=(10,))
+    users = np.arange(dataset.num_users)
+    top = top_k(model, users, 10, dataset.train)
+    result = evaluate(users, top, dataset, split="validation", metrics=("recall",), ks=(10,))
     return result.rows[0].means["recall"]
 
 

@@ -43,7 +43,7 @@ from .dataset import (
 )
 from .distill import BdConfig, CotrainReport, bd_loss, cotrain_epoch
 from .metrics import EvalResult, evaluate
-from .perk import PerkConfig, PersonalizedCut, perk_recommend_users, select_k, utility_curves
+from .perk import PerkConfig, PerkLists, perk_recommend_users, select_k, utility_curves
 from .ranker import (
     MfParams,
     TrainConfig,

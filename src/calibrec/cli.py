@@ -15,6 +15,7 @@ an uninterrupted run would.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -40,7 +41,7 @@ from .calibration import (
 )
 from .dataset import Csr, DataFormatError, Dataset, load_interactions, split_per_user
 from .distill import BdConfig, cotrain_epoch
-from .perk import PerkConfig, PersonalizedCut, perk_recommend_users
+from .perk import PerkConfig, perk_recommend_users
 from .ranker import (
     TrainConfig,
     bpr_epoch,
@@ -199,8 +200,12 @@ BUNDLE_FILES = (
 )
 
 
+# json.dumps builds an encoder per call for any non-default option such as sort_keys
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _jsonl_line(row) -> str:
-    return json.dumps(row, sort_keys=True) + "\n"
+    return _JSONL_ENCODER.encode(row) + "\n"
 
 
 def _sha256(data=b""):
@@ -347,25 +352,32 @@ def _check_recommendation(row, personalized: bool) -> str | None:
         return f"row lacks {', '.join(missing)}"
     if not _is_int(row["user"]):
         return f"user {row['user']!r} is not an integer"
-    if not (isinstance(row["items"], list) and all(_is_int(i) for i in row["items"])):
+    items = row["items"]
+    if not (isinstance(items, list) and all(_is_int(i) for i in items)):
         return "items must be a list of integers"
+    if min(items, default=0) < 0:
+        return f"recommended item {min(items)} outside dataset"
     if personalized:
         curve = row["curve"]
         if not (isinstance(curve, list) and all(_is_number(v) for v in curve)):
             return "curve must be a list of numbers"
         if not (_is_int(row["k_star"]) and 1 <= row["k_star"] <= len(curve)):
             return f"k_star {row['k_star']!r} is not an integer in 1..{len(curve)}"
+        if len(items) != row["k_star"]:
+            return f"items holds {len(items)} entries where k_star is {row['k_star']}"
     return None
 
 
 def load_recommendations(path):
-    """Read a recommendation JSONL file into lists or PersonalizedCuts.
+    """Read a recommendation JSONL file as ``(users, items, k_star)`` arrays.
 
-    The first row decides the kind: rows with ``k_star`` are personalized
-    cuts. Raises ValueError, naming the file and line, for a row that is not
-    JSON, lacks a key of its kind, holds a user or item that is not an
-    integer, a k_star outside 1..len(curve), or a user an earlier row
-    already named; and for a file without rows.
+    Row r of ``items`` holds line r's list, -1-padded, as ``ranker.top_k``
+    returns lists. The first row decides the kind: ``k_star`` is None unless
+    the rows have one. Raises ValueError, naming the file and line, for a
+    row that is not JSON, lacks a key of its kind, holds a user or item that
+    is not an integer, a negative item, a k_star outside 1..len(curve) or
+    other than its item count, or a user an earlier row already named; and
+    for a file without rows.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -386,18 +398,17 @@ def load_recommendations(path):
         if problem:
             raise ValueError(f"{path}:{line_no}: {problem}")
         first_line[row["user"]] = line_no
-    if personalized:
-        return [
-            PersonalizedCut(
-                user=row["user"],
-                k_star=row["k_star"],
-                curve=np.array(row["curve"], dtype=float),
-                items=list(row["items"]),
-                k_max_effective=len(row["curve"]),
-            )
-            for _, row in rows
-        ]
-    return {row["user"]: list(row["items"]) for _, row in rows}
+    lists = [row["items"] for _, row in rows]
+    lengths = np.array([len(items) for items in lists], dtype=np.int64)
+    try:
+        users = np.array([row["user"] for _, row in rows], dtype=np.int64)
+        flat = np.fromiter(itertools.chain.from_iterable(lists), np.int64, int(lengths.sum()))
+    except OverflowError:
+        raise ValueError(f"{path}: a user or item lies outside the 64-bit range") from None
+    items = np.full((len(rows), lengths.max()), -1, dtype=np.int64)
+    items[np.arange(items.shape[1]) < lengths[:, None]] = flat
+    k_star = np.array([row["k_star"] for _, row in rows], dtype=np.int64) if personalized else None
+    return users, items, k_star
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +637,10 @@ def cmd_distill(args, cfg) -> int:
         save_checkpoint(params, out / name, seed=cfg["seed"],
                         loss_kind="pointwise", epochs_trained=bd_cfg.epochs)
 
-    top = top_k(student, np.arange(dataset.num_users), 10, dataset.train)
-    student_lists = {u: row[row >= 0].tolist() for u, row in enumerate(top)}
+    users = np.arange(dataset.num_users)
     recall_result = metrics.evaluate(
-        student_lists, dataset, split="validation", metrics=("recall",), ks=(10,)
+        users, top_k(student, users, 10, dataset.train), dataset,
+        split="validation", metrics=("recall",), ks=(10,),
     )
     summary = {
         "epochs": bd_cfg.epochs,
@@ -667,64 +678,56 @@ def cmd_recommend(args, cfg) -> int:
         )
         # users whose excluded items cover the catalog get no list, as in fixed mode
         users = np.flatnonzero(excluded.sizes() < dataset.num_items)
-        cuts = perk_recommend_users(params, cal, excluded, users, perk_cfg)
+        lists = perk_recommend_users(params, cal, excluded, users, perk_cfg)
+        columns = (lists.users, lists.k_star, lists.k_max_effective, lists.curves, lists.items)
         with atomic_open(out_path) as fh:
-            for cut in cuts:
-                fh.write(
-                    _jsonl_line(
-                        {
-                            "user": cut.user,
-                            "k_star": cut.k_star,
-                            "curve": [float(v) for v in cut.curve],
-                            "items": cut.items,
-                        }
-                    )
-                )
+            for user, k_star, length, curve, items in zip(*(col.tolist() for col in columns)):
+                row = {"user": user, "k_star": k_star, "curve": curve[:length],
+                       "items": items[:k_star]}
+                fh.write(_jsonl_line(row))
         if args.summary:
-            _write_perk_summary(args.summary, cuts, dataset, cfg)
-        print(f"wrote {len(cuts)} personalized lists to {out_path}")
+            _write_perk_summary(args.summary, lists, dataset, cfg)
+        print(f"wrote {len(lists.users)} personalized lists to {out_path}")
     else:
         if args.k is None:
             raise ValueError("fixed mode requires --k (or pass --perk)")
         if args.k < 1:
             raise ValueError("--k must be >= 1")
         lists = top_k(params, np.arange(dataset.num_users), args.k, excluded)
-        written = 0
+        lengths = (lists >= 0).sum(axis=1)  # rows are -1-padded at the end
+        users = np.flatnonzero(lengths)
+        short = users[lengths[users] < args.k]
+        if short.size and not args.allow_fewer:
+            raise ValueError(
+                f"user {short[0]} has only {lengths[short[0]]} candidates for k={args.k}; "
+                "pass --allow-fewer to emit short lists"
+            )
+        rows = zip(users.tolist(), lengths[users].tolist(), lists[users].tolist())
         with atomic_open(out_path) as fh:
-            for user, row in enumerate(lists):
-                items = row[row >= 0]
-                if not items.size:
-                    continue
-                if len(items) < args.k and not args.allow_fewer:
-                    raise ValueError(
-                        f"user {user} has only {len(items)} candidates for k={args.k}; "
-                        "pass --allow-fewer to emit short lists"
-                    )
-                fh.write(_jsonl_line({"user": user, "items": items.tolist()}))
-                written += 1
-        print(f"wrote {written} top-{args.k} lists to {out_path}")
+            for user, length, items in rows:
+                fh.write(_jsonl_line({"user": user, "items": items[:length]}))
+        print(f"wrote {len(users)} top-{args.k} lists to {out_path}")
     return 0
 
 
-def _write_perk_summary(path, cuts, dataset, cfg):
+def _write_perk_summary(path, lists, dataset, cfg):
     split, utility = cfg["eval.split"], cfg["perk.utility"]
-    histogram: dict[int, int] = {}
-    for cut in cuts:
-        histogram[cut.k_star] = histogram.get(cut.k_star, 0) + 1
-    expected = [float(cut.curve[cut.k_star - 1]) for cut in cuts]
-    # evaluate raises when no cut's user has held-out items; the summary says null
+    k_values, k_counts = np.unique(lists.k_star, return_counts=True)
+    expected = lists.curves[np.arange(len(lists.users)), lists.k_star - 1]
+    # evaluate raises when no listed user has held-out items; the summary says null
     realized = None
-    if np.any(dataset.split(split).sizes()[[cut.user for cut in cuts]] > 0):
-        result = metrics.evaluate(cuts, dataset, split=split, metrics=(utility,))
+    if np.any(dataset.split(split).sizes()[lists.users] > 0):
+        result = metrics.evaluate(lists.users, lists.items, dataset, split=split,
+                                  metrics=(utility,), k_star=lists.k_star)
         realized = result.rows[0].means[utility]
     write_json(
         path,
         {
             "utility": utility,
-            "num_users": len(cuts),
-            "mean_k_star": float(np.mean([c.k_star for c in cuts])) if cuts else None,
-            "k_star_histogram": {str(k): v for k, v in sorted(histogram.items())},
-            "mean_expected_utility_at_k_star": float(np.mean(expected)) if expected else None,
+            "num_users": len(lists.users),
+            "mean_k_star": float(np.mean(lists.k_star)) if len(lists.users) else None,
+            "k_star_histogram": dict(zip(map(str, k_values.tolist()), k_counts.tolist())),
+            "mean_expected_utility_at_k_star": float(np.mean(expected)) if len(expected) else None,
             "mean_realized_utility_at_k_star": realized,
             "realized_split": split,
         },
@@ -739,30 +742,26 @@ def cmd_eval(args, cfg) -> int:
     ks = cfg["eval.ks"]
     names = cfg["eval.metrics"]
 
-    def check_shapes(lists):
-        for u, items in lists.items():
-            if not 0 <= u < dataset.num_users:
-                raise ValueError(f"recommendation user {u} outside dataset")
-            for i in items:
-                if not 0 <= i < dataset.num_items:
-                    raise ValueError(f"recommended item {i} outside dataset")
+    def check_shapes(users, items):
+        # load_recommendations rejects negative items, so -1 is padding only
+        outside = users[(users < 0) | (users >= dataset.num_users)]
+        if outside.size:
+            raise ValueError(f"recommendation user {outside[0]} outside dataset")
+        if items.max(initial=-1) >= dataset.num_items:
+            raise ValueError(f"recommended item {items.max()} outside dataset")
 
     rows = []
     users_evaluated = users_skipped = None
-    if args.recs:
-        fixed = load_recommendations(args.recs)
-        if not isinstance(fixed, dict):
-            raise ValueError(f"{args.recs} holds personalized rows; pass it as --perk-recs")
-        check_shapes(fixed)
-        result = metrics.evaluate(fixed, dataset, split=split, metrics=names, ks=ks)
-        rows.extend(result.rows)
-        users_evaluated, users_skipped = result.users_evaluated, result.users_skipped
-    if args.perk_recs:
-        cuts = load_recommendations(args.perk_recs)
-        if isinstance(cuts, dict):
-            raise ValueError(f"{args.perk_recs} holds fixed rows; pass it as --recs")
-        check_shapes({c.user: c.items for c in cuts})
-        result = metrics.evaluate(cuts, dataset, split=split, metrics=names, ks=ks)
+    for path, personalized in ((args.recs, False), (args.perk_recs, True)):
+        if not path:
+            continue
+        users, items, k_star = load_recommendations(path)
+        if personalized != (k_star is not None):
+            held, flag = ("fixed", "--recs") if personalized else ("personalized", "--perk-recs")
+            raise ValueError(f"{path} holds {held} rows; pass it as {flag}")
+        check_shapes(users, items)
+        result = metrics.evaluate(users, items, dataset, split=split, metrics=names, ks=ks,
+                                  k_star=k_star)
         rows.extend(result.rows)
         if users_evaluated is None:
             users_evaluated, users_skipped = result.users_evaluated, result.users_skipped

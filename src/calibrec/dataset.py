@@ -177,6 +177,8 @@ class Dataset:
     validation: Csr
     test: Csr
     item_popularity: np.ndarray
+    # merged exclusions by split names, built on first use
+    _excluded: dict = field(default_factory=dict, init=False, repr=False)
 
     def split(self, name: str) -> Csr:
         if name not in SPLITS:
@@ -187,18 +189,20 @@ class Dataset:
         """Each user's items in the ``names`` splits, as one ``Csr``.
 
         One split is returned itself, not copied. Several are merged by
-        ``Csr.from_pairs``, so an item that two splits share counts once.
+        ``Csr.from_pairs``, so an item that two splits share counts once,
+        and the merge is kept: later calls with the same names return it,
+        with any membership bitmap it has built.
         """
+        names = tuple(names)
         if len(names) == 1:
             return self.split(names[0])
-        rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for name in names:
-            r, c = self.split(name).pairs()
-            rows.append(r)
-            cols.append(c)
-        return Csr.from_pairs(
-            np.concatenate(rows), np.concatenate(cols), self.num_users, self.num_items
-        )
+        if names not in self._excluded:
+            empty = np.empty(0, dtype=np.int64)
+            rows, cols = zip((empty, empty), *(self.split(name).pairs() for name in names))
+            self._excluded[names] = Csr.from_pairs(
+                np.concatenate(rows), np.concatenate(cols), self.num_users, self.num_items
+            )
+        return self._excluded[names]
 
     @property
     def train_by_user(self) -> dict[int, np.ndarray]:

@@ -16,6 +16,7 @@ identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,19 +43,17 @@ class PerkConfig:
             raise ValueError(f"utility must be one of {UTILITY_KINDS}")
 
 
-@dataclass
-class PersonalizedCut:
-    """A user's chosen cutoff with the full expected-utility curve.
+class PerkLists(NamedTuple):
+    """Personalized lists, one row per user: ``items`` (U, k_max) best first
+    and -1 past each ``k_star``; ``curves`` (U, k_max) NaN past each
+    ``k_max_effective``, the curve length computed, below k_max only where
+    the candidate pool ran out."""
 
-    ``k_max_effective`` is the curve length actually computed; it is smaller
-    than the configured k_max only when the candidate pool ran out.
-    """
-
-    user: int
-    k_star: int
-    curve: np.ndarray
-    items: list[int]
-    k_max_effective: int
+    users: np.ndarray
+    items: np.ndarray
+    k_star: np.ndarray
+    curves: np.ndarray
+    k_max_effective: np.ndarray
 
 
 def _validate_probs(probs, name: str) -> np.ndarray:
@@ -172,12 +171,14 @@ def utility_curves(ranked_probs, rest_probs, kind: str) -> np.ndarray:
     return np.minimum(out, 1.0, out=out)
 
 
-def select_k(curve) -> int:
-    """Smallest 1-based index attaining the curve's maximum."""
-    arr = np.asarray(curve, dtype=float)
+def select_k(curves):
+    """Smallest 1-based index attaining a curve's maximum, along the last
+    axis: an int for one curve, an array of them for a stack of curves."""
+    arr = np.asarray(curves, dtype=float)
     if arr.size == 0:
         raise ValueError("empty utility curve")
-    return int(np.argmax(arr)) + 1
+    k = np.argmax(arr, axis=-1) + 1
+    return int(k) if arr.ndim <= 1 else k
 
 
 def perk_recommend_users(
@@ -186,7 +187,7 @@ def perk_recommend_users(
     excluded: Csr,
     users,
     cfg: PerkConfig,
-) -> list[PersonalizedCut]:
+) -> PerkLists:
     """Rank, calibrate, and cut each user's list at its best expected utility.
 
     Users go ``_BLOCK_USERS`` at a time. Per block, one ``top_k`` call ranks
@@ -194,14 +195,23 @@ def perk_recommend_users(
     validation) and keeps the top (k_max + rest_pool) as the candidate
     pools; one ``score_pairs`` call scores them, one ``apply`` maps them
     through the calibrator (including any recorded score shift);
-    ``utility_curves`` evaluates k = 1..k_max, and each list is cut at its
-    curve's smallest argmax.
+    ``utility_curves`` evaluates k = 1..k_max, and one argmax over the
+    curves, masked past each pool, cuts every list at its curve's smallest
+    argmax (``select_k``). Rows follow ``users``.
     Raises ValueError if a user has no candidates.
     """
     users = np.asarray(users, dtype=np.int64).ravel()
-    cuts = []
+    k_max = min(cfg.k_max, params.num_items)
+    out = PerkLists(
+        users=users,
+        items=np.full((len(users), k_max), -1, dtype=np.int64),
+        k_star=np.empty(len(users), dtype=np.int64),
+        curves=np.full((len(users), k_max), np.nan),
+        k_max_effective=np.empty(len(users), dtype=np.int64),
+    )
     for start in range(0, len(users), _BLOCK_USERS):
-        block = users[start : start + _BLOCK_USERS]
+        rows = slice(start, start + _BLOCK_USERS)
+        block = users[rows]
         pools = top_k(params, block, cfg.k_max + cfg.rest_pool, excluded)
         candidates = pools >= 0  # pools are -1-padded at the end of each row
         sizes = candidates.sum(axis=1)
@@ -211,18 +221,11 @@ def perk_recommend_users(
         # padding keeps probability 0, which leaves every curve unchanged
         probs = np.zeros(pools.shape)
         probs[candidates] = apply(calibrator, scores)
-        k_max = min(cfg.k_max, pools.shape[1])
         curves = utility_curves(probs[:, :k_max], probs[:, k_max:], cfg.utility)
-        for user, pool, size, curve in zip(block.tolist(), pools, sizes.tolist(), curves):
-            curve = curve[: min(k_max, size)]
-            k_star = select_k(curve)
-            cuts.append(
-                PersonalizedCut(
-                    user=user,
-                    k_star=k_star,
-                    curve=curve,
-                    items=pool[:k_star].tolist(),
-                    k_max_effective=len(curve),
-                )
-            )
-    return cuts
+        computed = candidates[:, :k_max]
+        k_star = select_k(np.where(computed, curves, -np.inf))
+        out.items[rows] = np.where(np.arange(k_max) < k_star[:, None], pools[:, :k_max], -1)
+        out.k_star[rows] = k_star
+        out.curves[rows] = np.where(computed, curves, np.nan)
+        out.k_max_effective[rows] = computed.sum(axis=1)
+    return out

@@ -691,6 +691,24 @@ class TestCalibrate:
         rows = read_reliability_csv(workspace / "calib" / "reliability.csv")
         assert len(rows) == report["num_bins"]
 
+    def test_train_validation_merge_built_once(self, workspace, tmp_path, monkeypatch):
+        # both sample sets draw negatives outside train + validation; one merge serves them
+        merges = []
+        from_pairs = Csr.from_pairs
+
+        def counted(rows, cols, num_rows, num_cols):
+            merges.append((num_rows, num_cols))
+            return from_pairs(rows, cols, num_rows, num_cols)
+
+        monkeypatch.setattr(Csr, "from_pairs", staticmethod(counted))
+        assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "calib") == 0
+        assert len(merges) == 1
+        for name in ("calibrator.json", "reliability.csv", "calibration_report.json"):
+            assert (tmp_path / "calib" / name).read_bytes() == (
+                workspace / "calib" / name
+            ).read_bytes()
+
     def test_empty_validation_is_validation_error(self, tmp_path):
         csv = tmp_path / "in.csv"
         # two interactions per user: everything lands in train
@@ -864,17 +882,17 @@ class TestRecommend:
                 "--summary", summary, "--set", "perk.k_max=12", "--set", "perk.rest_pool=20")
             == 0
         )
-        cuts = load_recommendations(out)
-        assert len(cuts) == 40
-        for cut in cuts:
-            assert cut.k_star == select_k(cut.curve)
-            assert len(cut.items) == cut.k_star
+        rows = read_jsonl(out)
+        users, items, k_star = load_recommendations(out)
+        assert users.tolist() == [row["user"] for row in rows] == list(range(40))
+        assert items.shape == (40, max(k_star))
+        for row, listed, k in zip(rows, items, k_star.tolist()):
+            assert row["k_star"] == k == select_k(row["curve"])
+            assert listed[:k].tolist() == row["items"] and (listed[k:] == -1).all()
         agg = json.loads(summary.read_text())
         assert agg["num_users"] == 40
         assert sum(agg["k_star_histogram"].values()) == 40
-        assert agg["mean_k_star"] == pytest.approx(
-            float(np.mean([c.k_star for c in cuts]))
-        )
+        assert agg["mean_k_star"] == float(np.mean(k_star))
 
     def test_failed_summary_leaves_no_lists(self, workspace, tmp_path, monkeypatch):
         def failing_write(path, payload):
@@ -1010,11 +1028,25 @@ class TestEval:
     def test_requires_some_input(self, workspace, tmp_path):
         assert run("eval", "--data", workspace / "bundle", "--out", tmp_path / "r.json") == 2
 
-    def test_mismatched_shapes(self, workspace, tmp_path):
+    def test_mismatched_shapes(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps({"user": 4000, "items": [0, 1]}) + "\n")
         assert run("eval", "--data", workspace / "bundle", "--recs", bad,
                    "--out", tmp_path / "r.json") == 2
+        assert "recommendation user 4000 outside dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [({"user": -2, "items": [0, 1]}, "recommendation user -2 outside dataset"),
+         ({"user": 3, "items": [0, 60]}, "recommended item 60 outside dataset")],
+        ids=["user-negative", "item-high"],
+    )
+    def test_ids_outside_dataset_named(self, workspace, tmp_path, capsys, row, problem):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(row) + "\n")
+        assert run("eval", "--data", workspace / "bundle", "--recs", bad,
+                   "--out", tmp_path / "r.json") == 2
+        assert problem in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, rows, problem",
@@ -1028,10 +1060,16 @@ class TestEval:
             ("--perk-recs", [{"user": 0, "k_star": 0, "curve": [0.1], "items": [1]}], "k_star 0"),
             ("--perk-recs", [{"user": 0, "k_star": 1, "curve": ["0.1"], "items": [1]}],
              "curve must be a list of numbers"),
+            ("--perk-recs", [{"user": 0, "k_star": 1, "curve": [0.1], "items": [1]},
+                             {"user": 1, "k_star": 5, "curve": [0.1] * 5, "items": [1]}],
+             "items holds 1 entries where k_star is 5"),
+            ("--recs", [{"user": 0, "items": [1]}, {"user": 1, "items": [2, -1]}],
+             "recommended item -1 outside dataset"),
             ("--perk-recs", [], "no recommendation rows"),
         ],
         ids=["perk-no-curve", "fixed-no-items", "float-item", "string-user", "k-star-high",
-             "k-star-zero", "string-curve", "empty-file"],
+             "k-star-zero", "string-curve", "items-not-k-star", "negative-item",
+             "empty-file"],
     )
     def test_malformed_rows_exit_2(self, workspace, tmp_path, capsys, flag, rows, problem):
         recs = tmp_path / "recs.jsonl"
@@ -1044,11 +1082,20 @@ class TestEval:
             assert f"{recs}:{len(rows)}:" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("row", [{"user": 2**70, "items": [1]}, {"user": 0, "items": [2**70]}],
+                             ids=["user", "item"])
+    def test_ids_past_64_bits_exit_2(self, workspace, tmp_path, capsys, row):
+        recs = tmp_path / "recs.jsonl"
+        recs.write_text(json.dumps(row) + "\n")
+        assert run("eval", "--data", workspace / "bundle", "--recs", recs,
+                   "--out", tmp_path / "r.json") == 2
+        assert f"{recs}: a user or item lies outside the 64-bit range" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, row",
         [
             ("--recs", {"items": [1, 2]}),
-            ("--perk-recs", {"k_star": 1, "curve": [0.5, 0.2], "items": [1, 2]}),
+            ("--perk-recs", {"k_star": 1, "curve": [0.5, 0.2], "items": [1]}),
         ],
         ids=["fixed", "perk"],
     )

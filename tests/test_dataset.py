@@ -402,6 +402,11 @@ class TestExcluded:
         with pytest.raises(ValueError):
             small_dataset.excluded(("train", "holdout"))
 
+    def test_merge_is_kept(self, small_dataset):
+        merged = small_dataset.excluded(("train", "validation"))
+        assert small_dataset.excluded(["train", "validation"]) is merged
+        assert small_dataset.excluded(SPLITS) is not merged
+
 
 class TestSampleNegatives:
     def test_never_returns_blocked_item(self, small_dataset, monkeypatch):

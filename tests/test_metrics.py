@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 
 from calibrec.metrics import evaluate
-from calibrec.perk import PersonalizedCut
 
 from conftest import make_dataset
 from oracles import f1_at, ndcg_at, precision_at, recall_at
+
+
+def padded(lists):
+    """A user -> ranked list mapping as evaluate's (users, items) arrays, -1 padded."""
+    width = max(map(len, lists.values()), default=0)
+    items = np.full((len(lists), width), -1, dtype=np.int64)
+    for row, ranked in enumerate(lists.values()):
+        items[row, : len(ranked)] = ranked
+    return np.array(list(lists), dtype=np.int64), items
 
 
 class TestPrecisionAt:
@@ -104,14 +112,14 @@ class TestEvaluate:
 
     def test_single_user_macro_equals_value(self):
         ds = make_dataset({0: {0}}, test={0: {1, 2}}, num_items=5)
-        result = evaluate({0: [1, 4, 2]}, ds, split="test", metrics=("recall",), ks=(2,))
+        result = evaluate([0], [[1, 4, 2]], ds, split="test", metrics=("recall",), ks=(2,))
         assert result.rows[0].means["recall"] == recall_at([1, 4, 2], {1, 2}, 2)
         assert result.users_evaluated == 1
 
     def test_skips_users_without_relevant(self):
         ds = self.make_dataset()
         recs = {0: [1, 5], 1: [3, 4], 2: [2, 5]}
-        result = evaluate(recs, ds, split="test", metrics=("precision",), ks=(1,))
+        result = evaluate(*padded(recs), ds, split="test", metrics=("precision",), ks=(1,))
         assert result.users_evaluated == 2
         assert result.users_skipped == 1
         assert result.rows[0].means["precision"] == pytest.approx(1.0)
@@ -119,24 +127,27 @@ class TestEvaluate:
     def test_permutation_invariant_over_users(self):
         ds = self.make_dataset()
         recs = {0: [2, 1], 1: [4, 3]}
-        a = evaluate(recs, ds, split="test")
-        b = evaluate({1: [4, 3], 0: [2, 1]}, ds, split="test")
+        a = evaluate(*padded(recs), ds, split="test")
+        b = evaluate(*padded({1: [4, 3], 0: [2, 1]}), ds, split="test")
         for ra, rb in zip(a.rows, b.rows):
             assert ra.means == rb.means
 
     def test_all_users_skipped(self):
         ds = self.make_dataset()
         with pytest.raises(ValueError):
-            evaluate({2: [1]}, ds, split="test")
+            evaluate([2], [[1]], ds, split="test")
+
+    def test_users_outside_dataset_are_skipped(self):
+        ds = self.make_dataset()
+        result = evaluate([-1, 0, 7], [[1], [1], [1]], ds, split="test", ks=(1,))
+        assert (result.users_evaluated, result.users_skipped) == (1, 2)
 
     def test_personalized_cuts_row(self):
         ds = self.make_dataset()
-        cuts = [
-            PersonalizedCut(0, 2, np.array([0.3, 0.5]), [1, 2], 2),
-            PersonalizedCut(1, 1, np.array([0.9]), [3], 1),
-            PersonalizedCut(2, 1, np.array([0.2]), [5], 1),
-        ]
-        result = evaluate(cuts, ds, split="test", metrics=("precision", "recall"))
+        result = evaluate(
+            [0, 1, 2], [[1, 2], [3, -1], [5, -1]], ds, split="test",
+            metrics=("precision", "recall"), k_star=[2, 1, 1],
+        )
         row = result.rows[0]
         assert row.label == "perk"
         assert result.users_skipped == 1
@@ -146,23 +157,29 @@ class TestEvaluate:
 
     def test_repeated_cut_user(self):
         ds = self.make_dataset()
-        cuts = [
-            PersonalizedCut(0, 1, np.array([0.9]), [1], 1),
-            PersonalizedCut(1, 1, np.array([0.9]), [3], 1),
-            PersonalizedCut(0, 1, np.array([0.9]), [5], 1),
-        ]
         with pytest.raises(ValueError, match="user 0 has more than one"):
-            evaluate(cuts, ds, split="test")
+            evaluate([0, 1, 0], [[1], [3], [5]], ds, split="test", k_star=[1, 1, 1])
+
+    @pytest.mark.parametrize(
+        "items, k_star, problem",
+        [([[1], [3]], None, "one row per user"), ([1, 3, 5], None, "one row per user"),
+         ([[1], [3], [5]], [1, 1], "one cutoff per user")],
+        ids=["rows", "1-d", "k-star"],
+    )
+    def test_shapes_must_match_users(self, items, k_star, problem):
+        ds = self.make_dataset()
+        with pytest.raises(ValueError, match=problem):
+            evaluate([0, 1, 2], items, ds, split="test", k_star=k_star)
 
     def test_unknown_metric(self):
         ds = self.make_dataset()
         with pytest.raises(ValueError):
-            evaluate({0: [1]}, ds, split="test", metrics=("hitrate",))
+            evaluate([0], [[1]], ds, split="test", metrics=("hitrate",))
 
     def test_cutoff_below_one(self):
         ds = self.make_dataset()
         with pytest.raises(ValueError, match="k must be >= 1"):
-            evaluate({0: [1]}, ds, split="test", metrics=("recall",), ks=(0,))
+            evaluate([0], [[1]], ds, split="test", metrics=("recall",), ks=(0,))
 
 
 SCALAR = {"precision": precision_at, "recall": recall_at, "f1": f1_at, "ndcg": ndcg_at}
@@ -208,7 +225,7 @@ class TestEvaluateMatchesScalar:
         ds, lists = self.random_lists(seed)
         held = ds.test
         ks = (1, 3, 10, 40)
-        result = evaluate(lists, ds, split="test", ks=ks)
+        result = evaluate(*padded(lists), ds, split="test", ks=ks)
         evaluable = {u: items for u, items in lists.items() if held.sizes()[u]}
         assert result.users_skipped == len(lists) - len(evaluable)
         for row, k in zip(result.rows, ks):
@@ -222,7 +239,7 @@ class TestEvaluateMatchesScalar:
         ds, lists = self.random_lists(3)
         held = ds.test
         ks = (1, 10**9)
-        result = evaluate(lists, ds, split="test", ks=ks)
+        result = evaluate(*padded(lists), ds, split="test", ks=ks)
         evaluable = {u: items for u, items in lists.items() if held.sizes()[u]}
         for row, k in zip(result.rows, ks):
             means, per_user = scalar_row(evaluable, {u: k for u in evaluable}, held)
@@ -234,13 +251,9 @@ class TestEvaluateMatchesScalar:
         ds, lists = self.random_lists(seed)
         held = ds.test
         rng = np.random.default_rng(seed + 100)
-        cuts = [
-            PersonalizedCut(u, int(rng.integers(1, 30)), np.zeros(1), items, 1)
-            for u, items in lists.items()
-        ]
-        row = evaluate(cuts, ds, split="test").rows[0]
-        evaluable = {c.user: c.items for c in cuts if held.sizes()[c.user]}
-        k_star = {c.user: c.k_star for c in cuts}
+        k_star = {u: int(rng.integers(1, 30)) for u in lists}
+        row = evaluate(*padded(lists), ds, split="test", k_star=list(k_star.values())).rows[0]
+        evaluable = {u: items for u, items in lists.items() if held.sizes()[u]}
         means, per_user = scalar_row(evaluable, k_star, held)
         assert row.means == means
         assert row.per_user == per_user

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -328,10 +330,37 @@ class TestSelectK:
         with pytest.raises(ValueError):
             select_k([])
 
+    def test_stack_of_curves_row_by_row(self):
+        rng = np.random.default_rng(38)
+        curves = rng.integers(0, 4, size=(40, 9)).astype(float)  # ties in most rows
+        curves[3, 5:] = -np.inf  # a row masked past its pool
+        k = select_k(curves)
+        assert k.tolist() == [select_k(row) for row in curves]
+        assert isinstance(select_k(curves[0]), int)
+
+
+class Cut(NamedTuple):
+    """One row of ``perk_recommend_users``' arrays, its padding cut off."""
+
+    user: int
+    k_star: int
+    items: list
+    curve: np.ndarray
+    k_max_effective: int
+
+
+def cuts_of(lists):
+    return [
+        Cut(int(user), int(k), row[:k].tolist(), curve[:n], int(n))
+        for user, k, row, curve, n in zip(
+            lists.users, lists.k_star, lists.items, lists.curves, lists.k_max_effective
+        )
+    ]
+
 
 def perk_one(params, cal, dataset, user, cfg):
     """One user's cut, its train items excluded."""
-    return perk_recommend_users(params, cal, dataset.train, [user], cfg)[0]
+    return cuts_of(perk_recommend_users(params, cal, dataset.train, [user], cfg))[0]
 
 
 class TestPerkRecommend:
@@ -406,10 +435,10 @@ class TestPerkRecommendUsers:
         users = [4, 0, 7, 8, 1, 2, 3, 6, 5]
         excluded = dataset.excluded(("train", "validation"))
         monkeypatch.setattr(perk, "_BLOCK_USERS", 4)  # blocks of 4, 4 and 1 users
-        cuts = perk_recommend_users(params, cal, excluded, users, cfg)
+        cuts = cuts_of(perk_recommend_users(params, cal, excluded, users, cfg))
         assert [cut.user for cut in cuts] == users
         for cut, user in zip(cuts, users):
-            alone = perk_recommend_users(params, cal, excluded, [user], cfg)[0]
+            alone = cuts_of(perk_recommend_users(params, cal, excluded, [user], cfg))[0]
             assert (cut.k_star, cut.items, cut.k_max_effective) == (
                 alone.k_star, alone.items, alone.k_max_effective
             )
@@ -420,7 +449,7 @@ class TestPerkRecommendUsers:
         dataset, params, validation = self.make_setup()
         cal = Calibrator("platt", a=1.3, b=-0.2)
         cfg = PerkConfig(k_max=6, utility="ndcg", rest_pool=7)
-        cuts = perk_recommend_users(params, cal, dataset.train, range(9), cfg)
+        cuts = cuts_of(perk_recommend_users(params, cal, dataset.train, range(9), cfg))
         assert cuts[7].k_max_effective == 4
         for user, cut in enumerate(cuts):
             pool = full_sort_ranking(params, user, exclude=dataset.train.row(user))[:13]
@@ -442,4 +471,19 @@ class TestPerkRecommendUsers:
         )
         with pytest.raises(ValueError, match="user 7"):
             perk_recommend_users(params, cal, excluded, [0, 7], cfg)
-        assert perk_recommend_users(params, cal, dataset.train, [], cfg) == []
+        empty = perk_recommend_users(params, cal, dataset.train, [], cfg)
+        assert empty.items.shape == empty.curves.shape == (0, 3)
+        assert empty.users.size == empty.k_star.size == empty.k_max_effective.size == 0
+
+    def test_rows_are_padded_past_each_cut(self):
+        dataset, params, _ = self.make_setup()
+        cal = Calibrator("platt", a=1.3, b=-0.2)
+        cfg = PerkConfig(k_max=6, utility="f1", rest_pool=7)
+        lists = perk_recommend_users(params, cal, dataset.train, range(9), cfg)
+        assert lists.items.shape == lists.curves.shape == (9, 6)
+        positions = np.arange(6)
+        np.testing.assert_array_equal(lists.items >= 0, positions < lists.k_star[:, None])
+        np.testing.assert_array_equal(
+            np.isfinite(lists.curves), positions < lists.k_max_effective[:, None]
+        )
+        assert lists.k_max_effective.tolist() == [6] * 7 + [4, 6]
