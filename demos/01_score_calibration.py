@@ -12,7 +12,6 @@ from calibrec.calibration import (
     ece,
     estimate_propensity,
     fit,
-    gamma_shift,
     reliability_table,
 )
 from calibrec.ranker import TrainConfig, bpr_epoch, init_params, sigmoid
@@ -25,7 +24,7 @@ SEED = 7
 
 dataset = low_rank_dataset(120, 200, rank=2, per_user=25, noise=0.25, seed=SEED)
 params = init_params(120, 200, 8, seed=[SEED, 0])
-cfg = TrainConfig(lr=0.15, reg=1e-4, batch_size=16, loss_kind="bpr")
+cfg = TrainConfig(lr=0.15, reg=1e-4, batch_size=16)
 for epoch in range(20):
     params, loss = bpr_epoch(params, dataset, cfg, np.random.default_rng([SEED, 1 + epoch]))
 print(f"backbone trained, final pairwise loss {loss:.4f}")
@@ -52,9 +51,9 @@ print(f"\nraw sigmoid(score) ECE: {ece(raw_pairs):.4f}")
 
 from calibrec.calibration import apply  # noqa: E402
 
+# a gamma fit shifts the scores positive itself and records the shift
 for kind in ("platt", "gaussian", "gamma", "histogram"):
-    shift = gamma_shift(fit_samples.s) if kind == "gamma" else 0.0
-    cal = fit(kind, fit_samples, score_shift=shift)
+    cal = fit(kind, fit_samples)
     pairs = np.column_stack([np.atleast_1d(apply(cal, eval_scores)), eval_labels])
     print(f"{kind:>9}: ECE {ece(pairs):.4f}")
 
@@ -71,9 +70,10 @@ for lower, upper, count, mean_p, frac_pos in reliability_table(pairs, num_bins=1
 
 # ----------------------------------------------------------------------
 # 5. popularity propensities: weighting the likelihood by 1/theta removes
-# the exposure bias of popular items. Weights for observed pairs grow as
-# 1/theta (and the unobserved side can go negative), so the floor matters:
-# a low floor buys less bias at the cost of much more variance.
+# the exposure bias of popular items. fit weights every sample by its
+# theta, which is 1 for the samples above. Weights for observed pairs grow
+# as 1/theta (and the unobserved side can go negative), so the floor
+# matters: a low floor buys less bias at the cost of much more variance.
 
 for floor in (0.1, 0.01):
     propensity = estimate_propensity(dataset.item_popularity, tau=0.5, theta_min=floor)
@@ -84,10 +84,10 @@ for floor in (0.1, 0.01):
         negatives_per_positive=4,
         propensity=propensity,
     )
-    cal_unbiased = fit("platt", weighted, unbiased=True)
+    cal_unbiased = fit("platt", weighted)
     print(
         f"\npropensity floor {floor}: theta in "
-        f"[{propensity.theta.min():.3f}, {propensity.theta.max():.3f}], "
+        f"[{propensity.min():.3f}, {propensity.max():.3f}], "
         f"weighted platt a={cal_unbiased.a:.3f} b={cal_unbiased.b:.3f}"
     )
 print(

@@ -20,10 +20,7 @@ SEED = 13
 EPOCHS = 25
 
 dataset = low_rank_dataset(150, 250, rank=4, per_user=30, noise=0.3, seed=SEED)
-base_cfg = TrainConfig(
-    lr=0.15, reg=1e-4, batch_size=16, loss_kind="pointwise",
-    negatives_per_positive=4,
-)
+base_cfg = TrainConfig(lr=0.15, reg=1e-4, batch_size=16, negatives_per_positive=4)
 bd_cfg = BdConfig(
     lambda_ts=0.3, lambda_st=1.0, sample_size=10, eta=0.3, truncate_rank=100,
     epochs=EPOCHS,

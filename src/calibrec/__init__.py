@@ -3,8 +3,9 @@
 Three capabilities on a matrix-factorization backbone:
 
 - ``calibration``: map ranking scores to interaction probabilities (Platt,
-  quadratic-logistic, log-linear-logistic, histogram binning), with optional
-  inverse-propensity-weighted fitting and ECE/reliability diagnostics.
+  quadratic-logistic, log-linear-logistic, histogram binning), fitted by
+  inverse-propensity-weighted likelihood (plain likelihood where every
+  sample's propensity is 1), with ECE/reliability diagnostics.
 - ``distill``: bidirectional teacher-student co-training with
   rank-discrepancy-aware target sampling.
 - ``perk``: per-user recommendation-list sizing by exact expected utility
@@ -22,7 +23,6 @@ from . import atomic, calibration, cli, dataset, distill, metrics, perk, ranker,
 from .calibration import (
     CalibrationSamples,
     Calibrator,
-    PropensityModel,
     collect_calibration_samples,
     ece,
     estimate_propensity,

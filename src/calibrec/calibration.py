@@ -9,17 +9,17 @@ plus an equal-mass histogram-binning baseline:
     histogram  p(s) = weighted positive fraction of the bin containing s
 
 Fitting minimizes a weighted negative log-likelihood by damped Newton
-with a backtracking line search. In the default (biased) mode weights are
-the labels themselves. In unbiased mode each sample carries an inverse
-propensity: w+ = y/theta and w- = 1 - y/theta, which makes the risk an
-unbiased estimate of the fully-observed one under exposure probability
-theta, at the price of possibly negative weights. Since w+ + w- = 1 in
-both modes, the objective is mean(softplus(z) - w+ z) with z the logit, and
-its Hessian weights every sample by sigma(z)(1 - sigma(z)) >= 0: it stays
-convex with negative weights too. What negative weights can do is make it
-unbounded below, for example when the positives' 1/theta sum to more than
-the sample count (the fit then stops at its iteration cap or a stalled line
-search and reports that it has not converged).
+with a backtracking line search. Each sample carries its exposure
+propensity theta and is weighted by w+ = y/theta and w- = 1 - y/theta,
+which makes the risk an unbiased estimate of the fully-observed one, at the
+price of possibly negative weights. Samples collected without a propensity
+model carry theta = 1, where the weights are the labels themselves, bit for
+bit. Since w+ + w- = 1, the objective is mean(softplus(z) - w+ z) with z
+the logit, and its Hessian weights every sample by sigma(z)(1 - sigma(z))
+>= 0: it stays convex with negative weights too. What negative weights can
+do is make it unbounded below, for example when the positives' 1/theta sum
+to more than the sample count (the fit then stops at its iteration cap or a
+stalled line search and reports that it has not converged).
 
 Diagnostics: expected calibration error and reliability tables over
 equal-width or equal-mass bins.
@@ -63,15 +63,6 @@ class Calibrator:
     c: float = 0.0
     score_shift: float = 0.0
     bins: list[tuple[float, float]] | None = None
-
-
-@dataclass
-class PropensityModel:
-    """Per-item observation propensities from a popularity power law."""
-
-    theta: np.ndarray
-    tau: float
-    theta_min: float
 
 
 @dataclass
@@ -147,16 +138,15 @@ def _samples_to_arrays(samples: CalibrationSamples) -> tuple[np.ndarray, ...]:
     return s, y, theta
 
 
-def _weights(y: np.ndarray, theta: np.ndarray, unbiased: bool) -> tuple[np.ndarray, np.ndarray]:
-    if unbiased:
-        return y / theta, 1.0 - y / theta
-    return y, 1.0 - y
+def _weights(y: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-propensity weights w+ = y/theta and w- = 1 - y/theta."""
+    return y / theta, 1.0 - y / theta
 
 
-def nll(cal: Calibrator, samples: CalibrationSamples, unbiased: bool = False) -> float:
+def nll(cal: Calibrator, samples: CalibrationSamples) -> float:
     """Mean weighted negative log-likelihood of samples under a calibrator."""
     s, y, theta = _samples_to_arrays(samples)
-    w_pos, w_neg = _weights(y, theta, unbiased)
+    w_pos, w_neg = _weights(y, theta)
     p = np.clip(np.atleast_1d(apply(cal, s)), _P_EPS, 1.0 - _P_EPS)
     return float(np.mean(w_pos * -np.log(p) + w_neg * -np.log1p(-p)))
 
@@ -170,9 +160,8 @@ def _objective(theta_vec, phi, w_pos, w_neg) -> float:
 def _derivatives(theta_vec, phi, w_pos, w_neg) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of ``_objective`` at ``theta_vec``.
 
-    The Hessian is phi' diag(sigma (1 - sigma)) phi / n because w+ + w- = 1
-    in both weighting modes, so it is positive semidefinite even when the
-    unbiased weights are negative.
+    The Hessian is phi' diag(sigma (1 - sigma)) phi / n because w+ + w- = 1,
+    so it is positive semidefinite even when some weights are negative.
     """
     sig = sigmoid(phi @ theta_vec)
     grad = phi.T @ (w_pos * (sig - 1.0) + w_neg * sig) / len(sig)
@@ -218,14 +207,12 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def fit(
     kind: str,
     samples: CalibrationSamples,
-    unbiased: bool = False,
     max_iters: int = 1000,
     tol: float = 1e-8,
-    score_shift: float = 0.0,
     num_bins: int = 15,
     full_output: bool = False,
 ):
-    """Fit a calibrator by (weighted) maximum likelihood.
+    """Fit a calibrator by inverse-propensity-weighted maximum likelihood.
 
     Parametric kinds run damped Newton on the kind's parameters, (a, b) for
     platt and (a, b, c) for gaussian and gamma, from (a,b,c) = (1,0,0) for
@@ -245,30 +232,30 @@ def fit(
     settings and sets each of ``num_bins`` equal-mass bins to its weighted
     positive fraction.
 
-    ``score_shift`` is added to all sample scores before fitting and
-    recorded on the returned calibrator (used for gamma on sign-unconstrained
-    scores; see ``gamma_shift``).
+    A gamma fit adds ``gamma_shift(samples.s)`` to every sample score, so
+    the log feature sees positive scores, and records it as the returned
+    calibrator's ``score_shift``; the other kinds record 0.
 
     With ``full_output`` returns (calibrator, loss_trace) where the trace
     holds the objective at the start and after every accepted step, so
     ``len(trace) - 1`` is the number of Newton iterations taken.
 
-    Raises ValueError on one-class input, on nonpositive shifted scores for
-    gamma, on fewer than one bin for histogram, and if the objective is not
-    finite at the start point.
+    Raises ValueError on one-class input, on fewer than one bin for
+    histogram, and if the objective is not finite at the start point.
     """
     if kind not in CALIBRATOR_KINDS:
         raise ValueError(f"unknown calibrator kind {kind!r}")
     s, y, theta = _samples_to_arrays(samples)
     if not (np.any(y == 1) and np.any(y == 0)):
         raise ValueError("need at least one positive and one negative sample")
+    score_shift = gamma_shift(s) if kind == "gamma" else 0.0
     s = s + score_shift
-    w_pos, w_neg = _weights(y, theta, unbiased)
+    w_pos, w_neg = _weights(y, theta)
 
     if kind == "histogram":
         if num_bins < 1:
             raise ValueError("num_bins must be >= 1")
-        cal = _fit_histogram(s, w_pos, num_bins, score_shift)
+        cal = _fit_histogram(s, w_pos, num_bins)
         return (cal, np.array([])) if full_output else cal
 
     phi = _features(kind, s)
@@ -315,7 +302,7 @@ def fit(
     return (cal, np.array(trace)) if full_output else cal
 
 
-def gradient_norm(cal: Calibrator, samples: CalibrationSamples, unbiased: bool = False) -> float:
+def gradient_norm(cal: Calibrator, samples: CalibrationSamples) -> float:
     """Infinity-norm of the fitting objective's gradient at a parametric calibrator.
 
     The objective is the one ``fit`` minimizes, on the samples shifted by
@@ -325,14 +312,14 @@ def gradient_norm(cal: Calibrator, samples: CalibrationSamples, unbiased: bool =
     ``tol``.
     """
     s, y, theta = _samples_to_arrays(samples)
-    w_pos, w_neg = _weights(y, theta, unbiased)
+    w_pos, w_neg = _weights(y, theta)
     phi = _features(cal.kind, s + cal.score_shift)
     theta_vec = np.array([cal.a, cal.b, cal.c])
     grad, _ = _derivatives(theta_vec, phi, w_pos, w_neg)
     return float(np.max(np.abs(grad[_free(cal.kind, theta_vec, grad)])))
 
 
-def _fit_histogram(s, w_pos, num_bins, score_shift) -> Calibrator:
+def _fit_histogram(s, w_pos, num_bins) -> Calibrator:
     order = np.argsort(s, kind="stable")
     s_sorted = s[order]
     w_sorted = w_pos[order]
@@ -355,12 +342,10 @@ def _fit_histogram(s, w_pos, num_bins, score_shift) -> Calibrator:
             groups.append([edge, pos_weight, count])
         start = stop
     bins = [(edge, float(np.clip(w / cnt, 0.0, 1.0))) for edge, w, cnt in groups]
-    return Calibrator(kind="histogram", score_shift=score_shift, bins=bins)
+    return Calibrator(kind="histogram", bins=bins)
 
 
-def estimate_propensity(
-    item_popularity, tau: float = 0.5, theta_min: float = 0.01
-) -> PropensityModel:
+def estimate_propensity(item_popularity, tau: float = 0.5, theta_min: float = 0.01) -> np.ndarray:
     """Popularity-power propensities: theta_i = clip((pop_i/max_pop)^tau, theta_min, 1)."""
     pop = np.asarray(item_popularity, dtype=float)
     if tau < 0:
@@ -370,8 +355,7 @@ def estimate_propensity(
     max_pop = pop.max() if pop.size else 0.0
     if max_pop <= 0:
         raise ValueError("all-zero item popularity")
-    theta = np.clip((pop / max_pop) ** tau, theta_min, 1.0)
-    return PropensityModel(theta=theta, tau=tau, theta_min=theta_min)
+    return np.clip((pop / max_pop) ** tau, theta_min, 1.0)
 
 
 def _bin_rows(pairs, num_bins: int, scheme: str):
@@ -500,7 +484,7 @@ def collect_calibration_samples(
     dataset: Dataset,
     rng: np.random.Generator,
     negatives_per_positive: int = 1,
-    propensity: PropensityModel | None = None,
+    propensity: np.ndarray | None = None,
 ) -> CalibrationSamples:
     """Build the (score, label, propensity) fitting set from held-out data.
 
@@ -509,8 +493,9 @@ def collect_calibration_samples(
     rows yield y=0 samples, drawn by ``sample_negatives``. Test items are not
     excluded: excluding them would read the test labels, so a test item can
     be drawn as a negative. Samples are laid out user by user, each positive
-    followed by its negatives. theta is 1 everywhere unless a propensity
-    model is supplied.
+    followed by its negatives. A sample's theta is its item's entry of
+    ``propensity`` (per-item, as ``estimate_propensity`` returns), or 1
+    without one.
     """
     held = dataset.validation
     if not len(held):
@@ -523,5 +508,5 @@ def collect_calibration_samples(
     labels = np.zeros(items.shape, dtype=np.int64)
     labels[:, 0] = 1
     scores = score_pairs(params, np.repeat(users, items.shape[1]), items)
-    theta = propensity.theta[items] if propensity is not None else np.ones(items.shape)
+    theta = propensity[items] if propensity is not None else np.ones(items.shape)
     return CalibrationSamples(scores, labels.ravel(), theta.ravel())

@@ -15,6 +15,7 @@ an uninterrupted run would.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -32,7 +33,6 @@ from .calibration import (
     ece,
     estimate_propensity,
     fit,
-    gamma_shift,
     gradient_norm,
     load_calibrator,
     reliability_table,
@@ -41,7 +41,7 @@ from .calibration import (
 )
 from .dataset import Csr, DataFormatError, Dataset, load_interactions, split_per_user
 from .distill import BdConfig, cotrain_epoch
-from .perk import PerkConfig, perk_recommend_users
+from .perk import UTILITY_KINDS, PerkConfig, perk_recommend_users
 from .ranker import (
     TrainConfig,
     bpr_epoch,
@@ -72,12 +72,18 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+def _distinct(parse_one):
+    """Parser of a comma-separated list of ``parse_one`` values: at least one, none repeated."""
 
+    def parse(text: str) -> tuple:
+        values = tuple(parse_one(part.strip()) for part in text.split(",") if part.strip())
+        if not values:
+            raise ValueError("expected at least one entry")
+        if len(set(values)) < len(values):
+            raise ValueError(f"an entry repeats in {text!r}")
+        return values
 
-def _names(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    return parse
 
 
 def _choice(*options):
@@ -89,6 +95,18 @@ def _choice(*options):
     return parse
 
 
+# the settings dataclasses and the config section of their keys, one
+# <section>.<field> key per field; CONFIG_SPEC reads those keys' defaults
+# from the dataclasses, so each is written once
+CONFIG_SECTIONS = {TrainConfig: "train", BdConfig: "bd", PerkConfig: "perk"}
+
+
+def build_config(cls, cfg: dict):
+    """The ``CONFIG_SECTIONS`` dataclass ``cls`` set from ``cfg``'s keys of its section."""
+    section = CONFIG_SECTIONS[cls]
+    return cls(**{field.name: cfg[f"{section}.{field.name}"] for field in dataclasses.fields(cls)})
+
+
 # key -> (parser, default, help)
 CONFIG_SPEC = {
     "seed": (int, 0, "global seed; every stage derives its own stream from it"),
@@ -97,15 +115,17 @@ CONFIG_SPEC = {
     "train.dim": (int, 32, "embedding dimension"),
     "train.lr": (
         float,
-        0.05,
+        TrainConfig().lr,
         "SGD learning rate on the batch-mean gradient: per example lr/batch_size (bpr), "
         "lr/(batch_size*(1+negatives_per_positive)) (pointwise)",
     ),
-    "train.reg": (float, 1e-4, "L2 weight on embeddings"),
+    "train.reg": (float, TrainConfig().reg, "L2 weight on embeddings"),
     "train.epochs": (int, 10, "training epochs (0 writes the initialization)"),
-    "train.batch_size": (int, 128, "positives per SGD batch"),
+    "train.batch_size": (int, TrainConfig().batch_size, "positives per SGD batch"),
     "train.loss": (_choice("bpr", "pointwise"), "bpr", "training objective"),
-    "train.negatives_per_positive": (int, 4, "sampled negatives per positive (pointwise)"),
+    "train.negatives_per_positive": (
+        int, TrainConfig().negatives_per_positive, "sampled negatives per positive (pointwise)"
+    ),
     "calib.kind": (
         _choice("platt", "gaussian", "gamma", "histogram"),
         "platt",
@@ -121,24 +141,26 @@ CONFIG_SPEC = {
     "calib.scheme": (_choice("equal_width", "equal_mass"), "equal_width", "binning scheme"),
     "bd.teacher_dim": (int, 64, "teacher embedding dimension"),
     "bd.student_dim": (int, 8, "student embedding dimension"),
-    "bd.lambda_ts": (float, 0.5, "teacher's distillation-from-student weight"),
-    "bd.lambda_st": (float, 0.5, "student's distillation-from-teacher weight"),
-    "bd.sample_size": (int, 10, "distillation items sampled per user per epoch"),
-    "bd.eta": (float, 0.1, "rank-discrepancy sharpness"),
-    "bd.truncate_rank": (int, 100, "ranks beyond this are clamped"),
-    "bd.epochs": (int, 10, "co-training epochs"),
-    "perk.k_max": (int, 50, "largest cutoff considered"),
-    "perk.utility": (
-        _choice("precision", "recall", "f1", "ndcg"),
-        "f1",
-        "expected utility maximized per user",
+    "bd.lambda_ts": (float, BdConfig().lambda_ts, "teacher's distillation-from-student weight"),
+    "bd.lambda_st": (float, BdConfig().lambda_st, "student's distillation-from-teacher weight"),
+    "bd.sample_size": (
+        int, BdConfig().sample_size, "distillation items sampled per user per epoch"
     ),
-    "perk.rest_pool": (int, 500, "extra candidates feeding the remaining-relevant count"),
+    "bd.eta": (float, BdConfig().eta, "rank-discrepancy sharpness"),
+    "bd.truncate_rank": (int, BdConfig().truncate_rank, "ranks beyond this are clamped"),
+    "bd.epochs": (int, BdConfig().epochs, "co-training epochs"),
+    "perk.k_max": (int, PerkConfig().k_max, "largest cutoff considered"),
+    "perk.utility": (
+        _choice(*UTILITY_KINDS), PerkConfig().utility, "expected utility maximized per user"
+    ),
+    "perk.rest_pool": (
+        int, PerkConfig().rest_pool, "extra candidates feeding the remaining-relevant count"
+    ),
     "eval.split": (_choice("validation", "test"), "test", "split evaluated against"),
-    "eval.ks": (_ints, (1, 5, 10, 20), "fixed cutoffs in evaluation reports"),
+    "eval.ks": (_distinct(int), (1, 5, 10, 20), "fixed cutoffs in evaluation reports"),
     "eval.metrics": (
-        _names,
-        ("precision", "recall", "f1", "ndcg"),
+        _distinct(_choice(*metrics.METRIC_NAMES)),
+        metrics.METRIC_NAMES,
         "metrics in evaluation reports",
     ),
 }
@@ -415,6 +437,13 @@ def load_recommendations(path):
 # subcommands
 
 
+def _require_at_least(cfg, minimum, *keys) -> None:
+    """Raise ValueError naming the first of ``keys`` whose value is below ``minimum``."""
+    for key in keys:
+        if cfg[key] < minimum:
+            raise ValueError(f"{key} must be >= {minimum}")
+
+
 def _stop_if_diverged(epoch: int, lr: float, losses: dict) -> None:
     """Raise ValueError when one of an epoch's named losses is not finite."""
     for name, value in losses.items():
@@ -448,17 +477,11 @@ def cmd_ingest(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    if cfg["train.epochs"] < 0:
-        raise ValueError("train.epochs must be >= 0")
+    _require_at_least(cfg, 0, "train.epochs")
+    _require_at_least(cfg, 1, "train.dim")
+    train_cfg = build_config(TrainConfig, cfg)
+    epoch_fn = bpr_epoch if cfg["train.loss"] == "bpr" else pointwise_epoch
     dataset = load_bundle(args.data)
-    train_cfg = TrainConfig(
-        lr=cfg["train.lr"],
-        reg=cfg["train.reg"],
-        batch_size=cfg["train.batch_size"],
-        loss_kind=cfg["train.loss"],
-        negatives_per_positive=cfg["train.negatives_per_positive"],
-    )
-    epoch_fn = bpr_epoch if train_cfg.loss_kind == "bpr" else pointwise_epoch
 
     if args.resume:
         params, header = _load_model(args.resume, dataset)
@@ -484,7 +507,7 @@ def cmd_train(args, cfg) -> int:
         params,
         args.out,
         seed=cfg["seed"],
-        loss_kind=train_cfg.loss_kind,
+        loss_kind=cfg["train.loss"],
         epochs_trained=max(start_epoch, cfg["train.epochs"]),
     )
     return 0
@@ -492,12 +515,8 @@ def cmd_train(args, cfg) -> int:
 
 def cmd_calibrate(args, cfg) -> int:
     # before any input is read: every kind bins (ECE, and the histogram map)
-    if cfg["calib.num_bins"] < 1:
-        raise ValueError("calib.num_bins must be >= 1")
-    if cfg["calib.max_iters"] < 0:
-        raise ValueError("calib.max_iters must be >= 0")
-    if cfg["calib.negatives_per_positive"] < 1:
-        raise ValueError("calib.negatives_per_positive must be >= 1")
+    _require_at_least(cfg, 1, "calib.num_bins", "calib.negatives_per_positive")
+    _require_at_least(cfg, 0, "calib.max_iters", "calib.tol")
     dataset = load_bundle(args.data)
     params, _ = _load_model(args.ckpt, dataset)
     propensity = (
@@ -520,22 +539,19 @@ def cmd_calibrate(args, cfg) -> int:
     )
 
     kind = cfg["calib.kind"]
-    shift = gamma_shift(fit_samples.s) if kind == "gamma" else 0.0
     max_iters = cfg["calib.max_iters"]
     cal, trace = fit(
         kind,
         fit_samples,
-        unbiased=cfg["calib.unbiased"],
         max_iters=max_iters,
         tol=cfg["calib.tol"],
-        score_shift=shift,
         num_bins=cfg["calib.num_bins"],
         full_output=True,
     )
     # the trace holds the start loss plus one entry per accepted step
     iterations = max(len(trace) - 1, 0)
     if kind in PARAMETRIC_KINDS:
-        grad_norm = gradient_norm(cal, fit_samples, unbiased=cfg["calib.unbiased"])
+        grad_norm = gradient_norm(cal, fit_samples)
         converged = grad_norm < cfg["calib.tol"]
     else:
         grad_norm, converged = None, True
@@ -569,7 +585,7 @@ def cmd_calibrate(args, cfg) -> int:
         {
             "kind": kind,
             "unbiased": cfg["calib.unbiased"],
-            "score_shift": shift,
+            "score_shift": cal.score_shift,
             "num_fit_samples": len(fit_samples),
             "num_eval_samples": len(eval_samples),
             "ece_raw": ece_raw,
@@ -587,22 +603,10 @@ def cmd_calibrate(args, cfg) -> int:
 
 
 def cmd_distill(args, cfg) -> int:
+    _require_at_least(cfg, 1, "bd.teacher_dim", "bd.student_dim")
+    base_cfg = build_config(TrainConfig, cfg)
+    bd_cfg = build_config(BdConfig, cfg)
     dataset = load_bundle(args.data)
-    base_cfg = TrainConfig(
-        lr=cfg["train.lr"],
-        reg=cfg["train.reg"],
-        batch_size=cfg["train.batch_size"],
-        loss_kind="pointwise",
-        negatives_per_positive=cfg["train.negatives_per_positive"],
-    )
-    bd_cfg = BdConfig(
-        lambda_ts=cfg["bd.lambda_ts"],
-        lambda_st=cfg["bd.lambda_st"],
-        sample_size=cfg["bd.sample_size"],
-        eta=cfg["bd.eta"],
-        truncate_rank=cfg["bd.truncate_rank"],
-        epochs=cfg["bd.epochs"],
-    )
     teacher = init_params(
         dataset.num_users, dataset.num_items, cfg["bd.teacher_dim"],
         seed=stream_seed(cfg["seed"], "bd", 0, 0),
@@ -661,6 +665,14 @@ def cmd_distill(args, cfg) -> int:
 
 
 def cmd_recommend(args, cfg) -> int:
+    if args.perk:
+        if not args.calibrator:
+            raise ValueError("--perk requires --calibrator")
+        perk_cfg = build_config(PerkConfig, cfg)
+    elif args.k is None:
+        raise ValueError("fixed mode requires --k (or pass --perk)")
+    elif args.k < 1:
+        raise ValueError("--k must be >= 1")
     dataset = load_bundle(args.data)
     params, _ = _load_model(args.ckpt, dataset)
     out_path = Path(args.out)
@@ -670,12 +682,7 @@ def cmd_recommend(args, cfg) -> int:
     )
 
     if args.perk:
-        if not args.calibrator:
-            raise ValueError("--perk requires --calibrator")
         cal = load_calibrator(args.calibrator)
-        perk_cfg = PerkConfig(
-            k_max=cfg["perk.k_max"], utility=cfg["perk.utility"], rest_pool=cfg["perk.rest_pool"]
-        )
         # users whose excluded items cover the catalog get no list, as in fixed mode
         users = np.flatnonzero(excluded.sizes() < dataset.num_items)
         lists = perk_recommend_users(params, cal, excluded, users, perk_cfg)
@@ -689,10 +696,6 @@ def cmd_recommend(args, cfg) -> int:
             _write_perk_summary(args.summary, lists, dataset, cfg)
         print(f"wrote {len(lists.users)} personalized lists to {out_path}")
     else:
-        if args.k is None:
-            raise ValueError("fixed mode requires --k (or pass --perk)")
-        if args.k < 1:
-            raise ValueError("--k must be >= 1")
         lists = top_k(params, np.arange(dataset.num_users), args.k, excluded)
         lengths = (lists >= 0).sum(axis=1)  # rows are -1-padded at the end
         users = np.flatnonzero(lengths)

@@ -223,8 +223,6 @@ def cotrain_epoch(
     result is therefore bit-identical to two independent ``pointwise_epoch``
     runs seeded with the first two children.
     """
-    if base_cfg.loss_kind != "pointwise":
-        raise ValueError("co-training composes with the pointwise base loss")
     teacher_rng, student_rng, distill_rng = rng.spawn(3)
 
     teacher_top = top_t_rows(teacher, dataset, bd_cfg.truncate_rank)

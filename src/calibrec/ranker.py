@@ -17,8 +17,6 @@ import numpy as np
 from .atomic import read_sidecar, write_with_sidecar
 from .dataset import Csr, Dataset, sample_negatives
 
-LOSS_KINDS = ("bpr", "pointwise")
-
 # users scored together by top_k: the dense score block is at most
 # TOP_K_BLOCK x num_items
 TOP_K_BLOCK = 256
@@ -57,11 +55,14 @@ class MfParams:
 
 @dataclass
 class TrainConfig:
+    """SGD settings of ``bpr_epoch`` and ``pointwise_epoch``: the epoch
+    function called names the loss, and only the pointwise one reads
+    ``negatives_per_positive``. The CLI's ``train.*`` defaults are these."""
+
     lr: float = 0.05
-    reg: float = 0.0
-    batch_size: int = 1
-    loss_kind: str = "bpr"
-    negatives_per_positive: int = 1
+    reg: float = 1e-4
+    batch_size: int = 128
+    negatives_per_positive: int = 4
 
     def __post_init__(self):
         if self.lr < 0:
@@ -70,8 +71,6 @@ class TrainConfig:
             raise ValueError("reg must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
         if self.negatives_per_positive < 1:
             raise ValueError("negatives_per_positive must be >= 1")
 
@@ -221,8 +220,6 @@ def bpr_epoch(
     Every batch works in buffers allocated once per epoch, a batch of B
     triples in their first rows (docs/data-layer.md, "Training step").
     """
-    if cfg.loss_kind != "bpr":
-        raise ValueError(f"bpr_epoch requires loss_kind='bpr', got {cfg.loss_kind!r}")
     table, bias, slot = _epoch_tables(params)
     U = params.num_users
     users, items = dataset.train.pairs()
@@ -296,10 +293,6 @@ def pointwise_epoch(
     Every batch works in buffers allocated once per epoch, a batch of B
     positives in their first rows (docs/data-layer.md, "Training step").
     """
-    if cfg.loss_kind != "pointwise":
-        raise ValueError(
-            f"pointwise_epoch requires loss_kind='pointwise', got {cfg.loss_kind!r}"
-        )
     table, bias, slot = _epoch_tables(params)
     U = params.num_users
     users, items = dataset.train.pairs()
@@ -518,12 +511,25 @@ def save_checkpoint(
 def load_checkpoint(base_path) -> tuple[MfParams, dict]:
     """Read a checkpoint written by save_checkpoint; returns (params, header).
 
-    Raises ValueError when the header lacks a key the format requires, or
-    when the sidecar's length differs from the one the header lists.
+    Raises ValueError, naming the checkpoint's file, when the header lacks a
+    key the format requires, when the sidecar's length differs from the one
+    the header lists, when a value is not finite, or when the arrays' shapes
+    disagree: embeddings that are not 2-D or differ in dimension, or an
+    ``item_bias`` that is not one entry per item row.
     """
     base = Path(base_path)
     header_path = base if base.suffix == ".json" else base.with_name(base.name + ".json")
     with open(header_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
     parts = read_sidecar(header_path, header, _ARRAY_ORDER, "checkpoint")
-    return MfParams(*(parts[name].astype(np.float64) for name in _ARRAY_ORDER)), header
+    params = MfParams(*(parts[name].astype(np.float64) for name in _ARRAY_ORDER))
+    for name in _ARRAY_ORDER:
+        if not np.isfinite(getattr(params, name)).all():
+            raise ValueError(f"checkpoint {header_path}: {name} holds values that are not finite")
+    users, items, bias = (getattr(params, name).shape for name in _ARRAY_ORDER)
+    if not (len(users) == len(items) == 2 and users[1] == items[1] and bias == items[:1]):
+        raise ValueError(
+            f"checkpoint {header_path}: array shapes disagree: user_emb {users}, "
+            f"item_emb {items}, item_bias {bias}"
+        )
+    return params, header

@@ -447,8 +447,6 @@ def reference_batched_bpr_epoch(
     """``ranker.bpr_epoch`` as it was before its per-epoch buffers: fresh
     arrays and concatenations in every batch, the same operations in the
     same order."""
-    if cfg.loss_kind != "bpr":
-        raise ValueError(f"bpr_epoch requires loss_kind='bpr', got {cfg.loss_kind!r}")
     table, bias, slot = _epoch_tables(params)
     U = params.num_users
     users, items = dataset.train.pairs()
@@ -489,10 +487,6 @@ def reference_batched_pointwise_epoch(
     """``ranker.pointwise_epoch`` as it was before its per-epoch buffers:
     fresh arrays and concatenations in every batch, two ``logaddexp`` under
     ``np.where``, and a label array per batch."""
-    if cfg.loss_kind != "pointwise":
-        raise ValueError(
-            f"pointwise_epoch requires loss_kind='pointwise', got {cfg.loss_kind!r}"
-        )
     table, bias, slot = _epoch_tables(params)
     U = params.num_users
     users, items = dataset.train.pairs()

@@ -39,10 +39,10 @@ def bernoulli_samples(true_fn, n, rng, low=-3.0, high=3.0):
     return s, y, make_samples(s, y)
 
 
-def fit_objective(kind, samples, unbiased, shift=0.0):
+def fit_objective(kind, samples, shift=0.0):
     """The objective ``fit`` minimizes and its gradient, as functions of (a, b, c)."""
     phi = _features(kind, np.asarray(samples.s, dtype=float) + shift)
-    w_pos, w_neg = _weights(np.asarray(samples.y, dtype=float), samples.theta, unbiased)
+    w_pos, w_neg = _weights(np.asarray(samples.y, dtype=float), samples.theta)
 
     def objective(x):
         return _objective(np.asarray(x, dtype=float), phi, w_pos, w_neg)
@@ -113,12 +113,15 @@ class TestFit:
         assert cal.b == pytest.approx(-1.0, abs=0.15)
 
     def test_unbiased_with_unit_theta_identical(self):
+        # at theta = 1 the weights y/theta and 1 - y/theta are the labels,
+        # bit for bit, so the fit's losses are the label-weighted objective's
         rng = np.random.default_rng(3)
-        _, _, samples = bernoulli_samples(lambda s: expit(s), 5000, rng)
-        biased, tb = fit("platt", samples, unbiased=False, full_output=True)
-        unbiased, tu = fit("platt", samples, unbiased=True, full_output=True)
-        assert (biased.a, biased.b, biased.c) == (unbiased.a, unbiased.b, unbiased.c)
-        np.testing.assert_array_equal(tb, tu)
+        s, y, samples = bernoulli_samples(lambda s: expit(s), 5000, rng)
+        cal, trace = fit("platt", samples, full_output=True)
+        phi = _features("platt", s)
+        y = y.astype(float)
+        assert trace[0] == _objective(np.array([1.0, 0.0, 0.0]), phi, y, 1.0 - y)
+        assert trace[-1] == _objective(np.array([cal.a, cal.b, cal.c]), phi, y, 1.0 - y)
 
     def test_gaussian_matches_bayes_posterior(self):
         # scores from two unit-variance gaussians at +-1: posterior sigmoid(2s)
@@ -143,17 +146,18 @@ class TestFit:
         rng = np.random.default_rng(13)
         s = rng.uniform(-2, 2, 4000)
         y = (rng.random(4000) < expit(1.5 * s)).astype(int)
-        shift = gamma_shift(s)
-        cal, trace = fit("gamma", make_samples(s, y), score_shift=shift, full_output=True)
-        assert cal.score_shift == shift
+        cal, trace = fit("gamma", make_samples(s, y), full_output=True)
+        assert cal.score_shift == gamma_shift(s)
         assert np.all(np.diff(trace) <= 0)
         probs = apply(cal, s)
         assert np.all((probs >= 0) & (probs <= 1))
 
-    def test_gamma_requires_positive_scores(self):
+    def test_gamma_fit_records_gamma_shift(self):
+        # nonpositive scores: the gamma fit shifts them positive itself
         samples = make_samples([-1.0, 1.0], [0, 1])
-        with pytest.raises(ValueError):
-            fit("gamma", samples)
+        cal = fit("gamma", samples)
+        assert cal.score_shift == gamma_shift([-1.0, 1.0])
+        assert fit("platt", samples).score_shift == 0.0
 
     def test_one_class_rejected(self):
         samples = make_samples([0.1, 0.2], [1, 1])
@@ -190,7 +194,7 @@ class TestFit:
         # two samples at the same score, one positive with theta=0.5: the
         # weighted positive fraction in one histogram bin is 1/0.5 / 2 = 1.0
         samples = make_samples([0.0, 0.0], [1, 0], [0.5, 1.0])
-        cal = fit("histogram", samples, unbiased=True, num_bins=1)
+        cal = fit("histogram", samples, num_bins=1)
         assert cal.bins[0][1] == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
@@ -218,8 +222,8 @@ class TestObjectiveShape:
         s = rng.uniform(0.05, 3.0, n)
         y = (rng.random(n) < expit(s - 1.5)).astype(int)
         samples = CalibrationSamples(s, y, rng.uniform(0.01, 1.0, n))
-        assert np.any(_weights(y.astype(float), samples.theta, True)[1] < 0)
-        objective, _ = fit_objective(kind, samples, unbiased=True)
+        assert np.any(_weights(y.astype(float), samples.theta)[1] < 0)
+        objective, _ = fit_objective(kind, samples)
         mask = np.array([1.0, 1.0, 0.0 if kind == "platt" else 1.0])
         for _ in range(20):
             start, direction = rng.normal(size=3) * mask, rng.normal(size=3) * mask
@@ -233,32 +237,33 @@ class TestObjectiveShape:
         s = np.linspace(0.5, 2.0, 40)
         y = np.tile([1, 0], 20)
         samples = CalibrationSamples(s, y, np.where(y == 1, 0.05, 1.0))
-        objective, _ = fit_objective(kind, samples, unbiased=True)
+        objective, _ = fit_objective(kind, samples)
         assert objective([0.0, 50.0, 50.0]) < objective([0.0, 5.0, 5.0]) - 100
-        cal, trace = fit(kind, samples, unbiased=True, max_iters=200, full_output=True)
+        cal, trace = fit(kind, samples, max_iters=200, full_output=True)
         assert np.all(np.isfinite([cal.a, cal.b, cal.c]))
         assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= 0)
         assert len(trace) - 1 <= 200
-        assert gradient_norm(cal, samples, unbiased=True) >= 1e-8
+        assert gradient_norm(cal, samples) >= 1e-8
 
 
 class TestFitMatchesOracle:
     @pytest.mark.parametrize("kind", ["platt", "gaussian", "gamma"])
-    @pytest.mark.parametrize("unbiased", [False, True])
-    def test_reaches_reference_optimum(self, kind, unbiased):
-        rng = np.random.default_rng([81, ["platt", "gaussian", "gamma"].index(kind), int(unbiased)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_reaches_reference_optimum(self, kind, weighted):
+        rng = np.random.default_rng([81, ["platt", "gaussian", "gamma"].index(kind), int(weighted)])
         n = 2000
         s = rng.uniform(-2, 2, n)
         y = (rng.random(n) < expit(1.2 * s - 2.0)).astype(int)
-        theta = rng.uniform(0.4, 1.0, n) if unbiased else np.ones(n)
+        theta = rng.uniform(0.4, 1.0, n) if weighted else np.ones(n)
         samples = CalibrationSamples(s, y, theta)
         shift = gamma_shift(s) if kind == "gamma" else 0.0
-        cal, trace = fit(kind, samples, unbiased=unbiased, score_shift=shift, full_output=True)
-        objective, gradient = fit_objective(kind, samples, unbiased, shift)
+        cal, trace = fit(kind, samples, full_output=True)
+        assert cal.score_shift == shift
+        objective, gradient = fit_objective(kind, samples, shift)
         start = [0.0, 1.0, 0.0] if kind == "gaussian" else [1.0, 0.0, 0.0]
         _, best = reference_fit(kind, objective, gradient, start)
         assert objective([cal.a, cal.b, cal.c]) <= best + 1e-10
-        assert gradient_norm(cal, samples, unbiased=unbiased) < 1e-8
+        assert gradient_norm(cal, samples) < 1e-8
         assert np.all(np.diff(trace) <= 0)
         assert len(trace) - 1 <= 30
 
@@ -270,7 +275,7 @@ class TestFitMatchesOracle:
         y = (rng.random(3000) < expit(-2 * s)).astype(int)
         samples = CalibrationSamples(s, y, np.ones(3000))
         cal = fit("platt", samples)
-        objective, gradient = fit_objective("platt", samples, False)
+        objective, gradient = fit_objective("platt", samples)
         params, best = reference_fit("platt", objective, gradient, [1.0, 0.0, 0.0])
         assert params[0] == 0.0 and gradient([0.0, params[1], 0.0])[0] > 0
         assert cal.a == 0.0
@@ -296,7 +301,7 @@ class TestFitMatchesOracle:
         y = (rng.random(3000) < expit(2 - 40 * s * s)).astype(int)
         samples = CalibrationSamples(s, y, np.ones(3000))
         cal = fit("gaussian", samples)
-        objective, gradient = fit_objective("gaussian", samples, False)
+        objective, gradient = fit_objective("gaussian", samples)
         params, best = reference_fit("gaussian", objective, gradient, [0.0, 1.0, 0.0])
         assert params[0] < -30
         assert objective([cal.a, cal.b, cal.c]) <= best + 1e-10
@@ -306,21 +311,22 @@ class TestFitMatchesOracle:
 
 class TestGradientNorm:
     @pytest.mark.parametrize(
-        "kind,unbiased", [("platt", False), ("gaussian", True), ("gamma", False)]
+        "kind,weighted", [("platt", False), ("gaussian", True), ("gamma", False)]
     )
-    def test_matches_finite_differences(self, kind, unbiased):
+    def test_matches_finite_differences(self, kind, weighted):
         rng = np.random.default_rng(61)
         s = rng.uniform(0.5, 3.0, 400)
         y = (rng.random(400) < expit(s - 1.5)).astype(int)
-        samples = make_samples(s, y, rng.uniform(0.3, 1.0, 400))
+        theta = rng.uniform(0.3, 1.0, 400)
+        samples = make_samples(s, y, theta if weighted else np.ones(400))
         cal = Calibrator(kind, a=0.4, b=-0.3, c=0.2, score_shift=0.1)
 
         def objective(theta):
-            return nll(Calibrator(kind, *theta, score_shift=0.1), samples, unbiased=unbiased)
+            return nll(Calibrator(kind, *theta, score_shift=0.1), samples)
 
         numeric = finite_difference_grad(objective, np.array([0.4, -0.3, 0.2]))
         expected = max(abs(g) for g in numeric.values())
-        assert gradient_norm(cal, samples, unbiased=unbiased) == pytest.approx(expected, rel=1e-6)
+        assert gradient_norm(cal, samples) == pytest.approx(expected, rel=1e-6)
 
     def test_below_tol_when_fit_stops_early(self):
         rng = np.random.default_rng(62)
@@ -352,16 +358,13 @@ class TestMonotonePreservesRanking:
 
 class TestPropensity:
     def test_most_popular_is_one(self):
-        model = estimate_propensity([1, 5, 10])
-        assert model.theta[2] == 1.0
+        assert estimate_propensity([1, 5, 10])[2] == 1.0
 
     def test_zero_popularity_clipped(self):
-        model = estimate_propensity([0, 10], theta_min=0.01)
-        assert model.theta[0] == 0.01
+        assert estimate_propensity([0, 10], theta_min=0.01)[0] == 0.01
 
     def test_power_law_value(self):
-        model = estimate_propensity([1, 4], tau=0.5)
-        assert model.theta[0] == pytest.approx(0.5)
+        assert estimate_propensity([1, 4], tau=0.5)[0] == pytest.approx(0.5)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -474,14 +477,14 @@ class TestCollectSamples:
 
     def test_theta_comes_from_model(self):
         ds, params = self.make_setup()
-        model = estimate_propensity(np.arange(1, 31))
+        propensity = estimate_propensity(np.arange(1, 31))
         rng = np.random.default_rng(1)
-        samples = collect_calibration_samples(params, ds, rng, propensity=model)
+        samples = collect_calibration_samples(params, ds, rng, propensity=propensity)
         # positives are items 2 and 3 for every user; spot-check the mapping
         for theta in samples.theta:
-            matches = [i for i in range(30) if model.theta[i] == pytest.approx(theta)]
+            matches = [i for i in range(30) if propensity[i] == pytest.approx(theta)]
             assert matches
-        assert np.all(samples.theta[samples.y == 1] <= model.theta[3])
+        assert np.all(samples.theta[samples.y == 1] <= propensity[3])
 
     def test_scores_match_params(self):
         ds, params = self.make_setup()
@@ -517,7 +520,9 @@ class TestUnbiasedRiskReduction:
         y = (rng.random(400) < expit(s)).astype(int)
         samples = make_samples(s, y)
         cal = Calibrator("platt", a=1.0, b=0.0)
-        assert nll(cal, samples, unbiased=True) == nll(cal, samples, unbiased=False)
+        # unit theta: the weights are the labels, bit for bit
+        p = np.clip(apply(cal, s), 1e-12, 1.0 - 1e-12)
+        assert nll(cal, samples) == np.mean(y * -np.log(p) + (1 - y) * -np.log1p(-p))
 
     def test_unbiased_nll_expectation_small(self):
         # exposure thins positives by theta; reweighting recovers the
@@ -533,7 +538,7 @@ class TestUnbiasedRiskReduction:
 
         cal = Calibrator("platt", a=1.5, b=-0.5)
         full = nll(cal, make_samples(s, y_full))
-        unbiased = nll(cal, make_samples(s, y_obs, theta), unbiased=True)
+        unbiased = nll(cal, make_samples(s, y_obs, theta))
 
         log_ratio = np.log1p(-p_true) - np.log(p_true)
         var = np.sum(y_full * log_ratio**2 * (1 - theta) / theta) / n**2

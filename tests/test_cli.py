@@ -28,7 +28,9 @@ from calibrec.cli import (
 from calibrec.dataset import Csr, Dataset
 from calibrec.perk import select_k
 from calibrec.ranker import (
+    MfParams,
     TrainConfig,
+    bpr_epoch,
     init_params,
     load_checkpoint,
     pointwise_epoch,
@@ -419,6 +421,28 @@ class TestConfig:
         for key in ("seed", "train.lr", "perk.k_max", "eval.ks"):
             assert key in text
 
+    @pytest.mark.parametrize("setting, problem", [
+        ("eval.ks=", "expected at least one entry"),
+        ("eval.ks=5,5", "an entry repeats"),
+        ("eval.metrics=", "expected at least one entry"),
+        ("eval.metrics=recall,recall", "an entry repeats"),
+        ("eval.metrics=recall,hits", "expected one of"),
+    ])
+    def test_bad_eval_lists_rejected(self, tmp_path, capsys, setting, problem):
+        # the bundle does not exist, so reaching it would be an i/o error (exit 1)
+        assert run("eval", "--data", tmp_path / "missing", "--recs", tmp_path / "r.jsonl",
+                   "--out", tmp_path / "report.json", "--set", setting) == 2
+        err = capsys.readouterr().err
+        assert f"bad value for {setting.partition('=')[0]}" in err and problem in err
+        assert not list(tmp_path.iterdir())
+
+    def test_settings_dataclasses_have_one_key_per_field(self):
+        for cls, section in cli.CONFIG_SECTIONS.items():
+            built = cli.build_config(cls, cli.load_config())
+            assert built == cls()
+            for name, value in vars(built).items():
+                assert cli.CONFIG_SPEC[f"{section}.{name}"][1] == value
+
     def test_committed_reference_is_current(self):
         committed = Path(__file__).resolve().parents[1] / "docs" / "config-reference.txt"
         assert committed.read_text(encoding="utf-8") == config_reference()
@@ -485,6 +509,20 @@ class TestTrain:
             )
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
+    def test_default_settings_are_train_config_defaults(self, workspace, tmp_path):
+        # no --set for train.lr, train.reg, train.batch_size or
+        # train.negatives_per_positive: TrainConfig() trains the same bytes
+        assert run("train", "--data", workspace / "bundle", "--out", tmp_path / "cli",
+                   "--set", "train.epochs=2", "--set", "train.dim=4") == 0
+        dataset = load_bundle(workspace / "bundle")
+        params = init_params(dataset.num_users, dataset.num_items, 4,
+                             seed=stream_seed(0, "train", 0))
+        for epoch in range(2):
+            rng = np.random.default_rng(stream_seed(0, "train", 1 + epoch))
+            params, _ = bpr_epoch(params, dataset, TrainConfig(), rng)
+        _, sidecar = save_checkpoint(params, tmp_path / "library")
+        assert (tmp_path / "cli.bin").read_bytes() == sidecar.read_bytes()
+
     def test_resume_continues_loss_trace(self, workspace, tmp_path):
         args = ("--set", "train.dim=8", "--set", "train.lr=0.15")
         assert run("train", "--data", workspace / "bundle", "--out", tmp_path / "full",
@@ -523,6 +561,87 @@ class TestBadCheckpointHeader:
         assert run("recommend", "--data", workspace / "bundle", "--ckpt", tmp_path / "ck",
                    "--out", tmp_path / "r.jsonl", "--k", "3") == 2
         assert drop in capsys.readouterr().err
+
+
+class TestBadCheckpointArrays:
+    """Every stage that reads a checkpoint rejects one whose values are not
+    finite or whose array shapes disagree, naming the file (exit 2)."""
+
+    @staticmethod
+    def write(path, case):
+        """A checkpoint of the bundle's 40 users x 60 items with the fault ``case`` names."""
+        if case == "dims":
+            params = MfParams(np.zeros((40, 4)), np.zeros((60, 2)), np.zeros(60))
+        elif case == "bias":
+            params = MfParams(np.zeros((40, 4)), np.zeros((60, 4)), np.zeros(59))
+        else:
+            params = init_params(40, 60, 4, seed=0)
+        header_path, sidecar = save_checkpoint(params, path)
+        if case == "nan":  # user_emb[0, 0]
+            nan = np.array([np.nan], dtype="<f4").tobytes()
+            sidecar.write_bytes(nan + sidecar.read_bytes()[4:])
+        elif case == "flat":  # item_emb's bytes listed as one row
+            header = json.loads(header_path.read_text())
+            header["arrays"]["item_emb"]["shape"] = [240]
+            header_path.write_text(json.dumps(header))
+
+    @pytest.mark.parametrize("case, problem", [
+        ("nan", "user_emb holds values that are not finite"),
+        ("dims", "shapes disagree"), ("bias", "shapes disagree"), ("flat", "shapes disagree"),
+    ], ids=["nan", "dims", "bias", "flat"])
+    def test_every_reading_stage_exits_2(self, workspace, tmp_path, capsys, case, problem):
+        self.write(tmp_path / "bad", case)
+        data = ("--data", workspace / "bundle")
+        for argv in (
+            ("recommend", *data, "--ckpt", tmp_path / "bad", "--out", tmp_path / "r.jsonl",
+             "--k", "5"),
+            ("calibrate", *data, "--ckpt", tmp_path / "bad", "--out", tmp_path / "calib"),
+            ("train", *data, "--resume", tmp_path / "bad", "--out", tmp_path / "more",
+             "--set", "train.epochs=1"),
+        ):
+            assert run(*argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert problem in err and str(tmp_path / "bad.json") in err, argv[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.bin", "bad.json"]
+
+
+class TestSettingsRejectedBeforeReading:
+    # stage arguments -> settings they reject, and the message of each
+    CASES = {
+        "train.lr": ("train", "train.lr=-1", "lr must be nonnegative"),
+        "train.reg": ("train", "train.reg=-1", "reg must be nonnegative"),
+        "train.batch_size": ("train", "train.batch_size=0", "batch_size must be >= 1"),
+        "train.negatives_per_positive": (
+            "distill", "train.negatives_per_positive=0", "negatives_per_positive must be >= 1"
+        ),
+        "train.dim": ("train", "train.dim=0", "train.dim must be >= 1"),
+        "train.epochs": ("train", "train.epochs=-1", "train.epochs must be >= 0"),
+        "bd.teacher_dim": ("distill", "bd.teacher_dim=0", "bd.teacher_dim must be >= 1"),
+        "bd.student_dim": ("distill", "bd.student_dim=0", "bd.student_dim must be >= 1"),
+        "bd.lambda_ts": ("distill", "bd.lambda_ts=-1", "weights must be nonnegative"),
+        "bd.lambda_st": ("distill", "bd.lambda_st=-1", "weights must be nonnegative"),
+        "bd.sample_size": ("distill", "bd.sample_size=0", "sample_size must be >= 1"),
+        "bd.eta": ("distill", "bd.eta=0", "eta must be positive"),
+        "bd.truncate_rank": ("distill", "bd.truncate_rank=0", "truncate_rank must be >= 1"),
+        "bd.epochs": ("distill", "bd.epochs=-1", "epochs must be >= 0"),
+        "perk.k_max": ("perk", "perk.k_max=0", "k_max must be >= 1"),
+        "perk.rest_pool": ("perk", "perk.rest_pool=-1", "rest_pool must be nonnegative"),
+    }
+
+    @pytest.mark.parametrize("key", list(CASES))
+    def test_exit_2_without_reading_the_bundle(self, tmp_path, capsys, key):
+        stage, setting, message = self.CASES[key]
+        # the bundle does not exist, so reaching it would be an i/o error (exit 1)
+        data, out = ("--data", tmp_path / "missing"), ("--out", tmp_path / "out")
+        argv = {
+            "train": ("train", *data, *out),
+            "distill": ("distill", *data, *out),
+            "perk": ("recommend", *data, "--ckpt", tmp_path / "ckpt", *out, "--perk",
+                     "--calibrator", tmp_path / "calibrator.json"),
+        }[stage]
+        assert run(*argv, "--set", setting) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestAtomicLogs:
@@ -610,6 +729,7 @@ class TestCalibrate:
         "max-iters": (("calib.max_iters=-5",), "calib.max_iters must be >= 0"),
         **{f"negatives={n}": ((f"calib.negatives_per_positive={n}",),
                               "calib.negatives_per_positive must be >= 1") for n in (0, -1)},
+        "tol": (("calib.tol=-1",), "calib.tol must be >= 0"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_SETTINGS))
@@ -824,12 +944,10 @@ class TestDistill:
         )
         # each model trained alone in process, on the streams distill gives it:
         # init stream ("bd", 0, model), epoch e's child `model` of ("bd", 1 + e)
+        # with TrainConfig's defaults, which no --set above overrides
         dataset = load_bundle(workspace / "bundle")
         cfg = cli.load_config()
-        base_cfg = TrainConfig(
-            lr=cfg["train.lr"], reg=cfg["train.reg"], batch_size=cfg["train.batch_size"],
-            loss_kind="pointwise", negatives_per_positive=cfg["train.negatives_per_positive"],
-        )
+        base_cfg = TrainConfig()
         for model, (name, dim) in enumerate((("teacher", 8), ("student", 4))):
             params = init_params(dataset.num_users, dataset.num_items, dim,
                                  seed=stream_seed(cfg["seed"], "bd", 0, model))

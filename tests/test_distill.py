@@ -176,10 +176,7 @@ class TestBdLoss:
 @pytest.fixture(scope="module")
 def cotrain_setup():
     dataset = low_rank_dataset(30, 50, rank=2, per_user=12, noise=0.25, seed=8)
-    base_cfg = TrainConfig(
-        lr=0.1, reg=1e-4, batch_size=8, loss_kind="pointwise",
-        negatives_per_positive=2,
-    )
+    base_cfg = TrainConfig(lr=0.1, reg=1e-4, batch_size=8, negatives_per_positive=2)
     teacher = init_params(30, 50, 16, seed=[8, 0, 0])
     student = init_params(30, 50, 4, seed=[8, 0, 1])
     return dataset, base_cfg, teacher, student
@@ -277,19 +274,10 @@ class TestCotrainEpoch:
         assert 0 < report.teacher.sampled_total <= limit
         assert 0 < report.student.sampled_total <= limit
 
-    def test_requires_pointwise_base(self, cotrain_setup):
-        dataset, _, teacher, student = cotrain_setup
-        cfg = TrainConfig(loss_kind="bpr")
-        with pytest.raises(ValueError):
-            cotrain_epoch(teacher, student, dataset, cfg, BdConfig(), np.random.default_rng(0))
-
     def test_student_distill_loss_decreases_against_frozen_teacher(self, cotrain_setup):
         dataset, _, teacher, student = cotrain_setup
         # pre-train the teacher alone so its targets carry a signal
-        base_cfg = TrainConfig(
-            lr=0.2, reg=1e-4, batch_size=8, loss_kind="pointwise",
-            negatives_per_positive=4,
-        )
+        base_cfg = TrainConfig(lr=0.2, reg=1e-4, batch_size=8, negatives_per_positive=4)
         frozen = teacher.copy()
         for e in range(40):
             frozen, _ = pointwise_epoch(

@@ -159,7 +159,7 @@ def extract_epoch_gradient(epoch_fn, params, dataset, cfg, seed):
 class TestBprEpoch:
     def test_lr_zero_params_unchanged(self, small_dataset):
         p = init_params(small_dataset.num_users, small_dataset.num_items, 4, seed=3)
-        cfg = TrainConfig(lr=0.0, reg=0.01, loss_kind="bpr", batch_size=7)
+        cfg = TrainConfig(lr=0.0, reg=0.01, batch_size=7)
         new, _ = bpr_epoch(p, small_dataset, cfg, np.random.default_rng(0))
         assert np.array_equal(new.user_emb, p.user_emb)
         assert np.array_equal(new.item_emb, p.item_emb)
@@ -170,7 +170,7 @@ class TestBprEpoch:
         # triple contributes exactly -ln sigmoid(0) = ln 2
         U, I = small_dataset.num_users, small_dataset.num_items
         p = params_from(np.zeros((U, 4)), np.zeros((I, 4)))
-        cfg = TrainConfig(lr=0.0, reg=0.1, loss_kind="bpr")
+        cfg = TrainConfig(lr=0.0, reg=0.1, batch_size=1)
         _, loss = bpr_epoch(p, small_dataset, cfg, np.random.default_rng(0))
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -179,7 +179,7 @@ class TestBprEpoch:
         # the epoch is a single SGD step on a single known triple
         ds = make_dataset({0: {0}}, num_items=2)
         reg = 0.03
-        cfg = TrainConfig(lr=0.5, reg=reg, loss_kind="bpr", batch_size=1)
+        cfg = TrainConfig(lr=0.5, reg=reg, batch_size=1)
         rng = np.random.default_rng(5)
         params = MfParams(
             rng.normal(0, 0.5, (1, 4)), rng.normal(0, 0.5, (2, 4)), rng.normal(0, 0.5, 2)
@@ -211,7 +211,7 @@ class TestBprEpoch:
     def test_loss_decreases_over_epochs(self):
         ds = low_rank_dataset(40, 60, rank=2, per_user=15, noise=0.2, seed=4)
         p = init_params(40, 60, 8, seed=[4, 0])
-        cfg = TrainConfig(lr=0.1, reg=1e-4, loss_kind="bpr", batch_size=8)
+        cfg = TrainConfig(lr=0.1, reg=1e-4, batch_size=8)
         p1, first = bpr_epoch(p, ds, cfg, np.random.default_rng([4, 1]))
         cur = p1
         for e in range(2, 21):
@@ -220,33 +220,25 @@ class TestBprEpoch:
 
     def test_deterministic(self, small_dataset):
         p = init_params(small_dataset.num_users, small_dataset.num_items, 4, seed=3)
-        cfg = TrainConfig(lr=0.1, reg=1e-3, loss_kind="bpr", batch_size=5)
+        cfg = TrainConfig(lr=0.1, reg=1e-3, batch_size=5)
         a, la = bpr_epoch(p, small_dataset, cfg, np.random.default_rng(77))
         b, lb = bpr_epoch(p, small_dataset, cfg, np.random.default_rng(77))
         assert la == lb
         assert np.array_equal(a.user_emb, b.user_emb)
         assert np.array_equal(a.item_emb, b.item_emb)
 
-    def test_wrong_loss_kind(self, small_dataset):
-        p = init_params(small_dataset.num_users, small_dataset.num_items, 4, seed=3)
-        cfg = TrainConfig(loss_kind="pointwise")
-        with pytest.raises(ValueError):
-            bpr_epoch(p, small_dataset, cfg, np.random.default_rng(0))
-
 
 class TestPointwiseEpoch:
     def test_symmetric_start_loss(self, small_dataset):
         U, I = small_dataset.num_users, small_dataset.num_items
         p = params_from(np.zeros((U, 3)), np.zeros((I, 3)))
-        cfg = TrainConfig(
-            lr=0.0, loss_kind="pointwise", negatives_per_positive=3, batch_size=4
-        )
+        cfg = TrainConfig(lr=0.0, reg=0.0, negatives_per_positive=3, batch_size=4)
         _, loss = pointwise_epoch(p, small_dataset, cfg, np.random.default_rng(0))
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_lr_zero_params_unchanged(self, small_dataset):
         p = init_params(small_dataset.num_users, small_dataset.num_items, 4, seed=3)
-        cfg = TrainConfig(lr=0.0, reg=0.01, loss_kind="pointwise")
+        cfg = TrainConfig(lr=0.0, reg=0.01, batch_size=1, negatives_per_positive=1)
         new, _ = pointwise_epoch(p, small_dataset, cfg, np.random.default_rng(0))
         assert np.array_equal(new.user_emb, p.user_emb)
         assert np.array_equal(new.item_emb, p.item_emb)
@@ -255,10 +247,7 @@ class TestPointwiseEpoch:
         # item 1 is the only train positive, item 0 the forced negative
         ds = make_dataset({0: {1}}, num_users=1, num_items=2)
         reg = 0.05
-        cfg = TrainConfig(
-            lr=0.25, reg=reg, loss_kind="pointwise",
-            negatives_per_positive=1, batch_size=1,
-        )
+        cfg = TrainConfig(lr=0.25, reg=reg, negatives_per_positive=1, batch_size=1)
         rng = np.random.default_rng(9)
         params = MfParams(
             rng.normal(0, 0.5, (1, 3)), rng.normal(0, 0.5, (2, 3)), rng.normal(0, 0.5, 2)
@@ -409,15 +398,12 @@ class TestEpochsMatchReference:
             )
 
     EPOCHS = pytest.mark.parametrize(
-        "loss_kind, epoch_fn, reference",
-        [
-            ("bpr", bpr_epoch, reference_bpr_epoch),
-            ("pointwise", pointwise_epoch, reference_pointwise_epoch),
-        ],
+        "epoch_fn, reference",
+        [(bpr_epoch, reference_bpr_epoch), (pointwise_epoch, reference_pointwise_epoch)],
         ids=["bpr", "pointwise"],
     )
 
-    def run_three_epochs(self, loss_kind, epoch_fn, reference, reg, batch_size, monkeypatch):
+    def run_three_epochs(self, epoch_fn, reference, reg, batch_size, monkeypatch):
         """Three epochs against the reference; returns how many embedding
         scatters took the full-table path."""
         full = []
@@ -427,10 +413,7 @@ class TestEpochsMatchReference:
             lambda target, *rest: full.append(target.ndim == 2) or scatter_add(target, *rest),
         )
         ds = self.dataset()
-        cfg = TrainConfig(
-            lr=0.5, reg=reg, loss_kind=loss_kind, batch_size=batch_size,
-            negatives_per_positive=3,
-        )
+        cfg = TrainConfig(lr=0.5, reg=reg, batch_size=batch_size, negatives_per_positive=3)
         new = ref = MfParams(*(
             np.random.default_rng(31).normal(0, 0.3, shape)
             for shape in ((12, 5), (20, 5), (20,))
@@ -444,21 +427,19 @@ class TestEpochsMatchReference:
 
     @EPOCHS
     @pytest.mark.parametrize("reg", [0.0, 0.05], ids=["reg0", "reg"])
-    def test_three_epochs(self, loss_kind, epoch_fn, reference, reg, monkeypatch):
+    def test_three_epochs(self, epoch_fn, reference, reg, monkeypatch):
         # batches of 16 put at least 32 rows against the 32-row table: full path
         batches = 3 * -(-96 // 16)
-        full = self.run_three_epochs(loss_kind, epoch_fn, reference, reg, 16, monkeypatch)
+        full = self.run_three_epochs(epoch_fn, reference, reg, 16, monkeypatch)
         assert full == batches
 
     @EPOCHS
     @pytest.mark.parametrize("reg", [0.0, 0.05], ids=["reg0", "reg"])
-    def test_three_epochs_touched_rows(self, loss_kind, epoch_fn, reference, reg, monkeypatch):
+    def test_three_epochs_touched_rows(self, epoch_fn, reference, reg, monkeypatch):
         # 6 rows per BPR batch of 2 and 5 per pointwise batch of 1 (npp 3)
         # against the 32-row table: every scatter takes the touched path
-        batch_size = 2 if loss_kind == "bpr" else 1
-        full = self.run_three_epochs(
-            loss_kind, epoch_fn, reference, reg, batch_size, monkeypatch
-        )
+        batch_size = 2 if epoch_fn is bpr_epoch else 1
+        full = self.run_three_epochs(epoch_fn, reference, reg, batch_size, monkeypatch)
         assert full == 0
 
     def test_batches_repeat_users_and_items(self):
@@ -486,19 +467,16 @@ class TestEpochsMatchBatchedReference:
         ids=["repeats", "partial", "touched", "reg0-npp1", "reg0-npp4-partial"],
     )
     @pytest.mark.parametrize(
-        "loss_kind, epoch_fn, reference",
+        "epoch_fn, reference",
         [
-            ("bpr", bpr_epoch, reference_batched_bpr_epoch),
-            ("pointwise", pointwise_epoch, reference_batched_pointwise_epoch),
+            (bpr_epoch, reference_batched_bpr_epoch),
+            (pointwise_epoch, reference_batched_pointwise_epoch),
         ],
         ids=["bpr", "pointwise"],
     )
-    def test_three_epochs_bit_identical(self, loss_kind, epoch_fn, reference, batch_size, reg, npp):
+    def test_three_epochs_bit_identical(self, epoch_fn, reference, batch_size, reg, npp):
         ds = TestEpochsMatchReference.dataset()
-        cfg = TrainConfig(
-            lr=0.5, reg=reg, loss_kind=loss_kind, batch_size=batch_size,
-            negatives_per_positive=npp,
-        )
+        cfg = TrainConfig(lr=0.5, reg=reg, batch_size=batch_size, negatives_per_positive=npp)
         new = ref = MfParams(*(
             np.random.default_rng(32).normal(0, 0.3, shape)
             for shape in ((12, 19), (20, 19), (20,))
@@ -651,7 +629,7 @@ class TestAuc:
     def test_trained_beats_chance(self):
         ds = low_rank_dataset(60, 90, rank=2, per_user=20, noise=0.25, seed=5)
         p = init_params(60, 90, 8, seed=[5, 0])
-        cfg = TrainConfig(lr=0.15, reg=1e-4, loss_kind="bpr", batch_size=8)
+        cfg = TrainConfig(lr=0.15, reg=1e-4, batch_size=8)
         for e in range(12):
             p, _ = bpr_epoch(p, ds, cfg, np.random.default_rng([5, 1 + e]))
         assert auc(p, ds, "validation", np.random.default_rng([5, 99]), 30) > 0.7
