@@ -53,14 +53,19 @@ from calibrec.calibration import apply  # noqa: E402
 
 # a gamma fit shifts the scores positive itself and records the shift
 for kind in ("platt", "gaussian", "gamma", "histogram"):
-    cal = fit(kind, fit_samples)
+    cal = fit(kind, fit_samples).calibrator
     pairs = np.column_stack([np.atleast_1d(apply(cal, eval_scores)), eval_labels])
     print(f"{kind:>9}: ECE {ece(pairs):.4f}")
 
 # ----------------------------------------------------------------------
 # 4. reliability table for the platt map: confidence vs observed frequency
 
-cal = fit("platt", fit_samples)
+result = fit("platt", fit_samples)
+cal = result.calibrator
+print(
+    f"\nplatt fit: {result.stop} after {len(result.losses) - 1} Newton steps, "
+    f"gradient norm {result.grad_norm:.2e}"
+)
 pairs = np.column_stack([np.atleast_1d(apply(cal, eval_scores)), eval_labels])
 print("\nreliability (platt, 10 equal-width bins)")
 print("  bin            count  mean_p  frac_pos")
@@ -84,11 +89,12 @@ for floor in (0.1, 0.01):
         negatives_per_positive=4,
         propensity=propensity,
     )
-    cal_unbiased = fit("platt", weighted)
+    weighted_fit = fit("platt", weighted)
+    cal_unbiased = weighted_fit.calibrator
     print(
         f"\npropensity floor {floor}: theta in "
         f"[{propensity.min():.3f}, {propensity.max():.3f}], "
-        f"weighted platt a={cal_unbiased.a:.3f} b={cal_unbiased.b:.3f}"
+        f"weighted platt a={cal_unbiased.a:.3f} b={cal_unbiased.b:.3f} ({weighted_fit.stop})"
     )
 print(
     "\n(the weighted fit estimates calibration against *all* relevant items,\n"

@@ -23,11 +23,11 @@ from . import atomic, calibration, cli, dataset, distill, metrics, perk, ranker,
 from .calibration import (
     CalibrationSamples,
     Calibrator,
+    Fit,
     collect_calibration_samples,
     ece,
     estimate_propensity,
     gamma_shift,
-    gradient_norm,
     load_calibrator,
     reliability_table,
     save_calibrator,
@@ -47,7 +47,6 @@ from .perk import PerkConfig, PerkLists, perk_recommend_users, select_k, utility
 from .ranker import (
     MfParams,
     TrainConfig,
-    auc,
     bpr_epoch,
     init_params,
     load_checkpoint,

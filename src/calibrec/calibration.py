@@ -19,7 +19,7 @@ the logit, and its Hessian weights every sample by sigma(z)(1 - sigma(z))
 >= 0: it stays convex with negative weights too. What negative weights can
 do is make it unbounded below, for example when the positives' 1/theta sum
 to more than the sample count (the fit then stops at its iteration cap or a
-stalled line search and reports that it has not converged).
+stalled line search, and its ``Fit`` result says so).
 
 Diagnostics: expected calibration error and reliability tables over
 equal-width or equal-mass bins.
@@ -30,6 +30,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .atomic import atomic_open, write_json
@@ -38,9 +40,6 @@ from .ranker import MfParams, score_pairs, sigmoid
 
 CALIBRATOR_KINDS = ("platt", "gaussian", "gamma", "histogram")
 PARAMETRIC_KINDS = ("platt", "gaussian", "gamma")
-
-# clamp floor for probabilities entering logs
-_P_EPS = 1e-12
 
 # smallest shifted score the gamma map sees; gamma_shift guarantees the
 # fitted scores start here
@@ -143,14 +142,6 @@ def _weights(y: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y / theta, 1.0 - y / theta
 
 
-def nll(cal: Calibrator, samples: CalibrationSamples) -> float:
-    """Mean weighted negative log-likelihood of samples under a calibrator."""
-    s, y, theta = _samples_to_arrays(samples)
-    w_pos, w_neg = _weights(y, theta)
-    p = np.clip(np.atleast_1d(apply(cal, s)), _P_EPS, 1.0 - _P_EPS)
-    return float(np.mean(w_pos * -np.log(p) + w_neg * -np.log1p(-p)))
-
-
 def _objective(theta_vec, phi, w_pos, w_neg) -> float:
     z = phi @ theta_vec
     # -ln sigmoid(z) = softplus(-z);  -ln(1 - sigmoid(z)) = softplus(z)
@@ -173,7 +164,7 @@ def _free(kind: str, theta_vec, grad) -> np.ndarray:
     """Indices of the parameters a step may move.
 
     Platt fits (a, b) only, and holds a at its bound a = 0 while the
-    gradient pushes it further down; the stop rule and ``gradient_norm``
+    gradient pushes it further down; the stop rule and ``Fit.grad_norm``
     read the gradient on these indices alone.
     """
     if kind != "platt":
@@ -204,14 +195,30 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return -grad
 
 
+class Fit(NamedTuple):
+    """What ``fit`` returns: the calibrator and how its Newton loop ended.
+
+    ``losses`` holds the objective at the start and after each accepted
+    step, so ``len(losses) - 1`` steps were taken; ``grad_norm`` is the
+    gradient infinity-norm over the free parameters where the loop ended;
+    ``stop`` is "converged", "iteration_cap" or "stalled". A histogram fit
+    has no loop: its ``losses`` is empty, its ``grad_norm`` None and its
+    ``stop`` "converged".
+    """
+
+    calibrator: Calibrator
+    losses: np.ndarray
+    grad_norm: float | None
+    stop: str
+
+
 def fit(
     kind: str,
     samples: CalibrationSamples,
     max_iters: int = 1000,
     tol: float = 1e-8,
     num_bins: int = 15,
-    full_output: bool = False,
-):
+) -> Fit:
     """Fit a calibrator by inverse-propensity-weighted maximum likelihood.
 
     Parametric kinds run damped Newton on the kind's parameters, (a, b) for
@@ -225,26 +232,26 @@ def fit(
     onto it, and while a = 0 and the gradient pushes a below zero, a is
     held and the step moves b alone.
 
-    The fit stops when the gradient infinity-norm over the free parameters
-    drops below ``tol`` (converged), after ``max_iters`` accepted steps (the
-    iteration cap), or when the line search cannot move the parameters at
-    float precision (stalled). The histogram kind ignores the optimizer
-    settings and sets each of ``num_bins`` equal-mass bins to its weighted
-    positive fraction.
+    The loop ends "converged" once the gradient infinity-norm over the free
+    parameters is below ``tol``, checked before every step and once more
+    after the last allowed one; "iteration_cap" when ``max_iters`` accepted
+    steps leave it at or above ``tol``; and "stalled" when the line search
+    cannot move the parameters at float precision. The histogram kind
+    ignores the optimizer settings and sets each of ``num_bins`` equal-mass
+    bins to its weighted positive fraction.
 
     A gamma fit adds ``gamma_shift(samples.s)`` to every sample score, so
     the log feature sees positive scores, and records it as the returned
     calibrator's ``score_shift``; the other kinds record 0.
 
-    With ``full_output`` returns (calibrator, loss_trace) where the trace
-    holds the objective at the start and after every accepted step, so
-    ``len(trace) - 1`` is the number of Newton iterations taken.
-
-    Raises ValueError on one-class input, on fewer than one bin for
-    histogram, and if the objective is not finite at the start point.
+    Raises ValueError on one-class input, on a negative ``max_iters``, on
+    fewer than one bin for histogram, and if the objective is not finite at
+    the start point.
     """
     if kind not in CALIBRATOR_KINDS:
         raise ValueError(f"unknown calibrator kind {kind!r}")
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
     s, y, theta = _samples_to_arrays(samples)
     if not (np.any(y == 1) and np.any(y == 0)):
         raise ValueError("need at least one positive and one negative sample")
@@ -255,8 +262,7 @@ def fit(
     if kind == "histogram":
         if num_bins < 1:
             raise ValueError("num_bins must be >= 1")
-        cal = _fit_histogram(s, w_pos, num_bins)
-        return (cal, np.array([])) if full_output else cal
+        return Fit(_fit_histogram(s, w_pos, num_bins), np.array([]), None, "converged")
 
     phi = _features(kind, s)
     theta_vec = np.array([1.0, 0.0, 0.0]) if kind in ("platt", "gamma") else np.array([0.0, 1.0, 0.0])
@@ -264,13 +270,18 @@ def fit(
     loss = _objective(theta_vec, phi, w_pos, w_neg)
     if not math.isfinite(loss):
         raise ValueError("non-finite loss at iteration 0")
-    trace = [loss]
+    losses = [loss]
     armijo = 1e-4
 
-    for _ in range(max_iters):
+    stop = "iteration_cap"
+    for step_count in range(max_iters + 1):
         grad, hess = _derivatives(theta_vec, phi, w_pos, w_neg)
         free = _free(kind, theta_vec, grad)
-        if np.max(np.abs(grad[free])) < tol:
+        grad_norm = float(np.max(np.abs(grad[free])))
+        if grad_norm < tol:
+            stop = "converged"
+            break
+        if step_count == max_iters:
             break
         direction = np.zeros(3)
         direction[free] = _newton_direction(hess[np.ix_(free, free)], grad[free])
@@ -288,9 +299,10 @@ def fit(
                 break
             step *= 0.5
         if np.array_equal(cand, theta_vec):
-            break  # line search stalled: no descent at float precision
+            stop = "stalled"  # no descent at float precision
+            break
         theta_vec, loss = cand, cand_loss
-        trace.append(loss)
+        losses.append(loss)
 
     cal = Calibrator(
         kind=kind,
@@ -299,24 +311,7 @@ def fit(
         c=float(theta_vec[2]),
         score_shift=score_shift,
     )
-    return (cal, np.array(trace)) if full_output else cal
-
-
-def gradient_norm(cal: Calibrator, samples: CalibrationSamples) -> float:
-    """Infinity-norm of the fitting objective's gradient at a parametric calibrator.
-
-    The objective is the one ``fit`` minimizes, on the samples shifted by
-    ``cal.score_shift``, and the norm is over the parameters ``fit`` may
-    move there (platt's a is left out while it sits at its bound a = 0 with
-    the gradient pushing it below); ``fit`` stops once this drops below
-    ``tol``.
-    """
-    s, y, theta = _samples_to_arrays(samples)
-    w_pos, w_neg = _weights(y, theta)
-    phi = _features(cal.kind, s + cal.score_shift)
-    theta_vec = np.array([cal.a, cal.b, cal.c])
-    grad, _ = _derivatives(theta_vec, phi, w_pos, w_neg)
-    return float(np.max(np.abs(grad[_free(cal.kind, theta_vec, grad)])))
+    return Fit(cal, np.array(losses), grad_norm, stop)
 
 
 def _fit_histogram(s, w_pos, num_bins) -> Calibrator:
@@ -358,12 +353,12 @@ def estimate_propensity(item_popularity, tau: float = 0.5, theta_min: float = 0.
     return np.clip((pop / max_pop) ** tau, theta_min, 1.0)
 
 
-def _bin_rows(pairs, num_bins: int, scheme: str):
-    """Shared binning for ece / reliability_table.
+def reliability_table(pairs, num_bins: int = 15, scheme: str = "equal_width"):
+    """Reliability-diagram rows over ``num_bins`` bins of the predicted probabilities.
 
-    Returns a list of (lower, upper, count, mean_p, frac_pos) rows, one per
-    bin, empty bins included with count 0. Raises ValueError for fewer
-    than one bin, which would leave nothing to weigh.
+    Returns a list of (bin_lower, bin_upper, count, mean_p, frac_pos) rows,
+    one per bin, empty bins included with count 0. Raises ValueError for
+    fewer than one bin, which would leave nothing to weigh.
     """
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
@@ -406,14 +401,9 @@ def _bin_rows(pairs, num_bins: int, scheme: str):
     return rows
 
 
-def reliability_table(pairs, num_bins: int = 15, scheme: str = "equal_width"):
-    """Reliability-diagram rows: (bin_lower, bin_upper, count, mean_p, frac_pos)."""
-    return _bin_rows(pairs, num_bins, scheme)
-
-
 def ece(pairs, num_bins: int = 15, scheme: str = "equal_width") -> float:
     """Expected calibration error: bin-weighted |positive fraction - mean p|."""
-    rows = _bin_rows(pairs, num_bins, scheme)
+    rows = reliability_table(pairs, num_bins, scheme)
     n = sum(count for _, _, count, _, _ in rows)
     return float(
         sum(count / n * abs(frac_pos - mean_p) for _, _, count, mean_p, frac_pos in rows)

@@ -27,19 +27,17 @@ import numpy as np
 from . import calibration, metrics
 from .atomic import atomic_open, output_set, read_sidecar, write_json, write_with_sidecar
 from .calibration import (
-    PARAMETRIC_KINDS,
     apply as apply_calibrator,
     collect_calibration_samples,
     ece,
     estimate_propensity,
     fit,
-    gradient_norm,
     load_calibrator,
     reliability_table,
     save_calibrator,
     write_reliability_csv,
 )
-from .dataset import Csr, DataFormatError, Dataset, load_interactions, split_per_user
+from .dataset import SPLITS, Csr, DataFormatError, Dataset, load_interactions, split_per_user
 from .distill import BdConfig, cotrain_epoch
 from .perk import UTILITY_KINDS, PerkConfig, perk_recommend_users
 from .ranker import (
@@ -70,6 +68,13 @@ def _bool(text: str) -> bool:
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
+
+
+def _cutoff(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise ValueError(f"cutoff {k} is below 1")
+    return k
 
 
 def _distinct(parse_one):
@@ -157,7 +162,7 @@ CONFIG_SPEC = {
         int, PerkConfig().rest_pool, "extra candidates feeding the remaining-relevant count"
     ),
     "eval.split": (_choice("validation", "test"), "test", "split evaluated against"),
-    "eval.ks": (_distinct(int), (1, 5, 10, 20), "fixed cutoffs in evaluation reports"),
+    "eval.ks": (_distinct(_cutoff), (1, 5, 10, 20), "fixed cutoffs in evaluation reports"),
     "eval.metrics": (
         _distinct(_choice(*metrics.METRIC_NAMES)),
         metrics.METRIC_NAMES,
@@ -210,16 +215,11 @@ def load_config(path=None, overrides=()) -> dict:
 # ---------------------------------------------------------------------------
 # file helpers
 
-SPLIT_NAMES = ("train", "validation", "test")
 # stages read the splits from splits.bin; the splits.json header lists its
 # arrays, the user and item counts, and the SHA-256 of each text split, an
 # export of the same splits
 SPLITS_HEADER, SPLITS_SIDECAR = "splits.json", "splits.bin"
 SPLITS_FORMAT = "splits-v2"
-BUNDLE_FILES = (
-    "user_map.json", "item_map.json", *(f"{name}.txt" for name in SPLIT_NAMES),
-    SPLITS_HEADER, SPLITS_SIDECAR,
-)
 
 
 # json.dumps builds an encoder per call for any non-default option such as sort_keys
@@ -259,7 +259,7 @@ def _write_split(path, split: Csr, delimiter) -> str:
 def _write_splits(out: Path, dataset: Dataset, delimiter) -> None:
     """The three text splits, then the sidecar of their CSR arrays and its header."""
     digests, arrays = {}, {}
-    for name in SPLIT_NAMES:
+    for name in SPLITS:
         split = dataset.split(name)
         digests[f"{name}.txt"] = _write_split(out / f"{name}.txt", split, delimiter)
         arrays[f"{name}.indptr"] = np.ascontiguousarray(split.indptr, dtype="<i8")
@@ -312,12 +312,12 @@ def load_bundle(bundle_dir) -> Dataset:
     if not (all(_is_int(n) and n >= 0 for n in counts) and isinstance(header.get("sha256"), dict)):
         raise DataFormatError(f"{header_path}: user or item count or digests malformed")
     num_users, num_items = counts
-    for name in SPLIT_NAMES:
+    for name in SPLITS:
         text = header_path.with_name(f"{name}.txt")
         if header["sha256"].get(text.name) != _sha256(text.read_bytes()).hexdigest():
             raise DataFormatError(f"{text} differs from the split {SPLITS_HEADER} records; {rerun}")
 
-    names = [f"{name}.{part}" for name in SPLIT_NAMES for part in ("indptr", "indices")]
+    names = [f"{name}.{part}" for name in SPLITS for part in ("indptr", "indices")]
     try:
         arrays = read_sidecar(header_path, header, names, "splits")
     except FileNotFoundError as exc:
@@ -326,7 +326,7 @@ def load_bundle(bundle_dir) -> Dataset:
         raise DataFormatError(str(exc)) from None
     sidecar_path = header_path.with_name(header["sidecar"])
     splits = {}
-    for name in SPLIT_NAMES:
+    for name in SPLITS:
         indptr, indices = arrays[f"{name}.indptr"], arrays[f"{name}.indices"]
         if any(arr.dtype.str != "<i8" or arr.ndim != 1 for arr in (indptr, indices)):
             raise DataFormatError(f"{sidecar_path}: {name} arrays are not 1-D '<i8'")
@@ -485,6 +485,14 @@ def cmd_train(args, cfg) -> int:
 
     if args.resume:
         params, header = _load_model(args.resume, dataset)
+        for key, wanted, trained in (
+            ("train.loss", cfg["train.loss"], header.get("loss_kind")),
+            ("train.dim", cfg["train.dim"], params.dim),
+        ):
+            if wanted != trained:
+                raise ValueError(
+                    f"{key} is {wanted}, but checkpoint {args.resume} was trained with {trained}"
+                )
         start_epoch = header.get("epochs_trained", 0)
     else:
         params = init_params(
@@ -540,30 +548,21 @@ def cmd_calibrate(args, cfg) -> int:
 
     kind = cfg["calib.kind"]
     max_iters = cfg["calib.max_iters"]
-    cal, trace = fit(
+    cal, losses, grad_norm, stop = fit(
         kind,
         fit_samples,
         max_iters=max_iters,
         tol=cfg["calib.tol"],
         num_bins=cfg["calib.num_bins"],
-        full_output=True,
     )
-    # the trace holds the start loss plus one entry per accepted step
-    iterations = max(len(trace) - 1, 0)
-    if kind in PARAMETRIC_KINDS:
-        grad_norm = gradient_norm(cal, fit_samples)
-        converged = grad_norm < cfg["calib.tol"]
-    else:
-        grad_norm, converged = None, True
-    # a fit whose last allowed step lands below tol converged; the cap did not stop it
-    hit_iter_cap = iterations == max_iters and not converged
-    if not converged:
-        if hit_iter_cap:
-            stop = f"stopped at the iteration cap ({iterations}/{max_iters})"
+    iterations = max(len(losses) - 1, 0)
+    if stop != "converged":
+        if stop == "iteration_cap":
+            ended = f"stopped at the iteration cap ({iterations}/{max_iters})"
         else:
-            stop = f"stalled in its line search after {iterations}/{max_iters} iterations"
+            ended = f"stalled in its line search after {iterations}/{max_iters} iterations"
         print(
-            f"calibrec: warning: {kind} fit {stop} before the gradient fell below "
+            f"calibrec: warning: {kind} fit {ended} before the gradient fell below "
             f"calib.tol (gradient norm {grad_norm:.3g})",
             file=sys.stderr,
         )
@@ -591,9 +590,9 @@ def cmd_calibrate(args, cfg) -> int:
             "ece_raw": ece_raw,
             "ece_calibrated": ece_cal,
             "iterations": iterations,
-            "hit_iter_cap": hit_iter_cap,
+            "hit_iter_cap": stop == "iteration_cap",
             "grad_norm": grad_norm,
-            "converged": converged,
+            "converged": stop == "converged",
             "num_bins": num_bins,
             "scheme": scheme,
         },

@@ -428,40 +428,6 @@ def top_k(params: MfParams, users, k: int, exclude: Csr | None = None) -> np.nda
     return out
 
 
-def auc(
-    params: MfParams,
-    dataset: Dataset,
-    split: str,
-    rng: np.random.Generator,
-    pairs_per_user: int = 50,
-) -> float:
-    """Monte Carlo pairwise ranking accuracy on a held-out split.
-
-    Per user with split items, samples ``pairs_per_user`` (positive,
-    negative) pairs, the negative drawn uniformly outside train and the
-    split; a pair scores 1 if the positive ranks higher, 0.5 on a tie.
-    Returns the per-user mean averaged over users. Users whose train and
-    split rows cover every item are skipped.
-    """
-    held = dataset.split(split)
-    sizes = held.sizes()
-    users = np.flatnonzero(
-        (sizes > 0) & (dataset.train.sizes() + sizes < dataset.num_items)
-    )
-    if not users.size:
-        raise ValueError(f"split {split!r} is empty for every user")
-    picks = rng.integers(0, np.repeat(sizes[users], pairs_per_user))
-    positives = held.indices[np.repeat(held.indptr[users], pairs_per_user) + picks]
-    positives = positives.reshape(len(users), pairs_per_user)
-    negatives = sample_negatives(dataset, users, pairs_per_user, rng, exclude=("train", split))
-    s_pos, s_neg = (
-        score_pairs(params, np.repeat(users, pairs_per_user), picked).reshape(picked.shape)
-        for picked in (positives, negatives)
-    )
-    per_user = np.mean((s_pos > s_neg) + 0.5 * (s_pos == s_neg), axis=1)
-    return float(np.mean(per_user))
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint format: <base>.json header + <base>.bin sidecar holding flat
 # row-major little-endian float32 arrays (user_emb, item_emb, item_bias).
@@ -513,9 +479,10 @@ def load_checkpoint(base_path) -> tuple[MfParams, dict]:
 
     Raises ValueError, naming the checkpoint's file, when the header lacks a
     key the format requires, when the sidecar's length differs from the one
-    the header lists, when a value is not finite, or when the arrays' shapes
-    disagree: embeddings that are not 2-D or differ in dimension, or an
-    ``item_bias`` that is not one entry per item row.
+    the header lists, when a value is not finite, when the arrays' shapes
+    disagree (embeddings that are not 2-D or differ in dimension, or an
+    ``item_bias`` that is not one entry per item row), or when the header's
+    ``num_users``, ``num_items`` or ``dim`` differs from the arrays'.
     """
     base = Path(base_path)
     header_path = base if base.suffix == ".json" else base.with_name(base.name + ".json")
@@ -532,4 +499,10 @@ def load_checkpoint(base_path) -> tuple[MfParams, dict]:
             f"checkpoint {header_path}: array shapes disagree: user_emb {users}, "
             f"item_emb {items}, item_bias {bias}"
         )
+    for key, size in (("num_users", users[0]), ("num_items", items[0]), ("dim", users[1])):
+        if header.get(key) != size:
+            raise ValueError(
+                f"checkpoint {header_path}: header {key} {header.get(key)!r} "
+                f"disagrees with the arrays' {size}"
+            )
     return params, header

@@ -11,8 +11,9 @@ per-epoch buffers replaced, the line-by-line interaction loader that the byte-ar
 replaced, a line-by-line parse of the text splits that the splits
 sidecar must equal, the synthetic generator's full sort of each user's scores and
 its line-at-a-time CSV writer, the scalar one-list ranking metrics that
-``metrics.evaluate`` batches, and a general-purpose quasi-Newton minimizer
-for calibrator fits. Nothing imports the code paths it verifies; the reference epochs
+``metrics.evaluate`` batches, a general-purpose quasi-Newton minimizer
+for calibrator fits and the weighted log-likelihood those fits minimize, and
+a Monte Carlo ranking AUC of a trained model. Nothing imports the code paths it verifies; the reference epochs
 draw their negatives with the library's sampler so that they use the same
 random stream, and the batched ones share the library's scatters, which
 they do not verify.
@@ -22,6 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from calibrec.calibration import apply
 from calibrec.dataset import DataFormatError, Dataset, IdMaps, sample_negatives
 from calibrec.ranker import (
     MfParams,
@@ -29,6 +31,7 @@ from calibrec.ranker import (
     _epoch_tables,
     _scatter_add,
     _scatter_rows,
+    score_pairs,
     sigmoid,
 )
 
@@ -348,6 +351,20 @@ def relative_error(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def nll(cal, samples):
+    """Mean inverse-propensity-weighted negative log-likelihood of samples under a calibrator.
+
+    A sample with label y and propensity theta weighs -ln p by y/theta and
+    -ln(1 - p) by 1 - y/theta, with p = ``apply(cal, s)`` clamped to
+    [1e-12, 1 - 1e-12]: the objective ``calibration.fit`` minimizes, read
+    through the fitted map rather than the fit's feature matrix.
+    """
+    s, y, theta = (np.asarray(a, dtype=float) for a in (samples.s, samples.y, samples.theta))
+    w_pos = y / theta
+    p = np.clip(np.atleast_1d(apply(cal, s)), 1e-12, 1.0 - 1e-12)
+    return float(np.mean(w_pos * -np.log(p) + (1.0 - w_pos) * -np.log1p(-p)))
+
+
 def reference_fit(kind, objective, gradient, start):
     """Minimize a calibrator objective over (a, b, c) with scipy; returns (params, value).
 
@@ -373,6 +390,32 @@ def reference_fit(kind, objective, gradient, start):
     else:
         res = minimize(fun, x0, jac=jac, method="BFGS", options={"gtol": 1e-11, "maxiter": 20_000})
     return full(res.x), float(res.fun)
+
+
+def auc(params: MfParams, dataset: Dataset, split: str, rng, pairs_per_user: int = 50) -> float:
+    """Monte Carlo pairwise ranking accuracy on a held-out split.
+
+    Per user with split items, samples ``pairs_per_user`` (positive,
+    negative) pairs, the negative drawn uniformly outside train and the
+    split; a pair scores 1 if the positive ranks higher, 0.5 on a tie.
+    Returns the per-user mean averaged over users. Users whose train and
+    split rows cover every item are skipped.
+    """
+    held = dataset.split(split)
+    sizes = held.sizes()
+    users = np.flatnonzero((sizes > 0) & (dataset.train.sizes() + sizes < dataset.num_items))
+    if not users.size:
+        raise ValueError(f"split {split!r} is empty for every user")
+    picks = rng.integers(0, np.repeat(sizes[users], pairs_per_user))
+    positives = held.indices[np.repeat(held.indptr[users], pairs_per_user) + picks]
+    positives = positives.reshape(len(users), pairs_per_user)
+    negatives = sample_negatives(dataset, users, pairs_per_user, rng, exclude=("train", split))
+    s_pos, s_neg = (
+        score_pairs(params, np.repeat(users, pairs_per_user), picked).reshape(picked.shape)
+        for picked in (positives, negatives)
+    )
+    per_user = np.mean((s_pos > s_neg) + 0.5 * (s_pos == s_neg), axis=1)
+    return float(np.mean(per_user))
 
 
 def reference_bpr_epoch(params, dataset, cfg, rng):

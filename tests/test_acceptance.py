@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from calibrec.calibration import CalibrationSamples, Calibrator, ece, fit, nll
+from calibrec.calibration import CalibrationSamples, Calibrator, ece, fit
 from calibrec.cli import main as cli_main
 from calibrec.distill import BdConfig, bd_loss, bd_score_grads, cotrain_epoch, top_t_weights
 from calibrec.perk import _pb_rows, select_k, utility_curves
 from calibrec.ranker import (
     MfParams,
     TrainConfig,
-    auc,
     bpr_epoch,
     init_params,
     pointwise_epoch,
@@ -26,7 +25,14 @@ from calibrec.ranker import (
 from calibrec.synthetic import low_rank_dataset, low_rank_interactions, write_interactions_csv
 
 from conftest import make_dataset, read_jsonl
-from oracles import brute_force_pb, finite_difference_grad, mc_all_utilities, relative_error
+from oracles import (
+    auc,
+    brute_force_pb,
+    finite_difference_grad,
+    mc_all_utilities,
+    nll,
+    relative_error,
+)
 
 
 def criterion(number, name, limit_s):
@@ -170,7 +176,7 @@ def test_c04_calibrator_recovery():
     n = 100_000
     s = rng.uniform(-3, 3, n)
     y = (rng.random(n) < expit(2.0 * s - 1.0)).astype(int)
-    cal = fit("platt", samples(s, y))
+    cal = fit("platt", samples(s, y)).calibrator
     assert abs(cal.a - 2.0) <= 0.1
     assert abs(cal.b - (-1.0)) <= 0.1
 
@@ -178,7 +184,7 @@ def test_c04_calibrator_recovery():
     s2 = np.concatenate([rng.normal(1, 1, half), rng.normal(-1, 1, half)])
     y2 = np.concatenate([np.ones(half, int), np.zeros(half, int)])
     mixture = samples(s2, y2)
-    fitted = nll(fit("gaussian", mixture), mixture)
+    fitted = nll(fit("gaussian", mixture).calibrator, mixture)
     bayes = nll(Calibrator("platt", a=2.0, b=0.0), mixture)  # analytic posterior sigmoid(2s)
     assert abs(fitted - bayes) <= 0.01 * bayes
 
@@ -189,7 +195,7 @@ def test_c05_unbiased_risk():
     s = rng.uniform(-2, 2, 5000)
     y = (rng.random(5000) < expit(s)).astype(int)
     unit = samples(s, y, np.ones(len(s)))
-    cal, trace = fit("platt", unit, full_output=True)
+    cal, trace, _, _ = fit("platt", unit)
 
     # at unit theta the weights reduce to the labels: the plain log-likelihood
     def label_weighted(a, b):

@@ -15,9 +15,7 @@ from calibrec.calibration import (
     estimate_propensity,
     fit,
     gamma_shift,
-    gradient_norm,
     load_calibrator,
-    nll,
     reliability_table,
     save_calibrator,
     write_reliability_csv,
@@ -25,7 +23,7 @@ from calibrec.calibration import (
 from calibrec.ranker import init_params, score_items
 
 from conftest import make_dataset, read_reliability_csv
-from oracles import finite_difference_grad, reference_fit
+from oracles import finite_difference_grad, nll, reference_fit
 
 
 def make_samples(s, y, theta=None):
@@ -108,7 +106,7 @@ class TestFit:
     def test_platt_recovery(self):
         rng = np.random.default_rng(21)
         _, _, samples = bernoulli_samples(lambda s: expit(2 * s - 1), 30_000, rng)
-        cal = fit("platt", samples)
+        cal = fit("platt", samples).calibrator
         assert cal.a == pytest.approx(2.0, abs=0.15)
         assert cal.b == pytest.approx(-1.0, abs=0.15)
 
@@ -117,7 +115,7 @@ class TestFit:
         # bit for bit, so the fit's losses are the label-weighted objective's
         rng = np.random.default_rng(3)
         s, y, samples = bernoulli_samples(lambda s: expit(s), 5000, rng)
-        cal, trace = fit("platt", samples, full_output=True)
+        cal, trace, _, _ = fit("platt", samples)
         phi = _features("platt", s)
         y = y.astype(float)
         assert trace[0] == _objective(np.array([1.0, 0.0, 0.0]), phi, y, 1.0 - y)
@@ -130,7 +128,7 @@ class TestFit:
         s = np.concatenate([rng.normal(1, 1, n), rng.normal(-1, 1, n)])
         y = np.concatenate([np.ones(n), np.zeros(n)])
         samples = make_samples(s, y)
-        cal = fit("gaussian", samples)
+        cal = fit("gaussian", samples).calibrator
         fitted = nll(cal, samples)
         bayes = nll(Calibrator("platt", a=2.0, b=0.0), samples)
         assert fitted <= bayes * 1.01
@@ -139,14 +137,13 @@ class TestFit:
         rng = np.random.default_rng(8)
         _, _, samples = bernoulli_samples(lambda s: expit(0.5 * s + 1), 2000, rng)
         for kind in ("platt", "gaussian"):
-            _, trace = fit(kind, samples, full_output=True)
-            assert np.all(np.diff(trace) <= 0)
+            assert np.all(np.diff(fit(kind, samples).losses) <= 0)
 
     def test_gamma_fit_runs_on_shifted_scores(self):
         rng = np.random.default_rng(13)
         s = rng.uniform(-2, 2, 4000)
         y = (rng.random(4000) < expit(1.5 * s)).astype(int)
-        cal, trace = fit("gamma", make_samples(s, y), full_output=True)
+        cal, trace, _, _ = fit("gamma", make_samples(s, y))
         assert cal.score_shift == gamma_shift(s)
         assert np.all(np.diff(trace) <= 0)
         probs = apply(cal, s)
@@ -155,21 +152,25 @@ class TestFit:
     def test_gamma_fit_records_gamma_shift(self):
         # nonpositive scores: the gamma fit shifts them positive itself
         samples = make_samples([-1.0, 1.0], [0, 1])
-        cal = fit("gamma", samples)
+        cal = fit("gamma", samples).calibrator
         assert cal.score_shift == gamma_shift([-1.0, 1.0])
-        assert fit("platt", samples).score_shift == 0.0
+        assert fit("platt", samples).calibrator.score_shift == 0.0
 
     def test_one_class_rejected(self):
         samples = make_samples([0.1, 0.2], [1, 1])
         with pytest.raises(ValueError):
             fit("platt", samples)
 
+    def test_negative_iteration_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_iters must be >= 0"):
+            fit("platt", make_samples([0.0, 1.0], [0, 1]), max_iters=-1)
+
     def test_platt_slope_never_negative(self):
         # anti-correlated labels would pull a below zero; projection holds it at 0
         rng = np.random.default_rng(2)
         s = rng.uniform(-2, 2, 3000)
         y = (rng.random(3000) < expit(-2 * s)).astype(int)
-        cal = fit("platt", make_samples(s, y))
+        cal = fit("platt", make_samples(s, y)).calibrator
         assert cal.a >= 0.0
 
     def test_non_finite_loss_reported(self):
@@ -180,7 +181,7 @@ class TestFit:
     def test_histogram_values_are_bin_positive_fractions(self):
         s = np.arange(30, dtype=float)
         y = np.array([1] * 10 + [0] * 20)
-        cal = fit("histogram", make_samples(s, y), num_bins=3)
+        cal = fit("histogram", make_samples(s, y), num_bins=3).calibrator
         assert [v for _, v in cal.bins] == [1.0, 0.0, 0.0]
         assert apply(cal, 3.0) == 1.0
         assert apply(cal, 29.0) == 0.0
@@ -194,7 +195,7 @@ class TestFit:
         # two samples at the same score, one positive with theta=0.5: the
         # weighted positive fraction in one histogram bin is 1/0.5 / 2 = 1.0
         samples = make_samples([0.0, 0.0], [1, 0], [0.5, 1.0])
-        cal = fit("histogram", samples, num_bins=1)
+        cal = fit("histogram", samples, num_bins=1).calibrator
         assert cal.bins[0][1] == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
@@ -206,10 +207,6 @@ class TestFit:
         samples = make_samples([0.0, 1.0], y, theta)
         with pytest.raises(ValueError, match=match):
             fit("platt", samples)
-        with pytest.raises(ValueError, match=match):
-            nll(Calibrator("platt", a=1.0), samples)
-        with pytest.raises(ValueError, match=match):
-            gradient_norm(Calibrator("platt", a=1.0), samples)
 
 
 class TestObjectiveShape:
@@ -239,11 +236,11 @@ class TestObjectiveShape:
         samples = CalibrationSamples(s, y, np.where(y == 1, 0.05, 1.0))
         objective, _ = fit_objective(kind, samples)
         assert objective([0.0, 50.0, 50.0]) < objective([0.0, 5.0, 5.0]) - 100
-        cal, trace = fit(kind, samples, max_iters=200, full_output=True)
+        cal, trace, grad_norm, stop = fit(kind, samples, max_iters=200)
         assert np.all(np.isfinite([cal.a, cal.b, cal.c]))
         assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= 0)
         assert len(trace) - 1 <= 200
-        assert gradient_norm(cal, samples) >= 1e-8
+        assert grad_norm >= 1e-8 and stop in ("iteration_cap", "stalled")
 
 
 class TestFitMatchesOracle:
@@ -257,13 +254,14 @@ class TestFitMatchesOracle:
         theta = rng.uniform(0.4, 1.0, n) if weighted else np.ones(n)
         samples = CalibrationSamples(s, y, theta)
         shift = gamma_shift(s) if kind == "gamma" else 0.0
-        cal, trace = fit(kind, samples, full_output=True)
+        result = fit(kind, samples)
+        cal, trace = result.calibrator, result.losses
         assert cal.score_shift == shift
         objective, gradient = fit_objective(kind, samples, shift)
         start = [0.0, 1.0, 0.0] if kind == "gaussian" else [1.0, 0.0, 0.0]
         _, best = reference_fit(kind, objective, gradient, start)
         assert objective([cal.a, cal.b, cal.c]) <= best + 1e-10
-        assert gradient_norm(cal, samples) < 1e-8
+        assert_converged(result, samples)
         assert np.all(np.diff(trace) <= 0)
         assert len(trace) - 1 <= 30
 
@@ -274,13 +272,15 @@ class TestFitMatchesOracle:
         s = rng.uniform(-2, 2, 3000)
         y = (rng.random(3000) < expit(-2 * s)).astype(int)
         samples = CalibrationSamples(s, y, np.ones(3000))
-        cal = fit("platt", samples)
+        result = fit("platt", samples)
+        cal = result.calibrator
         objective, gradient = fit_objective("platt", samples)
         params, best = reference_fit("platt", objective, gradient, [1.0, 0.0, 0.0])
         assert params[0] == 0.0 and gradient([0.0, params[1], 0.0])[0] > 0
         assert cal.a == 0.0
         assert objective([cal.a, cal.b, cal.c]) <= best + 1e-10
-        assert gradient_norm(cal, samples) < 1e-8
+        # a is held at its bound, so only b must be stationary
+        assert_converged(result, samples, coords=[1])
 
     @pytest.mark.parametrize("kind", ["platt", "gaussian"])
     def test_singular_hessian_still_takes_newton_steps(self, kind):
@@ -288,9 +288,10 @@ class TestFitMatchesOracle:
         # Hessian is singular and the solve needs its ridge
         samples = CalibrationSamples(np.full(100, 3.0), np.array([1] * 30 + [0] * 70),
                                      np.ones(100))
-        cal, trace = fit(kind, samples, full_output=True)
-        assert len(trace) - 1 <= 10
-        assert gradient_norm(cal, samples) < 1e-8
+        result = fit(kind, samples)
+        cal = result.calibrator
+        assert len(result.losses) - 1 <= 10
+        assert_converged(result, samples)
         assert apply(cal, 3.0) == pytest.approx(0.3, abs=1e-9)
 
     def test_gaussian_with_strongly_negative_curvature(self):
@@ -300,47 +301,79 @@ class TestFitMatchesOracle:
         s = rng.normal(0.0, 1.0, 3000)
         y = (rng.random(3000) < expit(2 - 40 * s * s)).astype(int)
         samples = CalibrationSamples(s, y, np.ones(3000))
-        cal = fit("gaussian", samples)
+        result = fit("gaussian", samples)
+        cal = result.calibrator
         objective, gradient = fit_objective("gaussian", samples)
         params, best = reference_fit("gaussian", objective, gradient, [0.0, 1.0, 0.0])
         assert params[0] < -30
         assert objective([cal.a, cal.b, cal.c]) <= best + 1e-10
         assert cal.a == pytest.approx(params[0], rel=1e-4)
-        assert gradient_norm(cal, samples) < 1e-8
+        assert_converged(result, samples)
 
 
 class TestGradientNorm:
+    """``Fit.grad_norm`` against finite differences of the oracle's ``nll``."""
+
     @pytest.mark.parametrize(
         "kind,weighted", [("platt", False), ("gaussian", True), ("gamma", False)]
     )
     def test_matches_finite_differences(self, kind, weighted):
+        # no step allowed: the loop ends at its start point
         rng = np.random.default_rng(61)
         s = rng.uniform(0.5, 3.0, 400)
         y = (rng.random(400) < expit(s - 1.5)).astype(int)
         theta = rng.uniform(0.3, 1.0, 400)
         samples = make_samples(s, y, theta if weighted else np.ones(400))
-        cal = Calibrator(kind, a=0.4, b=-0.3, c=0.2, score_shift=0.1)
-
-        def objective(theta):
-            return nll(Calibrator(kind, *theta, score_shift=0.1), samples)
-
-        numeric = finite_difference_grad(objective, np.array([0.4, -0.3, 0.2]))
-        expected = max(abs(g) for g in numeric.values())
-        assert gradient_norm(cal, samples) == pytest.approx(expected, rel=1e-6)
+        result = fit(kind, samples, max_iters=0)
+        start = [0.0, 1.0, 0.0] if kind == "gaussian" else [1.0, 0.0, 0.0]
+        cal = result.calibrator
+        assert [cal.a, cal.b, cal.c] == start and result.stop == "iteration_cap"
+        assert result.losses.tolist() == [pytest.approx(nll(cal, samples), rel=1e-12)]
+        assert result.grad_norm == pytest.approx(oracle_grad_norm(cal, samples), rel=1e-6)
 
     def test_below_tol_when_fit_stops_early(self):
         rng = np.random.default_rng(62)
         s, y, samples = bernoulli_samples(lambda x: expit(1.5 * x - 0.5), 2000, rng)
-        cal, trace = fit("platt", samples, tol=1e-6, full_output=True)
-        assert len(trace) - 1 < 1000
-        assert gradient_norm(cal, samples) < 1e-6
+        result = fit("platt", samples, tol=1e-6)
+        assert len(result.losses) - 1 < 1000
+        assert_converged(result, samples, tol=1e-6)
         capped = fit("platt", samples, max_iters=1, tol=1e-6)
-        assert gradient_norm(capped, samples) >= 1e-6
+        assert capped.stop == "iteration_cap" and capped.grad_norm >= 1e-6
+        oracle = oracle_grad_norm(capped.calibrator, samples)
+        assert capped.grad_norm == pytest.approx(oracle, rel=1e-6)
+
+    def test_last_allowed_step_converging_is_not_capped(self):
+        rng = np.random.default_rng(63)
+        _, _, samples = bernoulli_samples(lambda x: expit(x + 0.5), 1000, rng)
+        full = fit("gaussian", samples)
+        steps = len(full.losses) - 1
+        exact = fit("gaussian", samples, max_iters=steps)
+        assert exact.stop == "converged" and exact.calibrator == full.calibrator
+        assert fit("gaussian", samples, max_iters=steps - 1).stop == "iteration_cap"
+        # with tol 0 no gradient is small enough; this gamma fit's line search stalls
+        stalled = fit("gamma", samples, tol=0.0)
+        assert stalled.stop == "stalled" and len(stalled.losses) - 1 < 1000
 
     def test_histogram_has_no_gradient(self):
-        with pytest.raises(ValueError):
-            gradient_norm(Calibrator("histogram", bins=[(1.0, 0.5)]),
-                          make_samples([0.0, 1.0], [0, 1]))
+        result = fit("histogram", make_samples([0.0, 1.0], [0, 1]))
+        assert result.grad_norm is None and result.stop == "converged"
+        assert result.losses.size == 0
+
+
+def oracle_grad_norm(cal, samples, coords=None):
+    """Infinity-norm of the finite-difference gradient of the oracle ``nll`` at ``cal``."""
+
+    def objective(x):
+        return nll(Calibrator(cal.kind, *x, score_shift=cal.score_shift), samples)
+
+    numeric = finite_difference_grad(objective, [cal.a, cal.b, cal.c], coords=coords)
+    return max(abs(g) for g in numeric.values())
+
+
+def assert_converged(result, samples, tol=1e-8, coords=None):
+    """The fit reports convergence, and the oracle ``nll`` is flat there too."""
+    assert result.stop == "converged" and result.grad_norm < tol
+    assert oracle_grad_norm(result.calibrator, samples, coords) < 1e-6
 
 
 class TestMonotonePreservesRanking:

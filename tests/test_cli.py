@@ -18,14 +18,14 @@ from calibrec.calibration import (
     save_calibrator,
 )
 from calibrec.cli import (
-    BUNDLE_FILES,
-    SPLIT_NAMES,
+    SPLITS_HEADER,
+    SPLITS_SIDECAR,
     config_reference,
     load_bundle,
     load_recommendations,
     main,
 )
-from calibrec.dataset import Csr, Dataset
+from calibrec.dataset import SPLITS, Csr, Dataset
 from calibrec.perk import select_k
 from calibrec.ranker import (
     MfParams,
@@ -45,6 +45,13 @@ from oracles import reference_read_split
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# every file ingest writes to a bundle
+BUNDLE_FILES = (
+    "user_map.json", "item_map.json", *(f"{name}.txt" for name in SPLITS),
+    SPLITS_HEADER, SPLITS_SIDECAR,
+)
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +300,7 @@ class TestSplitsSidecar:
         if case in ("default", "seed7"):
             # reference_input's users with two or three rows have empty validation rows
             assert np.any(dataset.validation.sizes() == 0)
-        for name in SPLIT_NAMES:
+        for name in SPLITS:
             indptr, indices = reference_read_split(bundle / f"{name}.txt", delimiter, num_users)
             split = dataset.split(name)
             assert split.indptr.dtype == split.indices.dtype == np.int64
@@ -424,6 +431,7 @@ class TestConfig:
     @pytest.mark.parametrize("setting, problem", [
         ("eval.ks=", "expected at least one entry"),
         ("eval.ks=5,5", "an entry repeats"),
+        ("eval.ks=0,5", "cutoff 0 is below 1"),
         ("eval.metrics=", "expected at least one entry"),
         ("eval.metrics=recall,recall", "an entry repeats"),
         ("eval.metrics=recall,hits", "expected one of"),
@@ -537,6 +545,27 @@ class TestTrain:
         assert sorted(resumed) == sorted(full) == list(range(6))
         for epoch, loss in resumed.items():
             assert loss == pytest.approx(full[epoch], abs=1e-6)
+
+
+    @pytest.mark.parametrize("settings, named", [
+        (("train.loss=bpr", "train.dim=16"), ("train.loss is bpr", "with pointwise")),
+        (("train.loss=bpr", "train.dim=8"), ("train.loss is bpr", "with pointwise")),
+        (("train.loss=pointwise", "train.dim=16"), ("train.dim is 16", "with 8")),
+    ], ids=["both", "loss", "dim"])
+    def test_resume_rejects_other_loss_or_dim(self, workspace, tmp_path, capsys, settings,
+                                              named):
+        assert run("train", "--data", workspace / "bundle", "--out", tmp_path / "ck",
+                   "--set", "train.loss=pointwise", "--set", "train.dim=8",
+                   "--set", "train.epochs=2") == 0
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert run("train", "--data", workspace / "bundle", "--out", tmp_path / "more",
+                   "--resume", tmp_path / "ck", "--log", tmp_path / "ck_log.jsonl",
+                   "--set", "train.epochs=4", *(f"--set={s}" for s in settings)) == 2
+        out, err = capsys.readouterr()
+        assert all(text in err for text in named) and str(tmp_path / "ck") in err
+        assert "epoch" not in out
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
 
 class TestCheckpointMatchesBundle:
@@ -705,7 +734,59 @@ class TestAtomicLogs:
         assert not (tmp_path / "per_user.csv.partial").exists()
 
 
+# SHA-256 of calibrate's three outputs on the workspace bundle and checkpoint, per
+# setting; taken before fit returned a Fit, and every case must stay byte-identical
+REFERENCE_CALIBRATIONS = {
+    "platt": ((), {
+        "calibrator.json": "e9640b058fe3ad90683e4dc7e9c49694dd4ca20ff1475e3320b5a634cf89909d",
+        "reliability.csv": "1b699ad57b666cc7f19b63624ab5e41a624294fdcef0fe2c65faefe438144c5f",
+        "calibration_report.json": "dd06ee92f31d4444bef4661da2a8a6df5864338bdd00efb8cb933966c4678089",
+    }),
+    "gaussian": (("calib.kind=gaussian",), {
+        "calibrator.json": "5d7b406a3aa64fe95750b92f38c4c20110834ad995bae43204cd68d6d913e67c",
+        "reliability.csv": "e83b9220109abe49135e73d4e789e1dd2ffa8b5e471b162245ebb0214fff2444",
+        "calibration_report.json": "3bdb28e54e8ddb288e0ff2043ebf5112cb58776f03f17b8e98b1e4d3a4728af7",
+    }),
+    "gamma": (("calib.kind=gamma",), {
+        "calibrator.json": "08abe9b98ac2360f3fe5d8e2fbec9d5c2c6ccd4ebf22399d9856bcf77f8e8d68",
+        "reliability.csv": "e944b8c16ae9e831a7a165772fd14564982794eebe9d877ee20d5f22b45a4a2c",
+        "calibration_report.json": "4a5d44c95ced24d2c6befd244b96fe9c3d1a163033d294ceb07c381666820777",
+    }),
+    "histogram": (("calib.kind=histogram",), {
+        "calibrator.json": "cb673502509f6315c7c6530cf0c975bff4e3777ac8f33fcdd940a4044c9c411c",
+        "reliability.csv": "f7ff0425586e9b9bf76ed2bf818fa1f3b210130cb6f3d5c5f179d80710b0775b",
+        "calibration_report.json": "3865b9f702acadecb497358d05064cae93a285c36d1ca168e7ef81bfd2a7d75f",
+    }),
+    "capped": (("calib.max_iters=2",), {
+        "calibrator.json": "a857613c026082a87ad8db030f6a301cf39be1a945a77b3e04a58ad78a5bfe3b",
+        "reliability.csv": "d30656fcdd57737f72bc5fce4d0a3f351334705d71a0a54771512d477c6d4f03",
+        "calibration_report.json": "d4189a2d308763e3e577801580e536bf701f4a3fb22330b5ec001f1efa868720",
+    }),
+    "stalled": (("calib.tol=0",), {
+        "calibrator.json": "51483e3d1209a81300af34be05cb18aa710f2b06a6012dab56ebabd007a56c42",
+        "reliability.csv": "83c0087a3ef522e8d5ddc65aa7379bffc706d69a1f26e4ce689e779473bb5e2d",
+        "calibration_report.json": "b1e9d988db6fc22701dbc5b032cfdd0a872d4eab5d2061ccf616fefbeea08134",
+    }),
+    "unbiased-gaussian": (("calib.kind=gaussian", "calib.unbiased=true"), {
+        "calibrator.json": "9dbcf753cd5c8ccbb6336a941969bba3c356cd88613d623a70496f605b9e86c3",
+        "reliability.csv": "c83f8e13b36fa0e17504c1c49a0f4b90a2fbf3f791dabff741255ec92ef4062f",
+        "calibration_report.json": "e0e0dfa41031f216c77953ac5cd84e5e295c8312e79bec91690bbc072888dca4",
+    }),
+}
+
+
 class TestCalibrate:
+    @pytest.mark.parametrize("case", list(REFERENCE_CALIBRATIONS))
+    def test_output_bytes_match_reference(self, workspace, tmp_path, case):
+        settings, expected = REFERENCE_CALIBRATIONS[case]
+        assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "calib", *(f"--set={s}" for s in settings)) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / "calib" / name).read_bytes()).hexdigest()
+            for name in expected
+        }
+        assert digests == expected
+
     def test_report_counts_iterations(self, workspace, tmp_path, capsys):
         report = json.loads((workspace / "calib" / "calibration_report.json").read_text())
         assert report["iterations"] >= 1

@@ -10,7 +10,6 @@ from calibrec.dataset import Csr
 from calibrec.ranker import (
     MfParams,
     TrainConfig,
-    auc,
     bpr_epoch,
     init_params,
     load_checkpoint,
@@ -25,6 +24,7 @@ from calibrec.synthetic import low_rank_dataset
 
 from conftest import make_dataset
 from oracles import (
+    auc,
     finite_difference_grad,
     full_sort_ranking,
     reference_batched_bpr_epoch,
@@ -681,6 +681,15 @@ class TestCheckpoint:
             del header["arrays"]["item_bias"][drop]
         header_path.write_text(json.dumps(header))
         with pytest.raises(ValueError, match=f"checkpoint header.*{drop}"):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("key, value", [("num_users", 7), ("num_items", 4), ("dim", 99)])
+    def test_header_counts_must_match_arrays(self, tmp_path, key, value):
+        header_path, _ = save_checkpoint(init_params(3, 5, 2, seed=1), tmp_path / "ck")
+        header = json.loads(header_path.read_text())
+        header[key] = value
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=f"checkpoint .*ck.json: header {key} {value} "):
             load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize("key, value", [("dtype", "nope"), ("shape", [7, 2]), ("offset", -4)])
