@@ -226,8 +226,9 @@ def fit(
     platt/gamma and (0,1,0) for gaussian. Each iteration solves H d = -g
     (Cholesky, with a Levenberg ridge when H is singular or ill-conditioned,
     and -g as the last resort) and halves the step from 1 until it meets
-    the Armijo condition, so accepted steps never increase the objective; a
-    step whose objective is not finite counts as too long. Platt keeps
+    the Armijo condition with an objective lower at float precision, so
+    every accepted step lowers it; a step whose objective is not finite
+    counts as too long. Platt keeps
     a >= 0 as an active set: a step that would cross the bound is clipped
     onto it, and while a = 0 and the gradient pushes a below zero, a is
     held and the step moves b alone.
@@ -235,8 +236,8 @@ def fit(
     The loop ends "converged" once the gradient infinity-norm over the free
     parameters is below ``tol``, checked before every step and once more
     after the last allowed one; "iteration_cap" when ``max_iters`` accepted
-    steps leave it at or above ``tol``; and "stalled" when the line search
-    cannot move the parameters at float precision. The histogram kind
+    steps leave it at or above ``tol``; and "stalled" when no step the line
+    search can take at float precision lowers the objective. The histogram kind
     ignores the optimizer settings and sets each of ``num_bins`` equal-mass
     bins to its weighted positive fraction.
 
@@ -293,9 +294,11 @@ def fit(
             if np.array_equal(cand, theta_vec):
                 break
             cand_loss = _objective(cand, phi, w_pos, w_neg)
-            # a clipped step need not point downhill: it must still not ascend
+            # Armijo, and a loss lower at float precision: a clipped step,
+            # which need not point downhill, gets no Armijo term, and a tiny
+            # one rounds away in loss + decrease; either leaves the strict test
             decrease = min(0.0, armijo * float(grad @ (cand - theta_vec)))
-            if math.isfinite(cand_loss) and cand_loss <= loss + decrease:
+            if math.isfinite(cand_loss) and cand_loss < loss and cand_loss <= loss + decrease:
                 break
             step *= 0.5
         if np.array_equal(cand, theta_vec):

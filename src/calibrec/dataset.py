@@ -261,20 +261,24 @@ class _Whitespace:
         run = np.searchsorted(heads, np.searchsorted(pos, at), side="right") - 1
         return pos[heads[run]], pos[tails[run]] + 1
 
+    def _spaced(self, ranges, pos):
+        """Indices where the mask ``ranges`` is set and the byte at ``pos``
+        is whitespace. Masks keep the per-range temporaries at one byte each;
+        only the hits, usually few, become int64 indices."""
+        space = np.zeros_like(ranges)
+        space[ranges] = self.at(pos[ranges])
+        return np.flatnonzero(space)
+
     def strip(self, lo, hi):
-        """The ranges [lo, hi) narrowed past their leading and trailing
-        whitespace; a range holding nothing else comes back with lo == hi."""
-        lo, hi = lo.copy(), hi.copy()
-        hit = np.flatnonzero(lo < hi)
-        hit = hit[self.at(lo[hit])]
+        """Narrow the ranges [lo, hi) past their leading and trailing
+        whitespace, in place; a range holding nothing else ends with lo == hi."""
+        hit = self._spaced(lo < hi, lo)
         if hit.size:
             lo[hit] = np.minimum(self._run_bounds(lo[hit])[1], hi[hit])
         # past that, a non-empty range starts on a non-whitespace byte
-        hit = np.flatnonzero(lo < hi)
-        hit = hit[self.at(hi[hit] - 1)]
+        hit = self._spaced(lo < hi, hi - 1)
         if hit.size:
             hi[hit] = self._run_bounds(hi[hit] - 1)[0]
-        return lo, hi
 
 
 def _delimiters(buf, sep: bytes, lo, hi) -> np.ndarray:
@@ -316,13 +320,17 @@ def _first_seen(data: bytes, buf, lo, hi) -> tuple[np.ndarray, list[str]]:
     each when 8 bytes or shorter), sorted and numbered by run. Together
     the copies hold each token's bytes once.
     """
+    index = lo.dtype
     size = hi - lo
-    by_size = np.argsort(size.astype(np.min_scalar_type(size.max())), kind="stable")
-    widths, heads = np.unique(size[by_size], return_index=True)
-    group = np.empty(size.size, dtype=np.int64)
+    by_size = np.argsort(size.astype(np.min_scalar_type(size.max())), kind="stable").astype(index)
+    size = size[by_size]
+    heads = np.flatnonzero(size[1:] != size[:-1]) + 1
+    widths = size[np.concatenate(([0], heads))]
+    del size
+    group = np.empty(by_size.size, dtype=index)
     firsts = []
     distinct = 0
-    for width, rows in zip(widths.tolist(), np.split(by_size, heads[1:])):
+    for width, rows in zip(widths.tolist(), np.split(by_size, heads)):
         tokens = sliding_window_view(buf, width)[lo[rows]]
         if width <= 8:
             packed = np.zeros((rows.size, 8), dtype=np.uint8)
@@ -330,18 +338,23 @@ def _first_seen(data: bytes, buf, lo, hi) -> tuple[np.ndarray, list[str]]:
             keys = packed.view(np.uint64).ravel()
         else:
             keys = tokens.view(f"S{width}").ravel()
+        del tokens
         # any sort keeps equal keys in one run; its smallest position is the first row
         order = np.argsort(keys)
         ordered = keys[order]
+        del keys
         head = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-        group[rows[order]] = np.cumsum(head) - 1 + distinct
+        del ordered
+        run = np.cumsum(head, dtype=index)
+        run += distinct - 1
+        group[rows[order]] = run
         heads = np.flatnonzero(head)
         firsts.append(rows[np.minimum.reduceat(order, heads)])
         distinct += heads.size
     firsts = np.concatenate(firsts)
     order = np.argsort(firsts)
-    code = np.empty(distinct, dtype=np.int64)
-    code[order] = np.arange(distinct)
+    code = np.empty(distinct, dtype=index)
+    code[order] = np.arange(distinct, dtype=index)
     firsts = firsts[order]
     names = [data[a:b].decode("utf-8") for a, b in zip(lo[firsts].tolist(), hi[firsts].tolist())]
     return code[group], names
@@ -360,7 +373,7 @@ def load_interactions(path, delimiter: str = ",") -> tuple[np.ndarray, IdMaps]:
 
     The whole file is parsed as one byte array: line ends, whitespace and
     delimiters are located by vectorized comparisons, and the id tokens are
-    numbered by ``np.unique`` (see docs/data-layer.md, "Ingest").
+    numbered by one sort per token length (see docs/data-layer.md, "Ingest").
 
     Raises DataFormatError on malformed lines (the first one in file order,
     with its line number) and on input containing no interactions,
@@ -376,67 +389,83 @@ def load_interactions(path, delimiter: str = ",") -> tuple[np.ndarray, IdMaps]:
         data.decode("utf-8")  # raises UnicodeDecodeError on invalid input
     user_lo, user_hi, item_lo, item_hi = _id_fields(data, buf, delimiter)
     users, user_names = _first_seen(data, buf, user_lo, user_hi)
+    del user_lo, user_hi
     items, item_names = _first_seen(data, buf, item_lo, item_hi)
+    del item_lo, item_hi, data, buf
     # one row per distinct pair, at its first appearance
-    _, first = np.unique(users * len(item_names) + items, return_index=True)
+    _, first = np.unique(users.astype(np.int64) * len(item_names) + items, return_index=True)
     first.sort()
     maps = IdMaps(
         user_to_index=dict(zip(user_names, range(len(user_names)))),
         item_to_index=dict(zip(item_names, range(len(item_names)))),
     )
-    return np.column_stack((users[first], items[first])), maps
+    return np.stack((users[first], items[first]), axis=1, dtype=np.int64), maps
 
 
 def _id_fields(data: bytes, buf, delimiter: str):
     """Byte ranges of the stripped user and item field of every non-blank line,
     as (user_lo, user_hi, item_lo, item_hi) arrays; raises DataFormatError
-    for the first malformed line and for input without a non-blank line."""
-    # int32 positions halve the temporaries of any file under 2 GiB
+    for the first malformed line and for input without a non-blank line.
+
+    Positions, cut indices and counts stay in one ``index`` dtype, int32 for
+    any file under 2 GiB, and each line-level array is dropped once used.
+    """
     index = np.int32 if buf.size < 2**31 else np.int64
     low = np.flatnonzero(buf <= 0x20).astype(index)
     space = _Whitespace(buf, low)
     # a line ends at every CR and at every LF not preceded by CR; the LF of a
     # CRLF opens the next line as leading whitespace, which strip removes
-    ends = low[buf[low] == ord("\n")]
+    hi = low[buf[low] == ord("\n")]
     returns = low[buf[low] == ord("\r")]
     if returns.size:
-        ends = np.union1d(returns, ends[~np.isin(ends - 1, returns)])
-    ends = np.append(ends, index(buf.size))
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lo, hi = space.strip(starts, ends)
-    lines = np.flatnonzero(lo < hi)
+        hi = np.union1d(returns, hi[~np.isin(hi - 1, returns)])
+    del returns
+    hi = np.append(hi, index(buf.size))
+    lo = np.empty_like(hi)
+    lo[0] = 0
+    lo[1:] = hi[:-1] + 1
+    space.strip(lo, hi)
+    # from here on [lo, hi) are the non-blank lines, stripped; ``lines`` holds
+    # their 0-based numbers for the error message
+    lines = np.flatnonzero(lo < hi).astype(index)
     if not lines.size:
         raise DataFormatError("input contains no interactions")
+    if lines.size < lo.size:
+        lo, hi = lo[lines], hi[lines]
 
     sep = delimiter.encode("utf-8")
     cuts = _delimiters(buf, sep, lo, hi)
     # a line's cuts c satisfy lo <= c and c + len(sep) <= hi
-    first_cut = np.searchsorted(cuts, lo[lines])
-    counts = np.searchsorted(cuts, hi[lines] - len(sep) + 1) - first_cut
+    first_cut = np.searchsorted(cuts, lo).astype(index)
+    counts = np.searchsorted(cuts, hi - len(sep) + 1).astype(index)
+    counts -= first_cut
     # only the lines before the first with a wrong field count are checked
     # for empty ids, so the error names the first bad line in file order
     wrong = np.flatnonzero((counts < 1) | (counts > 2))
-    bad = None
-    if wrong.size:
-        bad = lines[wrong[0]]
-        lines, counts, first_cut = lines[: wrong[0]], counts[: wrong[0]], first_cut[: wrong[0]]
-    two = counts == 2
-    user_end = cuts[first_cut]
-    item_end = np.where(two, cuts[first_cut + two], hi[lines])
-    user_lo, user_hi = space.strip(lo[lines], user_end)
-    item_lo, item_hi = space.strip(user_end + len(sep), item_end)
-    empty = np.flatnonzero((user_lo == user_hi) | (item_lo == item_hi))
+    bad = wrong[0] if wrong.size else None
+    checked = slice(bad)
+    two = counts[checked] == 2
+    del counts
+    user_end = cuts[first_cut[checked]]
+    first_cut = first_cut[checked] + two
+    item_end = np.where(two, cuts[first_cut], hi[checked])
+    del cuts, first_cut, two
+    item_lo = user_end + len(sep)
+    user_lo = lo[checked].copy()
+    space.strip(user_lo, user_end)
+    space.strip(item_lo, item_end)
+    empty = np.flatnonzero((user_lo == user_end) | (item_lo == item_end))
     if empty.size:
-        bad = lines[empty[0]]
+        bad = empty[0]
     if bad is not None:
-        stripped = data[starts[bad] : ends[bad]].decode("utf-8").strip()
+        # the stripped line is what str.strip leaves of the whole line
+        stripped = data[lo[bad] : hi[bad]].decode("utf-8")
         raise DataFormatError(
-            f"line {bad + 1}: expected 'user{delimiter}item[{delimiter}timestamp]', got {stripped!r}",
-            line_no=int(bad) + 1,
+            f"line {lines[bad] + 1}: expected 'user{delimiter}item[{delimiter}timestamp]', "
+            f"got {stripped!r}",
+            line_no=int(lines[bad]) + 1,
         )
-    return user_lo, user_hi, item_lo, item_hi
+    return user_lo, user_end, item_lo, item_end
 
 
 def split_per_user(

@@ -23,9 +23,11 @@ TOP_K_BLOCK = 256
 # pairs scored together by score_pairs: each gathered (SCORE_CHUNK, dim)
 # table is 2 MB at dim 32
 SCORE_CHUNK = 1 << 13
-# _scatter_rows adds to the touched rows alone only when the table has more
-# than this many rows per scattered row; below that a full-table bincount
-# is as fast (docs/data-layer.md, "Training step")
+# _scatter_rows writes back the touched rows alone only when the table has
+# more than this many rows per scattered row; at or below it a full-table
+# bincount is no slower on pointwise's repeat-heavy batches, and the S-shape
+# benchmark workloads keep running that branch (docs/data-layer.md,
+# "Training step")
 SCATTER_ROW_RATIO = 4
 
 
@@ -150,19 +152,24 @@ def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> No
 
 
 def _scatter_rows(
-    table: np.ndarray, rows: np.ndarray, values: np.ndarray, slot: np.ndarray
+    table: np.ndarray, rows: np.ndarray, gathered: np.ndarray, values: np.ndarray, slot: np.ndarray
 ) -> None:
     """``table[rows[j]] += values[j]`` in place for a (N, D) table, repeated
     rows summed, at a cost that follows ``len(rows)`` rather than N.
+    ``gathered`` is ``table[rows]`` as read before the update; ``values`` is
+    overwritten.
 
-    ``slot`` is scratch space: an int64 array of length N whose contents do
-    not matter. Each distinct row gets one compact id, every repeat of it
-    shares that id through ``slot``, and one ``np.bincount`` over
-    ``id * D + d`` sums each row's values in input order. Only the touched
-    rows are then added to. A table of at most ``SCATTER_ROW_RATIO`` rows
-    per scattered row takes the full-table ``_scatter_add`` instead, which
-    is cheaper there. Both forms sum each row in the same order, so their
-    results are identical.
+    A row that appears once becomes ``gathered[j] + values[j]``, and all
+    rows are written back by one fancy assignment. ``slot`` (an int64 array
+    of length N whose contents do not matter) finds the repeated rows: each
+    gets one compact id, one ``np.bincount`` over ``id * D + d`` sums its
+    values in input order, and the row is then overwritten with its
+    gathered value plus that sum, so no result depends on which repeat the
+    assignment wrote last. A table of at most ``SCATTER_ROW_RATIO`` rows per
+    scattered row takes the full-table ``_scatter_add`` instead, which is
+    cheaper there. Both forms sum each row in input order and add the sum
+    once, so their results are equal; the full-table form adds +0.0 to
+    every row, so a -0.0 can come out as +0.0 there.
     """
     m = len(rows)
     if len(table) <= SCATTER_ROW_RATIO * m:
@@ -170,14 +177,26 @@ def _scatter_rows(
         return
     positions = np.arange(m)
     slot[rows] = positions
-    first = slot[rows]
-    own = first == positions
-    distinct = rows[own]
-    cid = np.cumsum(own) - 1
-    dim = table.shape[1]
-    flat = (cid[first][:, None] * dim + np.arange(dim)).ravel()
-    summed = np.bincount(flat, weights=values.ravel(), minlength=len(distinct) * dim)
-    table[distinct] += summed.reshape(len(distinct), dim)
+    # every occurrence of a row reads the one position its assignment kept
+    winner = slot[rows]
+    repeated = np.zeros(m, dtype=bool)
+    repeated[winner[winner != positions]] = True
+    heads = np.flatnonzero(repeated)
+    if heads.size:
+        # a repeated row's occurrences, in input order, are the positions
+        # whose winner is flagged; slot now gives each repeated row the
+        # offset of its compact id's first cell in the sums
+        occurs = np.flatnonzero(repeated[winner])
+        dim = table.shape[1]
+        slot[rows[heads]] = np.arange(0, heads.size * dim, dim)
+        cells = (slot[rows[occurs]][:, None] + np.arange(dim)).ravel()
+        summed = np.bincount(cells, weights=values[occurs].ravel(), minlength=heads.size * dim)
+        summed = summed.reshape(heads.size, dim)
+        summed += gathered[heads]
+    values += gathered
+    table[rows] = values
+    if heads.size:
+        table[rows[heads]] = summed
 
 
 def _epoch_tables(params: MfParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,13 +283,17 @@ def bpr_epoch(
         g = _sigmoid_of_negated(t)
         g -= 1.0  # dL/dx
         coef = cfg.lr / B
-        np.multiply(g[:, None], diff, out=D[:B])
-        np.multiply(g[:, None], P, out=D[B : 2 * B])
-        np.negative(D[B : 2 * B], out=D[2 * B :])
-        G *= two_reg
-        D += G
+        # G stays as gathered, since _scatter_rows writes the rows back from
+        # it: D takes the L2 term first, and diff, free now, each gradient
+        # part before it is added
+        np.multiply(G, two_reg, out=D)
+        diff *= g[:, None]
+        D[:B] += diff
+        gP = np.multiply(g[:, None], P, out=diff)
+        D[B : 2 * B] += gP
+        D[2 * B :] -= gP
         D *= -coef
-        _scatter_rows(table, rows, D, slot)
+        _scatter_rows(table, rows, G, D, slot)
         np.multiply(g, -coef, out=item_bias[:B])
         np.multiply(g, coef, out=item_bias[B:])
         _scatter_add(bias, item_rows, item_bias)
@@ -349,11 +372,14 @@ def pointwise_epoch(
         gQ = np.multiply(g[:, None], Q, out=P_ex)
         np.sum(gQ[B:].reshape(B, npp, -1), axis=1, out=D[:B])
         D[:B] += gQ[:B]
-        G[:B] *= two_reg_user
-        G[B:] *= two_reg
-        D += G
+        # G stays as gathered, as in bpr_epoch; P_ex, free again, holds the
+        # L2 terms, so the epoch needs no (B + E, dim) buffer for them
+        reg = np.multiply(Q, two_reg, out=P_ex)
+        D[B:] += reg
+        reg = np.multiply(P, two_reg_user, out=P_ex[:B])
+        D[:B] += reg
         D *= -coef
-        _scatter_rows(table, rows, D, slot)
+        _scatter_rows(table, rows, G, D, slot)
         g *= -coef
         _scatter_add(bias, ex_items, g)
     return MfParams(table[:U], table[U:], bias), total_loss / total_examples

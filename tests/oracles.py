@@ -15,8 +15,9 @@ its line-at-a-time CSV writer, the scalar one-list ranking metrics that
 for calibrator fits and the weighted log-likelihood those fits minimize, and
 a Monte Carlo ranking AUC of a trained model. Nothing imports the code paths it verifies; the reference epochs
 draw their negatives with the library's sampler so that they use the same
-random stream, and the batched ones share the library's scatters, which
-they do not verify.
+random stream. The batched ones stack their own tables and scatter with
+their own full-table ``np.bincount``, so they check the library's scatters
+too.
 """
 
 import numpy as np
@@ -28,9 +29,6 @@ from calibrec.dataset import DataFormatError, Dataset, IdMaps, sample_negatives
 from calibrec.ranker import (
     MfParams,
     TrainConfig,
-    _epoch_tables,
-    _scatter_add,
-    _scatter_rows,
     score_pairs,
     sigmoid,
 )
@@ -484,13 +482,29 @@ def reference_pointwise_epoch(params, dataset, cfg, rng):
     return out, total_loss / total_examples
 
 
+def _stacked_tables(params: MfParams) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the user rows over the item rows, as one table, and of the
+    item biases."""
+    return np.vstack([params.user_emb, params.item_emb]), params.item_bias.copy()
+
+
+def bincount_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``target[rows[j]] += values[j]`` for a 1-D or (N, D) ``target``: one
+    ``np.bincount`` over the whole target sums each row's values in input
+    order, and the sums are added once."""
+    width = 1 if target.ndim == 1 else target.shape[1]
+    cells = (np.asarray(rows)[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(cells, weights=np.ravel(values), minlength=target.size)
+    target += sums.reshape(target.shape)
+
+
 def reference_batched_bpr_epoch(
     params: MfParams, dataset: Dataset, cfg: TrainConfig, rng: np.random.Generator
 ) -> tuple[MfParams, float]:
     """``ranker.bpr_epoch`` as it was before its per-epoch buffers: fresh
     arrays and concatenations in every batch, the same operations in the
     same order."""
-    table, bias, slot = _epoch_tables(params)
+    table, bias = _stacked_tables(params)
     U = params.num_users
     users, items = dataset.train.pairs()
     order = rng.permutation(len(users))
@@ -519,8 +533,8 @@ def reference_batched_bpr_epoch(
         dQ = np.concatenate([gP, -gP])
         dP += 2.0 * cfg.reg * P
         dQ += 2.0 * cfg.reg * Q
-        _scatter_rows(table, rows, -coef * np.concatenate([dP, dQ]), slot)
-        _scatter_add(bias, bij, np.concatenate([-coef * g, coef * g]))
+        bincount_add(table, rows, -coef * np.concatenate([dP, dQ]))
+        bincount_add(bias, bij, np.concatenate([-coef * g, coef * g]))
     return MfParams(table[:U], table[U:], bias), total_loss / len(order)
 
 
@@ -530,7 +544,7 @@ def reference_batched_pointwise_epoch(
     """``ranker.pointwise_epoch`` as it was before its per-epoch buffers:
     fresh arrays and concatenations in every batch, two ``logaddexp`` under
     ``np.where``, and a label array per batch."""
-    table, bias, slot = _epoch_tables(params)
+    table, bias = _stacked_tables(params)
     U = params.num_users
     users, items = dataset.train.pairs()
     order = rng.permutation(len(users))
@@ -564,8 +578,8 @@ def reference_batched_pointwise_epoch(
         dQ = g[:, None] * P_ex
         dP += 2.0 * cfg.reg * (npp + 1) * P
         dQ += 2.0 * cfg.reg * Q
-        _scatter_rows(table, rows, -coef * np.concatenate([dP, dQ]), slot)
-        _scatter_add(bias, ex_i, -coef * g)
+        bincount_add(table, rows, -coef * np.concatenate([dP, dQ]))
+        bincount_add(bias, ex_i, -coef * g)
     return MfParams(table[:U], table[U:], bias), total_loss / total_examples
 
 

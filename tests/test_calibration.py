@@ -354,6 +354,19 @@ class TestGradientNorm:
         stalled = fit("gamma", samples, tol=0.0)
         assert stalled.stop == "stalled" and len(stalled.losses) - 1 < 1000
 
+    @pytest.mark.parametrize("kind", ["platt", "gaussian", "gamma"])
+    def test_step_without_float_descent_stalls(self, kind):
+        # with tol 0 the fit runs until no step lowers the loss at float
+        # precision; a line search that took equal-loss steps would walk
+        # ulp-sized steps to the cap of 1000
+        rng = np.random.default_rng(63)
+        _, _, samples = bernoulli_samples(lambda x: expit(x + 0.5), 1000, rng)
+        stalled = fit(kind, samples, tol=0.0)
+        assert stalled.stop == "stalled" and len(stalled.losses) - 1 <= 20
+        assert np.all(np.diff(stalled.losses) < 0)
+        # it stalls at the optimum: the oracle nll is flat there
+        assert oracle_grad_norm(stalled.calibrator, samples) < 1e-6
+
     def test_histogram_has_no_gradient(self):
         result = fit("histogram", make_samples([0.0, 1.0], [0, 1]))
         assert result.grad_norm is None and result.stop == "converged"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calibrec import cli
+from calibrec import cli, ranker
 from calibrec.atomic import read_sidecar, write_with_sidecar
 from calibrec.calibration import (
     Calibrator,
@@ -464,7 +464,44 @@ class TestConfig:
         assert run() == 2
 
 
+# SHA-256 of train's outputs on the workspace bundle at batch 3, per loss, taken
+# before the touched-row scatter wrote back the gathered rows. A batch scatters
+# 9 (BPR) or 18 (pointwise) rows into the 95-row table, more than
+# SCATTER_ROW_RATIO apart, so every embedding scatter takes the touched branch.
+REFERENCE_TOUCHED_TRAINING = {
+    "bpr": {
+        "ckpt.bin": "a6744a4364c8a2a4385e55fcadecc21447b889fff307521f056f54386ff241d7",
+        "ckpt.json": "8cf226455485724bb6ea1d117ca5ca6e79f447b0400ef8843cb89132ce633857",
+        "ckpt_log.jsonl": "407299fe5876ffd3ba9fb621cd05e475810fedbeb4f7a7f19cbc9fb52c73d519",
+    },
+    "pointwise": {
+        "ckpt.bin": "b18be9e0a5a0b2c3dd0f14fc1a68e0537cb6dfeccb76ad97e89212d08b16792e",
+        "ckpt.json": "ab12749d39b0f764e1f7d5e6354bfb54b86a454370267317fd3692bdebe90728",
+        "ckpt_log.jsonl": "c036fdb388665b427479d0624ab36454ad2c72c3f332dae8ebc9d5585b663f46",
+    },
+}
+
+
 class TestTrain:
+    @pytest.mark.parametrize("loss", list(REFERENCE_TOUCHED_TRAINING))
+    def test_touched_branch_bytes_match_reference(self, workspace, tmp_path, monkeypatch, loss):
+        full_table = []
+        scatter_add = ranker._scatter_add
+        monkeypatch.setattr(
+            ranker, "_scatter_add",
+            lambda target, *rest: full_table.append(target.ndim == 2) or scatter_add(target, *rest),
+        )
+        assert run("train", "--data", workspace / "bundle", "--out", tmp_path / "ckpt",
+                   "--set", "train.epochs=6", "--set", "train.dim=8", "--set", "train.lr=0.15",
+                   "--set", "train.batch_size=3", "--set", f"train.loss={loss}") == 0
+        # only the 1-D bias scatters used the full target
+        assert full_table and not any(full_table)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in REFERENCE_TOUCHED_TRAINING[loss]
+        }
+        assert digests == REFERENCE_TOUCHED_TRAINING[loss]
+
     def test_zero_epochs_equals_initialization(self, workspace, tmp_path):
         assert (
             run("train", "--data", workspace / "bundle", "--out", tmp_path / "init",
@@ -762,10 +799,14 @@ REFERENCE_CALIBRATIONS = {
         "reliability.csv": "d30656fcdd57737f72bc5fce4d0a3f351334705d71a0a54771512d477c6d4f03",
         "calibration_report.json": "d4189a2d308763e3e577801580e536bf701f4a3fb22330b5ec001f1efa868720",
     }),
+    # re-pinned when the line search began to require a loss lower at float
+    # precision: the fit now stalls after 5 steps, at the parameters the
+    # default tol converges to (the platt calibrator.json and reliability.csv
+    # above), where it took 2 more steps that left the loss unchanged
     "stalled": (("calib.tol=0",), {
-        "calibrator.json": "51483e3d1209a81300af34be05cb18aa710f2b06a6012dab56ebabd007a56c42",
-        "reliability.csv": "83c0087a3ef522e8d5ddc65aa7379bffc706d69a1f26e4ce689e779473bb5e2d",
-        "calibration_report.json": "b1e9d988db6fc22701dbc5b032cfdd0a872d4eab5d2061ccf616fefbeea08134",
+        "calibrator.json": "e9640b058fe3ad90683e4dc7e9c49694dd4ca20ff1475e3320b5a634cf89909d",
+        "reliability.csv": "1b699ad57b666cc7f19b63624ab5e41a624294fdcef0fe2c65faefe438144c5f",
+        "calibration_report.json": "45a986300de6b2073df2680b82b2889609bd87717532c9e8bace860a0738fea9",
     }),
     "unbiased-gaussian": (("calib.kind=gaussian", "calib.unbiased=true"), {
         "calibrator.json": "9dbcf753cd5c8ccbb6336a941969bba3c356cd88613d623a70496f605b9e86c3",

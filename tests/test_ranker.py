@@ -25,6 +25,7 @@ from calibrec.synthetic import low_rank_dataset
 from conftest import make_dataset
 from oracles import (
     auc,
+    bincount_add,
     finite_difference_grad,
     full_sort_ranking,
     reference_batched_bpr_epoch,
@@ -305,76 +306,103 @@ class TestScatterAdd:
         np.testing.assert_allclose(target[1], before[1] + 2.0)
 
 
-class TestScatterRows:
-    """``ranker._scatter_rows`` on both sides of its table-size rule.
+def scatter_rows(table, rows, values, slot=None):
+    """``ranker._scatter_rows`` called as the epochs call it: the rows
+    gathered before the update, ``values`` copied since the call overwrites
+    them, and a ``slot`` of stale contents unless one is given."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if slot is None:
+        slot = np.full(len(table), 7, dtype=np.int64)
+    ranker._scatter_rows(table, rows, table[rows], np.array(values, dtype=float), slot)
 
-    A table of ``SCATTER_ROW_RATIO * len(rows)`` rows takes the full-table
-    ``_scatter_add``; one more row takes the touched-row form. Both must be
-    bit-identical to ``_scatter_add`` and agree with ``np.add.at`` to
-    rounding.
-    """
+
+@pytest.fixture
+def full_table_scatters(monkeypatch):
+    """How many times ``_scatter_rows`` fell back to the full-table ``_scatter_add``."""
+    calls = []
+    scatter_add = ranker._scatter_add
+    monkeypatch.setattr(
+        ranker, "_scatter_add", lambda *args: calls.append(1) or scatter_add(*args)
+    )
+    return calls
+
+
+# a table of SCATTER_ROW_RATIO rows per scattered row takes the full-table
+# scatter, one more row the write-back of the gathered rows
+RATIO_SIDES = pytest.mark.parametrize("extra, path", [(0, "full"), (1, "touched")])
+
+
+class TestScatterRows:
+    """``ranker._scatter_rows`` on both sides of its table-size rule, bit for
+    bit against ``oracles.bincount_add`` (each row's values summed in input
+    order by one full-table ``np.bincount``, then added once) and within
+    rounding of ``np.add.at``."""
 
     @pytest.mark.parametrize(
         "rows",
-        [[3, 0, 3, 3, 5, 0], [2, 2, 2, 2], [1]],
-        ids=["repeated", "single", "one-row"],
+        [[5, 0, 2, 9], [3, 0, 3, 1, 3, 5, 0, 3], [2, 2, 2, 2], [1]],
+        ids=["distinct", "repeated", "single", "one-row"],
     )
-    @pytest.mark.parametrize("extra, path", [(0, "full"), (1, "touched")])
-    def test_both_paths_match_scatter_add(self, rows, extra, path, monkeypatch):
+    @RATIO_SIDES
+    def test_both_paths_match_scatter_add(self, rows, extra, path, full_table_scatters):
+        # "repeated" scatters row 3 four times, never twice in a row
         rng = np.random.default_rng(22)
-        rows = np.asarray(rows, dtype=np.int64)
         num_rows = ranker.SCATTER_ROW_RATIO * len(rows) + extra
         table = rng.normal(size=(num_rows, 3))
         values = rng.normal(size=(len(rows), 3))
         expected = table.copy()
-        ranker._scatter_add(expected, rows, values)
+        bincount_add(expected, rows, values)
         added = table.copy()
         np.add.at(added, rows, values)
-
-        calls = []
-        scatter_add = ranker._scatter_add
-        monkeypatch.setattr(
-            ranker, "_scatter_add", lambda *args: calls.append(1) or scatter_add(*args)
-        )
-        # stale slot contents must not matter
-        slot = np.full(num_rows, 7, dtype=np.int64)
-        ranker._scatter_rows(table, rows, values, slot)
-        assert len(calls) == (1 if path == "full" else 0)
-        assert np.array_equal(table, expected)
+        scatter_rows(table, rows, values)
+        assert len(full_table_scatters) == (1 if path == "full" else 0)
+        assert table.tobytes() == expected.tobytes()
         np.testing.assert_allclose(table, added, rtol=1e-15, atol=1e-15)
 
-    def test_one_row_table(self):
-        table = np.array([[0.5, -1.25]])
-        ranker._scatter_rows(table, np.array([0, 0]), np.array([[1.0, 2.0], [0.25, 0.5]]),
-                             np.empty(1, dtype=np.int64))
-        assert table.tolist() == [[1.75, 1.25]]
-
-    def test_touched_path_keeps_untouched_bits(self):
-        table = np.arange(60.0).reshape(20, 3) / 7.0
-        before = table.copy()
-        slot = np.empty(20, dtype=np.int64)
-        ranker._scatter_rows(table, np.array([9, 2, 9]), np.ones((3, 3)), slot)
-        untouched = np.setdiff1d(np.arange(20), [2, 9])
-        assert np.array_equal(table[untouched], before[untouched])
-        np.testing.assert_allclose(table[[2, 9]], before[[2, 9]] + [[1.0], [2.0]])
-
-    @pytest.mark.parametrize("extra, path", [(0, "full"), (1, "touched")])
-    def test_repeats_sum_in_input_order(self, extra, path, monkeypatch):
+    @RATIO_SIDES
+    def test_repeats_sum_in_input_order(self, extra, path, full_table_scatters):
         # 1e16 + 1.0 rounds back to 1e16, so only the input order ends at 0.0;
         # adding the two large values first would leave 1.0
-        calls = []
-        scatter_add = ranker._scatter_add
-        monkeypatch.setattr(
-            ranker, "_scatter_add", lambda *args: calls.append(1) or scatter_add(*args)
-        )
-        num_rows = ranker.SCATTER_ROW_RATIO * 3 + extra
+        num_rows = ranker.SCATTER_ROW_RATIO * 4 + extra
         table = np.zeros((num_rows, 2))
-        values = np.repeat([[1e16], [1.0], [-1e16]], 2, axis=1)
-        ranker._scatter_rows(table, np.array([4, 4, 4]), values, np.empty(num_rows, dtype=np.int64))
-        assert len(calls) == (1 if path == "full" else 0)
+        values = np.repeat([[1e16], [3.0], [1.0], [-1e16]], 2, axis=1)
+        scatter_rows(table, [4, 2, 4, 4], values)
+        assert len(full_table_scatters) == (1 if path == "full" else 0)
         assert table[4].tolist() == [0.0, 0.0]
         assert not np.signbit(table[4]).any()
-        assert not table[np.arange(num_rows) != 4].any()
+        assert table[2].tolist() == [3.0, 3.0]
+        assert not table[(np.arange(num_rows) != 4) & (np.arange(num_rows) != 2)].any()
+
+    def test_slot_left_by_an_earlier_call(self):
+        # the second call finds the first one's positions in slot, some of
+        # them naming rows it scatters again
+        rng = np.random.default_rng(23)
+        table = rng.normal(size=(40, 4))
+        expected = table.copy()
+        slot = np.empty(40, dtype=np.int64)
+        for rows in ([7, 30, 7, 2, 11], [11, 7, 19, 11, 11]):
+            values = rng.normal(size=(5, 4))
+            bincount_add(expected, rows, values)
+            scatter_rows(table, rows, values, slot)
+        assert table.tobytes() == expected.tobytes()
+
+    def test_touched_path_keeps_untouched_bits(self, full_table_scatters):
+        # -0.0 and nan survive in rows the batch does not touch
+        table = np.arange(60.0).reshape(20, 3) / 7.0
+        table[0] = -0.0
+        table[5] = np.nan
+        before = table.copy()
+        scatter_rows(table, [9, 2, 9], np.ones((3, 3)))
+        assert not full_table_scatters
+        untouched = np.setdiff1d(np.arange(20), [2, 9])
+        assert table[untouched].tobytes() == before[untouched].tobytes()
+        np.testing.assert_allclose(table[[2, 9]], before[[2, 9]] + [[1.0], [2.0]])
+
+    def test_one_row_table(self, full_table_scatters):
+        table = np.array([[0.5, -1.25]])
+        scatter_rows(table, [0, 0], [[1.0, 2.0], [0.25, 0.5]])
+        assert len(full_table_scatters) == 1
+        assert table.tolist() == [[1.75, 1.25]]
 
 
 class TestEpochsMatchReference:
@@ -451,22 +479,19 @@ class TestEpochsMatchReference:
 
 
 class TestEpochsMatchBatchedReference:
-    """The epochs' per-epoch buffers against the fresh per-batch arrays they
+    """The epochs against the fresh per-batch arrays their per-epoch buffers
     replaced (``oracles.reference_batched_*``), bit for bit, loss included.
+    The references scatter with ``oracles.bincount_add``, not the library's
+    scatters.
 
     The data are ``TestEpochsMatchReference``'s: 96 train positives in
     which every batch of 16 repeats users and items. A batch of 36 leaves a
-    partial last batch of 24, and a batch of 1 takes the touched-row
+    partial last batch of 24, and a batch of 1 takes the write-back
     scatter. Dimension 19 puts each row's dot product past numpy's
     eight-wide unrolled summation, where reordering would show.
     """
 
-    @pytest.mark.parametrize(
-        "batch_size, reg, npp",
-        [(16, 0.05, 3), (36, 0.05, 3), (1, 0.05, 3), (16, 0.0, 1), (36, 0.0, 4)],
-        ids=["repeats", "partial", "touched", "reg0-npp1", "reg0-npp4-partial"],
-    )
-    @pytest.mark.parametrize(
+    EPOCHS = pytest.mark.parametrize(
         "epoch_fn, reference",
         [
             (bpr_epoch, reference_batched_bpr_epoch),
@@ -474,6 +499,13 @@ class TestEpochsMatchBatchedReference:
         ],
         ids=["bpr", "pointwise"],
     )
+
+    @pytest.mark.parametrize(
+        "batch_size, reg, npp",
+        [(16, 0.05, 3), (36, 0.05, 3), (1, 0.05, 3), (16, 0.0, 1), (36, 0.0, 4)],
+        ids=["repeats", "partial", "touched", "reg0-npp1", "reg0-npp4-partial"],
+    )
+    @EPOCHS
     def test_three_epochs_bit_identical(self, epoch_fn, reference, batch_size, reg, npp):
         ds = TestEpochsMatchReference.dataset()
         cfg = TrainConfig(lr=0.5, reg=reg, batch_size=batch_size, negatives_per_positive=npp)
@@ -489,6 +521,21 @@ class TestEpochsMatchBatchedReference:
                 np.testing.assert_array_equal(getattr(new, name), getattr(ref, name))
                 # array_equal takes -0.0 for 0.0; the bytes do not
                 assert getattr(new, name).tobytes() == getattr(ref, name).tobytes()
+
+    @EPOCHS
+    def test_write_back_of_repeated_rows(self, epoch_fn, reference, monkeypatch):
+        # 6 rows per batch of 2 (BPR, or pointwise with npp 1) against the
+        # 32-row table: every scatter writes back, and some batches repeat a row
+        calls = []
+        scatter_rows = ranker._scatter_rows
+        def spy(table, rows, *rest):
+            write_back = len(table) > ranker.SCATTER_ROW_RATIO * len(rows)
+            calls.append((write_back, len(np.unique(rows)) < len(rows)))
+            scatter_rows(table, rows, *rest)
+        monkeypatch.setattr(ranker, "_scatter_rows", spy)
+        self.test_three_epochs_bit_identical(epoch_fn, reference, 2, 0.05, 1)
+        assert all(write_back for write_back, _ in calls)
+        assert any(repeated for _, repeated in calls)
 
 
 def exclusions(rows, num_items):
