@@ -360,12 +360,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_recommendation(row, personalized: bool) -> str | None:
-    """What is wrong with one recommendation row, or None if nothing is."""
+    """What is wrong with the form of one recommendation row, or None if
+    nothing is. JSON's numbers are exactly int or float (bool is its own
+    type), so one set of types tests a whole list."""
     if not isinstance(row, dict):
         return "a row must be a JSON object"
     needed = ("user", "k_star", "curve", "items") if personalized else ("user", "items")
@@ -375,13 +373,11 @@ def _check_recommendation(row, personalized: bool) -> str | None:
     if not _is_int(row["user"]):
         return f"user {row['user']!r} is not an integer"
     items = row["items"]
-    if not (isinstance(items, list) and all(_is_int(i) for i in items)):
+    if not (type(items) is list and set(map(type, items)) <= {int}):
         return "items must be a list of integers"
-    if min(items, default=0) < 0:
-        return f"recommended item {min(items)} outside dataset"
     if personalized:
         curve = row["curve"]
-        if not (isinstance(curve, list) and all(_is_number(v) for v in curve)):
+        if not (type(curve) is list and set(map(type, curve)) <= {int, float}):
             return "curve must be a list of numbers"
         if not (_is_int(row["k_star"]) and 1 <= row["k_star"] <= len(curve)):
             return f"k_star {row['k_star']!r} is not an integer in 1..{len(curve)}"
@@ -390,46 +386,70 @@ def _check_recommendation(row, personalized: bool) -> str | None:
     return None
 
 
-def load_recommendations(path):
+def load_recommendations(path, num_users: int, num_items: int):
     """Read a recommendation JSONL file as ``(users, items, k_star)`` arrays.
 
     Row r of ``items`` holds line r's list, -1-padded, as ``ranker.top_k``
     returns lists. The first row decides the kind: ``k_star`` is None unless
-    the rows have one. Raises ValueError, naming the file and line, for a
-    row that is not JSON, lacks a key of its kind, holds a user or item that
-    is not an integer, a negative item, a k_star outside 1..len(curve) or
-    other than its item count, or a user an earlier row already named; and
-    for a file without rows.
+    the rows have one. Raises ValueError, naming the file and the first bad
+    line, for a row that is not JSON, lacks a key of its kind, holds a user
+    or item that is not an integer, a k_star outside 1..len(curve) or other
+    than its item count, a user outside [0, num_users) or one an earlier row
+    already named, or an item outside [0, num_items); and, naming the file,
+    for a user or item past 64 bits or a file without rows.
     """
-    rows = []
+    rows, lines, malformed = [], [], None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    rows.append((line_no, json.loads(line)))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                malformed = (line_no, exc)
+                break
+            if not rows:
+                personalized = isinstance(row, dict) and "k_star" in row
+            problem = _check_recommendation(row, personalized)
+            if problem:
+                malformed = (line_no, problem)
+                break
+            rows.append(row)
+            lines.append(line_no)
     if not rows:
-        raise ValueError(f"{path} holds no recommendation rows")
-    personalized = isinstance(rows[0][1], dict) and "k_star" in rows[0][1]
-    first_line: dict[int, int] = {}
-    for line_no, row in rows:
-        problem = _check_recommendation(row, personalized)
-        if problem is None and row["user"] in first_line:
-            problem = f"user {row['user']} repeats the row on line {first_line[row['user']]}"
-        if problem:
-            raise ValueError(f"{path}:{line_no}: {problem}")
-        first_line[row["user"]] = line_no
-    lists = [row["items"] for _, row in rows]
-    lengths = np.array([len(items) for items in lists], dtype=np.int64)
+        raise ValueError(f"{path}:{malformed[0]}: {malformed[1]}" if malformed
+                         else f"{path} holds no recommendation rows")
+    # the well-formed rows before the first malformed one are range-checked
+    # as arrays, so a bad one among them is reported first
+    lengths = np.array([len(row["items"]) for row in rows], dtype=np.int64)
     try:
-        users = np.array([row["user"] for _, row in rows], dtype=np.int64)
-        flat = np.fromiter(itertools.chain.from_iterable(lists), np.int64, int(lengths.sum()))
+        users = np.array([row["user"] for row in rows], dtype=np.int64)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(row["items"] for row in rows), np.int64, int(lengths.sum())
+        )
     except OverflowError:
         raise ValueError(f"{path}: a user or item lies outside the 64-bit range") from None
-    items = np.full((len(rows), lengths.max()), -1, dtype=np.int64)
-    items[np.arange(items.shape[1]) < lengths[:, None]] = flat
-    k_star = np.array([row["k_star"] for _, row in rows], dtype=np.int64) if personalized else None
+    listed = np.arange(lengths.max()) < lengths[:, None]
+    items = np.full(listed.shape, -1, dtype=np.int64)
+    items[listed] = flat
+    bad_user = (users < 0) | (users >= num_users)
+    bad_item = listed & ((items < 0) | (items >= num_items))
+    # each row's first row of the same user
+    _, first, inverse = np.unique(users, return_index=True, return_inverse=True)
+    first = first[inverse]
+    bad = bad_user | bad_item.any(axis=1) | (first != np.arange(len(rows)))
+    if bad.any():
+        r = int(bad.argmax())
+        if bad_user[r]:
+            problem = f"recommendation user {users[r]} outside dataset"
+        elif bad_item[r].any():
+            problem = f"recommended item {items[r, bad_item[r]][0]} outside dataset"
+        else:
+            problem = f"user {users[r]} repeats the row on line {lines[first[r]]}"
+        malformed = (lines[r], problem)
+    if malformed:
+        raise ValueError(f"{path}:{malformed[0]}: {malformed[1]}")
+    k_star = np.array([row["k_star"] for row in rows], dtype=np.int64) if personalized else None
     return users, items, k_star
 
 
@@ -744,24 +764,15 @@ def cmd_eval(args, cfg) -> int:
     ks = cfg["eval.ks"]
     names = cfg["eval.metrics"]
 
-    def check_shapes(users, items):
-        # load_recommendations rejects negative items, so -1 is padding only
-        outside = users[(users < 0) | (users >= dataset.num_users)]
-        if outside.size:
-            raise ValueError(f"recommendation user {outside[0]} outside dataset")
-        if items.max(initial=-1) >= dataset.num_items:
-            raise ValueError(f"recommended item {items.max()} outside dataset")
-
     rows = []
     users_evaluated = users_skipped = None
     for path, personalized in ((args.recs, False), (args.perk_recs, True)):
         if not path:
             continue
-        users, items, k_star = load_recommendations(path)
+        users, items, k_star = load_recommendations(path, dataset.num_users, dataset.num_items)
         if personalized != (k_star is not None):
             held, flag = ("fixed", "--recs") if personalized else ("personalized", "--perk-recs")
             raise ValueError(f"{path} holds {held} rows; pass it as {flag}")
-        check_shapes(users, items)
         result = metrics.evaluate(users, items, dataset, split=split, metrics=names, ks=ks,
                                   k_star=k_star)
         rows.extend(result.rows)

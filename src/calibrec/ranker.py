@@ -199,15 +199,6 @@ def _scatter_rows(
         table[rows[heads]] = summed
 
 
-def _epoch_tables(params: MfParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An epoch's working copies: the user rows stacked over the item rows
-    as one (num_users + num_items, dim) table, the item biases, and the
-    ``_scatter_rows`` slot array for that table. The epoch returns
-    ``MfParams(table[:num_users], table[num_users:], bias)``."""
-    table = np.concatenate([params.user_emb, params.item_emb])
-    return table, params.item_bias.copy(), np.empty(len(table), dtype=np.int64)
-
-
 def _sigmoid_of_negated(t: np.ndarray) -> np.ndarray:
     """Overwrite ``t``, which holds -x, with sigmoid(x) and return it.
 
@@ -218,6 +209,50 @@ def _sigmoid_of_negated(t: np.ndarray) -> np.ndarray:
         np.exp(t, out=t)
     t += 1.0
     return np.divide(1.0, t, out=t)
+
+
+def _batches(table, bias, dataset: Dataset, cfg: TrainConfig, rng, npp: int):
+    """The SGD batch loop both epochs share; yields ``(B, G, bias, D)``.
+
+    ``table`` (the user rows over the item rows) and ``bias`` (the item
+    biases) are updated in place. The positives are shuffled and given
+    ``npp`` sampled negatives each before the first batch. A batch of B
+    positives has B·(1 + npp) examples, the positives and then each one's
+    negatives: ``G`` holds the table rows of its B users and then of its
+    examples' items, ``bias`` the examples' item biases. The caller writes
+    the step into ``D`` (shaped as ``G``) and ``bias`` and leaves ``G`` as
+    gathered; the loop then scatters both. Every buffer is allocated once
+    per epoch, a batch in its first rows (docs/data-layer.md, "Training step").
+    """
+    U = len(table) - len(bias)
+    users, items = dataset.train.pairs()
+    order = rng.permutation(len(users))
+    negatives = sample_negatives(dataset, users[order], npp, rng).ravel()
+    cap = min(cfg.batch_size, len(order))
+    # rows: the batch's users, then the examples' items + U
+    rows_buf = np.empty(cap * (2 + npp), dtype=np.int64)
+    ex_items_buf = np.empty(cap * (1 + npp), dtype=np.int64)
+    ex_bias_buf = np.empty(cap * (1 + npp))
+    gathered_buf = np.empty((cap * (2 + npp), table.shape[1]))
+    grad_buf = np.empty_like(gathered_buf)
+    slot = np.empty(len(table), dtype=np.int64)
+    for start in range(0, len(order), cfg.batch_size):
+        batch = order[start : start + cfg.batch_size]
+        B = len(batch)
+        E = B * (1 + npp)
+        rows, ex_items, ex_bias = rows_buf[: B + E], ex_items_buf[:E], ex_bias_buf[:E]
+        G, D = gathered_buf[: B + E], grad_buf[: B + E]
+        # every index is in range, and "clip" lets np.take write straight
+        # into ``out``, where the default "raise" copies through a temporary
+        np.take(users, batch, out=rows[:B], mode="clip")
+        np.take(items, batch, out=ex_items[:B], mode="clip")
+        ex_items[B:] = negatives[start * npp : (start + B) * npp]
+        np.take(bias, ex_items, out=ex_bias, mode="clip")
+        np.add(ex_items, U, out=rows[B:])
+        np.take(table, rows, axis=0, out=G, mode="clip")
+        yield B, G, ex_bias, D
+        _scatter_rows(table, rows, G, D, slot)
+        _scatter_add(bias, ex_items, ex_bias)
 
 
 def bpr_epoch(
@@ -236,40 +271,16 @@ def bpr_epoch(
     update. The regularizer shapes the updates but is not included in the
     reported loss.
 
-    Every batch works in buffers allocated once per epoch, a batch of B
-    triples in their first rows (docs/data-layer.md, "Training step").
+    Batches are ``_batches``' at npp 1: rows of B users, positives, negatives.
     """
-    table, bias, slot = _epoch_tables(params)
-    U = params.num_users
-    users, items = dataset.train.pairs()
-    order = rng.permutation(len(users))
-    negatives = sample_negatives(dataset, users[order], 1, rng)[:, 0]
-    cap = min(cfg.batch_size, len(order))
-    # rows: the batch's users, positives + U, negatives + U; item_rows: the
-    # positives, then the negatives
-    rows_buf = np.empty(3 * cap, dtype=np.int64)
-    item_rows_buf = np.empty(2 * cap, dtype=np.int64)
-    item_bias_buf = np.empty(2 * cap)
-    gathered_buf = np.empty((3 * cap, table.shape[1]))
-    grad_buf = np.empty_like(gathered_buf)
+    table, bias = np.concatenate([params.user_emb, params.item_emb]), params.item_bias.copy()
+    cap = min(cfg.batch_size, len(dataset.train))
     diff_buf = np.empty((cap, table.shape[1]))
     x_buf, t_buf = np.empty(cap), np.empty(cap)
     two_reg = 2.0 * cfg.reg
     total_loss = 0.0
-    for start in range(0, len(order), cfg.batch_size):
-        batch = order[start : start + cfg.batch_size]
-        B = len(batch)
-        rows, item_rows = rows_buf[: 3 * B], item_rows_buf[: 2 * B]
-        item_bias, G, D = item_bias_buf[: 2 * B], gathered_buf[: 3 * B], grad_buf[: 3 * B]
+    for B, G, item_bias, D in _batches(table, bias, dataset, cfg, rng, 1):
         diff, x, t = diff_buf[:B], x_buf[:B], t_buf[:B]
-        # every index is in range, and "clip" lets np.take write straight
-        # into ``out``, where the default "raise" copies through a temporary
-        np.take(users, batch, out=rows[:B], mode="clip")
-        np.take(items, batch, out=item_rows[:B], mode="clip")
-        item_rows[B:] = negatives[start : start + B]
-        np.take(bias, item_rows, out=item_bias, mode="clip")
-        np.add(item_rows, U, out=rows[B:])
-        np.take(table, rows, axis=0, out=G, mode="clip")
         P = G[:B]
         np.subtract(G[B : 2 * B], G[2 * B :], out=diff)
         # D's user rows hold P * diff until the gradient overwrites them
@@ -283,9 +294,7 @@ def bpr_epoch(
         g = _sigmoid_of_negated(t)
         g -= 1.0  # dL/dx
         coef = cfg.lr / B
-        # G stays as gathered, since _scatter_rows writes the rows back from
-        # it: D takes the L2 term first, and diff, free now, each gradient
-        # part before it is added
+        # D takes the L2 term first; diff, free now, each part added to it
         np.multiply(G, two_reg, out=D)
         diff *= g[:, None]
         D[:B] += diff
@@ -293,11 +302,10 @@ def bpr_epoch(
         D[B : 2 * B] += gP
         D[2 * B :] -= gP
         D *= -coef
-        _scatter_rows(table, rows, G, D, slot)
         np.multiply(g, -coef, out=item_bias[:B])
         np.multiply(g, coef, out=item_bias[B:])
-        _scatter_add(bias, item_rows, item_bias)
-    return MfParams(table[:U], table[U:], bias), total_loss / len(order)
+    U = params.num_users
+    return MfParams(table[:U], table[U:], bias), total_loss / len(dataset.train)
 
 
 def pointwise_epoch(
@@ -312,45 +320,20 @@ def pointwise_epoch(
     batch's examples; returns (updated params, mean per-example data loss).
     A batch user's gradient is summed over its positive and negatives
     before the scatter, so its L2 term enters once as 2·reg·(npp+1)·p_u.
-
-    Every batch works in buffers allocated once per epoch, a batch of B
-    positives in their first rows (docs/data-layer.md, "Training step").
+    The batches are ``_batches``'.
     """
-    table, bias, slot = _epoch_tables(params)
-    U = params.num_users
-    users, items = dataset.train.pairs()
-    order = rng.permutation(len(users))
+    table, bias = np.concatenate([params.user_emb, params.item_emb]), params.item_bias.copy()
     npp = cfg.negatives_per_positive
-    negatives = sample_negatives(dataset, users[order], npp, rng).ravel()
-    cap = min(cfg.batch_size, len(order))
-    # examples: the B positives, then each batch row's npp negatives in turn;
-    # rows: the batch's users, then the examples' items + U
-    rows_buf = np.empty(cap * (2 + npp), dtype=np.int64)
-    ex_items_buf = np.empty(cap * (1 + npp), dtype=np.int64)
-    ex_bias_buf = np.empty(cap * (1 + npp))
-    gathered_buf = np.empty((cap * (2 + npp), table.shape[1]))
-    grad_buf = np.empty_like(gathered_buf)
-    ex_users_buf = np.empty((cap * (1 + npp), table.shape[1]))
-    s_buf, t_buf = np.empty(cap * (1 + npp)), np.empty(cap * (1 + npp))
+    cap = min(cfg.batch_size, len(dataset.train)) * (1 + npp)
+    ex_users_buf = np.empty((cap, table.shape[1]))
+    s_buf, t_buf = np.empty(cap), np.empty(cap)
     two_reg = 2.0 * cfg.reg
     two_reg_user = 2.0 * cfg.reg * (npp + 1)
     total_loss = 0.0
-    total_examples = 0
-    for start in range(0, len(order), cfg.batch_size):
-        batch = order[start : start + cfg.batch_size]
-        B = len(batch)
-        E = B * (1 + npp)
-        rows, ex_items, ex_bias = rows_buf[: B + E], ex_items_buf[:E], ex_bias_buf[:E]
-        G, D, P_ex = gathered_buf[: B + E], grad_buf[: B + E], ex_users_buf[:E]
+    for B, G, ex_bias, D in _batches(table, bias, dataset, cfg, rng, npp):
+        E = len(ex_bias)
+        P, Q, P_ex = G[:B], G[B:], ex_users_buf[:E]
         s, t = s_buf[:E], t_buf[:E]
-        # in-range indices, gathered without a temporary as in bpr_epoch
-        np.take(users, batch, out=rows[:B], mode="clip")
-        np.take(items, batch, out=ex_items[:B], mode="clip")
-        ex_items[B:] = negatives[start * npp : (start + B) * npp]
-        np.take(bias, ex_items, out=ex_bias, mode="clip")
-        np.add(ex_items, U, out=rows[B:])
-        np.take(table, rows, axis=0, out=G, mode="clip")
-        P, Q = G[:B], G[B:]
         # each example's user row: the B users, then each one npp times
         P_ex[:B] = P
         P_ex[B:].reshape(B, npp, -1)[:] = P[:, None]
@@ -362,7 +345,6 @@ def pointwise_epoch(
         np.negative(s[:B], out=t[:B])
         t[B:] = s[B:]
         total_loss += np.logaddexp(0.0, t, out=t).sum()
-        total_examples += E
 
         g = _sigmoid_of_negated(np.negative(s, out=t))
         g[:B] -= 1.0  # dL/ds; a negative's label 0 leaves its sigmoid as is
@@ -372,17 +354,15 @@ def pointwise_epoch(
         gQ = np.multiply(g[:, None], Q, out=P_ex)
         np.sum(gQ[B:].reshape(B, npp, -1), axis=1, out=D[:B])
         D[:B] += gQ[:B]
-        # G stays as gathered, as in bpr_epoch; P_ex, free again, holds the
-        # L2 terms, so the epoch needs no (B + E, dim) buffer for them
+        # P_ex, free again, holds the L2 terms: no (B + E, dim) buffer for them
         reg = np.multiply(Q, two_reg, out=P_ex)
         D[B:] += reg
         reg = np.multiply(P, two_reg_user, out=P_ex[:B])
         D[:B] += reg
         D *= -coef
-        _scatter_rows(table, rows, G, D, slot)
-        g *= -coef
-        _scatter_add(bias, ex_items, g)
-    return MfParams(table[:U], table[U:], bias), total_loss / total_examples
+        np.multiply(g, -coef, out=ex_bias)
+    U = params.num_users
+    return MfParams(table[:U], table[U:], bias), total_loss / (len(dataset.train) * (1 + npp))
 
 
 def _ranked_block(

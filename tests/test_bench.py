@@ -39,3 +39,19 @@ def test_workload_runs_at_smoke_shape(bench, name, tmp_path):
     )
     assert outcome.correct, outcome.errors
     assert sorted(outcome.metrics) == sorted(END_TO_END)
+
+
+@pytest.mark.parametrize(
+    "name, epoch", [("pipeline-s", "ranker.bpr_epoch"), ("cotrain-s", "ranker.pointwise_epoch")]
+)
+def test_traced_run_probes_the_epoch(bench, name, epoch, tmp_path):
+    # the tracer swaps the epoch functions by identity; a probe that finds
+    # nothing to wrap reads 0 and is listed as missing
+    harness, workloads = bench
+    outcome = harness.run_workload(
+        workloads.WORKLOADS[name].tiny(), seed=1, seconds=0, trace=True,
+        work_root=tmp_path, src=ROOT / "src", setup_repeats=1,
+    )
+    assert outcome.correct, outcome.errors
+    assert outcome.metrics[f"{epoch}_s"][0] > 0
+    assert not [m for m in outcome.missing if m.startswith(epoch)]

@@ -1123,7 +1123,8 @@ class TestRecommend:
             == 0
         )
         rows = read_jsonl(out)
-        users, items, k_star = load_recommendations(out)
+        dataset = load_bundle(workspace / "bundle")
+        users, items, k_star = load_recommendations(out, dataset.num_users, dataset.num_items)
         assert users.tolist() == [row["user"] for row in rows] == list(range(40))
         assert items.shape == (40, max(k_star))
         for row, listed, k in zip(rows, items, k_star.tolist()):
@@ -1282,11 +1283,38 @@ class TestEval:
         ids=["user-negative", "item-high"],
     )
     def test_ids_outside_dataset_named(self, workspace, tmp_path, capsys, row, problem):
+        # two good rows first: the bad row is named by its line, 3
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(json.dumps(row) + "\n")
+        bad.write_text("".join(
+            json.dumps(r) + "\n" for r in ({"user": 0, "items": [1]}, {"user": 1, "items": []}, row)
+        ))
         assert run("eval", "--data", workspace / "bundle", "--recs", bad,
                    "--out", tmp_path / "r.json") == 2
-        assert problem in capsys.readouterr().err
+        assert f"{bad}:3: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+    def test_item_at_or_past_num_items_named(self, workspace, tmp_path, capsys, past):
+        num_items = load_bundle(workspace / "bundle").num_items
+        recs = tmp_path / "recs.jsonl"
+        recs.write_text("".join(json.dumps(row) + "\n" for row in (
+            {"user": 0, "items": [num_items - 1]}, {"user": 1, "items": [0, num_items + past, 0]},
+        )))
+        assert run("eval", "--data", workspace / "bundle", "--recs", recs,
+                   "--out", tmp_path / "r.json") == 2
+        assert (f"{recs}:2: recommended item {num_items + past} outside dataset"
+                in capsys.readouterr().err)
+
+    def test_first_bad_line_in_file_order(self, workspace, tmp_path, capsys):
+        # an item past the catalog on line 2 comes before the malformed row
+        # and the repeated user on the lines after it
+        recs = tmp_path / "recs.jsonl"
+        recs.write_text("".join(json.dumps(row) + "\n" for row in (
+            {"user": 0, "items": [1]}, {"user": 1, "items": [99]}, {"user": 0, "items": [2]},
+            {"user": 2, "items": [1.5]},
+        )))
+        assert run("eval", "--data", workspace / "bundle", "--recs", recs,
+                   "--out", tmp_path / "r.json") == 2
+        assert f"{recs}:2: recommended item 99 outside dataset" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, rows, problem",
@@ -1294,6 +1322,10 @@ class TestEval:
             ("--perk-recs", [{"user": 0, "k_star": 1, "items": [1]}], "lacks curve"),
             ("--recs", [{"user": 0, "items": [1]}, {"user": 1}], "lacks items"),
             ("--recs", [{"user": 0, "items": [1, 1.5]}], "items must be a list of integers"),
+            ("--recs", [{"user": 0, "items": [1]}, {"user": 1, "items": [2, True]}],
+             "items must be a list of integers"),
+            ("--perk-recs", [{"user": 0, "k_star": 1, "curve": [False], "items": [1]}],
+             "curve must be a list of numbers"),
             ("--recs", [{"user": "0", "items": [1]}], "not an integer"),
             ("--perk-recs", [{"user": 0, "k_star": 3, "curve": [0.1, 0.2], "items": [1, 2]}],
              "k_star 3"),
@@ -1307,7 +1339,8 @@ class TestEval:
              "recommended item -1 outside dataset"),
             ("--perk-recs", [], "no recommendation rows"),
         ],
-        ids=["perk-no-curve", "fixed-no-items", "float-item", "string-user", "k-star-high",
+        ids=["perk-no-curve", "fixed-no-items", "float-item", "bool-item", "bool-curve",
+             "string-user", "k-star-high",
              "k-star-zero", "string-curve", "items-not-k-star", "negative-item",
              "empty-file"],
     )

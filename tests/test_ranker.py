@@ -486,9 +486,10 @@ class TestEpochsMatchBatchedReference:
 
     The data are ``TestEpochsMatchReference``'s: 96 train positives in
     which every batch of 16 repeats users and items. A batch of 36 leaves a
-    partial last batch of 24, and a batch of 1 takes the write-back
-    scatter. Dimension 19 puts each row's dot product past numpy's
-    eight-wide unrolled summation, where reordering would show.
+    partial last batch of 24, a batch of 1 takes the write-back scatter,
+    and a batch of 200 is one batch whose buffers hold exactly the 96.
+    Dimension 19 puts each row's dot product past numpy's eight-wide
+    unrolled summation, where reordering would show.
     """
 
     EPOCHS = pytest.mark.parametrize(
@@ -502,8 +503,9 @@ class TestEpochsMatchBatchedReference:
 
     @pytest.mark.parametrize(
         "batch_size, reg, npp",
-        [(16, 0.05, 3), (36, 0.05, 3), (1, 0.05, 3), (16, 0.0, 1), (36, 0.0, 4)],
-        ids=["repeats", "partial", "touched", "reg0-npp1", "reg0-npp4-partial"],
+        [(16, 0.05, 3), (36, 0.05, 3), (1, 0.05, 3), (16, 0.0, 1), (36, 0.0, 4),
+         (200, 0.05, 3)],
+        ids=["repeats", "partial", "touched", "reg0-npp1", "reg0-npp4-partial", "one-batch"],
     )
     @EPOCHS
     def test_three_epochs_bit_identical(self, epoch_fn, reference, batch_size, reg, npp):
