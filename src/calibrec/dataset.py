@@ -211,6 +211,23 @@ class Dataset:
         return {int(u): self.train.row(u) for u in np.flatnonzero(sizes)}
 
 
+# bytes compared at a time by _positions: its mask and int64 match positions
+# grow with the chunk, not with the file
+SCAN_CHUNK = 1 << 20
+
+
+def _positions(buf, op, value, index) -> np.ndarray:
+    """Sorted positions of the bytes ``b`` of ``buf`` where ``op(b, value)``
+    holds, as ``index`` integers, searched one ``SCAN_CHUNK`` at a time."""
+    parts = []
+    # an empty buffer still gives one, empty, part
+    for start in range(0, buf.size, SCAN_CHUNK) or [0]:
+        at = op(buf[start : start + SCAN_CHUNK], value).nonzero()[0].astype(index)
+        at += start
+        parts.append(at)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 # bytes below 0x80 that str.strip removes: \t \n \v \f \r, \x1c-\x1f and space
 _ASCII_SPACE = np.array([b < 0x80 and chr(b).isspace() for b in range(256)])
 
@@ -226,7 +243,7 @@ class _Whitespace:
     def __init__(self, buf: np.ndarray, low: np.ndarray):
         self.buf = buf
         self.low = low  # positions of the bytes <= 0x20, all ASCII whitespace among them
-        lead = np.flatnonzero(buf >= 0xC0).astype(low.dtype)
+        lead = _positions(buf, np.greater_equal, 0xC0, low.dtype)
         width = 2 + (buf[lead] >= 0xE0) + (buf[lead] >= 0xF0)
         packed = np.zeros((lead.size, 4), dtype=np.uint8)
         for k in range(4):
@@ -287,7 +304,7 @@ def _delimiters(buf, sep: bytes, lo, hi) -> np.ndarray:
     cuts by range. UTF-8 is self-synchronizing, so the encoded delimiter
     matches only at character boundaries.
     """
-    at = np.flatnonzero(buf == sep[0]).astype(lo.dtype)
+    at = _positions(buf, np.equal, sep[0], lo.dtype)
     for k in range(1, len(sep)):
         at = at[at + k < buf.size]
         at = at[buf[at + k] == sep[k]]
@@ -411,7 +428,7 @@ def _id_fields(data: bytes, buf, delimiter: str):
     any file under 2 GiB, and each line-level array is dropped once used.
     """
     index = np.int32 if buf.size < 2**31 else np.int64
-    low = np.flatnonzero(buf <= 0x20).astype(index)
+    low = _positions(buf, np.less_equal, 0x20, index)
     space = _Whitespace(buf, low)
     # a line ends at every CR and at every LF not preceded by CR; the LF of a
     # CRLF opens the next line as leading whitespace, which strip removes

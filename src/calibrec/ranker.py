@@ -25,10 +25,10 @@ TOP_K_BLOCK = 256
 SCORE_CHUNK = 1 << 13
 # _scatter_rows writes back the touched rows alone only when the table has
 # more than this many rows per scattered row; at or below it a full-table
-# bincount is no slower on pointwise's repeat-heavy batches, and the S-shape
-# benchmark workloads keep running that branch (docs/data-layer.md,
+# bincount is no slower on pointwise's repeat-heavy batches, and the
+# cotrain-s benchmark workload keeps running that branch (docs/data-layer.md,
 # "Training step")
-SCATTER_ROW_RATIO = 4
+SCATTER_ROW_RATIO = 2
 
 
 @dataclass
@@ -152,7 +152,13 @@ def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> No
 
 
 def _scatter_rows(
-    table: np.ndarray, rows: np.ndarray, gathered: np.ndarray, values: np.ndarray, slot: np.ndarray
+    table: np.ndarray,
+    rows: np.ndarray,
+    gathered: np.ndarray,
+    values: np.ndarray,
+    slot: np.ndarray,
+    positions: np.ndarray,
+    repeated: np.ndarray,
 ) -> None:
     """``table[rows[j]] += values[j]`` in place for a (N, D) table, repeated
     rows summed, at a cost that follows ``len(rows)`` rather than N.
@@ -165,38 +171,44 @@ def _scatter_rows(
     gets one compact id, one ``np.bincount`` over ``id * D + d`` sums its
     values in input order, and the row is then overwritten with its
     gathered value plus that sum, so no result depends on which repeat the
-    assignment wrote last. A table of at most ``SCATTER_ROW_RATIO`` rows per
-    scattered row takes the full-table ``_scatter_add`` instead, which is
-    cheaper there. Both forms sum each row in input order and add the sum
-    once, so their results are equal; the full-table form adds +0.0 to
-    every row, so a -0.0 can come out as +0.0 there.
+    assignment wrote last. ``positions`` holds ``arange(k)`` and
+    ``repeated`` is a bool array of length k, for some k >= ``len(rows)``;
+    the caller allocates them once, and only ``repeated`` is written. A
+    table of at most ``SCATTER_ROW_RATIO`` rows per scattered row takes the
+    full-table ``_scatter_add`` instead, which is cheaper there. Both forms
+    sum each row in input order and add the sum once, so their results are
+    equal; the full-table form adds +0.0 to every row, so a -0.0 can come
+    out as +0.0 there.
     """
     m = len(rows)
     if len(table) <= SCATTER_ROW_RATIO * m:
         _scatter_add(table, rows, values)
         return
-    positions = np.arange(m)
+    positions, repeated = positions[:m], repeated[:m]
     slot[rows] = positions
     # every occurrence of a row reads the one position its assignment kept
-    winner = slot[rows]
-    repeated = np.zeros(m, dtype=bool)
+    winner = slot.take(rows)
+    repeated.fill(False)
     repeated[winner[winner != positions]] = True
-    heads = np.flatnonzero(repeated)
+    heads = repeated.nonzero()[0]
     if heads.size:
         # a repeated row's occurrences, in input order, are the positions
         # whose winner is flagged; slot now gives each repeated row the
         # offset of its compact id's first cell in the sums
-        occurs = np.flatnonzero(repeated[winner])
+        occurs = repeated.take(winner).nonzero()[0]
         dim = table.shape[1]
-        slot[rows[heads]] = np.arange(0, heads.size * dim, dim)
-        cells = (slot[rows[occurs]][:, None] + np.arange(dim)).ravel()
-        summed = np.bincount(cells, weights=values[occurs].ravel(), minlength=heads.size * dim)
+        head_rows = rows.take(heads)
+        slot[head_rows] = np.arange(0, heads.size * dim, dim)
+        cells = (slot.take(rows.take(occurs))[:, None] + np.arange(dim)).ravel()
+        summed = np.bincount(
+            cells, weights=values.take(occurs, axis=0).ravel(), minlength=heads.size * dim
+        )
         summed = summed.reshape(heads.size, dim)
-        summed += gathered[heads]
+        summed += gathered.take(heads, axis=0)
     values += gathered
     table[rows] = values
     if heads.size:
-        table[rows[heads]] = summed
+        table[head_rows] = summed
 
 
 def _sigmoid_of_negated(t: np.ndarray) -> np.ndarray:
@@ -223,7 +235,10 @@ def _batches(table, bias, dataset: Dataset, cfg: TrainConfig, rng, npp: int):
     the step into ``D`` (shaped as ``G``) and ``bias`` and leaves ``G`` as
     gathered; the loop then scatters both. Every buffer is allocated once
     per epoch, a batch in its first rows (docs/data-layer.md, "Training step").
+    Raises ValueError, before any random draw, when the train split is empty.
     """
+    if not len(dataset.train):
+        raise ValueError("the train split is empty: an epoch needs at least one train pair")
     U = len(table) - len(bias)
     users, items = dataset.train.pairs()
     order = rng.permutation(len(users))
@@ -235,23 +250,26 @@ def _batches(table, bias, dataset: Dataset, cfg: TrainConfig, rng, npp: int):
     ex_bias_buf = np.empty(cap * (1 + npp))
     gathered_buf = np.empty((cap * (2 + npp), table.shape[1]))
     grad_buf = np.empty_like(gathered_buf)
+    # _scatter_rows' index buffers
     slot = np.empty(len(table), dtype=np.int64)
+    positions = np.arange(len(rows_buf))
+    repeated = np.empty(len(rows_buf), dtype=bool)
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start : start + cfg.batch_size]
         B = len(batch)
         E = B * (1 + npp)
         rows, ex_items, ex_bias = rows_buf[: B + E], ex_items_buf[:E], ex_bias_buf[:E]
         G, D = gathered_buf[: B + E], grad_buf[: B + E]
-        # every index is in range, and "clip" lets np.take write straight
-        # into ``out``, where the default "raise" copies through a temporary
-        np.take(users, batch, out=rows[:B], mode="clip")
-        np.take(items, batch, out=ex_items[:B], mode="clip")
+        # every index is in range, and "clip" lets take write straight into
+        # ``out``, where the default "raise" copies through a temporary
+        users.take(batch, out=rows[:B], mode="clip")
+        items.take(batch, out=ex_items[:B], mode="clip")
         ex_items[B:] = negatives[start * npp : (start + B) * npp]
-        np.take(bias, ex_items, out=ex_bias, mode="clip")
+        bias.take(ex_items, out=ex_bias, mode="clip")
         np.add(ex_items, U, out=rows[B:])
-        np.take(table, rows, axis=0, out=G, mode="clip")
+        table.take(rows, axis=0, out=G, mode="clip")
         yield B, G, ex_bias, D
-        _scatter_rows(table, rows, G, D, slot)
+        _scatter_rows(table, rows, G, D, slot, positions, repeated)
         _scatter_add(bias, ex_items, ex_bias)
 
 
@@ -272,6 +290,7 @@ def bpr_epoch(
     reported loss.
 
     Batches are ``_batches``' at npp 1: rows of B users, positives, negatives.
+    An empty train split raises ValueError.
     """
     table, bias = np.concatenate([params.user_emb, params.item_emb]), params.item_bias.copy()
     cap = min(cfg.batch_size, len(dataset.train))
@@ -285,11 +304,11 @@ def bpr_epoch(
         np.subtract(G[B : 2 * B], G[2 * B :], out=diff)
         # D's user rows hold P * diff until the gradient overwrites them
         np.multiply(P, diff, out=D[:B])
-        np.sum(D[:B], axis=1, out=x)
+        np.add.reduce(D[:B], axis=1, out=x)
         x += item_bias[:B]
         x -= item_bias[B:]
         np.negative(x, out=t)
-        total_loss += np.logaddexp(0.0, t, out=x).sum()
+        total_loss += np.add.reduce(np.logaddexp(0.0, t, out=x))
 
         g = _sigmoid_of_negated(t)
         g -= 1.0  # dL/dx
@@ -320,7 +339,7 @@ def pointwise_epoch(
     batch's examples; returns (updated params, mean per-example data loss).
     A batch user's gradient is summed over its positive and negatives
     before the scatter, so its L2 term enters once as 2·reg·(npp+1)·p_u.
-    The batches are ``_batches``'.
+    The batches are ``_batches``'. An empty train split raises ValueError.
     """
     table, bias = np.concatenate([params.user_emb, params.item_emb]), params.item_bias.copy()
     npp = cfg.negatives_per_positive
@@ -339,20 +358,25 @@ def pointwise_epoch(
         P_ex[B:].reshape(B, npp, -1)[:] = P[:, None]
         # D's item rows hold P_ex * Q until the gradient overwrites them
         np.multiply(P_ex, Q, out=D[B:])
-        np.sum(D[B:], axis=1, out=s)
+        np.add.reduce(D[B:], axis=1, out=s)
         s += ex_bias
         # -ln sigmoid(s) for positives, -ln(1 - sigmoid(s)) for negatives
         np.negative(s[:B], out=t[:B])
         t[B:] = s[B:]
-        total_loss += np.logaddexp(0.0, t, out=t).sum()
+        total_loss += np.add.reduce(np.logaddexp(0.0, t, out=t))
 
         g = _sigmoid_of_negated(np.negative(s, out=t))
         g[:B] -= 1.0  # dL/ds; a negative's label 0 leaves its sigmoid as is
         coef = cfg.lr / E
         np.multiply(g[:, None], P_ex, out=D[B:])
-        # P_ex is free now and takes g * Q
+        # P_ex is free now and takes g * Q. A user's gradient adds its npp
+        # negatives' rows in turn to 0.0, as a reduction over them would,
+        # and then its positive's
         gQ = np.multiply(g[:, None], Q, out=P_ex)
-        np.sum(gQ[B:].reshape(B, npp, -1), axis=1, out=D[:B])
+        negatives = gQ[B:].reshape(B, npp, -1)
+        np.add(negatives[:, 0], 0.0, out=D[:B])
+        for j in range(1, npp):
+            D[:B] += negatives[:, j]
         D[:B] += gQ[:B]
         # P_ex, free again, holds the L2 terms: no (B + E, dim) buffer for them
         reg = np.multiply(Q, two_reg, out=P_ex)

@@ -482,25 +482,58 @@ REFERENCE_TOUCHED_TRAINING = {
 }
 
 
+# The same at the batches that put 2 to 4 table rows against each scattered
+# row, 36 rows into the 95-row table: 12 BPR triples, or 6 pointwise positives
+# with 4 negatives each. Taken when SCATTER_ROW_RATIO was 4, so these batches
+# took the full-table scatter; now they write back the gathered rows.
+REFERENCE_RATIO_TRAINING = {
+    ("bpr", 12): {
+        "ckpt.bin": "1dde08982982cf7e18ef4fe2d45628edcdf8fff0cdff96e75c3a721f1177fd51",
+        "ckpt.json": "8cf226455485724bb6ea1d117ca5ca6e79f447b0400ef8843cb89132ce633857",
+        "ckpt_log.jsonl": "933ae24bc3bcaff6a9ed6265555474e14bdd565c197b35f2e5a7c918a286e180",
+    },
+    ("pointwise", 6): {
+        "ckpt.bin": "496b6026f5b40797c7884b33237f07303d8b0cfe55bfd8e04c10f6deaf9940f5",
+        "ckpt.json": "ab12749d39b0f764e1f7d5e6354bfb54b86a454370267317fd3692bdebe90728",
+        "ckpt_log.jsonl": "7ca86098ac0e70651ebf09c25f8829e3facb83e6ab292517b5490c473a31c061",
+    },
+}
+
+
 class TestTrain:
-    @pytest.mark.parametrize("loss", list(REFERENCE_TOUCHED_TRAINING))
-    def test_touched_branch_bytes_match_reference(self, workspace, tmp_path, monkeypatch, loss):
+    @staticmethod
+    def written_back_digests(workspace, out, monkeypatch, loss, batch_size):
+        """SHA-256 of train's outputs at 6 epochs of dim 8, after asserting
+        that every embedding scatter wrote back the gathered rows."""
         full_table = []
         scatter_add = ranker._scatter_add
         monkeypatch.setattr(
             ranker, "_scatter_add",
             lambda target, *rest: full_table.append(target.ndim == 2) or scatter_add(target, *rest),
         )
-        assert run("train", "--data", workspace / "bundle", "--out", tmp_path / "ckpt",
+        assert run("train", "--data", workspace / "bundle", "--out", out / "ckpt",
                    "--set", "train.epochs=6", "--set", "train.dim=8", "--set", "train.lr=0.15",
-                   "--set", "train.batch_size=3", "--set", f"train.loss={loss}") == 0
+                   "--set", f"train.batch_size={batch_size}", "--set", f"train.loss={loss}") == 0
         # only the 1-D bias scatters used the full target
         assert full_table and not any(full_table)
-        digests = {
-            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in REFERENCE_TOUCHED_TRAINING[loss]
+        return {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("ckpt.bin", "ckpt.json", "ckpt_log.jsonl")
         }
+
+    @pytest.mark.parametrize("loss", list(REFERENCE_TOUCHED_TRAINING))
+    def test_touched_branch_bytes_match_reference(self, workspace, tmp_path, monkeypatch, loss):
+        digests = self.written_back_digests(workspace, tmp_path, monkeypatch, loss, 3)
         assert digests == REFERENCE_TOUCHED_TRAINING[loss]
+
+    @pytest.mark.parametrize(
+        "loss, batch_size", list(REFERENCE_RATIO_TRAINING), ids=["bpr", "pointwise"]
+    )
+    def test_write_back_at_2_to_4_rows_per_scattered_row_matches_reference(
+        self, workspace, tmp_path, monkeypatch, loss, batch_size
+    ):
+        digests = self.written_back_digests(workspace, tmp_path, monkeypatch, loss, batch_size)
+        assert digests == REFERENCE_RATIO_TRAINING[loss, batch_size]
 
     def test_zero_epochs_equals_initialization(self, workspace, tmp_path):
         assert (

@@ -161,6 +161,18 @@ class TestLoaderMatchesReference:
             outcomes.add(got[0] if got[0] == "error" else "ok")
         assert outcomes == {"ok", "error"}
 
+    @pytest.mark.parametrize("delimiter", [",", "\t", "::"], ids=["comma", "tab", "colons"])
+    def test_random_logs_scanned_in_small_chunks(self, tmp_path, monkeypatch, delimiter):
+        # 5-byte chunks cut through delimiters, line ends and multi-byte
+        # characters, and parts of one chunk can be empty
+        monkeypatch.setattr(dataset_module, "SCAN_CHUNK", 5)
+        rng = np.random.default_rng(20261019)
+        path = tmp_path / "log.txt"
+        for _ in range(60):
+            path.write_bytes(random_log(rng, delimiter).encode("utf-8"))
+            got = loaded(load_interactions, path, delimiter)
+            assert got == loaded(reference_load_interactions, path, delimiter)
+
     @pytest.mark.parametrize(
         "text, delimiter",
         [

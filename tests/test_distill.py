@@ -16,6 +16,7 @@ from calibrec.distill import (
 from calibrec.ranker import MfParams, TrainConfig, init_params, pointwise_epoch
 from calibrec.synthetic import low_rank_dataset
 
+from conftest import make_dataset
 from oracles import (
     finite_difference_grad,
     full_sort_ranking,
@@ -303,6 +304,15 @@ class TestCotrainEpoch:
         cotrain_epoch(teacher, student, dataset, base_cfg, bd_cfg, np.random.default_rng(1))
         assert np.array_equal(teacher.user_emb, t_copy.user_emb)
         assert np.array_equal(teacher.item_emb, t_copy.item_emb)
+
+    def test_empty_train_split_raises(self):
+        # 3 users x 4 items whose one pair is a validation pair
+        ds = make_dataset({}, validation={0: {1}}, num_users=3, num_items=4)
+        with pytest.raises(ValueError, match="train split is empty"):
+            cotrain_epoch(
+                init_params(3, 4, 4, seed=0), init_params(3, 4, 2, seed=1), ds,
+                TrainConfig(), BdConfig(), np.random.default_rng(2),
+            )
 
 
 class TestBdConfig:

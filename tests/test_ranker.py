@@ -279,6 +279,19 @@ class TestPointwiseEpoch:
             assert relative_error(analytic[i], g_fd) < 1e-5
 
 
+class TestEmptyTrainSplit:
+    @pytest.mark.parametrize("epoch_fn", [bpr_epoch, pointwise_epoch], ids=["bpr", "pointwise"])
+    def test_epoch_raises_before_any_draw(self, epoch_fn):
+        # 3 users x 4 items whose one pair is a validation pair: the mean
+        # loss would divide by zero train pairs
+        ds = make_dataset({}, validation={0: {1}}, num_users=3, num_items=4)
+        rng = np.random.default_rng(12)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="train split is empty"):
+            epoch_fn(init_params(3, 4, 2, seed=0), ds, TrainConfig(), rng)
+        assert rng.bit_generator.state == state
+
+
 class TestScatterAdd:
     """``ranker._scatter_add`` against ``np.add.at`` on the same inputs."""
 
@@ -309,11 +322,15 @@ class TestScatterAdd:
 def scatter_rows(table, rows, values, slot=None):
     """``ranker._scatter_rows`` called as the epochs call it: the rows
     gathered before the update, ``values`` copied since the call overwrites
-    them, and a ``slot`` of stale contents unless one is given."""
+    them, a ``slot`` of stale contents unless one is given, and positions
+    and flags longer than the rows, the flags stale too."""
     rows = np.asarray(rows, dtype=np.int64)
     if slot is None:
         slot = np.full(len(table), 7, dtype=np.int64)
-    ranker._scatter_rows(table, rows, table[rows], np.array(values, dtype=float), slot)
+    ranker._scatter_rows(
+        table, rows, table[rows], np.array(values, dtype=float), slot,
+        np.arange(len(rows) + 3), np.ones(len(rows) + 3, dtype=bool),
+    )
 
 
 @pytest.fixture
@@ -340,7 +357,7 @@ class TestScatterRows:
 
     @pytest.mark.parametrize(
         "rows",
-        [[5, 0, 2, 9], [3, 0, 3, 1, 3, 5, 0, 3], [2, 2, 2, 2], [1]],
+        [[5, 0, 2, 7], [3, 0, 3, 1, 3, 5, 0, 3], [2, 2, 2, 2], [1]],
         ids=["distinct", "repeated", "single", "one-row"],
     )
     @RATIO_SIDES
