@@ -406,7 +406,11 @@ def reliability_table(pairs, num_bins: int = 15, scheme: str = "equal_width"):
 
 def ece(pairs, num_bins: int = 15, scheme: str = "equal_width") -> float:
     """Expected calibration error: bin-weighted |positive fraction - mean p|."""
-    rows = reliability_table(pairs, num_bins, scheme)
+    return _ece_of_rows(reliability_table(pairs, num_bins, scheme))
+
+
+def _ece_of_rows(rows) -> float:
+    """``ece`` of the rows ``reliability_table`` returned."""
     n = sum(count for _, _, count, _, _ in rows)
     return float(
         sum(count / n * abs(frac_pos - mean_p) for _, _, count, mean_p, frac_pos in rows)

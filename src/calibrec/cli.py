@@ -593,12 +593,13 @@ def cmd_calibrate(args, cfg) -> int:
     cal_pairs = np.column_stack([np.atleast_1d(apply_calibrator(cal, eval_scores)), eval_labels])
     num_bins, scheme = cfg["calib.num_bins"], cfg["calib.scheme"]
     ece_raw = ece(raw_pairs, num_bins, scheme)
-    ece_cal = ece(cal_pairs, num_bins, scheme)
+    cal_rows = reliability_table(cal_pairs, num_bins, scheme)
+    ece_cal = calibration._ece_of_rows(cal_rows)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_calibrator(cal, out / "calibrator.json")
-    write_reliability_csv(reliability_table(cal_pairs, num_bins, scheme), out / "reliability.csv")
+    write_reliability_csv(cal_rows, out / "reliability.csv")
     write_json(
         out / "calibration_report.json",
         {
@@ -660,14 +661,18 @@ def cmd_distill(args, cfg) -> int:
         save_checkpoint(params, out / name, seed=cfg["seed"],
                         loss_kind="pointwise", epochs_trained=bd_cfg.epochs)
 
-    users = np.arange(dataset.num_users)
-    recall_result = metrics.evaluate(
-        users, top_k(student, users, 10, dataset.train), dataset,
-        split="validation", metrics=("recall",), ks=(10,),
-    )
+    # evaluate raises when no user has validation items; the summary says null
+    recall = None
+    if len(dataset.validation):
+        users = np.arange(dataset.num_users)
+        result = metrics.evaluate(
+            users, top_k(student, users, 10, dataset.train), dataset,
+            split="validation", metrics=("recall",), ks=(10,),
+        )
+        recall = result.rows[0].means["recall"]
     summary = {
         "epochs": bd_cfg.epochs,
-        "student_recall_at_10": recall_result.rows[0].means["recall"],
+        "student_recall_at_10": recall,
         # users of the last epoch with no item the counterpart ranks better
         "empty_users": {
             "teacher": report.teacher.empty_users if report else None,
@@ -679,7 +684,10 @@ def cmd_distill(args, cfg) -> int:
         },
     }
     write_json(out / "distill_summary.json", summary)
-    print(f"student validation recall@10: {summary['student_recall_at_10']:.4f}")
+    if recall is None:
+        print("student validation recall@10: none, the validation split has no items")
+    else:
+        print(f"student validation recall@10: {recall:.4f}")
     return 0
 
 

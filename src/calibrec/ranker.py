@@ -23,12 +23,6 @@ TOP_K_BLOCK = 256
 # pairs scored together by score_pairs: each gathered (SCORE_CHUNK, dim)
 # table is 2 MB at dim 32
 SCORE_CHUNK = 1 << 13
-# _scatter_rows writes back the touched rows alone only when the table has
-# more than this many rows per scattered row; at or below it a full-table
-# bincount is no slower on pointwise's repeat-heavy batches, and the
-# cotrain-s benchmark workload keeps running that branch (docs/data-layer.md,
-# "Training step")
-SCATTER_ROW_RATIO = 2
 
 
 @dataclass
@@ -134,23 +128,6 @@ def score_pairs(params: MfParams, users, items) -> np.ndarray:
     return out
 
 
-def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """``target[rows[j]] += values[j]`` in place, repeated rows summed.
-
-    One ``np.bincount`` over the flat index ``rows * D + d`` of a (N, D)
-    target, or over ``rows`` itself for a 1-D one. Each row's values are
-    summed first and then added to the target once, so the result differs
-    from adding them one at a time only in summation order.
-    """
-    if target.ndim == 1:
-        target += np.bincount(rows, weights=values, minlength=target.size)
-        return
-    dim = target.shape[1]
-    flat = (rows[:, None] * dim + np.arange(dim)).ravel()
-    summed = np.bincount(flat, weights=values.ravel(), minlength=target.size)
-    target += summed.reshape(target.shape)
-
-
 def _scatter_rows(
     table: np.ndarray,
     rows: np.ndarray,
@@ -173,18 +150,11 @@ def _scatter_rows(
     gathered value plus that sum, so no result depends on which repeat the
     assignment wrote last. ``positions`` holds ``arange(k)`` and
     ``repeated`` is a bool array of length k, for some k >= ``len(rows)``;
-    the caller allocates them once, and only ``repeated`` is written. A
-    table of at most ``SCATTER_ROW_RATIO`` rows per scattered row takes the
-    full-table ``_scatter_add`` instead, which is cheaper there. Both forms
-    sum each row in input order and add the sum once, so their results are
-    equal; the full-table form adds +0.0 to every row, so a -0.0 can come
-    out as +0.0 there.
+    the caller allocates them once, and only ``repeated`` is written.
+    Each row's values are summed in input order and added once, and rows
+    not in ``rows`` are never written.
     """
-    m = len(rows)
-    if len(table) <= SCATTER_ROW_RATIO * m:
-        _scatter_add(table, rows, values)
-        return
-    positions, repeated = positions[:m], repeated[:m]
+    positions, repeated = positions[: len(rows)], repeated[: len(rows)]
     slot[rows] = positions
     # every occurrence of a row reads the one position its assignment kept
     winner = slot.take(rows)
@@ -270,7 +240,7 @@ def _batches(table, bias, dataset: Dataset, cfg: TrainConfig, rng, npp: int):
         table.take(rows, axis=0, out=G, mode="clip")
         yield B, G, ex_bias, D
         _scatter_rows(table, rows, G, D, slot, positions, repeated)
-        _scatter_add(bias, ex_items, ex_bias)
+        bias += np.bincount(ex_items, weights=ex_bias, minlength=bias.size)
 
 
 def bpr_epoch(

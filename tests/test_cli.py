@@ -464,29 +464,25 @@ class TestConfig:
         assert run() == 2
 
 
-# SHA-256 of train's outputs on the workspace bundle at batch 3, per loss, taken
-# before the touched-row scatter wrote back the gathered rows. A batch scatters
-# 9 (BPR) or 18 (pointwise) rows into the 95-row table, more than
-# SCATTER_ROW_RATIO apart, so every embedding scatter takes the touched branch.
-REFERENCE_TOUCHED_TRAINING = {
-    "bpr": {
+# SHA-256 of train's outputs on the workspace bundle (40 users and 55 items, so
+# a 95-row embedding table) at 6 epochs of dim 8, per loss and batch size.
+# Batches of 3 scatter 9 (BPR) or 18 (pointwise, 4 negatives each) rows; the
+# digests were taken before the touched-row scatter wrote back the gathered
+# rows. Batches of 12 BPR triples or 6 pointwise positives scatter 36 rows;
+# taken when a full-table bincount served them. Batches of 16 scatter 48 or
+# 96 rows; taken when a full-table bincount served every batch of at least
+# half the table's rows.
+REFERENCE_TRAINING = {
+    ("bpr", 3): {
         "ckpt.bin": "a6744a4364c8a2a4385e55fcadecc21447b889fff307521f056f54386ff241d7",
         "ckpt.json": "8cf226455485724bb6ea1d117ca5ca6e79f447b0400ef8843cb89132ce633857",
         "ckpt_log.jsonl": "407299fe5876ffd3ba9fb621cd05e475810fedbeb4f7a7f19cbc9fb52c73d519",
     },
-    "pointwise": {
+    ("pointwise", 3): {
         "ckpt.bin": "b18be9e0a5a0b2c3dd0f14fc1a68e0537cb6dfeccb76ad97e89212d08b16792e",
         "ckpt.json": "ab12749d39b0f764e1f7d5e6354bfb54b86a454370267317fd3692bdebe90728",
         "ckpt_log.jsonl": "c036fdb388665b427479d0624ab36454ad2c72c3f332dae8ebc9d5585b663f46",
     },
-}
-
-
-# The same at the batches that put 2 to 4 table rows against each scattered
-# row, 36 rows into the 95-row table: 12 BPR triples, or 6 pointwise positives
-# with 4 negatives each. Taken when SCATTER_ROW_RATIO was 4, so these batches
-# took the full-table scatter; now they write back the gathered rows.
-REFERENCE_RATIO_TRAINING = {
     ("bpr", 12): {
         "ckpt.bin": "1dde08982982cf7e18ef4fe2d45628edcdf8fff0cdff96e75c3a721f1177fd51",
         "ckpt.json": "8cf226455485724bb6ea1d117ca5ca6e79f447b0400ef8843cb89132ce633857",
@@ -497,43 +493,59 @@ REFERENCE_RATIO_TRAINING = {
         "ckpt.json": "ab12749d39b0f764e1f7d5e6354bfb54b86a454370267317fd3692bdebe90728",
         "ckpt_log.jsonl": "7ca86098ac0e70651ebf09c25f8829e3facb83e6ab292517b5490c473a31c061",
     },
+    ("bpr", 16): {
+        "ckpt.bin": "cf3a768cb6064ed4f7ccbd01daa412f00a9c331e6215701b997728ee806f95bc",
+        "ckpt.json": "8cf226455485724bb6ea1d117ca5ca6e79f447b0400ef8843cb89132ce633857",
+        "ckpt_log.jsonl": "ccc8df42ae7a101bf2a06194c177c48994511dd7fee184289d34d6f5702638d1",
+    },
+    ("pointwise", 16): {
+        "ckpt.bin": "c8dc679747f31907765e2729065d45971b05f4839460461fad99f09c4d4f396d",
+        "ckpt.json": "ab12749d39b0f764e1f7d5e6354bfb54b86a454370267317fd3692bdebe90728",
+        "ckpt_log.jsonl": "72b94fc1fce3e5c62bade20b11329c0e147e34c0166480fc91a62970e3fe40ea",
+    },
 }
 
 
 class TestTrain:
     @staticmethod
     def written_back_digests(workspace, out, monkeypatch, loss, batch_size):
-        """SHA-256 of train's outputs at 6 epochs of dim 8, after asserting
-        that every embedding scatter wrote back the gathered rows."""
-        full_table = []
-        scatter_add = ranker._scatter_add
+        """SHA-256 of train's outputs, after asserting that every batch of
+        the 6 epochs wrote its embedding rows back through ``_scatter_rows``."""
+        scatters = []
+        scatter_rows = ranker._scatter_rows
         monkeypatch.setattr(
-            ranker, "_scatter_add",
-            lambda target, *rest: full_table.append(target.ndim == 2) or scatter_add(target, *rest),
+            ranker, "_scatter_rows", lambda *args: scatters.append(1) or scatter_rows(*args)
         )
         assert run("train", "--data", workspace / "bundle", "--out", out / "ckpt",
                    "--set", "train.epochs=6", "--set", "train.dim=8", "--set", "train.lr=0.15",
                    "--set", f"train.batch_size={batch_size}", "--set", f"train.loss={loss}") == 0
-        # only the 1-D bias scatters used the full target
-        assert full_table and not any(full_table)
+        train_pairs = len(load_bundle(workspace / "bundle").train)
+        assert len(scatters) == 6 * -(-train_pairs // batch_size)
         return {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in ("ckpt.bin", "ckpt.json", "ckpt_log.jsonl")
         }
 
-    @pytest.mark.parametrize("loss", list(REFERENCE_TOUCHED_TRAINING))
+    @pytest.mark.parametrize("loss", ["bpr", "pointwise"])
     def test_touched_branch_bytes_match_reference(self, workspace, tmp_path, monkeypatch, loss):
         digests = self.written_back_digests(workspace, tmp_path, monkeypatch, loss, 3)
-        assert digests == REFERENCE_TOUCHED_TRAINING[loss]
+        assert digests == REFERENCE_TRAINING[loss, 3]
 
     @pytest.mark.parametrize(
-        "loss, batch_size", list(REFERENCE_RATIO_TRAINING), ids=["bpr", "pointwise"]
+        "loss, batch_size", [("bpr", 12), ("pointwise", 6)], ids=["bpr", "pointwise"]
     )
     def test_write_back_at_2_to_4_rows_per_scattered_row_matches_reference(
         self, workspace, tmp_path, monkeypatch, loss, batch_size
     ):
         digests = self.written_back_digests(workspace, tmp_path, monkeypatch, loss, batch_size)
-        assert digests == REFERENCE_RATIO_TRAINING[loss, batch_size]
+        assert digests == REFERENCE_TRAINING[loss, batch_size]
+
+    @pytest.mark.parametrize("loss", ["bpr", "pointwise"])
+    def test_write_back_at_under_2_rows_per_scattered_row_matches_reference(
+        self, workspace, tmp_path, monkeypatch, loss
+    ):
+        digests = self.written_back_digests(workspace, tmp_path, monkeypatch, loss, 16)
+        assert digests == REFERENCE_TRAINING[loss, 16]
 
     def test_zero_epochs_equals_initialization(self, workspace, tmp_path):
         assert (
@@ -1088,6 +1100,23 @@ class TestDistill:
         summary = json.loads((tmp_path / "bd1" / "distill_summary.json").read_text())
         assert summary["empty_users"] == {"teacher": 0, "student": 40}
         assert summary["final"]["student"]["sampled_total"] == 0
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_empty_validation_split_keeps_the_run(self, tmp_path, capsys, epochs):
+        # 6 rows per user put nothing in validation: recall@10 has no users
+        csv = tmp_path / "in.csv"
+        write_interactions_csv(csv, low_rank_interactions(30, 12, per_user=6))
+        assert run("ingest", "--input", csv, "--out", tmp_path / "bundle") == 0
+        assert len(load_bundle(tmp_path / "bundle").validation) == 0
+        assert run("distill", "--data", tmp_path / "bundle", "--out", tmp_path / "bd",
+                   "--set", f"bd.epochs={epochs}", "--set", "bd.teacher_dim=8",
+                   "--set", "bd.student_dim=4") == 0
+        assert "validation split has no items" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "bd" / "distill_summary.json").read_text())
+        assert summary["student_recall_at_10"] is None
+        assert len(read_jsonl(tmp_path / "bd" / "cotrain_log.jsonl")) == 2 * epochs
+        for name in ("teacher", "student"):
+            assert load_checkpoint(tmp_path / "bd" / name)[1]["epochs_trained"] == epochs
 
     def test_lambda_zero_matches_two_train_runs(self, workspace, tmp_path):
         assert (

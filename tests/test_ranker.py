@@ -292,33 +292,6 @@ class TestEmptyTrainSplit:
         assert rng.bit_generator.state == state
 
 
-class TestScatterAdd:
-    """``ranker._scatter_add`` against ``np.add.at`` on the same inputs."""
-
-    @pytest.mark.parametrize(
-        "rows",
-        [[3, 0, 3, 3, 5, 0], [2], []],
-        ids=["repeated", "single", "empty"],
-    )
-    @pytest.mark.parametrize("shape", [(6,), (6, 4)], ids=["1d", "2d"])
-    def test_matches_add_at(self, rows, shape):
-        rng = np.random.default_rng(21)
-        rows = np.asarray(rows, dtype=np.int64)
-        target = rng.normal(size=shape)
-        values = rng.normal(size=(len(rows),) + shape[1:])
-        expected = target.copy()
-        np.add.at(expected, rows, values)
-        ranker._scatter_add(target, rows, values)
-        np.testing.assert_allclose(target, expected, rtol=1e-15, atol=1e-15)
-
-    def test_untouched_rows_keep_their_bits(self):
-        target = np.arange(12.0).reshape(4, 3) / 7.0
-        before = target.copy()
-        ranker._scatter_add(target, np.array([1, 1]), np.ones((2, 3)))
-        assert np.array_equal(target[[0, 2, 3]], before[[0, 2, 3]])
-        np.testing.assert_allclose(target[1], before[1] + 2.0)
-
-
 def scatter_rows(table, rows, values, slot=None):
     """``ranker._scatter_rows`` called as the epochs call it: the rows
     gathered before the update, ``values`` copied since the call overwrites
@@ -333,62 +306,39 @@ def scatter_rows(table, rows, values, slot=None):
     )
 
 
-@pytest.fixture
-def full_table_scatters(monkeypatch):
-    """How many times ``_scatter_rows`` fell back to the full-table ``_scatter_add``."""
-    calls = []
-    scatter_add = ranker._scatter_add
-    monkeypatch.setattr(
-        ranker, "_scatter_add", lambda *args: calls.append(1) or scatter_add(*args)
-    )
-    return calls
-
-
-# a table of SCATTER_ROW_RATIO rows per scattered row takes the full-table
-# scatter, one more row the write-back of the gathered rows
-RATIO_SIDES = pytest.mark.parametrize("extra, path", [(0, "full"), (1, "touched")])
-
-
 class TestScatterRows:
-    """``ranker._scatter_rows`` on both sides of its table-size rule, bit for
-    bit against ``oracles.bincount_add`` (each row's values summed in input
-    order by one full-table ``np.bincount``, then added once) and within
-    rounding of ``np.add.at``."""
+    """``ranker._scatter_rows`` bit for bit against ``oracles.bincount_add``
+    (each row's values summed in input order by one full-table
+    ``np.bincount``, then added once) and within rounding of ``np.add.at``."""
 
     @pytest.mark.parametrize(
         "rows",
         [[5, 0, 2, 7], [3, 0, 3, 1, 3, 5, 0, 3], [2, 2, 2, 2], [1]],
         ids=["distinct", "repeated", "single", "one-row"],
     )
-    @RATIO_SIDES
-    def test_both_paths_match_scatter_add(self, rows, extra, path, full_table_scatters):
+    def test_matches_bincount_add(self, rows):
         # "repeated" scatters row 3 four times, never twice in a row
         rng = np.random.default_rng(22)
-        num_rows = ranker.SCATTER_ROW_RATIO * len(rows) + extra
-        table = rng.normal(size=(num_rows, 3))
+        table = rng.normal(size=(2 * len(rows) + 1, 3))
         values = rng.normal(size=(len(rows), 3))
         expected = table.copy()
         bincount_add(expected, rows, values)
         added = table.copy()
         np.add.at(added, rows, values)
         scatter_rows(table, rows, values)
-        assert len(full_table_scatters) == (1 if path == "full" else 0)
         assert table.tobytes() == expected.tobytes()
         np.testing.assert_allclose(table, added, rtol=1e-15, atol=1e-15)
 
-    @RATIO_SIDES
-    def test_repeats_sum_in_input_order(self, extra, path, full_table_scatters):
+    def test_repeats_sum_in_input_order(self):
         # 1e16 + 1.0 rounds back to 1e16, so only the input order ends at 0.0;
         # adding the two large values first would leave 1.0
-        num_rows = ranker.SCATTER_ROW_RATIO * 4 + extra
-        table = np.zeros((num_rows, 2))
+        table = np.zeros((9, 2))
         values = np.repeat([[1e16], [3.0], [1.0], [-1e16]], 2, axis=1)
         scatter_rows(table, [4, 2, 4, 4], values)
-        assert len(full_table_scatters) == (1 if path == "full" else 0)
         assert table[4].tolist() == [0.0, 0.0]
         assert not np.signbit(table[4]).any()
         assert table[2].tolist() == [3.0, 3.0]
-        assert not table[(np.arange(num_rows) != 4) & (np.arange(num_rows) != 2)].any()
+        assert not table[(np.arange(9) != 4) & (np.arange(9) != 2)].any()
 
     def test_slot_left_by_an_earlier_call(self):
         # the second call finds the first one's positions in slot, some of
@@ -403,22 +353,20 @@ class TestScatterRows:
             scatter_rows(table, rows, values, slot)
         assert table.tobytes() == expected.tobytes()
 
-    def test_touched_path_keeps_untouched_bits(self, full_table_scatters):
+    def test_touched_path_keeps_untouched_bits(self):
         # -0.0 and nan survive in rows the batch does not touch
         table = np.arange(60.0).reshape(20, 3) / 7.0
         table[0] = -0.0
         table[5] = np.nan
         before = table.copy()
         scatter_rows(table, [9, 2, 9], np.ones((3, 3)))
-        assert not full_table_scatters
         untouched = np.setdiff1d(np.arange(20), [2, 9])
         assert table[untouched].tobytes() == before[untouched].tobytes()
         np.testing.assert_allclose(table[[2, 9]], before[[2, 9]] + [[1.0], [2.0]])
 
-    def test_one_row_table(self, full_table_scatters):
+    def test_one_row_table(self):
         table = np.array([[0.5, -1.25]])
         scatter_rows(table, [0, 0], [[1.0, 2.0], [0.25, 0.5]])
-        assert len(full_table_scatters) == 1
         assert table.tolist() == [[1.75, 1.25]]
 
 
@@ -448,15 +396,8 @@ class TestEpochsMatchReference:
         ids=["bpr", "pointwise"],
     )
 
-    def run_three_epochs(self, epoch_fn, reference, reg, batch_size, monkeypatch):
-        """Three epochs against the reference; returns how many embedding
-        scatters took the full-table path."""
-        full = []
-        scatter_add = ranker._scatter_add
-        monkeypatch.setattr(
-            ranker, "_scatter_add",
-            lambda target, *rest: full.append(target.ndim == 2) or scatter_add(target, *rest),
-        )
+    def run_three_epochs(self, epoch_fn, reference, reg, batch_size):
+        """Three epochs against the reference."""
         ds = self.dataset()
         cfg = TrainConfig(lr=0.5, reg=reg, batch_size=batch_size, negatives_per_positive=3)
         new = ref = MfParams(*(
@@ -468,24 +409,21 @@ class TestEpochsMatchReference:
             ref, ref_loss = reference(ref, ds, cfg, np.random.default_rng([7, epoch]))
             assert new_loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
             self.assert_close(new, ref)
-        return sum(full)
 
     @EPOCHS
     @pytest.mark.parametrize("reg", [0.0, 0.05], ids=["reg0", "reg"])
-    def test_three_epochs(self, epoch_fn, reference, reg, monkeypatch):
-        # batches of 16 put at least 32 rows against the 32-row table: full path
-        batches = 3 * -(-96 // 16)
-        full = self.run_three_epochs(epoch_fn, reference, reg, 16, monkeypatch)
-        assert full == batches
+    def test_three_epochs(self, epoch_fn, reference, reg):
+        # batches of 16 scatter at least 32 rows, many of them repeats, into
+        # the 32-row table
+        self.run_three_epochs(epoch_fn, reference, reg, 16)
 
     @EPOCHS
     @pytest.mark.parametrize("reg", [0.0, 0.05], ids=["reg0", "reg"])
-    def test_three_epochs_touched_rows(self, epoch_fn, reference, reg, monkeypatch):
+    def test_three_epochs_touched_rows(self, epoch_fn, reference, reg):
         # 6 rows per BPR batch of 2 and 5 per pointwise batch of 1 (npp 3)
-        # against the 32-row table: every scatter takes the touched path
+        # against the 32-row table: a few touched rows per batch
         batch_size = 2 if epoch_fn is bpr_epoch else 1
-        full = self.run_three_epochs(epoch_fn, reference, reg, batch_size, monkeypatch)
-        assert full == 0
+        self.run_three_epochs(epoch_fn, reference, reg, batch_size)
 
     def test_batches_repeat_users_and_items(self):
         ds = self.dataset()
@@ -503,7 +441,7 @@ class TestEpochsMatchBatchedReference:
 
     The data are ``TestEpochsMatchReference``'s: 96 train positives in
     which every batch of 16 repeats users and items. A batch of 36 leaves a
-    partial last batch of 24, a batch of 1 takes the write-back scatter,
+    partial last batch of 24, a batch of 1 touches a few rows of the table,
     and a batch of 200 is one batch whose buffers hold exactly the 96.
     Dimension 19 puts each row's dot product past numpy's eight-wide
     unrolled summation, where reordering would show.
@@ -544,17 +482,15 @@ class TestEpochsMatchBatchedReference:
     @EPOCHS
     def test_write_back_of_repeated_rows(self, epoch_fn, reference, monkeypatch):
         # 6 rows per batch of 2 (BPR, or pointwise with npp 1) against the
-        # 32-row table: every scatter writes back, and some batches repeat a row
-        calls = []
+        # 32-row table: some batches repeat a row, some do not
+        repeated = []
         scatter_rows = ranker._scatter_rows
         def spy(table, rows, *rest):
-            write_back = len(table) > ranker.SCATTER_ROW_RATIO * len(rows)
-            calls.append((write_back, len(np.unique(rows)) < len(rows)))
+            repeated.append(len(np.unique(rows)) < len(rows))
             scatter_rows(table, rows, *rest)
         monkeypatch.setattr(ranker, "_scatter_rows", spy)
         self.test_three_epochs_bit_identical(epoch_fn, reference, 2, 0.05, 1)
-        assert all(write_back for write_back, _ in calls)
-        assert any(repeated for _, repeated in calls)
+        assert any(repeated) and not all(repeated)
 
 
 def exclusions(rows, num_items):
