@@ -8,6 +8,7 @@ error, a reliability table, and the effect of inverse-propensity weighting.
 import numpy as np
 
 from calibrec.calibration import (
+    apply,
     collect_calibration_samples,
     ece,
     estimate_propensity,
@@ -39,23 +40,20 @@ fit_samples = collect_calibration_samples(
 eval_samples = collect_calibration_samples(
     params, dataset, np.random.default_rng([SEED, 101]), negatives_per_positive=4
 )
-eval_scores = eval_samples.s
-eval_labels = eval_samples.y.astype(float)
+eval_scores, eval_labels = eval_samples.s, eval_samples.y
 print(f"{len(fit_samples)} fitting samples, {fit_samples.y.sum()} positive")
 
-raw_pairs = np.column_stack([sigmoid(eval_scores), eval_labels])
-print(f"\nraw sigmoid(score) ECE: {ece(raw_pairs):.4f}")
+raw_ece = ece(reliability_table(sigmoid(eval_scores), eval_labels))
+print(f"\nraw sigmoid(score) ECE: {raw_ece:.4f}")
 
 # ----------------------------------------------------------------------
 # 3. fit every calibrator kind and compare held-out ECE
 
-from calibrec.calibration import apply  # noqa: E402
-
 # a gamma fit shifts the scores positive itself and records the shift
 for kind in ("platt", "gaussian", "gamma", "histogram"):
     cal = fit(kind, fit_samples).calibrator
-    pairs = np.column_stack([np.atleast_1d(apply(cal, eval_scores)), eval_labels])
-    print(f"{kind:>9}: ECE {ece(pairs):.4f}")
+    rows = reliability_table(apply(cal, eval_scores), eval_labels)
+    print(f"{kind:>9}: ECE {ece(rows):.4f}")
 
 # ----------------------------------------------------------------------
 # 4. reliability table for the platt map: confidence vs observed frequency
@@ -66,10 +64,10 @@ print(
     f"\nplatt fit: {result.stop} after {len(result.losses) - 1} Newton steps, "
     f"gradient norm {result.grad_norm:.2e}"
 )
-pairs = np.column_stack([np.atleast_1d(apply(cal, eval_scores)), eval_labels])
+rows = reliability_table(apply(cal, eval_scores), eval_labels, num_bins=10)
 print("\nreliability (platt, 10 equal-width bins)")
 print("  bin            count  mean_p  frac_pos")
-for lower, upper, count, mean_p, frac_pos in reliability_table(pairs, num_bins=10):
+for lower, upper, count, mean_p, frac_pos in rows:
     if count:
         print(f"  [{lower:.2f}, {upper:.2f})  {count:5d}  {mean_p:.4f}  {frac_pos:.4f}")
 

@@ -318,27 +318,19 @@ def fit(
 
 
 def _fit_histogram(s, w_pos, num_bins) -> Calibrator:
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    w_sorted = w_pos[order]
-    n = len(s_sorted)
-    counts = [n // num_bins + (1 if b < n % num_bins else 0) for b in range(num_bins)]
     groups: list[list[float]] = []  # [upper_edge, positive_weight, count]
-    start = 0
-    for count in counts:
-        if count == 0:
+    for sel in np.array_split(np.argsort(s, kind="stable"), num_bins):
+        if not len(sel):
             continue
-        stop = start + count
-        edge = float(s_sorted[stop - 1])
-        pos_weight = float(w_sorted[start:stop].sum())
+        edge = float(s[sel[-1]])
+        pos_weight = float(w_pos[sel].sum())
         if groups and edge <= groups[-1][0]:
             # tied scores across the boundary: fold into the previous bin so
             # upper edges stay strictly increasing
             groups[-1][1] += pos_weight
-            groups[-1][2] += count
+            groups[-1][2] += len(sel)
         else:
-            groups.append([edge, pos_weight, count])
-        start = stop
+            groups.append([edge, pos_weight, len(sel)])
     bins = [(edge, float(np.clip(w / cnt, 0.0, 1.0))) for edge, w, cnt in groups]
     return Calibrator(kind="histogram", bins=bins)
 
@@ -356,62 +348,53 @@ def estimate_propensity(item_popularity, tau: float = 0.5, theta_min: float = 0.
     return np.clip((pop / max_pop) ** tau, theta_min, 1.0)
 
 
-def reliability_table(pairs, num_bins: int = 15, scheme: str = "equal_width"):
-    """Reliability-diagram rows over ``num_bins`` bins of the predicted probabilities.
+def reliability_table(p, y, num_bins: int = 15, scheme: str = "equal_width"):
+    """(bin_lower, bin_upper, count, mean_p, frac_pos) rows over ``num_bins`` bins of ``p``.
 
-    Returns a list of (bin_lower, bin_upper, count, mean_p, frac_pos) rows,
-    one per bin, empty bins included with count 0. Raises ValueError for
-    fewer than one bin, which would leave nothing to weigh.
+    frac_pos is the mean of the bin's labels ``y``. Equal-mass bins split
+    the stably sorted samples as the histogram calibrator does. An empty
+    bin has count 0 and means 0.0; an empty equal-mass bin (only the last
+    ones can be) takes the last upper edge as both edges. Raises ValueError
+    for fewer than one bin, no samples, ``p`` and ``y`` of different
+    lengths, and ``p`` outside [0, 1] or NaN.
     """
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
-    arr = np.asarray(pairs, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty pairs")
-    arr = arr.reshape(-1, 2)
-    p, y = arr[:, 0], arr[:, 1]
+    p, y = np.asarray(p, dtype=float), np.asarray(y, dtype=float)
+    if p.ndim != 1 or p.shape != y.shape:
+        raise ValueError("p and y must be 1-D arrays of the same length")
+    if p.size == 0:
+        raise ValueError("no samples")
     if np.any((p < 0) | (p > 1)) or np.any(np.isnan(p)):
         raise ValueError("probabilities must lie in [0, 1]")
-    n = len(p)
 
-    rows = []
     if scheme == "equal_width":
         idx = np.minimum((p * num_bins).astype(int), num_bins - 1)
-        for b in range(num_bins):
-            mask = idx == b
-            count = int(mask.sum())
-            lower, upper = b / num_bins, (b + 1) / num_bins
-            if count:
-                rows.append((lower, upper, count, float(p[mask].mean()), float(y[mask].mean())))
-            else:
-                rows.append((lower, upper, 0, 0.0, 0.0))
+        members = [np.flatnonzero(idx == b) for b in range(num_bins)]
+        edges = [(b / num_bins, (b + 1) / num_bins) for b in range(num_bins)]
     elif scheme == "equal_mass":
         order = np.argsort(p, kind="stable")
-        counts = [n // num_bins + (1 if b < n % num_bins else 0) for b in range(num_bins)]
-        start = 0
-        prev_upper = 0.0
-        for count in counts:
-            if count == 0:
-                rows.append((prev_upper, prev_upper, 0, 0.0, 0.0))
-                continue
-            sel = order[start : start + count]
-            lower, upper = float(p[sel[0]]), float(p[sel[-1]])
-            rows.append((lower, upper, count, float(p[sel].mean()), float(y[sel].mean())))
-            prev_upper = upper
-            start += count
+        members = np.array_split(order, num_bins)
+        top = float(p[order[-1]])
+        edges = [(float(p[s[0]]), float(p[s[-1]])) if len(s) else (top, top) for s in members]
     else:
         raise ValueError(f"unknown binning scheme {scheme!r}")
-    return rows
+    return [
+        (lower, upper, len(sel), float(p[sel].mean()), float(y[sel].mean()))
+        if len(sel)
+        else (lower, upper, 0, 0.0, 0.0)
+        for (lower, upper), sel in zip(edges, members)
+    ]
 
 
-def ece(pairs, num_bins: int = 15, scheme: str = "equal_width") -> float:
-    """Expected calibration error: bin-weighted |positive fraction - mean p|."""
-    return _ece_of_rows(reliability_table(pairs, num_bins, scheme))
+def ece(rows) -> float:
+    """Expected calibration error of a ``reliability_table``: bin-weighted |frac_pos - mean_p|.
 
-
-def _ece_of_rows(rows) -> float:
-    """``ece`` of the rows ``reliability_table`` returned."""
+    Raises ValueError for a table that holds no samples.
+    """
     n = sum(count for _, _, count, _, _ in rows)
+    if n == 0:
+        raise ValueError("reliability table holds no samples")
     return float(
         sum(count / n * abs(frac_pos - mean_p) for _, _, count, mean_p, frac_pos in rows)
     )

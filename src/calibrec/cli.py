@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, metrics
+from . import metrics
 from .atomic import atomic_open, output_set, read_sidecar, write_json, write_with_sidecar
 from .calibration import (
     apply as apply_calibrator,
@@ -70,11 +70,16 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def _cutoff(text: str) -> int:
-    k = int(text)
-    if k < 1:
-        raise ValueError(f"cutoff {k} is below 1")
-    return k
+def _at_least(minimum: int, noun: str):
+    """Parser of an integer ``noun`` of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise ValueError(f"{noun} {value} is below {minimum}")
+        return value
+
+    return parse
 
 
 def _distinct(parse_one):
@@ -114,7 +119,7 @@ def build_config(cls, cfg: dict):
 
 # key -> (parser, default, help)
 CONFIG_SPEC = {
-    "seed": (int, 0, "global seed; every stage derives its own stream from it"),
+    "seed": (_at_least(0, "seed"), 0, "global seed; every stage derives its own stream from it"),
     "data.delimiter": (str, ",", "field separator of the input and the text splits (ingest only)"),
     "data.ratios": (_floats, (0.8, 0.1, 0.1), "train,validation,test split fractions"),
     "train.dim": (int, 32, "embedding dimension"),
@@ -162,7 +167,9 @@ CONFIG_SPEC = {
         int, PerkConfig().rest_pool, "extra candidates feeding the remaining-relevant count"
     ),
     "eval.split": (_choice("validation", "test"), "test", "split evaluated against"),
-    "eval.ks": (_distinct(_cutoff), (1, 5, 10, 20), "fixed cutoffs in evaluation reports"),
+    "eval.ks": (
+        _distinct(_at_least(1, "cutoff")), (1, 5, 10, 20), "fixed cutoffs in evaluation reports"
+    ),
     "eval.metrics": (
         _distinct(_choice(*metrics.METRIC_NAMES)),
         metrics.METRIC_NAMES,
@@ -587,14 +594,11 @@ def cmd_calibrate(args, cfg) -> int:
             file=sys.stderr,
         )
 
-    eval_scores = eval_samples.s
-    eval_labels = eval_samples.y.astype(float)
-    raw_pairs = np.column_stack([sigmoid(eval_scores), eval_labels])
-    cal_pairs = np.column_stack([np.atleast_1d(apply_calibrator(cal, eval_scores)), eval_labels])
+    s, y = eval_samples.s, eval_samples.y
     num_bins, scheme = cfg["calib.num_bins"], cfg["calib.scheme"]
-    ece_raw = ece(raw_pairs, num_bins, scheme)
-    cal_rows = reliability_table(cal_pairs, num_bins, scheme)
-    ece_cal = calibration._ece_of_rows(cal_rows)
+    ece_raw = ece(reliability_table(sigmoid(s), y, num_bins, scheme))
+    cal_rows = reliability_table(apply_calibrator(cal, s), y, num_bins, scheme)
+    ece_cal = ece(cal_rows)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,8 +12,9 @@ replaced, a line-by-line parse of the text splits that the splits
 sidecar must equal, the synthetic generator's full sort of each user's scores and
 its line-at-a-time CSV writer, the scalar one-list ranking metrics that
 ``metrics.evaluate`` batches, a general-purpose quasi-Newton minimizer
-for calibrator fits and the weighted log-likelihood those fits minimize, and
-a Monte Carlo ranking AUC of a trained model. Nothing imports the code paths it verifies; the reference epochs
+for calibrator fits and the weighted log-likelihood those fits minimize, the
+per-bin loops of the reliability table and the histogram calibrator that one
+equal-mass split replaced, and a Monte Carlo ranking AUC of a trained model. Nothing imports the code paths it verifies; the reference epochs
 draw their negatives with the library's sampler so that they use the same
 random stream. The batched ones stack their own tables and scatter with
 their own full-table ``np.bincount``, so they check the library's scatters
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from calibrec.calibration import apply
+from calibrec.calibration import Calibrator, apply
 from calibrec.dataset import DataFormatError, Dataset, IdMaps, sample_negatives
 from calibrec.ranker import (
     MfParams,
@@ -388,6 +389,81 @@ def reference_fit(kind, objective, gradient, start):
     else:
         res = minimize(fun, x0, jac=jac, method="BFGS", options={"gtol": 1e-11, "maxiter": 20_000})
     return full(res.x), float(res.fun)
+
+
+def reference_fit_histogram(s, w_pos, num_bins) -> Calibrator:
+    """The histogram fit as a loop over bin counts: the first n mod num_bins bins take one more."""
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
+    w_sorted = w_pos[order]
+    n = len(s_sorted)
+    counts = [n // num_bins + (1 if b < n % num_bins else 0) for b in range(num_bins)]
+    groups: list[list[float]] = []  # [upper_edge, positive_weight, count]
+    start = 0
+    for count in counts:
+        if count == 0:
+            continue
+        stop = start + count
+        edge = float(s_sorted[stop - 1])
+        pos_weight = float(w_sorted[start:stop].sum())
+        if groups and edge <= groups[-1][0]:
+            # tied scores across the boundary: fold into the previous bin so
+            # upper edges stay strictly increasing
+            groups[-1][1] += pos_weight
+            groups[-1][2] += count
+        else:
+            groups.append([edge, pos_weight, count])
+        start = stop
+    bins = [(edge, float(np.clip(w / cnt, 0.0, 1.0))) for edge, w, cnt in groups]
+    return Calibrator(kind="histogram", bins=bins)
+
+
+def reference_reliability_table(pairs, num_bins: int = 15, scheme: str = "equal_width"):
+    """Reliability rows of packed (p, y) pairs, built one bin at a time.
+
+    Returns a list of (bin_lower, bin_upper, count, mean_p, frac_pos) rows,
+    one per bin, empty bins included with count 0. Raises ValueError for
+    fewer than one bin, which would leave nothing to weigh.
+    """
+    if num_bins < 1:
+        raise ValueError("num_bins must be >= 1")
+    arr = np.asarray(pairs, dtype=float)
+    if arr.size == 0:
+        raise ValueError("empty pairs")
+    arr = arr.reshape(-1, 2)
+    p, y = arr[:, 0], arr[:, 1]
+    if np.any((p < 0) | (p > 1)) or np.any(np.isnan(p)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    n = len(p)
+
+    rows = []
+    if scheme == "equal_width":
+        idx = np.minimum((p * num_bins).astype(int), num_bins - 1)
+        for b in range(num_bins):
+            mask = idx == b
+            count = int(mask.sum())
+            lower, upper = b / num_bins, (b + 1) / num_bins
+            if count:
+                rows.append((lower, upper, count, float(p[mask].mean()), float(y[mask].mean())))
+            else:
+                rows.append((lower, upper, 0, 0.0, 0.0))
+    elif scheme == "equal_mass":
+        order = np.argsort(p, kind="stable")
+        counts = [n // num_bins + (1 if b < n % num_bins else 0) for b in range(num_bins)]
+        start = 0
+        prev_upper = 0.0
+        for count in counts:
+            if count == 0:
+                rows.append((prev_upper, prev_upper, 0, 0.0, 0.0))
+                continue
+            sel = order[start : start + count]
+            lower, upper = float(p[sel[0]]), float(p[sel[-1]])
+            rows.append((lower, upper, count, float(p[sel].mean()), float(y[sel].mean())))
+            prev_upper = upper
+            start += count
+    else:
+        raise ValueError(f"unknown binning scheme {scheme!r}")
+    return rows
 
 
 def auc(params: MfParams, dataset: Dataset, split: str, rng, pairs_per_user: int = 50) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from calibrec.calibration import CalibrationSamples, Calibrator, ece, fit
+from calibrec.calibration import CalibrationSamples, Calibrator, ece, fit, reliability_table
 from calibrec.cli import main as cli_main
 from calibrec.distill import BdConfig, bd_loss, bd_score_grads, cotrain_epoch, top_t_weights
 from calibrec.perk import _pb_rows, select_k, utility_curves
@@ -236,10 +236,10 @@ def test_c06_ece_sanity():
     rng = np.random.default_rng(606)
     p = rng.random(10_000)
     y = (rng.random(10_000) < p).astype(int)
-    assert ece(list(zip(p, y)), num_bins=15) <= 0.02
+    assert ece(reliability_table(p, y, num_bins=15)) <= 0.02
 
-    pairs = [(0.7, 1)] * 5000 + [(0.7, 0)] * 5000
-    assert abs(ece(pairs, num_bins=15) - 0.2) <= 1e-12
+    rows = reliability_table([0.7] * 10_000, [1] * 5000 + [0] * 5000, num_bins=15)
+    assert abs(ece(rows) - 0.2) <= 1e-12
 
 
 @criterion(7, "personalized cutoff dominance", limit_s=60.0)

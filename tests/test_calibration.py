@@ -7,6 +7,7 @@ from calibrec.calibration import (
     Calibrator,
     _derivatives,
     _features,
+    _fit_histogram,
     _objective,
     _weights,
     apply,
@@ -23,7 +24,13 @@ from calibrec.calibration import (
 from calibrec.ranker import init_params, score_items
 
 from conftest import make_dataset, read_reliability_csv
-from oracles import finite_difference_grad, nll, reference_fit
+from oracles import (
+    finite_difference_grad,
+    nll,
+    reference_fit,
+    reference_fit_histogram,
+    reference_reliability_table,
+)
 
 
 def make_samples(s, y, theta=None):
@@ -419,51 +426,55 @@ class TestPropensity:
 
 class TestEce:
     def test_perfect_confidence(self):
-        pairs = [(1.0, 1), (0.0, 0), (1.0, 1)]
-        assert ece(pairs) == 0.0
+        assert ece(reliability_table([1.0, 0.0, 1.0], [1, 0, 1])) == 0.0
 
     def test_single_bin_consistent(self):
-        pairs = [(0.7, 1)] * 7 + [(0.7, 0)] * 3
-        assert ece(pairs) == pytest.approx(0.0, abs=1e-12)
+        rows = reliability_table([0.7] * 10, [1] * 7 + [0] * 3)
+        assert ece(rows) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_bin_off_by_two_tenths(self):
-        pairs = [(0.7, 1)] * 5 + [(0.7, 0)] * 5
-        assert ece(pairs) == pytest.approx(0.2, abs=1e-12)
+        rows = reliability_table([0.7] * 10, [1] * 5 + [0] * 5)
+        assert ece(rows) == pytest.approx(0.2, abs=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(17)
         p = rng.random(500)
         y = (rng.random(500) < p).astype(int)
-        pairs = list(zip(p, y))
-        shuffled = [pairs[i] for i in rng.permutation(500)]
-        assert ece(pairs) == pytest.approx(ece(shuffled), abs=1e-15)
-        assert 0.0 <= ece(pairs) <= 1.0
+        shuffle = rng.permutation(500)
+        value = ece(reliability_table(p, y))
+        assert value == pytest.approx(ece(reliability_table(p[shuffle], y[shuffle])), abs=1e-15)
+        assert 0.0 <= value <= 1.0
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            ece([])
-        with pytest.raises(ValueError):
-            ece([(1.5, 1)])
+        with pytest.raises(ValueError, match="no samples"):
+            reliability_table([], [])
+        with pytest.raises(ValueError, match="must lie in"):
+            reliability_table([1.5], [1])
+        with pytest.raises(ValueError, match="must lie in"):
+            reliability_table([0.5, np.nan], [1, 0])
 
     @pytest.mark.parametrize("scheme", ["equal_width", "equal_mass"])
     @pytest.mark.parametrize("num_bins", [0, -1])
     def test_fewer_than_one_bin_rejected(self, num_bins, scheme):
-        pairs = [(0.2, 0), (0.9, 1)]
+        # ece reads the table, so the table is where the bin count is checked
         with pytest.raises(ValueError, match="num_bins must be >= 1"):
-            ece(pairs, num_bins, scheme)
-        with pytest.raises(ValueError, match="num_bins must be >= 1"):
-            reliability_table(pairs, num_bins, scheme)
+            reliability_table([0.2, 0.9], [0, 1], num_bins, scheme)
+
+    @pytest.mark.parametrize("rows", [[], [(0.0, 0.5, 0, 0.0, 0.0), (0.5, 1.0, 0, 0.0, 0.0)]])
+    def test_table_without_samples_rejected(self, rows):
+        with pytest.raises(ValueError, match="holds no samples"):
+            ece(rows)
 
     def test_oracle_calibrated_predictions_small(self):
         rng = np.random.default_rng(30)
         p = rng.random(10_000)
         y = (rng.random(10_000) < p).astype(int)
-        assert ece(list(zip(p, y)), num_bins=15) <= 0.02
+        assert ece(reliability_table(p, y, num_bins=15)) <= 0.02
 
 
 class TestReliabilityTable:
     def test_two_bin_rows(self):
-        rows = reliability_table([(0.25, 0), (0.75, 1)], num_bins=2)
+        rows = reliability_table([0.25, 0.75], [0, 1], num_bins=2)
         assert rows[0][2:] == (1, 0.25, 0.0)
         assert rows[1][2:] == (1, 0.75, 1.0)
 
@@ -471,29 +482,72 @@ class TestReliabilityTable:
         rng = np.random.default_rng(23)
         p = rng.random(300)
         y = (rng.random(300) < 0.4).astype(int)
-        pairs = list(zip(p, y))
         for scheme in ("equal_width", "equal_mass"):
-            rows = reliability_table(pairs, num_bins=7, scheme=scheme)
+            rows = reliability_table(p, y, num_bins=7, scheme=scheme)
             n = sum(r[2] for r in rows)
             recomputed = sum(r[2] / n * abs(r[4] - r[3]) for r in rows)
-            assert recomputed == pytest.approx(ece(pairs, 7, scheme), abs=1e-12)
+            assert recomputed == pytest.approx(ece(rows), abs=1e-12)
 
     def test_equal_mass_remainder_rule(self):
         rng = np.random.default_rng(2)
-        pairs = [(float(v), 0) for v in rng.random(10)]
-        rows = reliability_table(pairs, num_bins=3, scheme="equal_mass")
+        rows = reliability_table(rng.random(10), np.zeros(10), num_bins=3, scheme="equal_mass")
         assert [r[2] for r in rows] == [4, 3, 3]
 
     def test_empty_bins_present_with_zero_count(self):
-        rows = reliability_table([(0.05, 0)], num_bins=4)
+        rows = reliability_table([0.05], [0], num_bins=4)
         assert len(rows) == 4
         assert [r[2] for r in rows] == [1, 0, 0, 0]
 
     def test_csv_round_trip(self, tmp_path):
-        rows = reliability_table([(0.2, 0), (0.9, 1), (0.95, 1)], num_bins=4)
+        rows = reliability_table([0.2, 0.9, 0.95], [0, 1, 1], num_bins=4)
         path = tmp_path / "rel.csv"
         write_reliability_csv(rows, path)
         assert read_reliability_csv(path) == rows
+
+    @pytest.mark.parametrize("p, y", [([0.2, 0.9], [0]), ([0.2], [0, 1]), ([[0.2, 0.9]], [[0, 1]])])
+    def test_p_and_y_of_different_lengths_rejected(self, p, y):
+        with pytest.raises(ValueError, match="same length"):
+            reliability_table(p, y)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="unknown binning scheme"):
+            reliability_table([0.2, 0.9], [0, 1], scheme="quantile")
+
+
+def random_binning_case(rng):
+    """Probabilities, labels, weights and a bin count for one equality case.
+
+    Covers fewer samples than bins, probabilities rounded to few values
+    (ties within and across bin boundaries), both label dtypes, and IPS
+    weights of either sign.
+    """
+    n = int(rng.choice([1, 2, 3, 5, 17, 64, 301]))
+    num_bins = int(rng.integers(1, 25))
+    p = rng.random(n)
+    if rng.random() < 0.5:
+        p = np.round(p, int(rng.integers(0, 3)))
+    y = (rng.random(n) < p).astype(int if rng.random() < 0.5 else float)
+    w_pos = y / rng.uniform(0.05, 1.0, n)
+    if rng.random() < 0.5:
+        w_pos = w_pos - rng.random(n)
+    return p, y, w_pos, num_bins
+
+
+class TestBinningMatchesReference:
+    """One array_split for both schemes' bins equals the per-bin loops it replaced, bit for bit."""
+
+    def test_seeded_cases(self):
+        rng = np.random.default_rng(2525)
+        for case in range(1200):
+            p, y, w_pos, num_bins = random_binning_case(rng)
+            pairs = np.column_stack([p, y])
+            for scheme in ("equal_width", "equal_mass"):
+                rows = reliability_table(p, y, num_bins, scheme)
+                expected = reference_reliability_table(pairs, num_bins, scheme)
+                assert repr(rows) == repr(expected), (case, scheme)
+                assert ece(rows).hex() == ece(expected).hex(), (case, scheme)
+            bins = _fit_histogram(p, w_pos, num_bins).bins
+            assert repr(bins) == repr(reference_fit_histogram(p, w_pos, num_bins).bins), case
 
 
 class TestCollectSamples:

@@ -444,6 +444,16 @@ class TestConfig:
         assert f"bad value for {setting.partition('=')[0]}" in err and problem in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("stage", ["ingest", "train"])
+    def test_negative_seed_rejected_before_input(self, tmp_path, capsys, stage):
+        # the input does not exist, so reaching it would be an i/o error (exit 1)
+        source = ("--input", tmp_path / "missing.csv") if stage == "ingest" else (
+            "--data", tmp_path / "missing")
+        assert run(stage, *source, "--out", tmp_path / "out", "--set", "seed=-1") == 2
+        err = capsys.readouterr().err
+        assert "bad value for seed" in err and "seed -1 is below 0" in err
+        assert not list(tmp_path.iterdir())
+
     def test_settings_dataclasses_have_one_key_per_field(self):
         for cls, section in cli.CONFIG_SECTIONS.items():
             built = cli.build_config(cls, cli.load_config())
