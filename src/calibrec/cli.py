@@ -696,6 +696,16 @@ def cmd_distill(args, cfg) -> int:
 
 
 def cmd_recommend(args, cfg) -> int:
+    # each mode refuses the other's flags instead of ignoring them
+    if args.perk:
+        foreign = {"--k": args.k is not None, "--allow-fewer": args.allow_fewer}
+    else:
+        foreign = {"--calibrator": args.calibrator is not None,
+                   "--summary": args.summary is not None}
+    given = [flag for flag, passed in foreign.items() if passed]
+    if given:
+        rule = "cannot be used with --perk" if args.perk else "can only be used with --perk"
+        raise ValueError(f"{' and '.join(given)} {rule}")
     if args.perk:
         if not args.calibrator:
             raise ValueError("--perk requires --calibrator")
@@ -871,14 +881,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True, help="recommendations path (JSON lines)")
-    p.add_argument("--k", type=int, help="fixed list length")
+    p.add_argument("--k", type=int, help="fixed list length (fixed mode)")
     p.add_argument("--perk", action="store_true", help="personalized list lengths")
     p.add_argument("--calibrator", help="calibrator JSON (required with --perk)")
-    p.add_argument("--summary", help="aggregate summary JSON path (perk mode)")
+    p.add_argument("--summary", help="aggregate summary JSON path (--perk mode)")
     p.add_argument(
         "--allow-fewer",
         action="store_true",
-        help="permit lists shorter than --k when candidates run out",
+        help="permit lists shorter than --k when candidates run out (fixed mode)",
     )
     p.add_argument(
         "--exclude-validation",

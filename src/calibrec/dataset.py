@@ -6,6 +6,7 @@ meaning a positive label. Unobserved pairs are unlabeled, not negatives.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -216,116 +217,45 @@ class Dataset:
 SCAN_CHUNK = 1 << 20
 
 
-def _positions(buf, op, value, index) -> np.ndarray:
-    """Sorted positions of the bytes ``b`` of ``buf`` where ``op(b, value)``
-    holds, as ``index`` integers, searched one ``SCAN_CHUNK`` at a time."""
+def _positions(buf, hit, index) -> np.ndarray:
+    """Sorted positions of the bytes of ``buf`` that the mask ``hit(bytes)``
+    sets, as ``index`` integers, searched one ``SCAN_CHUNK`` at a time."""
     parts = []
     # an empty buffer still gives one, empty, part
     for start in range(0, buf.size, SCAN_CHUNK) or [0]:
-        at = op(buf[start : start + SCAN_CHUNK], value).nonzero()[0].astype(index)
+        at = hit(buf[start : start + SCAN_CHUNK]).nonzero()[0].astype(index)
         at += start
         parts.append(at)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-# bytes below 0x80 that str.strip removes: \t \n \v \f \r, \x1c-\x1f and space
-_ASCII_SPACE = np.array([b < 0x80 and chr(b).isspace() for b in range(256)])
+# the characters past ASCII that str.strip removes, each as its UTF-8 bytes
+# read as one big-endian number (the tests derive them from str.isspace)
+_SPACE_CODES = np.array([
+    int.from_bytes(space.encode("utf-8"), "big")
+    for space in "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+    "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+])
 
 
-class _Whitespace:
-    """The whitespace of a UTF-8 byte array, as ``str.strip`` sees it.
-
-    ASCII bytes are looked up in ``_ASCII_SPACE``. Multi-byte characters
-    are judged by decoding each distinct one that occurs, once; ``wide``
-    lists the bytes of those that are whitespace (usually none).
-    """
-
-    def __init__(self, buf: np.ndarray, low: np.ndarray):
-        self.buf = buf
-        self.low = low  # positions of the bytes <= 0x20, all ASCII whitespace among them
-        lead = _positions(buf, np.greater_equal, 0xC0, low.dtype)
-        width = 2 + (buf[lead] >= 0xE0) + (buf[lead] >= 0xF0)
-        packed = np.zeros((lead.size, 4), dtype=np.uint8)
-        for k in range(4):
-            packed[:, k] = np.where(k < width, buf[np.minimum(lead + k, buf.size - 1)], 0)
-        chars, inverse = np.unique(packed.view(np.uint32).ravel(), return_inverse=True)
-        # continuation bytes are never 0, so the zero padding strips off exactly
-        is_space = [c.decode("utf-8").isspace() for c in chars.view("S4").tolist()]
-        spaced = np.flatnonzero(np.array(is_space, dtype=bool)[inverse.ravel()])
-        self.wide = np.sort(np.concatenate([lead[spaced[width[spaced] > k]] + k for k in range(4)]))
-
-    def at(self, pos: np.ndarray) -> np.ndarray:
-        """Whether each byte position in ``pos`` holds whitespace."""
-        space = _ASCII_SPACE[self.buf[pos]]
-        if self.wide.size:
-            space |= np.isin(pos, self.wide)
-        return space
-
-    @cached_property
-    def _runs(self):
-        """Sorted whitespace positions, and the index in them of each run's
-        first and last position; built only when some range needs stripping."""
-        pos = self.low[_ASCII_SPACE[self.buf[self.low]]]
-        if self.wide.size:
-            pos = np.union1d(pos, self.wide)
-        heads = np.flatnonzero(np.diff(pos, prepend=-2) != 1)
-        return pos, heads, np.append(heads[1:], pos.size) - 1
-
-    def _run_bounds(self, at):
-        """First byte of the whitespace run holding each position in ``at``,
-        and the byte after the run."""
-        pos, heads, tails = self._runs
-        run = np.searchsorted(heads, np.searchsorted(pos, at), side="right") - 1
-        return pos[heads[run]], pos[tails[run]] + 1
-
-    def _spaced(self, ranges, pos):
-        """Indices where the mask ``ranges`` is set and the byte at ``pos``
-        is whitespace. Masks keep the per-range temporaries at one byte each;
-        only the hits, usually few, become int64 indices."""
-        space = np.zeros_like(ranges)
-        space[ranges] = self.at(pos[ranges])
-        return np.flatnonzero(space)
-
-    def strip(self, lo, hi):
-        """Narrow the ranges [lo, hi) past their leading and trailing
-        whitespace, in place; a range holding nothing else ends with lo == hi."""
-        hit = self._spaced(lo < hi, lo)
-        if hit.size:
-            lo[hit] = np.minimum(self._run_bounds(lo[hit])[1], hi[hit])
-        # past that, a non-empty range starts on a non-whitespace byte
-        hit = self._spaced(lo < hi, hi - 1)
-        if hit.size:
-            hi[hit] = self._run_bounds(hi[hit] - 1)[0]
-
-
-def _delimiters(buf, sep: bytes, lo, hi) -> np.ndarray:
-    """Sorted starts of the delimiters ``str.split(sep)`` would cut at, among
-    them every cut of the stripped lines [lo, hi); the caller counts a line's
-    cuts by range. UTF-8 is self-synchronizing, so the encoded delimiter
-    matches only at character boundaries.
-    """
-    at = _positions(buf, np.equal, sep[0], lo.dtype)
-    for k in range(1, len(sep)):
-        at = at[at + k < buf.size]
-        at = at[buf[at + k] == sep[k]]
-    # a delimiter that overlaps itself ("::" in ":::") can match at places
-    # closer than its length; str.split keeps, within a stripped line, each
-    # match that starts at or past the end of the last one it kept, and only
-    # those close matches need that scan
-    close = np.flatnonzero(np.diff(at) < len(sep))
-    if close.size:
-        near = np.union1d(close, close + 1)
-        line = np.searchsorted(lo, at[near], side="right") - 1
-        inside = ((line >= 0) & (at[near] + len(sep) <= hi[line])).tolist()
-        keep = np.ones(at.size, dtype=bool)
-        end = -1
-        for j, ok in zip(near.tolist(), inside):
-            if ok and at[j] < end:
-                keep[j] = False
-            elif ok:
-                end = at[j] + len(sep)
-        at = at[keep]
-    return at
+def _strippable(chunk: np.ndarray) -> np.ndarray:
+    """Mask of the bytes of ``chunk`` at which a character that ``str.strip``
+    removes starts: every byte up to space (the ASCII whitespace among
+    them), and the first byte of each ``_SPACE_CODES`` character. A
+    character that the chunk's end cuts short is flagged when its first
+    byte is one of theirs, which at worst sends its line to the text path."""
+    mask = chunk <= 0x20
+    # an ASCII chunk needs no more than that one compare
+    if chunk.size and chunk.max() >= 0xC2:
+        # their first bytes: 0xC2 before one more byte, 0xE1-0xE3 before two
+        at = np.flatnonzero((chunk == 0xC2) | (chunk - np.uint8(0xE1) <= 2))
+        code = chunk[at].astype(np.int64)
+        for k in (1, 2):
+            code = code << 8 | chunk[np.minimum(at + k, chunk.size - 1)]
+        two = chunk[at] == 0xC2
+        code[two] >>= 8
+        mask[at] = np.isin(code, _SPACE_CODES) | (at + 3 - two > chunk.size)
+    return mask
 
 
 def _first_seen(data: bytes, buf, lo, hi) -> tuple[np.ndarray, list[str]]:
@@ -388,9 +318,11 @@ def load_interactions(path, delimiter: str = ",") -> tuple[np.ndarray, IdMaps]:
     timestamps are ignored. Returns the interactions as an ``(n, 2)`` int64
     array in first-appearance order.
 
-    The whole file is parsed as one byte array: line ends, whitespace and
-    delimiters are located by vectorized comparisons, and the id tokens are
-    numbered by one sort per token length (see docs/data-layer.md, "Ingest").
+    The lines that ``str.strip`` and ``str.split`` provably leave as they
+    are (one or two delimiters, no whitespace outside them, no empty field)
+    are cut by vectorized comparisons over the file's bytes; every other
+    line is decoded and read by those two calls. The id tokens are numbered
+    by one sort per token length (see docs/data-layer.md, "Ingest").
 
     Raises DataFormatError on malformed lines (the first one in file order,
     with its line number) and on input containing no interactions,
@@ -424,65 +356,111 @@ def _id_fields(data: bytes, buf, delimiter: str):
     as (user_lo, user_hi, item_lo, item_hi) arrays; raises DataFormatError
     for the first malformed line and for input without a non-blank line.
 
+    numpy cuts the plain lines: one or two delimiters, every field
+    non-empty, and no ``_strippable`` byte outside the delimiters, so no
+    whitespace character starts there and ``str.strip`` changes neither the
+    line nor a field; the non-empty fields keep the delimiters from
+    overlapping, so ``str.split`` cuts at exactly those.
+    Every other line is read by ``_text_fields``, in file order.
+
     Positions, cut indices and counts stay in one ``index`` dtype, int32 for
     any file under 2 GiB, and each line-level array is dropped once used.
     """
     index = np.int32 if buf.size < 2**31 else np.int64
-    low = _positions(buf, np.less_equal, 0x20, index)
-    space = _Whitespace(buf, low)
+    # the strippable bytes are the line ends and the strays, each of which
+    # makes its line not plain unless a delimiter holds it
+    spaces = _positions(buf, _strippable, index)
+    kind = buf[spaces]
+    newline = (kind == ord("\n")) | (kind == ord("\r"))
+    ends = spaces[newline]
+    stray = spaces[~newline]
+    del spaces, kind, newline
     # a line ends at every CR and at every LF not preceded by CR; the LF of a
-    # CRLF opens the next line as leading whitespace, which strip removes
-    hi = low[buf[low] == ord("\n")]
-    returns = low[buf[low] == ord("\r")]
-    if returns.size:
-        hi = np.union1d(returns, hi[~np.isin(hi - 1, returns)])
-    del returns
-    hi = np.append(hi, index(buf.size))
+    # CRLF belongs to no line
+    crlf = (buf[ends] == ord("\n")) & (buf[ends - 1] == ord("\r")) & (ends > 0)
+    hi = np.append(ends[~crlf], index(buf.size))
     lo = np.empty_like(hi)
     lo[0] = 0
     lo[1:] = hi[:-1] + 1
-    space.strip(lo, hi)
-    # from here on [lo, hi) are the non-blank lines, stripped; ``lines`` holds
-    # their 0-based numbers for the error message
-    lines = np.flatnonzero(lo < hi).astype(index)
-    if not lines.size:
-        raise DataFormatError("input contains no interactions")
-    if lines.size < lo.size:
-        lo, hi = lo[lines], hi[lines]
+    lo[np.searchsorted(lo, ends[crlf])] += 1
+    del ends, crlf
 
     sep = delimiter.encode("utf-8")
-    cuts = _delimiters(buf, sep, lo, hi)
+    cuts = _positions(buf, lambda b: b == sep[0], index)
+    for k in range(1, len(sep)):
+        cuts = cuts[cuts + k < buf.size]
+        cuts = cuts[buf[cuts + k] == sep[k]]
     # a line's cuts c satisfy lo <= c and c + len(sep) <= hi
     first_cut = np.searchsorted(cuts, lo).astype(index)
     counts = np.searchsorted(cuts, hi - len(sep) + 1).astype(index)
     counts -= first_cut
-    # only the lines before the first with a wrong field count are checked
-    # for empty ids, so the error names the first bad line in file order
-    wrong = np.flatnonzero((counts < 1) | (counts > 2))
-    bad = wrong[0] if wrong.size else None
-    checked = slice(bad)
-    two = counts[checked] == 2
+    own = int(_strippable(np.frombuffer(sep, dtype=np.uint8)).sum())
+    plain = np.bincount(np.searchsorted(hi, stray), minlength=hi.size) == counts * own
+    del stray
+    two = counts == 2
+    plain &= two | (counts == 1)
     del counts
-    user_end = cuts[first_cut[checked]]
-    first_cut = first_cut[checked] + two
-    item_end = np.where(two, cuts[first_cut], hi[checked])
-    del cuts, first_cut, two
-    item_lo = user_end + len(sep)
-    user_lo = lo[checked].copy()
-    space.strip(user_lo, user_end)
-    space.strip(item_lo, item_end)
-    empty = np.flatnonzero((user_lo == user_end) | (item_lo == item_end))
-    if empty.size:
-        bad = empty[0]
-    if bad is not None:
-        # the stripped line is what str.strip leaves of the whole line
-        stripped = data[lo[bad] : hi[bad]].decode("utf-8")
-        raise DataFormatError(
-            f"line {lines[bad] + 1}: expected 'user{delimiter}item[{delimiter}timestamp]', "
-            f"got {stripped!r}",
-            line_no=int(lines[bad]) + 1,
-        )
-    return user_lo, user_end, item_lo, item_end
+    # a cut at the end of the buffer serves the lines past the last one
+    cuts = np.append(cuts, index(buf.size))
+    user_hi = cuts[first_cut]
+    first_cut += two
+    item_hi = cuts[first_cut]
+    del cuts, first_cut
+    # a timestamp field, when there is one, must not be empty either
+    plain &= ~two | (item_hi + len(sep) < hi)
+    np.copyto(item_hi, hi, where=~two)
+    del two
+    item_lo = user_hi + len(sep)
+    plain &= (lo < user_hi) & (item_lo < item_hi)
+
+    lines, at = _text_fields(data, np.flatnonzero(~plain), lo, hi, delimiter)
+    del hi
+    starts = lo[lines]
+    fields = (lo, user_hi, item_lo, item_hi)
+    for field, offset in zip(fields, at.T):
+        field[lines] = starts + offset
+    plain[lines] = True
+    if not plain.any():
+        raise DataFormatError("input contains no interactions")
+    return tuple(field[plain] for field in fields)
+
+
+def _text_fields(data: bytes, lines, lo, hi, delimiter: str):
+    """The lines numbered ``lines`` (from 0; line n is ``data[lo[n]:hi[n]]``)
+    read by ``str.strip`` and ``str.split``, in order. Returns the numbers of
+    the non-blank ones and, one row each, the byte offsets from the line's
+    start of its stripped (user, user end, item, item end) fields; raises
+    DataFormatError for the first malformed one.
+
+    The offsets gather in one ``array``, and no numpy scalar is read or
+    written per line.
+    """
+    blank = []
+    at = array("q")
+    for n, (a, b) in enumerate(zip(lo[lines].tolist(), hi[lines].tolist())):
+        text = data[a:b].decode("utf-8")
+        stripped = text.strip()
+        if not stripped:
+            blank.append(n)
+            continue
+        fields = stripped.split(delimiter)
+        if len(fields) not in (2, 3) or not fields[0].strip() or not fields[1].strip():
+            line = int(lines[n]) + 1
+            raise DataFormatError(
+                f"line {line}: expected 'user{delimiter}item[{delimiter}timestamp]', "
+                f"got {stripped!r}",
+                line_no=line,
+            )
+        # offsets in characters; the stripped line starts with the user id
+        user = len(text) - len(text.lstrip())
+        item = user + len(fields[0]) + len(delimiter) + len(fields[1]) - len(fields[1].lstrip())
+        offsets = (user, user + len(fields[0].rstrip()), item, item + len(fields[1].strip()))
+        if not text.isascii():
+            offsets = [len(text[:k].encode("utf-8")) for k in offsets]
+        at.extend(offsets)
+    keep = np.ones(lines.size, dtype=bool)
+    keep[blank] = False
+    return lines[keep], np.array(at, dtype=np.int64).reshape(-1, 4)
 
 
 def split_per_user(

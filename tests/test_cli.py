@@ -117,6 +117,23 @@ class TestIngest:
         assert json.loads((tmp_path / "b" / "user_map.json").read_text()) == {"1": 0, "2": 1}
         assert len(load_bundle(tmp_path / "b").train) == 3
 
+    def test_padded_crlf_copy_gives_the_same_bundle(self, tmp_path):
+        # 20k rows as written, which numpy cuts, and the same rows padded with
+        # " , ", ended by CRLF and led by a whitespace-only line, which
+        # str.strip and str.split read line by line
+        csv = tmp_path / "in.csv"
+        pairs = low_rank_interactions(250, 400, rank=4, per_user=80, seed=3)
+        write_interactions_csv(csv, pairs, with_timestamps=True)
+        text = csv.read_text(encoding="utf-8")
+        padded = tmp_path / "padded.csv"
+        padded.write_bytes((" \t\n" + text.replace(",", " , ")).replace("\n", "\r\n").encode())
+        for source, out in ((csv, "b"), (padded, "padded")):
+            assert run("ingest", "--input", source, "--out", tmp_path / out) == 0
+        assert len(text.splitlines()) == 20_000
+        for name in BUNDLE_FILES:
+            want, got = (tmp_path / out / name for out in ("b", "padded"))
+            assert want.read_bytes() == got.read_bytes(), name
+
     def test_ratios_need_three_fractions(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
         write_interactions_csv(csv, low_rank_interactions(10, 15, per_user=10, seed=1))
@@ -1180,6 +1197,24 @@ class TestRecommend:
     def test_perk_requires_calibrator(self, workspace, tmp_path):
         assert run("recommend", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
                    "--out", tmp_path / "p.jsonl", "--perk") == 2
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--perk", "--calibrator", "c.json", "--k", "5"), "--k cannot"),
+        (("--perk", "--calibrator", "c.json", "--allow-fewer"), "--allow-fewer cannot"),
+        (("--perk", "--calibrator", "c.json", "--k", "5", "--allow-fewer"),
+         "--k and --allow-fewer cannot"),
+        (("--k", "5", "--calibrator", "c.json"), "--calibrator can only"),
+        (("--k", "5", "--summary", "s.json"), "--summary can only"),
+        (("--calibrator", "c.json", "--summary", "s.json"), "--calibrator and --summary can only"),
+    ], ids=["perk-k", "perk-allow-fewer", "perk-both", "fixed-calibrator", "fixed-summary",
+            "fixed-both"])
+    def test_other_mode_flags_are_refused(self, tmp_path, capsys, flags, named):
+        # refused before any input is read: the bundle, checkpoint and
+        # calibrator named here do not exist
+        assert run("recommend", "--data", tmp_path / "absent", "--ckpt", tmp_path / "absent",
+                   "--out", tmp_path / "r.jsonl", *flags) == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_k_in_fixed_mode(self, workspace, tmp_path):
         assert run("recommend", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",

@@ -94,12 +94,14 @@ class TestLoadInteractions:
         assert len(pairs) == 2
 
 
-# whitespace that str.strip removes: ASCII, \x1c-\x1f, NEL, NBSP, line
-# separator, ideographic space; NEL and U+2028 end no line in a text file
+# whitespace that str.strip removes: ASCII, \x1c-\x1f, NEL, NBSP, ogham,
+# thin, line separator, medium math, ideographic; NEL and U+2028 end no line
+# in a text file
 SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
-          "\x85", "\u00a0", "\u2028", "\u3000"]
+          "\x85", "\u00a0", "\u1680", "\u2009", "\u2028", "\u205f", "\u3000"]
+# the last four share their first two UTF-8 bytes with a whitespace character
 IDS = ["u1", "u22", "7", "abcdefghij", "ünï", "用户", "x:", ":y", "a b", "\x00z", "z\x00",
-       "\u00a0\u00a0k", "\u00e9t\u00e9"]
+       "\u00a0\u00a0k", "\u00e9t\u00e9", "\u00b7", "\u1681", "it\u2019s", "\u3001\u30e6"]
 
 
 def random_log(rng, delimiter):
@@ -146,10 +148,14 @@ def loaded(loader, path, delimiter):
             list(maps.user_to_index.items()), list(maps.item_to_index.items()))
 
 
-class TestLoaderMatchesReference:
-    """The byte-array loader against the line-by-line reference on seeded files."""
+DELIMITERS = [",", "\t", "::", " :: ", " ", "\u3000"]
+DELIMITER_IDS = ["comma", "tab", "colons", "spaced-colons", "space", "ideographic-space"]
 
-    @pytest.mark.parametrize("delimiter", [",", "\t", "::"], ids=["comma", "tab", "colons"])
+
+class TestLoaderMatchesReference:
+    """The loader against the line-by-line reference on seeded files."""
+
+    @pytest.mark.parametrize("delimiter", DELIMITERS, ids=DELIMITER_IDS)
     def test_random_logs(self, tmp_path, delimiter):
         rng = np.random.default_rng(20261018)
         path = tmp_path / "log.txt"
@@ -161,7 +167,7 @@ class TestLoaderMatchesReference:
             outcomes.add(got[0] if got[0] == "error" else "ok")
         assert outcomes == {"ok", "error"}
 
-    @pytest.mark.parametrize("delimiter", [",", "\t", "::"], ids=["comma", "tab", "colons"])
+    @pytest.mark.parametrize("delimiter", DELIMITERS, ids=DELIMITER_IDS)
     def test_random_logs_scanned_in_small_chunks(self, tmp_path, monkeypatch, delimiter):
         # 5-byte chunks cut through delimiters, line ends and multi-byte
         # characters, and parts of one chunk can be empty
@@ -177,6 +183,11 @@ class TestLoaderMatchesReference:
         "text, delimiter",
         [
             ("a,x\n\n  \nb\n", ","),  # a 1-field line after blank ones
+            ("a,x\nb,y", ","),  # every line plain, no final newline
+            ("a,x", ","),
+            # characters that share the first two bytes of a whitespace one
+            ("\u3001\u30e6,\u2019\u2013\n\u1681,\u00b7\u2030\n\u3001,\u2009\u2019\n", ","),
+            ("\u30e6\u3000\u2019\n", "\u3000"),
             ("a,x\r\nb,y,1,2\r\nc\r\n", ","),  # 4 fields before a 1-field line
             ("a,x\r \t,y\rb,\n", ","),  # empty user, then empty item
             ("a\tx\n\u3000\t\u00a0y\n", "\t"),  # leading whitespace swallows the tab
@@ -184,6 +195,18 @@ class TestLoaderMatchesReference:
             ("a::x::\nb\u3000::\u3000y", "::"),  # empty timestamp, no final newline
             ("\u3000\n\x85\n \x1c\n", ","),  # whitespace only
             ("", ","),
+            ("a :: b :: ", " :: "),  # the strip eats the last delimiter's space
+            ("a\tb\t\t", "\t"),  # trailing delimiters strip away
+            ("\ta\tb", "\t"),  # and so does a leading one
+            ("a,b,", ","),  # an empty timestamp
+            ("a b,c", ","),  # a space inside an id
+            ("\u00fcn\u00ef,\u7528\u6237\r\n", ","),  # non-ASCII ids, CRLF
+            # even lines plain, odd ones padded: users and items are first seen
+            # on alternate paths, and the last five lines repeat the first five
+            # on the other path
+            pytest.param("\n".join(f"u{n % 7},i{n % 5}" if n % 2 == 0
+                                   else f" u{n % 7} ,\u00a0i{n % 5}\t" for n in range(40)),
+                         ",", id="plain-and-padded"),
         ],
     )
     def test_edge_cases(self, tmp_path, text, delimiter):
@@ -192,6 +215,21 @@ class TestLoaderMatchesReference:
         assert loaded(load_interactions, path, delimiter) == loaded(
             reference_load_interactions, path, delimiter
         )
+
+    def test_strippable_bytes_follow_str_isspace(self):
+        # every code point in one UTF-8 buffer: the mask must flag exactly
+        # the first byte of each character str.isspace accepts, and every
+        # byte up to space; a new Unicode space would otherwise pass through
+        # the plain-line cut unstripped
+        points = [c for c in range(0x110000) if not 0xD800 <= c < 0xE000]
+        text = "".join(map(chr, points))
+        # UTF-8 takes one byte below 0x80, two below 0x800, three below 0x10000
+        width = np.searchsorted([0x80, 0x800, 0x10000], points, "right") + 1
+        starts = np.cumsum(width) - width
+        flagged = [n for n, c in enumerate(points) if c <= 0x20 or chr(c).isspace()]
+        mask = dataset_module._strippable(np.frombuffer(text.encode("utf-8"), dtype=np.uint8))
+        assert np.flatnonzero(mask).tolist() == starts[flagged].tolist()
+        assert all(c <= 0x20 for c in range(0x80) if chr(c).isspace())
 
 
 class TestLoaderMemory:
