@@ -100,6 +100,9 @@ def score_items(params: MfParams, u: int, items) -> np.ndarray:
     if not 0 <= u < params.num_users:
         raise IndexError(f"user index {u} out of range [0, {params.num_users})")
     idx = np.asarray(items, dtype=np.int64)
+    # numpy would wrap a negative index silently
+    if idx.size and (idx.min() < 0 or idx.max() >= params.num_items):
+        raise IndexError(f"item index out of range [0, {params.num_items})")
     return params.item_emb[idx] @ params.user_emb[u] + params.item_bias[idx]
 
 
@@ -309,26 +312,25 @@ def pointwise_epoch(
     batch's examples; returns (updated params, mean per-example data loss).
     A batch user's gradient is summed over its positive and negatives
     before the scatter, so its L2 term enters once as 2·reg·(npp+1)·p_u.
+    Scores are ``score_pairs``' einsum over the gathered rows, bit for bit.
     The batches are ``_batches``'. An empty train split raises ValueError.
     """
     table, bias = np.concatenate([params.user_emb, params.item_emb]), params.item_bias.copy()
     npp = cfg.negatives_per_positive
     cap = min(cfg.batch_size, len(dataset.train)) * (1 + npp)
-    ex_users_buf = np.empty((cap, table.shape[1]))
+    work_buf = np.empty((cap, table.shape[1]))
     s_buf, t_buf = np.empty(cap), np.empty(cap)
     two_reg = 2.0 * cfg.reg
     two_reg_user = 2.0 * cfg.reg * (npp + 1)
     total_loss = 0.0
     for B, G, ex_bias, D in _batches(table, bias, dataset, cfg, rng, npp):
         E = len(ex_bias)
-        P, Q, P_ex = G[:B], G[B:], ex_users_buf[:E]
+        P, Q, work = G[:B], G[B:], work_buf[:E]
+        Q_neg = Q[B:].reshape(B, npp, -1)  # each positive's negatives' rows
         s, t = s_buf[:E], t_buf[:E]
-        # each example's user row: the B users, then each one npp times
-        P_ex[:B] = P
-        P_ex[B:].reshape(B, npp, -1)[:] = P[:, None]
-        # D's item rows hold P_ex * Q until the gradient overwrites them
-        np.multiply(P_ex, Q, out=D[B:])
-        np.add.reduce(D[B:], axis=1, out=s)
+        # score_pairs' row-wise einsum; each user row is read in place, not copied
+        np.einsum("bd,bd->b", P, Q[:B], out=s[:B])
+        np.einsum("bd,bkd->bk", P, Q_neg, out=s[B:].reshape(B, npp))
         s += ex_bias
         # -ln sigmoid(s) for positives, -ln(1 - sigmoid(s)) for negatives
         np.negative(s[:B], out=t[:B])
@@ -337,22 +339,17 @@ def pointwise_epoch(
 
         g = _sigmoid_of_negated(np.negative(s, out=t))
         g[:B] -= 1.0  # dL/ds; a negative's label 0 leaves its sigmoid as is
+        g_neg = g[B:].reshape(B, npp)
         coef = cfg.lr / E
-        np.multiply(g[:, None], P_ex, out=D[B:])
-        # P_ex is free now and takes g * Q. A user's gradient adds its npp
-        # negatives' rows in turn to 0.0, as a reduction over them would,
-        # and then its positive's
-        gQ = np.multiply(g[:, None], Q, out=P_ex)
-        negatives = gQ[B:].reshape(B, npp, -1)
-        np.add(negatives[:, 0], 0.0, out=D[:B])
-        for j in range(1, npp):
-            D[:B] += negatives[:, j]
-        D[:B] += gQ[:B]
-        # P_ex, free again, holds the L2 terms: no (B + E, dim) buffer for them
-        reg = np.multiply(Q, two_reg, out=P_ex)
-        D[B:] += reg
-        reg = np.multiply(P, two_reg_user, out=P_ex[:B])
-        D[:B] += reg
+        # an item row's gradient is g times its example's user row, broadcast
+        np.multiply(g[:B, None], P, out=D[B : 2 * B])
+        np.multiply(g_neg[:, :, None], P[:, None], out=D[2 * B :].reshape(B, npp, -1))
+        # a user's gradient adds its npp negatives' g * q in turn to 0.0,
+        # then its positive's; work takes that and the L2 terms
+        np.einsum("bk,bkd->bd", g_neg, Q_neg, out=D[:B])
+        D[:B] += np.multiply(g[:B, None], Q[:B], out=work[:B])
+        D[B:] += np.multiply(Q, two_reg, out=work)
+        D[:B] += np.multiply(P, two_reg_user, out=work[:B])
         D *= -coef
         np.multiply(g, -coef, out=ex_bias)
     U = params.num_users

@@ -619,7 +619,9 @@ def reference_batched_pointwise_epoch(
 ) -> tuple[MfParams, float]:
     """``ranker.pointwise_epoch`` as it was before its per-epoch buffers:
     fresh arrays and concatenations in every batch, two ``logaddexp`` under
-    ``np.where``, and a label array per batch."""
+    ``np.where``, and a label array per batch. Scores come from
+    ``score_pairs``, so training must score pairs as serving does, and a
+    user's negatives' gradients are summed by one einsum contraction."""
     table, bias = _stacked_tables(params)
     U = params.num_users
     users, items = dataset.train.pairs()
@@ -642,15 +644,16 @@ def reference_batched_pointwise_epoch(
         G = table[rows]
         P, Q = G[:B], G[B:]
         P_ex = np.concatenate([P, np.repeat(P, npp, axis=0)])
-        s = np.sum(P_ex * Q, axis=1) + bias[ex_i]
+        ex_u = np.concatenate([bu, np.repeat(bu, npp)])
+        s = score_pairs(MfParams(table[:U], table[U:], bias), ex_u, ex_i)
         # -ln sigmoid(s) for positives, -ln(1 - sigmoid(s)) for negatives
         total_loss += np.where(ex_y == 1.0, np.logaddexp(0.0, -s), np.logaddexp(0.0, s)).sum()
         total_examples += len(ex_i)
 
         g = sigmoid(s) - ex_y  # dL/ds
         coef = cfg.lr / len(ex_i)
-        gQ = g[:, None] * Q
-        dP = gQ[:B] + gQ[B:].reshape(B, npp, -1).sum(axis=1)
+        g_neg, Q_neg = g[B:].reshape(B, npp), Q[B:].reshape(B, npp, -1)
+        dP = g[:B, None] * Q[:B] + np.einsum("bk,bkd->bd", g_neg, Q_neg)
         dQ = g[:, None] * P_ex
         dP += 2.0 * cfg.reg * (npp + 1) * P
         dQ += 2.0 * cfg.reg * Q

@@ -91,6 +91,13 @@ class TestScore:
         with pytest.raises(IndexError):
             score_items(p, -1, [0])
 
+    @pytest.mark.parametrize("item", [-1, 2], ids=["negative", "num_items"])
+    def test_item_out_of_range(self, item):
+        # -1 would otherwise score the last item silently
+        p = init_params(2, 2, 2, seed=0)
+        with pytest.raises(IndexError, match=r"item index out of range \[0, 2\)"):
+            score_items(p, 0, [0, item])
+
     def test_bilinear_scaling(self):
         p = init_params(3, 4, 5, seed=1)
         base = score_items(p, 1, [2])[0] - p.item_bias[2]
@@ -396,13 +403,13 @@ class TestEpochsMatchReference:
         ids=["bpr", "pointwise"],
     )
 
-    def run_three_epochs(self, epoch_fn, reference, reg, batch_size):
+    def run_three_epochs(self, epoch_fn, reference, reg, batch_size, dim=5):
         """Three epochs against the reference."""
         ds = self.dataset()
         cfg = TrainConfig(lr=0.5, reg=reg, batch_size=batch_size, negatives_per_positive=3)
         new = ref = MfParams(*(
             np.random.default_rng(31).normal(0, 0.3, shape)
-            for shape in ((12, 5), (20, 5), (20,))
+            for shape in ((12, dim), (20, dim), (20,))
         ))
         for epoch in range(3):
             new, new_loss = epoch_fn(new, ds, cfg, np.random.default_rng([7, epoch]))
@@ -424,6 +431,12 @@ class TestEpochsMatchReference:
         # against the 32-row table: a few touched rows per batch
         batch_size = 2 if epoch_fn is bpr_epoch else 1
         self.run_three_epochs(epoch_fn, reference, reg, batch_size)
+
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_pointwise_at_the_benchmark_dims(self, dim):
+        # the cotrain-s student and teacher dims, where the einsum scores and
+        # user-gradient contraction run their vector loops
+        self.run_three_epochs(pointwise_epoch, reference_pointwise_epoch, 0.05, 16, dim)
 
     def test_batches_repeat_users_and_items(self):
         ds = self.dataset()
