@@ -335,13 +335,25 @@ def _fit_histogram(s, w_pos, num_bins) -> Calibrator:
     return Calibrator(kind="histogram", bins=bins)
 
 
+def check_tau(tau: float) -> float:
+    """``tau`` if it is a nonnegative popularity exponent; raises ValueError otherwise."""
+    if not tau >= 0:  # NaN fails too
+        raise ValueError("tau must be nonnegative")
+    return tau
+
+
+def check_theta_min(theta_min: float) -> float:
+    """``theta_min`` if it is a propensity floor in (0, 1]; raises ValueError otherwise."""
+    if not 0 < theta_min <= 1:
+        raise ValueError("theta_min must be in (0, 1]")
+    return theta_min
+
+
 def estimate_propensity(item_popularity, tau: float = 0.5, theta_min: float = 0.01) -> np.ndarray:
     """Popularity-power propensities: theta_i = clip((pop_i/max_pop)^tau, theta_min, 1)."""
     pop = np.asarray(item_popularity, dtype=float)
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if not 0 < theta_min <= 1:
-        raise ValueError("theta_min must be in (0, 1]")
+    check_tau(tau)
+    check_theta_min(theta_min)
     max_pop = pop.max() if pop.size else 0.0
     if max_pop <= 0:
         raise ValueError("all-zero item popularity")

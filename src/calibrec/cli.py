@@ -28,6 +28,8 @@ from . import metrics
 from .atomic import atomic_open, output_set, read_sidecar, write_json, write_with_sidecar
 from .calibration import (
     apply as apply_calibrator,
+    check_tau,
+    check_theta_min,
     collect_calibration_samples,
     ece,
     estimate_propensity,
@@ -37,8 +39,10 @@ from .calibration import (
     save_calibrator,
     write_reliability_csv,
 )
-from .dataset import SPLITS, Csr, DataFormatError, Dataset, load_interactions, split_per_user
-from .distill import BdConfig, cotrain_epoch
+from .dataset import (
+    SPLITS, Csr, DataFormatError, Dataset, check_ratios, load_interactions, split_per_user,
+)
+from .distill import BdConfig, CotrainReport, cotrain_epoch
 from .perk import UTILITY_KINDS, PerkConfig, perk_recommend_users
 from .ranker import (
     TrainConfig,
@@ -96,6 +100,11 @@ def _distinct(parse_one):
     return parse
 
 
+def _checked(parse, check):
+    """Parser that hands ``parse``'s value to ``check``, which returns it or raises ValueError."""
+    return lambda text: check(parse(text))
+
+
 def _choice(*options):
     def parse(text: str) -> str:
         if text not in options:
@@ -121,13 +130,16 @@ def build_config(cls, cfg: dict):
 CONFIG_SPEC = {
     "seed": (_at_least(0, "seed"), 0, "global seed; every stage derives its own stream from it"),
     "data.delimiter": (str, ",", "field separator of the input and the text splits (ingest only)"),
-    "data.ratios": (_floats, (0.8, 0.1, 0.1), "train,validation,test split fractions"),
+    "data.ratios": (
+        _checked(_floats, check_ratios), (0.8, 0.1, 0.1), "train,validation,test split fractions"
+    ),
     "train.dim": (int, 32, "embedding dimension"),
     "train.lr": (
         float,
         TrainConfig().lr,
         "SGD learning rate on the batch-mean gradient: per example lr/batch_size (bpr), "
-        "lr/(batch_size*(1+negatives_per_positive)) (pointwise)",
+        "lr/(batch_size*(1+negatives_per_positive)) (pointwise); distill also steps each "
+        "user's distillation items by lr*lambda/(items drawn)",
     ),
     "train.reg": (float, TrainConfig().reg, "L2 weight on embeddings"),
     "train.epochs": (int, 10, "training epochs (0 writes the initialization)"),
@@ -143,8 +155,8 @@ CONFIG_SPEC = {
     ),
     "calib.negatives_per_positive": (int, 4, "sampled negatives per validation positive"),
     "calib.unbiased": (_bool, False, "weight the likelihood by inverse propensities"),
-    "calib.tau": (float, 0.5, "propensity popularity exponent"),
-    "calib.theta_min": (float, 0.01, "propensity clip floor"),
+    "calib.tau": (_checked(float, check_tau), 0.5, "propensity popularity exponent"),
+    "calib.theta_min": (_checked(float, check_theta_min), 0.01, "propensity clip floor"),
     "calib.max_iters": (int, 1000, "Newton iteration cap"),
     "calib.tol": (float, 1e-8, "optimizer gradient tolerance"),
     "calib.num_bins": (int, 15, "bins for ECE / reliability / histogram calibrator"),
@@ -344,12 +356,7 @@ def load_bundle(bundle_dir) -> Dataset:
         if problem:
             raise DataFormatError(f"{sidecar_path}: {name} split: {problem}")
         splits[name] = Csr(indptr, indices, num_items)
-    return Dataset(
-        num_users=num_users,
-        num_items=num_items,
-        item_popularity=np.bincount(splits["train"].indices, minlength=num_items),
-        **splits,
-    )
+    return Dataset(num_users, num_items, **splits)
 
 
 def _load_model(path, dataset: Dataset):
@@ -631,38 +638,30 @@ def cmd_distill(args, cfg) -> int:
     base_cfg = build_config(TrainConfig, cfg)
     bd_cfg = build_config(BdConfig, cfg)
     dataset = load_bundle(args.data)
-    teacher = init_params(
-        dataset.num_users, dataset.num_items, cfg["bd.teacher_dim"],
-        seed=stream_seed(cfg["seed"], "bd", 0, 0),
-    )
-    student = init_params(
-        dataset.num_users, dataset.num_items, cfg["bd.student_dim"],
-        seed=stream_seed(cfg["seed"], "bd", 0, 1),
-    )
+    roles = CotrainReport._fields
+    models = [
+        init_params(dataset.num_users, dataset.num_items, cfg[f"bd.{role}_dim"],
+                    seed=stream_seed(cfg["seed"], "bd", 0, k))
+        for k, role in enumerate(roles)
+    ]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = None
+    report = CotrainReport(None, None)  # the last epoch's, None per role when none ran
     with atomic_open(out / "cotrain_log.jsonl") as log:
         for epoch in range(bd_cfg.epochs):
             rng = np.random.default_rng(stream_seed(cfg["seed"], "bd", 1 + epoch))
-            teacher, student, report = cotrain_epoch(
-                teacher, student, dataset, base_cfg, bd_cfg, rng
-            )
-            t, st = report.teacher, report.student
-            _stop_if_diverged(epoch, base_cfg.lr, {
-                "teacher base loss": t.base_loss, "teacher distill loss": t.distill_loss,
-                "student base loss": st.base_loss, "student distill loss": st.distill_loss,
-            })
-            log.write(_jsonl_line(report.teacher.as_row(epoch, "teacher")))
-            log.write(_jsonl_line(report.student.as_row(epoch, "student")))
-            print(
-                f"epoch {epoch}: teacher base {report.teacher.base_loss:.4f} "
-                f"distill {report.teacher.distill_loss:.4f} | student base "
-                f"{report.student.base_loss:.4f} distill {report.student.distill_loss:.4f}"
-            )
-    for name, params in (("teacher", teacher), ("student", student)):
-        save_checkpoint(params, out / name, seed=cfg["seed"],
+            *models, report = cotrain_epoch(*models, dataset, base_cfg, bd_cfg, rng)
+            for role, stats in zip(roles, report):
+                _stop_if_diverged(epoch, base_cfg.lr, {f"{role} base loss": stats.base_loss,
+                                                       f"{role} distill loss": stats.distill_loss})
+                log.write(_jsonl_line(stats.as_row(epoch, role)))
+            print(f"epoch {epoch}: " + " | ".join(
+                f"{role} base {stats.base_loss:.4f} distill {stats.distill_loss:.4f}"
+                for role, stats in zip(roles, report)
+            ))
+    for role, params in zip(roles, models):
+        save_checkpoint(params, out / role, seed=cfg["seed"],
                         loss_kind="pointwise", epochs_trained=bd_cfg.epochs)
 
     # evaluate raises when no user has validation items; the summary says null
@@ -670,7 +669,7 @@ def cmd_distill(args, cfg) -> int:
     if len(dataset.validation):
         users = np.arange(dataset.num_users)
         result = metrics.evaluate(
-            users, top_k(student, users, 10, dataset.train), dataset,
+            users, top_k(models[1], users, 10, dataset.train), dataset,
             split="validation", metrics=("recall",), ks=(10,),
         )
         recall = result.rows[0].means["recall"]
@@ -679,12 +678,11 @@ def cmd_distill(args, cfg) -> int:
         "student_recall_at_10": recall,
         # users of the last epoch with no item the counterpart ranks better
         "empty_users": {
-            "teacher": report.teacher.empty_users if report else None,
-            "student": report.student.empty_users if report else None,
+            role: stats.empty_users if stats else None for role, stats in zip(roles, report)
         },
         "final": {
-            "teacher": report.teacher.as_row(bd_cfg.epochs - 1, "teacher") if report else None,
-            "student": report.student.as_row(bd_cfg.epochs - 1, "student") if report else None,
+            role: stats.as_row(bd_cfg.epochs - 1, role) if stats else None
+            for role, stats in zip(roles, report)
         },
     }
     write_json(out / "distill_summary.json", summary)

@@ -177,7 +177,6 @@ class Dataset:
     train: Csr
     validation: Csr
     test: Csr
-    item_popularity: np.ndarray
     # merged exclusions by split names, built on first use
     _excluded: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -204,6 +203,11 @@ class Dataset:
                 np.concatenate(rows), np.concatenate(cols), self.num_users, self.num_items
             )
         return self._excluded[names]
+
+    @property
+    def item_popularity(self) -> np.ndarray:
+        """Each item's count of train interactions."""
+        return np.bincount(self.train.indices, minlength=self.num_items)
 
     @property
     def train_by_user(self) -> dict[int, np.ndarray]:
@@ -463,6 +467,17 @@ def _text_fields(data: bytes, lines, lo, hi, delimiter: str):
     return lines[keep], np.array(at, dtype=np.int64).reshape(-1, 4)
 
 
+def check_ratios(ratios):
+    """``ratios`` if they are three positive fractions summing to 1; raises ValueError otherwise."""
+    if len(ratios) != 3:
+        raise ValueError(f"ratios needs three fractions (train, validation, test), got {ratios}")
+    if min(ratios) <= 0:
+        raise ValueError(f"ratios must be positive, got {ratios}")
+    if not abs(sum(ratios) - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"ratios must sum to 1, got {ratios}")
+    return ratios
+
+
 def split_per_user(
     raw,
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -486,13 +501,7 @@ def split_per_user(
         raise ValueError("empty interaction list")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"expected (n, 2) interaction pairs, got shape {pairs.shape}")
-    if len(ratios) != 3:
-        raise ValueError(f"ratios needs three fractions (train, validation, test), got {ratios}")
-    r_train, r_val, r_test = ratios
-    if min(ratios) <= 0:
-        raise ValueError(f"ratios must be positive, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {ratios}")
+    _, r_val, r_test = check_ratios(ratios)
 
     negative = np.flatnonzero((pairs < 0).any(axis=1))
     if negative.size:
@@ -522,14 +531,12 @@ def split_per_user(
         position >= (n_train + n_val)[rows]
     )
 
-    train = full.select(label == 0)
     return Dataset(
         num_users=n_users,
         num_items=n_items,
-        train=train,
+        train=full.select(label == 0),
         validation=full.select(label == 1),
         test=full.select(label == 2),
-        item_popularity=np.bincount(train.indices, minlength=n_items),
     )
 
 

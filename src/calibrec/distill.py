@@ -14,11 +14,12 @@ only, never on full per-user rankings (see ``docs/distill.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset
-from .ranker import MfParams, TrainConfig, pointwise_epoch, score_items, score_pairs, sigmoid, top_k
+from .ranker import MfParams, TrainConfig, pointwise_epoch, score_pairs, sigmoid, top_k
 
 # probabilities entering distillation logs are clamped to this band
 PROB_CLAMP = 1e-7
@@ -44,12 +45,6 @@ class BdConfig:
             raise ValueError("truncate_rank must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-
-
-def _discrepancy(r_this, r_other, eta: float, truncate_rank: int) -> np.ndarray:
-    """tanh(eta * max(0, min(r_this, T) - min(r_other, T))), elementwise."""
-    gap = np.minimum(r_this, truncate_rank) - np.minimum(r_other, truncate_rank)
-    return np.tanh(eta * np.maximum(gap, 0))
 
 
 def top_t_rows(params: MfParams, dataset: Dataset, truncate_rank: int) -> np.ndarray:
@@ -82,8 +77,9 @@ def top_t_weights(
     at = np.minimum(np.searchsorted(sorted_keys, probe), sorted_keys.size - 1)
     r_this = np.where(sorted_keys[at] == probe, order[at] % width + 1, truncate_rank)
     r_this = r_this.reshape(other_top.shape)
-    r_other = np.arange(1, width + 1)
-    weights = _discrepancy(r_this, r_other, eta, truncate_rank)
+    # tanh(eta * max(0, min(r_this, T) - min(r_other, T))), r_other = j + 1
+    gap = np.minimum(r_this, truncate_rank) - np.minimum(np.arange(1, width + 1), truncate_rank)
+    weights = np.tanh(eta * np.maximum(gap, 0))
     weights[other_top < 0] = 0.0
     return weights
 
@@ -120,11 +116,6 @@ def _clamp(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def _bce(learner_probs: np.ndarray, target_probs: np.ndarray) -> np.ndarray:
-    q, t = _clamp(learner_probs), _clamp(target_probs)
-    return -(t * np.log(q) + (1.0 - t) * np.log1p(-q))
-
-
 def bd_loss(learner_probs: np.ndarray, target_probs: np.ndarray) -> float:
     """Mean binary cross-entropy of learner probabilities against targets.
 
@@ -134,7 +125,8 @@ def bd_loss(learner_probs: np.ndarray, target_probs: np.ndarray) -> float:
     q = np.asarray(learner_probs, dtype=float)
     if not q.size:
         return 0.0
-    return float(np.mean(_bce(q, np.asarray(target_probs, dtype=float))))
+    q, t = _clamp(q), _clamp(np.asarray(target_probs, dtype=float))
+    return float(np.mean(-(t * np.log(q) + (1.0 - t) * np.log1p(-q))))
 
 
 def bd_score_grads(learner_probs: np.ndarray, target_probs: np.ndarray) -> np.ndarray:
@@ -161,8 +153,7 @@ class ModelEpochStats:
         }
 
 
-@dataclass
-class CotrainReport:
+class CotrainReport(NamedTuple):
     teacher: ModelEpochStats
     student: ModelEpochStats
 
@@ -179,8 +170,12 @@ def _distill_pass(
 ) -> tuple[float, int, int]:
     """Per-user SGD steps on lam * bd_loss; returns (mean item BCE, items, empty users).
 
-    A user is empty when no item weighs above 0, so it draws nothing.
+    A user is empty when no item weighs above 0, so it draws nothing. At
+    lam = 0 nothing is drawn from ``rng``. Users step in order, each from
+    the parameters the previous step left (see ``docs/distill.md``).
     """
+    if lam == 0:
+        return 0.0, 0, 0
     weights = top_t_weights(own_top, other_top, bd_cfg.eta, bd_cfg.truncate_rank)
     drawn = draw_distill_items(other_top, weights, bd_cfg.sample_size, rng)
     counts = np.count_nonzero(drawn >= 0, axis=1)
@@ -194,11 +189,12 @@ def _distill_pass(
     for user in np.flatnonzero(counts):
         span = slice(ends[user] - counts[user], ends[user])
         idx = items[span]
-        q = sigmoid(score_items(model, user, idx))
+        p_u = model.user_emb[user].copy()
+        q_rows = model.item_emb[idx]
+        q = sigmoid(q_rows @ p_u + model.item_bias[idx])
         learner[span] = q
         g = lam * bd_score_grads(q, targets[span])
-        p_u = model.user_emb[user].copy()
-        model.user_emb[user] -= base_cfg.lr * (g @ model.item_emb[idx])
+        model.user_emb[user] -= base_cfg.lr * (g @ q_rows)
         model.item_emb[idx] -= base_cfg.lr * np.outer(g, p_u)
         model.item_bias[idx] -= base_cfg.lr * g
     return bd_loss(learner, targets), len(items), empty_users
@@ -212,7 +208,8 @@ def cotrain_epoch(
     bd_cfg: BdConfig,
     rng: np.random.Generator,
 ) -> tuple[MfParams, MfParams, CotrainReport]:
-    """One epoch of bidirectional co-training.
+    """One epoch of bidirectional co-training: per model, teacher first, a
+    base ``pointwise_epoch`` and then a distillation pass toward the other.
 
     Top-T rows and distillation targets come from the models as passed in
     (the previous epoch's parameters), so within the epoch the two updates
@@ -223,31 +220,17 @@ def cotrain_epoch(
     result is therefore bit-identical to two independent ``pointwise_epoch``
     runs seeded with the first two children.
     """
-    teacher_rng, student_rng, distill_rng = rng.spawn(3)
-
-    teacher_top = top_t_rows(teacher, dataset, bd_cfg.truncate_rank)
-    student_top = top_t_rows(student, dataset, bd_cfg.truncate_rank)
-
-    new_teacher, teacher_base = pointwise_epoch(teacher, dataset, base_cfg, teacher_rng)
-    new_student, student_base = pointwise_epoch(student, dataset, base_cfg, student_rng)
-
-    if bd_cfg.lambda_ts > 0:
-        t_bce, t_items, t_empty = _distill_pass(
-            new_teacher, teacher_top, student_top, student,
-            bd_cfg.lambda_ts, base_cfg, bd_cfg, distill_rng,
+    *base_rngs, distill_rng = rng.spawn(3)
+    models = (teacher, student)
+    tops = [top_t_rows(model, dataset, bd_cfg.truncate_rank) for model in models]
+    trained, stats = [], []
+    for model, base_rng, lam, own_top, other_top, counterpart in zip(
+        models, base_rngs, (bd_cfg.lambda_ts, bd_cfg.lambda_st), tops, tops[::-1], models[::-1]
+    ):
+        model, base_loss = pointwise_epoch(model, dataset, base_cfg, base_rng)
+        passed = _distill_pass(
+            model, own_top, other_top, counterpart, lam, base_cfg, bd_cfg, distill_rng
         )
-    else:
-        t_bce, t_items, t_empty = 0.0, 0, 0
-    if bd_cfg.lambda_st > 0:
-        s_bce, s_items, s_empty = _distill_pass(
-            new_student, student_top, teacher_top, teacher,
-            bd_cfg.lambda_st, base_cfg, bd_cfg, distill_rng,
-        )
-    else:
-        s_bce, s_items, s_empty = 0.0, 0, 0
-
-    report = CotrainReport(
-        teacher=ModelEpochStats(teacher_base, t_bce, t_items, t_empty),
-        student=ModelEpochStats(student_base, s_bce, s_items, s_empty),
-    )
-    return new_teacher, new_student, report
+        trained.append(model)
+        stats.append(ModelEpochStats(base_loss, *passed))
+    return trained[0], trained[1], CotrainReport(*stats)

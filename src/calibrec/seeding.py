@@ -13,8 +13,6 @@ STAGE_OFFSETS = {
     "train": 2,
     "calib": 3,
     "bd": 4,
-    "perk": 5,
-    "eval": 6,
 }
 
 

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from calibrec.calibration import RELIABILITY_HEADER
@@ -22,12 +21,7 @@ def make_dataset(train, validation=None, test=None, num_users=None, num_items=No
         return Csr.from_pairs([u for u, _ in pairs], [i for _, i in pairs], n_users, n_items)
 
     rows = {"train": csr(train), "validation": csr(validation), "test": csr(test)}
-    return Dataset(
-        num_users=n_users,
-        num_items=n_items,
-        item_popularity=np.bincount(rows["train"].indices, minlength=n_items),
-        **rows,
-    )
+    return Dataset(num_users=n_users, num_items=n_items, **rows)
 
 
 def read_jsonl(path):

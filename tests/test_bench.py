@@ -42,7 +42,12 @@ def test_workload_runs_at_smoke_shape(bench, name, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, epoch", [("pipeline-s", "ranker.bpr_epoch"), ("cotrain-s", "ranker.pointwise_epoch")]
+    "name, epoch",
+    [
+        ("pipeline-s", "ranker.bpr_epoch"),
+        ("cotrain-s", "ranker.pointwise_epoch"),
+        ("cotrain-s", "distill.cotrain_epoch"),
+    ],
 )
 def test_traced_run_probes_the_epoch(bench, name, epoch, tmp_path):
     # the tracer swaps the epoch functions by identity; a probe that finds

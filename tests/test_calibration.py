@@ -423,6 +423,11 @@ class TestPropensity:
         with pytest.raises(ValueError):
             estimate_propensity([0, 0, 0])
 
+    @pytest.mark.parametrize("tau", [-1.0, float("nan")])
+    def test_bad_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            estimate_propensity([1, 4], tau=tau)
+
 
 class TestEce:
     def test_perfect_confidence(self):

@@ -764,14 +764,28 @@ class TestSettingsRejectedBeforeReading:
         "bd.epochs": ("distill", "bd.epochs=-1", "epochs must be >= 0"),
         "perk.k_max": ("perk", "perk.k_max=0", "k_max must be >= 1"),
         "perk.rest_pool": ("perk", "perk.rest_pool=-1", "rest_pool must be nonnegative"),
+        "data.ratios": ("ingest", "data.ratios=0.5,0.5,0.5", "ratios must sum to 1"),
+        "data.ratios/nan": ("ingest", "data.ratios=nan,0.5,0.5", "ratios must sum to 1"),
+        "calib.tau": ("calibrate", "calib.tau=-1", "tau must be nonnegative"),
+        "calib.tau/nan": ("calibrate", "calib.tau=nan", "tau must be nonnegative"),
+        "calib.theta_min": ("calibrate", "calib.theta_min=5", "theta_min must be in (0, 1]"),
+        "calib.tau/unbiased": ("unbiased", "calib.tau=-1", "tau must be nonnegative"),
+        "calib.theta_min/unbiased": (
+            "unbiased", "calib.theta_min=5", "theta_min must be in (0, 1]"
+        ),
     }
 
     @pytest.mark.parametrize("key", list(CASES))
     def test_exit_2_without_reading_the_bundle(self, tmp_path, capsys, key):
         stage, setting, message = self.CASES[key]
-        # the bundle does not exist, so reaching it would be an i/o error (exit 1)
+        # the bundle (or ingest's input) does not exist, so reaching it would
+        # be an i/o error (exit 1)
         data, out = ("--data", tmp_path / "missing"), ("--out", tmp_path / "out")
+        calibrate = ("calibrate", *data, "--ckpt", tmp_path / "ckpt", *out)
         argv = {
+            "ingest": ("ingest", "--input", tmp_path / "missing.csv", *out),
+            "calibrate": calibrate,
+            "unbiased": (*calibrate, "--set", "calib.unbiased=true"),
             "train": ("train", *data, *out),
             "distill": ("distill", *data, *out),
             "perk": ("recommend", *data, "--ckpt", tmp_path / "ckpt", *out, "--perk",
@@ -1053,6 +1067,32 @@ class TestCalibrate:
         assert cal.kind == "gamma" and cal.score_shift > 0.0
 
 
+# SHA-256 of distill's outputs and stdout on the workspace bundle at 2 epochs,
+# teacher dim 8 and student dim 4, with both weights at their default 0.5 and
+# with the teacher's at 0; taken while the teacher's and the student's steps
+# were still written out one by one.
+REFERENCE_DISTILL = {
+    (): {
+        "cotrain_log.jsonl": "861c981a19ecfe110e57b92e71fc4ae54a23d693676bdfdc2014473ee4efc6b8",
+        "distill_summary.json": "ebd6fb58343b828297c0b15914c68f6c2cce7f9ec4595bc10c11de1c755d49ce",
+        "student.bin": "6613df3666aed8becb07e9dddf0e758ad12f2c6a0cc092e3421171ecae0f70dc",
+        "student.json": "e852dba8d054719353070e16c029157f9d7a8e543d07cd2faf8ac12e10f5cec6",
+        "teacher.bin": "00c2b6044a5cd705a932c3cf7b847e80bd4b04e03aef0b29c54b8ab5724c2269",
+        "teacher.json": "1d0b82e57440fe1755e9f18674ad489416f38267c7abcf409164b15460a562ee",
+        "stdout": "e701f65d8b5d4a2ef62d7e8c13fa95386bf5afa6cae8b445bdf4af96adc95119",
+    },
+    ("bd.lambda_ts=0",): {
+        "cotrain_log.jsonl": "6112b3e071cef7e622db1e54902c70002bffe3451c980b923ab81dee3ca4cc0a",
+        "distill_summary.json": "23a8891980c2cf9c7ef874bb042c204972d8e8859891db222aea117344740928",
+        "student.bin": "2c74ec33c1caf47e4bae480c7b62be9635422259999192455781f5fc4a37f167",
+        "student.json": "e852dba8d054719353070e16c029157f9d7a8e543d07cd2faf8ac12e10f5cec6",
+        "teacher.bin": "e088245fc41ceaf7f413ad9ad4934b6257eb88b010e230f495edee9c53c65ef0",
+        "teacher.json": "1d0b82e57440fe1755e9f18674ad489416f38267c7abcf409164b15460a562ee",
+        "stdout": "e89f56fa23ef0e7deea7667855801afad28203f525bdc09714e27de53436963d",
+    },
+}
+
+
 class TestDistill:
     @pytest.mark.parametrize("setting, message", [("bd.epochs=-1", "epochs must be >= 0")])
     def test_negative_counts_rejected(self, workspace, tmp_path, capsys, setting, message):
@@ -1144,6 +1184,19 @@ class TestDistill:
         assert len(read_jsonl(tmp_path / "bd" / "cotrain_log.jsonl")) == 2 * epochs
         for name in ("teacher", "student"):
             assert load_checkpoint(tmp_path / "bd" / name)[1]["epochs_trained"] == epochs
+
+    @pytest.mark.parametrize("settings", [(), ("bd.lambda_ts=0",)], ids=["default", "lambda_ts_0"])
+    def test_outputs_match_reference(self, workspace, tmp_path, capsys, settings):
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        assert run("distill", "--data", workspace / "bundle", "--out", tmp_path / "bd",
+                   "--set", "bd.epochs=2", "--set", "bd.teacher_dim=8",
+                   "--set", "bd.student_dim=4", *sets) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "bd").iterdir()
+        }
+        digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == REFERENCE_DISTILL[settings]
 
     def test_lambda_zero_matches_two_train_runs(self, workspace, tmp_path):
         assert (
@@ -1268,8 +1321,7 @@ def write_bundle(root, num_items, train, validation, test=None):
     for name, rows in (("train", train), ("validation", validation), ("test", test or {})):
         pairs = np.array([(u, i) for u in rows for i in rows[u]], dtype=np.int64).reshape(-1, 2)
         splits[name] = Csr.from_pairs(pairs[:, 0], pairs[:, 1], num_users, num_items)
-    popularity = np.bincount(splits["train"].indices, minlength=num_items)
-    dataset = Dataset(num_users, num_items, item_popularity=popularity, **splits)
+    dataset = Dataset(num_users, num_items, **splits)
     cli._write_splits(root, dataset, ",")
 
 

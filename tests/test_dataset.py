@@ -312,6 +312,8 @@ class TestSplitPerUser:
             split_per_user(raw, ratios=(0.5, 0.2, 0.2))
         with pytest.raises(ValueError):
             split_per_user(raw, ratios=(1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="sum to 1"):
+            split_per_user(raw, ratios=(float("nan"), 0.5, 0.5))
 
     def test_empty_raw(self):
         with pytest.raises(ValueError):

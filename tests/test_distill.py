@@ -193,7 +193,7 @@ def _crowded_dataset(num_users=14, num_items=40, seed=4):
     items = np.concatenate([rng.choice(num_items, k, replace=False) for k in sizes])
     empty = Csr.from_pairs([], [], num_users, num_items)
     train = Csr.from_pairs(users, items, num_users, num_items)
-    return Dataset(num_users, num_items, train, empty, empty, np.zeros(num_items))
+    return Dataset(num_users, num_items, train, empty, empty)
 
 
 def _params(kind, num_users, num_items, seed):
