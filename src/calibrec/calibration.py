@@ -336,9 +336,9 @@ def _fit_histogram(s, w_pos, num_bins) -> Calibrator:
 
 
 def check_tau(tau: float) -> float:
-    """``tau`` if it is a nonnegative popularity exponent; raises ValueError otherwise."""
-    if not tau >= 0:  # NaN fails too
-        raise ValueError("tau must be nonnegative")
+    """``tau`` if it is a finite nonnegative popularity exponent; raises ValueError otherwise."""
+    if not 0 <= tau < math.inf:  # NaN fails too
+        raise ValueError("tau must be nonnegative and finite")
     return tau
 
 
@@ -429,9 +429,10 @@ def save_calibrator(cal: Calibrator, path) -> None:
 def load_calibrator(path) -> Calibrator:
     """Read a calibrator written by ``save_calibrator``, checking every field.
 
-    Raises ValueError for an unknown kind, a non-finite a, b, c or
-    score_shift, and a histogram whose bins are missing or empty, whose upper
-    edges do not strictly increase, or whose values fall outside [0, 1].
+    Raises ValueError for an unknown kind, an a, b, c or score_shift that
+    is missing or not a finite number, and a histogram whose bins are
+    missing or empty, whose upper edges do not strictly increase, or whose
+    values fall outside [0, 1].
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -439,7 +440,7 @@ def load_calibrator(path) -> Calibrator:
         raise ValueError(f"{path}: calibrator kind must be one of {CALIBRATOR_KINDS}")
     fields = {}
     for name in ("a", "b", "c", "score_shift"):
-        value = payload.get(name, 0.0)
+        value = payload.get(name)  # a missing field is None, not a number
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if not (number and math.isfinite(value)):
             raise ValueError(f"{path}: calibrator field {name} must be a finite number")

@@ -2,7 +2,8 @@
 
 Configuration is a flat ``key=value`` file with namespaced keys (see
 ``CONFIG_SPEC``), overridable per invocation with ``--set key=value``.
-Unknown keys are rejected. Exit codes: 0 success, 1 I/O failure,
+Unknown keys are rejected, and every value is checked as the configuration
+is read, before any stage starts. Exit codes: 0 success, 1 I/O failure,
 2 validation failure, including a train or distill run whose loss stops
 being finite.
 
@@ -27,6 +28,7 @@ import numpy as np
 from . import metrics
 from .atomic import atomic_open, output_set, read_sidecar, write_json, write_with_sidecar
 from .calibration import (
+    CALIBRATOR_KINDS,
     apply as apply_calibrator,
     check_tau,
     check_theta_min,
@@ -43,7 +45,7 @@ from .dataset import (
     SPLITS, Csr, DataFormatError, Dataset, check_ratios, load_interactions, split_per_user,
 )
 from .distill import BdConfig, CotrainReport, cotrain_epoch
-from .perk import UTILITY_KINDS, PerkConfig, perk_recommend_users
+from .perk import PerkConfig, perk_recommend_users
 from .ranker import (
     TrainConfig,
     bpr_epoch,
@@ -74,16 +76,23 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def _at_least(minimum: int, noun: str):
-    """Parser of an integer ``noun`` of at least ``minimum``."""
+def _at_least(minimum, noun: str, kind=int):
+    """Parser of a finite ``kind`` ``noun`` of at least ``minimum``."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise ValueError(f"{noun} {value} is below {minimum}")
+    def parse(text: str):
+        value = kind(text)
+        if not minimum <= value < math.inf:  # NaN fails too
+            problem = f"below {minimum}" if value < minimum else "not finite"
+            raise ValueError(f"{noun} {value} is {problem}")
         return value
 
     return parse
+
+
+def _nonempty(text: str) -> str:
+    if not text:
+        raise ValueError("expected a non-empty value")
+    return text
 
 
 def _distinct(parse_one):
@@ -116,24 +125,21 @@ def _choice(*options):
 
 # the settings dataclasses and the config section of their keys, one
 # <section>.<field> key per field; CONFIG_SPEC reads those keys' defaults
-# from the dataclasses, so each is written once
+# from the dataclasses, so each is written once, and the dataclasses check
+# those keys' values, which CONFIG_SPEC's parsers only convert
 CONFIG_SECTIONS = {TrainConfig: "train", BdConfig: "bd", PerkConfig: "perk"}
 
 
-def build_config(cls, cfg: dict):
-    """The ``CONFIG_SECTIONS`` dataclass ``cls`` set from ``cfg``'s keys of its section."""
-    section = CONFIG_SECTIONS[cls]
-    return cls(**{field.name: cfg[f"{section}.{field.name}"] for field in dataclasses.fields(cls)})
-
-
-# key -> (parser, default, help)
+# key -> (parser, default, help); the parser checks a key that sets no dataclass field
 CONFIG_SPEC = {
     "seed": (_at_least(0, "seed"), 0, "global seed; every stage derives its own stream from it"),
-    "data.delimiter": (str, ",", "field separator of the input and the text splits (ingest only)"),
+    "data.delimiter": (
+        _nonempty, ",", "field separator of the input and the text splits (ingest only)"
+    ),
     "data.ratios": (
         _checked(_floats, check_ratios), (0.8, 0.1, 0.1), "train,validation,test split fractions"
     ),
-    "train.dim": (int, 32, "embedding dimension"),
+    "train.dim": (_at_least(1, "dimension"), 32, "embedding dimension"),
     "train.lr": (
         float,
         TrainConfig().lr,
@@ -142,27 +148,29 @@ CONFIG_SPEC = {
         "user's distillation items by lr*lambda/(items drawn)",
     ),
     "train.reg": (float, TrainConfig().reg, "L2 weight on embeddings"),
-    "train.epochs": (int, 10, "training epochs (0 writes the initialization)"),
+    "train.epochs": (
+        _at_least(0, "epoch count"), 10, "training epochs (0 writes the initialization)"
+    ),
     "train.batch_size": (int, TrainConfig().batch_size, "positives per SGD batch"),
     "train.loss": (_choice("bpr", "pointwise"), "bpr", "training objective"),
     "train.negatives_per_positive": (
         int, TrainConfig().negatives_per_positive, "sampled negatives per positive (pointwise)"
     ),
-    "calib.kind": (
-        _choice("platt", "gaussian", "gamma", "histogram"),
-        "platt",
-        "calibration map",
+    "calib.kind": (_choice(*CALIBRATOR_KINDS), "platt", "calibration map"),
+    "calib.negatives_per_positive": (
+        _at_least(1, "negative count"), 4, "sampled negatives per validation positive"
     ),
-    "calib.negatives_per_positive": (int, 4, "sampled negatives per validation positive"),
     "calib.unbiased": (_bool, False, "weight the likelihood by inverse propensities"),
     "calib.tau": (_checked(float, check_tau), 0.5, "propensity popularity exponent"),
     "calib.theta_min": (_checked(float, check_theta_min), 0.01, "propensity clip floor"),
-    "calib.max_iters": (int, 1000, "Newton iteration cap"),
-    "calib.tol": (float, 1e-8, "optimizer gradient tolerance"),
-    "calib.num_bins": (int, 15, "bins for ECE / reliability / histogram calibrator"),
+    "calib.max_iters": (_at_least(0, "iteration cap"), 1000, "Newton iteration cap"),
+    "calib.tol": (_at_least(0.0, "tolerance", float), 1e-8, "optimizer gradient tolerance"),
+    "calib.num_bins": (
+        _at_least(1, "bin count"), 15, "bins for ECE / reliability / histogram calibrator"
+    ),
     "calib.scheme": (_choice("equal_width", "equal_mass"), "equal_width", "binning scheme"),
-    "bd.teacher_dim": (int, 64, "teacher embedding dimension"),
-    "bd.student_dim": (int, 8, "student embedding dimension"),
+    "bd.teacher_dim": (_at_least(1, "dimension"), 64, "teacher embedding dimension"),
+    "bd.student_dim": (_at_least(1, "dimension"), 8, "student embedding dimension"),
     "bd.lambda_ts": (float, BdConfig().lambda_ts, "teacher's distillation-from-student weight"),
     "bd.lambda_st": (float, BdConfig().lambda_st, "student's distillation-from-teacher weight"),
     "bd.sample_size": (
@@ -172,9 +180,7 @@ CONFIG_SPEC = {
     "bd.truncate_rank": (int, BdConfig().truncate_rank, "ranks beyond this are clamped"),
     "bd.epochs": (int, BdConfig().epochs, "co-training epochs"),
     "perk.k_max": (int, PerkConfig().k_max, "largest cutoff considered"),
-    "perk.utility": (
-        _choice(*UTILITY_KINDS), PerkConfig().utility, "expected utility maximized per user"
-    ),
+    "perk.utility": (str, PerkConfig().utility, "expected utility maximized per user"),
     "perk.rest_pool": (
         int, PerkConfig().rest_pool, "extra candidates feeding the remaining-relevant count"
     ),
@@ -201,7 +207,10 @@ def config_reference() -> str:
 
 
 def load_config(path=None, overrides=()) -> dict:
-    """Defaults, then the config file, then --set overrides; unknown keys fail."""
+    """Defaults, then the config file, then --set overrides; unknown keys and bad values fail.
+
+    Each ``CONFIG_SECTIONS`` dataclass is built from its keys, under its section's name.
+    """
     cfg = {key: default for key, (_, default, _) in CONFIG_SPEC.items()}
 
     def assign(key: str, raw: str, where: str):
@@ -228,6 +237,12 @@ def load_config(path=None, overrides=()) -> dict:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
         assign(key.strip(), raw.strip(), "--set")
+    for cls, section in CONFIG_SECTIONS.items():
+        fields = {field.name: cfg[f"{section}.{field.name}"] for field in dataclasses.fields(cls)}
+        try:
+            cfg[section] = cls(**fields)
+        except ValueError as exc:
+            raise ValueError(f"bad {section}.* value: {exc}") from None
     return cfg
 
 
@@ -471,13 +486,6 @@ def load_recommendations(path, num_users: int, num_items: int):
 # subcommands
 
 
-def _require_at_least(cfg, minimum, *keys) -> None:
-    """Raise ValueError naming the first of ``keys`` whose value is below ``minimum``."""
-    for key in keys:
-        if cfg[key] < minimum:
-            raise ValueError(f"{key} must be >= {minimum}")
-
-
 def _stop_if_diverged(epoch: int, lr: float, losses: dict) -> None:
     """Raise ValueError when one of an epoch's named losses is not finite."""
     for name, value in losses.items():
@@ -511,9 +519,7 @@ def cmd_ingest(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    _require_at_least(cfg, 0, "train.epochs")
-    _require_at_least(cfg, 1, "train.dim")
-    train_cfg = build_config(TrainConfig, cfg)
+    train_cfg = cfg["train"]
     epoch_fn = bpr_epoch if cfg["train.loss"] == "bpr" else pointwise_epoch
     dataset = load_bundle(args.data)
 
@@ -556,9 +562,6 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_calibrate(args, cfg) -> int:
-    # before any input is read: every kind bins (ECE, and the histogram map)
-    _require_at_least(cfg, 1, "calib.num_bins", "calib.negatives_per_positive")
-    _require_at_least(cfg, 0, "calib.max_iters", "calib.tol")
     dataset = load_bundle(args.data)
     params, _ = _load_model(args.ckpt, dataset)
     propensity = (
@@ -634,9 +637,7 @@ def cmd_calibrate(args, cfg) -> int:
 
 
 def cmd_distill(args, cfg) -> int:
-    _require_at_least(cfg, 1, "bd.teacher_dim", "bd.student_dim")
-    base_cfg = build_config(TrainConfig, cfg)
-    bd_cfg = build_config(BdConfig, cfg)
+    base_cfg, bd_cfg = cfg["train"], cfg["bd"]
     dataset = load_bundle(args.data)
     roles = CotrainReport._fields
     models = [
@@ -707,7 +708,6 @@ def cmd_recommend(args, cfg) -> int:
     if args.perk:
         if not args.calibrator:
             raise ValueError("--perk requires --calibrator")
-        perk_cfg = build_config(PerkConfig, cfg)
     elif args.k is None:
         raise ValueError("fixed mode requires --k (or pass --perk)")
     elif args.k < 1:
@@ -724,7 +724,7 @@ def cmd_recommend(args, cfg) -> int:
         cal = load_calibrator(args.calibrator)
         # users whose excluded items cover the catalog get no list, as in fixed mode
         users = np.flatnonzero(excluded.sizes() < dataset.num_items)
-        lists = perk_recommend_users(params, cal, excluded, users, perk_cfg)
+        lists = perk_recommend_users(params, cal, excluded, users, cfg["perk"])
         columns = (lists.users, lists.k_star, lists.k_max_effective, lists.curves, lists.items)
         with atomic_open(out_path) as fh:
             for user, k_star, length, curve, items in zip(*(col.tolist() for col in columns)):

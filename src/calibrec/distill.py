@@ -35,12 +35,12 @@ class BdConfig:
     epochs: int = 10
 
     def __post_init__(self):
-        if self.lambda_ts < 0 or self.lambda_st < 0:
-            raise ValueError("distillation weights must be nonnegative")
+        if not (0 <= self.lambda_ts < np.inf and 0 <= self.lambda_st < np.inf):  # NaN fails too
+            raise ValueError("lambda_ts and lambda_st must be nonnegative and finite")
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < np.inf:
+            raise ValueError("eta must be positive and finite")
         if self.truncate_rank < 1:
             raise ValueError("truncate_rank must be >= 1")
         if self.epochs < 0:

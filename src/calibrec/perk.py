@@ -23,9 +23,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .calibration import Calibrator, apply
 from .dataset import Csr
+from .metrics import METRIC_NAMES
 from .ranker import MfParams, score_pairs, top_k
-
-UTILITY_KINDS = ("precision", "recall", "f1", "ndcg")
 
 
 @dataclass
@@ -39,8 +38,8 @@ class PerkConfig:
             raise ValueError("k_max must be >= 1")
         if self.rest_pool < 0:
             raise ValueError("rest_pool must be nonnegative")
-        if self.utility not in UTILITY_KINDS:
-            raise ValueError(f"utility must be one of {UTILITY_KINDS}")
+        if self.utility not in METRIC_NAMES:
+            raise ValueError(f"utility must be one of {METRIC_NAMES}")
 
 
 class PerkLists(NamedTuple):
@@ -159,7 +158,7 @@ def utility_curves(ranked_probs, rest_probs, kind: str) -> np.ndarray:
     users, k_max = ranked.shape
     if k_max < 1:
         raise ValueError("ranked_probs must be non-empty")
-    if kind not in UTILITY_KINDS:
+    if kind not in METRIC_NAMES:
         raise ValueError(f"unknown utility kind {kind!r}")
 
     if kind == "precision":

@@ -45,9 +45,6 @@ class MfParams:
     def dim(self) -> int:
         return self.user_emb.shape[1]
 
-    def copy(self) -> "MfParams":
-        return MfParams(self.user_emb.copy(), self.item_emb.copy(), self.item_bias.copy())
-
 
 @dataclass
 class TrainConfig:
@@ -61,10 +58,10 @@ class TrainConfig:
     negatives_per_positive: int = 4
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
-        if self.reg < 0:
-            raise ValueError("reg must be nonnegative")
+        if not 0 <= self.lr < np.inf:  # NaN fails too
+            raise ValueError("lr must be nonnegative and finite")
+        if not 0 <= self.reg < np.inf:
+            raise ValueError("reg must be nonnegative and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.negatives_per_positive < 1:

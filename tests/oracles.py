@@ -492,9 +492,14 @@ def auc(params: MfParams, dataset: Dataset, split: str, rng, pairs_per_user: int
     return float(np.mean(per_user))
 
 
+def copy_params(params: MfParams) -> MfParams:
+    """A copy of ``params`` that shares no array with it."""
+    return MfParams(params.user_emb.copy(), params.item_emb.copy(), params.item_bias.copy())
+
+
 def reference_bpr_epoch(params, dataset, cfg, rng):
     """``ranker.bpr_epoch`` as one ``np.add.at`` per table and example group."""
-    out = params.copy()
+    out = copy_params(params)
     users, items = dataset.train.pairs()
     order = rng.permutation(len(users))
     negatives = sample_negatives(dataset, users[order], 1, rng)[:, 0]
@@ -525,7 +530,7 @@ def reference_bpr_epoch(params, dataset, cfg, rng):
 
 def reference_pointwise_epoch(params, dataset, cfg, rng):
     """``ranker.pointwise_epoch`` with one gathered user row per example."""
-    out = params.copy()
+    out = copy_params(params)
     users, items = dataset.train.pairs()
     order = rng.permutation(len(users))
     npp = cfg.negatives_per_positive

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -680,5 +683,18 @@ class TestSerialization:
 
     def test_loaded_fields_are_finite_floats(self, tmp_path):
         path = tmp_path / "cal.json"
-        path.write_text('{"kind": "gaussian", "a": 1, "b": -2.5}')
-        assert load_calibrator(path) == Calibrator("gaussian", a=1.0, b=-2.5)
+        path.write_text('{"kind": "gaussian", "a": 1, "b": -2.5, "c": 0, "score_shift": 0}')
+        loaded = load_calibrator(path)
+        assert loaded == Calibrator("gaussian", a=1.0, b=-2.5)
+        assert all(type(getattr(loaded, name)) is float for name in ("a", "b", "c", "score_shift"))
+
+    @pytest.mark.parametrize("field", ["a", "b", "c", "score_shift"])
+    def test_missing_field_rejected(self, tmp_path, field):
+        # a platt map without its slope would load as a constant, not as 0 * s + b
+        payload = {"kind": "platt", "a": 2.0, "b": -1.0, "c": 0.0, "score_shift": 0.0}
+        del payload[field]
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(payload))
+        message = f"{path}: calibrator field {field} must be a finite number"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_calibrator(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ from calibrec.atomic import read_sidecar, write_with_sidecar
 from calibrec.calibration import (
     Calibrator,
     apply,
+    ece,
     load_calibrator,
     save_calibrator,
 )
@@ -473,7 +475,7 @@ class TestConfig:
 
     def test_settings_dataclasses_have_one_key_per_field(self):
         for cls, section in cli.CONFIG_SECTIONS.items():
-            built = cli.build_config(cls, cli.load_config())
+            built = cli.load_config()[section]
             assert built == cls()
             for name, value in vars(built).items():
                 assert cli.CONFIG_SPEC[f"{section}.{name}"][1] == value
@@ -590,7 +592,7 @@ class TestTrain:
     def test_negative_epochs_rejected(self, workspace, tmp_path, capsys):
         assert run("train", "--data", workspace / "bundle", "--out", tmp_path / "neg",
                    "--set", "train.epochs=-2") == 2
-        assert "train.epochs must be >= 0" in capsys.readouterr().err
+        assert "train.epochs: epoch count -2 is below 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_diverging_run_fails_without_writing(self, workspace, tmp_path, capsys):
@@ -743,7 +745,73 @@ class TestBadCheckpointArrays:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.bin", "bad.json"]
 
 
+def rejected_values(default) -> list[str]:
+    """Setting texts that the check of a key with this default must reject.
+
+    The default's type stands for the key's: an integer rejects -1, a float
+    -1, NaN and both infinities, a string the empty string and a boolean
+    "maybe". A list rejects the empty list and each rejected value of its
+    first entry in front of the rest of the default.
+    """
+    if isinstance(default, tuple):
+        rest = ",".join(map(str, default[1:]))
+        return [""] + [f"{bad},{rest}" for bad in rejected_values(default[0]) if bad]
+    if isinstance(default, bool):
+        return ["maybe"]
+    if isinstance(default, int):
+        return ["-1"]
+    if isinstance(default, float):
+        return ["-1", "nan", "inf", "-inf"]
+    return [""]
+
+
+# (key, text) for every CONFIG_SPEC key and each value its check rejects
+REJECTED_SETTINGS = [
+    (key, text) for key, (_, default, _) in cli.CONFIG_SPEC.items()
+    for text in rejected_values(default)
+]
+
+
+def stage_argvs(tmp_path) -> dict:
+    """Each subcommand's arguments, naming inputs that do not exist: reading one
+    is an i/o error (exit 1)."""
+    data, ckpt = ("--data", tmp_path / "missing"), ("--ckpt", tmp_path / "ckpt")
+    out = ("--out", tmp_path / "out")
+    return {
+        "ingest": ("ingest", "--input", tmp_path / "missing.csv", *out),
+        "train": ("train", *data, *out),
+        "calibrate": ("calibrate", *data, *ckpt, *out),
+        "distill": ("distill", *data, *out),
+        "recommend": ("recommend", *data, *ckpt, *out, "--k", 5),
+        "eval": ("eval", *data, "--recs", tmp_path / "recs.jsonl", *out),
+    }
+
+
 class TestSettingsRejectedBeforeReading:
+    @pytest.mark.parametrize("key, text", REJECTED_SETTINGS)
+    def test_every_stage_rejects_before_reading(self, tmp_path, capsys, key, text):
+        for stage, argv in stage_argvs(tmp_path).items():
+            assert run(*argv, "--set", f"{key}={text}") == 2, stage
+            err = capsys.readouterr().err
+            # the message names the key, or a dataclass section and its field
+            assert "validation error" in err and key.rpartition(".")[2] in err, (stage, err)
+            assert not list(tmp_path.iterdir()), stage
+
+    @pytest.mark.parametrize("key, text", REJECTED_SETTINGS)
+    def test_one_check_per_key(self, key, text):
+        # a dataclass field's parser only converts, and the dataclass rejects
+        # the value; any other key's parser rejects it
+        parse = cli.CONFIG_SPEC[key][0]
+        section, _, field = key.partition(".")
+        owner = {name: cls for cls, name in cli.CONFIG_SECTIONS.items()}.get(section)
+        if owner is None or field not in {f.name for f in dataclasses.fields(owner)}:
+            with pytest.raises(ValueError):
+                parse(text)
+        else:
+            value = parse(text)
+            with pytest.raises(ValueError, match=field):
+                owner(**{field: value})
+
     # stage arguments -> settings they reject, and the message of each
     CASES = {
         "train.lr": ("train", "train.lr=-1", "lr must be nonnegative"),
@@ -752,12 +820,12 @@ class TestSettingsRejectedBeforeReading:
         "train.negatives_per_positive": (
             "distill", "train.negatives_per_positive=0", "negatives_per_positive must be >= 1"
         ),
-        "train.dim": ("train", "train.dim=0", "train.dim must be >= 1"),
-        "train.epochs": ("train", "train.epochs=-1", "train.epochs must be >= 0"),
-        "bd.teacher_dim": ("distill", "bd.teacher_dim=0", "bd.teacher_dim must be >= 1"),
-        "bd.student_dim": ("distill", "bd.student_dim=0", "bd.student_dim must be >= 1"),
-        "bd.lambda_ts": ("distill", "bd.lambda_ts=-1", "weights must be nonnegative"),
-        "bd.lambda_st": ("distill", "bd.lambda_st=-1", "weights must be nonnegative"),
+        "train.dim": ("train", "train.dim=0", "train.dim: dimension 0 is below 1"),
+        "train.epochs": ("train", "train.epochs=-1", "train.epochs: epoch count -1 is below 0"),
+        "bd.teacher_dim": ("distill", "bd.teacher_dim=0", "teacher_dim: dimension 0 is below 1"),
+        "bd.student_dim": ("distill", "bd.student_dim=0", "student_dim: dimension 0 is below 1"),
+        "bd.lambda_ts": ("distill", "bd.lambda_ts=-1", "lambda_ts and lambda_st must be"),
+        "bd.lambda_st": ("distill", "bd.lambda_st=-1", "lambda_ts and lambda_st must be"),
         "bd.sample_size": ("distill", "bd.sample_size=0", "sample_size must be >= 1"),
         "bd.eta": ("distill", "bd.eta=0", "eta must be positive"),
         "bd.truncate_rank": ("distill", "bd.truncate_rank=0", "truncate_rank must be >= 1"),
@@ -932,12 +1000,13 @@ class TestCalibrate:
 
     # a setting calibrate rejects -> its message
     BAD_SETTINGS = {
-        **{kind: ((f"calib.kind={kind}", "calib.num_bins=0"), "calib.num_bins must be >= 1")
+        **{kind: ((f"calib.kind={kind}", "calib.num_bins=0"), "num_bins: bin count 0 is below 1")
            for kind in ("platt", "gaussian", "gamma", "histogram")},
-        "max-iters": (("calib.max_iters=-5",), "calib.max_iters must be >= 0"),
+        "max-iters": (("calib.max_iters=-5",), "max_iters: iteration cap -5 is below 0"),
         **{f"negatives={n}": ((f"calib.negatives_per_positive={n}",),
-                              "calib.negatives_per_positive must be >= 1") for n in (0, -1)},
-        "tol": (("calib.tol=-1",), "calib.tol must be >= 0"),
+                              f"negatives_per_positive: negative count {n} is below 1")
+           for n in (0, -1)},
+        "tol": (("calib.tol=-1",), "calib.tol: tolerance -1.0 is below 0.0"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_SETTINGS))
@@ -948,6 +1017,17 @@ class TestCalibrate:
                    "--out", tmp_path / "calib", *(f"--set={s}" for s in settings)) == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_equal_mass_scheme(self, workspace, tmp_path):
+        assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "calib", "--set", "calib.scheme=equal_mass") == 0
+        report = json.loads((tmp_path / "calib" / "calibration_report.json").read_text())
+        rows = read_reliability_csv(tmp_path / "calib" / "reliability.csv")
+        counts = [count for _, _, count, _, _ in rows]
+        assert report["scheme"] == "equal_mass"
+        assert len(rows) == report["num_bins"] == cli.CONFIG_SPEC["calib.num_bins"][1]
+        assert max(counts) - min(counts) <= 1 and sum(counts) == report["num_eval_samples"]
+        assert report["ece_calibrated"] == ece(rows)
 
     def test_failed_reliability_write_leaves_no_output(self, workspace, tmp_path, monkeypatch):
         def failing_write(rows, path):
@@ -964,7 +1044,7 @@ class TestCalibrate:
     def test_zero_bins_rejected(self, workspace, tmp_path, capsys):
         assert run("calibrate", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
                    "--out", tmp_path / "calib", "--set", "calib.num_bins=0") == 2
-        assert "num_bins must be >= 1" in capsys.readouterr().err
+        assert "calib.num_bins: bin count 0 is below 1" in capsys.readouterr().err
         assert not (tmp_path / "calib").exists()
 
     def test_report_states_convergence(self, workspace, tmp_path):
@@ -1370,26 +1450,32 @@ class TestPerkSummary:
         assert summary["num_users"] == 3
 
 
+# every field a calibrator file must hold besides its kind (and a histogram's bins)
+CALIBRATOR_FIELDS = {"a": 1.0, "b": 0.0, "c": 0.0, "score_shift": 0.0}
+
+
 class TestBadCalibratorFile:
     @pytest.mark.parametrize(
         "payload",
         [
-            {"kind": "isotonic", "a": 1.0},
-            {"a": 1.0},
-            {"kind": "platt", "a": float("nan"), "b": 0.0},
-            {"kind": "gamma", "a": 1.0, "score_shift": float("inf")},
-            {"kind": "gaussian", "c": "1.0"},
-            {"kind": "histogram", "bins": []},
-            {"kind": "histogram"},
-            {"kind": "histogram", "bins": [[0.5, 0.2], [0.5, 0.4]]},
-            {"kind": "histogram", "bins": [[0.5, 0.2], [0.1, 0.4]]},
-            {"kind": "histogram", "bins": [[0.1, 0.2], [0.5, 1.5]]},
-            {"kind": "histogram", "bins": [[0.1, -0.1]]},
-            {"kind": "histogram", "bins": [[0.1, 0.2, 0.3]]},
+            {"kind": "isotonic", **CALIBRATOR_FIELDS},
+            CALIBRATOR_FIELDS,
+            {"kind": "platt", **CALIBRATOR_FIELDS, "a": float("nan")},
+            {"kind": "gamma", **CALIBRATOR_FIELDS, "score_shift": float("inf")},
+            {"kind": "gaussian", **CALIBRATOR_FIELDS, "c": "1.0"},
+            {"kind": "histogram", **CALIBRATOR_FIELDS, "bins": []},
+            {"kind": "histogram", **CALIBRATOR_FIELDS},
+            {"kind": "histogram", **CALIBRATOR_FIELDS, "bins": [[0.5, 0.2], [0.5, 0.4]]},
+            {"kind": "histogram", **CALIBRATOR_FIELDS, "bins": [[0.5, 0.2], [0.1, 0.4]]},
+            {"kind": "histogram", **CALIBRATOR_FIELDS, "bins": [[0.1, 0.2], [0.5, 1.5]]},
+            {"kind": "histogram", **CALIBRATOR_FIELDS, "bins": [[0.1, -0.1]]},
+            {"kind": "histogram", **CALIBRATOR_FIELDS, "bins": [[0.1, 0.2, 0.3]]},
+            *({"kind": "platt", **{k: v for k, v in CALIBRATOR_FIELDS.items() if k != drop}}
+              for drop in CALIBRATOR_FIELDS),
         ],
         ids=["unknown-kind", "no-kind", "nan-a", "inf-shift", "string-c", "no-bins",
              "missing-bins", "equal-edges", "falling-edges", "value-above-one",
-             "value-below-zero", "bin-triple"],
+             "value-below-zero", "bin-triple", *(f"no-{name}" for name in CALIBRATOR_FIELDS)],
     )
     def test_recommend_perk_rejects(self, workspace, tmp_path, payload, capsys):
         path = tmp_path / "calibrator.json"
@@ -1398,7 +1484,8 @@ class TestBadCalibratorFile:
             load_calibrator(path)
         assert run("recommend", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
                    "--out", tmp_path / "p.jsonl", "--perk", "--calibrator", path) == 2
-        assert "validation error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "validation error" in err and str(path) in err
         assert not (tmp_path / "p.jsonl").exists()
 
 

@@ -18,6 +18,7 @@ from calibrec.synthetic import low_rank_dataset
 
 from conftest import make_dataset
 from oracles import (
+    copy_params,
     finite_difference_grad,
     full_sort_ranking,
     rank_discrepancy_weights,
@@ -279,18 +280,18 @@ class TestCotrainEpoch:
         dataset, _, teacher, student = cotrain_setup
         # pre-train the teacher alone so its targets carry a signal
         base_cfg = TrainConfig(lr=0.2, reg=1e-4, batch_size=8, negatives_per_positive=4)
-        frozen = teacher.copy()
+        frozen = copy_params(teacher)
         for e in range(40):
             frozen, _ = pointwise_epoch(
                 frozen, dataset, base_cfg, np.random.default_rng([90, e])
             )
         bd_cfg = BdConfig(lambda_ts=0.0, lambda_st=3.0, sample_size=10, eta=0.3,
                           truncate_rank=30, epochs=1)
-        cur = student.copy()
+        cur = copy_params(student)
         losses = []
         for e in range(10):
             _, cur, report = cotrain_epoch(
-                frozen.copy(), cur, dataset, base_cfg, bd_cfg, np.random.default_rng([91, e])
+                copy_params(frozen), cur, dataset, base_cfg, bd_cfg, np.random.default_rng([91, e])
             )
             losses.append(report.student.distill_loss)
         drops = sum(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
@@ -298,7 +299,7 @@ class TestCotrainEpoch:
 
     def test_inputs_not_mutated(self, cotrain_setup):
         dataset, base_cfg, teacher, student = cotrain_setup
-        t_copy = teacher.copy()
+        t_copy = copy_params(teacher)
         bd_cfg = BdConfig(lambda_ts=0.5, lambda_st=0.5, sample_size=4, eta=0.5,
                           truncate_rank=20, epochs=1)
         cotrain_epoch(teacher, student, dataset, base_cfg, bd_cfg, np.random.default_rng(1))
