@@ -56,15 +56,16 @@ def output_set():
 def atomic_open(path, keep_existing=False, binary=False):
     """Text (or ``binary``) handle on ``<path>.partial``, renamed over ``path`` when the block ends.
 
-    If the block raises, the partial file is removed and ``path`` is left
-    as it was, so a failed run never leaves a truncated file under the final
-    name. With ``keep_existing`` the handle starts after a copy of the
-    current ``path`` (a resumed run's log). Inside an ``output_set``, which
-    an enclosing ``atomic_open`` block also opens, the rename waits for the
-    set to end.
+    Missing directories of ``path`` are created. If the block raises, the
+    partial file is removed and ``path`` is left as it was: a failed run
+    never leaves a truncated file under its final name. ``keep_existing``
+    starts the handle after a copy of the current ``path`` (a resumed run's
+    log). Inside an ``output_set``, which an enclosing ``atomic_open`` block
+    also opens, the rename waits for the set to end.
     """
     path = Path(path).absolute()
     partial = path.with_name(path.name + ".partial")
+    path.parent.mkdir(parents=True, exist_ok=True)
     if keep_existing and path.exists():
         shutil.copyfile(path, partial)
         mode = "a"

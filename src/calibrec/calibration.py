@@ -40,6 +40,7 @@ from .ranker import MfParams, score_pairs, sigmoid
 
 CALIBRATOR_KINDS = ("platt", "gaussian", "gamma", "histogram")
 PARAMETRIC_KINDS = ("platt", "gaussian", "gamma")
+BINNING_SCHEMES = ("equal_width", "equal_mass")
 
 # smallest shifted score the gamma map sees; gamma_shift guarantees the
 # fitted scores start here
@@ -390,7 +391,7 @@ def reliability_table(p, y, num_bins: int = 15, scheme: str = "equal_width"):
         top = float(p[order[-1]])
         edges = [(float(p[s[0]]), float(p[s[-1]])) if len(s) else (top, top) for s in members]
     else:
-        raise ValueError(f"unknown binning scheme {scheme!r}")
+        raise ValueError(f"unknown binning scheme {scheme!r}, not one of {BINNING_SCHEMES}")
     return [
         (lower, upper, len(sel), float(p[sel].mean()), float(y[sel].mean()))
         if len(sel)

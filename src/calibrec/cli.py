@@ -25,10 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics
+from . import calibration, metrics, ranker
 from .atomic import atomic_open, output_set, read_sidecar, write_json, write_with_sidecar
 from .calibration import (
-    CALIBRATOR_KINDS,
     apply as apply_calibrator,
     check_tau,
     check_theta_min,
@@ -48,10 +47,8 @@ from .distill import BdConfig, CotrainReport, cotrain_epoch
 from .perk import PerkConfig, perk_recommend_users
 from .ranker import (
     TrainConfig,
-    bpr_epoch,
     init_params,
     load_checkpoint,
-    pointwise_epoch,
     save_checkpoint,
     sigmoid,
     top_k,
@@ -152,11 +149,11 @@ CONFIG_SPEC = {
         _at_least(0, "epoch count"), 10, "training epochs (0 writes the initialization)"
     ),
     "train.batch_size": (int, TrainConfig().batch_size, "positives per SGD batch"),
-    "train.loss": (_choice("bpr", "pointwise"), "bpr", "training objective"),
+    "train.loss": (_choice(*ranker.loss_epochs()), "bpr", "training objective"),
     "train.negatives_per_positive": (
         int, TrainConfig().negatives_per_positive, "sampled negatives per positive (pointwise)"
     ),
-    "calib.kind": (_choice(*CALIBRATOR_KINDS), "platt", "calibration map"),
+    "calib.kind": (_choice(*calibration.CALIBRATOR_KINDS), "platt", "calibration map"),
     "calib.negatives_per_positive": (
         _at_least(1, "negative count"), 4, "sampled negatives per validation positive"
     ),
@@ -168,7 +165,7 @@ CONFIG_SPEC = {
     "calib.num_bins": (
         _at_least(1, "bin count"), 15, "bins for ECE / reliability / histogram calibrator"
     ),
-    "calib.scheme": (_choice("equal_width", "equal_mass"), "equal_width", "binning scheme"),
+    "calib.scheme": (_choice(*calibration.BINNING_SCHEMES), "equal_width", "binning scheme"),
     "bd.teacher_dim": (_at_least(1, "dimension"), 64, "teacher embedding dimension"),
     "bd.student_dim": (_at_least(1, "dimension"), 8, "student embedding dimension"),
     "bd.lambda_ts": (float, BdConfig().lambda_ts, "teacher's distillation-from-student weight"),
@@ -184,7 +181,7 @@ CONFIG_SPEC = {
     "perk.rest_pool": (
         int, PerkConfig().rest_pool, "extra candidates feeding the remaining-relevant count"
     ),
-    "eval.split": (_choice("validation", "test"), "test", "split evaluated against"),
+    "eval.split": (_choice(*SPLITS), "test", "split evaluated against"),
     "eval.ks": (
         _distinct(_at_least(1, "cutoff")), (1, 5, 10, 20), "fixed cutoffs in evaluation reports"
     ),
@@ -506,7 +503,6 @@ def cmd_ingest(args, cfg) -> int:
         num_items=maps.num_items,
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "user_map.json", maps.user_to_index)
     write_json(out / "item_map.json", maps.item_to_index)
     _write_splits(out, dataset, cfg["data.delimiter"])
@@ -520,7 +516,7 @@ def cmd_ingest(args, cfg) -> int:
 
 def cmd_train(args, cfg) -> int:
     train_cfg = cfg["train"]
-    epoch_fn = bpr_epoch if cfg["train.loss"] == "bpr" else pointwise_epoch
+    epoch_fn = ranker.loss_epochs()[cfg["train.loss"]]
     dataset = load_bundle(args.data)
 
     if args.resume:
@@ -611,7 +607,6 @@ def cmd_calibrate(args, cfg) -> int:
     ece_cal = ece(cal_rows)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_calibrator(cal, out / "calibrator.json")
     write_reliability_csv(cal_rows, out / "reliability.csv")
     write_json(
@@ -647,7 +642,6 @@ def cmd_distill(args, cfg) -> int:
     ]
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = CotrainReport(None, None)  # the last epoch's, None per role when none ran
     with atomic_open(out / "cotrain_log.jsonl") as log:
         for epoch in range(bd_cfg.epochs):
@@ -661,9 +655,11 @@ def cmd_distill(args, cfg) -> int:
                 f"{role} base {stats.base_loss:.4f} distill {stats.distill_loss:.4f}"
                 for role, stats in zip(roles, report)
             ))
+    # cotrain_epoch trains both roles by pointwise_epoch; the checkpoints record its name
+    loss_kind = next(k for k, fn in ranker.loss_epochs().items() if fn is ranker.pointwise_epoch)
     for role, params in zip(roles, models):
         save_checkpoint(params, out / role, seed=cfg["seed"],
-                        loss_kind="pointwise", epochs_trained=bd_cfg.epochs)
+                        loss_kind=loss_kind, epochs_trained=bd_cfg.epochs)
 
     # evaluate raises when no user has validation items; the summary says null
     recall = None
@@ -715,7 +711,6 @@ def cmd_recommend(args, cfg) -> int:
     dataset = load_bundle(args.data)
     params, _ = _load_model(args.ckpt, dataset)
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     excluded = dataset.excluded(
         ("train", "validation") if args.exclude_validation else ("train",)
     )
@@ -916,14 +911,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if args.write_config_reference:
-        Path(args.write_config_reference).write_text(config_reference(), encoding="utf-8")
-        return 0
-    if args.command is None:
+    if args.command is None and not args.write_config_reference:
         parser.print_help()
         return 2
 
     try:
+        if args.write_config_reference:
+            with atomic_open(args.write_config_reference) as fh:
+                fh.write(config_reference())
+            return 0
         cfg = load_config(args.config, args.set)
         # a stage's files appear together when it returns, or none of them
         with output_set():

@@ -6,6 +6,7 @@ meaning a positive label. Unobserved pairs are unlabeled, not negatives.
 
 from __future__ import annotations
 
+import codecs
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -314,9 +315,10 @@ def _first_seen(data: bytes, buf, lo, hi) -> tuple[np.ndarray, list[str]]:
 def load_interactions(path, delimiter: str = ",") -> tuple[np.ndarray, IdMaps]:
     """Read a delimiter-separated interaction log.
 
-    The file is UTF-8 with ``\\n``, ``\\r\\n`` or ``\\r`` line endings. Each
-    non-blank line is ``user_id<delim>item_id[<delim>timestamp]``; whitespace
-    (as ``str.strip`` sees it) around lines and fields is ignored. External
+    The file is UTF-8, after at most one byte order mark, with ``\\n``,
+    ``\\r\\n`` or ``\\r`` line endings. Each non-blank line is
+    ``user_id<delim>item_id[<delim>timestamp]``; whitespace (as
+    ``str.strip`` sees it) around lines and fields is ignored. External
     ids are mapped to dense 0-based indices in first-appearance order.
     Duplicate (user, item) lines collapse to a single interaction;
     timestamps are ignored. Returns the interactions as an ``(n, 2)`` int64
@@ -336,6 +338,9 @@ def load_interactions(path, delimiter: str = ",") -> tuple[np.ndarray, IdMaps]:
     if not delimiter:
         raise ValueError("empty separator")
     with open(path, "rb") as handle:
+        # one leading byte order mark is dropped, as the utf-8-sig codec does
+        if handle.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            handle.seek(0)
         data = handle.read()
     buf = np.frombuffer(data, dtype=np.uint8)
     if buf.size and buf.max() >= 0x80:

@@ -48,8 +48,7 @@ class MfParams:
 
 @dataclass
 class TrainConfig:
-    """SGD settings of ``bpr_epoch`` and ``pointwise_epoch``: the epoch
-    function called names the loss, and only the pointwise one reads
+    """SGD settings of the ``loss_epochs`` functions; only ``pointwise_epoch`` reads
     ``negatives_per_positive``. The CLI's ``train.*`` defaults are these."""
 
     lr: float = 0.05
@@ -353,6 +352,11 @@ def pointwise_epoch(
     return MfParams(table[:U], table[U:], bias), total_loss / (len(dataset.train) * (1 + npp))
 
 
+def loss_epochs() -> dict:
+    """``train.loss`` name -> epoch function; built per call, so a profiler's rebinding is seen."""
+    return {"bpr": bpr_epoch, "pointwise": pointwise_epoch}
+
+
 def _ranked_block(
     params: MfParams, users: np.ndarray, width: int, ex_rows: np.ndarray, ex_items: np.ndarray
 ) -> np.ndarray:
@@ -426,6 +430,7 @@ def top_k(params: MfParams, users, k: int, exclude: Csr | None = None) -> np.nda
 # Checkpoint format: <base>.json header + <base>.bin sidecar holding flat
 # row-major little-endian float32 arrays (user_emb, item_emb, item_bias).
 
+CHECKPOINT_FORMAT = "mf-checkpoint-v1"
 _ARRAY_ORDER = ("user_emb", "item_emb", "item_bias")
 
 
@@ -456,7 +461,7 @@ def save_checkpoint(
             raise ValueError(f"checkpoint {name} holds values that are not finite in float32")
 
     header = {
-        "format": "mf-checkpoint-v1",
+        "format": CHECKPOINT_FORMAT,
         "num_users": params.num_users,
         "num_items": params.num_items,
         "dim": params.dim,
@@ -471,8 +476,9 @@ def save_checkpoint(
 def load_checkpoint(base_path) -> tuple[MfParams, dict]:
     """Read a checkpoint written by save_checkpoint; returns (params, header).
 
-    Raises ValueError, naming the checkpoint's file, when the header lacks a
-    key the format requires, when the sidecar's length differs from the one
+    Raises ValueError, naming the checkpoint's file, when the header's
+    ``format`` is missing or other than ``CHECKPOINT_FORMAT``, when it lacks
+    a key the format requires, when the sidecar's length differs from the one
     the header lists, when a value is not finite, when the arrays' shapes
     disagree (embeddings that are not 2-D or differ in dimension, or an
     ``item_bias`` that is not one entry per item row), or when the header's
@@ -482,6 +488,9 @@ def load_checkpoint(base_path) -> tuple[MfParams, dict]:
     header_path = base if base.suffix == ".json" else base.with_name(base.name + ".json")
     with open(header_path, "r", encoding="utf-8") as fh:
         header = json.load(fh)
+    found = header.get("format") if isinstance(header, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise ValueError(f"checkpoint {header_path}: format {found!r} is not {CHECKPOINT_FORMAT}")
     parts = read_sidecar(header_path, header, _ARRAY_ORDER, "checkpoint")
     params = MfParams(*(parts[name].astype(np.float64) for name in _ARRAY_ORDER))
     for name in _ARRAY_ORDER:

@@ -674,11 +674,12 @@ def first_seen_index(ids, external_id):
 
 def reference_load_interactions(path, delimiter=","):
     """``dataset.load_interactions`` one text line at a time: pairs as a list
-    of tuples, ids numbered on first sight."""
+    of tuples, ids numbered on first sight. The utf-8-sig codec drops one
+    leading byte order mark."""
     maps = IdMaps()
     interactions = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped:

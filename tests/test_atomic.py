@@ -46,6 +46,13 @@ class TestAtomicOpenAlone:
         assert names(tmp_path) == ["a.txt"]
         assert (tmp_path / "a.txt").read_text() == "earlier"
 
+    def test_missing_directories_created(self, tmp_path):
+        with atomic_open(tmp_path / "a" / "b" / "c.txt") as fh:
+            fh.write("new")
+        assert (tmp_path / "a" / "b" / "c.txt").read_text() == "new"
+        write(tmp_path / "a" / "d.txt", "beside")
+        assert names(tmp_path / "a") == ["b", "d.txt"]
+
     def test_keep_existing_appends_to_a_copy(self, tmp_path):
         (tmp_path / "log").write_text("row 0\n")
         with atomic_open(tmp_path / "log", keep_existing=True) as fh:

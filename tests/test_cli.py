@@ -1,7 +1,9 @@
+import codecs
 import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calibrec import cli, ranker
+from calibrec import calibration, cli, metrics, ranker
 from calibrec.atomic import read_sidecar, write_with_sidecar
 from calibrec.calibration import (
+    CalibrationSamples,
     Calibrator,
     apply,
     ece,
@@ -28,7 +31,7 @@ from calibrec.cli import (
     main,
 )
 from calibrec.dataset import SPLITS, Csr, Dataset
-from calibrec.perk import select_k
+from calibrec.perk import select_k, utility_curves
 from calibrec.ranker import (
     MfParams,
     TrainConfig,
@@ -134,6 +137,17 @@ class TestIngest:
         assert len(text.splitlines()) == 20_000
         for name in BUNDLE_FILES:
             want, got = (tmp_path / out / name for out in ("b", "padded"))
+            assert want.read_bytes() == got.read_bytes(), name
+
+    def test_byte_order_mark_copy_gives_the_same_bundle(self, tmp_path):
+        csv = tmp_path / "in.csv"
+        write_interactions_csv(csv, low_rank_interactions(30, 40, per_user=10, seed=3))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + csv.read_bytes())
+        for source, out in ((csv, "b"), (marked, "marked")):
+            assert run("ingest", "--input", source, "--out", tmp_path / out) == 0
+        for name in BUNDLE_FILES:
+            want, got = (tmp_path / out / name for out in ("b", "marked"))
             assert want.read_bytes() == got.read_bytes(), name
 
     def test_ratios_need_three_fractions(self, tmp_path, capsys):
@@ -440,12 +454,17 @@ class TestConfig:
         assert len(dataset.validation) == 6 * 2  # 20% of 10 per user
 
     def test_reference_file(self, tmp_path):
-        out = tmp_path / "reference.txt"
+        out = tmp_path / "docs" / "reference.txt"
         assert run("--write-config-reference", out) == 0
         text = out.read_text()
         assert text == config_reference()
         for key in ("seed", "train.lr", "perk.k_max", "eval.ks"):
             assert key in text
+
+    def test_reference_onto_a_directory_is_io_error(self, tmp_path, capsys):
+        assert run("--write-config-reference", tmp_path) == 1
+        assert "i/o error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("setting, problem", [
         ("eval.ks=", "expected at least one entry"),
@@ -705,7 +724,8 @@ class TestBadCheckpointHeader:
 
 class TestBadCheckpointArrays:
     """Every stage that reads a checkpoint rejects one whose values are not
-    finite or whose array shapes disagree, naming the file (exit 2)."""
+    finite, whose array shapes disagree or whose header is of another
+    format, naming the file (exit 2)."""
 
     @staticmethod
     def write(path, case):
@@ -724,11 +744,20 @@ class TestBadCheckpointArrays:
             header = json.loads(header_path.read_text())
             header["arrays"]["item_emb"]["shape"] = [240]
             header_path.write_text(json.dumps(header))
+        elif case in ("foreign", "unformatted"):
+            header = json.loads(header_path.read_text())
+            if case == "foreign":
+                header["format"] = "mf-checkpoint-v9"
+            else:
+                del header["format"]
+            header_path.write_text(json.dumps(header))
 
     @pytest.mark.parametrize("case, problem", [
         ("nan", "user_emb holds values that are not finite"),
         ("dims", "shapes disagree"), ("bias", "shapes disagree"), ("flat", "shapes disagree"),
-    ], ids=["nan", "dims", "bias", "flat"])
+        ("foreign", "format 'mf-checkpoint-v9' is not mf-checkpoint-v1"),
+        ("unformatted", "format None is not mf-checkpoint-v1"),
+    ], ids=["nan", "dims", "bias", "flat", "foreign", "unformatted"])
     def test_every_reading_stage_exits_2(self, workspace, tmp_path, capsys, case, problem):
         self.write(tmp_path / "bad", case)
         data = ("--data", workspace / "bundle")
@@ -864,6 +893,65 @@ class TestSettingsRejectedBeforeReading:
         assert not list(tmp_path.iterdir())
 
 
+def dispatchers():
+    """Per choice-valued key: the names its owning module lists, and a call of that
+    module's dispatch on one name, which raises for a name the module does not know."""
+    s = np.linspace(-3.0, 3.0, 60)
+    samples = CalibrationSamples(s, (np.arange(60) % 3 == 0) | (s > 1.5), np.ones(60))
+    # user 0 holds items in all three splits, so every split has one to score
+    dataset = Dataset(1, 4, *(Csr(np.array([0, 1]), np.array([i]), 4) for i in range(3)))
+    lists = ([0], [[0, 1, 2, 3]])
+    return {
+        "calib.kind": (calibration.CALIBRATOR_KINDS, lambda name: calibration.fit(name, samples)),
+        "calib.scheme": (calibration.BINNING_SCHEMES, lambda name: calibration.reliability_table(
+            [0.2, 0.8], [0, 1], num_bins=2, scheme=name)),
+        "train.loss": (tuple(ranker.loss_epochs()), lambda name: ranker.loss_epochs()[name](
+            init_params(1, 4, 2, seed=0), dataset, TrainConfig(), np.random.default_rng(0))),
+        "eval.split": (SPLITS, lambda name: metrics.evaluate(*lists, dataset, split=name)),
+        "perk.utility": (metrics.METRIC_NAMES, lambda name: utility_curves(
+            [[0.6, 0.3]], [[0.1]], name)),
+        "eval.metrics": (metrics.METRIC_NAMES, lambda name: metrics.evaluate(
+            *lists, dataset, metrics=(name,))),
+    }
+
+
+def is_choice_key(key) -> bool:
+    """Whether a key of string (or string list) default rejects a name no module uses."""
+    default = cli.CONFIG_SPEC[key][1]
+    if not isinstance(default[0] if isinstance(default, tuple) else default, str):
+        return False
+    try:
+        cli.load_config(overrides=[f"{key}=no_such_name"])
+    except ValueError:
+        return True
+    return False
+
+
+CHOICE_KEYS = [key for key in cli.CONFIG_SPEC if is_choice_key(key)]
+
+
+class TestChoiceKeys:
+    def test_choice_keys_found(self):
+        assert sorted(CHOICE_KEYS) == sorted(dispatchers())
+
+    @pytest.mark.parametrize("key", CHOICE_KEYS)
+    def test_config_accepts_exactly_the_owning_modules_names(self, key):
+        table = dispatchers()
+        names, dispatch = table[key]
+        others = {name for listed, _ in table.values() for name in listed} - set(names)
+        others |= {"", "no_such_name", *(name.upper() for name in names)}
+        for name in names:
+            cli.load_config(overrides=[f"{key}={name}"])
+            dispatch(name)
+        for name in others:
+            with pytest.raises(ValueError, match=re.escape(key.rpartition(".")[2])):
+                cli.load_config(overrides=[f"{key}={name}"])
+            with pytest.raises((ValueError, KeyError)):
+                dispatch(name)
+        default = cli.CONFIG_SPEC[key][1]
+        assert set(default if isinstance(default, tuple) else [default]) <= set(names)
+
+
 class TestAtomicLogs:
     def test_crash_mid_training_leaves_no_log(self, workspace, tmp_path, monkeypatch):
         calls = []
@@ -874,7 +962,7 @@ class TestAtomicLogs:
                 raise RuntimeError("interrupted")
             return params, 0.5
 
-        monkeypatch.setattr(cli, "bpr_epoch", failing_epoch)
+        monkeypatch.setattr(ranker, "bpr_epoch", failing_epoch)
         with pytest.raises(RuntimeError):
             run("train", "--data", workspace / "bundle", "--out", tmp_path / "ck",
                 "--set", "train.epochs=3", "--set", "train.dim=2")
@@ -889,7 +977,7 @@ class TestAtomicLogs:
         def failing_epoch(params, dataset, cfg, rng):
             raise RuntimeError("interrupted")
 
-        monkeypatch.setattr(cli, "bpr_epoch", failing_epoch)
+        monkeypatch.setattr(ranker, "bpr_epoch", failing_epoch)
         with pytest.raises(RuntimeError):
             run("train", "--data", workspace / "bundle", "--out", tmp_path / "ck2",
                 "--resume", tmp_path / "ck", "--log", tmp_path / "ck_log.jsonl",
@@ -1389,6 +1477,53 @@ class TestRecommend:
                    "--summary", tmp_path / "summary.json", "--set", "perk.k_max=5",
                    "--set", "perk.rest_pool=10") == 1
         assert not list(tmp_path.iterdir())
+
+
+class TestOutputDirectoriesCreated:
+    """Every output goes through atomic_open, which creates its missing directories."""
+
+    def test_train_out_and_log(self, workspace, tmp_path):
+        data = ("--data", workspace / "bundle", "--set", "train.epochs=1")
+        assert run("train", *data, "--out", tmp_path / "runs" / "model") == 0
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+            "model.bin", "model.json", "model_log.jsonl"]
+        assert run("train", *data, "--out", tmp_path / "more" / "model",
+                   "--log", tmp_path / "logs" / "l.jsonl") == 0
+        assert sorted(p.name for p in (tmp_path / "more").iterdir()) == ["model.bin", "model.json"]
+        assert [row["epoch"] for row in read_jsonl(tmp_path / "logs" / "l.jsonl")] == [0]
+
+    def test_eval_out_and_per_user_csv(self, workspace, tmp_path):
+        data = ("--data", workspace / "bundle")
+        assert run("recommend", *data, "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "fixed.jsonl", "--k", "5") == 0
+        assert run("eval", *data, "--recs", tmp_path / "fixed.jsonl",
+                   "--out", tmp_path / "reports" / "r.json",
+                   "--per-user-csv", tmp_path / "reports" / "u.csv") == 0
+        assert json.loads((tmp_path / "reports" / "r.json").read_text())["rows"]
+        assert (tmp_path / "reports" / "u.csv").read_text().startswith("label,user,metric,value\n")
+
+    def test_recommend_perk_summary(self, workspace, tmp_path):
+        assert run("recommend", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
+                   "--out", tmp_path / "perk.jsonl", "--perk",
+                   "--calibrator", workspace / "calib" / "calibrator.json",
+                   "--summary", tmp_path / "summaries" / "s.json",
+                   "--set", "perk.k_max=5", "--set", "perk.rest_pool=10") == 0
+        summary = json.loads((tmp_path / "summaries" / "s.json").read_text())
+        assert summary["num_users"] == len(read_jsonl(tmp_path / "perk.jsonl"))
+
+    def test_every_other_stage_two_levels_down(self, workspace, tmp_path):
+        data = ("--data", workspace / "bundle")
+        new = tmp_path / "a" / "b"
+        for argv in (
+            ("ingest", "--input", workspace / "interactions.csv", "--out", new / "bundle"),
+            ("calibrate", *data, "--ckpt", workspace / "ckpt", "--out", new / "calib"),
+            ("distill", *data, "--out", new / "distill", "--set", "bd.epochs=1"),
+            ("recommend", *data, "--ckpt", workspace / "ckpt", "--out", new / "fixed.jsonl",
+             "--k", "5"),
+        ):
+            assert run(*argv) == 0, argv[0]
+        assert sorted(p.name for p in new.iterdir()) == [
+            "bundle", "calib", "distill", "fixed.jsonl"]
 
 
 def write_bundle(root, num_items, train, validation, test=None):

@@ -1,3 +1,4 @@
+import codecs
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,22 @@ class TestLoadInteractions:
             load_interactions(path)
         assert exc.value.line_no == 2
         assert "line 2" in str(exc.value)
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        text = "u0,i0\nu0,i1\nu1,i0\nu0,i2\nu1,i1\nu1,i2\n"
+        plain = write(tmp_path, text)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert loaded(load_interactions, marked, ",") == loaded(load_interactions, plain, ",")
+        _, maps = load_interactions(marked)
+        assert maps.user_to_index == {"u0": 0, "u1": 1}
+
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"a,x\nnonsense\nb,y\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_interactions(path)
+        assert exc.value.line_no == 2
 
     def test_empty_input(self, tmp_path):
         path = write(tmp_path, "\n\n")
@@ -201,6 +218,10 @@ class TestLoaderMatchesReference:
             ("a,b,", ","),  # an empty timestamp
             ("a b,c", ","),  # a space inside an id
             ("\u00fcn\u00ef,\u7528\u6237\r\n", ","),  # non-ASCII ids, CRLF
+            ("\ufeffa,x\r\nb,y", ","),  # a byte order mark is dropped
+            ("\ufeff\ufeffa,x\n\ufeff,y\n", ","),  # only the first one, which is no whitespace
+            ("\ufeff", ","),  # nothing after the mark
+            ("\ufeffa\n", ","),  # a malformed first line
             # even lines plain, odd ones padded: users and items are first seen
             # on alternate paths, and the last five lines repeat the first five
             # on the other path

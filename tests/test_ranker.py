@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -696,6 +697,26 @@ class TestCheckpoint:
             del header["arrays"]["item_bias"][drop]
         header_path.write_text(json.dumps(header))
         with pytest.raises(ValueError, match=f"checkpoint header.*{drop}"):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("found", ["mf-checkpoint-v9", None], ids=["foreign", "missing"])
+    def test_header_format_must_be_this_one(self, tmp_path, found):
+        header_path, _ = save_checkpoint(init_params(3, 5, 2, seed=1), tmp_path / "ck")
+        header = json.loads(header_path.read_text())
+        assert header["format"] == ranker.CHECKPOINT_FORMAT
+        if found is None:
+            del header["format"]
+        else:
+            header["format"] = found
+        header_path.write_text(json.dumps(header))
+        problem = f"checkpoint {header_path}: format {found!r} is not mf-checkpoint-v1"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_header_that_is_no_object_is_value_error(self, tmp_path):
+        header_path, _ = save_checkpoint(init_params(3, 5, 2, seed=1), tmp_path / "ck")
+        header_path.write_text("[]")
+        with pytest.raises(ValueError, match="format None"):
             load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize("key, value", [("num_users", 7), ("num_items", 4), ("dim", 99)])
