@@ -3,9 +3,10 @@
 Inside an ``output_set`` the renames wait until the set ends, so the files
 a CLI stage writes appear together or not at all.
 
-Also the header-plus-sidecar pair that checkpoints and the bundle's split
-arrays share: a JSON header that lists flat arrays stored back to back in
-one binary sidecar file.
+Also the readers of every JSON artifact (``read_json``) and of the
+header-plus-sidecar pair that checkpoints and the bundle's split arrays
+share: a JSON header that lists flat arrays stored back to back in one
+binary sidecar file.
 """
 
 from __future__ import annotations
@@ -93,6 +94,15 @@ def write_json(path, payload) -> None:
     with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_json(path):
+    """The JSON value in ``path``; raises ValueError naming ``path`` when it is not UTF-8 JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a JSON file: {exc}") from None
 
 
 def write_with_sidecar(header_path, sidecar_path, header: dict, arrays: dict) -> None:

@@ -27,14 +27,13 @@ equal-width or equal-mass bins.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .atomic import atomic_open, write_json
+from .atomic import atomic_open, read_json, write_json
 from .dataset import Dataset, sample_negatives
 from .ranker import MfParams, score_pairs, sigmoid
 
@@ -430,13 +429,12 @@ def save_calibrator(cal: Calibrator, path) -> None:
 def load_calibrator(path) -> Calibrator:
     """Read a calibrator written by ``save_calibrator``, checking every field.
 
-    Raises ValueError for an unknown kind, an a, b, c or score_shift that
-    is missing or not a finite number, and a histogram whose bins are
-    missing or empty, whose upper edges do not strictly increase, or whose
-    values fall outside [0, 1].
+    Raises ValueError, naming ``path``, for a file that is not JSON, an
+    unknown kind, an a, b, c or score_shift that is missing or not a finite
+    number, and a histogram whose bins are missing or empty, whose upper
+    edges do not strictly increase, or whose values fall outside [0, 1].
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("kind") not in CALIBRATOR_KINDS:
         raise ValueError(f"{path}: calibrator kind must be one of {CALIBRATOR_KINDS}")
     fields = {}

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, metrics, ranker
-from .atomic import atomic_open, output_set, read_sidecar, write_json, write_with_sidecar
+from .atomic import atomic_open, output_set, read_json, read_sidecar, write_json, write_with_sidecar
 from .calibration import (
     apply as apply_calibrator,
     check_tau,
@@ -86,7 +86,10 @@ def _at_least(minimum, noun: str, kind=int):
     return parse
 
 
-def _nonempty(text: str) -> str:
+def _delimiter(text: str) -> str:
+    # values are stripped, so a whitespace delimiter comes quoted, as a JSON string
+    if len(text) > 1 and text[0] == text[-1] == '"':
+        text = json.loads(text)
     if not text:
         raise ValueError("expected a non-empty value")
     return text
@@ -131,7 +134,8 @@ CONFIG_SECTIONS = {TrainConfig: "train", BdConfig: "bd", PerkConfig: "perk"}
 CONFIG_SPEC = {
     "seed": (_at_least(0, "seed"), 0, "global seed; every stage derives its own stream from it"),
     "data.delimiter": (
-        _nonempty, ",", "field separator of the input and the text splits (ingest only)"
+        _delimiter, ",", "field separator of the input and the text splits (ingest only); "
+        'a value in double quotes is read as a JSON string, such as "\\t", " " or "\\u3000"'
     ),
     "data.ratios": (
         _checked(_floats, check_ratios), (0.8, 0.1, 0.1), "train,validation,test split fractions"
@@ -220,7 +224,8 @@ def load_config(path=None, overrides=()) -> dict:
             raise ValueError(f"{where}: bad value for {key}: {exc}") from None
 
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte order mark, as ingest does
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
@@ -320,54 +325,50 @@ def _csr_problem(indptr, indices, num_rows, num_cols) -> str | None:
 def load_bundle(bundle_dir) -> Dataset:
     """Read the dataset bundle ``ingest`` wrote to ``bundle_dir`` from its splits sidecar.
 
-    Raises DataFormatError, asking for ``ingest`` to be run again, when
-    ``splits.json`` is missing or of another format, or when a text split's
-    SHA-256 differs from the recorded one (a bundle edited by hand). Past
-    that the sidecar must hold exact CSR rows of the header's user and item
-    counts.
+    Raises DataFormatError, naming the file and asking for ``ingest`` to be
+    run again, when a part of the bundle is missing or malformed: a
+    ``splits.json`` that is not JSON or of another format, a text split
+    whose SHA-256 differs from the recorded one (a bundle edited by hand),
+    or a sidecar that does not hold exact CSR rows of the header's user and
+    item counts. A ``bundle_dir`` that does not exist stays an OSError.
     """
     header_path = Path(bundle_dir) / SPLITS_HEADER
-    rerun = f"run ingest again to rewrite the bundle in {header_path.parent}"
     try:
-        with open(header_path, "r", encoding="utf-8") as fh:
-            header = json.load(fh)
-    except FileNotFoundError:
-        if not header_path.parent.is_dir():
-            raise  # no bundle at all: an i/o error
-        raise DataFormatError(f"{header_path} is missing; {rerun}") from None
-    except ValueError as exc:
-        raise DataFormatError(f"{header_path}: {exc}") from None
-    if not isinstance(header, dict) or header.get("format") != SPLITS_FORMAT:
-        raise DataFormatError(f"{header_path}: not a {SPLITS_FORMAT} header; {rerun}")
-    counts = (header.get("num_users"), header.get("num_items"))
-    if not (all(_is_int(n) and n >= 0 for n in counts) and isinstance(header.get("sha256"), dict)):
-        raise DataFormatError(f"{header_path}: user or item count or digests malformed")
-    num_users, num_items = counts
-    for name in SPLITS:
-        text = header_path.with_name(f"{name}.txt")
-        if header["sha256"].get(text.name) != _sha256(text.read_bytes()).hexdigest():
-            raise DataFormatError(f"{text} differs from the split {SPLITS_HEADER} records; {rerun}")
-
-    names = [f"{name}.{part}" for name in SPLITS for part in ("indptr", "indices")]
-    try:
+        header = read_json(header_path)
+        if not isinstance(header, dict) or header.get("format") != SPLITS_FORMAT:
+            raise ValueError(f"{header_path}: not a {SPLITS_FORMAT} header")
+        counts = (header.get("num_users"), header.get("num_items"))
+        if not (all(type(n) is int and n >= 0 for n in counts)
+                and isinstance(header.get("sha256"), dict)):
+            raise ValueError(f"{header_path}: user or item count or digests malformed")
+        num_users, num_items = counts
+        for name in SPLITS:
+            text = header_path.with_name(f"{name}.txt")
+            if header["sha256"].get(text.name) != _sha256(text.read_bytes()).hexdigest():
+                raise ValueError(f"{text} differs from the split {SPLITS_HEADER} records")
+        names = [f"{name}.{part}" for name in SPLITS for part in ("indptr", "indices")]
         arrays = read_sidecar(header_path, header, names, "splits")
-    except FileNotFoundError as exc:
-        raise DataFormatError(f"splits sidecar {exc.filename} is missing") from None
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
-    sidecar_path = header_path.with_name(header["sidecar"])
-    splits = {}
-    for name in SPLITS:
-        indptr, indices = arrays[f"{name}.indptr"], arrays[f"{name}.indices"]
-        if any(arr.dtype.str != "<i8" or arr.ndim != 1 for arr in (indptr, indices)):
-            raise DataFormatError(f"{sidecar_path}: {name} arrays are not 1-D '<i8'")
-        # '<i8' is int64 on a little-endian host, so no copy is made there
-        indptr = indptr.astype(np.int64, copy=False)
-        indices = indices.astype(np.int64, copy=False)
-        problem = _csr_problem(indptr, indices, num_users, num_items)
-        if problem:
-            raise DataFormatError(f"{sidecar_path}: {name} split: {problem}")
-        splits[name] = Csr(indptr, indices, num_items)
+        sidecar_path = header_path.with_name(header["sidecar"])
+        splits = {}
+        for name in SPLITS:
+            indptr, indices = arrays[f"{name}.indptr"], arrays[f"{name}.indices"]
+            if any(arr.dtype.str != "<i8" or arr.ndim != 1 for arr in (indptr, indices)):
+                raise ValueError(f"{sidecar_path}: {name} arrays are not 1-D '<i8'")
+            # '<i8' is int64 on a little-endian host, so no copy is made there
+            indptr = indptr.astype(np.int64, copy=False)
+            indices = indices.astype(np.int64, copy=False)
+            problem = _csr_problem(indptr, indices, num_users, num_items)
+            if problem:
+                raise ValueError(f"{sidecar_path}: {name} split: {problem}")
+            splits[name] = Csr(indptr, indices, num_items)
+    except (FileNotFoundError, ValueError) as exc:
+        missing = isinstance(exc, FileNotFoundError)
+        if missing and not header_path.parent.is_dir():
+            raise  # no bundle at all: an i/o error
+        problem = f"{exc.filename} is missing" if missing else exc
+        raise DataFormatError(
+            f"{problem}; run ingest again to rewrite the bundle in {header_path.parent}"
+        ) from None
     return Dataset(num_users, num_items, **splits)
 
 
@@ -382,34 +383,46 @@ def _load_model(path, dataset: Dataset):
     return params, header
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _recommendation_problem(row, personalized: bool, num_users: int, num_items: int,
+                            seen: dict) -> str | None:
+    """What is wrong with one recommendation row, or None if nothing is.
 
-
-def _check_recommendation(row, personalized: bool) -> str | None:
-    """What is wrong with the form of one recommendation row, or None if
-    nothing is. JSON's numbers are exactly int or float (bool is its own
-    type), so one set of types tests a whole list."""
+    ``seen`` maps each user of the earlier rows to its line. JSON's numbers
+    are exactly int or float (bool is its own type), so ``type`` tests a
+    value, and one set of types a whole list.
+    """
     if not isinstance(row, dict):
         return "a row must be a JSON object"
     needed = ("user", "k_star", "curve", "items") if personalized else ("user", "items")
     missing = [key for key in needed if key not in row]
     if missing:
         return f"row lacks {', '.join(missing)}"
-    if not _is_int(row["user"]):
-        return f"user {row['user']!r} is not an integer"
-    items = row["items"]
+    user, items = row["user"], row["items"]
+    if type(user) is not int:
+        return f"user {user!r} is not an integer"
     if not (type(items) is list and set(map(type, items)) <= {int}):
         return "items must be a list of integers"
     if personalized:
-        curve = row["curve"]
+        curve, k_star = row["curve"], row["k_star"]
         if not (type(curve) is list and set(map(type, curve)) <= {int, float}):
             return "curve must be a list of numbers"
-        if not (_is_int(row["k_star"]) and 1 <= row["k_star"] <= len(curve)):
-            return f"k_star {row['k_star']!r} is not an integer in 1..{len(curve)}"
-        if len(items) != row["k_star"]:
-            return f"items holds {len(items)} entries where k_star is {row['k_star']}"
+        if not (type(k_star) is int and 1 <= k_star <= len(curve)):
+            return f"k_star {k_star!r} is not an integer in 1..{len(curve)}"
+        if len(items) != k_star:
+            return f"items holds {len(items)} entries where k_star is {k_star}"
+    if not 0 <= user < num_users:
+        return f"recommendation user {user} outside dataset"
+    if items and (min(items) < 0 or max(items) >= num_items):
+        item = next(i for i in items if not 0 <= i < num_items)
+        return f"recommended item {item} outside dataset"
+    if user in seen:
+        return f"user {user} repeats the row on line {seen[user]}"
     return None
+
+
+# json.loads checks its options and matches whitespace at both ends on every
+# call; a stripped line needs neither, only raw_decode's end
+_JSONL_DECODER = json.JSONDecoder()
 
 
 def load_recommendations(path, num_users: int, num_items: int):
@@ -417,64 +430,41 @@ def load_recommendations(path, num_users: int, num_items: int):
 
     Row r of ``items`` holds line r's list, -1-padded, as ``ranker.top_k``
     returns lists. The first row decides the kind: ``k_star`` is None unless
-    the rows have one. Raises ValueError, naming the file and the first bad
-    line, for a row that is not JSON, lacks a key of its kind, holds a user
-    or item that is not an integer, a k_star outside 1..len(curve) or other
-    than its item count, a user outside [0, num_users) or one an earlier row
-    already named, or an item outside [0, num_items); and, naming the file,
-    for a user or item past 64 bits or a file without rows.
+    the rows have one. Each row is checked as it is read; raises ValueError,
+    naming the file and the first bad line, for a row that is not JSON,
+    lacks a key of its kind, holds a user or item that is not an integer, a
+    k_star outside 1..len(curve) or other than its item count, a user
+    outside [0, num_users) or one an earlier row already named, or an item
+    outside [0, num_items); and, naming the file, for a file without rows.
     """
-    rows, lines, malformed = [], [], None
+    rows, seen = [], {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            text = line.strip()
+            if not text:
                 continue
             try:
-                row = json.loads(line)
+                row, end = _JSONL_DECODER.raw_decode(text)
+                if end < len(text):
+                    raise json.JSONDecodeError("Extra data", text, end)
             except ValueError as exc:
-                malformed = (line_no, exc)
-                break
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
             if not rows:
                 personalized = isinstance(row, dict) and "k_star" in row
-            problem = _check_recommendation(row, personalized)
+            problem = _recommendation_problem(row, personalized, num_users, num_items, seen)
             if problem:
-                malformed = (line_no, problem)
-                break
+                raise ValueError(f"{path}:{line_no}: {problem}")
+            seen[row["user"]] = line_no
             rows.append(row)
-            lines.append(line_no)
     if not rows:
-        raise ValueError(f"{path}:{malformed[0]}: {malformed[1]}" if malformed
-                         else f"{path} holds no recommendation rows")
-    # the well-formed rows before the first malformed one are range-checked
-    # as arrays, so a bad one among them is reported first
-    lengths = np.array([len(row["items"]) for row in rows], dtype=np.int64)
-    try:
-        users = np.array([row["user"] for row in rows], dtype=np.int64)
-        flat = np.fromiter(
-            itertools.chain.from_iterable(row["items"] for row in rows), np.int64, int(lengths.sum())
-        )
-    except OverflowError:
-        raise ValueError(f"{path}: a user or item lies outside the 64-bit range") from None
+        raise ValueError(f"{path} holds no recommendation rows")
+    lists = [row["items"] for row in rows]
+    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
+    flat = np.fromiter(itertools.chain.from_iterable(lists), np.int64, int(lengths.sum()))
     listed = np.arange(lengths.max()) < lengths[:, None]
     items = np.full(listed.shape, -1, dtype=np.int64)
     items[listed] = flat
-    bad_user = (users < 0) | (users >= num_users)
-    bad_item = listed & ((items < 0) | (items >= num_items))
-    # each row's first row of the same user
-    _, first, inverse = np.unique(users, return_index=True, return_inverse=True)
-    first = first[inverse]
-    bad = bad_user | bad_item.any(axis=1) | (first != np.arange(len(rows)))
-    if bad.any():
-        r = int(bad.argmax())
-        if bad_user[r]:
-            problem = f"recommendation user {users[r]} outside dataset"
-        elif bad_item[r].any():
-            problem = f"recommended item {items[r, bad_item[r]][0]} outside dataset"
-        else:
-            problem = f"user {users[r]} repeats the row on line {lines[first[r]]}"
-        malformed = (lines[r], problem)
-    if malformed:
-        raise ValueError(f"{path}:{malformed[0]}: {malformed[1]}")
+    users = np.fromiter(seen, np.int64, len(rows))  # one key per row, in file order
     k_star = np.array([row["k_star"] for row in rows], dtype=np.int64) if personalized else None
     return users, items, k_star
 

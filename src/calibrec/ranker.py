@@ -8,13 +8,12 @@ Parameters are float64 in memory; checkpoints store float32.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import read_sidecar, write_with_sidecar
+from .atomic import read_json, read_sidecar, write_with_sidecar
 from .dataset import Csr, Dataset, sample_negatives
 
 # users scored together by top_k: the dense score block is at most
@@ -476,18 +475,18 @@ def save_checkpoint(
 def load_checkpoint(base_path) -> tuple[MfParams, dict]:
     """Read a checkpoint written by save_checkpoint; returns (params, header).
 
-    Raises ValueError, naming the checkpoint's file, when the header's
-    ``format`` is missing or other than ``CHECKPOINT_FORMAT``, when it lacks
-    a key the format requires, when the sidecar's length differs from the one
-    the header lists, when a value is not finite, when the arrays' shapes
-    disagree (embeddings that are not 2-D or differ in dimension, or an
-    ``item_bias`` that is not one entry per item row), or when the header's
-    ``num_users``, ``num_items`` or ``dim`` differs from the arrays'.
+    Raises ValueError, naming the checkpoint's file, when the header is not
+    JSON, when its ``format`` is missing or other than ``CHECKPOINT_FORMAT``,
+    when it lacks a key the format requires, when the sidecar's length
+    differs from the one the header lists, when a value is not finite, when
+    the arrays' shapes disagree (embeddings that are not 2-D or differ in
+    dimension, or an ``item_bias`` that is not one entry per item row), or
+    when the header's ``num_users``, ``num_items`` or ``dim`` differs from
+    the arrays'.
     """
     base = Path(base_path)
     header_path = base if base.suffix == ".json" else base.with_name(base.name + ".json")
-    with open(header_path, "r", encoding="utf-8") as fh:
-        header = json.load(fh)
+    header = read_json(header_path)
     found = header.get("format") if isinstance(header, dict) else None
     if found != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint {header_path}: format {found!r} is not {CHECKPOINT_FORMAT}")

@@ -351,6 +351,11 @@ class TestSplitsSidecar:
         "no-header": (lambda b: (b / "splits.json").unlink(), "splits.json is missing"),
         "splits-v1": (write_splits_v1_header, "not a splits-v2 header"),
         "edited-split": (lambda b: (b / "test.txt").write_text("3,4000\n"), "test.txt differs"),
+        "no-sidecar": (lambda b: (b / "splits.bin").unlink(), "splits.bin is missing"),
+        **{f"no-{name}-split": ((lambda b, name=name: (b / f"{name}.txt").unlink()),
+                                f"{name}.txt is missing") for name in SPLITS},
+        "header-not-json": (lambda b: (b / "splits.json").write_text("{"),
+                            "splits.json: not a JSON file"),
     }
 
     @pytest.mark.parametrize("stale", list(STALE))
@@ -452,6 +457,47 @@ class TestConfig:
         assert run("ingest", "--input", csv, "--out", tmp_path / "b", "--config", cfgfile) == 0
         dataset = load_bundle(tmp_path / "b")
         assert len(dataset.validation) == 6 * 2  # 20% of 10 per user
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    @pytest.mark.parametrize("delimiter", ["\t", " ", "\u3000"],
+                             ids=["tab", "space", "ideographic-space"])
+    def test_quoted_whitespace_delimiter(self, tmp_path, delimiter, source):
+        # the config file holds U+3000 as is, --set its JSON escape
+        quoted = "data.delimiter=" + json.dumps(delimiter, ensure_ascii=source == "set")
+        if source == "set":
+            settings, cfg = ("--set", quoted), cli.load_config(overrides=[quoted])
+        else:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(quoted + "\n", encoding="utf-8")
+            settings, cfg = ("--config", cfgfile), cli.load_config(cfgfile)
+        assert cfg["data.delimiter"] == delimiter
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        write_interactions_csv(plain, low_rank_interactions(12, 20, per_user=10, seed=4))
+        spaced.write_text(plain.read_text().replace(",", delimiter), encoding="utf-8")
+        assert run("ingest", "--input", plain, "--out", tmp_path / "a") == 0
+        assert run("ingest", "--input", spaced, "--out", tmp_path / "b", *settings) == 0
+        for name in ("splits.bin", "user_map.json", "item_map.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        train = (tmp_path / "a" / "train.txt").read_text()
+        assert (tmp_path / "b" / "train.txt").read_text(encoding="utf-8") == train.replace(
+            ",", delimiter)
+
+    @pytest.mark.parametrize("text", ['""', '"\\q"', '"a"b"'])
+    def test_bad_quoted_delimiter_rejected(self, tmp_path, capsys, text):
+        assert run("ingest", "--input", tmp_path / "missing.csv", "--out", tmp_path / "b",
+                   "--set", f"data.delimiter={text}") == 2
+        assert "bad value for data.delimiter" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_config_file_led_by_byte_order_mark(self, tmp_path):
+        text = "seed=9\ndata.ratios=0.6,0.2,0.2\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+        cfg = cli.load_config(marked)
+        assert cfg == cli.load_config(plain)
+        assert (cfg["seed"], cfg["data.ratios"]) == (9, (0.6, 0.2, 0.2))
 
     def test_reference_file(self, tmp_path):
         out = tmp_path / "docs" / "reference.txt"
@@ -724,8 +770,8 @@ class TestBadCheckpointHeader:
 
 class TestBadCheckpointArrays:
     """Every stage that reads a checkpoint rejects one whose values are not
-    finite, whose array shapes disagree or whose header is of another
-    format, naming the file (exit 2)."""
+    finite, whose array shapes disagree or whose header is not JSON or of
+    another format, naming the file (exit 2)."""
 
     @staticmethod
     def write(path, case):
@@ -744,6 +790,8 @@ class TestBadCheckpointArrays:
             header = json.loads(header_path.read_text())
             header["arrays"]["item_emb"]["shape"] = [240]
             header_path.write_text(json.dumps(header))
+        elif case == "not-json":
+            header_path.write_text("{" + header_path.read_text())
         elif case in ("foreign", "unformatted"):
             header = json.loads(header_path.read_text())
             if case == "foreign":
@@ -757,7 +805,8 @@ class TestBadCheckpointArrays:
         ("dims", "shapes disagree"), ("bias", "shapes disagree"), ("flat", "shapes disagree"),
         ("foreign", "format 'mf-checkpoint-v9' is not mf-checkpoint-v1"),
         ("unformatted", "format None is not mf-checkpoint-v1"),
-    ], ids=["nan", "dims", "bias", "flat", "foreign", "unformatted"])
+        ("not-json", "not a JSON file"),
+    ], ids=["nan", "dims", "bias", "flat", "foreign", "unformatted", "not-json"])
     def test_every_reading_stage_exits_2(self, workspace, tmp_path, capsys, case, problem):
         self.write(tmp_path / "bad", case)
         data = ("--data", workspace / "bundle")
@@ -1607,14 +1656,17 @@ class TestBadCalibratorFile:
             {"kind": "histogram", **CALIBRATOR_FIELDS, "bins": [[0.1, 0.2, 0.3]]},
             *({"kind": "platt", **{k: v for k, v in CALIBRATOR_FIELDS.items() if k != drop}}
               for drop in CALIBRATOR_FIELDS),
+            b'{"kind": "platt",',  # bytes are written as they are
+            b"\xff{}",
         ],
         ids=["unknown-kind", "no-kind", "nan-a", "inf-shift", "string-c", "no-bins",
              "missing-bins", "equal-edges", "falling-edges", "value-above-one",
-             "value-below-zero", "bin-triple", *(f"no-{name}" for name in CALIBRATOR_FIELDS)],
+             "value-below-zero", "bin-triple", *(f"no-{name}" for name in CALIBRATOR_FIELDS),
+             "cut-json", "not-utf8"],
     )
     def test_recommend_perk_rejects(self, workspace, tmp_path, payload, capsys):
         path = tmp_path / "calibrator.json"
-        path.write_text(json.dumps(payload))
+        path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
         with pytest.raises(ValueError):
             load_calibrator(path)
         assert run("recommend", "--data", workspace / "bundle", "--ckpt", workspace / "ckpt",
@@ -1736,14 +1788,18 @@ class TestEval:
             assert f"{recs}:{len(rows)}:" in err
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("row", [{"user": 2**70, "items": [1]}, {"user": 0, "items": [2**70]}],
-                             ids=["user", "item"])
-    def test_ids_past_64_bits_exit_2(self, workspace, tmp_path, capsys, row):
+    @pytest.mark.parametrize(
+        "row, problem",
+        [({"user": 2**70, "items": [1]}, f"recommendation user {2**70} outside dataset"),
+         ({"user": 0, "items": [2**70]}, f"recommended item {2**70} outside dataset")],
+        ids=["user", "item"],
+    )
+    def test_ids_past_64_bits_exit_2(self, workspace, tmp_path, capsys, row, problem):
         recs = tmp_path / "recs.jsonl"
         recs.write_text(json.dumps(row) + "\n")
         assert run("eval", "--data", workspace / "bundle", "--recs", recs,
                    "--out", tmp_path / "r.json") == 2
-        assert f"{recs}: a user or item lies outside the 64-bit range" in capsys.readouterr().err
+        assert f"{recs}:1: {problem}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, row",
