@@ -1,9 +1,8 @@
 """Why one list length cannot fit every user.
 
-With calibrated relevance probabilities, the expected value of precision,
-recall, F1, or NDCG at every cutoff k has a closed form (via the
-Poisson-binomial count distribution), so each user can get the list length
-that maximizes it. This demo feeds known per-user probabilities straight in
+With calibrated relevance probabilities, the expected F1 or NDCG at every
+cutoff k has a closed form (via the Poisson-binomial count distribution), so
+each user can get the list length that maximizes it. This demo feeds known per-user probabilities straight in
 and shows the personalized cutoff beating every fixed k on realized F1.
 """
 

@@ -136,16 +136,21 @@ def read_sidecar(header_path, header: dict, names, kind: str) -> dict:
     """The arrays ``names`` of the sidecar that ``header``, read from ``header_path``, lists.
 
     The arrays are writable views on one buffer of the sidecar's bytes. Raises
-    ValueError when the header lacks a key the layout needs, when the
-    sidecar's length differs from the sum of the listed byte counts, or when
-    an array does not fit its span; ``kind`` names the format in the message.
+    ValueError when the header lacks a key the layout needs, names no plain
+    file name as its sidecar or lists an offset or byte count that is not an
+    int (naming the header), or when the sidecar's length differs from the
+    sum of the listed byte counts or an array does not fit its span (naming
+    the sidecar); ``kind`` names the format in the message.
     """
     header_path = Path(header_path)
     try:
         sidecar_path = header_path.with_name(header["sidecar"])
         metas = [header["arrays"][name] for name in names]
         spans = [(m["offset"], m["bytes"], m["dtype"], m["shape"]) for m in metas]
-    except (KeyError, TypeError) as exc:
+        for name, (start, n, _, _) in zip(names, spans):
+            if type(start) is not int or type(n) is not int:
+                raise ValueError(f"{name}: offset {start!r} and bytes {n!r} must be ints")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"{header_path}: {kind} header key missing or malformed: {exc}"
         ) from None
@@ -160,8 +165,10 @@ def read_sidecar(header_path, header: dict, names, kind: str) -> dict:
         )
     arrays = {}
     for name, (start, n, dtype, shape) in zip(names, spans):
-        if not 0 <= start <= len(raw) - n:
-            raise ValueError(f"{kind} sidecar {sidecar_path} truncated reading {name}")
+        if not 0 <= start <= start + n <= len(raw):
+            raise ValueError(
+                f"{kind} sidecar {sidecar_path} holds no bytes {start}:{start + n} for {name}"
+            )
         try:
             arrays[name] = np.frombuffer(raw[start : start + n], dtype=dtype).reshape(shape)
         except (TypeError, ValueError) as exc:

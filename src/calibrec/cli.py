@@ -44,7 +44,7 @@ from .dataset import (
     SPLITS, Csr, DataFormatError, Dataset, check_ratios, load_interactions, split_per_user,
 )
 from .distill import BdConfig, CotrainReport, cotrain_epoch
-from .perk import PerkConfig, perk_recommend_users
+from .perk import UTILITIES, PerkConfig, perk_recommend_users
 from .ranker import (
     TrainConfig,
     init_params,
@@ -181,7 +181,9 @@ CONFIG_SPEC = {
     "bd.truncate_rank": (int, BdConfig().truncate_rank, "ranks beyond this are clamped"),
     "bd.epochs": (int, BdConfig().epochs, "co-training epochs"),
     "perk.k_max": (int, PerkConfig().k_max, "largest cutoff considered"),
-    "perk.utility": (str, PerkConfig().utility, "expected utility maximized per user"),
+    "perk.utility": (
+        str, PerkConfig().utility, f"expected utility maximized per user: {' or '.join(UTILITIES)}"
+    ),
     "perk.rest_pool": (
         int, PerkConfig().rest_pool, "extra candidates feeding the remaining-relevant count"
     ),

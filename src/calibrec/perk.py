@@ -1,11 +1,12 @@
 """Per-user recommendation-list sizing by calibrated expected utility.
 
 Relevance of each candidate item is modeled as an independent Bernoulli
-draw with its calibrated probability. Under that model the expected value
-of precision, recall, F1, and NDCG at any cutoff k has a closed form built
-on the Poisson-binomial distribution (the law of a sum of independent,
-differently-weighted coins). The chosen cutoff k* is the smallest argmax of
-the expected-utility curve over k = 1..k_max.
+draw with its calibrated probability. Under that model the expected F1 and
+NDCG at any cutoff k have a closed form built on the Poisson-binomial
+distribution (the law of a sum of independent, differently-weighted coins).
+The chosen cutoff k* is the smallest argmax of the expected-utility curve
+over k = 1..k_max. docs/perk.md shows why precision and recall, whose
+curves cannot peak inside 1..k_max, are not offered.
 
 All expectations here are exact under the independence model; nothing is
 sampled. ``perk_recommend_users`` and ``utility_curves`` evaluate whole
@@ -23,8 +24,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .calibration import Calibrator, apply
 from .dataset import Csr
-from .metrics import METRIC_NAMES
 from .ranker import MfParams, score_pairs, top_k
+
+# the utilities whose expected curve can peak inside 1..k_max
+UTILITIES = ("f1", "ndcg")
 
 
 @dataclass
@@ -38,8 +41,8 @@ class PerkConfig:
             raise ValueError("k_max must be >= 1")
         if self.rest_pool < 0:
             raise ValueError("rest_pool must be nonnegative")
-        if self.utility not in METRIC_NAMES:
-            raise ValueError(f"utility must be one of {METRIC_NAMES}")
+        if self.utility not in UTILITIES:
+            raise ValueError(f"utility must be one of {UTILITIES}")
 
 
 class PerkLists(NamedTuple):
@@ -88,7 +91,7 @@ def _pb_rows(probs: np.ndarray, counts: int | None = None) -> np.ndarray:
 
 
 def _block_curves(ranked: np.ndarray, rest: np.ndarray, kind: str) -> np.ndarray:
-    """Recall, f1 or ndcg curves of one block of users; see ``utility_curves``."""
+    """F1 or ndcg curves of one block of users; see ``utility_curves``."""
     users, k_max = ranked.shape
     probs = np.ascontiguousarray(ranked.T)  # probs[i]: item i's probability per user
     gains = 1.0 / np.log2(np.arange(2, k_max + 2)) if kind == "ndcg" else np.ones(k_max)
@@ -113,10 +116,7 @@ def _block_curves(ranked: np.ndarray, rest: np.ndarray, kind: str) -> np.ndarray
         t = np.arange(1, 2 * k_max + 1)[:, None]
         phi = (1.0 / (t + np.arange(len(pmf_rest)))) @ pmf_rest
         for k in range(k_max, 0, -1):
-            if kind == "f1":
-                h[k - 1, : k + 1] = 2.0 * phi[k - 1 : 2 * k]  # W = 2/(k + n + R_k)
-            else:
-                h[k - 1, 1 : k + 1] = phi[:k]  # W = 1/(n + R_k)
+            h[k - 1, : k + 1] = 2.0 * phi[k - 1 : 2 * k]  # W = 2/(k + n + R_k)
             _fold(phi[::-1], probs[k - 1])
     # forward: a[n] = A_k(n) = E[S_k 1{N_k = n}] and pmf[n] = P(N_k = n)
     a, pmf = np.zeros((2, k_max + 1, users))
@@ -137,7 +137,7 @@ def utility_curves(ranked_probs, rest_probs, kind: str) -> np.ndarray:
     the result is user u's expected top-k utility. Ragged pools are padded
     with probability 0, which leaves every curve unchanged.
 
-    Precision is the running mean. Recall, f1 and ndcg share one exact
+    ``kind`` is one of ``UTILITIES``; f1 and ndcg share one exact
     identity. With S_k = sum_{i<k} g_i X_i, N_k the relevant count in the
     top k and R_k the relevant count over the rest of the pool, which is
     independent of both,
@@ -145,8 +145,8 @@ def utility_curves(ranked_probs, rest_probs, kind: str) -> np.ndarray:
         curve[k-1] = sum_n A_k(n) * H_k(n),
         A_k(n) = E[S_k * 1{N_k = n}],   H_k(n) = E[W(n - 1 + R_k, k)]
 
-    with W = 2/(k+1+m), g = 1 for f1; W = 1/(1+m), g = 1 for recall; and
-    W = 1/IDCG(min(m+1, k)), g_i = 1/log2(i+2) for ndcg. A_k comes from a
+    with W = 2/(k+1+m), g = 1 for f1 and W = 1/IDCG(min(m+1, k)),
+    g_i = 1/log2(i+2) for ndcg. A_k comes from a
     forward fold over k and H_k from a backward one. Users are evaluated a
     block at a time. The exact values lie in [0, 1]; float rounding above 1
     is clipped.
@@ -158,11 +158,9 @@ def utility_curves(ranked_probs, rest_probs, kind: str) -> np.ndarray:
     users, k_max = ranked.shape
     if k_max < 1:
         raise ValueError("ranked_probs must be non-empty")
-    if kind not in METRIC_NAMES:
-        raise ValueError(f"unknown utility kind {kind!r}")
+    if kind not in UTILITIES:
+        raise ValueError(f"unknown utility kind {kind!r}, not one of {UTILITIES}")
 
-    if kind == "precision":
-        return np.cumsum(ranked, axis=1) / np.arange(1, k_max + 1)
     out = np.empty((users, k_max))
     for start in range(0, users, _BLOCK_USERS):
         block = slice(start, start + _BLOCK_USERS)

@@ -95,15 +95,12 @@ def mc_ndcg(topk, rest, n_draws, rng):
 
 
 def mc_all_utilities(topk, rest, n_draws, rng):
-    """One shared set of relevance draws, all four utilities: {name: (mean, se)}."""
+    """One shared set of relevance draws, both of perk's utilities: {name: (mean, se)}."""
     k = len(topk)
     rel_top, rel_rest = _draw_relevance(topk, rest, n_draws, rng)
     hits = rel_top.sum(axis=1)
     total = hits + rel_rest.sum(axis=1)
-    out = {"precision": _mean_se(hits / k)}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out["recall"] = _mean_se(np.where(total > 0, hits / total, 0.0))
-    out["f1"] = _mean_se(2.0 * hits / (k + total))
+    out = {"f1": _mean_se(2.0 * hits / (k + total))}
     gains = 1.0 / np.log2(np.arange(2, k + 2))
     idcg_by_count = np.concatenate([[np.inf], np.cumsum(gains)])
     ndcg = np.where(total > 0, (rel_top @ gains) / idcg_by_count[np.minimum(total, k)], 0.0)
@@ -220,9 +217,9 @@ def expected_ndcg(probs_topk, probs_rest) -> float:
 
 
 def reference_utility_curve(ranked, rest, kind):
-    """Expected-utility curve by the incremental per-user algorithm.
+    """Expected f1 or ndcg curve by the incremental per-user algorithm.
 
-    Entry k-1 is the top-k value. For recall and f1 the top-k and rest count
+    Entry k-1 is the top-k value. For f1 the top-k and rest count
     pmfs are updated one Bernoulli fold per cutoff and combined over the
     (top count, rest count) grid; for ndcg every cutoff rebuilds, for each
     item i, the pmf of the other relevant items from scratch.
@@ -230,8 +227,6 @@ def reference_utility_curve(ranked, rest, kind):
     ranked = np.asarray(ranked, dtype=float)
     rest = np.asarray(rest, dtype=float)
     k_max = len(ranked)
-    if kind == "precision":
-        return np.cumsum(ranked) / np.arange(1, k_max + 1)
     rest_pmfs = [None] * (k_max + 1)
     rest_pmfs[k_max] = pb_pmf(rest)
     for k in range(k_max - 1, 0, -1):
@@ -243,13 +238,8 @@ def reference_utility_curve(ranked, rest, kind):
         pmf_top = _pb_step(pmf_top, float(ranked[k - 1]))
         a = np.arange(len(pmf_top), dtype=float)[:, None]
         b = np.arange(len(rest_pmfs[k]), dtype=float)[None, :]
-        if kind == "recall":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                grid = np.where(a + b > 0, a / (a + b), 0.0)
-        elif kind == "f1":
-            grid = 2.0 * a / (k + a + b)
-        if kind in ("recall", "f1"):
-            curve[k - 1] = pmf_top @ grid @ rest_pmfs[k]
+        if kind == "f1":
+            curve[k - 1] = pmf_top @ (2.0 * a / (k + a + b)) @ rest_pmfs[k]
             continue
         gains = 1.0 / np.log2(np.arange(2, k + 2))
         inv_idcg = 1.0 / np.cumsum(gains)

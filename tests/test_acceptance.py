@@ -13,7 +13,7 @@ from scipy.special import expit
 from calibrec.calibration import CalibrationSamples, Calibrator, ece, fit, reliability_table
 from calibrec.cli import main as cli_main
 from calibrec.distill import BdConfig, bd_loss, bd_score_grads, cotrain_epoch, top_t_weights
-from calibrec.perk import _pb_rows, select_k, utility_curves
+from calibrec.perk import UTILITIES, _pb_rows, select_k, utility_curves
 from calibrec.ranker import (
     MfParams,
     TrainConfig,
@@ -163,7 +163,7 @@ def test_c03_expected_utility_monte_carlo():
         # the batched curves' top-k entry, with rest beyond the top k
         exact = {
             kind: utility_curves(topk[None], rest[None], kind)[0][k - 1]
-            for kind in ("precision", "recall", "f1", "ndcg")
+            for kind in UTILITIES
         }
         mc = mc_all_utilities(topk, rest, n_draws, np.random.default_rng([3303, trial]))
         for name, (mean, se) in mc.items():

@@ -31,7 +31,7 @@ from calibrec.cli import (
     main,
 )
 from calibrec.dataset import SPLITS, Csr, Dataset
-from calibrec.perk import select_k, utility_curves
+from calibrec.perk import UTILITIES, select_k, utility_curves
 from calibrec.ranker import (
     MfParams,
     TrainConfig,
@@ -299,6 +299,22 @@ def swap(arr, i, j):
     arr[[i, j]] = arr[[j, i]]
 
 
+# a header edit that breaks the sidecar layout, given one array the header lists
+BAD_LAYOUTS = {
+    "offset-not-int": lambda header, name: header["arrays"][name].update(offset="a"),
+    "bytes-not-int": lambda header, name: header["arrays"][name].update(bytes="8"),
+    "sidecar-empty": lambda header, name: header.update(sidecar=""),
+    "sidecar-in-subdirectory": lambda header, name: header.update(sidecar="x/y"),
+}
+
+
+def break_layout(header_path, case, name):
+    """Rewrite the JSON header at ``header_path`` with the ``BAD_LAYOUTS`` edit ``case``."""
+    header = json.loads(header_path.read_text())
+    BAD_LAYOUTS[case](header, name)
+    header_path.write_text(json.dumps(header))
+
+
 class TestSplitsSidecar:
     def ingest(self, tmp_path, pairs, *settings):
         csv = tmp_path / "in.csv"
@@ -356,6 +372,8 @@ class TestSplitsSidecar:
                                 f"{name}.txt is missing") for name in SPLITS},
         "header-not-json": (lambda b: (b / "splits.json").write_text("{"),
                             "splits.json: not a JSON file"),
+        **{case: ((lambda b, case=case: break_layout(b / "splits.json", case, "train.indptr")),
+                  "splits.json: splits header key missing or malformed") for case in BAD_LAYOUTS},
     }
 
     @pytest.mark.parametrize("stale", list(STALE))
@@ -770,8 +788,9 @@ class TestBadCheckpointHeader:
 
 class TestBadCheckpointArrays:
     """Every stage that reads a checkpoint rejects one whose values are not
-    finite, whose array shapes disagree or whose header is not JSON or of
-    another format, naming the file (exit 2)."""
+    finite, whose array shapes disagree, whose header is not JSON or of
+    another format or lists a malformed sidecar layout, naming the file
+    (exit 2)."""
 
     @staticmethod
     def write(path, case):
@@ -792,6 +811,8 @@ class TestBadCheckpointArrays:
             header_path.write_text(json.dumps(header))
         elif case == "not-json":
             header_path.write_text("{" + header_path.read_text())
+        elif case in BAD_LAYOUTS:
+            break_layout(header_path, case, "user_emb")
         elif case in ("foreign", "unformatted"):
             header = json.loads(header_path.read_text())
             if case == "foreign":
@@ -806,7 +827,8 @@ class TestBadCheckpointArrays:
         ("foreign", "format 'mf-checkpoint-v9' is not mf-checkpoint-v1"),
         ("unformatted", "format None is not mf-checkpoint-v1"),
         ("not-json", "not a JSON file"),
-    ], ids=["nan", "dims", "bias", "flat", "foreign", "unformatted", "not-json"])
+        *((case, "checkpoint header key missing or malformed") for case in BAD_LAYOUTS),
+    ], ids=["nan", "dims", "bias", "flat", "foreign", "unformatted", "not-json", *BAD_LAYOUTS])
     def test_every_reading_stage_exits_2(self, workspace, tmp_path, capsys, case, problem):
         self.write(tmp_path / "bad", case)
         data = ("--data", workspace / "bundle")
@@ -910,6 +932,10 @@ class TestSettingsRejectedBeforeReading:
         "bd.epochs": ("distill", "bd.epochs=-1", "epochs must be >= 0"),
         "perk.k_max": ("perk", "perk.k_max=0", "k_max must be >= 1"),
         "perk.rest_pool": ("perk", "perk.rest_pool=-1", "rest_pool must be nonnegative"),
+        # neither curve can peak inside 1..k_max, so neither can size a list
+        **{f"perk.utility/{name}": ("perk", f"perk.utility={name}",
+                                    "utility must be one of ('f1', 'ndcg')")
+           for name in ("precision", "recall")},
         "data.ratios": ("ingest", "data.ratios=0.5,0.5,0.5", "ratios must sum to 1"),
         "data.ratios/nan": ("ingest", "data.ratios=nan,0.5,0.5", "ratios must sum to 1"),
         "calib.tau": ("calibrate", "calib.tau=-1", "tau must be nonnegative"),
@@ -957,7 +983,7 @@ def dispatchers():
         "train.loss": (tuple(ranker.loss_epochs()), lambda name: ranker.loss_epochs()[name](
             init_params(1, 4, 2, seed=0), dataset, TrainConfig(), np.random.default_rng(0))),
         "eval.split": (SPLITS, lambda name: metrics.evaluate(*lists, dataset, split=name)),
-        "perk.utility": (metrics.METRIC_NAMES, lambda name: utility_curves(
+        "perk.utility": (UTILITIES, lambda name: utility_curves(
             [[0.6, 0.3]], [[0.1]], name)),
         "eval.metrics": (metrics.METRIC_NAMES, lambda name: metrics.evaluate(
             *lists, dataset, metrics=(name,))),
@@ -1617,13 +1643,13 @@ class TestPerkSummary:
         save_calibrator(Calibrator("platt", a=1.0, b=0.0), tmp_path / "cal.json")
         common = ("recommend", "--data", tmp_path / "b", "--ckpt", tmp_path / "ck", "--perk",
                   "--calibrator", tmp_path / "cal.json", "--out", tmp_path / "p.jsonl",
-                  "--set", "perk.k_max=4", "--set", "perk.utility=recall")
+                  "--set", "perk.k_max=4", "--set", "perk.utility=f1")
         assert run(*common, "--summary", tmp_path / "test.json") == 0
         rows = {r["user"]: r for r in read_jsonl(tmp_path / "p.jsonl")}
         relevant = {0: {3, 5}, 2: {4}}
         want = np.mean([
-            len(set(rows[u]["items"][: rows[u]["k_star"]]) & rel) / len(rel)
-            for u, rel in relevant.items()
+            2 * len(set(rows[u]["items"][:k]) & rel) / (k + len(rel))
+            for u, rel in relevant.items() for k in [rows[u]["k_star"]]
         ])
         summary = json.loads((tmp_path / "test.json").read_text())
         assert summary["mean_realized_utility_at_k_star"] == pytest.approx(want, abs=1e-15)

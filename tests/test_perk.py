@@ -5,7 +5,7 @@ import pytest
 
 from calibrec import perk
 from calibrec.calibration import Calibrator, apply
-from calibrec.perk import PerkConfig, perk_recommend_users, select_k, utility_curves
+from calibrec.perk import UTILITIES, PerkConfig, perk_recommend_users, select_k, utility_curves
 from calibrec.dataset import Csr
 from calibrec.ranker import init_params, score_items
 
@@ -134,14 +134,20 @@ class TestMonteCarloAgreement:
 
     def test_all_utilities_within_three_se(self):
         rng = np.random.default_rng(31)
-        checks = {"precision": mc_precision, "recall": mc_recall, "f1": mc_f1, "ndcg": mc_ndcg}
+        # perk's utilities from the product, the two it does not offer from the oracles
+        checks = {
+            "precision": (mc_precision, lambda topk, rest: expected_precision(topk)),
+            "recall": (mc_recall, expected_recall),
+            "f1": (mc_f1, lambda topk, rest: top_k_value(topk, rest, "f1")),
+            "ndcg": (mc_ndcg, lambda topk, rest: top_k_value(topk, rest, "ndcg")),
+        }
         for trial in range(8):
             k = int(rng.integers(1, 8))
             r = int(rng.integers(0, 12))
             topk = rng.random(k)
             rest = rng.random(r)
-            for name, mc_fn in checks.items():
-                exact = top_k_value(topk, rest, name)
+            for name, (mc_fn, exact_fn) in checks.items():
+                exact = exact_fn(topk, rest)
                 mean, se = mc_fn(topk, rest, 60_000, np.random.default_rng([31, trial]))
                 assert abs(exact - mean) <= 3 * max(se, 1e-9), (name, trial)
 
@@ -150,7 +156,7 @@ class TestMonteCarloAgreement:
         for _ in range(20):
             topk = rng.random(int(rng.integers(1, 10)))
             rest = rng.random(int(rng.integers(0, 15)))
-            for kind in ("precision", "recall", "f1", "ndcg"):
+            for kind in UTILITIES:
                 assert 0.0 <= top_k_value(topk, rest, kind) <= 1.0
 
 
@@ -161,17 +167,36 @@ class TestMonotoneCoherence:
             topk = list(rng.random(int(rng.integers(1, 8))))
             rest = list(rng.random(int(rng.integers(0, 8))))
             extended = topk + [0.0]
-            for kind in ("precision", "f1"):
-                longer = top_k_value(extended, rest, kind)
-                assert longer <= top_k_value(topk, rest, kind) + 1e-12
+            longer = top_k_value(extended, rest, "f1")
+            assert longer <= top_k_value(topk, rest, "f1") + 1e-12
+
+
+class TestUtilitiesThatCannotSizeAList:
+    """Why perk offers neither precision nor recall, on the definitional forms."""
+
+    def test_expected_recall_never_falls(self):
+        rng = np.random.default_rng(39)
+        for _ in range(40):
+            k_max = int(rng.integers(1, 30))
+            probs = rng.random(k_max + int(rng.integers(0, 30)))
+            probs[rng.random(len(probs)) < 0.2] = 0.0
+            probs[rng.random(len(probs)) < 0.2] = 1.0
+            curve = [expected_recall(probs[:k], probs[k:]) for k in range(1, k_max + 1)]
+            assert np.all(np.diff(curve) >= -1e-12)
+            assert np.isclose(curve[select_k(curve) - 1], curve[-1], rtol=0, atol=1e-12)
+
+    def test_expected_precision_of_a_nonincreasing_vector_peaks_at_one(self):
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            probs = np.sort(rng.random(int(rng.integers(1, 30))))[::-1]
+            if rng.random() < 0.5:
+                probs = np.round(probs, 1)  # ties
+            curve = [expected_precision(probs[:k]) for k in range(1, len(probs) + 1)]
+            assert np.all(np.diff(curve) <= 1e-12)
+            assert select_k(curve) == 1
 
 
 class TestUtilityCurve:
-    def test_precision_curve_nonincreasing_for_sorted_probs(self):
-        probs = np.sort(np.random.default_rng(34).random(12))[::-1]
-        curve = one_curve(probs, [], "precision")
-        assert np.all(np.diff(curve) <= 1e-12)
-
     def test_hand_computed_f1_curve(self):
         np.testing.assert_allclose(
             one_curve([1.0, 0.0], [], "f1"), [1.0, 2.0 / 3.0], atol=1e-12
@@ -182,11 +207,6 @@ class TestUtilityCurve:
         ranked = rng.random(7)
         rest = rng.random(5)
         standalone = {
-            "precision": [expected_precision(ranked[:k]) for k in range(1, 8)],
-            "recall": [
-                expected_recall(ranked[:k], np.concatenate([ranked[k:], rest]))
-                for k in range(1, 8)
-            ],
             "f1": [
                 expected_f1(ranked[:k], np.concatenate([ranked[k:], rest]))
                 for k in range(1, 8)
@@ -253,14 +273,14 @@ def assert_matches_reference(got, ranked, rest, kind):
 
 
 class TestUtilityCurves:
-    @pytest.mark.parametrize("kind", ["precision", "recall", "f1", "ndcg"])
+    @pytest.mark.parametrize("kind", UTILITIES)
     def test_ragged_block_matches_reference(self, kind):
         cases = probability_cases(41)
         curves = utility_curves(*padded_block(cases), kind)
         for (ranked, rest), curve in zip(cases, curves):
             assert_matches_reference(curve[: len(ranked)], ranked, rest, kind)
 
-    @pytest.mark.parametrize("kind", ["recall", "f1", "ndcg"])
+    @pytest.mark.parametrize("kind", UTILITIES)
     def test_blocking_changes_only_rounding(self, kind, monkeypatch):
         block = padded_block(probability_cases(42))
         whole = utility_curves(*block, kind)
@@ -269,9 +289,9 @@ class TestUtilityCurves:
             # block GEMMs may round differently, nothing more
             np.testing.assert_allclose(utility_curves(*block, kind), whole, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("kind", ["precision", "recall", "f1", "ndcg"])
+    @pytest.mark.parametrize("kind", UTILITIES)
     def test_random_pools_match_reference(self, kind):
-        rng = np.random.default_rng({"precision": 49, "recall": 46, "f1": 47, "ndcg": 48}[kind])
+        rng = np.random.default_rng({"f1": 47, "ndcg": 48}[kind])
         for _ in range(30):
             k = int(rng.integers(1, 51))
             r = int(rng.integers(0, 301))
@@ -283,7 +303,7 @@ class TestUtilityCurves:
 
     def test_values_in_unit_interval(self):
         cases = probability_cases(44)
-        for kind in ("precision", "recall", "f1", "ndcg"):
+        for kind in UTILITIES:
             curves = utility_curves(*padded_block(cases), kind)
             assert np.all((curves >= 0.0) & (curves <= 1.0)), kind
         # a certain top item makes ndcg@1 exactly 1; unclipped sums round above it
@@ -304,6 +324,13 @@ class TestUtilityCurves:
             utility_curves([[0.5, 1.5]], [[0.5]], "ndcg")
         with pytest.raises(ValueError):
             utility_curves([[0.5]], [[0.5]], "hits")
+
+    @pytest.mark.parametrize("kind", ["precision", "recall"])
+    def test_rejects_utilities_that_cannot_size_a_list(self, kind):
+        with pytest.raises(ValueError, match="f1.*ndcg"):
+            utility_curves([[0.6, 0.3]], [[0.1]], kind)
+        with pytest.raises(ValueError, match="f1.*ndcg"):
+            PerkConfig(utility=kind)
 
 
 class TestSelectK:
@@ -372,15 +399,17 @@ class TestPerkRecommend:
         params.item_bias[:] = np.linspace(1.0, -1.0, num_items)
         return dataset, params
 
-    def test_constant_one_calibrator_cuts_at_one(self):
+    def test_constant_one_calibrator_cuts_at_k_max(self):
         dataset, params = self.make_setup()
-        # a calibrator mapping every score to ~1 makes precision flat at 1
+        # a calibrator mapping every score to 1 makes all 11 candidates
+        # relevant, so f1 at k is 2k / (k + 11), rising to k_max
         cal = Calibrator("platt", a=0.0, b=500.0)
-        cfg = PerkConfig(k_max=6, utility="precision", rest_pool=5)
+        cfg = PerkConfig(k_max=6, utility="f1", rest_pool=5)
         cut = perk_one(params, cal, dataset, 0, cfg)
-        np.testing.assert_allclose(cut.curve, 1.0)
-        assert cut.k_star == 1
-        assert len(cut.items) == 1
+        k = np.arange(1, 7)
+        np.testing.assert_allclose(cut.curve, 2 * k / (k + 11), rtol=0, atol=1e-12)
+        assert cut.k_star == cut.k_max_effective == 6
+        assert len(cut.items) == 6
 
     def test_pool_smaller_than_k_max(self):
         dataset, params = self.make_setup(num_items=6)
@@ -427,7 +456,7 @@ class TestPerkRecommendUsers:
         params = init_params(9, num_items, 4, seed=46)
         return dataset, params, validation
 
-    @pytest.mark.parametrize("utility", ["f1", "ndcg", "recall", "precision"])
+    @pytest.mark.parametrize("utility", UTILITIES)
     def test_equals_per_user_form(self, utility, monkeypatch):
         dataset, params, _ = self.make_setup()
         cal = Calibrator("platt", a=1.3, b=-0.2)
