@@ -136,15 +136,18 @@ def read_sidecar(header_path, header: dict, names, kind: str) -> dict:
     """The arrays ``names`` of the sidecar that ``header``, read from ``header_path``, lists.
 
     The arrays are writable views on one buffer of the sidecar's bytes. Raises
-    ValueError when the header lacks a key the layout needs, names no plain
-    file name as its sidecar or lists an offset or byte count that is not an
-    int (naming the header), or when the sidecar's length differs from the
+    ValueError when the header lacks a key the layout needs, names a sidecar
+    other than its own name with ``.bin`` for ``.json`` (the one the writers
+    use) or lists an offset or byte count that is not an int (naming the
+    header), or when the sidecar's length differs from the
     sum of the listed byte counts or an array does not fit its span (naming
     the sidecar); ``kind`` names the format in the message.
     """
     header_path = Path(header_path)
     try:
-        sidecar_path = header_path.with_name(header["sidecar"])
+        sidecar_path = header_path.with_suffix(".bin")
+        if header["sidecar"] != sidecar_path.name:
+            raise ValueError(f"sidecar {header['sidecar']!r} is not {sidecar_path.name!r}")
         metas = [header["arrays"][name] for name in names]
         spans = [(m["offset"], m["bytes"], m["dtype"], m["shape"]) for m in metas]
         for name, (start, n, _, _) in zip(names, spans):

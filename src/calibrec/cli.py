@@ -350,7 +350,7 @@ def load_bundle(bundle_dir) -> Dataset:
                 raise ValueError(f"{text} differs from the split {SPLITS_HEADER} records")
         names = [f"{name}.{part}" for name in SPLITS for part in ("indptr", "indices")]
         arrays = read_sidecar(header_path, header, names, "splits")
-        sidecar_path = header_path.with_name(header["sidecar"])
+        sidecar_path = header_path.with_name(SPLITS_SIDECAR)
         splits = {}
         for name in SPLITS:
             indptr, indices = arrays[f"{name}.indptr"], arrays[f"{name}.indices"]

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .ranker import MfParams, TrainConfig, pointwise_epoch, score_pairs, sigmoid, top_k
+from .ranker import TOP_K_BLOCK, MfParams, TrainConfig, pointwise_epoch, score_pairs, sigmoid, top_k
 
 # probabilities entering distillation logs are clamped to this band
 PROB_CLAMP = 1e-7
@@ -66,17 +66,19 @@ def top_t_weights(
     weight (see ``docs/distill.md``).
     """
     num_users, width = other_top.shape
-    # (user, item) keys u * span + item + 1; padding (-1) keys to u * span,
-    # which no item's key equals
+    # one dense rank table per block of users: cell (row, item) holds the
+    # learner's rank of the item, truncate_rank where it is absent; padding
+    # (-1) writes and reads the last cell of a row, which no item uses
     span = int(max(own_top.max(initial=-1), other_top.max(initial=-1))) + 2
-    offset = np.arange(num_users, dtype=np.int64)[:, None] * span + 1
-    own_keys = (own_top + offset).ravel()
-    order = np.argsort(own_keys, kind="stable")
-    sorted_keys = own_keys[order]
-    probe = (other_top + offset).ravel()
-    at = np.minimum(np.searchsorted(sorted_keys, probe), sorted_keys.size - 1)
-    r_this = np.where(sorted_keys[at] == probe, order[at] % width + 1, truncate_rank)
-    r_this = r_this.reshape(other_top.shape)
+    rank_type = np.min_scalar_type(max(truncate_rank, own_top.shape[1]))
+    own_ranks = np.arange(1, own_top.shape[1] + 1)
+    r_this = np.empty(other_top.shape, dtype=rank_type)
+    for start in range(0, num_users, TOP_K_BLOCK):
+        own, other = own_top[start : start + TOP_K_BLOCK], other_top[start : start + TOP_K_BLOCK]
+        row_starts = np.arange(len(own))[:, None] * span
+        table = np.full(len(own) * span, truncate_rank, dtype=rank_type)
+        table[own + row_starts] = own_ranks
+        r_this[start : start + len(own)] = table[other + row_starts]
     # tanh(eta * max(0, min(r_this, T) - min(r_other, T))), r_other = j + 1
     gap = np.minimum(r_this, truncate_rank) - np.minimum(np.arange(1, width + 1), truncate_rank)
     weights = np.tanh(eta * np.maximum(gap, 0))
@@ -130,10 +132,14 @@ def bd_loss(learner_probs: np.ndarray, target_probs: np.ndarray) -> float:
 
 
 def bd_score_grads(learner_probs: np.ndarray, target_probs: np.ndarray) -> np.ndarray:
-    """d(bd_loss)/d(learner score) per item: (q - t) / n."""
+    """d(bd_loss)/d(learner score) per item: (q - t) / n.
+
+    n counts the items of the last axis, so each row of a 2-D pair is its
+    own user's set.
+    """
     q = np.asarray(learner_probs, dtype=float)
     t = _clamp(np.asarray(target_probs, dtype=float))
-    return (q - t) / len(q)
+    return (q - t) / q.shape[-1]
 
 
 @dataclass
@@ -171,33 +177,61 @@ def _distill_pass(
     """Per-user SGD steps on lam * bd_loss; returns (mean item BCE, items, empty users).
 
     A user is empty when no item weighs above 0, so it draws nothing. At
-    lam = 0 nothing is drawn from ``rng``. Users step in order, each from
-    the parameters the previous step left (see ``docs/distill.md``).
+    lam = 0 nothing is drawn from ``rng``. The result is that of users
+    stepping in order, each from the parameters the previous step left:
+    users that share no drawn item step together, in waves (see
+    ``docs/distill.md``).
     """
     if lam == 0:
         return 0.0, 0, 0
     weights = top_t_weights(own_top, other_top, bd_cfg.eta, bd_cfg.truncate_rank)
     drawn = draw_distill_items(other_top, weights, bd_cfg.sample_size, rng)
-    counts = np.count_nonzero(drawn >= 0, axis=1)
+    taken = drawn >= 0
+    counts = np.count_nonzero(taken, axis=1)
     empty_users = int(np.count_nonzero(counts == 0))
     # drawn items fill a prefix of each row, so this is user order
     users = np.repeat(np.arange(len(drawn)), counts)
-    items = drawn[drawn >= 0]
-    targets = sigmoid(score_pairs(target_source, users, items))
-    learner = np.empty_like(targets)
-    ends = np.cumsum(counts)
-    for user in np.flatnonzero(counts):
-        span = slice(ends[user] - counts[user], ends[user])
-        idx = items[span]
-        p_u = model.user_emb[user].copy()
+    targets = np.zeros(drawn.shape)
+    targets[taken] = sigmoid(score_pairs(target_source, users, drawn[taken]))
+    learner = np.zeros(drawn.shape)
+    lr = base_cfg.lr
+    for group in _step_groups(drawn, counts):
+        count = counts[group[0]]
+        idx = drawn[group, :count]
+        p = model.user_emb[group]
         q_rows = model.item_emb[idx]
-        q = sigmoid(q_rows @ p_u + model.item_bias[idx])
-        learner[span] = q
-        g = lam * bd_score_grads(q, targets[span])
-        model.user_emb[user] -= base_cfg.lr * (g @ q_rows)
-        model.item_emb[idx] -= base_cfg.lr * np.outer(g, p_u)
-        model.item_bias[idx] -= base_cfg.lr * g
-    return bd_loss(learner, targets), len(items), empty_users
+        # stacked matrix-vector products, each bit for bit the one user's
+        q = sigmoid(np.matmul(q_rows, p[:, :, None])[:, :, 0] + model.item_bias[idx])
+        learner[group, :count] = q
+        g = lam * bd_score_grads(q, targets[group, :count])
+        model.user_emb[group] -= lr * np.matmul(g[:, None, :], q_rows)[:, 0, :]
+        model.item_emb[idx] -= lr * (g[:, :, None] * p[:, None, :])
+        model.item_bias[idx] -= lr * g
+    return bd_loss(learner[taken], targets[taken]), len(users), empty_users
+
+
+def _step_groups(drawn: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """The users of each (wave, item count) group, waves in order.
+
+    A user's wave is one after the latest wave of an earlier user that drew
+    one of its items, so no two users of a wave share an item, and every
+    item's users step in user order. Empty users are in no group.
+    """
+    latest = [-1] * (int(drawn.max(initial=-1)) + 1)
+    waves = [-1] * len(drawn)
+    for user, (row, count) in enumerate(zip(drawn.tolist(), counts.tolist())):
+        if count:
+            row = row[:count]
+            wave = max([latest[item] for item in row]) + 1
+            for item in row:
+                latest[item] = wave
+            waves[user] = wave
+    key = np.array(waves) * (drawn.shape[1] + 1) + counts
+    order = np.argsort(key, kind="stable")
+    order = order[key[order] >= 0]
+    if not order.size:
+        return []
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
 
 def cotrain_epoch(

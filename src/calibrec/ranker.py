@@ -362,14 +362,49 @@ def _ranked_block(
     """Best ``width`` items of each user in one dense score block, -1 padded.
 
     ``(ex_rows, ex_items)`` lists excluded (position in ``users``, item)
-    pairs. Order is score descending, ties toward the smaller item index:
-    the items strictly above each row's ``width``-th best score are kept, and
-    the tied ones at that score are filled in by index.
+    pairs. Order is score descending, ties toward the smaller item index.
+    One ``np.argpartition`` takes each row's ``width`` best; sorted by
+    index, a stable sort by score then orders them. A row whose
+    ``width``-th best score is not above -inf, or is also held by an item
+    outside that set, goes through ``_ranked_by_cut`` instead.
     """
     scores = params.user_emb[users] @ params.item_emb.T
     scores += params.item_bias
     scores[ex_rows, ex_items] = -np.inf
-    kth = np.partition(scores, params.num_items - width, axis=1)[:, params.num_items - width]
+    best = np.argpartition(scores, params.num_items - width, axis=1)[:, params.num_items - width :]
+    kth = np.take_along_axis(scores, best, axis=1).min(axis=1)
+    # every item outside ``best`` scores at most kth, so more than width
+    # items at or above it means a tie at the cut; those rows, and rows
+    # whose kth is -inf (fewer candidates than width) or NaN, take the cut rule
+    at_or_above = np.count_nonzero(scores >= kth[:, None], axis=1)
+    by_cut = ~(kth > -np.inf) | (at_or_above > width)
+    rows = np.flatnonzero(~by_cut)
+    best = np.sort(best[rows], axis=1)
+    order = np.argsort(-scores[rows[:, None], best], axis=1, kind="stable")
+    ranked = np.empty((len(users), width), dtype=np.int64)
+    ranked[rows] = np.take_along_axis(best, order, axis=1)
+    redo = np.flatnonzero(by_cut)
+    if redo.size:
+        # the excluded pairs of the redone rows, renumbered among them
+        position = np.full(len(users), -1)
+        position[redo] = np.arange(redo.size)
+        sub_rows = position[ex_rows]
+        on = sub_rows >= 0
+        ranked[redo] = _ranked_by_cut(scores[redo], width, sub_rows[on], ex_items[on])
+    return ranked
+
+
+def _ranked_by_cut(
+    scores: np.ndarray, width: int, ex_rows: np.ndarray, ex_items: np.ndarray
+) -> np.ndarray:
+    """``_ranked_block``'s rows from their scores, excluded pairs at -inf.
+
+    The items strictly above each row's ``width``-th best score are kept,
+    and the tied ones at that score, excluded pairs aside, are filled in by
+    index; rows short of ``width`` items end in -1.
+    """
+    num_rows, num_items = scores.shape
+    kth = np.partition(scores, num_items - width, axis=1)[:, num_items - width]
     keep = scores > kth[:, None]
     tied = scores == kth[:, None]
     tied[ex_rows, ex_items] = False
@@ -380,11 +415,11 @@ def _ranked_block(
     keep |= tied
     # row-major, so each row's kept items come in ascending index order
     rows, items = np.nonzero(keep)
-    counts = np.bincount(rows, minlength=len(users))
+    counts = np.bincount(rows, minlength=num_rows)
     cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    kept = np.full((len(users), width), -1, dtype=np.int64)
+    kept = np.full((num_rows, width), -1, dtype=np.int64)
     kept[rows, cols] = items
-    key = np.full((len(users), width), np.inf)
+    key = np.full((num_rows, width), np.inf)
     key[rows, cols] = -scores[rows, items]
     # a stable sort of each row keeps tied items in index order; the +inf
     # padding sits after every kept item, so it stays at the end

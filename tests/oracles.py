@@ -7,7 +7,8 @@ dynamic program, the incremental per-cutoff expected-utility curve that
 the batched one replaced, the dict form of the rank-discrepancy weights,
 the per-example ``np.add.at`` training steps that the bincount scatter
 replaced, the batched training steps with fresh per-batch arrays that the
-per-epoch buffers replaced, the line-by-line interaction loader that the byte-array parse
+per-epoch buffers replaced, the per-user distillation steps that the waves
+of users replaced, the line-by-line interaction loader that the byte-array parse
 replaced, a line-by-line parse of the text splits that the splits
 sidecar must equal, the synthetic generator's full sort of each user's scores and
 its line-at-a-time CSV writer, the scalar one-list ranking metrics that
@@ -15,8 +16,9 @@ its line-at-a-time CSV writer, the scalar one-list ranking metrics that
 for calibrator fits and the weighted log-likelihood those fits minimize, the
 per-bin loops of the reliability table and the histogram calibrator that one
 equal-mass split replaced, and a Monte Carlo ranking AUC of a trained model. Nothing imports the code paths it verifies; the reference epochs
-draw their negatives with the library's sampler so that they use the same
-random stream. The batched ones stack their own tables and scatter with
+draw their negatives with the library's sampler, and the reference
+distillation pass its items with the library's weights and draw, so that
+they use the same random stream. The batched ones stack their own tables and scatter with
 their own full-table ``np.bincount``, so they check the library's scatters
 too.
 """
@@ -27,6 +29,7 @@ from scipy.special import expit
 
 from calibrec.calibration import Calibrator, apply
 from calibrec.dataset import DataFormatError, Dataset, IdMaps, sample_negatives
+from calibrec.distill import bd_loss, bd_score_grads, draw_distill_items, top_t_weights
 from calibrec.ranker import (
     MfParams,
     TrainConfig,
@@ -551,6 +554,38 @@ def reference_pointwise_epoch(params, dataset, cfg, rng):
         np.add.at(out.item_emb, ex_i, -coef * dQ)
         np.add.at(out.item_bias, ex_i, -coef * g)
     return out, total_loss / total_examples
+
+
+def reference_distill_pass(model, own_top, other_top, target_source, lam, base_cfg, bd_cfg, rng):
+    """``distill._distill_pass`` as one SGD step per user, in user order.
+
+    Each step reads the rows that every earlier user's step left. The
+    weights, the draw and the targets are the library's, so the pass uses
+    the same random stream; ``model`` is updated in place.
+    """
+    if lam == 0:
+        return 0.0, 0, 0
+    weights = top_t_weights(own_top, other_top, bd_cfg.eta, bd_cfg.truncate_rank)
+    drawn = draw_distill_items(other_top, weights, bd_cfg.sample_size, rng)
+    counts = np.count_nonzero(drawn >= 0, axis=1)
+    empty_users = int(np.count_nonzero(counts == 0))
+    users = np.repeat(np.arange(len(drawn)), counts)
+    items = drawn[drawn >= 0]
+    targets = sigmoid(score_pairs(target_source, users, items))
+    learner = np.empty_like(targets)
+    ends = np.cumsum(counts)
+    for user in np.flatnonzero(counts):
+        span = slice(ends[user] - counts[user], ends[user])
+        idx = items[span]
+        p_u = model.user_emb[user].copy()
+        q_rows = model.item_emb[idx]
+        q = sigmoid(q_rows @ p_u + model.item_bias[idx])
+        learner[span] = q
+        g = lam * bd_score_grads(q, targets[span])
+        model.user_emb[user] -= base_cfg.lr * (g @ q_rows)
+        model.item_emb[idx] -= base_cfg.lr * np.outer(g, p_u)
+        model.item_bias[idx] -= base_cfg.lr * g
+    return bd_loss(learner, targets), len(items), empty_users
 
 
 def _stacked_tables(params: MfParams) -> tuple[np.ndarray, np.ndarray]:

@@ -305,6 +305,11 @@ BAD_LAYOUTS = {
     "bytes-not-int": lambda header, name: header["arrays"][name].update(bytes="8"),
     "sidecar-empty": lambda header, name: header.update(sidecar=""),
     "sidecar-in-subdirectory": lambda header, name: header.update(sidecar="x/y"),
+    "sidecar-parent": lambda header, name: header.update(sidecar=".."),
+    "sidecar-dot": lambda header, name: header.update(sidecar="."),
+    # the header's own name: the writers name the sidecar <stem>.bin
+    "sidecar-is-header": lambda header, name: header.update(
+        sidecar=header["sidecar"].removesuffix(".bin") + ".json"),
 }
 
 

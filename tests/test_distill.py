@@ -6,6 +6,8 @@ from scipy.stats import chi2
 from calibrec.dataset import Csr, Dataset
 from calibrec.distill import (
     BdConfig,
+    _distill_pass,
+    _step_groups,
     bd_loss,
     bd_score_grads,
     cotrain_epoch,
@@ -22,6 +24,7 @@ from oracles import (
     finite_difference_grad,
     full_sort_ranking,
     rank_discrepancy_weights,
+    reference_distill_pass,
     relative_error,
 )
 
@@ -233,6 +236,133 @@ class TestTopTWeights:
             assert set(got) <= set(want)
             # every item outside the counterpart's top-T weighs 0 in the full form
             assert {i: got.get(i, 0.0) for i in want} == want
+
+
+def _waves(drawn: np.ndarray) -> list[int]:
+    """Each user's wave by its definition, -1 for an empty user."""
+    latest, waves = {}, []
+    for row in drawn:
+        row = row[row >= 0].tolist()
+        waves.append(1 + max([latest.get(i, -1) for i in row]) if row else -1)
+        latest.update(dict.fromkeys(row, waves[-1]))
+    return waves
+
+
+class TestDistillPass:
+    """``_distill_pass`` steps waves of users; it must equal the per-user
+    reference bit for bit: parameters, loss, counts and generator state."""
+
+    # case -> (users, items, truncate_rank, sample_size, lambda)
+    CASES = {
+        # 30 items: every user draws 6 of its top 15, so most users share items
+        "crowded": (40, 30, 15, 6, 0.7),
+        # rows with fewer positive weights than 10 draw them all: counts differ
+        "few-positive": (40, 60, 8, 10, 0.4),
+        # T = 1 gives no item a positive weight
+        "all-empty": (12, 30, 1, 5, 0.5),
+        "lambda-zero": (20, 30, 15, 6, 0.0),
+    }
+
+    @staticmethod
+    def inputs(case, dim):
+        num_users, num_items, truncate_rank, sample_size, lam = TestDistillPass.CASES[case]
+        dataset = low_rank_dataset(num_users, num_items, rank=2, per_user=8, seed=3)
+        rng = np.random.default_rng([dim, num_items])
+        learner = MfParams(rng.normal(size=(num_users, dim)), rng.normal(size=(num_items, dim)),
+                           rng.normal(size=num_items))
+        counterpart = MfParams(rng.normal(size=(num_users, 4)), rng.normal(size=(num_items, 4)),
+                               rng.normal(size=num_items))
+        bd_cfg = BdConfig(lambda_ts=lam, lambda_st=lam, sample_size=sample_size, eta=0.4,
+                          truncate_rank=truncate_rank)
+        tops = [top_t_rows(model, dataset, truncate_rank) for model in (learner, counterpart)]
+        return learner, counterpart, *tops, lam, bd_cfg
+
+    @pytest.mark.parametrize("dim", [5, 8, 64])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_per_user_reference(self, case, dim):
+        learner, counterpart, own_top, other_top, lam, bd_cfg = self.inputs(case, dim)
+        base_cfg = TrainConfig(lr=0.3)
+        got_model, want_model = copy_params(learner), copy_params(learner)
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = _distill_pass(got_model, own_top, other_top, counterpart, lam, base_cfg, bd_cfg,
+                            got_rng)
+        want = reference_distill_pass(want_model, own_top, other_top, counterpart, lam, base_cfg,
+                                      bd_cfg, want_rng)
+        assert got == want
+        for name in ("user_emb", "item_emb", "item_bias"):
+            assert np.array_equal(getattr(got_model, name), getattr(want_model, name)), name
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+        # the case covers what it names
+        num_users = len(own_top)
+        if case == "lambda-zero":
+            assert got == (0.0, 0, 0)
+            assert got_rng.bit_generator.state == np.random.default_rng(11).bit_generator.state
+            return
+        weights = top_t_weights(own_top, other_top, bd_cfg.eta, bd_cfg.truncate_rank)
+        drawn = draw_distill_items(other_top, weights, bd_cfg.sample_size,
+                                   np.random.default_rng(11))
+        waves = np.array(_waves(drawn))
+        counts = np.count_nonzero(drawn >= 0, axis=1)
+        if case == "all-empty":
+            assert got[1:] == (0, num_users)
+        elif case == "crowded":
+            # most users share an item with an earlier user, and waves hold several users
+            assert np.count_nonzero(waves > 0) > num_users / 2
+            assert np.bincount(waves).max() > 1
+            assert set(counts.tolist()) == {bd_cfg.sample_size}
+        else:
+            assert any(len(set(counts[waves == w].tolist())) > 1 for w in set(waves.tolist()))
+
+    @pytest.mark.parametrize("case", ["crowded", "few-positive"])
+    def test_groups_step_conflict_free_waves_in_order(self, case):
+        _, _, own_top, other_top, _, bd_cfg = self.inputs(case, 5)
+        weights = top_t_weights(own_top, other_top, bd_cfg.eta, bd_cfg.truncate_rank)
+        drawn = draw_distill_items(other_top, weights, bd_cfg.sample_size,
+                                   np.random.default_rng(11))
+        counts = np.count_nonzero(drawn >= 0, axis=1)
+        groups = _step_groups(drawn, counts)
+        waves = _waves(drawn)
+        # every user that drew an item is in exactly one group
+        members = np.concatenate(groups)
+        assert sorted(members.tolist()) == np.flatnonzero(counts).tolist()
+        # groups go wave by wave; a group's users share their count and no item
+        assert [waves[g[0]] for g in groups] == sorted(waves[g[0]] for g in groups)
+        for group in groups:
+            assert {waves[u] for u in group.tolist()} == {waves[group[0]]}
+            assert len(set(counts[group].tolist())) == 1
+            items = drawn[group][drawn[group] >= 0]
+            assert len(set(items.tolist())) == len(items)
+        # each item's users step in user order
+        step = {u: n for n, group in enumerate(groups) for u in group.tolist()}
+        for item in set(drawn[drawn >= 0].tolist()):
+            users = np.flatnonzero((drawn == item).any(axis=1)).tolist()
+            assert [step[u] for u in users] == sorted(step[u] for u in users)
+            assert len({step[u] for u in users}) == len(users)
+
+
+class TestStackedMatmul:
+    """The distillation pass scores a group's users by stacked ``np.matmul``
+    and assumes each user's products are bit for bit the one-user
+    ``Q @ p`` and ``g @ Q``; zero-padded counts would not be."""
+
+    @pytest.mark.parametrize("dim", [5, 8, 64])
+    def test_stacked_products_equal_per_user_products(self, dim):
+        rng = np.random.default_rng(dim)
+        item_emb = rng.normal(size=(400, dim))
+        user_emb = rng.normal(size=(32, dim))
+        for count in range(1, 11):
+            for k in (1, 2, 3, 7, 16, 32):
+                users = rng.choice(32, size=k, replace=False)
+                idx = rng.choice(400, size=(k, count), replace=False)
+                g = rng.normal(size=(k, count))
+                q_rows, p = item_emb[idx], user_emb[users]
+                scores = np.matmul(q_rows, p[:, :, None])[:, :, 0]
+                grads = np.matmul(g[:, None, :], q_rows)[:, 0, :]
+                for j in range(k):
+                    one_rows, p_u = item_emb[idx[j]], user_emb[users[j]].copy()
+                    assert np.array_equal(scores[j], one_rows @ p_u), (count, k, j)
+                    assert np.array_equal(grads[j], g[j] @ one_rows), (count, k, j)
 
 
 class TestCotrainEpoch:

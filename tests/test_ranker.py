@@ -596,6 +596,33 @@ class TestTopK:
             assert row[: len(want)].tolist() == want
             assert np.all(row[len(want):] == -1)
 
+    def test_block_mixes_partition_rows_and_cut_rows(self, monkeypatch):
+        # items 20-39 copy items 0-19 on a 1/1024 grid, so copies tie exactly
+        # and other items almost never do; exclusions decide whether a row's
+        # cut splits a tied pair, and rows left with under k items run short
+        rng = np.random.default_rng(6)
+
+        def grid(*shape):
+            return rng.integers(-1024, 1025, size=shape) / 1024.0
+
+        params = params_from(grid(24, 3), np.tile(grid(20, 3), (2, 1)), np.tile(grid(20), 2))
+        sizes = [int(n) for n in rng.integers(0, 8, 20)] + [36, 37, 39, 40]
+        excluded = [rng.choice(40, size=n, replace=False) for n in sizes]
+        redone = []
+        by_cut = ranker._ranked_by_cut
+
+        def counted(scores, *rest):
+            redone.append(len(scores))
+            return by_cut(scores, *rest)
+
+        monkeypatch.setattr(ranker, "_ranked_by_cut", counted)
+        got = top_k(params, np.arange(24), 5, exclusions(excluded, 40))
+        assert len(redone) == 1 and 4 < redone[0] < 24
+        for u, row in enumerate(got):
+            want = full_sort_ranking(params, u, excluded[u])[:5]
+            assert row[: len(want)].tolist() == want
+            assert np.all(row[len(want):] == -1)
+
     def test_all_zero_scores_pick_smallest_indices(self):
         p = params_from(np.zeros((2, 1)), np.zeros((6, 1)))
         got = top_k(p, [0, 1], 3, exclusions([[0, 2], []], 6))
@@ -683,6 +710,16 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "ck")
         sidecar.write_bytes(good[:-4])
         with pytest.raises(ValueError):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_sidecar_of_another_checkpoint_is_value_error(self, tmp_path):
+        # a same-shape sibling's sidecar fits every length check
+        header_path, _ = save_checkpoint(init_params(3, 5, 2, seed=1), tmp_path / "ck")
+        save_checkpoint(init_params(3, 5, 2, seed=2), tmp_path / "other")
+        header = json.loads(header_path.read_text())
+        header["sidecar"] = "other.bin"
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=r"ck\.json: checkpoint header .*'other\.bin'"):
             load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize("drop", ["sidecar", "arrays", "item_emb", "offset"])
