@@ -521,7 +521,7 @@ def cmd_train(args, cfg) -> int:
                 raise ValueError(
                     f"{key} is {wanted}, but checkpoint {args.resume} was trained with {trained}"
                 )
-        start_epoch = header.get("epochs_trained", 0)
+        start_epoch = header["epochs_trained"]
     else:
         params = init_params(
             dataset.num_users,

@@ -363,10 +363,13 @@ def _ranked_block(
 
     ``(ex_rows, ex_items)`` lists excluded (position in ``users``, item)
     pairs. Order is score descending, ties toward the smaller item index.
-    One ``np.argpartition`` takes each row's ``width`` best; sorted by
-    index, a stable sort by score then orders them. A row whose
-    ``width``-th best score is not above -inf, or is also held by an item
-    outside that set, goes through ``_ranked_by_cut`` instead.
+    One ``np.argpartition`` takes each row's ``width`` best. A row with more
+    than ``width`` items at or above its ``width``-th best score (a tie at the
+    cut, or a short row, whose ``width``-th best is -inf) takes instead the
+    items above that score, then the tied ones by index. Each row, sorted by
+    index, is then ordered by a stable sort of its scores. Excluded items
+    score -inf, so they become -1 and sort last. The parameters must be
+    finite: a NaN score would break the count.
     """
     scores = params.user_emb[users] @ params.item_emb.T
     scores += params.item_bias
@@ -374,57 +377,23 @@ def _ranked_block(
     best = np.argpartition(scores, params.num_items - width, axis=1)[:, params.num_items - width :]
     kth = np.take_along_axis(scores, best, axis=1).min(axis=1)
     # every item outside ``best`` scores at most kth, so more than width
-    # items at or above it means a tie at the cut; those rows, and rows
-    # whose kth is -inf (fewer candidates than width) or NaN, take the cut rule
+    # items at or above it means the cut splits a tie (at -inf in a short row)
     at_or_above = np.count_nonzero(scores >= kth[:, None], axis=1)
-    by_cut = ~(kth > -np.inf) | (at_or_above > width)
-    rows = np.flatnonzero(~by_cut)
-    best = np.sort(best[rows], axis=1)
-    order = np.argsort(-scores[rows[:, None], best], axis=1, kind="stable")
-    ranked = np.empty((len(users), width), dtype=np.int64)
-    ranked[rows] = np.take_along_axis(best, order, axis=1)
-    redo = np.flatnonzero(by_cut)
+    redo = np.flatnonzero(at_or_above > width)
     if redo.size:
-        # the excluded pairs of the redone rows, renumbered among them
-        position = np.full(len(users), -1)
-        position[redo] = np.arange(redo.size)
-        sub_rows = position[ex_rows]
-        on = sub_rows >= 0
-        ranked[redo] = _ranked_by_cut(scores[redo], width, sub_rows[on], ex_items[on])
-    return ranked
-
-
-def _ranked_by_cut(
-    scores: np.ndarray, width: int, ex_rows: np.ndarray, ex_items: np.ndarray
-) -> np.ndarray:
-    """``_ranked_block``'s rows from their scores, excluded pairs at -inf.
-
-    The items strictly above each row's ``width``-th best score are kept,
-    and the tied ones at that score, excluded pairs aside, are filled in by
-    index; rows short of ``width`` items end in -1.
-    """
-    num_rows, num_items = scores.shape
-    kth = np.partition(scores, num_items - width, axis=1)[:, num_items - width]
-    keep = scores > kth[:, None]
-    tied = scores == kth[:, None]
-    tied[ex_rows, ex_items] = False
-    need = width - keep.sum(axis=1)
-    # only rows with more ties at the cut than free places need the prefix count
-    crowded = np.flatnonzero(tied.sum(axis=1) > need)
-    tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= need[crowded, None]
-    keep |= tied
-    # row-major, so each row's kept items come in ascending index order
-    rows, items = np.nonzero(keep)
-    counts = np.bincount(rows, minlength=num_rows)
-    cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    kept = np.full((num_rows, width), -1, dtype=np.int64)
-    kept[rows, cols] = items
-    key = np.full((num_rows, width), np.inf)
-    key[rows, cols] = -scores[rows, items]
-    # a stable sort of each row keeps tied items in index order; the +inf
-    # padding sits after every kept item, so it stays at the end
-    order = np.argsort(key, axis=1, kind="stable")
-    return np.take_along_axis(kept, order, axis=1)
+        redone, cut = scores[redo], kth[redo, None]
+        keep = redone > cut
+        tied = redone == cut
+        tied &= np.cumsum(tied, axis=1) <= width - keep.sum(axis=1, keepdims=True)
+        keep |= tied
+        # row-major, so each row's width kept items come in index order
+        best[redo] = keep.nonzero()[1].reshape(-1, width)
+    # a sorted copy, so the (block, num_items) argpartition output is freed
+    best = np.sort(best, axis=1)
+    key = np.take_along_axis(scores, best, axis=1)
+    np.negative(key, out=key)
+    best[key == np.inf] = -1
+    return np.take_along_axis(best, np.argsort(key, axis=1, kind="stable"), axis=1)
 
 
 def top_k(params: MfParams, users, k: int, exclude: Csr | None = None) -> np.ndarray:
@@ -435,6 +404,7 @@ def top_k(params: MfParams, users, k: int, exclude: Csr | None = None) -> np.nda
     from the candidates. k' = min(k, num_items); users with fewer candidates
     than that have their row padded with -1. Users are scored
     ``TOP_K_BLOCK`` at a time, so no users x items matrix is ever formed.
+    Raises ValueError, before any scoring, when a parameter is not finite.
     """
     users = np.asarray(users, dtype=np.int64).ravel()
     if k < 0:
@@ -448,6 +418,9 @@ def top_k(params: MfParams, users, k: int, exclude: Csr | None = None) -> np.nda
             f"exclude is {exclude.num_rows} x {exclude.num_cols}, "
             f"the model {params.num_users} users x {params.num_items} items"
         )
+    for name in _ARRAY_ORDER:
+        if not np.isfinite(getattr(params, name)).all():
+            raise ValueError(f"{name} holds values that are not finite")
     width = min(k, params.num_items)
     out = np.full((len(users), width), -1, dtype=np.int64)
     if width == 0:
@@ -515,9 +488,9 @@ def load_checkpoint(base_path) -> tuple[MfParams, dict]:
     when it lacks a key the format requires, when the sidecar's length
     differs from the one the header lists, when a value is not finite, when
     the arrays' shapes disagree (embeddings that are not 2-D or differ in
-    dimension, or an ``item_bias`` that is not one entry per item row), or
-    when the header's ``num_users``, ``num_items`` or ``dim`` differs from
-    the arrays'.
+    dimension, or an ``item_bias`` that is not one entry per item row), when
+    the header's ``num_users``, ``num_items`` or ``dim`` differs from the
+    arrays', or when its ``epochs_trained`` is not an int >= 0.
     """
     base = Path(base_path)
     header_path = base if base.suffix == ".json" else base.with_name(base.name + ".json")
@@ -542,4 +515,9 @@ def load_checkpoint(base_path) -> tuple[MfParams, dict]:
                 f"checkpoint {header_path}: header {key} {header.get(key)!r} "
                 f"disagrees with the arrays' {size}"
             )
+    trained = header.get("epochs_trained")
+    if type(trained) is not int or trained < 0:
+        raise ValueError(
+            f"checkpoint {header_path}: header epochs_trained {trained!r} is not an int >= 0"
+        )
     return params, header

@@ -791,11 +791,16 @@ class TestBadCheckpointHeader:
         assert drop in capsys.readouterr().err
 
 
+# case -> the header's epochs_trained (None: the key is missing)
+EPOCHS_TRAINED = {"epochs-text": "3", "epochs-float": 2.5, "epochs-negative": -5,
+                  "epochs-bool": True, "epochs-missing": None}
+
+
 class TestBadCheckpointArrays:
     """Every stage that reads a checkpoint rejects one whose values are not
     finite, whose array shapes disagree, whose header is not JSON or of
-    another format or lists a malformed sidecar layout, naming the file
-    (exit 2)."""
+    another format, lists a malformed sidecar layout or an ``epochs_trained``
+    that is not an int >= 0, naming the file (exit 2)."""
 
     @staticmethod
     def write(path, case):
@@ -825,6 +830,13 @@ class TestBadCheckpointArrays:
             else:
                 del header["format"]
             header_path.write_text(json.dumps(header))
+        elif case in EPOCHS_TRAINED:
+            header = json.loads(header_path.read_text())
+            if EPOCHS_TRAINED[case] is None:
+                del header["epochs_trained"]
+            else:
+                header["epochs_trained"] = EPOCHS_TRAINED[case]
+            header_path.write_text(json.dumps(header))
 
     @pytest.mark.parametrize("case, problem", [
         ("nan", "user_emb holds values that are not finite"),
@@ -833,7 +845,10 @@ class TestBadCheckpointArrays:
         ("unformatted", "format None is not mf-checkpoint-v1"),
         ("not-json", "not a JSON file"),
         *((case, "checkpoint header key missing or malformed") for case in BAD_LAYOUTS),
-    ], ids=["nan", "dims", "bias", "flat", "foreign", "unformatted", "not-json", *BAD_LAYOUTS])
+        *((case, f"header epochs_trained {value!r} is not an int >= 0")
+          for case, value in EPOCHS_TRAINED.items()),
+    ], ids=["nan", "dims", "bias", "flat", "foreign", "unformatted", "not-json", *BAD_LAYOUTS,
+            *EPOCHS_TRAINED])
     def test_every_reading_stage_exits_2(self, workspace, tmp_path, capsys, case, problem):
         self.write(tmp_path / "bad", case)
         data = ("--data", workspace / "bundle")

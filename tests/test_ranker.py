@@ -566,13 +566,14 @@ class TestTopK:
         [params_from(np.zeros((7, 2)), np.zeros((40, 2))), tie_heavy_params()],
         ids=["all-zero", "duplicated-items"],
     )
-    @pytest.mark.parametrize("k", [1, 5, 39, 40, 60])
+    @pytest.mark.parametrize("k", [*range(1, 41), 60])
     def test_equals_rank_items_prefix_on_ties(self, params, k, monkeypatch):
-        # against the full-sort oracle, over several blocks of users
+        # against the full-sort oracle, over several blocks of users, at
+        # every width; rows left with under k candidates tie at -inf
         monkeypatch.setattr(ranker, "TOP_K_BLOCK", 3)
         rng = np.random.default_rng(k)
         users = np.arange(params.num_users)
-        excluded = [rng.choice(40, size=int(rng.integers(0, 12)), replace=False) for _ in users]
+        excluded = [rng.choice(40, size=int(rng.integers(0, 41)), replace=False) for _ in users]
         plain = top_k(params, users, k)
         pruned = top_k(params, users, k, exclusions(excluded, 40))
         for u in users:
@@ -596,7 +597,7 @@ class TestTopK:
             assert row[: len(want)].tolist() == want
             assert np.all(row[len(want):] == -1)
 
-    def test_block_mixes_partition_rows_and_cut_rows(self, monkeypatch):
+    def test_block_mixes_partition_rows_and_cut_rows(self):
         # items 20-39 copy items 0-19 on a 1/1024 grid, so copies tie exactly
         # and other items almost never do; exclusions decide whether a row's
         # cut splits a tied pair, and rows left with under k items run short
@@ -608,16 +609,17 @@ class TestTopK:
         params = params_from(grid(24, 3), np.tile(grid(20, 3), (2, 1)), np.tile(grid(20), 2))
         sizes = [int(n) for n in rng.integers(0, 8, 20)] + [36, 37, 39, 40]
         excluded = [rng.choice(40, size=n, replace=False) for n in sizes]
-        redone = []
-        by_cut = ranker._ranked_by_cut
-
-        def counted(scores, *rest):
-            redone.append(len(scores))
-            return by_cut(scores, *rest)
-
-        monkeypatch.setattr(ranker, "_ranked_by_cut", counted)
+        # the block holds untied rows, rows whose cut splits a tie and short rows
+        scores = params.user_emb @ params.item_emb.T + params.item_bias
+        for u, items in enumerate(excluded):
+            scores[u, items] = -np.inf
+        kth = np.sort(scores, axis=1)[:, -5]
+        at_or_above = np.count_nonzero(scores >= kth[:, None], axis=1)
+        short = kth == -np.inf
+        assert short.sum() == 4
+        assert 0 < np.count_nonzero(~short & (at_or_above > 5)) < 20
+        assert np.any(at_or_above == 5)
         got = top_k(params, np.arange(24), 5, exclusions(excluded, 40))
-        assert len(redone) == 1 and 4 < redone[0] < 24
         for u, row in enumerate(got):
             want = full_sort_ranking(params, u, excluded[u])[:5]
             assert row[: len(want)].tolist() == want
@@ -641,6 +643,17 @@ class TestTopK:
         got = top_k(p, [0, 1], 3, exclusions([[0, 1, 2], [0, 1, 2, 3]], 4))
         assert got[0, 0] == 3 and got[0, 1:].tolist() == [-1, -1]
         assert got[1].tolist() == [-1, -1, -1]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["user_emb", "item_emb", "item_bias"])
+    def test_non_finite_parameters_rejected(self, name, value, monkeypatch):
+        # a NaN score would break the count at the cut, so nothing may be
+        # scored: a call to the block ranker would raise a TypeError
+        monkeypatch.setattr(ranker, "_ranked_block", None)
+        p = init_params(2, 6, 2, seed=0)
+        getattr(p, name).flat[2] = value
+        with pytest.raises(ValueError, match=f"{name} holds values that are not finite"):
+            top_k(p, [0, 1], 3)
 
     def test_out_of_range(self):
         p = init_params(2, 4, 2, seed=0)
@@ -763,6 +776,20 @@ class TestCheckpoint:
         header[key] = value
         header_path.write_text(json.dumps(header))
         with pytest.raises(ValueError, match=f"checkpoint .*ck.json: header {key} {value} "):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("value", ["3", 2.5, -5, True, None],
+                             ids=["text", "float", "negative", "bool", "missing"])
+    def test_header_epochs_trained_must_be_a_count(self, tmp_path, value):
+        header_path, _ = save_checkpoint(init_params(3, 5, 2, seed=1), tmp_path / "ck")
+        header = json.loads(header_path.read_text())
+        if value is None:
+            del header["epochs_trained"]
+        else:
+            header["epochs_trained"] = value
+        header_path.write_text(json.dumps(header))
+        problem = f"checkpoint {header_path}: header epochs_trained {value!r} is not an int >= 0"
+        with pytest.raises(ValueError, match=re.escape(problem)):
             load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize("key, value", [("dtype", "nope"), ("shape", [7, 2]), ("offset", -4)])
