@@ -417,6 +417,9 @@ def _recommendation_problem(row, personalized: bool, num_users: int, num_items: 
     if items and (min(items) < 0 or max(items) >= num_items):
         item = next(i for i in items if not 0 <= i < num_items)
         return f"recommended item {item} outside dataset"
+    if len(set(items)) < len(items):
+        item = next(i for i in items if items.count(i) > 1)
+        return f"item {item} repeats in the list"
     if user in seen:
         return f"user {user} repeats the row on line {seen[user]}"
     return None

@@ -121,19 +121,13 @@ class Csr:
         """Membership as a packed bitmap: bit ``q & 7`` of byte ``q >> 3``
         is set for each entry key ``q = row * num_cols + col``."""
         bits = np.zeros(-(-self.num_rows * self.num_cols // 8), dtype=np.uint8)
-        if not len(self):
-            return bits
         # the keys are built in place and not cached: the bitmap replaces them
         keys, cols = self.pairs()
         keys *= self.num_cols
         keys += cols
         masks = np.left_shift(np.uint8(1), keys.astype(np.uint8) & 7)
         keys >>= 3
-        # keys are sorted, so the keys of one byte form a run
-        head = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        runs = np.flatnonzero(head)
-        bits[keys[runs]] = np.bitwise_or.reduceat(masks, runs)
+        np.bitwise_or.at(bits, keys, masks)
         return bits
 
     def contains(self, rows, cols) -> np.ndarray:
@@ -234,33 +228,13 @@ def _positions(buf, hit, index) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-# the characters past ASCII that str.strip removes, each as its UTF-8 bytes
-# read as one big-endian number (the tests derive them from str.isspace)
-_SPACE_CODES = np.array([
-    int.from_bytes(space.encode("utf-8"), "big")
-    for space in "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
-    "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
-])
-
-
 def _strippable(chunk: np.ndarray) -> np.ndarray:
-    """Mask of the bytes of ``chunk`` at which a character that ``str.strip``
-    removes starts: every byte up to space (the ASCII whitespace among
-    them), and the first byte of each ``_SPACE_CODES`` character. A
-    character that the chunk's end cuts short is flagged when its first
-    byte is one of theirs, which at worst sends its line to the text path."""
-    mask = chunk <= 0x20
-    # an ASCII chunk needs no more than that one compare
-    if chunk.size and chunk.max() >= 0xC2:
-        # their first bytes: 0xC2 before one more byte, 0xE1-0xE3 before two
-        at = np.flatnonzero((chunk == 0xC2) | (chunk - np.uint8(0xE1) <= 2))
-        code = chunk[at].astype(np.int64)
-        for k in (1, 2):
-            code = code << 8 | chunk[np.minimum(at + k, chunk.size - 1)]
-        two = chunk[at] == 0xC2
-        code[two] >>= 8
-        mask[at] = np.isin(code, _SPACE_CODES) | (at + 3 - two > chunk.size)
-    return mask
+    """Mask of the bytes of ``chunk`` that keep a line off the numpy cut
+    unless a delimiter holds them: every byte up to space, which covers the
+    ASCII whitespace ``str.strip`` removes, and every byte of 0x80 or more,
+    so that only ASCII lines are cut by numpy."""
+    # read as signed, every byte from 0x80 on is negative
+    return chunk.view(np.int8) <= 0x20
 
 
 def _first_seen(data: bytes, buf, lo, hi) -> tuple[np.ndarray, list[str]]:
@@ -324,11 +298,12 @@ def load_interactions(path, delimiter: str = ",") -> tuple[np.ndarray, IdMaps]:
     timestamps are ignored. Returns the interactions as an ``(n, 2)`` int64
     array in first-appearance order.
 
-    The lines that ``str.strip`` and ``str.split`` provably leave as they
-    are (one or two delimiters, no whitespace outside them, no empty field)
-    are cut by vectorized comparisons over the file's bytes; every other
-    line is decoded and read by those two calls. The id tokens are numbered
-    by one sort per token length (see docs/data-layer.md, "Ingest").
+    The ASCII lines that ``str.strip`` and ``str.split`` provably leave as
+    they are (one or two delimiters, no whitespace outside them, no empty
+    field) are cut by vectorized comparisons over the file's bytes; every
+    other line, so every line with a non-ASCII byte outside its delimiters,
+    is decoded and read by those two calls. The id tokens are numbered by
+    one sort per token length (see docs/data-layer.md, "Ingest").
 
     Raises DataFormatError on malformed lines (the first one in file order,
     with its line number) and on input containing no interactions,
@@ -366,8 +341,8 @@ def _id_fields(data: bytes, buf, delimiter: str):
     for the first malformed line and for input without a non-blank line.
 
     numpy cuts the plain lines: one or two delimiters, every field
-    non-empty, and no ``_strippable`` byte outside the delimiters, so no
-    whitespace character starts there and ``str.strip`` changes neither the
+    non-empty, and no ``_strippable`` byte outside the delimiters. There the
+    line is ASCII without whitespace, so ``str.strip`` changes neither the
     line nor a field; the non-empty fields keep the delimiters from
     overlapping, so ``str.split`` cuts at exactly those.
     Every other line is read by ``_text_fields``, in file order.

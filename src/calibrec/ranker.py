@@ -486,11 +486,12 @@ def load_checkpoint(base_path) -> tuple[MfParams, dict]:
     Raises ValueError, naming the checkpoint's file, when the header is not
     JSON, when its ``format`` is missing or other than ``CHECKPOINT_FORMAT``,
     when it lacks a key the format requires, when the sidecar's length
-    differs from the one the header lists, when a value is not finite, when
-    the arrays' shapes disagree (embeddings that are not 2-D or differ in
-    dimension, or an ``item_bias`` that is not one entry per item row), when
-    the header's ``num_users``, ``num_items`` or ``dim`` differs from the
-    arrays', or when its ``epochs_trained`` is not an int >= 0.
+    differs from the one the header lists, when an array's dtype is not
+    ``'<f4'`` (the one ``save_checkpoint`` writes), when a value is not
+    finite, when the arrays' shapes disagree (embeddings that are not 2-D or
+    differ in dimension, or an ``item_bias`` that is not one entry per item
+    row), when the header's ``num_users``, ``num_items`` or ``dim`` differs
+    from the arrays', or when its ``epochs_trained`` is not an int >= 0.
     """
     base = Path(base_path)
     header_path = base if base.suffix == ".json" else base.with_name(base.name + ".json")
@@ -499,10 +500,15 @@ def load_checkpoint(base_path) -> tuple[MfParams, dict]:
     if found != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint {header_path}: format {found!r} is not {CHECKPOINT_FORMAT}")
     parts = read_sidecar(header_path, header, _ARRAY_ORDER, "checkpoint")
-    params = MfParams(*(parts[name].astype(np.float64) for name in _ARRAY_ORDER))
-    for name in _ARRAY_ORDER:
-        if not np.isfinite(getattr(params, name)).all():
+    for name, part in parts.items():
+        # the dtype save_checkpoint writes; any other would load as other numbers
+        if part.dtype.str != "<f4":
+            raise ValueError(
+                f"checkpoint {header_path}: {name} dtype {part.dtype.str!r} is not '<f4'"
+            )
+        if not np.isfinite(part).all():
             raise ValueError(f"checkpoint {header_path}: {name} holds values that are not finite")
+    params = MfParams(*(parts[name].astype(np.float64) for name in _ARRAY_ORDER))
     users, items, bias = (getattr(params, name).shape for name in _ARRAY_ORDER)
     if not (len(users) == len(items) == 2 and users[1] == items[1] and bias == items[:1]):
         raise ValueError(

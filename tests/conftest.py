@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from calibrec.calibration import RELIABILITY_HEADER
@@ -28,6 +30,26 @@ def read_jsonl(path):
     """The JSON object on each non-empty line of a file."""
     with open(path, "r", encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+def retype_array(header_path, name, dtype):
+    """Rewrite the header at ``header_path`` and its ``.bin`` sidecar so that
+    they store the array ``name`` as zeros of ``dtype``, with every offset,
+    byte count and the sidecar's length to match."""
+    header_path = Path(header_path)
+    sidecar = header_path.with_suffix(".bin")
+    header = json.loads(header_path.read_text())
+    raw = sidecar.read_bytes()
+    parts = []
+    for key, meta in sorted(header["arrays"].items(), key=lambda kv: kv[1]["offset"]):
+        part = raw[meta["offset"] : meta["offset"] + meta["bytes"]]
+        if key == name:
+            part = np.zeros(meta["shape"], dtype=dtype).tobytes()
+            meta["dtype"] = dtype
+        meta.update(offset=sum(map(len, parts)), bytes=len(part))
+        parts.append(part)
+    sidecar.write_bytes(b"".join(parts))
+    header_path.write_text(json.dumps(header))
 
 
 def read_reliability_csv(path):

@@ -44,7 +44,7 @@ from calibrec.ranker import (
 from calibrec.seeding import stream_seed
 from calibrec.synthetic import low_rank_interactions, write_interactions_csv
 
-from conftest import read_jsonl, read_reliability_csv
+from conftest import read_jsonl, read_reliability_csv, retype_array
 from oracles import reference_read_split
 
 
@@ -794,13 +794,17 @@ class TestBadCheckpointHeader:
 # case -> the header's epochs_trained (None: the key is missing)
 EPOCHS_TRAINED = {"epochs-text": "3", "epochs-float": 2.5, "epochs-negative": -5,
                   "epochs-bool": True, "epochs-missing": None}
+# case -> the dtype item_emb is stored as
+DTYPES = {"dtype-complex": "<c8", "dtype-int": "<i4", "dtype-big-endian": ">f4",
+          "dtype-double": "<f8", "dtype-bytes": "|S4"}
 
 
 class TestBadCheckpointArrays:
     """Every stage that reads a checkpoint rejects one whose values are not
     finite, whose array shapes disagree, whose header is not JSON or of
-    another format, lists a malformed sidecar layout or an ``epochs_trained``
-    that is not an int >= 0, naming the file (exit 2)."""
+    another format, lists a malformed sidecar layout, an array dtype other
+    than ``'<f4'`` or an ``epochs_trained`` that is not an int >= 0, naming
+    the file (exit 2)."""
 
     @staticmethod
     def write(path, case):
@@ -837,6 +841,8 @@ class TestBadCheckpointArrays:
             else:
                 header["epochs_trained"] = EPOCHS_TRAINED[case]
             header_path.write_text(json.dumps(header))
+        elif case in DTYPES:
+            retype_array(header_path, "item_emb", DTYPES[case])
 
     @pytest.mark.parametrize("case, problem", [
         ("nan", "user_emb holds values that are not finite"),
@@ -847,8 +853,9 @@ class TestBadCheckpointArrays:
         *((case, "checkpoint header key missing or malformed") for case in BAD_LAYOUTS),
         *((case, f"header epochs_trained {value!r} is not an int >= 0")
           for case, value in EPOCHS_TRAINED.items()),
+        *((case, f"item_emb dtype '{dtype}' is not '<f4'") for case, dtype in DTYPES.items()),
     ], ids=["nan", "dims", "bias", "flat", "foreign", "unformatted", "not-json", *BAD_LAYOUTS,
-            *EPOCHS_TRAINED])
+            *EPOCHS_TRAINED, *DTYPES])
     def test_every_reading_stage_exits_2(self, workspace, tmp_path, capsys, case, problem):
         self.write(tmp_path / "bad", case)
         data = ("--data", workspace / "bundle")
@@ -1817,11 +1824,17 @@ class TestEval:
             ("--recs", [{"user": 0, "items": [1]}, {"user": 1, "items": [2, -1]}],
              "recommended item -1 outside dataset"),
             ("--perk-recs", [], "no recommendation rows"),
+            # the test bundle's user 0 holds one test item, 5: repeating it
+            # would count one hit several times
+            ("--recs", [{"user": 1, "items": [2]}, {"user": 0, "items": [5, 5, 5, 5, 5]}],
+             "item 5 repeats in the list"),
+            ("--perk-recs", [{"user": 0, "k_star": 3, "curve": [0.1] * 3, "items": [5, 2, 5]}],
+             "item 5 repeats in the list"),
         ],
         ids=["perk-no-curve", "fixed-no-items", "float-item", "bool-item", "bool-curve",
              "string-user", "k-star-high",
              "k-star-zero", "string-curve", "items-not-k-star", "negative-item",
-             "empty-file"],
+             "empty-file", "fixed-repeated-item", "perk-repeated-item"],
     )
     def test_malformed_rows_exit_2(self, workspace, tmp_path, capsys, flag, rows, problem):
         recs = tmp_path / "recs.jsonl"

@@ -23,7 +23,7 @@ from calibrec.ranker import (
 )
 from calibrec.synthetic import low_rank_dataset
 
-from conftest import make_dataset
+from conftest import make_dataset, retype_array
 from oracles import (
     auc,
     bincount_add,
@@ -789,6 +789,18 @@ class TestCheckpoint:
             header["epochs_trained"] = value
         header_path.write_text(json.dumps(header))
         problem = f"checkpoint {header_path}: header epochs_trained {value!r} is not an int >= 0"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            load_checkpoint(tmp_path / "ck")
+
+    # read as floats, each of these would load as other numbers or fail
+    # without naming the file
+    @pytest.mark.parametrize("dtype", ["<c8", "<i4", "|u1", "|b1", ">f4", "<f2", "<f8", "<M8[s]",
+                                       "|S4"])
+    @pytest.mark.parametrize("name", ["user_emb", "item_emb", "item_bias"])
+    def test_array_dtype_must_be_the_saved_one(self, tmp_path, name, dtype):
+        header_path, _ = save_checkpoint(init_params(3, 4, 2, seed=1), tmp_path / "ck")
+        retype_array(header_path, name, dtype)
+        problem = f"checkpoint {header_path}: {name} dtype '{dtype}' is not '<f4'"
         with pytest.raises(ValueError, match=re.escape(problem)):
             load_checkpoint(tmp_path / "ck")
 
