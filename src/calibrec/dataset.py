@@ -416,9 +416,18 @@ def _text_fields(data: bytes, lines, lo, hi, delimiter: str):
     start of its stripped (user, user end, item, item end) fields; raises
     DataFormatError for the first malformed one.
 
-    The offsets gather in one ``array``, and no numpy scalar is read or
-    written per line.
+    Each field is found by ``find``: the user id from the line's start, the
+    delimiter from the user id's end and the item id from the delimiter's
+    end. Only whitespace lies between each search's start and its field. An
+    id starts with a non-whitespace character, so its first match is the
+    id; an earlier delimiter match would lie in the stripped line, where
+    ``split`` would have cut. A non-ASCII line is searched in its own bytes,
+    with the ids and the delimiter encoded: a match of valid UTF-8 in valid
+    UTF-8 starts at a character, so it is a character match. The offsets
+    gather in one ``array``, and no numpy scalar is read or written per
+    line.
     """
+    sep = delimiter.encode("utf-8")
     blank = []
     at = array("q")
     for n, (a, b) in enumerate(zip(lo[lines].tolist(), hi[lines].tolist())):
@@ -428,20 +437,22 @@ def _text_fields(data: bytes, lines, lo, hi, delimiter: str):
             blank.append(n)
             continue
         fields = stripped.split(delimiter)
-        if len(fields) not in (2, 3) or not fields[0].strip() or not fields[1].strip():
+        user = fields[0].strip()
+        item = fields[1].strip() if len(fields) > 1 else ""
+        if len(fields) > 3 or not user or not item:
             line = int(lines[n]) + 1
             raise DataFormatError(
                 f"line {line}: expected 'user{delimiter}item[{delimiter}timestamp]', "
                 f"got {stripped!r}",
                 line_no=line,
             )
-        # offsets in characters; the stripped line starts with the user id
-        user = len(text) - len(text.lstrip())
-        item = user + len(fields[0]) + len(delimiter) + len(fields[1]) - len(fields[1].lstrip())
-        offsets = (user, user + len(fields[0].rstrip()), item, item + len(fields[1].strip()))
+        within, cut = text, delimiter
         if not text.isascii():
-            offsets = [len(text[:k].encode("utf-8")) for k in offsets]
-        at.extend(offsets)
+            within, cut, user, item = data[a:b], sep, user.encode("utf-8"), item.encode("utf-8")
+        user_lo = within.find(user)
+        user_hi = user_lo + len(user)
+        item_lo = within.find(item, within.find(cut, user_hi) + len(cut))
+        at.extend((user_lo, user_hi, item_lo, item_lo + len(item)))
     keep = np.ones(lines.size, dtype=bool)
     keep[blank] = False
     return lines[keep], np.array(at, dtype=np.int64).reshape(-1, 4)

@@ -8,7 +8,8 @@ counterpart has something to teach.
 
 The discrepancy weight is zero unless the counterpart ranks the item inside
 its top T - 1, so each pass works on the two models' (users, T) top-T rows
-only, never on full per-user rankings (see ``docs/distill.md``).
+only, never on full per-user rankings (see ``docs/distill.md``, "Why the top-T
+rows are enough").
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def top_t_weights(
     ranks it by its position in ``own_top[u]``, or ``truncate_rank`` when it
     is absent there. Padding weighs 0. An item outside the counterpart's
     top T - 1 weighs 0 over full rank rows too, so no other item needs a
-    weight (see ``docs/distill.md``).
+    weight (see ``docs/distill.md``, "Why the top-T rows are enough").
     """
     num_users, width = other_top.shape
     # one dense rank table per block of users: cell (row, item) holds the
@@ -180,7 +181,7 @@ def _distill_pass(
     lam = 0 nothing is drawn from ``rng``. The result is that of users
     stepping in order, each from the parameters the previous step left:
     users that share no drawn item step together, in waves (see
-    ``docs/distill.md``).
+    ``docs/distill.md``, "The update").
     """
     if lam == 0:
         return 0.0, 0, 0

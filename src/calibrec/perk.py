@@ -5,13 +5,14 @@ draw with its calibrated probability. Under that model the expected F1 and
 NDCG at any cutoff k have a closed form built on the Poisson-binomial
 distribution (the law of a sum of independent, differently-weighted coins).
 The chosen cutoff k* is the smallest argmax of the expected-utility curve
-over k = 1..k_max. docs/perk.md shows why precision and recall, whose
-curves cannot peak inside 1..k_max, are not offered.
+over k = 1..k_max. docs/perk.md, "Why only F1 and NDCG", shows why
+precision and recall, whose curves cannot peak inside 1..k_max, are not
+offered.
 
 All expectations here are exact under the independence model; nothing is
 sampled. ``perk_recommend_users`` and ``utility_curves`` evaluate whole
-curves for a block of users at once; docs/perk.md derives the curve
-identity.
+curves for a block of users at once; docs/perk.md, "One identity for F1
+and NDCG", derives the curve identity.
 """
 
 from __future__ import annotations

@@ -23,6 +23,8 @@ their own full-table ``np.bincount``, so they check the library's scatters
 too.
 """
 
+import re
+
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
@@ -725,6 +727,28 @@ def reference_load_interactions(path, delimiter=","):
     if not interactions:
         raise DataFormatError("input contains no interactions")
     return interactions, maps
+
+
+def reference_field_ranges(data: bytes, delimiter=","):
+    """Byte ranges of every non-blank line's stripped user and item fields in
+    ``data``, as four lists (user start, user end, item start, item end), each
+    from the field's character offset by encoding the line up to it; None when
+    a line is malformed or none is non-blank. A line ends at every CR or LF."""
+    ranges = [[], [], [], []]
+    for line in re.finditer(rb"[^\r\n]+", data):
+        text = line.group().decode("utf-8")
+        stripped = text.strip()
+        if not stripped:
+            continue
+        fields = stripped.split(delimiter)
+        if len(fields) not in (2, 3) or not fields[0].strip() or not fields[1].strip():
+            return None
+        user = len(text) - len(text.lstrip())
+        item = user + len(fields[0]) + len(delimiter) + len(fields[1]) - len(fields[1].lstrip())
+        chars = (user, user + len(fields[0].rstrip()), item, item + len(fields[1].strip()))
+        for found, k in zip(ranges, chars):
+            found.append(line.start() + len(text[:k].encode("utf-8")))
+    return ranges if ranges[0] else None
 
 
 def reference_read_split(path, delimiter, num_users):

@@ -17,7 +17,7 @@ from calibrec.dataset import (
 from calibrec.synthetic import low_rank_interactions, write_interactions_csv
 
 from conftest import make_dataset
-from oracles import first_seen_index, reference_load_interactions
+from oracles import first_seen_index, reference_field_ranges, reference_load_interactions
 
 
 def write(tmp_path, text, name="inter.csv"):
@@ -165,6 +165,16 @@ def loaded(loader, path, delimiter):
             list(maps.user_to_index.items()), list(maps.item_to_index.items()))
 
 
+def assert_field_ranges(data, delimiter):
+    """Unless a line is malformed, each line's field byte ranges are where its
+    stripped fields lie: the same bytes elsewhere in the line would read as
+    the same id, which pairs and id maps cannot show."""
+    expected = reference_field_ranges(data, delimiter)
+    if expected is not None:
+        fields = dataset_module._id_fields(data, np.frombuffer(data, dtype=np.uint8), delimiter)
+        assert [field.tolist() for field in fields] == expected
+
+
 DELIMITERS = [",", "\t", "::", " :: ", " ", "\u3000"]
 DELIMITER_IDS = ["comma", "tab", "colons", "spaced-colons", "space", "ideographic-space"]
 
@@ -178,9 +188,11 @@ class TestLoaderMatchesReference:
         path = tmp_path / "log.txt"
         outcomes = set()
         for _ in range(300):
-            path.write_bytes(random_log(rng, delimiter).encode("utf-8"))
+            data = random_log(rng, delimiter).encode("utf-8")
+            path.write_bytes(data)
             got = loaded(load_interactions, path, delimiter)
             assert got == loaded(reference_load_interactions, path, delimiter)
+            assert_field_ranges(data, delimiter)
             outcomes.add(got[0] if got[0] == "error" else "ok")
         assert outcomes == {"ok", "error"}
 
@@ -218,6 +230,16 @@ class TestLoaderMatchesReference:
             ("a,b,", ","),  # an empty timestamp
             ("a b,c", ","),  # a space inside an id
             ("\u00fcn\u00ef,\u7528\u6237\r\n", ","),  # non-ASCII ids, CRLF
+            # multi-byte ids with multi-byte padding around both fields and
+            # every delimiter
+            ("\u3000\u7528\u6237\u00a0,\u3000\u00a0it\u2019s\u00a0\u3000\n"
+             "\u00a0\u00fcn\u00ef\u3000,\u3000\u30e6\u3000,\u00a01\u3000\n", ","),
+            ("\u00a0\u3000\u00e9t\u00e9\u3000::\u00a0\u7528\u3000::\u30001\u00a0\n", "::"),
+            # an id's bytes recur before the field: a delimiter in the leading
+            # run with the item inside the user, and the item inside the delimiter
+            ("\tab\tb\n", "\t"),
+            ("\u3000\u00e9a\u3000a\u3000\n", "\u3000"),
+            ("u\u2019x\u2019x\u2019\n", "\u2019x\u2019"),
             ("\ufeffa,x\r\nb,y", ","),  # a byte order mark is dropped
             ("\ufeff\ufeffa,x\n\ufeff,y\n", ","),  # only the first one, which is no whitespace
             ("\ufeff", ","),  # nothing after the mark
@@ -236,6 +258,7 @@ class TestLoaderMatchesReference:
         assert loaded(load_interactions, path, delimiter) == loaded(
             reference_load_interactions, path, delimiter
         )
+        assert_field_ranges(text.encode("utf-8"), delimiter)
 
     def test_strippable_bytes_are_space_controls_and_non_ascii(self):
         # the numpy cut reads only ASCII lines without whitespace outside
