@@ -185,7 +185,10 @@ CONFIG_SPEC = {
         str, PerkConfig().utility, f"expected utility maximized per user: {' or '.join(UTILITIES)}"
     ),
     "perk.rest_pool": (
-        int, PerkConfig().rest_pool, "extra candidates feeding the remaining-relevant count"
+        int,
+        PerkConfig().rest_pool,
+        "extra candidates feeding the remaining-relevant count; relevance mass "
+        "beyond the top k_max + rest_pool is dropped",
     ),
     "eval.split": (_choice(*SPLITS), "test", "split evaluated against"),
     "eval.ks": (
@@ -439,8 +442,9 @@ def load_recommendations(path, num_users: int, num_items: int):
     naming the file and the first bad line, for a row that is not JSON,
     lacks a key of its kind, holds a user or item that is not an integer, a
     k_star outside 1..len(curve) or other than its item count, a user
-    outside [0, num_users) or one an earlier row already named, or an item
-    outside [0, num_items); and, naming the file, for a file without rows.
+    outside [0, num_users) or one an earlier row already named, an item
+    outside [0, num_items), or a list that repeats an item; and, naming the
+    file, for a file without rows.
     """
     rows, seen = [], {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -752,18 +756,18 @@ def _write_perk_summary(path, lists, dataset, cfg):
         result = metrics.evaluate(lists.users, lists.items, dataset, split=split,
                                   metrics=(utility,), k_star=lists.k_star)
         realized = result.rows[0].means[utility]
-    write_json(
-        path,
-        {
-            "utility": utility,
-            "num_users": len(lists.users),
-            "mean_k_star": float(np.mean(lists.k_star)) if len(lists.users) else None,
-            "k_star_histogram": dict(zip(map(str, k_values.tolist()), k_counts.tolist())),
-            "mean_expected_utility_at_k_star": float(np.mean(expected)) if len(expected) else None,
-            "mean_realized_utility_at_k_star": realized,
-            "realized_split": split,
-        },
-    )
+    summary = {
+        "utility": utility,
+        "num_users": len(lists.users),
+        "mean_k_star": float(np.mean(lists.k_star)) if len(lists.users) else None,
+        "k_star_histogram": dict(zip(map(str, k_values.tolist()), k_counts.tolist())),
+        "mean_expected_utility_at_k_star": float(np.mean(expected)) if len(expected) else None,
+        "mean_realized_utility_at_k_star": realized,
+        "realized_split": split,
+    }
+    if utility == "f1":  # the node count of the quadrature behind f1's rest term
+        summary["rest_nodes"] = lists.rest_nodes
+    write_json(path, summary)
 
 
 def cmd_eval(args, cfg) -> int:

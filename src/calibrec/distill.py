@@ -20,7 +20,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .ranker import TOP_K_BLOCK, MfParams, TrainConfig, pointwise_epoch, score_pairs, sigmoid, top_k
+from .ranker import (
+    TOP_K_BLOCK,
+    MfParams,
+    TrainConfig,
+    pointwise_epoch,
+    row_order,
+    score_pairs,
+    sigmoid,
+    top_k,
+)
 
 # probabilities entering distillation logs are clamped to this band
 PROB_CLAMP = 1e-7
@@ -109,7 +118,8 @@ def draw_distill_items(
     np.divide(np.log1p(-rng.random(weights.shape)), weights, out=keys, where=positive)
     few = np.count_nonzero(positive, axis=1) <= n
     keys[few] = np.where(positive[few], -items[few], -np.inf)
-    order = np.argsort(-keys, axis=1, kind="stable")[:, :n]
+    # weight-0 entries, at -inf, all become -1, so their order is free
+    order = row_order(-keys)[:, :n]
     drawn = np.take_along_axis(items, order, axis=1)
     drawn[np.take_along_axis(keys, order, axis=1) == -np.inf] = -1
     return drawn

@@ -9,15 +9,18 @@ over k = 1..k_max. docs/perk.md, "Why only F1 and NDCG", shows why
 precision and recall, whose curves cannot peak inside 1..k_max, are not
 offered.
 
-All expectations here are exact under the independence model; nothing is
-sampled. ``perk_recommend_users`` and ``utility_curves`` evaluate whole
-curves for a block of users at once; docs/perk.md, "One identity for F1
-and NDCG", derives the curve identity.
+All expectations here are exact under the independence model, but for
+f1's rest term, which Gauss–Legendre quadrature integrates to a tested 1e-12
+relative tolerance; nothing is sampled. ``perk_recommend_users`` and
+``utility_curves`` evaluate whole curves for a block of users at once;
+docs/perk.md, "One identity for F1 and NDCG", derives the curve identity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -50,13 +53,15 @@ class PerkLists(NamedTuple):
     """Personalized lists, one row per user: ``items`` (U, k_max) best first
     and -1 past each ``k_star``; ``curves`` (U, k_max) NaN past each
     ``k_max_effective``, the curve length computed, below k_max only where
-    the candidate pool ran out."""
+    the candidate pool ran out. ``rest_nodes`` is the largest quadrature
+    node count any block's f1 rest term used, 0 for ndcg."""
 
     users: np.ndarray
     items: np.ndarray
     k_star: np.ndarray
     curves: np.ndarray
     k_max_effective: np.ndarray
+    rest_nodes: int = 0
 
 
 def _validate_probs(probs, name: str) -> np.ndarray:
@@ -80,15 +85,80 @@ def _fold(pmf: np.ndarray, p: np.ndarray) -> None:
     pmf[1:] += shifted
 
 
-def _pb_rows(probs: np.ndarray, counts: int | None = None) -> np.ndarray:
+def _pb_rows(probs: np.ndarray, counts: int) -> np.ndarray:
     """Poisson-binomial count pmfs, row by row: (users, n) probabilities to
     (users, counts), a transposed view of the (counts, users) array that is
-    folded. Counts default to all n + 1; mass at higher counts is dropped."""
-    pmf = np.zeros((probs.shape[1] + 1 if counts is None else counts, len(probs)))
+    folded. Mass at counts of ``counts`` and above is dropped."""
+    pmf = np.zeros((counts, len(probs)))
     pmf[0] = 1.0
     for j, p in enumerate(np.ascontiguousarray(probs.T)):
         _fold(pmf[: j + 2], p)
     return pmf.T
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-node Gauss–Legendre rule on [0, 1] as (nodes x, 1 - x, weights).
+
+    Newton's method on the three-term Legendre recurrence, started from
+    cosine estimates of the roots, places the nodes to rounding; numpy's
+    ``leggauss`` is off by about 1e-12 relative at 128 nodes.
+    """
+
+    def legendre(z):  # P_n(z) and P_n'(z)
+        p_prev, p = np.ones(n), z
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * z * p - (j - 1) * p_prev) / j
+        return p, n * (z * p - p_prev) / (z * z - 1.0)
+
+    z = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p, dp = legendre(z)
+        step = p / dp
+        z = z - step
+        if np.max(np.abs(step)) < 1e-12:  # convergence is quadratic
+            break
+    dp = legendre(z)[1]
+    rule = ((1.0 + z) / 2, (1.0 - z) / 2, 1.0 / ((1.0 - z * z) * dp * dp))
+    for arr in rule:  # cached, so shared by every later call
+        arr.flags.writeable = False
+    return rule
+
+
+def _rest_nodes(rest: np.ndarray, k_max: int) -> int:
+    """Quadrature nodes ``_rest_phi`` uses for one block's (users, R) rest pools.
+
+    The integrand x^(t-1) G(x) is a polynomial of degree at most 2 k_max - 1
+    + R, which n_exact = k_max + ceil(R / 2) nodes integrate exactly. Short of
+    that, it decays like exp(-(t - 1 + sum p) (1 - x)) away from x = 1, where
+    the nodes crowd like 1/n^2, so the rule takes n = 3.5 sqrt(sum p + 2 k_max),
+    rounded up to a multiple of 8, with sum p the block's largest rest-pool
+    sum; tests/test_perk.py holds it within 1e-12 relative of the exact fold,
+    which 2.6 sqrt(...) misses.
+    """
+    n_exact = k_max + (rest.shape[1] + 1) // 2
+    spread = float(rest.sum(axis=1).max(initial=0.0)) + 2 * k_max
+    return min(n_exact, 8 * math.ceil(3.5 * math.sqrt(spread) / 8))
+
+
+def _rest_phi(rest: np.ndarray, k_max: int) -> np.ndarray:
+    """phi[t-1, u] = E[1 / (t + R_u)] for t = 1..2 k_max, R_u user u's
+    relevant count over its rest pool, from
+
+        E[1 / (t + R)] = integral over [0, 1] of x^(t-1) G(x) dx,
+        G(x) = prod_i (1 - p_i (1 - x)), R's generating function,
+
+    by Gauss–Legendre quadrature on ``_rest_nodes`` nodes. G is built one
+    item at a time; every factor lies in [0, 1], so underflow drops only
+    negligible terms."""
+    x, one_minus_x, w = _gauss_legendre(_rest_nodes(rest, k_max))
+    g = np.ones((len(x), len(rest)))
+    factor = np.empty_like(g)
+    for p in np.ascontiguousarray(rest.T):
+        np.multiply(one_minus_x[:, None], p, out=factor)
+        np.subtract(1.0, factor, out=factor)
+        g *= factor
+    return (w * x ** np.arange(2 * k_max)[:, None]) @ g
 
 
 def _block_curves(ranked: np.ndarray, rest: np.ndarray, kind: str) -> np.ndarray:
@@ -113,9 +183,7 @@ def _block_curves(ranked: np.ndarray, rest: np.ndarray, kind: str) -> np.ndarray
         # phi[t-1] = E[1 / (t + R_k)] for t = 1..2 k_max. A step back mixes
         # phi[t-1] and phi[t], a fold run in reverse; it leaves one more top
         # entry stale, never one that h reads.
-        pmf_rest = _pb_rows(rest).T  # (R+1, users), as folded
-        t = np.arange(1, 2 * k_max + 1)[:, None]
-        phi = (1.0 / (t + np.arange(len(pmf_rest)))) @ pmf_rest
+        phi = _rest_phi(rest, k_max)
         for k in range(k_max, 0, -1):
             h[k - 1, : k + 1] = 2.0 * phi[k - 1 : 2 * k]  # W = 2/(k + n + R_k)
             _fold(phi[::-1], probs[k - 1])
@@ -148,9 +216,10 @@ def utility_curves(ranked_probs, rest_probs, kind: str) -> np.ndarray:
 
     with W = 2/(k+1+m), g = 1 for f1 and W = 1/IDCG(min(m+1, k)),
     g_i = 1/log2(i+2) for ndcg. A_k comes from a
-    forward fold over k and H_k from a backward one. Users are evaluated a
-    block at a time. The exact values lie in [0, 1]; float rounding above 1
-    is clipped.
+    forward fold over k and H_k from a backward one; f1's H_K, built from
+    the rest pool, is integrated by quadrature (``_rest_phi``) to a tested
+    1e-12 relative tolerance. Users are evaluated a block at a time. The
+    exact values lie in [0, 1]; float rounding above 1 is clipped.
     """
     ranked = _validate_probs(ranked_probs, "ranked_probs")
     rest = _validate_probs(rest_probs, "rest_probs")
@@ -195,7 +264,8 @@ def perk_recommend_users(
     through the calibrator (including any recorded score shift);
     ``utility_curves`` evaluates k = 1..k_max, and one argmax over the
     curves, masked past each pool, cuts every list at its curve's smallest
-    argmax (``select_k``). Rows follow ``users``.
+    argmax (``select_k``). Rows follow ``users``; ``rest_nodes`` records the
+    largest quadrature node count an f1 block used.
     Raises ValueError if a user has no candidates.
     """
     users = np.asarray(users, dtype=np.int64).ravel()
@@ -207,6 +277,7 @@ def perk_recommend_users(
         curves=np.full((len(users), k_max), np.nan),
         k_max_effective=np.empty(len(users), dtype=np.int64),
     )
+    rest_nodes = 0
     for start in range(0, len(users), _BLOCK_USERS):
         rows = slice(start, start + _BLOCK_USERS)
         block = users[rows]
@@ -219,11 +290,14 @@ def perk_recommend_users(
         # padding keeps probability 0, which leaves every curve unchanged
         probs = np.zeros(pools.shape)
         probs[candidates] = apply(calibrator, scores)
-        curves = utility_curves(probs[:, :k_max], probs[:, k_max:], cfg.utility)
+        ranked, rest = probs[:, :k_max], probs[:, k_max:]
+        curves = utility_curves(ranked, rest, cfg.utility)
+        if cfg.utility == "f1":
+            rest_nodes = max(rest_nodes, _rest_nodes(rest, k_max))
         computed = candidates[:, :k_max]
         k_star = select_k(np.where(computed, curves, -np.inf))
         out.items[rows] = np.where(np.arange(k_max) < k_star[:, None], pools[:, :k_max], -1)
         out.k_star[rows] = k_star
         out.curves[rows] = np.where(computed, curves, np.nan)
         out.k_max_effective[rows] = computed.sum(axis=1)
-    return out
+    return out._replace(rest_nodes=rest_nodes)

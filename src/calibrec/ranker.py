@@ -356,6 +356,23 @@ def loss_epochs() -> dict:
     return {"bpr": bpr_epoch, "pointwise": pointwise_epoch}
 
 
+def row_order(key: np.ndarray) -> np.ndarray:
+    """Each row's ascending argsort of the 2-D ``key``, ties in index order as
+    a stable sort leaves them, except that +inf entries may come in any order.
+
+    numpy's default sort orders every row; only rows where two adjacent
+    sorted keys are equal and finite are sorted again, stably.
+    """
+    order = np.argsort(key, axis=1)
+    ranked = np.take_along_axis(key, order, axis=1)
+    tied = ranked[:, 1:] == ranked[:, :-1]
+    tied &= np.isfinite(ranked[:, 1:])
+    rows = np.flatnonzero(tied.any(axis=1))
+    if rows.size:
+        order[rows] = np.argsort(key[rows], axis=1, kind="stable")
+    return order
+
+
 def _ranked_block(
     params: MfParams, users: np.ndarray, width: int, ex_rows: np.ndarray, ex_items: np.ndarray
 ) -> np.ndarray:
@@ -367,7 +384,7 @@ def _ranked_block(
     than ``width`` items at or above its ``width``-th best score (a tie at the
     cut, or a short row, whose ``width``-th best is -inf) takes instead the
     items above that score, then the tied ones by index. Each row, sorted by
-    index, is then ordered by a stable sort of its scores. Excluded items
+    index, is then ordered by its scores with ``row_order``. Excluded items
     score -inf, so they become -1 and sort last. The parameters must be
     finite: a NaN score would break the count.
     """
@@ -393,7 +410,7 @@ def _ranked_block(
     key = np.take_along_axis(scores, best, axis=1)
     np.negative(key, out=key)
     best[key == np.inf] = -1
-    return np.take_along_axis(best, np.argsort(key, axis=1, kind="stable"), axis=1)
+    return np.take_along_axis(best, row_order(key), axis=1)
 
 
 def top_k(params: MfParams, users, k: int, exclude: Csr | None = None) -> np.ndarray:

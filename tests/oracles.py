@@ -4,7 +4,8 @@ Everything here is deliberately brute force: exhaustive enumeration, Monte
 Carlo simulation, finite differences, a full sort of every score, the
 definitional one-user expected utilities and their Poisson-binomial
 dynamic program, the incremental per-cutoff expected-utility curve that
-the batched one replaced, the dict form of the rank-discrepancy weights,
+the batched one replaced, the full rest-pool count fold that f1's
+quadrature replaced, the dict form of the rank-discrepancy weights,
 the per-example ``np.add.at`` training steps that the bincount scatter
 replaced, the batched training steps with fresh per-batch arrays that the
 per-epoch buffers replaced, the per-user distillation steps that the waves
@@ -219,6 +220,22 @@ def expected_ndcg(probs_topk, probs_rest) -> float:
     if len(top) == 0:
         raise ValueError("top-k probabilities must be non-empty")
     return _ndcg_from_rest_pmf(top, pb_pmf(rest))
+
+
+def rest_phi_by_fold(rest, k_max):
+    """phi[t-1, u] = E[1 / (t + R_u)] for t = 1..2 k_max, R_u the relevant
+    count over row u of the (users, R) ``rest``: all R + 1 counts of each
+    row's Poisson-binomial pmf, folded item by item, O(R^2) per user."""
+    rest = np.asarray(rest, dtype=float)
+    pmf = np.zeros((rest.shape[1] + 1, len(rest)))
+    pmf[0] = 1.0
+    for j, p in enumerate(rest.T):
+        head = pmf[: j + 2]
+        shifted = head[:-1] * p
+        head *= 1.0 - p
+        head[1:] += shifted
+    t = np.arange(1, 2 * k_max + 1)[:, None]
+    return (1.0 / (t + np.arange(len(pmf)))) @ pmf
 
 
 def reference_utility_curve(ranked, rest, kind):

@@ -145,7 +145,7 @@ def test_c02_poisson_binomial_exactness():
     rng = np.random.default_rng(202)
     for n in range(1, 13):
         probs = rng.random((20, n))
-        for row, exact in zip(probs, _pb_rows(probs)):
+        for row, exact in zip(probs, _pb_rows(probs, n + 1)):
             reference = brute_force_pb(row)
             assert np.max(np.abs(exact - reference)) < 1e-12
             assert abs(exact.sum() - 1.0) < 1e-9

@@ -1564,6 +1564,8 @@ class TestRecommend:
         assert agg["num_users"] == 40
         assert sum(agg["k_star_histogram"].values()) == 40
         assert agg["mean_k_star"] == float(np.mean(k_star))
+        # f1's rest term took quadrature nodes; 12 + ceil(20 / 2) integrate it exactly
+        assert 0 < agg["rest_nodes"] <= 22
 
     def test_failed_summary_leaves_no_lists(self, workspace, tmp_path, monkeypatch):
         def failing_write(path, payload):
@@ -1609,9 +1611,11 @@ class TestOutputDirectoriesCreated:
                    "--out", tmp_path / "perk.jsonl", "--perk",
                    "--calibrator", workspace / "calib" / "calibrator.json",
                    "--summary", tmp_path / "summaries" / "s.json",
-                   "--set", "perk.k_max=5", "--set", "perk.rest_pool=10") == 0
+                   "--set", "perk.k_max=5", "--set", "perk.rest_pool=10",
+                   "--set", "perk.utility=ndcg") == 0
         summary = json.loads((tmp_path / "summaries" / "s.json").read_text())
         assert summary["num_users"] == len(read_jsonl(tmp_path / "perk.jsonl"))
+        assert "rest_nodes" not in summary  # ndcg folds its rest pool; nothing is integrated
 
     def test_every_other_stage_two_levels_down(self, workspace, tmp_path):
         data = ("--data", workspace / "bundle")

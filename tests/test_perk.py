@@ -23,6 +23,7 @@ from oracles import (
     mc_recall,
     pb_pmf,
     reference_utility_curve,
+    rest_phi_by_fold,
 )
 
 
@@ -284,9 +285,18 @@ class TestUtilityCurves:
     def test_blocking_changes_only_rounding(self, kind, monkeypatch):
         block = padded_block(probability_cases(42))
         whole = utility_curves(*block, kind)
+        # f1's node count follows each block's largest rest sum, so other
+        # blocks move its curves within the quadrature's tolerance
         for block_users in (1, 7):  # 14 users: 14 blocks or 2
             monkeypatch.setattr(perk, "_BLOCK_USERS", block_users)
-            # block GEMMs may round differently, nothing more
+            np.testing.assert_allclose(utility_curves(*block, kind), whole, rtol=1e-12, atol=0)
+        # with the node count held, block GEMMs may round differently, nothing more
+        nodes = perk._rest_nodes(block[1], block[0].shape[1])
+        monkeypatch.setattr(perk, "_rest_nodes", lambda rest, k_max: nodes)
+        monkeypatch.setattr(perk, "_BLOCK_USERS", 128)
+        whole = utility_curves(*block, kind)
+        for block_users in (1, 7):
+            monkeypatch.setattr(perk, "_BLOCK_USERS", block_users)
             np.testing.assert_allclose(utility_curves(*block, kind), whole, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("kind", UTILITIES)
@@ -331,6 +341,96 @@ class TestUtilityCurves:
             utility_curves([[0.6, 0.3]], [[0.1]], kind)
         with pytest.raises(ValueError, match="f1.*ndcg"):
             PerkConfig(utility=kind)
+
+
+def rest_pools(size, total, rng):
+    """(users, size) rest pools, each summing to ``total`` where it fits:
+    flat, geometric decays of three lengths and random shapes, capped at 1."""
+    if size == 0:
+        return np.zeros((1, 0))
+    ramp = np.arange(size)
+    shapes = [np.ones(size)] + [np.exp(-ramp / (size / d)) for d in (1, 3, 10)]
+    shapes += [rng.random(size) ** rng.uniform(0.5, 4) for _ in range(4)]
+    pools = np.array([shape * (total / shape.sum()) for shape in shapes])
+    return np.minimum(pools, 1.0)
+
+
+def assert_phi_close(got, rest, k_max, rtol):
+    expected = rest_phi_by_fold(rest, k_max)
+    assert np.max(np.abs(got / expected - 1.0)) <= rtol, (rest.shape, k_max)
+
+
+class TestRestQuadrature:
+    """f1's rest term E[1/(t + R)] by Gauss–Legendre quadrature, held to the
+    exact O(R^2) fold in tests/oracles.py."""
+
+    GRID = [(0, [0.0]), (1, [0.0, 0.3, 1.0]), (100, [0.5, 10, 35, 91]),
+            (300, [1, 35, 157, 250]), (1300, [10, 248, 537, 700]), (3650, [35, 400, 700])]
+
+    @pytest.mark.parametrize("k_max", [1, 12, 50])
+    def test_phi_matches_fold(self, k_max):
+        rng = np.random.default_rng(71 + k_max)
+        for size, totals in self.GRID:
+            for total in totals:
+                rest = rest_pools(size, total, rng)
+                assert_phi_close(perk._rest_phi(rest, k_max), rest, k_max, 1e-12)
+
+    @pytest.mark.parametrize("size", [1, 100, 300, 1300, 3650])
+    def test_all_ones_and_all_zeros(self, size):
+        rest = np.vstack([np.ones(size), np.zeros(size)])
+        for k_max in (1, 12, 50):
+            phi = perk._rest_phi(rest, k_max)
+            t = np.arange(1, 2 * k_max + 1)
+            np.testing.assert_allclose(phi.T, [1.0 / (t + size), 1.0 / t], rtol=1e-12, atol=0)
+
+    def test_ragged_pools_in_one_block(self):
+        rng = np.random.default_rng(73)
+        sizes = [0, 1, 40, 300, 1300]
+        rest = np.zeros((len(sizes), max(sizes)))
+        for row, size in enumerate(sizes):
+            rest[row, :size] = rest_pools(size, 0.3 * size, rng)[-1]
+        for k_max in (1, 12, 50):
+            phi = perk._rest_phi(rest, k_max)
+            assert_phi_close(phi, rest, k_max, 1e-12)
+            for row, size in enumerate(sizes):  # padding with zeros moves nothing
+                alone = perk._rest_phi(rest[row : row + 1, :size], k_max)[:, 0]
+                np.testing.assert_allclose(phi[:, row], alone, rtol=1e-12, atol=0)
+
+    def test_exact_node_count_matches_fold_to_rounding(self):
+        # n_exact = k_max + ceil(R / 2) nodes integrate the polynomial exactly
+        rng = np.random.default_rng(74)
+        for k_max, size in [(1, 0), (1, 1), (12, 0), (12, 1), (12, 7), (3, 20), (20, 4)]:
+            rest = rng.random((5, size))
+            nodes = perk._rest_nodes(rest, k_max)
+            assert nodes == k_max + (size + 1) // 2
+            assert_phi_close(perk._rest_phi(rest, k_max), rest, k_max, 1e-13)
+
+    def test_nodes_grow_with_the_rest_sum(self):
+        rest = np.full((1, 3650), 0.1)
+        counts = [perk._rest_nodes(rest * scale, 50) for scale in (0.0, 0.1, 1.0, 2.0)]
+        assert counts == sorted(counts) and counts[0] < counts[-1] < 50 + 3650 // 2
+
+    def test_rule_integrates_polynomials_exactly(self):
+        for n in (1, 2, 7, 48, 120):
+            x, one_minus_x, w = perk._gauss_legendre(n)
+            np.testing.assert_allclose(x + one_minus_x, 1.0, rtol=0, atol=1e-15)
+            degree = np.arange(2 * n)
+            moments = (x ** degree[:, None]) @ w
+            np.testing.assert_allclose(moments, 1.0 / (degree + 1), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("k_max", [1, 12, 50])
+    def test_f1_curves_match_the_fold(self, k_max, monkeypatch):
+        rng = np.random.default_rng(75 + k_max)
+        ranked = np.sort(rng.random((6, k_max)), axis=1)[:, ::-1]
+        for size, totals in self.GRID:
+            for total in totals:
+                rest = rest_pools(size, total, rng)[:6]
+                rows = ranked[: len(rest)]
+                got = utility_curves(rows, rest, "f1")
+                with monkeypatch.context() as patch:
+                    patch.setattr(perk, "_rest_phi", rest_phi_by_fold)
+                    expected = utility_curves(rows, rest, "f1")
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 class TestSelectK:
@@ -503,6 +603,19 @@ class TestPerkRecommendUsers:
         empty = perk_recommend_users(params, cal, dataset.train, [], cfg)
         assert empty.items.shape == empty.curves.shape == (0, 3)
         assert empty.users.size == empty.k_star.size == empty.k_max_effective.size == 0
+
+    def test_rest_nodes_is_the_largest_block_count(self, monkeypatch):
+        dataset, params, _ = self.make_setup()
+        cal = Calibrator("platt", a=1.3, b=-0.2)
+        monkeypatch.setattr(perk, "_BLOCK_USERS", 4)
+        rule, used = perk._rest_nodes, []
+        monkeypatch.setattr(perk, "_rest_nodes", lambda *args: used.append(rule(*args)) or used[-1])
+        for utility in UTILITIES:
+            used.clear()
+            cfg = PerkConfig(k_max=3, utility=utility, rest_pool=12)
+            lists = perk_recommend_users(params, cal, dataset.train, range(9), cfg)
+            assert lists.rest_nodes == max(used, default=0)
+            assert (lists.rest_nodes > 0) == (utility == "f1")
 
     def test_rows_are_padded_past_each_cut(self):
         dataset, params, _ = self.make_setup()

@@ -560,6 +560,60 @@ def tie_heavy_params(num_users=7, num_items=40, dim=3, seed=0):
     return params_from(grid(num_users, dim), item_emb, bias)
 
 
+class TestRowOrder:
+    def argsort_calls(self, monkeypatch):
+        """Spy on np.argsort: each call's (kind, rows sorted) in a list."""
+        calls, argsort = [], np.argsort
+
+        def spy(a, *args, **kwargs):
+            calls.append((kwargs.get("kind"), np.array(a)))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        return calls
+
+    def test_stable_sort_runs_only_for_tied_rows(self, monkeypatch):
+        # integer-valued keys: rows 1 and 4 tie at finite keys, row 2 only at
+        # +inf, whose entries the callers all turn to -1
+        rng = np.random.default_rng(8)
+        key = np.array([rng.permutation(9) for _ in range(6)], dtype=float)
+        key[1, [2, 6]] = 3.0
+        key[2, [0, 5, 7]] = np.inf
+        key[4] = [2, 0, 2, 1, 0, 2, 1, 0, np.inf]
+        calls = self.argsort_calls(monkeypatch)
+        got = ranker.row_order(key)
+        assert [kind for kind, _ in calls] == [None, "stable"]
+        np.testing.assert_array_equal(calls[1][1], key[[1, 4]])
+        want = np.argsort(key, axis=1, kind="stable")
+        finite = np.isfinite(np.take_along_axis(key, want, axis=1))
+        np.testing.assert_array_equal(np.where(finite, got, -1), np.where(finite, want, -1))
+        np.testing.assert_array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+
+    def test_untied_block_sorts_once(self, monkeypatch):
+        key = np.random.default_rng(9).normal(size=(5, 30))
+        key[:, :4] = np.inf
+        calls = self.argsort_calls(monkeypatch)
+        got = ranker.row_order(key)
+        assert [kind for kind, _ in calls] == [None]
+        np.testing.assert_array_equal(got[:, :-4], np.argsort(key, axis=1, kind="stable")[:, :-4])
+        np.testing.assert_array_equal(np.sort(got[:, -4:], axis=1), np.tile(np.arange(4), (5, 1)))
+
+    def test_top_k_resorts_only_rows_with_tied_scores(self, monkeypatch):
+        # users 0-3 see tie-heavy scores, users 4-7 untied ones, in one block
+        tied, untied = tie_heavy_params(num_users=4), init_params(4, 40, 3, seed=2)
+        zeros = np.zeros((4, 3))
+        params = params_from(
+            np.block([[tied.user_emb, zeros], [zeros, untied.user_emb]]),
+            np.hstack([tied.item_emb, untied.item_emb]),
+            tied.item_bias,
+        )
+        calls = self.argsort_calls(monkeypatch)
+        got = top_k(params, np.arange(8), 12)
+        assert [(kind, len(rows)) for kind, rows in calls] == [(None, 8), ("stable", 4)]
+        for u, row in enumerate(got):
+            assert row.tolist() == full_sort_ranking(params, u)[:12]
+
+
 class TestTopK:
     @pytest.mark.parametrize(
         "params",
