@@ -29,7 +29,7 @@ bd_cfg = BdConfig(
 
 def recall_at_10(model):
     users = np.arange(dataset.num_users)
-    top = top_k(model, users, 10, dataset.train)
+    top, _ = top_k(model, users, 10, dataset.train)
     result = evaluate(users, top, dataset, split="validation", metrics=("recall",), ks=(10,))
     return result.rows[0].means["recall"]
 

@@ -54,21 +54,21 @@ def output_set():
 
 
 @contextlib.contextmanager
-def atomic_open(path, keep_existing=False, binary=False):
+def atomic_open(path, keep_existing=None, binary=False):
     """Text (or ``binary``) handle on ``<path>.partial``, renamed over ``path`` when the block ends.
 
     Missing directories of ``path`` are created. If the block raises, the
     partial file is removed and ``path`` is left as it was: a failed run
-    never leaves a truncated file under its final name. ``keep_existing``
-    starts the handle after a copy of the current ``path`` (a resumed run's
-    log). Inside an ``output_set``, which an enclosing ``atomic_open`` block
-    also opens, the rename waits for the set to end.
+    never leaves a truncated file under its final name. ``keep_existing``,
+    a path, starts the handle after a copy of that file if it exists (a
+    resumed run's log). Inside an ``output_set``, which an enclosing
+    ``atomic_open`` block also opens, the rename waits for the set to end.
     """
     path = Path(path).absolute()
     partial = path.with_name(path.name + ".partial")
     path.parent.mkdir(parents=True, exist_ok=True)
-    if keep_existing and path.exists():
-        shutil.copyfile(path, partial)
+    if keep_existing is not None and Path(keep_existing).exists():
+        shutil.copyfile(keep_existing, partial)
         mode = "a"
     else:
         mode = "w"

@@ -521,7 +521,8 @@ def cmd_train(args, cfg) -> int:
     if args.resume:
         params, header = _load_model(args.resume, dataset)
         for key, wanted, trained in (
-            ("train.loss", cfg["train.loss"], header.get("loss_kind")),
+            ("seed", cfg["seed"], header["seed"]),
+            ("train.loss", cfg["train.loss"], header["loss_kind"]),
             ("train.dim", cfg["train.dim"], params.dim),
         ):
             if wanted != trained:
@@ -538,8 +539,12 @@ def cmd_train(args, cfg) -> int:
         )
         start_epoch = 0
 
-    log_path = Path(args.log) if args.log else Path(str(args.out) + "_log.jsonl")
-    with atomic_open(log_path, keep_existing=bool(args.resume)) as log:
+    log_path = Path(args.log or f"{args.out}_log.jsonl")
+    earlier = Path(args.log or f"{args.resume}_log.jsonl") if args.resume else None
+    if earlier and not earlier.exists():
+        print(f"calibrec: warning: no earlier log {earlier}; {log_path} starts at epoch "
+              f"{start_epoch}", file=sys.stderr)
+    with atomic_open(log_path, keep_existing=earlier) as log:
         for epoch in range(start_epoch, cfg["train.epochs"]):
             rng = np.random.default_rng(stream_seed(cfg["seed"], "train", 1 + epoch))
             params, loss = epoch_fn(params, dataset, train_cfg, rng)
@@ -665,7 +670,7 @@ def cmd_distill(args, cfg) -> int:
     if len(dataset.validation):
         users = np.arange(dataset.num_users)
         result = metrics.evaluate(
-            users, top_k(models[1], users, 10, dataset.train), dataset,
+            users, top_k(models[1], users, 10, dataset.train)[0], dataset,
             split="validation", metrics=("recall",), ks=(10,),
         )
         recall = result.rows[0].means["recall"]
@@ -729,7 +734,7 @@ def cmd_recommend(args, cfg) -> int:
             _write_perk_summary(args.summary, lists, dataset, cfg)
         print(f"wrote {len(lists.users)} personalized lists to {out_path}")
     else:
-        lists = top_k(params, np.arange(dataset.num_users), args.k, excluded)
+        lists, _ = top_k(params, np.arange(dataset.num_users), args.k, excluded)
         lengths = (lists >= 0).sum(axis=1)  # rows are -1-padded at the end
         users = np.flatnonzero(lengths)
         short = users[lengths[users] < args.k]

@@ -26,7 +26,6 @@ from .ranker import (
     TrainConfig,
     pointwise_epoch,
     row_order,
-    score_pairs,
     sigmoid,
     top_k,
 )
@@ -57,8 +56,10 @@ class BdConfig:
             raise ValueError("epochs must be >= 0")
 
 
-def top_t_rows(params: MfParams, dataset: Dataset, truncate_rank: int) -> np.ndarray:
-    """Every user's best ``truncate_rank`` non-train items: ``top_k`` rows, -1 padded."""
+def top_t_rows(
+    params: MfParams, dataset: Dataset, truncate_rank: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's best ``truncate_rank`` non-train items and their scores, by ``top_k``."""
     return top_k(params, np.arange(dataset.num_users), truncate_rank, dataset.train)
 
 
@@ -68,7 +69,7 @@ def top_t_weights(
     """Rank-discrepancy weight of every item in the counterpart's top-T rows.
 
     ``own_top`` and ``other_top`` are the learner's and the counterpart's
-    ``top_t_rows`` over the same candidates. Entry (u, j) weighs
+    ``top_t_rows`` items over the same candidates. Entry (u, j) weighs
     ``other_top[u, j]``, which the counterpart ranks j + 1; the learner
     ranks it by its position in ``own_top[u]``, or ``truncate_rank`` when it
     is absent there. Padding weighs 0. An item outside the counterpart's
@@ -99,16 +100,16 @@ def top_t_weights(
 def draw_distill_items(
     items: np.ndarray, weights: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Each row's draw of up to ``n`` distinct items, each draw proportional to weight.
+    """Each row's draw of up to ``n`` distinct entries, each draw proportional to weight.
 
     ``items`` and ``weights`` are (rows, width) arrays. Entries of weight 0,
     padding included, are never drawn. A row with at most ``n`` positive
-    weights gets all of those items, in item order. Any other row gets the
-    ``n`` items with the largest keys log(u) / w, largest first, with u
+    weights gets all of those entries, in item order. Any other row gets the
+    ``n`` entries with the largest keys log(u) / w, largest first, with u
     uniform from one ``rng.random((rows, width))``: the law of ``n``
     sequential draws without replacement, each proportional to weight
-    (Efraimidis and Spirakis, 2006). Returns (rows, min(n, width)) items,
-    -1 padded.
+    (Efraimidis and Spirakis, 2006). Returns the drawn entries' positions
+    in their rows, (rows, min(n, width)), -1 padded.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -120,9 +121,8 @@ def draw_distill_items(
     keys[few] = np.where(positive[few], -items[few], -np.inf)
     # weight-0 entries, at -inf, all become -1, so their order is free
     order = row_order(-keys)[:, :n]
-    drawn = np.take_along_axis(items, order, axis=1)
-    drawn[np.take_along_axis(keys, order, axis=1) == -np.inf] = -1
-    return drawn
+    order[np.take_along_axis(keys, order, axis=1) == -np.inf] = -1
+    return order
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:
@@ -179,7 +179,7 @@ def _distill_pass(
     model: MfParams,
     own_top: np.ndarray,
     other_top: np.ndarray,
-    target_source: MfParams,
+    other_scores: np.ndarray,
     lam: float,
     base_cfg: TrainConfig,
     bd_cfg: BdConfig,
@@ -187,23 +187,23 @@ def _distill_pass(
 ) -> tuple[float, int, int]:
     """Per-user SGD steps on lam * bd_loss; returns (mean item BCE, items, empty users).
 
-    A user is empty when no item weighs above 0, so it draws nothing. At
-    lam = 0 nothing is drawn from ``rng``. The result is that of users
-    stepping in order, each from the parameters the previous step left:
-    users that share no drawn item step together, in waves (see
+    A drawn item's target is sigmoid of its counterpart score in
+    ``other_scores``. A user is empty when no item weighs above 0, so it
+    draws nothing. At lam = 0 nothing is drawn from ``rng``. The result is
+    that of users stepping in order, each from the parameters the previous
+    step left: users that share no drawn item step together, in waves (see
     ``docs/distill.md``, "The update").
     """
     if lam == 0:
         return 0.0, 0, 0
     weights = top_t_weights(own_top, other_top, bd_cfg.eta, bd_cfg.truncate_rank)
-    drawn = draw_distill_items(other_top, weights, bd_cfg.sample_size, rng)
-    taken = drawn >= 0
+    picked = draw_distill_items(other_top, weights, bd_cfg.sample_size, rng)
+    taken = picked >= 0
     counts = np.count_nonzero(taken, axis=1)
     empty_users = int(np.count_nonzero(counts == 0))
-    # drawn items fill a prefix of each row, so this is user order
-    users = np.repeat(np.arange(len(drawn)), counts)
-    targets = np.zeros(drawn.shape)
-    targets[taken] = sigmoid(score_pairs(target_source, users, drawn[taken]))
+    # drawn entries fill a prefix of each row; only that prefix is read
+    drawn = np.take_along_axis(other_top, picked, axis=1)
+    targets = sigmoid(np.take_along_axis(other_scores, picked, axis=1))
     learner = np.zeros(drawn.shape)
     lr = base_cfg.lr
     for group in _step_groups(drawn, counts):
@@ -218,7 +218,7 @@ def _distill_pass(
         model.user_emb[group] -= lr * np.matmul(g[:, None, :], q_rows)[:, 0, :]
         model.item_emb[idx] -= lr * (g[:, :, None] * p[:, None, :])
         model.item_bias[idx] -= lr * g
-    return bd_loss(learner[taken], targets[taken]), len(users), empty_users
+    return bd_loss(learner[taken], targets[taken]), int(counts.sum()), empty_users
 
 
 def _step_groups(drawn: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
@@ -256,10 +256,10 @@ def cotrain_epoch(
     """One epoch of bidirectional co-training: per model, teacher first, a
     base ``pointwise_epoch`` and then a distillation pass toward the other.
 
-    Top-T rows and distillation targets come from the models as passed in
-    (the previous epoch's parameters), so within the epoch the two updates
-    do not feed into each other; the inputs are not modified. The supplied
-    generator is split into three child streams via ``rng.spawn(3)``:
+    Top-T rows and scores (a target is the sigmoid of the counterpart's)
+    come from the models as passed in (the previous epoch's parameters), so
+    the two updates do not feed into each other; the inputs are not
+    modified. The generator is split into three child streams by ``rng.spawn(3)``:
     teacher base epoch, student base epoch, and distillation sampling
     (teacher's pass first, then the student's). With both lambdas zero the
     result is therefore bit-identical to two independent ``pointwise_epoch``
@@ -269,12 +269,12 @@ def cotrain_epoch(
     models = (teacher, student)
     tops = [top_t_rows(model, dataset, bd_cfg.truncate_rank) for model in models]
     trained, stats = [], []
-    for model, base_rng, lam, own_top, other_top, counterpart in zip(
-        models, base_rngs, (bd_cfg.lambda_ts, bd_cfg.lambda_st), tops, tops[::-1], models[::-1]
+    for model, base_rng, lam, (own_top, _), (other_top, other_scores) in zip(
+        models, base_rngs, (bd_cfg.lambda_ts, bd_cfg.lambda_st), tops, tops[::-1]
     ):
         model, base_loss = pointwise_epoch(model, dataset, base_cfg, base_rng)
         passed = _distill_pass(
-            model, own_top, other_top, counterpart, lam, base_cfg, bd_cfg, distill_rng
+            model, own_top, other_top, other_scores, lam, base_cfg, bd_cfg, distill_rng
         )
         trained.append(model)
         stats.append(ModelEpochStats(base_loss, *passed))

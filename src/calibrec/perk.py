@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .calibration import Calibrator, apply
 from .dataset import Csr
-from .ranker import MfParams, score_pairs, top_k
+from .ranker import MfParams, top_k
 
 # the utilities whose expected curve can peak inside 1..k_max
 UTILITIES = ("f1", "ndcg")
@@ -260,8 +260,8 @@ def perk_recommend_users(
     Users go ``_BLOCK_USERS`` at a time. Per block, one ``top_k`` call ranks
     the items outside each user's ``excluded`` row (train, say, or train and
     validation) and keeps the top (k_max + rest_pool) as the candidate
-    pools; one ``score_pairs`` call scores them, one ``apply`` maps them
-    through the calibrator (including any recorded score shift);
+    pools; one ``apply`` maps the scores ``top_k`` ranked them by through
+    the calibrator (including any recorded score shift);
     ``utility_curves`` evaluates k = 1..k_max, and one argmax over the
     curves, masked past each pool, cuts every list at its curve's smallest
     argmax (``select_k``). Rows follow ``users``; ``rest_nodes`` records the
@@ -281,15 +281,13 @@ def perk_recommend_users(
     for start in range(0, len(users), _BLOCK_USERS):
         rows = slice(start, start + _BLOCK_USERS)
         block = users[rows]
-        pools = top_k(params, block, cfg.k_max + cfg.rest_pool, excluded)
+        pools, scores = top_k(params, block, cfg.k_max + cfg.rest_pool, excluded)
         candidates = pools >= 0  # pools are -1-padded at the end of each row
-        sizes = candidates.sum(axis=1)
-        if np.any(sizes == 0):
-            raise ValueError(f"user {block[np.argmin(sizes)]} has no candidate items")
-        scores = score_pairs(params, np.repeat(block, sizes), pools[candidates])
+        if not candidates[:, 0].all():
+            raise ValueError(f"user {block[np.argmin(candidates[:, 0])]} has no candidate items")
         # padding keeps probability 0, which leaves every curve unchanged
         probs = np.zeros(pools.shape)
-        probs[candidates] = apply(calibrator, scores)
+        probs[candidates] = apply(calibrator, scores[candidates])
         ranked, rest = probs[:, :k_max], probs[:, k_max:]
         curves = utility_curves(ranked, rest, cfg.utility)
         if cfg.utility == "f1":

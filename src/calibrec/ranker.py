@@ -3,7 +3,7 @@
 Scores are s(u, i) = <user_emb[u], item_emb[i]> + item_bias[i]. Training is
 plain SGD on either a pairwise ranking loss (observed item scored above a
 sampled unobserved one) or a pointwise logistic loss with sampled negatives.
-Parameters are float64 in memory; checkpoints store float32.
+Parameters are float64, in memory and in checkpoints.
 """
 
 from __future__ import annotations
@@ -375,8 +375,8 @@ def row_order(key: np.ndarray) -> np.ndarray:
 
 def _ranked_block(
     params: MfParams, users: np.ndarray, width: int, ex_rows: np.ndarray, ex_items: np.ndarray
-) -> np.ndarray:
-    """Best ``width`` items of each user in one dense score block, -1 padded.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best ``width`` items of each user and their scores, from one dense score block.
 
     ``(ex_rows, ex_items)`` lists excluded (position in ``users``, item)
     pairs. Order is score descending, ties toward the smaller item index.
@@ -407,19 +407,21 @@ def _ranked_block(
         best[redo] = keep.nonzero()[1].reshape(-1, width)
     # a sorted copy, so the (block, num_items) argpartition output is freed
     best = np.sort(best, axis=1)
-    key = np.take_along_axis(scores, best, axis=1)
-    np.negative(key, out=key)
-    best[key == np.inf] = -1
-    return np.take_along_axis(best, row_order(key), axis=1)
+    kept = np.take_along_axis(scores, best, axis=1)
+    best[kept == -np.inf] = -1
+    order = row_order(-kept)
+    return np.take_along_axis(best, order, axis=1), np.take_along_axis(kept, order, axis=1)
 
 
-def top_k(params: MfParams, users, k: int, exclude: Csr | None = None) -> np.ndarray:
-    """Each user's ``k`` best items, best first, as a (len(users), k') array.
+def top_k(
+    params: MfParams, users, k: int, exclude: Csr | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's ``k`` best items, best first, and their scores: two (len(users), k') arrays.
 
     Items rank by score descending with ties broken toward the smaller item
     index. ``exclude``, one row per model user, removes that user's items
     from the candidates. k' = min(k, num_items); users with fewer candidates
-    than that have their row padded with -1. Users are scored
+    than that have their row padded with -1, scored -inf. Users are scored
     ``TOP_K_BLOCK`` at a time, so no users x items matrix is ever formed.
     Raises ValueError, before any scoring, when a parameter is not finite.
     """
@@ -439,22 +441,23 @@ def top_k(params: MfParams, users, k: int, exclude: Csr | None = None) -> np.nda
         if not np.isfinite(getattr(params, name)).all():
             raise ValueError(f"{name} holds values that are not finite")
     width = min(k, params.num_items)
-    out = np.full((len(users), width), -1, dtype=np.int64)
+    items, scores = np.empty((len(users), width), dtype=np.int64), np.empty((len(users), width))
     if width == 0:
-        return out
+        return items, scores
     empty = np.empty(0, dtype=np.int64)
     for start in range(0, len(users), TOP_K_BLOCK):
-        block = users[start : start + TOP_K_BLOCK]
+        rows = slice(start, start + TOP_K_BLOCK)
+        block = users[rows]
         ex_rows, ex_items = (empty, empty) if exclude is None else exclude.gather(block)
-        out[start : start + len(block)] = _ranked_block(params, block, width, ex_rows, ex_items)
-    return out
+        items[rows], scores[rows] = _ranked_block(params, block, width, ex_rows, ex_items)
+    return items, scores
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: <base>.json header + <base>.bin sidecar holding flat
-# row-major little-endian float32 arrays (user_emb, item_emb, item_bias).
+# row-major little-endian float64 arrays (user_emb, item_emb, item_bias).
 
-CHECKPOINT_FORMAT = "mf-checkpoint-v1"
+CHECKPOINT_FORMAT = "mf-checkpoint-v2"
 _ARRAY_ORDER = ("user_emb", "item_emb", "item_bias")
 
 
@@ -469,26 +472,19 @@ def save_checkpoint(
 
     Both are written to ``.partial`` files first. A failure while writing
     removes them and leaves the pair already under those names as it was.
-    Raises ValueError, before any file is opened, when a value is not finite
-    in float32.
+    Raises ValueError, before any file is opened, when a value is not finite.
     """
     base = Path(base_path)
     header_path = base.with_name(base.name + ".json")
     sidecar_path = base.with_name(base.name + ".bin")
 
-    arrays = {}
     for name in _ARRAY_ORDER:
-        # a value beyond float32's range is reported below, not warned about
-        with np.errstate(over="ignore"):
-            arrays[name] = np.ascontiguousarray(getattr(params, name), dtype="<f4")
-        if not np.isfinite(arrays[name]).all():
-            raise ValueError(f"checkpoint {name} holds values that are not finite in float32")
+        if not np.isfinite(getattr(params, name)).all():
+            raise ValueError(f"checkpoint {name} holds values that are not finite")
+    arrays = {name: np.ascontiguousarray(getattr(params, name), "<f8") for name in _ARRAY_ORDER}
 
     header = {
         "format": CHECKPOINT_FORMAT,
-        "num_users": params.num_users,
-        "num_items": params.num_items,
-        "dim": params.dim,
         "seed": seed,
         "loss_kind": loss_kind,
         "epochs_trained": epochs_trained,
@@ -504,11 +500,12 @@ def load_checkpoint(base_path) -> tuple[MfParams, dict]:
     JSON, when its ``format`` is missing or other than ``CHECKPOINT_FORMAT``,
     when it lacks a key the format requires, when the sidecar's length
     differs from the one the header lists, when an array's dtype is not
-    ``'<f4'`` (the one ``save_checkpoint`` writes), when a value is not
+    ``'<f8'`` (the one ``save_checkpoint`` writes), when a value is not
     finite, when the arrays' shapes disagree (embeddings that are not 2-D or
     differ in dimension, or an ``item_bias`` that is not one entry per item
-    row), when the header's ``num_users``, ``num_items`` or ``dim`` differs
-    from the arrays', or when its ``epochs_trained`` is not an int >= 0.
+    row), when the header's ``seed`` or ``epochs_trained`` is not an int
+    >= 0, or when its ``loss_kind`` names no ``loss_epochs()`` entry. The
+    arrays are writable views on the sidecar's bytes, not copies.
     """
     base = Path(base_path)
     header_path = base if base.suffix == ".json" else base.with_name(base.name + ".json")
@@ -519,28 +516,28 @@ def load_checkpoint(base_path) -> tuple[MfParams, dict]:
     parts = read_sidecar(header_path, header, _ARRAY_ORDER, "checkpoint")
     for name, part in parts.items():
         # the dtype save_checkpoint writes; any other would load as other numbers
-        if part.dtype.str != "<f4":
+        if part.dtype.str != "<f8":
             raise ValueError(
-                f"checkpoint {header_path}: {name} dtype {part.dtype.str!r} is not '<f4'"
+                f"checkpoint {header_path}: {name} dtype {part.dtype.str!r} is not '<f8'"
             )
         if not np.isfinite(part).all():
             raise ValueError(f"checkpoint {header_path}: {name} holds values that are not finite")
-    params = MfParams(*(parts[name].astype(np.float64) for name in _ARRAY_ORDER))
+    params = MfParams(*(parts[name] for name in _ARRAY_ORDER))
     users, items, bias = (getattr(params, name).shape for name in _ARRAY_ORDER)
     if not (len(users) == len(items) == 2 and users[1] == items[1] and bias == items[:1]):
         raise ValueError(
             f"checkpoint {header_path}: array shapes disagree: user_emb {users}, "
             f"item_emb {items}, item_bias {bias}"
         )
-    for key, size in (("num_users", users[0]), ("num_items", items[0]), ("dim", users[1])):
-        if header.get(key) != size:
+    for key in ("seed", "epochs_trained"):
+        value = header.get(key)
+        if type(value) is not int or value < 0:
             raise ValueError(
-                f"checkpoint {header_path}: header {key} {header.get(key)!r} "
-                f"disagrees with the arrays' {size}"
+                f"checkpoint {header_path}: header {key} {value!r} is not an int >= 0"
             )
-    trained = header.get("epochs_trained")
-    if type(trained) is not int or trained < 0:
+    kinds, kind = tuple(loss_epochs()), header.get("loss_kind")
+    if kind not in kinds:
         raise ValueError(
-            f"checkpoint {header_path}: header epochs_trained {trained!r} is not an int >= 0"
+            f"checkpoint {header_path}: header loss_kind {kind!r} is not one of {kinds}"
         )
     return params, header

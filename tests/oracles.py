@@ -575,22 +575,29 @@ def reference_pointwise_epoch(params, dataset, cfg, rng):
     return out, total_loss / total_examples
 
 
-def reference_distill_pass(model, own_top, other_top, target_source, lam, base_cfg, bd_cfg, rng):
+def drawn_items(items, positions):
+    """The entries of ``items`` at ``draw_distill_items``' ``positions``, -1
+    where none was drawn."""
+    return np.where(positions >= 0, np.take_along_axis(items, positions, axis=1), -1)
+
+
+def reference_distill_pass(model, own_top, other_top, other_scores, lam, base_cfg, bd_cfg, rng):
     """``distill._distill_pass`` as one SGD step per user, in user order.
 
     Each step reads the rows that every earlier user's step left. The
-    weights, the draw and the targets are the library's, so the pass uses
-    the same random stream; ``model`` is updated in place.
+    weights and the draw are the library's, so the pass uses the same
+    random stream; a target is sigmoid of the drawn item's counterpart
+    score; ``model`` is updated in place.
     """
     if lam == 0:
         return 0.0, 0, 0
     weights = top_t_weights(own_top, other_top, bd_cfg.eta, bd_cfg.truncate_rank)
-    drawn = draw_distill_items(other_top, weights, bd_cfg.sample_size, rng)
-    counts = np.count_nonzero(drawn >= 0, axis=1)
+    picked = draw_distill_items(other_top, weights, bd_cfg.sample_size, rng)
+    taken = picked >= 0
+    counts = np.count_nonzero(taken, axis=1)
     empty_users = int(np.count_nonzero(counts == 0))
-    users = np.repeat(np.arange(len(drawn)), counts)
-    items = drawn[drawn >= 0]
-    targets = sigmoid(score_pairs(target_source, users, items))
+    items = drawn_items(other_top, picked)[taken]
+    targets = sigmoid(np.take_along_axis(other_scores, picked, axis=1)[taken])
     learner = np.empty_like(targets)
     ends = np.cumsum(counts)
     for user in np.flatnonzero(counts):
@@ -669,7 +676,8 @@ def reference_batched_pointwise_epoch(
     """``ranker.pointwise_epoch`` as it was before its per-epoch buffers:
     fresh arrays and concatenations in every batch, two ``logaddexp`` under
     ``np.where``, and a label array per batch. Scores come from
-    ``score_pairs``, so training must score pairs as serving does, and a
+    ``score_pairs``, so the step must score pairs as calibration sampling
+    does, and a
     user's negatives' gradients are summed by one einsum contraction."""
     table, bias = _stacked_tables(params)
     U = params.num_users

@@ -55,8 +55,13 @@ class TestAtomicOpenAlone:
 
     def test_keep_existing_appends_to_a_copy(self, tmp_path):
         (tmp_path / "log").write_text("row 0\n")
-        with atomic_open(tmp_path / "log", keep_existing=True) as fh:
+        with atomic_open(tmp_path / "log", keep_existing=tmp_path / "log") as fh:
             fh.write("row 1\n")
+        assert (tmp_path / "log").read_text() == "row 0\nrow 1\n"
+        # another file's rows start a new one, and that file keeps its bytes
+        with atomic_open(tmp_path / "new" / "log", keep_existing=tmp_path / "log") as fh:
+            fh.write("row 2\n")
+        assert (tmp_path / "new" / "log").read_text() == "row 0\nrow 1\nrow 2\n"
         assert (tmp_path / "log").read_text() == "row 0\nrow 1\n"
 
 

@@ -21,6 +21,7 @@ from calibrec.synthetic import low_rank_dataset
 from conftest import make_dataset
 from oracles import (
     copy_params,
+    drawn_items,
     finite_difference_grad,
     full_sort_ranking,
     rank_discrepancy_weights,
@@ -74,8 +75,8 @@ def draw_one_row(weights: dict[int, float], n: int, rng) -> list[int]:
     """``draw_distill_items`` on one row of (item, weight) pairs, padding dropped."""
     items = np.array(sorted(weights), dtype=np.int64)
     w = np.array([weights[int(i)] for i in items], dtype=float)
-    drawn = draw_distill_items(items[None, :], w[None, :], n, rng)[0]
-    return drawn[drawn >= 0].tolist()
+    picked = draw_distill_items(items[None, :], w[None, :], n, rng)[0]
+    return items[picked[picked >= 0]].tolist()
 
 
 class TestSampleDistillItems:
@@ -132,7 +133,7 @@ class TestSampleDistillItems:
         items = np.where(rng.random((2000, 12)) < 0.2, -1, rng.integers(0, 500, (2000, 12)))
         weights = np.where((items >= 0) & (rng.random((2000, 12)) < 0.6), rng.random((2000, 12)), 0.0)
         for n in (1, 3, 12):
-            drawn = draw_distill_items(items, weights, n, rng)
+            drawn = drawn_items(items, draw_distill_items(items, weights, n, rng))
             assert drawn.shape == (2000, n)
             for row_items, row_w, row in zip(items, weights, drawn):
                 allowed = row_items[row_w > 0]
@@ -221,8 +222,8 @@ class TestTopTWeights:
         own = _params(kinds[0], dataset.num_users, dataset.num_items, seed=1)
         other = _params(kinds[1], dataset.num_users, dataset.num_items, seed=2)
         eta = 0.3
-        own_top = top_t_rows(own, dataset, truncate_rank)
-        other_top = top_t_rows(other, dataset, truncate_rank)
+        own_top, _ = top_t_rows(own, dataset, truncate_rank)
+        other_top, _ = top_t_rows(other, dataset, truncate_rank)
         weights = top_t_weights(own_top, other_top, eta, truncate_rank)
         assert weights.shape == other_top.shape
         assert np.all(weights[other_top < 0] == 0.0)
@@ -274,20 +275,21 @@ class TestDistillPass:
                                rng.normal(size=num_items))
         bd_cfg = BdConfig(lambda_ts=lam, lambda_st=lam, sample_size=sample_size, eta=0.4,
                           truncate_rank=truncate_rank)
-        tops = [top_t_rows(model, dataset, truncate_rank) for model in (learner, counterpart)]
-        return learner, counterpart, *tops, lam, bd_cfg
+        own_top, _ = top_t_rows(learner, dataset, truncate_rank)
+        other_top, other_scores = top_t_rows(counterpart, dataset, truncate_rank)
+        return learner, own_top, other_top, other_scores, lam, bd_cfg
 
     @pytest.mark.parametrize("dim", [5, 8, 64])
     @pytest.mark.parametrize("case", list(CASES))
     def test_equals_per_user_reference(self, case, dim):
-        learner, counterpart, own_top, other_top, lam, bd_cfg = self.inputs(case, dim)
+        learner, own_top, other_top, other_scores, lam, bd_cfg = self.inputs(case, dim)
         base_cfg = TrainConfig(lr=0.3)
         got_model, want_model = copy_params(learner), copy_params(learner)
         got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
-        got = _distill_pass(got_model, own_top, other_top, counterpart, lam, base_cfg, bd_cfg,
+        got = _distill_pass(got_model, own_top, other_top, other_scores, lam, base_cfg, bd_cfg,
                             got_rng)
-        want = reference_distill_pass(want_model, own_top, other_top, counterpart, lam, base_cfg,
-                                      bd_cfg, want_rng)
+        want = reference_distill_pass(want_model, own_top, other_top, other_scores, lam,
+                                      base_cfg, bd_cfg, want_rng)
         assert got == want
         for name in ("user_emb", "item_emb", "item_bias"):
             assert np.array_equal(getattr(got_model, name), getattr(want_model, name)), name
@@ -300,8 +302,8 @@ class TestDistillPass:
             assert got_rng.bit_generator.state == np.random.default_rng(11).bit_generator.state
             return
         weights = top_t_weights(own_top, other_top, bd_cfg.eta, bd_cfg.truncate_rank)
-        drawn = draw_distill_items(other_top, weights, bd_cfg.sample_size,
-                                   np.random.default_rng(11))
+        drawn = drawn_items(other_top, draw_distill_items(other_top, weights, bd_cfg.sample_size,
+                                                          np.random.default_rng(11)))
         waves = np.array(_waves(drawn))
         counts = np.count_nonzero(drawn >= 0, axis=1)
         if case == "all-empty":
@@ -316,10 +318,10 @@ class TestDistillPass:
 
     @pytest.mark.parametrize("case", ["crowded", "few-positive"])
     def test_groups_step_conflict_free_waves_in_order(self, case):
-        _, _, own_top, other_top, _, bd_cfg = self.inputs(case, 5)
+        _, own_top, other_top, _, _, bd_cfg = self.inputs(case, 5)
         weights = top_t_weights(own_top, other_top, bd_cfg.eta, bd_cfg.truncate_rank)
-        drawn = draw_distill_items(other_top, weights, bd_cfg.sample_size,
-                                   np.random.default_rng(11))
+        drawn = drawn_items(other_top, draw_distill_items(other_top, weights, bd_cfg.sample_size,
+                                                          np.random.default_rng(11)))
         counts = np.count_nonzero(drawn >= 0, axis=1)
         groups = _step_groups(drawn, counts)
         waves = _waves(drawn)
@@ -370,8 +372,8 @@ class TestCotrainEpoch:
         dataset, _, teacher, student = cotrain_setup
         for params in (teacher, student):
             for t in (1, 25, 37, 60):
-                rows = top_t_rows(params, dataset, t)
-                assert rows.shape == (dataset.num_users, min(t, dataset.num_items))
+                rows, scores = top_t_rows(params, dataset, t)
+                assert rows.shape == scores.shape == (dataset.num_users, min(t, dataset.num_items))
                 for user in range(dataset.num_users):
                     want = full_sort_ranking(params, user, dataset.train.row(user))[:t]
                     assert rows[user, : len(want)].tolist() == want

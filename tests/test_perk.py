@@ -7,7 +7,7 @@ from calibrec import perk
 from calibrec.calibration import Calibrator, apply
 from calibrec.perk import UTILITIES, PerkConfig, perk_recommend_users, select_k, utility_curves
 from calibrec.dataset import Csr
-from calibrec.ranker import init_params, score_items
+from calibrec.ranker import MfParams, init_params, score_items, score_pairs, top_k
 
 from conftest import make_dataset
 from oracles import (
@@ -587,6 +587,32 @@ class TestPerkRecommendUsers:
             expected = reference_utility_curve(probs[:k], probs[k:], "ndcg")
             np.testing.assert_allclose(cut.curve, expected, rtol=0, atol=1e-12)
             assert cut.items == pool[: cut.k_star]
+
+    @pytest.mark.parametrize("utility", UTILITIES)
+    def test_top_k_scores_match_pairwise_scores(self, utility):
+        # perk calibrates the scores top_k ranked by, the block product's; the
+        # same pools scored pair by pair move the curves by rounding only
+        rng = np.random.default_rng(47)
+        num_users, num_items, dim = 300, 400, 32
+        params = MfParams(rng.normal(0, 0.6, (num_users, dim)), rng.normal(0, 0.6, (num_items, dim)),
+                          rng.normal(0, 0.5, num_items))
+        sizes = rng.integers(0, 40, num_users)
+        excluded = Csr.from_pairs(
+            np.repeat(np.arange(num_users), sizes),
+            np.concatenate([rng.choice(num_items, n, replace=False) for n in sizes]),
+            num_users, num_items,
+        )
+        cal = Calibrator("platt", a=1.3, b=-6.0)
+        cfg = PerkConfig(k_max=20, utility=utility, rest_pool=60)
+        users = np.arange(num_users)
+        lists = perk_recommend_users(params, cal, excluded, users, cfg)
+        pools, _ = top_k(params, users, 80, excluded)
+        probs = apply(cal, score_pairs(params, np.repeat(users, 80), pools.ravel()))
+        probs = probs.reshape(pools.shape)
+        curves = utility_curves(probs[:, :20], probs[:, 20:], utility)
+        np.testing.assert_allclose(lists.curves, curves, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(lists.k_star, select_k(curves))
+        assert len(set(lists.k_star.tolist())) > 1
 
     def test_empty_pool_and_extra_length(self):
         dataset, params, _ = self.make_setup()

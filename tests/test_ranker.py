@@ -517,7 +517,7 @@ def exclusions(rows, num_items):
 
 def ranked(params, u, exclude=None):
     """One user's full-length ``top_k`` row without its -1 padding."""
-    row = top_k(params, [u], params.num_items, exclude)[0]
+    row = top_k(params, [u], params.num_items, exclude)[0][0]
     return row[row >= 0].tolist()
 
 
@@ -608,7 +608,7 @@ class TestRowOrder:
             tied.item_bias,
         )
         calls = self.argsort_calls(monkeypatch)
-        got = top_k(params, np.arange(8), 12)
+        got, _ = top_k(params, np.arange(8), 12)
         assert [(kind, len(rows)) for kind, rows in calls] == [(None, 8), ("stable", 4)]
         for u, row in enumerate(got):
             assert row.tolist() == full_sort_ranking(params, u)[:12]
@@ -630,11 +630,17 @@ class TestTopK:
         excluded = [rng.choice(40, size=int(rng.integers(0, 41)), replace=False) for _ in users]
         plain = top_k(params, users, k)
         pruned = top_k(params, users, k, exclusions(excluded, 40))
+        # every entry is a multiple of 1/8, so each score is exact
+        exact = params.user_emb @ params.item_emb.T + params.item_bias
         for u in users:
-            for got, exclude in ((plain[u], ()), (pruned[u], excluded[u])):
+            for (items, scores), exclude in ((plain, ()), (pruned, excluded[u])):
+                got = items[u]
                 want = full_sort_ranking(params, int(u), exclude)[:k]
                 assert got[got >= 0].tolist() == want
                 assert np.all(got[len(want):] == -1)
+                # each kept item's score, -inf at the padding
+                padding = [-np.inf] * (len(got) - len(want))
+                assert scores[u].tolist() == exact[u, want].tolist() + padding
 
     def test_full_width_ties_with_exclusions_and_short_rows(self, monkeypatch):
         # every row at full catalog width, so each one is padded by exactly
@@ -644,7 +650,7 @@ class TestTopK:
         rng = np.random.default_rng(5)
         sizes = (0, 1, 29, 30, 15, 3, 0, 28, 7, 12)
         excluded = [rng.choice(30, size=n, replace=False) for n in sizes]
-        got = top_k(params, np.arange(10), 30, exclusions(excluded, 30))
+        got, _ = top_k(params, np.arange(10), 30, exclusions(excluded, 30))
         for u, row in enumerate(got):
             want = full_sort_ranking(params, u, excluded[u])
             assert len(want) == 30 - len(excluded[u])
@@ -673,7 +679,7 @@ class TestTopK:
         assert short.sum() == 4
         assert 0 < np.count_nonzero(~short & (at_or_above > 5)) < 20
         assert np.any(at_or_above == 5)
-        got = top_k(params, np.arange(24), 5, exclusions(excluded, 40))
+        got, _ = top_k(params, np.arange(24), 5, exclusions(excluded, 40))
         for u, row in enumerate(got):
             want = full_sort_ranking(params, u, excluded[u])[:5]
             assert row[: len(want)].tolist() == want
@@ -681,22 +687,27 @@ class TestTopK:
 
     def test_all_zero_scores_pick_smallest_indices(self):
         p = params_from(np.zeros((2, 1)), np.zeros((6, 1)))
-        got = top_k(p, [0, 1], 3, exclusions([[0, 2], []], 6))
+        got, _ = top_k(p, [0, 1], 3, exclusions([[0, 2], []], 6))
         assert got.tolist() == [[1, 3, 4], [0, 1, 2]]
 
     def test_random_scores_match_rank_items(self, monkeypatch):
         monkeypatch.setattr(ranker, "TOP_K_BLOCK", 4)
         p = init_params(10, 50, 6, seed=3)
         p.item_bias[:] = np.random.default_rng(1).normal(size=50)
-        got = top_k(p, np.arange(10)[::-1], 12)
-        for row, u in zip(got, range(9, -1, -1)):
+        users = np.arange(10)[::-1]
+        got, scores = top_k(p, users, 12)
+        for row, u in zip(got, users):
             assert row.tolist() == full_sort_ranking(p, u)[:12]
+        # the block product's scores, within rounding of the pairwise ones
+        paired = score_pairs(p, np.repeat(users, 12), got.ravel()).reshape(got.shape)
+        np.testing.assert_allclose(scores, paired, rtol=0, atol=1e-12)
 
     def test_short_rows_padded(self):
         p = init_params(2, 4, 2, seed=0)
-        got = top_k(p, [0, 1], 3, exclusions([[0, 1, 2], [0, 1, 2, 3]], 4))
+        got, scores = top_k(p, [0, 1], 3, exclusions([[0, 1, 2], [0, 1, 2, 3]], 4))
         assert got[0, 0] == 3 and got[0, 1:].tolist() == [-1, -1]
         assert got[1].tolist() == [-1, -1, -1]
+        assert np.isfinite(scores[0, 0]) and np.all(scores.ravel()[1:] == -np.inf)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", ["user_emb", "item_emb", "item_bias"])
@@ -751,22 +762,27 @@ class TestCheckpoint:
         p.item_bias[:] = np.random.default_rng(0).normal(size=6)
         save_checkpoint(p, tmp_path / "ck", seed=12, loss_kind="bpr", epochs_trained=7)
         loaded, header = load_checkpoint(tmp_path / "ck")
-        assert header["num_users"] == 4 and header["num_items"] == 6 and header["dim"] == 3
+        # the sizes are the arrays' shapes, written once, in the layout
+        assert not {"num_users", "num_items", "dim"} & set(header)
+        assert header["arrays"]["user_emb"]["shape"] == [4, 3]
+        assert header["arrays"]["item_emb"]["shape"] == [6, 3]
+        assert header["seed"] == 12
         assert header["loss_kind"] == "bpr" and header["epochs_trained"] == 7
-        # float32 storage: exact at float32 resolution
-        np.testing.assert_allclose(loaded.user_emb, p.user_emb, atol=1e-6)
-        np.testing.assert_allclose(loaded.item_bias, p.item_bias, atol=1e-6)
+        # float64 storage: the same bits
+        for name in ("user_emb", "item_emb", "item_bias"):
+            assert getattr(loaded, name).tobytes() == getattr(p, name).tobytes()
+            assert getattr(loaded, name).dtype == np.float64
 
     def test_byte_lengths_and_layout(self, tmp_path):
         p = init_params(3, 5, 2, seed=1)
         _, sidecar = save_checkpoint(p, tmp_path / "ck")
         _, header = load_checkpoint(tmp_path / "ck")
         sizes = {name: meta["bytes"] for name, meta in header["arrays"].items()}
-        assert sizes == {"user_emb": 3 * 2 * 4, "item_emb": 5 * 2 * 4, "item_bias": 5 * 4}
+        assert sizes == {"user_emb": 3 * 2 * 8, "item_emb": 5 * 2 * 8, "item_bias": 5 * 8}
         assert sidecar.stat().st_size == sum(sizes.values())
-        # first array in the sidecar is user_emb, row-major little-endian f4
-        raw = np.frombuffer(sidecar.read_bytes()[: 3 * 2 * 4], dtype="<f4").reshape(3, 2)
-        np.testing.assert_allclose(raw, p.user_emb.astype("<f4"))
+        # first array in the sidecar is user_emb, row-major little-endian f8
+        raw = np.frombuffer(sidecar.read_bytes()[: 3 * 2 * 8], dtype="<f8").reshape(3, 2)
+        np.testing.assert_array_equal(raw, p.user_emb)
 
     def test_sidecar_length_must_match_header(self, tmp_path):
         p = init_params(3, 5, 2, seed=1)
@@ -813,7 +829,7 @@ class TestCheckpoint:
         else:
             header["format"] = found
         header_path.write_text(json.dumps(header))
-        problem = f"checkpoint {header_path}: format {found!r} is not mf-checkpoint-v1"
+        problem = f"checkpoint {header_path}: format {found!r} is not mf-checkpoint-v2"
         with pytest.raises(ValueError, match=re.escape(problem)):
             load_checkpoint(tmp_path / "ck")
 
@@ -823,38 +839,45 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="format None"):
             load_checkpoint(tmp_path / "ck")
 
-    @pytest.mark.parametrize("key, value", [("num_users", 7), ("num_items", 4), ("dim", 99)])
-    def test_header_counts_must_match_arrays(self, tmp_path, key, value):
-        header_path, _ = save_checkpoint(init_params(3, 5, 2, seed=1), tmp_path / "ck")
-        header = json.loads(header_path.read_text())
-        header[key] = value
-        header_path.write_text(json.dumps(header))
-        with pytest.raises(ValueError, match=f"checkpoint .*ck.json: header {key} {value} "):
-            load_checkpoint(tmp_path / "ck")
-
     @pytest.mark.parametrize("value", ["3", 2.5, -5, True, None],
                              ids=["text", "float", "negative", "bool", "missing"])
-    def test_header_epochs_trained_must_be_a_count(self, tmp_path, value):
+    @pytest.mark.parametrize("key", ["epochs_trained", "seed"])
+    def test_header_seed_and_epochs_trained_must_be_counts(self, tmp_path, key, value):
         header_path, _ = save_checkpoint(init_params(3, 5, 2, seed=1), tmp_path / "ck")
         header = json.loads(header_path.read_text())
         if value is None:
-            del header["epochs_trained"]
+            del header[key]
         else:
-            header["epochs_trained"] = value
+            header[key] = value
         header_path.write_text(json.dumps(header))
-        problem = f"checkpoint {header_path}: header epochs_trained {value!r} is not an int >= 0"
+        problem = f"checkpoint {header_path}: header {key} {value!r} is not an int >= 0"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("value", ["sgd", "BPR", 1, [], {}, None],
+                             ids=["other", "case", "int", "list", "object", "missing"])
+    def test_header_loss_kind_must_name_an_epoch_function(self, tmp_path, value):
+        header_path, _ = save_checkpoint(init_params(3, 5, 2, seed=1), tmp_path / "ck")
+        header = json.loads(header_path.read_text())
+        if value is None:
+            del header["loss_kind"]
+        else:
+            header["loss_kind"] = value
+        header_path.write_text(json.dumps(header))
+        problem = (f"checkpoint {header_path}: header loss_kind {value!r} "
+                   f"is not one of ('bpr', 'pointwise')")
         with pytest.raises(ValueError, match=re.escape(problem)):
             load_checkpoint(tmp_path / "ck")
 
     # read as floats, each of these would load as other numbers or fail
     # without naming the file
-    @pytest.mark.parametrize("dtype", ["<c8", "<i4", "|u1", "|b1", ">f4", "<f2", "<f8", "<M8[s]",
-                                       "|S4"])
+    @pytest.mark.parametrize("dtype", ["<c16", "<i8", "|u1", "|b1", ">f8", "<f4", "<f2", "<M8[s]",
+                                       "|S8"])
     @pytest.mark.parametrize("name", ["user_emb", "item_emb", "item_bias"])
     def test_array_dtype_must_be_the_saved_one(self, tmp_path, name, dtype):
         header_path, _ = save_checkpoint(init_params(3, 4, 2, seed=1), tmp_path / "ck")
         retype_array(header_path, name, dtype)
-        problem = f"checkpoint {header_path}: {name} dtype '{dtype}' is not '<f4'"
+        problem = f"checkpoint {header_path}: {name} dtype '{dtype}' is not '<f8'"
         with pytest.raises(ValueError, match=re.escape(problem)):
             load_checkpoint(tmp_path / "ck")
 
@@ -877,9 +900,9 @@ class TestCheckpoint:
         assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
         loaded, header = load_checkpoint(tmp_path / "ck")
         assert header["epochs_trained"] == 1
-        np.testing.assert_allclose(loaded.user_emb, old.user_emb, atol=1e-6)
+        np.testing.assert_array_equal(loaded.user_emb, old.user_emb)
 
-    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e39], ids=["inf", "nan", "f32-overflow"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     @pytest.mark.parametrize("name", ["user_emb", "item_emb", "item_bias"])
     def test_non_finite_values_rejected(self, tmp_path, name, value):
         old = init_params(3, 5, 2, seed=1)
@@ -887,7 +910,7 @@ class TestCheckpoint:
         before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
         bad = init_params(3, 5, 2, seed=2)
         getattr(bad, name).flat[-1] = value
-        with pytest.raises(ValueError, match=f"checkpoint {name} .*not finite in float32"):
+        with pytest.raises(ValueError, match=f"checkpoint {name} holds values that are not finite"):
             save_checkpoint(bad, tmp_path / "ck", epochs_trained=2)
         # no .partial file, and the earlier pair as it was
         assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
